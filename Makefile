@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race lint bench bench-kv bench-sim bench-obs bench-runtime bench-chaos
+.PHONY: check build vet test race lint bench bench-short bench-kv bench-sim bench-obs bench-runtime bench-chaos
 
 ## check: the full tier-1 gate (build + vet + race tests + lobster-lint)
 check:
@@ -26,8 +26,14 @@ race:
 lint:
 	$(GO) run ./cmd/lobster-lint -time ./...
 
+## bench: the repository's one benchmark (BENCHMARK.json, bench/README.md):
+## five workloads, end-to-end pass plus traced per-layer pass, goldens
+## checked. bench-short is the ~10x shorter smoke, never a recorded number.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run ./bench
+
+bench-short:
+	$(GO) run ./bench -short
 
 ## bench-kv: run the kvstore micro-benchmarks and record ops/sec, B/op
 ## and p99 per protocol in BENCH_kv.json at the repo root.

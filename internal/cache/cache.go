@@ -191,6 +191,19 @@ func (c *Cache) Maintain(now Iter) []dataset.SampleID {
 	return c.scratch
 }
 
+// Compact lets the policy shed bookkeeping for entries that have left
+// the cache (the planned policies' lazily-deleted heap entries), bounding
+// its memory by the cache's size instead of the run's length. It changes
+// no membership, but it may reorder which of several equally-ranked
+// samples is evicted first, so only the live runtime calls it (from its
+// per-iteration maintenance): the simulator's outputs are pinned exactly
+// and must not depend on when compaction ran.
+func (c *Cache) Compact() {
+	if p, ok := c.policy.(interface{ compact(live int) }); ok {
+		p.compact(c.count)
+	}
+}
+
 func (c *Cache) drainExpired(now Iter) {
 	c.policy.DrainExpired(now, c.emit)
 }

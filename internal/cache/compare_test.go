@@ -113,3 +113,78 @@ func TestCapacityNeverExceeded(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactBoundsHeapAndKeepsVictims replays 100k accesses against a
+// compacted and an uncompacted planned policy side by side. The compacted
+// heap must stay within 2*live+1024 entries (the uncompacted one grows
+// with the run), and both must evict samples of the same next use in the
+// same order: compaction may only drop stale entries. One sample per
+// iteration keeps next uses distinct, so the sequences are comparable at
+// all (among equal keys compaction may legitimately pick another victim).
+func TestCompactBoundsHeapAndKeepsVictims(t *testing.T) {
+	const samples, epochs = 2000, 50
+	ds, err := dataset.Generate(dataset.Spec{
+		Name: "compact", NumSamples: samples, MeanSize: 1000, SigmaLog: 0.3, Classes: 2, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sampler.New(ds, sampler.Config{WorldSize: 1, BatchSize: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := access.Build(s, 0, 1, epochs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mk := range []func() Policy{
+		func() Policy { return NewBelady(plan) },
+		func() Policy { return NewLobster(plan, LobsterOptions{}) },
+	} {
+		// replay returns the next use of every victim, in eviction order.
+		replay := func(compactEvery int) (victimKeys []Iter, heapLen int) {
+			p := mk().(*plannedPolicy)
+			c, err := New(ds.TotalBytes()*30/100, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch []dataset.SampleID
+			for h := 0; h < epochs*s.IterationsPerEpoch(); h++ {
+				now := Iter(h)
+				batch = s.NodeBatch(batch[:0], h/s.IterationsPerEpoch(), h%s.IterationsPerEpoch(), 0, 1)
+				for _, id := range batch {
+					if c.Get(id, now) {
+						continue
+					}
+					evicted, _ := c.Put(id, ds.Size(id), now)
+					for _, ev := range evicted {
+						victimKeys = append(victimKeys, plan.NextUse(ev, now))
+					}
+				}
+				for _, ev := range c.Maintain(now) {
+					victimKeys = append(victimKeys, plan.NextUse(ev, now))
+				}
+				if compactEvery > 0 && h%compactEvery == 0 {
+					c.Compact()
+					if bound := 2*c.Len() + 1024; len(p.h) > bound {
+						t.Fatalf("%s: heap holds %d entries after Compact at access %d, bound %d", p.name, len(p.h), h, bound)
+					}
+				}
+			}
+			return victimKeys, len(p.h)
+		}
+		plainKeys, plainLen := replay(0)
+		keys, _ := replay(64)
+		if plainLen <= 4*samples {
+			t.Fatalf("uncompacted heap ended at %d entries: the run is too short to need compaction", plainLen)
+		}
+		if len(keys) == 0 || len(keys) != len(plainKeys) {
+			t.Fatalf("%d victims with compaction, %d without", len(keys), len(plainKeys))
+		}
+		for i := range keys {
+			if keys[i] != plainKeys[i] {
+				t.Fatalf("victim %d has next use %d with compaction, %d without", i, keys[i], plainKeys[i])
+			}
+		}
+	}
+}

@@ -115,7 +115,7 @@ func (p *plannedPolicy) push(id dataset.SampleID, now Iter) {
 
 //lint:hotpath one heap op per simulated cache access; container/heap's interface boxing was why this heap is hand-rolled
 func (p *plannedPolicy) heapPush(e heapEntry) {
-	//lint:allow hotpath amortized doubling growth: O(1) per push, and flat once the heap reaches the cache's working-set size
+	//lint:allow hotpath amortized doubling growth: O(1) per push; the heap holds one entry per access until stale ones surface or compact drops them
 	p.h = append(p.h, e)
 	j := len(p.h) - 1
 	for j > 0 {
@@ -132,7 +132,13 @@ func (p *plannedPolicy) heapPush(e heapEntry) {
 func (p *plannedPolicy) heapPop() {
 	n := len(p.h) - 1
 	p.h[0], p.h[n] = p.h[n], p.h[0]
-	i := 0
+	p.h = p.h[:n]
+	p.siftDown(0)
+}
+
+// siftDown restores the heap property below index i.
+func (p *plannedPolicy) siftDown(i int) {
+	n := len(p.h)
 	for {
 		j := 2*i + 1
 		if j >= n {
@@ -147,7 +153,29 @@ func (p *plannedPolicy) heapPop() {
 		p.h[i], p.h[j] = p.h[j], p.h[i]
 		i = j
 	}
-	p.h = p.h[:n]
+}
+
+// compact rebuilds the heap from its live entries once stale ones
+// outnumber them: every access pushes an entry and only stale entries
+// that reach the top are ever popped, so without this the heap grows with
+// the length of the run, not the size of the cache. live is the number
+// of cached samples (exactly one heap entry each is current). Rebuilding
+// reorders entries of equal key, so victims among ties can differ from
+// an uncompacted run's — see Cache.Compact for who may call it.
+func (p *plannedPolicy) compact(live int) {
+	if len(p.h) <= 2*live+1024 {
+		return
+	}
+	kept := p.h[:0]
+	for _, e := range p.h {
+		if v := p.vers[e.id]; v != 0 && v == e.ver {
+			kept = append(kept, e)
+		}
+	}
+	p.h = kept
+	for i := len(p.h)/2 - 1; i >= 0; i-- {
+		p.siftDown(i)
+	}
 }
 
 func (p *plannedPolicy) OnPut(id dataset.SampleID, now Iter) {

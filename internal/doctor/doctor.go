@@ -53,6 +53,12 @@ type Report struct {
 	TopCauses  []CauseTotal // all ranks summed, dominant first
 	Stragglers []int        // ranks with load time > stragglerFactor x mean
 
+	// RankStallSeconds is what the ranks actually waited for their batches
+	// (lobster_runtime_stall_seconds, all ranks). The ledger totals above
+	// are data-path time by cause, most of which the runtime's one batch
+	// of lookahead overlaps with compute; Hidden is the share it hid.
+	RankStallSeconds float64
+
 	// Imbalance is the live gauge's last value (0 when the scrape had
 	// none); EpochImbalance is recomputed per epoch from the trace.
 	Imbalance      float64
@@ -148,6 +154,7 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 		}
 	}
 
+	r.RankStallSeconds = m.Sum("lobster_runtime_stall_seconds_sum", nil)
 	r.Imbalance, _ = m.Value("lobster_runtime_load_imbalance", nil)
 	r.HedgesFired = m.Sum("lobster_kvstore_hedge_fired_total", nil)
 	r.HedgesWon = m.Sum("lobster_kvstore_hedge_won_total", nil)
@@ -202,6 +209,20 @@ func (r *Report) analyzeTrace(t *Trace, ipe int) {
 	}
 }
 
+// Hidden is the share of the ledger's data-path time that no rank waited
+// for: 1 - rank stall / ledger total. ok is false without both numbers.
+// Negative means the ranks waited longer than the ledger accounts for.
+func (r *Report) Hidden() (share float64, ok bool) {
+	ledger := 0.0
+	for _, ct := range r.TopCauses {
+		ledger += ct.Seconds
+	}
+	if ledger == 0 || r.RankStallSeconds == 0 {
+		return 0, false
+	}
+	return 1 - r.RankStallSeconds/ledger, true
+}
+
 // sortCauses orders dominant first, name-alphabetical on ties so the
 // report is deterministic.
 func sortCauses(cs []CauseTotal) {
@@ -229,6 +250,9 @@ func (r *Report) WriteText(w io.Writer) error {
 		p("Top stall causes (all ranks):\n")
 		for i, ct := range r.TopCauses {
 			p("  %d. %-12s %9.3fs\n", i+1, ct.Cause, ct.Seconds)
+		}
+		if hidden, ok := r.Hidden(); ok {
+			p("  hidden: %.0f%% of that ran under compute (ranks waited %.3fs)\n", 100*hidden, r.RankStallSeconds)
 		}
 		p("\nPer-rank decomposition:\n")
 		for _, rr := range r.Ranks {

@@ -127,6 +127,8 @@ lobster_runtime_stall_pfs_seconds_sum{rank="3"} 0.1
 lobster_runtime_stall_peer_fetch_seconds_sum{rank="2"} 2.3
 lobster_runtime_stall_decode_wait_seconds_sum{rank="0"} 0.3
 lobster_runtime_stall_recovery_seconds_sum{rank="2"} 0.05
+lobster_runtime_stall_seconds_sum{rank="0"} 0.5
+lobster_runtime_stall_seconds_sum{rank="2"} 0.6
 lobster_runtime_load_imbalance 2.4
 lobster_runtime_iters_per_epoch 8
 lobster_runtime_failover_total 5
@@ -189,6 +191,7 @@ func TestAnalyzeAndReport(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"1. peer_fetch",
+		"hidden: 77% of that ran under compute (ranks waited 1.100s)",
 		"Stragglers",
 		"ranks [2]",
 		"Load imbalance",

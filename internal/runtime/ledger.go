@@ -3,6 +3,8 @@ package runtime
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // stallCause indexes the attribution buckets of the per-iteration stall
@@ -20,7 +22,8 @@ import (
 //	            GPU exactly as long as a slow succeeding one)
 //	pfs         a demand read from the parallel file system on the
 //	            normal path: no holder was promised and the KV tier
-//	            reported a clean miss. Includes retry backoff.
+//	            reported a clean miss. Includes retry backoff and
+//	            the local-cache insert that follows the read.
 //	decode_wait time a decode job sat in the preprocessing queue
 //	            before a worker picked it up (decode-bound node)
 //	queue_wait  time a load request sat in its per-GPU queue before a
@@ -57,44 +60,51 @@ func loadSideCause(c stallCause) bool {
 	return c == causeLocalHit || c == causePeerFetch || c == causePFS || c == causeRecovery
 }
 
-// stallRow accumulates one rank's current-iteration attribution. Padded
-// so concurrent loading workers charging different ranks never share a
-// cache line.
+// stallRow accumulates one rank's attribution for one iteration in
+// flight. Padded so concurrent loading workers charging different ranks
+// never share a cache line.
 type stallRow struct {
 	ns [numStallCauses]atomic.Int64
 	_  [64]byte
 }
 
-// stallLedger is the run's attribution accumulator: one row per global
-// rank, holding only the iteration in flight. Safe without locks
-// because of the iteration ordering the barrier already enforces: every
-// demand load (and the preproc job it spawns) for rank r's iteration h
-// completes before r's batch wait returns, which happens-before r
-// arrives at barrier h; the barrier's last arriver flushes the rows
-// strictly before any rank submits iteration h+1's loads. So add and
-// flush never race on the same iteration's nanoseconds.
+// stallLedger is the run's attribution accumulator: two rows per global
+// rank, indexed by the parity of the iteration a charge belongs to (its
+// trace context's Iter), because the rank loop keeps two batches in
+// flight (DESIGN.md §12). Safe without locks because of the ordering the
+// pipeline and the barrier enforce: every demand load (and the preproc
+// job it spawns) for rank r's iteration h completes before r's wait on
+// batch h returns, which happens-before r arrives at barrier h, so the
+// last arriver's flush of parity h&1 sees all of iteration h. Iteration
+// h+1's loads are already running then, but they charge the other
+// parity; iteration h+2, the next to use parity h&1, is submitted only
+// after barrier h releases. So add and flush never race on the same
+// iteration's nanoseconds, and no charge is reported under another
+// iteration.
 type stallLedger struct {
-	rows []stallRow
+	rows [][2]stallRow
 }
 
 func newStallLedger(world int) *stallLedger {
-	return &stallLedger{rows: make([]stallRow, world)}
+	return &stallLedger{rows: make([][2]stallRow, world)}
 }
 
-// add charges d to (rank, cause). Nil-safe; out-of-range ranks (a
-// clamped trace context from a hostile frame) are dropped rather than
-// mis-charged.
-func (l *stallLedger) add(rank int, c stallCause, d time.Duration) {
-	if l == nil || rank < 0 || rank >= len(l.rows) || d <= 0 {
+// add charges d to cause c of the (rank, iteration) ctx names. Nil-safe;
+// out-of-range ranks (a clamped trace context from a hostile frame) are
+// dropped rather than mis-charged.
+func (l *stallLedger) add(ctx obs.TraceCtx, c stallCause, d time.Duration) {
+	rank := ctx.Rank()
+	if l == nil || rank >= len(l.rows) || d <= 0 {
 		return
 	}
-	l.rows[rank].ns[c].Add(int64(d))
+	l.rows[rank][ctx.Iter()&1].ns[c].Add(int64(d))
 }
 
-// drain swaps rank r's row to zero and returns the accumulated
-// durations per cause.
-func (l *stallLedger) drain(r int, out *[numStallCauses]time.Duration) {
+// drain swaps rank r's row for iteration iter to zero and returns the
+// accumulated durations per cause.
+func (l *stallLedger) drain(r, iter int, out *[numStallCauses]time.Duration) {
+	row := &l.rows[r][iter&1]
 	for c := range out {
-		out[c] = time.Duration(l.rows[r].ns[c].Swap(0))
+		out[c] = time.Duration(row.ns[c].Swap(0))
 	}
 }

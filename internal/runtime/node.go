@@ -198,7 +198,8 @@ func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, po
 	return inserted, inserted
 }
 
-// maintain runs proactive policy evictions.
+// maintain runs proactive policy evictions, then lets the policy drop
+// its stale bookkeeping so a long run's memory follows the cache's size.
 func (nc *nodeCache) maintain(now cache.Iter) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
@@ -207,6 +208,7 @@ func (nc *nodeCache) maintain(now cache.Iter) {
 		delete(nc.payloads, ev)
 		nc.dir.Remove(nc.node, ev)
 	}
+	nc.c.Compact()
 }
 
 func (nc *nodeCache) stats() cache.Stats {
@@ -254,13 +256,17 @@ type loadWork struct {
 	single loadRequest
 	// Batched variant: materialize ids and complete comp's slots
 	// base..base+len(ids)-1. The per-sample preprocessing seed is
-	// seed ^ id. ids is borrowed from the submitting rank's batch
-	// scratch; every read of it happens-before the completion's wake,
-	// which happens-before the rank reuses the scratch.
+	// seed ^ id. ids is borrowed from the batch scratch of the submitting
+	// rank's pipeline slot; every read of it happens-before the
+	// completion's wake, which happens-before the rank reuses the slot.
 	ids  []dataset.SampleID
 	base int
 	seed uint64
 	comp *preproc.Completion
+	// iter is the global iteration the batch belongs to — the cache
+	// timestamp of its accesses. The rank loop submits one batch ahead,
+	// so this is not the node's iterNow.
+	iter cache.Iter
 	// ctx carries the requesting (rank, epoch, iter) down the demand
 	// path: into the stall ledger, the preproc jobs, and — through the
 	// KV client's 0xA4 frames — onto the server's trace ring. Zero when
@@ -359,11 +365,12 @@ func (q *gpuQueue) submit(r loadRequest) {
 // sample. comp must be armed (Reset) for len(ids) results; slots map
 // 1:1 to batch positions, so the results come back in batch order. ids
 // is borrowed until comp's Wait returns; the caller must not mutate it
-// before then. chunk <= 0 picks an automatic size: the batch spread
-// evenly over the queue's current workers, capped at maxLoadChunk.
+// before then. iter is the global iteration the batch is for. chunk <= 0
+// picks an automatic size: the batch spread evenly over the queue's
+// current workers, capped at maxLoadChunk.
 //
 //lint:hotpath one call per iteration per rank on the batched data path; BENCH_runtime.json pins 0 allocs/op
-func (q *gpuQueue) submitBatch(ids []dataset.SampleID, seed uint64, comp *preproc.Completion, chunk int, tctx obs.TraceCtx, enq time.Time) {
+func (q *gpuQueue) submitBatch(ids []dataset.SampleID, iter cache.Iter, seed uint64, comp *preproc.Completion, chunk int, tctx obs.TraceCtx, enq time.Time) {
 	if chunk <= 0 {
 		w := q.workers()
 		chunk = (len(ids) + w - 1) / w
@@ -380,7 +387,7 @@ func (q *gpuQueue) submitBatch(ids []dataset.SampleID, seed uint64, comp *prepro
 		if end > len(ids) {
 			end = len(ids)
 		}
-		q.reqs <- loadWork{ids: ids[base:end], base: base, seed: seed, comp: comp, ctx: tctx, enq: enq}
+		q.reqs <- loadWork{ids: ids[base:end], base: base, seed: seed, comp: comp, iter: iter, ctx: tctx, enq: enq}
 	}
 }
 
@@ -477,7 +484,7 @@ type nodeRuntime struct {
 	queues  []*gpuQueue
 	pre     *preproc.Pool
 	plan    *access.Plan
-	iterNow atomic.Int32 // current global iteration (policy timestamps)
+	iterNow atomic.Int32 // iteration the ranks are training on (prefetch window base and timestamps)
 
 	remoteHits atomic.Uint64
 	pfsReads   atomic.Uint64
@@ -509,10 +516,12 @@ type nodeRuntime struct {
 func (n *nodeRuntime) load(r loadRequest, tid int64) {
 	if !r.enq.IsZero() {
 		if ro := n.rt.ro; ro != nil {
-			ro.ledger.add(r.ctx.Rank(), causeQueueWait, time.Since(r.enq))
+			ro.ledger.add(r.ctx, causeQueueWait, time.Since(r.enq))
 		}
 	}
-	payload, owned, owner := n.loadPayload(r.id, tid, r.ctx)
+	// The per-sample path is synchronous: the iteration being loaded is
+	// the node's current one.
+	payload, owned, owner := n.loadPayload(r.id, cache.Iter(n.iterNow.Load()), tid, r.ctx)
 	job := preproc.Job{ID: r.id, Payload: payload, Seed: r.seed, Done: r.out, Owned: owned, Owner: owner, Ctx: r.ctx}
 	if !r.enq.IsZero() {
 		job.EnqueuedAt = time.Now()
@@ -529,11 +538,11 @@ func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []pre
 		if ro := n.rt.ro; ro != nil {
 			// The whole chunk sat in the queue from submit to this pickup;
 			// charge it once (chunks are the queue's unit of work).
-			ro.ledger.add(w.ctx.Rank(), causeQueueWait, time.Since(w.enq))
+			ro.ledger.add(w.ctx, causeQueueWait, time.Since(w.enq))
 		}
 	}
 	for i, id := range w.ids {
-		payload, owned, owner := n.loadPayload(id, tid, w.ctx)
+		payload, owned, owner := n.loadPayload(id, w.iter, tid, w.ctx)
 		jobs = append(jobs, preproc.Job{
 			ID:      id,
 			Payload: payload,
@@ -555,13 +564,14 @@ func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []pre
 	return jobs
 }
 
-// loadPayload materializes one sample's bytes: local cache, else peer
-// cache/KV cluster, else PFS. This is the Equation 1 path, executed for
-// real. owned reports whether the returned slice is exclusively the
+// loadPayload materializes one sample's bytes for iteration now: local
+// cache, else peer cache/KV cluster, else PFS. This is the Equation 1
+// path, executed for real. now is the iteration of the access, which the
+// planned policies key their next-use lookups on. owned reports whether the returned slice is exclusively the
 // data path's — recyclable after decode; a non-nil owner means the
 // slice is leased from a cache that still retains it and must be
 // released (never recycled) after decode (DESIGN.md §12).
-func (n *nodeRuntime) loadPayload(id dataset.SampleID, tid int64, tctx obs.TraceCtx) (payload []byte, owned bool, owner preproc.PayloadOwner) {
+func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64, tctx obs.TraceCtx) (payload []byte, owned bool, owner preproc.PayloadOwner) {
 	ro := n.rt.ro
 	rec := ro != nil && (ro.trace != nil || n.loadHist.On())
 	var start time.Time
@@ -570,7 +580,6 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, tid int64, tctx obs.Trace
 		start = time.Now()
 		led = ro.ledger
 	}
-	now := cache.Iter(n.iterNow.Load())
 	payload, ok, leased := n.cache.get(id, now)
 	if ok {
 		if leased {
@@ -584,7 +593,7 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, tid int64, tctx obs.Trace
 		if ok {
 			// The miss path attributes its own legs inside fetchMiss; a hit
 			// is entirely the local cache's time.
-			led.add(tctx.Rank(), causeLocalHit, d)
+			led.add(tctx, causeLocalHit, d)
 		}
 		n.loadHist.Observe(d.Seconds())
 		if tid != 0 {
@@ -606,7 +615,6 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, tid int64, tctx obs.Trace
 // read is pfs on the normal path (no holder, or a clean KV miss) and
 // recovery when the tier broke a promise — exactly the failover events.
 func (n *nodeRuntime) fetchMiss(id dataset.SampleID, now cache.Iter, tctx obs.TraceCtx, led *stallLedger) (payload []byte, owned bool, owner preproc.PayloadOwner) {
-	rank := tctx.Rank()
 	recovering := false
 	if n.rt.kv != nil {
 		var legStart time.Time
@@ -615,7 +623,7 @@ func (n *nodeRuntime) fetchMiss(id dataset.SampleID, now cache.Iter, tctx obs.Tr
 		}
 		payload, found, err := n.rt.kv.GetTraced(kvKey(id), tctx)
 		if led != nil {
-			led.add(rank, causePeerFetch, time.Since(legStart))
+			led.add(tctx, causePeerFetch, time.Since(legStart))
 		}
 		if err == nil && found {
 			n.remoteHits.Add(1)
@@ -637,7 +645,7 @@ func (n *nodeRuntime) fetchMiss(id dataset.SampleID, now cache.Iter, tctx obs.Tr
 		}
 		fetched := n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id))
 		if led != nil {
-			led.add(rank, causePeerFetch, time.Since(legStart))
+			led.add(tctx, causePeerFetch, time.Since(legStart))
 		}
 		if fetched != nil {
 			n.remoteHits.Add(1)
@@ -657,16 +665,16 @@ func (n *nodeRuntime) fetchMiss(id dataset.SampleID, now cache.Iter, tctx obs.Tr
 		pfsStart = time.Now()
 	}
 	payload = n.pfsReadRetry(id)
+	n.pfsReads.Add(1)
+	pooled := n.rt.pfs.PooledReads()
+	_, retained := n.cache.put(id, payload, now, pooled, true)
 	if led != nil {
 		c := causePFS
 		if recovering {
 			c = causeRecovery
 		}
-		led.add(rank, c, time.Since(pfsStart))
+		led.add(tctx, c, time.Since(pfsStart))
 	}
-	n.pfsReads.Add(1)
-	pooled := n.rt.pfs.PooledReads()
-	_, retained := n.cache.put(id, payload, now, pooled, true)
 	if n.rt.kv != nil {
 		// Write-back so other nodes find it in the shared tier; the
 		// cluster's own LRU bounds its memory. Put is synchronous — the
@@ -745,9 +753,12 @@ func (n *nodeRuntime) prefetcher(workers, depthIters int) {
 					return
 				default:
 				}
+				// Iterations now and now+1 belong to the demand pipeline (the
+				// ranks submit one batch ahead); fetching them here would
+				// only race it for the same ids.
 				now := access.Iter(n.iterNow.Load())
-				if cursor <= now {
-					cursor = now + 1
+				if cursor < now+2 {
+					cursor = now + 2
 				}
 				if cursor > now+access.Iter(depthIters) || int(cursor) >= int(n.rt.totalIters) {
 					// Caught up: yield briefly.

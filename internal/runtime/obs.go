@@ -145,8 +145,8 @@ func (ro *runtimeObs) ledgerOn() *stallLedger {
 // per-cause spans land on the rank's stall track (backdated so the span
 // ends at the flush), and the load-imbalance gauge gets max/mean of the
 // per-rank load-side time. Runs on the barrier's last arriver while all
-// ranks wait, which is what makes the lock-free drain safe (see
-// stallLedger).
+// ranks wait and drains only `completed`'s parity — the next iteration's
+// loads are already charging the other one (see stallLedger).
 func (ro *runtimeObs) flushLedger(completed int) {
 	led := ro.ledgerOn()
 	if led == nil {
@@ -156,7 +156,7 @@ func (ro *runtimeObs) flushLedger(completed int) {
 	var durs [numStallCauses]time.Duration
 	var sum, max float64
 	for r := range led.rows {
-		led.drain(r, &durs)
+		led.drain(r, completed, &durs)
 		var loadSide time.Duration
 		for c, d := range durs {
 			if d == 0 {
@@ -202,7 +202,7 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 				obs.LatencyBuckets(), "node", n)
 		}
 		ins.QueueWait = func(ctx obs.TraceCtx, wait time.Duration) {
-			ro.ledger.add(ctx.Rank(), causeDecodeWait, wait)
+			ro.ledger.add(ctx, causeDecodeWait, wait)
 		}
 		node.pre.SetInstruments(ins)
 	}

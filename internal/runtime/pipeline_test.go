@@ -1,0 +1,120 @@
+package runtime
+
+import (
+	"context"
+	"errors"
+	"testing"
+
+	"repro/internal/loader"
+	"repro/internal/obs"
+)
+
+// hookBarrier installs fn as the barrier's last-arriver test hook for
+// the duration of the test.
+func hookBarrier(t *testing.T, fn func(rt *Runtime, completed int)) {
+	t.Helper()
+	barrierHook = fn
+	t.Cleanup(func() { barrierHook = nil })
+}
+
+// TestRanksSubmitOneBatchAhead pins the pipeline's shape without a
+// clock: whenever the last rank arrives at barrier `completed`, every
+// rank has submitted exactly the batches 0..completed+1 — one ahead of
+// the one it just trained on, never two — until the schedule runs out.
+func TestRanksSubmitOneBatchAhead(t *testing.T) {
+	opts := testOptions(t, loader.Lobster(), 2, 2)
+	barriers := 0
+	hookBarrier(t, func(rt *Runtime, completed int) {
+		barriers++
+		want := completed + 2
+		if want > rt.totalIters {
+			want = rt.totalIters
+		}
+		for rank, got := range rt.submitted {
+			if got != want {
+				t.Errorf("barrier %d: rank %d has submitted %d batches, want %d", completed, rank, got, want)
+			}
+		}
+	})
+	stats, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if barriers != stats.Iterations || barriers == 0 {
+		t.Fatalf("hook ran at %d barriers of %d iterations", barriers, stats.Iterations)
+	}
+}
+
+// TestCancelDrainsLookahead cancels the run at several iterations. A
+// stopped rank has one batch in flight; it must wait it out, so that
+// after RunContext returns no payload lease is outstanding on any node
+// (DESIGN.md §12's lease balance), and the run reports exactly the
+// iterations up to the published stop boundary.
+func TestCancelDrainsLookahead(t *testing.T) {
+	for _, cancelAt := range []int{1, 2, 7, 33} {
+		opts := testOptions(t, loader.Lobster(), 2, 4)
+		ctx, cancel := context.WithCancel(context.Background())
+		var rt *Runtime
+		hookBarrier(t, func(r *Runtime, _ int) { rt = r })
+		lastBoundary := 0
+		opts.OnProgress = func(p Progress) {
+			lastBoundary = p.Iteration
+			if p.Iteration == cancelAt {
+				cancel()
+			}
+		}
+		stats, err := RunContext(ctx, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at %d: err = %v, want context.Canceled", cancelAt, err)
+		}
+		if stats.Iterations != lastBoundary || stats.Iterations < cancelAt || stats.Iterations >= rt.totalIters {
+			t.Fatalf("cancel at %d: %d iterations, last barrier published %d of %d",
+				cancelAt, stats.Iterations, lastBoundary, rt.totalIters)
+		}
+		world := opts.Topology.WorldSize()
+		if want := uint64(stats.Iterations * world * opts.Model.BatchSize); stats.SamplesLoaded != want || stats.SamplesVerified != want {
+			t.Fatalf("cancel at %d: loaded %d, verified %d, want %d (the drained batch is not counted)",
+				cancelAt, stats.SamplesLoaded, stats.SamplesVerified, want)
+		}
+		for _, node := range rt.nodes {
+			nc := node.cache
+			nc.mu.Lock()
+			leases, zombies := len(nc.leases), len(nc.zombies)
+			nc.mu.Unlock()
+			if leases != 0 || zombies != 0 {
+				t.Fatalf("cancel at %d: node %d ends with %d leased and %d zombie buffers", cancelAt, node.node, leases, zombies)
+			}
+		}
+	}
+}
+
+// TestLedgerKeepsIterationsApart charges iteration h+1 before iteration
+// h is flushed, as the loads of the batch in flight do: flush h must
+// report only h's time and flush h+1 the rest.
+func TestLedgerKeepsIterationsApart(t *testing.T) {
+	ring := obs.NewTraceRing(64)
+	ro := newRuntimeObs(nil, ring, 2, 1, 8)
+	const h = 5
+	ro.ledger.add(obs.NewTraceCtx(1, 0, h), causePFS, 3000)
+	ro.ledger.add(obs.NewTraceCtx(1, 0, h+1), causePFS, 500)
+	ro.ledger.add(obs.NewTraceCtx(1, 0, h), causePFS, 4000)
+
+	spans := func() map[int64]int64 { // iter -> pfs nanoseconds reported
+		got := map[int64]int64{}
+		for _, e := range ring.Events() {
+			if e.Name == stallCauseNames[causePFS] && e.Arg2 == 1 {
+				got[e.Arg1] += e.DurNs
+			}
+		}
+		return got
+	}
+	ro.flushLedger(h)
+	if got := spans(); len(got) != 1 || got[h] != 7000 {
+		t.Fatalf("flush %d reported %v, want only iteration %d with 7000ns", h, got, h)
+	}
+	ro.flushLedger(h + 1)
+	if got := spans(); len(got) != 2 || got[h+1] != 500 {
+		t.Fatalf("flush %d reported %v, want iteration %d with 500ns", h+1, got, h+1)
+	}
+}

@@ -108,14 +108,14 @@ type Options struct {
 // Progress is a live mid-run snapshot published through
 // Options.OnProgress (and typically forwarded to a monitor.Server).
 type Progress struct {
-	Iteration  int     `json:"iteration"`
-	TotalIters int     `json:"total_iterations"`
-	Epoch      int     `json:"epoch"`
-	CacheHits  uint64  `json:"cache_hits"`
-	CacheMiss  uint64  `json:"cache_misses"`
-	RemoteHits uint64  `json:"remote_hits"`
-	PFSReads   uint64  `json:"pfs_reads"`
-	Prefetched uint64  `json:"prefetched"`
+	Iteration  int    `json:"iteration"`
+	TotalIters int    `json:"total_iterations"`
+	Epoch      int    `json:"epoch"`
+	CacheHits  uint64 `json:"cache_hits"`
+	CacheMiss  uint64 `json:"cache_misses"`
+	RemoteHits uint64 `json:"remote_hits"`
+	PFSReads   uint64 `json:"pfs_reads"`
+	Prefetched uint64 `json:"prefetched"`
 	// Failovers and PartialFanouts mirror the Stats fields of the same
 	// names mid-run, so health endpoints can surface recovery-layer
 	// pressure while the run is still going.
@@ -195,6 +195,12 @@ type Runtime struct {
 	totalIters    int
 	tick          chan struct{}
 	runDone       chan struct{}
+
+	// submitted counts the batches each rank has handed to its queue on
+	// the batched path. Each rank writes only its own element; the
+	// barrier's last arriver may read them all (every other rank is parked
+	// in the barrier, whose mutex orders the accesses).
+	submitted []int
 
 	// decideThreads scratch, reused across iterations (only the barrier's
 	// last-arriving rank runs decisions, one iteration at a time, so no
@@ -317,6 +323,7 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 		itersPerEpoch: sched.IterationsPerEpoch(),
 		tick:          make(chan struct{}, 4*top.Nodes*opts.PrefetchWorkers),
 		runDone:       make(chan struct{}),
+		submitted:     make([]int, top.WorldSize()),
 	}
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
 	rt.ro = newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, rt.itersPerEpoch)
@@ -424,10 +431,16 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 			node.cache.maintain(now)
 		}
 		// Flush the stall ledger while every rank waits at the barrier:
-		// all of iteration `completed`'s attribution has landed, none of
-		// the next iteration's has started (see stallLedger).
+		// all of iteration `completed`'s attribution has landed, and the
+		// batch already in flight charges the other parity (see
+		// stallLedger).
 		rt.ro.flushLedger(completed)
-		rt.decideThreads(completed + 1)
+		// Every rank has already submitted completed+1; the decision that
+		// can still matter is for the batch they submit next.
+		rt.decideThreads(completed + 2)
+		if barrierHook != nil {
+			barrierHook(rt, completed)
+		}
 		if opts.Chaos != nil {
 			opts.Chaos.OnIteration(completed + 1)
 		}
@@ -474,22 +487,30 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 			defer wg.Done()
 			node := rt.nodes[rank/rt.gpus]
 			q := node.queues[rank%rt.gpus]
-			// Per-rank scratch, reused across every iteration: the batch
-			// id slice, the verify set (legacy path, only under verify),
-			// and either the legacy result channel or the batched
-			// completion.
+			// Per-rank scratch, reused across every iteration. Legacy path:
+			// one batch id slice, the verify set (only under verify) and
+			// the result channel. Batched path: two pipeline slots, each a
+			// completion plus its own batch id slice — batch h lives in
+			// slot h&1 from its submit until its results are consumed, so
+			// the loading workers of h+1 never read ids the rank is still
+			// checking h against (DESIGN.md §12).
 			perSample := opts.PerSample
 			var out chan preproc.Result
 			var expect map[dataset.SampleID]bool
-			var comp *preproc.Completion
+			var slots [2]struct {
+				comp  *preproc.Completion
+				batch []dataset.SampleID
+			}
 			if perSample {
 				out = make(chan preproc.Result, opts.Model.BatchSize)
 				if verify {
 					expect = make(map[dataset.SampleID]bool, opts.Model.BatchSize)
 				}
 			} else {
-				comp = preproc.GetCompletion()
-				defer comp.Release()
+				for i := range slots {
+					slots[i].comp = preproc.GetCompletion()
+					defer slots[i].comp.Release()
+				}
 			}
 			chunk := opts.Strategy.LoadChunk
 			var batch []dataset.SampleID
@@ -505,26 +526,24 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 				stallH, trainH = ro.stallSeconds[rank], ro.trainSeconds[rank]
 				rankTID = ro.rankTID[rank]
 			}
-			for h := 0; h < rt.totalIters; h++ {
-				if stopIter.Load() >= 0 && h >= int(stopIter.Load()) {
-					break
-				}
+			// recording keeps the un-instrumented (and disabled-registry)
+			// path clock-free.
+			recording := func() bool { return ro != nil && (ro.trace != nil || stallH.On()) }
+			// dispatch hands batch h to the loading queue (both paths).
+			// When recording, the batch is dispatched with a trace context
+			// (this rank, epoch, global iteration) and a submit timestamp
+			// so the stall ledger can decompose the wait by cause.
+			dispatch := func(h int) {
 				epoch, it := h/rt.itersPerEpoch, h%rt.itersPerEpoch
-				batch = rt.sched.Batch(batch[:0], epoch, it, rank)
 				iterSeed := opts.Seed ^ uint64(h)<<20
-				// The pre-check keeps the un-instrumented (and
-				// disabled-registry) path clock-free; when recording, the
-				// batch is dispatched with a trace context (this rank,
-				// epoch, global iteration) and a submit timestamp so the
-				// stall ledger can decompose the wait by cause.
-				rec := ro != nil && (ro.trace != nil || stallH.On())
 				var tctx obs.TraceCtx
 				var enq time.Time
-				if rec {
+				if recording() {
 					tctx = obs.NewTraceCtx(rank, epoch, int64(h))
 					enq = time.Now()
 				}
 				if perSample {
+					batch = rt.sched.Batch(batch[:0], epoch, it, rank)
 					if verify {
 						clear(expect)
 						for _, id := range batch {
@@ -534,10 +553,37 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 					for _, id := range batch {
 						q.submit(loadRequest{id: id, seed: iterSeed ^ uint64(id), out: out, ctx: tctx, enq: enq})
 					}
-				} else {
-					comp.Reset(len(batch))
-					q.submitBatch(batch, iterSeed, comp, chunk, tctx, enq)
+					return
 				}
+				s := &slots[h&1]
+				s.batch = rt.sched.Batch(s.batch[:0], epoch, it, rank)
+				s.comp.Reset(len(s.batch))
+				q.submitBatch(s.batch, cache.Iter(h), iterSeed, s.comp, chunk, tctx, enq)
+				rt.submitted[rank]++
+			}
+			// The batched path runs one batch deep — the depth the
+			// simulator's PipelineDepth defaults to: batch h+1 is
+			// submitted before the wait on batch h, so it loads and
+			// decodes under h's compute, allreduce and barrier wait. The
+			// per-sample path stays synchronous (the differential
+			// reference).
+			if !perSample {
+				dispatch(0)
+			}
+			h := 0
+			for ; h < rt.totalIters; h++ {
+				if stopIter.Load() >= 0 && h >= int(stopIter.Load()) {
+					break
+				}
+				if perSample {
+					dispatch(h)
+				} else {
+					if h+1 < rt.totalIters {
+						dispatch(h + 1)
+					}
+					batch = slots[h&1].batch
+				}
+				rec := recording()
 				// The data-stall stage: everything between dispatching the
 				// batch and holding every tensor.
 				var stallStart time.Time
@@ -564,7 +610,7 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 						}
 					}
 				} else {
-					for i, res := range comp.Wait() {
+					for i, res := range slots[h&1].comp.Wait() {
 						if res.Tensor != nil {
 							batchFold ^= mix64(res.Tensor.Checksum)
 						}
@@ -624,6 +670,14 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 					ro.gpuSpan("train", trainH, rankTID, h, trainStart)
 				}
 				bar.wait()
+			}
+			if !perSample && h < rt.totalIters {
+				// Stopped with batch h in flight: wait it out and recycle
+				// its tensors, so every payload lease is back before
+				// teardown. Not counted — the run ends at the stop boundary.
+				for _, res := range slots[h&1].comp.Wait() {
+					preproc.PutTensor(res.Tensor)
+				}
 			}
 			rankFolds[rank] = rankFold
 		}()
@@ -822,6 +876,10 @@ func initialThreads(spec loader.Spec, gpus, total int) (pre int, load []int) {
 	}
 	return pre, load
 }
+
+// barrierHook, when set (tests only), runs in the barrier's last-arriver
+// callback after iteration `completed`, with every rank parked.
+var barrierHook func(rt *Runtime, completed int)
 
 // decideThreads sets iteration h's thread assignment: from the offline
 // plan when one is loaded, otherwise from the live controller (dynamic
