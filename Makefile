@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race lint bench bench-short bench-kv bench-sim bench-obs bench-runtime bench-chaos
+.PHONY: check build vet test race lint bench bench-short bench-kv bench-sim bench-obs bench-chaos
 
 ## check: the full tier-1 gate (build + vet + race tests + lobster-lint)
 check:
@@ -51,12 +51,6 @@ bench-sim:
 ## micro-benchmarks — and record it in BENCH_obs.json at the repo root.
 bench-obs:
 	LOBSTER_BENCH_OBS=1 $(GO) test . -run TestBenchObsJSON -count=1 -v -timeout 30m
-
-## bench-runtime: measure the live data path at 1/8/64 ranks — legacy
-## per-sample vs batched — and record samples/sec, stall p99 and
-## allocs/sample per path in BENCH_runtime.json at the repo root.
-bench-runtime:
-	LOBSTER_BENCH_RUNTIME=1 $(GO) test . -run TestBenchRuntimeJSON -count=1 -v -timeout 30m
 
 ## bench-chaos: run the full-scale chaos recovery suite (straggler, PFS
 ## brownout, node loss mid-epoch) with the wall-clock criteria enabled

@@ -80,12 +80,6 @@ type Spec struct {
 	// idle threads in the other stages that instead could have been used
 	// to alleviate the bottleneck").
 	PrefetchThreads int
-	// LoadChunk is the batched data path's chunk size: one request-queue
-	// message carries up to this many samples. 0 (the default) picks an
-	// automatic size — the batch spread evenly over the queue's current
-	// workers, capped so one worker never serializes a whole batch's
-	// latency-bound fetches. Negative is invalid.
-	LoadChunk int
 }
 
 // Validate reports whether the spec is coherent for a node with the given
@@ -96,9 +90,6 @@ func (s Spec) Validate(gpusPerNode, totalThreads int) error {
 	}
 	if s.PrefetchDepth < 0 {
 		return fmt.Errorf("loader: %s: negative prefetch depth", s.Name)
-	}
-	if s.LoadChunk < 0 {
-		return fmt.Errorf("loader: %s: negative load chunk", s.Name)
 	}
 	switch s.Mode {
 	case ThreadsStatic:

@@ -7,7 +7,7 @@ import (
 
 // Completion collects one batch's preprocessing results and wakes the
 // consumer exactly once, when the last result lands. It replaces the N
-// per-sample `chan Result` receives of the per-sample data path with one
+// `chan Result` receives of per-sample delivery (Job.Done) with one
 // atomic decrement per sample and a single channel wake per batch.
 //
 // Protocol: Reset(n) arms the completion for an n-result batch; jobs
@@ -49,7 +49,7 @@ func (c *Completion) Release() { completionPool.Put(c) }
 // Reset arms the completion for a batch of n results. It must not be
 // called while a previous batch is still in flight.
 //
-//lint:hotpath armed once per iteration on the training critical path; BENCH_runtime.json pins 0 allocs/op
+//lint:hotpath armed once per iteration on the training critical path; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
 func (c *Completion) Reset(n int) {
 	if cap(c.results) < n {
 		//lint:allow hotpath amortized growth: one completion per rank, so this runs once per batch-size high-water mark
@@ -69,7 +69,7 @@ func (c *Completion) Reset(n int) {
 
 // complete records one slot's result; the last one wakes the waiter.
 //
-//lint:hotpath one call per sample on the batched completion path; BENCH_runtime.json pins 0 allocs/op
+//lint:hotpath one call per sample on the batched completion path; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
 func (c *Completion) complete(slot int, r Result) {
 	c.results[slot] = r
 	if c.remaining.Add(-1) == 0 {
@@ -81,7 +81,7 @@ func (c *Completion) complete(slot int, r Result) {
 // slot-ordered results. The slice is valid until the next Reset or
 // Release.
 //
-//lint:hotpath one wake per batch on the training critical path; BENCH_runtime.json pins 0 allocs/op
+//lint:hotpath one wake per batch on the training critical path; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
 func (c *Completion) Wait() []Result {
 	<-c.wake
 	return c.results

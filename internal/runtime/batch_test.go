@@ -3,61 +3,83 @@ package runtime
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/preproc"
+	"repro/internal/sampler"
 )
 
-// TestBatchedPathMatchesPerSample is the differential gate for the
-// batched data path: the same seed and topology run through the legacy
-// per-sample path (Options.PerSample) and the batched path must load,
-// verify, and fold byte-identical data — batching and the one batch of
-// lookahead are transport changes, not semantic ones. 8 ranks with the
-// dynamic strategy, so batched submits run concurrently with live pool
-// resizes.
-func TestBatchedPathMatchesPerSample(t *testing.T) {
-	opts := testOptions(t, loader.Lobster(), 4, 2)
-
-	batched, err := Run(opts)
+// serialOracle recomputes what a run must load and fold with no queues,
+// caches, pools or goroutines: rank by rank, iteration by iteration, the
+// schedule's batch decoded straight from the dataset's payloads, folded
+// the way Stats.DataFold documents (XOR of mixed checksums per batch, a
+// multiplicative chain per rank, the same chain across ranks).
+func serialOracle(t *testing.T, opts Options) (fold, samples uint64) {
+	t.Helper()
+	world := opts.Topology.WorldSize()
+	sched, err := sampler.New(opts.Dataset, sampler.Config{
+		WorldSize: world, BatchSize: opts.Model.BatchSize, Seed: opts.Seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batched.DataFold == 0 {
-		t.Fatal("batched run produced zero DataFold")
+	var batch []dataset.SampleID
+	for rank := 0; rank < world; rank++ {
+		var rankFold uint64
+		for epoch := 0; epoch < opts.Epochs; epoch++ {
+			for it := 0; it < sched.IterationsPerEpoch(); it++ {
+				batch = sched.Batch(batch[:0], epoch, it, rank)
+				var batchFold uint64
+				for _, id := range batch {
+					tensor, err := preproc.Decode(opts.Dataset.Payload(id), id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batchFold ^= mix64(tensor.Checksum)
+					preproc.PutTensor(tensor)
+				}
+				rankFold = rankFold*1099511628211 + mix64(batchFold)
+				samples += uint64(len(batch))
+			}
+		}
+		fold = fold*1099511628211 + rankFold
 	}
-	if batched.SamplesVerified != batched.SamplesLoaded {
-		t.Fatalf("verified %d of %d loaded samples", batched.SamplesVerified, batched.SamplesLoaded)
-	}
+	return fold, samples
+}
 
-	// The pipelined batched path loads batch h+1 under batch h's compute;
-	// the per-sample path is synchronous. An explicit chunk size changes
-	// only how many samples ride in each queue message. And the batched
-	// path must be deterministic run to run.
-	for _, v := range []struct {
-		name   string
-		mutate func(*Options)
+// TestRunMatchesSerialOracle is the differential gate for the data path:
+// whatever the transport does (chunked queue messages whose size follows
+// the dynamic strategy's live resizes, one batch of lookahead, peer and
+// prefetch traffic), a run must load, verify and fold exactly the data
+// the schedule names — and do so identically when repeated.
+func TestRunMatchesSerialOracle(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spec  loader.Spec
+		nodes int
 	}{
-		{"per-sample", func(o *Options) { o.PerSample = true }},
-		{"LoadChunk=3", func(o *Options) { o.Strategy.LoadChunk = 3 }},
-		{"repeat", func(*Options) {}},
+		{"Lobster-4x2", loader.Lobster(), 4},
+		{"NoPFS-1x2", loader.NoPFS(2, 8), 1},
+		{"PyTorch-2x2", loader.PyTorch(2, 8), 2},
+		{"Lobster-4x2-repeat", loader.Lobster(), 4},
 	} {
-		o := opts
-		v.mutate(&o)
-		got, err := Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.DataFold != batched.DataFold {
-			t.Fatalf("%s: DataFold %#x, batched %#x", v.name, got.DataFold, batched.DataFold)
-		}
-		if got.SamplesLoaded != batched.SamplesLoaded {
-			t.Fatalf("%s: SamplesLoaded %d, batched %d", v.name, got.SamplesLoaded, batched.SamplesLoaded)
-		}
-		if got.SamplesVerified != batched.SamplesVerified {
-			t.Fatalf("%s: SamplesVerified %d, batched %d", v.name, got.SamplesVerified, batched.SamplesVerified)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			opts := testOptions(t, c.spec, c.nodes, 2)
+			wantFold, wantSamples := serialOracle(t, opts)
+			got, err := Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.DataFold != wantFold {
+				t.Errorf("DataFold %#x, oracle %#x", got.DataFold, wantFold)
+			}
+			if got.SamplesLoaded != wantSamples || got.SamplesVerified != wantSamples {
+				t.Errorf("loaded %d, verified %d, oracle %d", got.SamplesLoaded, got.SamplesVerified, wantSamples)
+			}
+		})
 	}
 }
 
@@ -86,8 +108,8 @@ func TestGPUQueueResizeStormDoesNotBlock(t *testing.T) {
 		nc.put(id, ds.Payload(id), 0, false, false)
 	}
 	// A one-worker, one-slot preprocessing pool, wedged by a job whose
-	// unbuffered Done has no receiver yet: the loading workers' Submits
-	// back up behind it.
+	// unbuffered Done has no receiver yet: the loading workers'
+	// SubmitBatch calls back up behind it.
 	pre, err := preproc.NewPool(1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +121,16 @@ func TestGPUQueueResizeStormDoesNotBlock(t *testing.T) {
 	var wg sync.WaitGroup
 	q := newGPUQueueCap(node, 0, 4, &wg, 2) // stop channel bound of 2
 
-	const reqs = 8
-	out := make(chan preproc.Result, reqs)
-	for i := 0; i < reqs; i++ {
-		q.submit(loadRequest{id: dataset.SampleID(i % ds.Len()), seed: uint64(i), out: out})
+	// One batch of 8 over 4 workers: four chunks of two, one per worker.
+	ids := make([]dataset.SampleID, 8)
+	for i := range ids {
+		ids[i] = dataset.SampleID(i)
 	}
-	// Give the four workers time to wedge inside pre.Submit, then storm.
+	comp := preproc.GetCompletion()
+	defer comp.Release()
+	comp.Reset(len(ids))
+	q.submitBatch(ids, 0, 9, comp, 0, time.Time{}) // untraced
+	// Give the four workers time to wedge inside pre.SubmitBatch, then storm.
 	for i := 0; i < 50; i++ {
 		q.resize(1)
 		q.resize(32)
@@ -118,9 +144,12 @@ func TestGPUQueueResizeStormDoesNotBlock(t *testing.T) {
 	if res := <-stuck; res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	for i := 0; i < reqs; i++ {
-		if res := <-out; res.Err != nil {
+	for i, res := range comp.Wait() {
+		if res.Err != nil {
 			t.Fatal(res.Err)
+		}
+		if res.Tensor.ID != ids[i] {
+			t.Fatalf("slot %d delivered sample %d, want %d", i, res.Tensor.ID, ids[i])
 		}
 	}
 	close(q.reqs)

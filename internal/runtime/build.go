@@ -1,0 +1,261 @@
+package runtime
+
+import (
+	"fmt"
+
+	"repro/internal/access"
+	"repro/internal/allreduce"
+	"repro/internal/datafile"
+	"repro/internal/loader"
+	"repro/internal/perfmodel"
+	"repro/internal/preproc"
+	"repro/internal/sampler"
+	"repro/internal/threadmgr"
+)
+
+// normalize validates the options and fills in the defaults.
+func (o *Options) normalize() error {
+	if o.Dataset == nil {
+		return fmt.Errorf("runtime: nil dataset")
+	}
+	if err := o.Topology.Validate(); err != nil {
+		return err
+	}
+	if o.Epochs < 1 {
+		return fmt.Errorf("runtime: epochs %d < 1", o.Epochs)
+	}
+	if err := o.Strategy.Validate(o.Topology.GPUsPerNode, o.Topology.CPUThreads); err != nil {
+		return err
+	}
+	if o.TimeScale <= 0 {
+		o.TimeScale = 0.01
+	}
+	if o.GradientSize == 0 {
+		o.GradientSize = 64
+	}
+	if o.DecideEvery < 1 {
+		o.DecideEvery = 1
+	}
+	if o.ThreadPlan != nil {
+		if err := o.ThreadPlan.Validate(); err != nil {
+			return err
+		}
+		if o.ThreadPlan.Nodes != o.Topology.Nodes ||
+			o.ThreadPlan.GPUsPerNode != o.Topology.GPUsPerNode {
+			return fmt.Errorf("runtime: plan topology %dx%d does not match run topology %dx%d",
+				o.ThreadPlan.Nodes, o.ThreadPlan.GPUsPerNode,
+				o.Topology.Nodes, o.Topology.GPUsPerNode)
+		}
+	}
+	return nil
+}
+
+// build validates opts, applies the defaults and constructs the run:
+// schedule, directory, stores, per-node runtimes with their goroutines
+// started, thread managers, allreduce ring and barrier. The returned
+// cleanup is the run's single teardown; the caller runs it exactly once,
+// after every rank has returned. On error build has already run it, so a
+// failed build leaves no goroutine and no open file behind.
+func build(opts Options) (*Runtime, func(), error) {
+	if err := opts.normalize(); err != nil {
+		return nil, nil, err
+	}
+	top := opts.Topology
+	sched, err := sampler.New(opts.Dataset, sampler.Config{
+		WorldSize: top.WorldSize(),
+		BatchSize: opts.Model.BatchSize,
+		Seed:      opts.Seed,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	dir, err := NewDirectory(opts.Dataset.Len(), top.Nodes)
+	if err != nil {
+		return nil, nil, err
+	}
+	rt := &Runtime{
+		opts:          opts,
+		kv:            opts.KVCache,
+		ds:            opts.Dataset,
+		sched:         sched,
+		dir:           dir,
+		dm:            NewDistributionManager(top.Nodes, top.Hierarchy.Remote, opts.TimeScale),
+		pfs:           NewPFSStore(opts.Dataset, opts.Seed, top.Hierarchy.PFS, opts.TimeScale),
+		gpus:          top.GPUsPerNode,
+		itersPerEpoch: sched.IterationsPerEpoch(),
+		tick:          make(chan struct{}, 4*top.Nodes*prefetchWorkers),
+		submitted:     make([]int, top.WorldSize()),
+	}
+	rt.totalIters = opts.Epochs * rt.itersPerEpoch
+	rt.stopIter.Store(-1)
+	rt.bar = newBarrier(top.WorldSize(), rt.endIteration)
+	rt.ro = newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, rt.itersPerEpoch)
+	if rt.kv != nil && opts.Obs != nil {
+		rt.kv.Instrument(opts.Obs)
+	}
+
+	var file *datafile.Reader
+	cleanup := func() {
+		rt.shutdown()
+		if file != nil {
+			_ = file.Close() // read-only descriptor
+		}
+	}
+	fail := func(err error) (*Runtime, func(), error) {
+		cleanup()
+		return nil, nil, err
+	}
+	if file, err = openDataFile(opts, rt.pfs); err != nil {
+		return fail(err)
+	}
+	if opts.GradientSize > 0 {
+		if rt.ring, err = allreduce.NewRing(top.WorldSize()); err != nil {
+			return fail(err)
+		}
+	}
+	var portfolio *perfmodel.PreprocPortfolio
+	if opts.Strategy.Mode == loader.ThreadsDynamic {
+		truth := preproc.DefaultModel()
+		portfolio, err = perfmodel.FitPortfolio(nil,
+			[]int64{16 << 10, 64 << 10, 105 << 10, 512 << 10}, top.CPUThreads, 6,
+			func(size int64, threads int) float64 { return truth.Time(size, threads) })
+		if err != nil {
+			return fail(err)
+		}
+	}
+	for n := 0; n < top.Nodes; n++ {
+		if err := rt.addNode(n, portfolio); err != nil {
+			return fail(err)
+		}
+	}
+	if opts.Chaos != nil {
+		// Wire the runtime-owned injectors (soft: a harness's explicit
+		// Register wins).
+		rt.registerChaosInjectors(opts.Chaos)
+	}
+	return rt, cleanup, nil
+}
+
+// addNode builds node n, starts its goroutines and appends it to the
+// runtime together with its thread manager (nil when portfolio is nil:
+// the strategy is not dynamic). Every step that can fail comes before the
+// node's first goroutine — the pool, which starts its workers, is the last
+// of them — so a node is either not started at all or in rt.nodes for
+// shutdown to stop.
+func (rt *Runtime) addNode(n int, portfolio *perfmodel.PreprocPortfolio) error {
+	opts, top := &rt.opts, rt.opts.Topology
+	plan, err := access.Build(rt.sched, n, rt.gpus, opts.Epochs, 0)
+	if err != nil {
+		return err
+	}
+	nc, err := newNodeCache(n, top.CacheBytes, buildNodePolicy(opts.Strategy, plan, n, rt.dir), rt.dir)
+	if err != nil {
+		return err
+	}
+	var mgr *threadmgr.Manager
+	if portfolio != nil {
+		mgr, err = threadmgr.New(threadmgr.Config{
+			Hierarchy:    top.Hierarchy,
+			Portfolio:    portfolio,
+			TotalThreads: top.CPUThreads,
+			Tau:          opts.Model.IterTime * 0.05,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	preWorkers, loadWorkers := initialThreads(opts.Strategy, rt.gpus, top.CPUThreads)
+	pre, err := preproc.NewPool(preWorkers, 1024)
+	if err != nil {
+		return err
+	}
+	node := &nodeRuntime{node: n, rt: rt, plan: plan, cache: nc, pre: pre, stopPref: make(chan struct{})}
+	node.queues = make([]*gpuQueue, rt.gpus)
+	for j := range node.queues {
+		node.queues[j] = newGPUQueue(node, j, loadWorkers[j], &node.loadWG)
+	}
+	if rt.ro != nil {
+		rt.ro.instrumentNode(node)
+	}
+	node.serverWG.Add(1)
+	go node.serveRemote()
+	if opts.Strategy.PrefetchDepth > 0 {
+		node.prefetcher(opts.Strategy.PrefetchDepth)
+	}
+	rt.nodes = append(rt.nodes, node)
+	rt.mgrs = append(rt.mgrs, mgr)
+	return nil
+}
+
+// shutdown stops everything addNode started, for however many nodes were
+// added: prefetchers, loading queues, preprocessing pools, then the peer
+// servers. The queues must be idle — every rank has consumed or drained
+// what it submitted.
+func (rt *Runtime) shutdown() {
+	for _, node := range rt.nodes {
+		close(node.stopPref)
+	}
+	for _, node := range rt.nodes {
+		node.prefWG.Wait()
+		for _, q := range node.queues {
+			close(q.reqs)
+		}
+		node.loadWG.Wait()
+		node.pre.Close()
+	}
+	// Peer servers go last: another node's prefetcher or loader may still
+	// have been fetching from this one until its own workers stopped.
+	rt.dm.Close()
+	for _, node := range rt.nodes {
+		node.serverWG.Wait()
+	}
+}
+
+// openDataFile attaches the on-disk dataset to the PFS store when
+// configured.
+func openDataFile(opts Options, store *PFSStore) (*datafile.Reader, error) {
+	if opts.DataFilePath == "" {
+		return nil, nil
+	}
+	r, err := datafile.Open(opts.DataFilePath, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := store.UseFile(r); err != nil {
+		_ = r.Close() // read-only descriptor; the UseFile error is what matters
+		return nil, err
+	}
+	return r, nil
+}
+
+// initialThreads derives the starting thread assignment from the strategy.
+func initialThreads(spec loader.Spec, gpus, total int) (pre int, load []int) {
+	load = make([]int, gpus)
+	switch spec.Mode {
+	case loader.ThreadsStatic:
+		pre = spec.PreprocThreads
+		for j := range load {
+			load[j] = spec.LoadingPerGPU
+		}
+	case loader.ThreadsSharedPool:
+		// The shared pool is approximated by spreading its workers over
+		// the per-GPU queues (the online runtime always uses multi-queue
+		// plumbing; the pool size is what varies).
+		pre = spec.PreprocThreads
+		for j := range load {
+			load[j] = spec.SharedLoading/gpus + 1
+		}
+	default: // dynamic: start proportional, controller adjusts
+		pre = total / 3
+		if pre < 1 {
+			pre = 1
+		}
+		for j := range load {
+			load[j] = (total - pre) / gpus
+			if load[j] < 1 {
+				load[j] = 1
+			}
+		}
+	}
+	return pre, load
+}

@@ -17,9 +17,7 @@ import (
 // Kinds wired here:
 //
 //   - Brownout: degrade the PFS (extra latency, jitter, transient read
-//     failures). Revert restores the run's configured baseline failure
-//     rate rather than a pristine store, so chaos composes with
-//     Options.PFSFailureRate.
+//     failures). Revert restores health (the zero Fault).
 //   - Straggler: lag (+jitter, +errors) on one node's peer-cache
 //     serving, via the distribution manager.
 //   - CacheCrash: wipe one node's cache as a process loss — payloads
@@ -39,7 +37,7 @@ func (rt *Runtime) registerChaosInjectors(c *chaos.Controller) {
 			return nil
 		},
 		func(chaos.Event) error {
-			rt.pfs.SetFault(chaos.Fault{ErrRate: rt.opts.PFSFailureRate})
+			rt.pfs.SetFault(chaos.Fault{})
 			return nil
 		}))
 	c.RegisterDefault(chaos.KindStraggler, chaos.Funcs(

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/tier"
@@ -14,22 +15,29 @@ func TestPFSStoreFailureInjection(t *testing.T) {
 		Name: "f", NumSamples: 10, MeanSize: 1 << 10, Classes: 1, Seed: 3,
 	})
 	store := NewPFSStore(ds, 3, tier.ThetaGPULike().PFS, 0.0001)
-	store.SetFailureRate(1.0)
+	store.SetFault(chaos.Fault{ErrRate: 1})
 	if _, err := store.Read(0); !errors.Is(err, ErrTransient) {
 		t.Fatalf("expected injected failure, got %v", err)
 	}
 	if store.Failures() != 1 {
 		t.Fatalf("failures = %d, want 1", store.Failures())
 	}
-	store.SetFailureRate(0)
+	store.SetFault(chaos.Fault{})
 	if _, err := store.Read(0); err != nil {
-		t.Fatalf("read after clearing failure rate: %v", err)
+		t.Fatalf("read after clearing the fault: %v", err)
 	}
 }
 
 func TestTrainingSurvivesTransientPFSFailures(t *testing.T) {
 	opts := testOptions(t, loader.NoPFS(2, 8), 1, 2)
-	opts.PFSFailureRate = 0.15 // 15% of PFS reads time out
+	// 15% of PFS reads time out, from before the first iteration until
+	// after the last.
+	totalIters := opts.Epochs * opts.Dataset.Len() / (2 * opts.Model.BatchSize)
+	ctl, err := chaos.NewController(chaos.NewSchedule(1).Brownout(0, totalIters+1, 0, 0, 0.15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Chaos = ctl
 	stats, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)

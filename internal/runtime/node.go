@@ -238,27 +238,14 @@ func (nc *nodeCache) crash() int {
 	return n
 }
 
-// loadRequest asks a loading worker to materialize one sample for one GPU.
-type loadRequest struct {
-	id   dataset.SampleID
-	seed uint64
-	out  chan<- preproc.Result
-	// ctx attributes the load to its (rank, epoch, iter); enq timestamps
-	// the submit for queue-wait attribution. Both zero when the run is
-	// un-instrumented (see loadWork).
-	ctx obs.TraceCtx
-	enq time.Time
-}
-
-// loadWork is one message on a gpuQueue: either a single legacy request
-// (ids nil) or a contiguous chunk of a batch enqueued by submitBatch.
+// loadWork is one message on a gpuQueue: a contiguous chunk of a batch
+// enqueued by submitBatch.
 type loadWork struct {
-	single loadRequest
-	// Batched variant: materialize ids and complete comp's slots
-	// base..base+len(ids)-1. The per-sample preprocessing seed is
-	// seed ^ id. ids is borrowed from the batch scratch of the submitting
-	// rank's pipeline slot; every read of it happens-before the
-	// completion's wake, which happens-before the rank reuses the slot.
+	// Materialize ids and complete comp's slots base..base+len(ids)-1.
+	// The per-sample preprocessing seed is seed ^ id. ids is borrowed from
+	// the batch scratch of the submitting rank's pipeline slot; every read
+	// of it happens-before the completion's wake, which happens-before the
+	// rank reuses the slot.
 	ids  []dataset.SampleID
 	base int
 	seed uint64
@@ -278,7 +265,7 @@ type loadWork struct {
 	enq time.Time
 }
 
-// maxLoadChunk caps the automatic chunk size of submitBatch: loading is
+// maxLoadChunk caps the chunk size of submitBatch: loading is
 // latency-bound (modeled storage waits), so one worker must never
 // serialize a whole large batch.
 const maxLoadChunk = 8
@@ -355,31 +342,23 @@ func (q *gpuQueue) putTID(tid int64) {
 	q.tidMu.Unlock()
 }
 
-func (q *gpuQueue) submit(r loadRequest) {
-	q.pending.Add(1)
-	q.reqs <- loadWork{single: r}
-}
-
-// submitBatch enqueues one GPU batch as contiguous chunks of at most
-// `chunk` samples — one channel send per chunk instead of one per
-// sample. comp must be armed (Reset) for len(ids) results; slots map
-// 1:1 to batch positions, so the results come back in batch order. ids
-// is borrowed until comp's Wait returns; the caller must not mutate it
-// before then. iter is the global iteration the batch is for. chunk <= 0
-// picks an automatic size: the batch spread evenly over the queue's
-// current workers, capped at maxLoadChunk.
+// submitBatch enqueues one GPU batch as contiguous chunks — one channel
+// send per chunk instead of one per sample. The chunk size spreads the
+// batch evenly over the queue's current workers, capped at maxLoadChunk.
+// comp must be armed (Reset) for len(ids) results; slots map 1:1 to
+// batch positions, so the results come back in batch order. ids is
+// borrowed until comp's Wait returns; the caller must not mutate it
+// before then. iter is the global iteration the batch is for.
 //
-//lint:hotpath one call per iteration per rank on the batched data path; BENCH_runtime.json pins 0 allocs/op
-func (q *gpuQueue) submitBatch(ids []dataset.SampleID, iter cache.Iter, seed uint64, comp *preproc.Completion, chunk int, tctx obs.TraceCtx, enq time.Time) {
-	if chunk <= 0 {
-		w := q.workers()
-		chunk = (len(ids) + w - 1) / w
-		if chunk > maxLoadChunk {
-			chunk = maxLoadChunk
-		}
-		if chunk < 1 {
-			chunk = 1
-		}
+//lint:hotpath one call per iteration per rank on the data path; preproc's TestBatchedSteadyStateDoesNotAllocate pins the round trip it feeds at 0 allocs
+func (q *gpuQueue) submitBatch(ids []dataset.SampleID, iter cache.Iter, seed uint64, comp *preproc.Completion, tctx obs.TraceCtx, enq time.Time) {
+	w := q.workers()
+	chunk := (len(ids) + w - 1) / w
+	if chunk > maxLoadChunk {
+		chunk = maxLoadChunk
+	}
+	if chunk < 1 {
+		chunk = 1
 	}
 	q.pending.Add(int64(len(ids)))
 	for base := 0; base < len(ids); base += chunk {
@@ -448,7 +427,7 @@ func (q *gpuQueue) worker() {
 	defer q.wg.Done()
 	var tid int64
 	defer func() { q.putTID(tid) }()
-	var jobs []preproc.Job // reused batched-chunk scratch
+	var jobs []preproc.Job // reused chunk scratch
 	for {
 		if q.claimStopDebt() {
 			return
@@ -464,11 +443,6 @@ func (q *gpuQueue) worker() {
 				if ro := q.node.rt.ro; ro != nil && ro.trace != nil {
 					tid = q.takeTID(ro.trace)
 				}
-			}
-			if w.ids == nil {
-				q.node.load(w.single, tid)
-				q.pending.Add(-1)
-				break
 			}
 			jobs = q.node.loadChunk(w, tid, jobs[:0])
 			q.pending.Add(-int64(len(w.ids)))
@@ -510,29 +484,11 @@ type nodeRuntime struct {
 	stopPref chan struct{}
 }
 
-// load materializes one sample and hands it to preprocessing with
-// per-sample channel delivery — the legacy path (see loadChunk for the
-// batched one). tid is the worker's trace track (0 when untraced).
-func (n *nodeRuntime) load(r loadRequest, tid int64) {
-	if !r.enq.IsZero() {
-		if ro := n.rt.ro; ro != nil {
-			ro.ledger.add(r.ctx, causeQueueWait, time.Since(r.enq))
-		}
-	}
-	// The per-sample path is synchronous: the iteration being loaded is
-	// the node's current one.
-	payload, owned, owner := n.loadPayload(r.id, cache.Iter(n.iterNow.Load()), tid, r.ctx)
-	job := preproc.Job{ID: r.id, Payload: payload, Seed: r.seed, Done: r.out, Owned: owned, Owner: owner, Ctx: r.ctx}
-	if !r.enq.IsZero() {
-		job.EnqueuedAt = time.Now()
-	}
-	n.pre.Submit(job)
-}
-
 // loadChunk materializes one contiguous chunk of a GPU batch and hands
-// it to preprocessing in a single SubmitBatch. jobs is the worker's
-// reused scratch, passed length-zero; the returned slice carries its
-// grown capacity back to the worker loop.
+// it to preprocessing in a single SubmitBatch. tid is the worker's trace
+// track (0 when untraced). jobs is the worker's reused scratch, passed
+// length-zero; the returned slice carries its grown capacity back to the
+// worker loop.
 func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []preproc.Job {
 	if !w.enq.IsZero() {
 		if ro := n.rt.ro; ro != nil {
@@ -731,12 +687,16 @@ func (n *nodeRuntime) serveRemote() {
 	}
 }
 
+// prefetchWorkers is each node's background prefetching concurrency (for
+// strategies with PrefetchDepth > 0).
+const prefetchWorkers = 2
+
 // prefetcher walks the node's future accesses, keeping the cache filled
 // ahead of training. It runs in its own (small) worker set so it competes
 // with demand loading for storage bandwidth exactly as real background
 // prefetching does.
-func (n *nodeRuntime) prefetcher(workers, depthIters int) {
-	for w := 0; w < workers; w++ {
+func (n *nodeRuntime) prefetcher(depthIters int) {
+	for w := 0; w < prefetchWorkers; w++ {
 		w := w
 		n.prefWG.Add(1)
 		go func() {

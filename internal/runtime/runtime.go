@@ -8,12 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/access"
 	"repro/internal/allreduce"
 	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/datafile"
 	"repro/internal/dataset"
 	"repro/internal/kvstore"
 	"repro/internal/loader"
@@ -38,18 +36,6 @@ type Options struct {
 	// examples finish in tens of milliseconds while still exercising real
 	// contention. Default 0.01.
 	TimeScale float64
-	// PrefetchWorkers bounds the background prefetching concurrency
-	// (default 2 for strategies with PrefetchDepth > 0).
-	PrefetchWorkers int
-	// Verify enables end-to-end payload verification of every decoded
-	// tensor (default true).
-	Verify *bool
-	// PerSample forces the legacy one-channel-send-per-sample data path
-	// (one queue submit and one chan receive per sample) instead of the
-	// batched one. Kept as a differential baseline: both paths must
-	// produce identical Stats.DataFold and SamplesVerified for the same
-	// options, and the runtime benchmark reports both.
-	PerSample bool
 	// ThreadPlan, when non-nil, switches thread management into
 	// plan-following mode: each iteration's pool sizes come from the
 	// pre-computed offline plan (Section 4.5) instead of the live
@@ -59,10 +45,6 @@ type Options struct {
 	// dataset file (written by cmd/lobster-pack or datafile.Write): every
 	// PFS read becomes a real positional file read, checksum-verified.
 	DataFilePath string
-	// PFSFailureRate injects transient PFS read failures with the given
-	// per-read probability (failure-injection testing; loaders retry with
-	// backoff). Default 0.
-	PFSFailureRate float64
 	// DecideEvery is how often (iterations) the dynamic thread controller
 	// re-runs (Section 4.1's overhead/adaptivity trade-off; default 1).
 	DecideEvery int
@@ -159,8 +141,9 @@ type Stats struct {
 	// DataFold is a deterministic fold of every decoded tensor checksum:
 	// a rank-major chain of per-iteration folds, where each iteration's
 	// fold is order-independent (results may finish in any order within
-	// a batch). Identical across the batched and per-sample paths and
-	// across runs with the same options — the differential tests pin it.
+	// a batch). Identical across runs with the same options, and equal to
+	// what a serial walk of the schedule over the dataset's payloads
+	// computes — TestRunMatchesSerialOracle pins both.
 	DataFold uint64
 	// FinalPreprocThreads/FinalLoadThreads record the last thread
 	// decision per node (diagnostics for the thread-tuning example).
@@ -188,18 +171,28 @@ type Runtime struct {
 	kv    *kvstore.Cluster
 	nodes []*nodeRuntime
 	mgrs  []*threadmgr.Manager
-	ro    *runtimeObs // nil when the run is un-instrumented
+	ro    *runtimeObs     // nil when the run is un-instrumented
+	ring  *allreduce.Ring // nil when the collective is disabled (GradientSize < 0)
+	bar   *barrier
 
 	gpus          int
 	itersPerEpoch int
 	totalIters    int
 	tick          chan struct{}
-	runDone       chan struct{}
+	start         time.Time
 
-	// submitted counts the batches each rank has handed to its queue on
-	// the batched path. Each rank writes only its own element; the
-	// barrier's last arriver may read them all (every other rank is parked
-	// in the barrier, whose mutex orders the accesses).
+	// Cooperative cancellation: cancel is the run context's Done channel;
+	// stopIter < 0 means "run to completion", otherwise every GPU stops
+	// before starting iteration stopIter. The barrier's last arriver
+	// publishes the stop boundary so all GPUs agree and nobody is left
+	// waiting at the barrier.
+	cancel   <-chan struct{}
+	stopIter atomic.Int64
+
+	// submitted counts the batches each rank has handed to its queue. Each
+	// rank writes only its own element; the barrier's last arriver may
+	// read them all (every other rank is parked in the barrier, whose
+	// mutex orders the accesses).
 	submitted []int
 
 	// decideThreads scratch, reused across iterations (only the barrier's
@@ -258,463 +251,228 @@ func Run(opts Options) (*Stats, error) {
 // (queues drained, pools closed, remote servers stopped), and the partial
 // statistics are returned alongside ctx.Err().
 func RunContext(ctx context.Context, opts Options) (*Stats, error) {
-	if opts.Dataset == nil {
-		return nil, fmt.Errorf("runtime: nil dataset")
-	}
-	if err := opts.Topology.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.Epochs < 1 {
-		return nil, fmt.Errorf("runtime: epochs %d < 1", opts.Epochs)
-	}
-	if err := opts.Strategy.Validate(opts.Topology.GPUsPerNode, opts.Topology.CPUThreads); err != nil {
-		return nil, err
-	}
-	if opts.TimeScale <= 0 {
-		opts.TimeScale = 0.01
-	}
-	if opts.PrefetchWorkers <= 0 {
-		opts.PrefetchWorkers = 2
-	}
-	if opts.GradientSize == 0 {
-		opts.GradientSize = 64
-	}
-	if opts.DecideEvery < 1 {
-		opts.DecideEvery = 1
-	}
-	verify := true
-	if opts.Verify != nil {
-		verify = *opts.Verify
-	}
-	if opts.ThreadPlan != nil {
-		if err := opts.ThreadPlan.Validate(); err != nil {
-			return nil, err
-		}
-		if opts.ThreadPlan.Nodes != opts.Topology.Nodes ||
-			opts.ThreadPlan.GPUsPerNode != opts.Topology.GPUsPerNode {
-			return nil, fmt.Errorf("runtime: plan topology %dx%d does not match run topology %dx%d",
-				opts.ThreadPlan.Nodes, opts.ThreadPlan.GPUsPerNode,
-				opts.Topology.Nodes, opts.Topology.GPUsPerNode)
-		}
-	}
-
-	top := opts.Topology
-	sched, err := sampler.New(opts.Dataset, sampler.Config{
-		WorldSize: top.WorldSize(),
-		BatchSize: opts.Model.BatchSize,
-		Seed:      opts.Seed,
-	})
+	rt, cleanup, err := build(opts)
 	if err != nil {
 		return nil, err
 	}
-	dir, err := NewDirectory(opts.Dataset.Len(), top.Nodes)
-	if err != nil {
-		return nil, err
-	}
-	rt := &Runtime{
-		opts:          opts,
-		kv:            opts.KVCache,
-		ds:            opts.Dataset,
-		sched:         sched,
-		dir:           dir,
-		dm:            NewDistributionManager(top.Nodes, top.Hierarchy.Remote, opts.TimeScale),
-		pfs:           newPFSStoreWithFailures(opts),
-		gpus:          top.GPUsPerNode,
-		itersPerEpoch: sched.IterationsPerEpoch(),
-		tick:          make(chan struct{}, 4*top.Nodes*opts.PrefetchWorkers),
-		runDone:       make(chan struct{}),
-		submitted:     make([]int, top.WorldSize()),
-	}
-	rt.totalIters = opts.Epochs * rt.itersPerEpoch
-	rt.ro = newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, rt.itersPerEpoch)
-	if rt.kv != nil && opts.Obs != nil {
-		rt.kv.Instrument(opts.Obs)
-	}
-	if fileReader, err := openDataFile(opts, rt.pfs); err != nil {
-		return nil, err
-	} else if fileReader != nil {
-		defer fileReader.Close()
-	}
-
-	// Per-node runtimes.
-	dynamic := opts.Strategy.Mode == loader.ThreadsDynamic
-	var portfolio *perfmodel.PreprocPortfolio
-	if dynamic {
-		truth := preproc.DefaultModel()
-		portfolio, err = perfmodel.FitPortfolio(nil,
-			[]int64{16 << 10, 64 << 10, 105 << 10, 512 << 10}, top.CPUThreads, 6,
-			func(size int64, threads int) float64 { return truth.Time(size, threads) })
-		if err != nil {
-			return nil, err
-		}
-	}
-	for n := 0; n < top.Nodes; n++ {
-		plan, err := access.Build(sched, n, rt.gpus, opts.Epochs, 0)
-		if err != nil {
-			return nil, err
-		}
-		node := &nodeRuntime{node: n, rt: rt, plan: plan, stopPref: make(chan struct{})}
-		nc, err := newNodeCache(n, top.CacheBytes, buildNodePolicy(opts.Strategy, plan, n, dir), dir)
-		if err != nil {
-			return nil, err
-		}
-		node.cache = nc
-
-		preWorkers, loadWorkers := initialThreads(opts.Strategy, rt.gpus, top.CPUThreads)
-		node.pre, err = preproc.NewPool(preWorkers, 1024)
-		if err != nil {
-			return nil, err
-		}
-		node.queues = make([]*gpuQueue, rt.gpus)
-		for j := 0; j < rt.gpus; j++ {
-			node.queues[j] = newGPUQueue(node, j, loadWorkers[j], &node.loadWG)
-		}
-		if rt.ro != nil {
-			rt.ro.instrumentNode(node)
-		}
-		node.serverWG.Add(1)
-		go node.serveRemote()
-		if opts.Strategy.PrefetchDepth > 0 {
-			node.prefetcher(opts.PrefetchWorkers, opts.Strategy.PrefetchDepth)
-		}
-		rt.nodes = append(rt.nodes, node)
-
-		if dynamic {
-			mgr, err := threadmgr.New(threadmgr.Config{
-				Hierarchy:    top.Hierarchy,
-				Portfolio:    portfolio,
-				TotalThreads: top.CPUThreads,
-				Tau:          opts.Model.IterTime * 0.05,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rt.mgrs = append(rt.mgrs, mgr)
-		} else {
-			rt.mgrs = append(rt.mgrs, nil)
-		}
-	}
-
-	stats := &Stats{Iterations: rt.totalIters}
-	var verifyFail error
-	var verifyMu sync.Mutex
-
-	// Cooperative cancellation: stopIter < 0 means "run to completion";
-	// otherwise every GPU stops before starting iteration stopIter. The
-	// barrier's last arriver publishes the stop boundary so all GPUs
-	// agree and nobody is left waiting at the barrier.
-	var stopIter atomic.Int64
-	stopIter.Store(-1)
-	cancelled := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			close(cancelled)
-		case <-rt.runDone:
-		}
-	}()
-
-	start := time.Now()
-	bar := newBarrier(top.WorldSize(), func(completed int) {
-		select {
-		case <-cancelled:
-			if stopIter.Load() < 0 {
-				stopIter.Store(int64(completed + 1))
-			}
-		default:
-		}
-		now := cache.Iter(completed)
-		for _, node := range rt.nodes {
-			node.iterNow.Store(int32(completed + 1))
-			node.cache.maintain(now)
-		}
-		// Flush the stall ledger while every rank waits at the barrier:
-		// all of iteration `completed`'s attribution has landed, and the
-		// batch already in flight charges the other parity (see
-		// stallLedger).
-		rt.ro.flushLedger(completed)
-		// Every rank has already submitted completed+1; the decision that
-		// can still matter is for the batch they submit next.
-		rt.decideThreads(completed + 2)
-		if barrierHook != nil {
-			barrierHook(rt, completed)
-		}
-		if opts.Chaos != nil {
-			opts.Chaos.OnIteration(completed + 1)
-		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(rt.progress(completed, start))
-		}
-		// Wake prefetchers without blocking.
-		for i := 0; i < cap(rt.tick); i++ {
-			select {
-			case rt.tick <- struct{}{}:
-			default:
-				i = cap(rt.tick)
-			}
-		}
-	})
-
-	var ring *allreduce.Ring
-	if opts.GradientSize > 0 {
-		ring, err = allreduce.NewRing(top.WorldSize())
-		if err != nil {
-			return nil, err
-		}
-	}
-	gradFolds := make([]uint64, top.WorldSize())
-	rankFolds := make([]uint64, top.WorldSize())
-	allreduceRounds := make([]uint64, top.WorldSize())
-
+	rt.cancel = ctx.Done()
+	rt.start = time.Now()
 	if opts.Chaos != nil {
-		// Wire the runtime-owned injectors (soft: a harness's explicit
-		// Register wins) and process boundary 0 so Start-0 events are
-		// active before the first iteration; Finish reverts whatever is
-		// still active when the run — however it ends — returns.
-		rt.registerChaosInjectors(opts.Chaos)
+		// Process boundary 0 so Start-0 events are active before the first
+		// iteration; Finish reverts whatever is still active when the run —
+		// however it ends — returns.
 		opts.Chaos.OnIteration(0)
 		defer opts.Chaos.Finish()
 	}
-
-	var wg sync.WaitGroup
 	rt.decideThreads(0)
-	for rank := 0; rank < top.WorldSize(); rank++ {
+	results := make([]rankResult, opts.Topology.WorldSize())
+	var wg sync.WaitGroup
+	for rank := range results {
 		rank := rank
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			node := rt.nodes[rank/rt.gpus]
-			q := node.queues[rank%rt.gpus]
-			// Per-rank scratch, reused across every iteration. Legacy path:
-			// one batch id slice, the verify set (only under verify) and
-			// the result channel. Batched path: two pipeline slots, each a
-			// completion plus its own batch id slice — batch h lives in
-			// slot h&1 from its submit until its results are consumed, so
-			// the loading workers of h+1 never read ids the rank is still
-			// checking h against (DESIGN.md §12).
-			perSample := opts.PerSample
-			var out chan preproc.Result
-			var expect map[dataset.SampleID]bool
-			var slots [2]struct {
-				comp  *preproc.Completion
-				batch []dataset.SampleID
-			}
-			if perSample {
-				out = make(chan preproc.Result, opts.Model.BatchSize)
-				if verify {
-					expect = make(map[dataset.SampleID]bool, opts.Model.BatchSize)
-				}
-			} else {
-				for i := range slots {
-					slots[i].comp = preproc.GetCompletion()
-					defer slots[i].comp.Release()
-				}
-			}
-			chunk := opts.Strategy.LoadChunk
-			var batch []dataset.SampleID
-			var grad []float64
-			var rankFold uint64
-			if ring != nil {
-				grad = make([]float64, opts.GradientSize)
-			}
-			ro := rt.ro
-			var stallH, trainH *obs.Histogram
-			var rankTID int64
-			if ro != nil {
-				stallH, trainH = ro.stallSeconds[rank], ro.trainSeconds[rank]
-				rankTID = ro.rankTID[rank]
-			}
-			// recording keeps the un-instrumented (and disabled-registry)
-			// path clock-free.
-			recording := func() bool { return ro != nil && (ro.trace != nil || stallH.On()) }
-			// dispatch hands batch h to the loading queue (both paths).
-			// When recording, the batch is dispatched with a trace context
-			// (this rank, epoch, global iteration) and a submit timestamp
-			// so the stall ledger can decompose the wait by cause.
-			dispatch := func(h int) {
-				epoch, it := h/rt.itersPerEpoch, h%rt.itersPerEpoch
-				iterSeed := opts.Seed ^ uint64(h)<<20
-				var tctx obs.TraceCtx
-				var enq time.Time
-				if recording() {
-					tctx = obs.NewTraceCtx(rank, epoch, int64(h))
-					enq = time.Now()
-				}
-				if perSample {
-					batch = rt.sched.Batch(batch[:0], epoch, it, rank)
-					if verify {
-						clear(expect)
-						for _, id := range batch {
-							expect[id] = true
-						}
-					}
-					for _, id := range batch {
-						q.submit(loadRequest{id: id, seed: iterSeed ^ uint64(id), out: out, ctx: tctx, enq: enq})
-					}
-					return
-				}
-				s := &slots[h&1]
-				s.batch = rt.sched.Batch(s.batch[:0], epoch, it, rank)
-				s.comp.Reset(len(s.batch))
-				q.submitBatch(s.batch, cache.Iter(h), iterSeed, s.comp, chunk, tctx, enq)
-				rt.submitted[rank]++
-			}
-			// The batched path runs one batch deep — the depth the
-			// simulator's PipelineDepth defaults to: batch h+1 is
-			// submitted before the wait on batch h, so it loads and
-			// decodes under h's compute, allreduce and barrier wait. The
-			// per-sample path stays synchronous (the differential
-			// reference).
-			if !perSample {
-				dispatch(0)
-			}
-			h := 0
-			for ; h < rt.totalIters; h++ {
-				if stopIter.Load() >= 0 && h >= int(stopIter.Load()) {
-					break
-				}
-				if perSample {
-					dispatch(h)
-				} else {
-					if h+1 < rt.totalIters {
-						dispatch(h + 1)
-					}
-					batch = slots[h&1].batch
-				}
-				rec := recording()
-				// The data-stall stage: everything between dispatching the
-				// batch and holding every tensor.
-				var stallStart time.Time
-				if rec {
-					stallStart = time.Now()
-				}
-				var batchFold uint64
-				verified := 0
-				var firstErr error
-				if perSample {
-					for range batch {
-						res := <-out
-						if res.Tensor != nil {
-							batchFold ^= mix64(res.Tensor.Checksum)
-						}
-						if verify {
-							if err := checkResult(res, expect); err != nil {
-								if firstErr == nil {
-									firstErr = err
-								}
-							} else {
-								verified++
-							}
-						}
-					}
-				} else {
-					for i, res := range slots[h&1].comp.Wait() {
-						if res.Tensor != nil {
-							batchFold ^= mix64(res.Tensor.Checksum)
-						}
-						if verify {
-							if err := checkBatchResult(res, batch[i]); err != nil {
-								if firstErr == nil {
-									firstErr = err
-								}
-							} else {
-								verified++
-							}
-						}
-						// The tensor is consumed; recycle it (DESIGN.md
-						// §12 — the training loop owns delivered tensors).
-						preproc.PutTensor(res.Tensor)
-					}
-				}
-				rankFold = rankFold*1099511628211 + mix64(batchFold)
-				verifyMu.Lock()
-				stats.SamplesLoaded += uint64(len(batch))
-				stats.SamplesVerified += uint64(verified)
-				if firstErr != nil && verifyFail == nil {
-					verifyFail = firstErr
-				}
-				verifyMu.Unlock()
-				var trainStart time.Time
-				if rec {
-					ro.gpuSpan("stall", stallH, rankTID, h, stallStart)
-					trainStart = time.Now()
-				}
-				// The training stage: compute, then average the
-				// pseudo-gradient with every other GPU — the collective
-				// that makes any straggler a global stall.
-				time.Sleep(time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second)))
-				if ring != nil {
-					for i := range grad {
-						grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536
-					}
-					if err := ring.Average(rank, grad); err != nil {
-						verifyMu.Lock()
-						if verifyFail == nil {
-							verifyFail = err
-						}
-						verifyMu.Unlock()
-					} else {
-						// Fold the averaged gradient so ranks can be
-						// compared for bit-identical results at the end.
-						fold := uint64(1469598103934665603)
-						for _, v := range grad {
-							fold = fold*1099511628211 + math.Float64bits(v)
-						}
-						gradFolds[rank] = gradFolds[rank]*31 + fold
-						allreduceRounds[rank]++
-					}
-				}
-				if rec {
-					ro.gpuSpan("train", trainH, rankTID, h, trainStart)
-				}
-				bar.wait()
-			}
-			if !perSample && h < rt.totalIters {
-				// Stopped with batch h in flight: wait it out and recycle
-				// its tensors, so every payload lease is back before
-				// teardown. Not counted — the run ends at the stop boundary.
-				for _, res := range slots[h&1].comp.Wait() {
-					preproc.PutTensor(res.Tensor)
-				}
-			}
-			rankFolds[rank] = rankFold
+			results[rank] = rt.runRank(rank)
 		}()
 	}
 	wg.Wait()
-	close(rt.runDone)
-	<-watcherDone
-	stats.WallTime = time.Since(start)
-	if stop := stopIter.Load(); stop >= 0 {
-		stats.Iterations = int(stop)
+	wall := time.Since(rt.start)
+	cleanup()
+	stats, err := rt.collect(results, wall)
+	if err == nil {
+		err = ctx.Err()
 	}
+	return stats, err
+}
 
-	// Shut down: prefetchers, queues, preproc pools, remote servers.
-	for _, node := range rt.nodes {
-		close(node.stopPref)
+// rankResult is what one rank's loop hands to collect.
+type rankResult struct {
+	loaded, verified uint64
+	fold             uint64 // chain of the rank's per-iteration batch folds
+	gradFold         uint64 // chain of averaged-gradient folds, compared across ranks
+	rounds           uint64 // allreduce rounds completed
+	err              error  // first verification or allreduce failure
+}
+
+// runRank is one GPU's training loop. It runs one batch deep — the depth
+// the simulator's PipelineDepth defaults to: batch h+1 is submitted
+// before the wait on batch h, so it loads and decodes under h's compute,
+// allreduce and barrier wait.
+func (rt *Runtime) runRank(rank int) (res rankResult) {
+	opts := &rt.opts
+	q := rt.nodes[rank/rt.gpus].queues[rank%rt.gpus]
+	// Two pipeline slots, each a completion plus its own batch id slice,
+	// reused across every iteration — batch h lives in slot h&1 from its
+	// submit until its results are consumed, so the loading workers of h+1
+	// never read ids the rank is still checking h against (DESIGN.md §12).
+	var slots [2]struct {
+		comp  *preproc.Completion
+		batch []dataset.SampleID
 	}
-	// Drain any blocked prefetcher ticks.
+	for i := range slots {
+		slots[i].comp = preproc.GetCompletion()
+		defer slots[i].comp.Release()
+	}
+	var grad []float64
+	if rt.ring != nil {
+		grad = make([]float64, opts.GradientSize)
+	}
+	ro := rt.ro
+	var stallH, trainH *obs.Histogram
+	var rankTID int64
+	if ro != nil {
+		stallH, trainH = ro.stallSeconds[rank], ro.trainSeconds[rank]
+		rankTID = ro.rankTID[rank]
+	}
+	// recording keeps the un-instrumented (and disabled-registry) path
+	// clock-free.
+	recording := func() bool { return ro != nil && (ro.trace != nil || stallH.On()) }
+	// dispatch hands batch h to the loading queue. When recording, the
+	// batch is dispatched with a trace context (this rank, epoch, global
+	// iteration) and a submit timestamp so the stall ledger can decompose
+	// the wait by cause.
+	dispatch := func(h int) {
+		epoch, it := h/rt.itersPerEpoch, h%rt.itersPerEpoch
+		var tctx obs.TraceCtx
+		var enq time.Time
+		if recording() {
+			tctx = obs.NewTraceCtx(rank, epoch, int64(h))
+			enq = time.Now()
+		}
+		s := &slots[h&1]
+		s.batch = rt.sched.Batch(s.batch[:0], epoch, it, rank)
+		s.comp.Reset(len(s.batch))
+		q.submitBatch(s.batch, cache.Iter(h), opts.Seed^uint64(h)<<20, s.comp, tctx, enq)
+		rt.submitted[rank]++
+	}
+	dispatch(0)
+	h := 0
+	for ; h < rt.totalIters; h++ {
+		if stop := rt.stopIter.Load(); stop >= 0 && h >= int(stop) {
+			break
+		}
+		if h+1 < rt.totalIters {
+			dispatch(h + 1)
+		}
+		batch := slots[h&1].batch
+		rec := recording()
+		// The data-stall stage: everything between dispatching the batch
+		// and holding every tensor.
+		var stallStart time.Time
+		if rec {
+			stallStart = time.Now()
+		}
+		var batchFold uint64
+		for i, r := range slots[h&1].comp.Wait() {
+			if r.Tensor != nil {
+				batchFold ^= mix64(r.Tensor.Checksum)
+			}
+			if err := checkBatchResult(r, batch[i]); err != nil {
+				if res.err == nil {
+					res.err = err
+				}
+			} else {
+				res.verified++
+			}
+			// The tensor is consumed; recycle it (DESIGN.md §12 — the
+			// training loop owns delivered tensors).
+			preproc.PutTensor(r.Tensor)
+		}
+		res.fold = res.fold*1099511628211 + mix64(batchFold)
+		res.loaded += uint64(len(batch))
+		var trainStart time.Time
+		if rec {
+			ro.gpuSpan("stall", stallH, rankTID, h, stallStart)
+			trainStart = time.Now()
+		}
+		// The training stage: compute, then average the pseudo-gradient
+		// with every other GPU — the collective that makes any straggler a
+		// global stall.
+		time.Sleep(time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second)))
+		if rt.ring != nil {
+			for i := range grad {
+				grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536
+			}
+			if err := rt.ring.Average(rank, grad); err != nil {
+				if res.err == nil {
+					res.err = err
+				}
+			} else {
+				// Fold the averaged gradient so ranks can be compared for
+				// bit-identical results at the end.
+				fold := uint64(1469598103934665603)
+				for _, v := range grad {
+					fold = fold*1099511628211 + math.Float64bits(v)
+				}
+				res.gradFold = res.gradFold*31 + fold
+				res.rounds++
+			}
+		}
+		if rec {
+			ro.gpuSpan("train", trainH, rankTID, h, trainStart)
+		}
+		rt.bar.wait()
+	}
+	if h < rt.totalIters {
+		// Stopped with batch h in flight: wait it out and recycle its
+		// tensors, so every payload lease is back before teardown. Not
+		// counted — the run ends at the stop boundary.
+		for _, r := range slots[h&1].comp.Wait() {
+			preproc.PutTensor(r.Tensor)
+		}
+	}
+	return res
+}
+
+// endIteration is the barrier's last-arriver action after iteration
+// `completed`, run with every other rank parked in the barrier.
+func (rt *Runtime) endIteration(completed int) {
+	select {
+	case <-rt.cancel:
+		if rt.stopIter.Load() < 0 {
+			rt.stopIter.Store(int64(completed + 1))
+		}
+	default:
+	}
+	now := cache.Iter(completed)
+	for _, node := range rt.nodes {
+		node.iterNow.Store(int32(completed + 1))
+		node.cache.maintain(now)
+	}
+	// Flush the stall ledger while every rank waits at the barrier: all of
+	// iteration `completed`'s attribution has landed, and the batch already
+	// in flight charges the other parity (see stallLedger).
+	rt.ro.flushLedger(completed)
+	// Every rank has already submitted completed+1; the decision that can
+	// still matter is for the batch they submit next.
+	rt.decideThreads(completed + 2)
+	if barrierHook != nil {
+		barrierHook(rt, completed)
+	}
+	if rt.opts.Chaos != nil {
+		rt.opts.Chaos.OnIteration(completed + 1)
+	}
+	if rt.opts.OnProgress != nil {
+		rt.opts.OnProgress(rt.progress(completed))
+	}
+	// Wake prefetchers without blocking.
 	for i := 0; i < cap(rt.tick); i++ {
 		select {
 		case rt.tick <- struct{}{}:
 		default:
+			i = cap(rt.tick)
 		}
 	}
-	for _, node := range rt.nodes {
-		node.prefWG.Wait()
-		close(node.queues[0].reqs)
-		for j := 1; j < len(node.queues); j++ {
-			close(node.queues[j].reqs)
-		}
-		node.loadWG.Wait()
-		node.pre.Close()
-	}
-	rt.dm.Close()
-	for _, node := range rt.nodes {
-		node.serverWG.Wait()
-	}
+}
 
+// collect folds the per-rank results and the node counters into the
+// run's Stats, after cleanup has stopped every worker. The error is the
+// first verification failure in rank order, if any.
+func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, error) {
+	stats := &Stats{WallTime: wall, Iterations: rt.totalIters}
+	if stop := rt.stopIter.Load(); stop >= 0 {
+		stats.Iterations = int(stop)
+	}
 	for _, node := range rt.nodes {
 		cs := node.cache.stats()
 		stats.CacheHits += cs.Hits
@@ -732,60 +490,33 @@ func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 		}
 		stats.FinalLoadThreads = append(stats.FinalLoadThreads, row)
 	}
-	for _, f := range rankFolds {
-		stats.DataFold = stats.DataFold*1099511628211 + f
+	var fail error
+	for _, r := range results {
+		stats.SamplesLoaded += r.loaded
+		stats.SamplesVerified += r.verified
+		stats.DataFold = stats.DataFold*1099511628211 + r.fold
+		if fail == nil {
+			fail = r.err
+		}
 	}
-	if ring != nil {
-		stats.AllreduceRounds = allreduceRounds[0]
-		for rank := 1; rank < len(gradFolds); rank++ {
-			if gradFolds[rank] != gradFolds[0] && verifyFail == nil {
-				verifyFail = fmt.Errorf("runtime: rank %d averaged gradients diverged from rank 0", rank)
+	if rt.ring != nil {
+		stats.AllreduceRounds = results[0].rounds
+		for rank := 1; rank < len(results) && fail == nil; rank++ {
+			if results[rank].gradFold != results[0].gradFold {
+				fail = fmt.Errorf("runtime: rank %d averaged gradients diverged from rank 0", rank)
 			}
 		}
 	}
-	if verifyFail != nil {
-		return stats, verifyFail
-	}
-	if err := ctx.Err(); err != nil {
-		return stats, err
-	}
-	return stats, nil
-}
-
-// newPFSStoreWithFailures builds the PFS store with optional failure
-// injection.
-func newPFSStoreWithFailures(opts Options) *PFSStore {
-	store := NewPFSStore(opts.Dataset, opts.Seed, opts.Topology.Hierarchy.PFS, opts.TimeScale)
-	if opts.PFSFailureRate > 0 {
-		store.SetFailureRate(opts.PFSFailureRate)
-	}
-	return store
-}
-
-// openDataFile attaches the on-disk dataset to the PFS store when
-// configured.
-func openDataFile(opts Options, store *PFSStore) (*datafile.Reader, error) {
-	if opts.DataFilePath == "" {
-		return nil, nil
-	}
-	r, err := datafile.Open(opts.DataFilePath, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := store.UseFile(r); err != nil {
-		_ = r.Close() // read-only descriptor; the UseFile error is what matters
-		return nil, err
-	}
-	return r, nil
+	return stats, fail
 }
 
 // progress assembles a live snapshot after `completed` finished.
-func (rt *Runtime) progress(completed int, start time.Time) Progress {
+func (rt *Runtime) progress(completed int) Progress {
 	p := Progress{
 		Iteration:  completed + 1,
 		TotalIters: rt.totalIters,
 		Epoch:      completed / rt.itersPerEpoch,
-		ElapsedSec: time.Since(start).Seconds(),
+		ElapsedSec: time.Since(rt.start).Seconds(),
 	}
 	for _, node := range rt.nodes {
 		cs := node.cache.stats()
@@ -805,8 +536,7 @@ func (rt *Runtime) progress(completed int, start time.Time) Progress {
 
 // mix64 is the splitmix64 finalizer: a bijective bit mixer. Per-batch
 // checksum folds XOR mixed checksums so the fold is independent of the
-// order results arrive in — which makes the per-sample path (channel
-// arrival order) and the batched path (slot order) byte-identical.
+// order results arrive in, and a serial walk of the batch reproduces it.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -816,8 +546,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// checkBatchResult validates one slot of a batched iteration: slot order
-// is batch order, so the expected id is known without a lookup set.
+// checkBatchResult validates one slot of an iteration's completion: slot
+// order is batch order, so the expected id is known without a lookup set.
 func checkBatchResult(res preproc.Result, want dataset.SampleID) error {
 	if res.Err != nil {
 		return res.Err
@@ -829,52 +559,6 @@ func checkBatchResult(res preproc.Result, want dataset.SampleID) error {
 		return fmt.Errorf("runtime: sample %d decoded to zero checksum", res.Tensor.ID)
 	}
 	return nil
-}
-
-// checkResult validates a preprocessing result against the expected batch.
-func checkResult(res preproc.Result, expect map[dataset.SampleID]bool) error {
-	if res.Err != nil {
-		return res.Err
-	}
-	if !expect[res.Tensor.ID] {
-		return fmt.Errorf("runtime: unexpected sample %d in batch", res.Tensor.ID)
-	}
-	if res.Tensor.Checksum == 0 {
-		return fmt.Errorf("runtime: sample %d decoded to zero checksum", res.Tensor.ID)
-	}
-	return nil
-}
-
-// initialThreads derives the starting thread assignment from the strategy.
-func initialThreads(spec loader.Spec, gpus, total int) (pre int, load []int) {
-	load = make([]int, gpus)
-	switch spec.Mode {
-	case loader.ThreadsStatic:
-		pre = spec.PreprocThreads
-		for j := range load {
-			load[j] = spec.LoadingPerGPU
-		}
-	case loader.ThreadsSharedPool:
-		// The shared pool is approximated by spreading its workers over
-		// the per-GPU queues (the online runtime always uses multi-queue
-		// plumbing; the pool size is what varies).
-		pre = spec.PreprocThreads
-		for j := range load {
-			load[j] = spec.SharedLoading/gpus + 1
-		}
-	default: // dynamic: start proportional, controller adjusts
-		pre = total / 3
-		if pre < 1 {
-			pre = 1
-		}
-		for j := range load {
-			load[j] = (total - pre) / gpus
-			if load[j] < 1 {
-				load[j] = 1
-			}
-		}
-	}
-	return pre, load
 }
 
 // barrierHook, when set (tests only), runs in the barrier's last-arriver

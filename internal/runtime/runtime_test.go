@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -56,6 +57,31 @@ func TestRunValidation(t *testing.T) {
 	bad.Topology.Nodes = 0
 	if _, err := Run(bad); err == nil {
 		t.Error("bad topology accepted")
+	}
+	bad = opts
+	bad.Model.IterTime = 0
+	if _, err := Run(bad); err == nil {
+		t.Error("zero iteration time accepted by a dynamic strategy")
+	}
+}
+
+// TestBuildErrorLeavesNoGoroutines fails the build in the thread manager
+// (Tau = 5% of a zero IterTime). Whatever the build had started by then
+// — peer server, prefetchers, loading workers, preprocessing pool — must
+// be stopped again before Run returns the error.
+func TestBuildErrorLeavesNoGoroutines(t *testing.T) {
+	opts := testOptions(t, loader.Lobster(), 2, 1)
+	opts.Model.IterTime = 0
+	base := goruntime.NumGoroutine()
+	if _, err := Run(opts); err == nil {
+		t.Fatal("zero iteration time accepted")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for goruntime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed build, %d before it", goruntime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

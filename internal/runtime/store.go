@@ -79,7 +79,7 @@ type PFSStore struct {
 // ErrTransient is the sentinel for injected transient read failures (RPC
 // timeouts, OST hiccups). Callers retry, matching with errors.Is so
 // wrapped transients — as the retry helper produces on an exhausted
-// budget — still count. See SetFailureRate and SetFault.
+// budget — still count. See SetFault.
 var ErrTransient = errors.New("runtime: transient PFS failure")
 
 // NewPFSStore builds the store for a dataset. seed must match the
@@ -110,17 +110,6 @@ func (s *PFSStore) UseFile(r *datafile.Reader) error {
 	s.file = r
 	s.mu.Unlock()
 	return nil
-}
-
-// SetFailureRate injects transient failures: each Read independently fails
-// with the given probability (after paying its latency, as a timed-out
-// request would). It is SetFault restricted to the error rate; the two
-// share the degraded-mode state, so a chaos brownout reverting to the
-// configured baseline rate goes through SetFault.
-func (s *PFSStore) SetFailureRate(rate float64) {
-	s.mu.Lock()
-	s.fault.ErrRate = rate
-	s.mu.Unlock()
 }
 
 // SetFault applies a chaos brownout to the store: every Read pays

@@ -19,18 +19,14 @@
 #                        (full regeneration: make bench-sim)
 #   8. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#   9. runtime bench smoke — tiny end-to-end measurement of the batched
-#                        vs per-sample data path plus schema/headline
-#                        check of BENCH_runtime.json (DESIGN.md §12;
-#                        full regeneration: make bench-runtime)
-#  10. chaos bench smoke — tiny live run of the chaos recovery suite
+#   9. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  11. monitor smoke   — boot lobster-kv with its monitor attached and
+#  10. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  12. doctor smoke    — point lobster-doctor at the live monitor (the
+#  11. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -74,13 +70,6 @@ echo "==> obs bench smoke"
 # Schema + disabled-overhead-budget validation of the committed
 # BENCH_obs.json (the full run is `make bench-obs`, which regenerates it).
 go test . -run TestBenchObsJSON -count=1
-
-echo "==> runtime bench smoke"
-# Tiny end-to-end run of the batched-vs-per-sample data-path harness
-# (proves the batched path's alloc advantage live) plus schema and
-# headline validation of the committed BENCH_runtime.json (the full run
-# is `make bench-runtime`, which regenerates it).
-LOBSTER_BENCH_RUNTIME=tiny go test . -run TestBenchRuntimeJSON -count=1
 
 echo "==> chaos bench smoke"
 # Tiny live run of the chaos recovery scenarios (deterministic schedules,
