@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race lint bench bench-short bench-kv bench-sim bench-obs bench-chaos
+.PHONY: check build vet test race feed-determinism lint bench bench-short bench-kv bench-sim bench-obs bench-chaos
 
 ## check: the full tier-1 gate (build + vet + race tests + lobster-lint)
 check:
@@ -20,6 +20,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## feed-determinism: the prefetch feed and helper tests under -race,
+## ten times each at GOMAXPROCS 1, 2 and 8 (verify.sh runs the same loop)
+feed-determinism:
+	for procs in 1 2 8; do \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers' ./internal/runtime || exit 1; \
+	done
 
 ## lint: the project-specific static analysis suite (analyzers run
 ## concurrently; -time prints per-analyzer wall time)

@@ -27,6 +27,10 @@ var loadSideCauses = map[string]bool{
 // data-path leg slows down.
 func DataPathCause(name string) bool { return loadSideCauses[name] }
 
+// prefetchCauses are the causes a prefetch helper can incur, the
+// <cause> segment of lobster_runtime_prefetch_<cause>_seconds.
+var prefetchCauses = []string{"peer_fetch", "pfs", "recovery"}
+
 // stragglerFactor: a rank whose load time exceeds the mean by this
 // factor is flagged (matches the usual "straggler = consistently >1.5x
 // median peer" operational rule of thumb).
@@ -37,6 +41,12 @@ type RankReport struct {
 	Rank        int
 	Causes      []CauseTotal // dominant first
 	LoadSeconds float64      // sum over load-side causes
+}
+
+// NodePrefetch is what one node's prefetch helpers spent, by cause.
+type NodePrefetch struct {
+	Node   int
+	Causes []CauseTotal // dominant first
 }
 
 // EpochImbalance is one epoch's load-balance coefficient, computed from
@@ -64,12 +74,23 @@ type Report struct {
 	Imbalance      float64
 	EpochImbalance []EpochImbalance
 
+	// The prefetch helpers' side of the ledger, per node, and the feed's
+	// counters: samples staged, demand misses on a sample a helper had in
+	// flight (staged too late), and refusal pauses.
+	Prefetch       []NodePrefetch
+	PrefetchStaged float64
+	PrefetchLate   float64
+	PrefetchPauses float64
+
 	// Recovery-layer efficacy.
 	HedgesFired     float64
 	HedgesWon       float64
 	Failovers       float64
 	PartialFanouts  float64
 	RecoverySeconds float64
+	// PrefetchRecoverySeconds is RecoverySeconds' counterpart on the
+	// helpers' side: failovers are counted on both.
+	PrefetchRecoverySeconds float64
 }
 
 // Analyze cross-references merged metrics and traces into a Report.
@@ -101,36 +122,17 @@ func itersPerEpoch(m *Metrics) int {
 
 func (r *Report) analyzeMetrics(m *Metrics) {
 	// Per-rank cause totals from the stall histograms' _sum series.
-	ranks := make(map[int]*RankReport)
-	for _, cause := range stallCauses {
-		series := "lobster_runtime_stall_" + cause + "_seconds_sum"
-		for _, rankLabel := range m.LabelValues(series, "rank") {
-			rank, err := strconv.Atoi(rankLabel)
-			if err != nil {
-				continue
-			}
-			secs := m.Sum(series, map[string]string{"rank": rankLabel})
-			if secs == 0 {
-				continue
-			}
-			rr := ranks[rank]
-			if rr == nil {
-				rr = &RankReport{Rank: rank}
-				ranks[rank] = rr
-			}
-			rr.Causes = append(rr.Causes, CauseTotal{Cause: cause, Seconds: secs})
-			if loadSideCauses[cause] {
-				rr.LoadSeconds += secs
-			}
-		}
-	}
 	totals := make(map[string]float64)
-	for _, rr := range ranks {
-		sortCauses(rr.Causes)
-		for _, ct := range rr.Causes {
+	for rank, causes := range causesByLabel(m, "lobster_runtime_stall_", stallCauses, "rank") {
+		sortCauses(causes)
+		rr := RankReport{Rank: rank, Causes: causes}
+		for _, ct := range causes {
 			totals[ct.Cause] += ct.Seconds
+			if loadSideCauses[ct.Cause] {
+				rr.LoadSeconds += ct.Seconds
+			}
 		}
-		r.Ranks = append(r.Ranks, *rr)
+		r.Ranks = append(r.Ranks, rr)
 	}
 	sort.Slice(r.Ranks, func(i, j int) bool { return r.Ranks[i].Rank < r.Ranks[j].Rank })
 	for c, s := range totals {
@@ -154,6 +156,7 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 		}
 	}
 
+	r.analyzePrefetch(m)
 	r.RankStallSeconds = m.Sum("lobster_runtime_stall_seconds_sum", nil)
 	r.Imbalance, _ = m.Value("lobster_runtime_load_imbalance", nil)
 	r.HedgesFired = m.Sum("lobster_kvstore_hedge_fired_total", nil)
@@ -161,6 +164,40 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 	r.Failovers = m.Sum("lobster_runtime_failover_total", nil)
 	r.PartialFanouts = m.Sum("lobster_runtime_partial_fanout_total", nil)
 	r.RecoverySeconds = m.Sum("lobster_runtime_stall_recovery_seconds_sum", nil)
+}
+
+// causesByLabel reads the <prefix><cause>_seconds_sum series of every
+// cause and groups the non-zero totals by the integer value of label
+// (the rank, or the node).
+func causesByLabel(m *Metrics, prefix string, causes []string, label string) map[int][]CauseTotal {
+	out := make(map[int][]CauseTotal)
+	for _, cause := range causes {
+		series := prefix + cause + "_seconds_sum"
+		for _, value := range m.LabelValues(series, label) {
+			key, err := strconv.Atoi(value)
+			if err != nil {
+				continue
+			}
+			if secs := m.Sum(series, map[string]string{label: value}); secs != 0 {
+				out[key] = append(out[key], CauseTotal{Cause: cause, Seconds: secs})
+			}
+		}
+	}
+	return out
+}
+
+// analyzePrefetch reads the helpers' per-node cause totals and the feed's
+// counters.
+func (r *Report) analyzePrefetch(m *Metrics) {
+	for node, causes := range causesByLabel(m, "lobster_runtime_prefetch_", prefetchCauses, "node") {
+		sortCauses(causes)
+		r.Prefetch = append(r.Prefetch, NodePrefetch{Node: node, Causes: causes})
+	}
+	sort.Slice(r.Prefetch, func(i, j int) bool { return r.Prefetch[i].Node < r.Prefetch[j].Node })
+	r.PrefetchStaged = m.Sum("lobster_runtime_prefetched_total", nil)
+	r.PrefetchLate = m.Sum("lobster_runtime_prefetch_late_total", nil)
+	r.PrefetchPauses = m.Sum("lobster_runtime_prefetch_pauses_total", nil)
+	r.PrefetchRecoverySeconds = m.Sum("lobster_runtime_prefetch_recovery_seconds_sum", nil)
 }
 
 func (r *Report) analyzeTrace(t *Trace, ipe int) {
@@ -263,6 +300,22 @@ func (r *Report) WriteText(w io.Writer) error {
 			p("\n")
 		}
 	}
+	if len(r.Prefetch) > 0 || r.PrefetchStaged > 0 {
+		p("\nPrefetch helpers (ahead of demand; no rank waits for these):\n")
+		for _, np := range r.Prefetch {
+			p("  node %d:", np.Node)
+			for _, ct := range np.Causes {
+				p(" %s=%.3fs", ct.Cause, ct.Seconds)
+			}
+			p("\n")
+		}
+		late := 0.0
+		if r.PrefetchStaged > 0 {
+			late = 100 * r.PrefetchLate / r.PrefetchStaged
+		}
+		p("  prefetch: staged %.0f, late %.0f (%.1f%%), refusal pauses %.0f\n",
+			r.PrefetchStaged, r.PrefetchLate, late, r.PrefetchPauses)
+	}
 	if len(r.Stragglers) > 0 {
 		p("\nStragglers (load time > %.1fx mean): ranks %v\n", stragglerFactor, r.Stragglers)
 	} else if len(r.Ranks) > 1 {
@@ -284,12 +337,12 @@ func (r *Report) WriteText(w io.Writer) error {
 				r.HedgesFired, r.HedgesWon, 100*r.HedgesWon/r.HedgesFired)
 		}
 		if r.Failovers > 0 {
-			avg := 0.0
-			if r.RecoverySeconds > 0 {
-				avg = r.RecoverySeconds / r.Failovers
-			}
-			p("  failovers: %.0f, %.3fs spent in recovery reads (%.1fms avg)\n",
-				r.Failovers, r.RecoverySeconds, 1e3*avg)
+			// Failovers are counted on both sides of the ledger, so the
+			// average is over both sides' recovery reads.
+			recovery := r.RecoverySeconds + r.PrefetchRecoverySeconds
+			avg := recovery / r.Failovers
+			p("  failovers: %.0f, %.3fs spent in recovery reads (%.1fms avg; %.3fs by ranks, %.3fs by prefetch helpers)\n",
+				r.Failovers, recovery, 1e3*avg, r.RecoverySeconds, r.PrefetchRecoverySeconds)
 		}
 		if r.PartialFanouts > 0 {
 			p("  partial fan-outs: %.0f\n", r.PartialFanouts)

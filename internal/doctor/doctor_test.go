@@ -75,6 +75,42 @@ func TestDiagnoseWindowBlamesExcess(t *testing.T) {
 	}
 }
 
+// TestDiagnosePrefetchWindowKeepsSidesApart puts a recovery surge on the
+// helpers' side of the ledger only: the prefetch diagnosis blames it, the
+// demand diagnosis of the same window does not see it.
+func TestDiagnosePrefetchWindowKeepsSidesApart(t *testing.T) {
+	prefetch := func(cause string, iter, node, durUS float64) TraceEvent {
+		return TraceEvent{
+			Name: cause, Cat: "prefetch", Ph: "X", Dur: durUS,
+			Args: map[string]float64{"iter": iter, "node": node},
+		}
+	}
+	tr := &Trace{}
+	for iter := 0; iter < 10; iter++ {
+		tr.Events = append(tr.Events, stall("local_hit", 0, float64(iter), 0, 300))
+		tr.Events = append(tr.Events, prefetch("pfs", float64(iter), 0, 1000))
+		tr.Events = append(tr.Events, prefetch("peer_fetch", float64(iter), 1, 200))
+	}
+	for iter := 4; iter < 7; iter++ {
+		tr.Events = append(tr.Events, prefetch("recovery", float64(iter), 1, 2500))
+	}
+	diag := tr.DiagnosePrefetchWindow(4, 7)
+	if got := TopCause(diag); got != "recovery" {
+		t.Errorf("prefetch side of [4,7) blames %q, want recovery\ndiag: %+v", got, diag)
+	}
+	if len(diag) != 3 || diag[0].Seconds != 0.0075 {
+		t.Errorf("prefetch diagnosis %+v, want three causes led by 7.5ms of recovery", diag)
+	}
+	for _, wc := range tr.DiagnoseWindow(4, 7) {
+		if wc.Cause != "local_hit" {
+			t.Errorf("demand side of [4,7) holds prefetch span %+v", wc)
+		}
+	}
+	if got := tr.TopCauseInWindow(4, 7); got != "local_hit" {
+		t.Errorf("demand side of [4,7) blames %q, want its only cause local_hit", got)
+	}
+}
+
 func TestTopCauseFallsBackToPipeline(t *testing.T) {
 	tr := &Trace{}
 	for iter := 0; iter < 6; iter++ {
@@ -132,6 +168,14 @@ lobster_runtime_stall_seconds_sum{rank="2"} 0.6
 lobster_runtime_load_imbalance 2.4
 lobster_runtime_iters_per_epoch 8
 lobster_runtime_failover_total 5
+lobster_runtime_prefetch_pfs_seconds_sum{node="0"} 1.5
+lobster_runtime_prefetch_pfs_seconds_sum{node="1"} 0.25
+lobster_runtime_prefetch_peer_fetch_seconds_sum{node="1"} 0.5
+lobster_runtime_prefetch_recovery_seconds_sum{node="1"} 0.2
+lobster_runtime_prefetched_total{node="0"} 300
+lobster_runtime_prefetched_total{node="1"} 100
+lobster_runtime_prefetch_late_total{node="0"} 6
+lobster_runtime_prefetch_pauses_total{node="1"} 3
 lobster_kvstore_hedge_fired_total 10
 lobster_kvstore_hedge_won_total 7
 `
@@ -197,7 +241,10 @@ func TestAnalyzeAndReport(t *testing.T) {
 		"Load imbalance",
 		"epoch 1:",
 		"hedged reads: 10 fired, 7 won (70% efficacy)",
-		"failovers: 5",
+		"failovers: 5, 0.250s spent in recovery reads (50.0ms avg; 0.050s by ranks, 0.200s by prefetch helpers)",
+		"  node 0: pfs=1.500s\n",
+		"  node 1: peer_fetch=0.500s pfs=0.250s recovery=0.200s\n",
+		"prefetch: staged 400, late 6 (1.5%), refusal pauses 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)

@@ -108,16 +108,26 @@ func Merge(traces ...*Trace) *Trace {
 	return out
 }
 
-// stallSpans visits every stall-attribution span (the ledger flush
-// emits them with category "stall"; names are the cause names).
-func (t *Trace) stallSpans(fn func(e *TraceEvent)) {
+// The ledger flush emits its attribution spans under two categories,
+// both named by cause: what the ranks' demand loads spent, and what the
+// nodes' prefetch helpers spent (which no rank waited for).
+const (
+	catStall    = "stall"
+	catPrefetch = "prefetch"
+)
+
+// ledgerSpans visits every attribution span of one category.
+func (t *Trace) ledgerSpans(cat string, fn func(e *TraceEvent)) {
 	for i := range t.Events {
 		e := &t.Events[i]
-		if e.Ph == "X" && e.Cat == "stall" {
+		if e.Ph == "X" && e.Cat == cat {
 			fn(e)
 		}
 	}
 }
+
+// stallSpans visits every stall-attribution span.
+func (t *Trace) stallSpans(fn func(e *TraceEvent)) { t.ledgerSpans(catStall, fn) }
 
 // CauseTotal is one cause's aggregate stall time.
 type CauseTotal struct {
@@ -166,11 +176,23 @@ type WindowCause struct {
 // covers every recorded iteration there is no baseline and the excess
 // equals the inside rate.
 func (t *Trace) DiagnoseWindow(from, to int64) []WindowCause {
+	return t.diagnose(catStall, from, to)
+}
+
+// DiagnosePrefetchWindow is DiagnoseWindow for the prefetch helpers'
+// side of the ledger: a fault the helpers absorbed — they run ahead of
+// demand, so a lost peer's failovers land on them first — shows up here
+// and not in the ranks' stalls.
+func (t *Trace) DiagnosePrefetchWindow(from, to int64) []WindowCause {
+	return t.diagnose(catPrefetch, from, to)
+}
+
+func (t *Trace) diagnose(cat string, from, to int64) []WindowCause {
 	inside := make(map[string]float64)
 	outside := make(map[string]float64)
 	insideIters := make(map[int64]bool)
 	outsideIters := make(map[int64]bool)
-	t.stallSpans(func(e *TraceEvent) {
+	t.ledgerSpans(cat, func(e *TraceEvent) {
 		it, ok := e.Args["iter"]
 		if !ok {
 			return
@@ -215,7 +237,12 @@ func (t *Trace) DiagnoseWindow(from, to int64) []WindowCause {
 // slows down, so their excess is a symptom, not a diagnosis. Returns
 // "" when the window holds no attribution spans.
 func (t *Trace) TopCauseInWindow(from, to int64) string {
-	diag := t.DiagnoseWindow(from, to)
+	return TopCause(t.DiagnoseWindow(from, to))
+}
+
+// TopCause applies TopCauseInWindow's blame rule to a window diagnosis
+// from either side of the ledger.
+func TopCause(diag []WindowCause) string {
 	for _, wc := range diag {
 		if DataPathCause(wc.Cause) && wc.ExcessPerIter > 0 {
 			return wc.Cause

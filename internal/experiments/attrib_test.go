@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/chaos"
@@ -30,7 +31,11 @@ import (
 //     over to a full-cost recovery read — the one cause with no healthy
 //     baseline at all. (Demand pfs reads also surge, but the cold-start
 //     warm-up sets a high pfs baseline, so they rank below recovery on
-//     excess.)
+//     excess.) The prefetch helpers run ahead of demand, so they are
+//     who usually asks the dark node first and takes the failovers; the
+//     pin therefore reads the side of the ledger — the ranks' stalls or
+//     the helpers' prefetch rows — that holds more recovery time in the
+//     window, and requires recovery to top that side.
 //
 // The ranking blames data-path causes first (TopCauseInWindow):
 // pipeline queue waits inflate second-hand under any data-path fault,
@@ -106,11 +111,23 @@ func TestChaosAttribution(t *testing.T) {
 				to = int64(totalIters / 2)
 			}
 			if !raceEnabled {
-				diag := trace.DiagnoseWindow(from, to)
+				defer func() {
+					if dir := os.Getenv(chaosTraceDirEnv); dir != "" && t.Failed() {
+						var dump ChaosResult
+						dumpChaosTrace(dir, "attrib-"+sc.name, ring, &dump)
+						t.Log(dump.EventLog)
+					}
+				}()
+				diag, side := trace.DiagnoseWindow(from, to), "demand"
 				if len(diag) == 0 {
 					t.Fatalf("no attribution spans in fault window [%d,%d)", from, to)
 				}
-				got := trace.TopCauseInWindow(from, to)
+				if sc.name == "nodeloss" {
+					if pre := trace.DiagnosePrefetchWindow(from, to); recoverySeconds(pre) > recoverySeconds(diag) {
+						diag, side = pre, "prefetch"
+					}
+				}
+				got := doctor.TopCause(diag)
 				accepted := false
 				for _, w := range want {
 					if got == w {
@@ -118,19 +135,11 @@ func TestChaosAttribution(t *testing.T) {
 					}
 				}
 				if !accepted {
-					t.Errorf("top cause in fault window [%d,%d) = %s, want one of %v\nwindow diagnosis: %s",
-						from, to, got, want, fmtDiag(diag))
+					t.Errorf("top %s-side cause in fault window [%d,%d) = %s, want one of %v\nwindow diagnosis: %s",
+						side, from, to, got, want, fmtDiag(diag))
 				}
-				if sc.wantFailovers {
-					found := false
-					for _, wc := range diag {
-						if wc.Cause == "recovery" && wc.Seconds > 0 {
-							found = true
-						}
-					}
-					if !found {
-						t.Errorf("fault window has no recovery-attributed stalls\nwindow diagnosis: %s", fmtDiag(diag))
-					}
+				if sc.wantFailovers && recoverySeconds(diag) <= 0 {
+					t.Errorf("fault window has no recovery-attributed time on the %s side\nwindow diagnosis: %s", side, fmtDiag(diag))
 				}
 			}
 
@@ -151,6 +160,16 @@ func TestChaosAttribution(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recoverySeconds is the recovery time a window diagnosis holds.
+func recoverySeconds(diag []doctor.WindowCause) float64 {
+	for _, wc := range diag {
+		if wc.Cause == "recovery" {
+			return wc.Seconds
+		}
+	}
+	return 0
 }
 
 func fmtDiag(diag []doctor.WindowCause) string {

@@ -15,7 +15,8 @@ import (
 // use it: an instrumented run publishes its registry and span ring
 // through a live monitor endpoint, and the doctor scrapes /metrics and
 // /trace.json over HTTP, merges them, and writes a report that names at
-// least one stall cause.
+// least one stall cause, what each node's prefetch helpers spent, and
+// the feed's staged/late/pauses line.
 func TestDoctorEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full training loop")
@@ -60,5 +61,14 @@ func TestDoctorEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "Per-rank decomposition") {
 		t.Errorf("report text missing per-rank decomposition:\n%s", out)
+	}
+	if len(rep.Prefetch) != opts.Topology.Nodes || rep.PrefetchStaged == 0 {
+		t.Errorf("report has prefetch causes for %d of %d nodes, %.0f samples staged",
+			len(rep.Prefetch), opts.Topology.Nodes, rep.PrefetchStaged)
+	}
+	for _, want := range []string{"Prefetch helpers", "  node 0: ", "  node 1: ", "prefetch: staged ", "refusal pauses "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report text missing %q:\n%s", want, out)
+		}
 	}
 }

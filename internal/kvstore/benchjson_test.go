@@ -326,7 +326,7 @@ func benchFull(t *testing.T) {
 		// round trips, unstriped mutex LRU, no pooling) measured at
 		// commit dd14fa7 with the same 16-client Get workload on the
 		// same machine as the rest of this file.
-		SeedBaseline benchEntry   `json:"seed_baseline"`
+		SeedBaseline benchEntry `json:"seed_baseline"`
 		Headline     struct {
 			V1OpsPerSec float64 `json:"v1_ops_per_sec"`
 			V2OpsPerSec float64 `json:"v2_ops_per_sec"`

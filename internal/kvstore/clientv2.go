@@ -292,20 +292,25 @@ func dialPipe(addr string, window int) (*pipeConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: dial %s: %w", addr, err)
 	}
+	p := newPipeConn(c, window)
+	p.wg.Add(2)
+	go p.writeLoop()
+	go p.readLoop()
+	return p, nil
+}
+
+// newPipeConn wraps an open connection; the caller starts the loops.
+func newPipeConn(c net.Conn, window int) *pipeConn {
 	if window <= 0 {
 		window = writeQueueDepth
 	}
-	p := &pipeConn{
+	return &pipeConn{
 		c:       c,
 		wq:      make(chan *call, writeQueueDepth),
 		stop:    make(chan struct{}),
 		window:  make(chan struct{}, window),
 		pending: make(map[uint32]*call),
 	}
-	p.wg.Add(2)
-	go p.writeLoop()
-	go p.readLoop()
-	return p, nil
 }
 
 // shutdown fails the connection (idempotent) and waits for its
@@ -500,14 +505,13 @@ func (p *pipeConn) writeLoop() {
 			p.drainQueue()
 			return
 		case c := <-p.wq:
-			if !p.beginWrite(c) {
-				continue
+			// A discarded call (withdrawn, refused, or out of budget) still
+			// falls through to the flush check: it may be the last of a
+			// burst whose earlier frames sit in the buffer.
+			if p.beginWrite(c) && !p.dropExpired(c) {
+				writeV2Request(w, c)
+				p.endWrite(c)
 			}
-			if p.dropExpired(c) {
-				continue
-			}
-			writeV2Request(w, c)
-			p.endWrite(c)
 			if len(p.wq) == 0 {
 				// The enqueue that woke this loop typically readied us
 				// before the caller's siblings got to run; yield once so

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -252,6 +253,54 @@ func TestClientV2ContextCancelMidPipeline(t *testing.T) {
 		if err != nil || !found || string(v) != key {
 			t.Fatalf("post-cancel Get(%q) = %q, %v, %v", key, v, found, err)
 		}
+	}
+}
+
+// TestWriteLoopFlushesAfterDiscardedCall queues a live Get followed by a
+// call whose deadline budget is already spent, on one connection, before
+// the writer starts: the writer serializes the Get, sees the queue is not
+// empty and defers the flush, then discards the expired call. The Get's
+// frame must still go out — nothing else will ever be written on this
+// connection to carry it.
+func TestWriteLoopFlushesAfterDiscardedCall(t *testing.T) {
+	s := testServer(t, 1<<20)
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPipeConn(conn, 0)
+	defer p.shutdown(ErrClientClosed)
+	live := getCall(opGet)
+	live.key = "absent"
+	spent := getCall(opGet)
+	spent.key = "absent"
+	spent.expiry = time.Now().Add(-time.Second)
+	for _, c := range []*call{live, spent} {
+		if err := p.register(c); err != nil {
+			t.Fatal(err)
+		}
+		p.wq <- c
+	}
+	p.wg.Add(2)
+	go p.writeLoop()
+	go p.readLoop()
+
+	timeout := time.After(10 * time.Second)
+	for _, want := range []struct {
+		c   *call
+		err error
+	}{{spent, context.DeadlineExceeded}, {live, nil}} {
+		select {
+		case c := <-want.c.done:
+			if !errors.Is(c.err, want.err) {
+				t.Fatalf("call completed with %v, want %v", c.err, want.err)
+			}
+		case <-timeout:
+			t.Fatal("the Get's frame was never flushed: its response did not arrive")
+		}
+	}
+	if live.status != statusNotFound {
+		t.Fatalf("Get of an absent key answered status %d", live.status)
 	}
 }
 

@@ -72,13 +72,18 @@ type Spec struct {
 	// NUMA-aware, and co-locates data loading and preprocessing
 	// threads"). The baselines place threads naively.
 	NUMAAware bool
-	// PrefetchThreads is the fixed background prefetching concurrency of
-	// the static strategies (NoPFS's double-buffering helpers). Strategies
-	// with dynamic thread management instead convert *idle* loading
-	// thread-seconds into prefetch work — the coordination the paper's
-	// second challenge is about ("a bottleneck in one stage will lead to
-	// idle threads in the other stages that instead could have been used
-	// to alleviate the bottleneck").
+	// PrefetchThreads is the background prefetching concurrency (NoPFS's
+	// double-buffering helpers), in both executions: the simulator spends
+	// PrefetchThreads x batch time as its per-iteration prefetch budget,
+	// and the runtime starts exactly this many helper goroutines per node
+	// to drain the node's prefetch feed (at least one whenever
+	// PrefetchDepth > 0). In the simulator, strategies with dynamic thread
+	// management additionally convert *idle* loading thread-seconds into
+	// prefetch work — the coordination the paper's second challenge is
+	// about ("a bottleneck in one stage will lead to idle threads in the
+	// other stages that instead could have been used to alleviate the
+	// bottleneck"); the runtime does not (DESIGN.md §8 has the
+	// measurement).
 	PrefetchThreads int
 }
 
@@ -219,9 +224,11 @@ func NoPFS(gpusPerNode, totalThreads int) Spec {
 }
 
 // Lobster returns the full system: dynamic thread management (Algorithm
-// 1 + preprocessing throttling, plus conversion of idle loading threads
-// into prefetch work), deep prefetching with background helpers, and the
-// reuse-based eviction policy coordinating with it.
+// 1 + preprocessing throttling), deep prefetching with three background
+// helpers in both executions, and the reuse-based eviction policy
+// coordinating with it. The simulator also converts idle loading
+// threads into prefetch work; the runtime's prefetching is the helpers
+// alone (see Spec.PrefetchThreads).
 func Lobster() Spec {
 	return Spec{
 		Name:            "lobster",

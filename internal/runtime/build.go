@@ -83,7 +83,7 @@ func build(opts Options) (*Runtime, func(), error) {
 		pfs:           NewPFSStore(opts.Dataset, opts.Seed, top.Hierarchy.PFS, opts.TimeScale),
 		gpus:          top.GPUsPerNode,
 		itersPerEpoch: sched.IterationsPerEpoch(),
-		tick:          make(chan struct{}, 4*top.Nodes*prefetchWorkers),
+		tick:          make(chan struct{}, 4*top.Nodes*prefetchHelpers(opts.Strategy)),
 		submitted:     make([]int, top.WorldSize()),
 	}
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
@@ -170,6 +170,10 @@ func (rt *Runtime) addNode(n int, portfolio *perfmodel.PreprocPortfolio) error {
 		return err
 	}
 	node := &nodeRuntime{node: n, rt: rt, plan: plan, cache: nc, pre: pre, stopPref: make(chan struct{})}
+	helpers := prefetchHelpers(opts.Strategy)
+	if helpers > 0 {
+		node.feed = newPrefetchFeed(rt.sched, n, rt.gpus, rt.totalIters, opts.Strategy.PrefetchDepth, nc.contains)
+	}
 	node.queues = make([]*gpuQueue, rt.gpus)
 	for j := range node.queues {
 		node.queues[j] = newGPUQueue(node, j, loadWorkers[j], &node.loadWG)
@@ -179,8 +183,9 @@ func (rt *Runtime) addNode(n int, portfolio *perfmodel.PreprocPortfolio) error {
 	}
 	node.serverWG.Add(1)
 	go node.serveRemote()
-	if opts.Strategy.PrefetchDepth > 0 {
-		node.prefetcher(opts.Strategy.PrefetchDepth)
+	for ; node.helpers < helpers; node.helpers++ {
+		node.prefWG.Add(1)
+		go node.prefetchHelper()
 	}
 	rt.nodes = append(rt.nodes, node)
 	rt.mgrs = append(rt.mgrs, mgr)

@@ -52,6 +52,11 @@ var stallCauseNames = [numStallCauses]string{
 	"local_hit", "peer_fetch", "pfs", "decode_wait", "queue_wait", "recovery",
 }
 
+// prefetchCauses are the causes a prefetch helper can incur: it fetches
+// through the same tiers as a demand miss, but nothing queues for it and
+// it never hits the cache it is filling.
+var prefetchCauses = [...]stallCause{causePeerFetch, causePFS, causeRecovery}
+
 // loadSideCause marks the causes that make up a rank's load time — the
 // storage-facing legs, excluding the queueing waits — which feed the
 // load-imbalance gauge (max over mean of per-rank load time, the
@@ -81,30 +86,50 @@ type stallRow struct {
 // after barrier h releases. So add and flush never race on the same
 // iteration's nanoseconds, and no charge is reported under another
 // iteration.
+//
+// prefetch holds one more row per node, which that node's prefetch
+// helpers charge with the causes they can incur (peer_fetch, pfs,
+// recovery). No rank waits for a helper, so these are not stalls and
+// belong to no iteration's batch: the flush drains whatever accumulated
+// since the last one, and a charge that lands during a flush is reported
+// with the next.
 type stallLedger struct {
-	rows [][2]stallRow
+	rows     [][2]stallRow
+	prefetch []stallRow
 }
 
-func newStallLedger(world int) *stallLedger {
-	return &stallLedger{rows: make([][2]stallRow, world)}
+func newStallLedger(world, nodes int) *stallLedger {
+	return &stallLedger{rows: make([][2]stallRow, world), prefetch: make([]stallRow, nodes)}
 }
 
-// add charges d to cause c of the (rank, iteration) ctx names. Nil-safe;
-// out-of-range ranks (a clamped trace context from a hostile frame) are
-// dropped rather than mis-charged.
-func (l *stallLedger) add(ctx obs.TraceCtx, c stallCause, d time.Duration) {
+// row returns the row of the (rank, iteration) ctx names. Nil-safe, and
+// nil for out-of-range ranks (a clamped trace context from a hostile
+// frame), whose charges are dropped rather than mis-charged.
+func (l *stallLedger) row(ctx obs.TraceCtx) *stallRow {
 	rank := ctx.Rank()
-	if l == nil || rank >= len(l.rows) || d <= 0 {
+	if l == nil || rank >= len(l.rows) {
+		return nil
+	}
+	return &l.rows[rank][ctx.Iter()&1]
+}
+
+// add charges d to cause c of the (rank, iteration) ctx names.
+func (l *stallLedger) add(ctx obs.TraceCtx, c stallCause, d time.Duration) {
+	l.row(ctx).add(c, d)
+}
+
+// add charges d to cause c. Nil-safe.
+func (r *stallRow) add(c stallCause, d time.Duration) {
+	if r == nil || d <= 0 {
 		return
 	}
-	l.rows[rank][ctx.Iter()&1].ns[c].Add(int64(d))
+	r.ns[c].Add(int64(d))
 }
 
-// drain swaps rank r's row for iteration iter to zero and returns the
-// accumulated durations per cause.
-func (l *stallLedger) drain(r, iter int, out *[numStallCauses]time.Duration) {
-	row := &l.rows[r][iter&1]
+// drain swaps the row to zero and returns the accumulated durations per
+// cause.
+func (r *stallRow) drain(out *[numStallCauses]time.Duration) {
 	for c := range out {
-		out[c] = time.Duration(row.ns[c].Swap(0))
+		out[c] = time.Duration(r.ns[c].Swap(0))
 	}
 }

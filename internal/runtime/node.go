@@ -12,7 +12,6 @@ import (
 	"repro/internal/access"
 	"repro/internal/cache"
 	"repro/internal/dataset"
-	"repro/internal/kvstore"
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/preproc"
@@ -464,11 +463,14 @@ type nodeRuntime struct {
 	pfsReads   atomic.Uint64
 	prefetched atomic.Uint64
 	pfsRetries atomic.Uint64
-	// failovers counts shared-tier reads that fell over to the PFS: a
-	// directory-promised peer copy that did not arrive (crashed or
-	// flaky peer — or the benign advisory-directory race), a KV Get that
-	// errored, or a whole prefetch window degraded by a full MultiGet
-	// failure.
+	// prefetchLate counts demand misses on an id a helper had in flight:
+	// prefetches issued, but too late to spare the demand read.
+	prefetchLate atomic.Uint64
+	// failovers counts shared-tier reads, demand or prefetch, that fell
+	// over to the PFS: a directory-promised peer copy that did not arrive
+	// (crashed or flaky peer — or the benign advisory-directory race), a
+	// KV Get that errored, or a whole prefetch window degraded by a full
+	// MultiGet failure.
 	failovers atomic.Uint64
 	// partials counts KV MultiGet fan-outs that came back partial (some
 	// shards failed, the rest delivered — kvstore.PartialError).
@@ -477,6 +479,12 @@ type nodeRuntime struct {
 	// loadHist times each sample materialization (runtimeObs; nil when
 	// un-instrumented — nil-safe to observe).
 	loadHist *obs.Histogram
+
+	// feed is the node's prefetch walk and helpers the number of
+	// goroutines started to drain it (nil and 0 for demand-only
+	// strategies); both are set before the first helper starts.
+	feed    *prefetchFeed
+	helpers int
 
 	loadWG   sync.WaitGroup
 	serverWG sync.WaitGroup
@@ -531,10 +539,10 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 	ro := n.rt.ro
 	rec := ro != nil && (ro.trace != nil || n.loadHist.On())
 	var start time.Time
-	var led *stallLedger
+	var row *stallRow
 	if rec {
 		start = time.Now()
-		led = ro.ledger
+		row = ro.ledger.row(tctx)
 	}
 	payload, ok, leased := n.cache.get(id, now)
 	if ok {
@@ -542,14 +550,14 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 			owner = n.cache
 		}
 	} else {
-		payload, owned, owner = n.fetchMiss(id, now, tctx, led)
+		payload, owned, owner, _ = n.fetch(id, now, tctx, row, true)
 	}
 	if rec {
 		d := time.Since(start)
 		if ok {
-			// The miss path attributes its own legs inside fetchMiss; a hit
-			// is entirely the local cache's time.
-			led.add(tctx, causeLocalHit, d)
+			// The miss path attributes its own legs inside fetch; a hit is
+			// entirely the local cache's time.
+			row.add(causeLocalHit, d)
 		}
 		n.loadHist.Observe(d.Seconds())
 		if tid != 0 {
@@ -559,89 +567,107 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 	return payload, owned, owner
 }
 
-// fetchMiss pulls a missing sample from the shared cache tier (peer
-// caches via the distribution manager, or a KV cluster when configured)
-// or the PFS, and caches it locally. Ownership (DESIGN.md §12): when the
-// local cache retained a pooled buffer, the caller gets a decode lease
-// (owner = the cache); when the cache kept its own earlier copy or
-// refused, the fetched buffer is exclusively the caller's (owned).
+// fetch pulls a sample that is not in the local cache from the shared
+// cache tier (peer caches via the distribution manager, or a KV cluster
+// when configured) or the PFS, and caches it locally. It is the one walk
+// of the tiers, for both callers: the demand path (demand=true, a loading
+// worker that will decode the sample) and the prefetch helpers
+// (demand=false, staging only — with a KVCache they batch whole windows
+// through prefetchWindowKV instead). The two differ only in who is
+// charged (row), in that demand shared-tier hits count as remoteHits, and
+// in buffer ownership (DESIGN.md §12): a demand fetch takes a decode
+// lease when the local cache retained a pooled buffer (owner = the
+// cache) and otherwise owns the fetched buffer (owned) — the cache kept
+// its own earlier copy, or refused; a prefetch takes no lease, returns no
+// buffer, and recycles on the spot a pooled one the cache did not retain.
+// ok reports whether the sample is cached after the call.
 //
-// led, when non-nil, receives the stall attribution (DESIGN.md §14):
-// the shared-tier leg is peer_fetch whether it delivers or fails; a PFS
-// read is pfs on the normal path (no holder, or a clean KV miss) and
-// recovery when the tier broke a promise — exactly the failover events.
-func (n *nodeRuntime) fetchMiss(id dataset.SampleID, now cache.Iter, tctx obs.TraceCtx, led *stallLedger) (payload []byte, owned bool, owner preproc.PayloadOwner) {
-	recovering := false
-	if n.rt.kv != nil {
-		var legStart time.Time
-		if led != nil {
+// row, when non-nil, receives the attribution (DESIGN.md §14): the
+// shared-tier leg is peer_fetch whether it delivers or fails; a PFS read
+// is pfs on the normal path (no holder, or a clean KV miss) and recovery
+// when the tier broke a promise — exactly the failover events.
+func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceCtx, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
+	if demand && n.feed != nil && n.feed.inFlight(id) {
+		// A helper claimed this id and has not staged it yet: the
+		// prefetch was issued, but too late to spare the demand read.
+		n.prefetchLate.Add(1)
+	}
+	pooled, retained := false, false
+	pfsCause := causePFS
+	peer := -1
+	if n.rt.kv == nil {
+		peer = n.rt.dir.Holder(id, n.node)
+	}
+	var legStart time.Time
+	if n.rt.kv != nil || peer >= 0 {
+		if row != nil {
 			legStart = time.Now()
 		}
-		payload, found, err := n.rt.kv.GetTraced(kvKey(id), tctx)
-		if led != nil {
-			led.add(tctx, causePeerFetch, time.Since(legStart))
-		}
-		if err == nil && found {
-			n.remoteHits.Add(1)
-			// The KV client allocated this copy at exact value size; it
-			// is not pool-recyclable, so ownership only decides whether
-			// the worker's PutPayloadBuf (a capacity-checked no-op here)
-			// runs.
-			_, retained := n.cache.put(id, payload, now, false, false)
-			return payload, !retained, nil
-		}
-		if err != nil {
-			n.failovers.Add(1) // shard unreachable: fall to the PFS
-			recovering = true
-		}
-	} else if peer := n.rt.dir.Holder(id, n.node); peer >= 0 {
-		var legStart time.Time
-		if led != nil {
-			legStart = time.Now()
-		}
-		fetched := n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id))
-		if led != nil {
-			led.add(tctx, causePeerFetch, time.Since(legStart))
-		}
-		if fetched != nil {
-			n.remoteHits.Add(1)
-			// The serving node copied into a pooled buffer just for us.
-			if _, retained := n.cache.put(id, fetched, now, true, true); retained {
-				return fetched, false, n.cache
+		failed := false
+		if n.rt.kv != nil {
+			// A hit is the KV client's copy, allocated at exact value size:
+			// not pool-recyclable, so ownership only decides whether the
+			// worker's PutPayloadBuf (a capacity-checked no-op here) runs.
+			p, found, err := n.rt.kv.GetTraced(kvKey(id), tctx)
+			if err == nil && found {
+				payload = p
 			}
-			return fetched, true, nil
+			failed = err != nil // shard unreachable
+		} else {
+			// The serving node copies into a pooled buffer just for us. A
+			// promised holder that delivers nothing is a crashed or flaky
+			// peer, or the benign eviction race.
+			payload, pooled = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id)), true
+			failed = payload == nil
 		}
-		// The directory promised a holder and the peer delivered nothing
-		// — a crashed/flaky peer, or the benign eviction race.
-		n.failovers.Add(1)
-		recovering = true
-	}
-	var pfsStart time.Time
-	if led != nil {
-		pfsStart = time.Now()
-	}
-	payload = n.pfsReadRetry(id)
-	n.pfsReads.Add(1)
-	pooled := n.rt.pfs.PooledReads()
-	_, retained := n.cache.put(id, payload, now, pooled, true)
-	if led != nil {
-		c := causePFS
-		if recovering {
-			c = causeRecovery
+		if row != nil {
+			row.add(causePeerFetch, time.Since(legStart))
 		}
-		led.add(tctx, c, time.Since(pfsStart))
+		if failed {
+			n.failovers.Add(1) // the tier broke its promise: fall to the PFS
+			pfsCause = causeRecovery
+		}
 	}
-	if n.rt.kv != nil {
+	if payload != nil {
+		if demand {
+			n.remoteHits.Add(1)
+		}
+		ok, retained = n.cache.put(id, payload, now, pooled, demand)
+	} else {
+		if row != nil {
+			legStart = time.Now()
+		}
+		payload = n.pfsReadRetry(id)
+		n.pfsReads.Add(1)
+		pooled = n.rt.pfs.PooledReads()
 		// Write-back so other nodes find it in the shared tier; the
 		// cluster's own LRU bounds its memory. Put is synchronous — the
-		// payload is fully on the wire before it returns — so it does
-		// not extend the buffer's ownership.
-		_ = n.rt.kv.Put(kvKey(id), payload)
+		// payload is fully on the wire before it returns — so it does not
+		// extend the buffer's ownership. A demand fetch writes back after
+		// the insert, under its lease; a prefetch has none, so it writes
+		// back while the buffer is still exclusively its own.
+		if n.rt.kv != nil && !demand {
+			_ = n.rt.kv.Put(kvKey(id), payload)
+		}
+		ok, retained = n.cache.put(id, payload, now, pooled, demand)
+		if row != nil {
+			row.add(pfsCause, time.Since(legStart))
+		}
+		if n.rt.kv != nil && demand {
+			_ = n.rt.kv.Put(kvKey(id), payload)
+		}
 	}
-	if retained && pooled {
-		return payload, false, n.cache
+	switch {
+	case !demand:
+		if pooled && !retained {
+			preproc.PutPayloadBuf(payload) // nothing will ever read it
+		}
+		return nil, false, nil, ok
+	case retained && pooled:
+		return payload, false, n.cache, ok
+	default:
+		return payload, !retained, nil, ok
 	}
-	return payload, !retained, nil
 }
 
 // pfsRetryPolicy shapes the PFS read backoff: exponential from 1ms
@@ -685,213 +711,6 @@ func (n *nodeRuntime) serveRemote() {
 	for req := range n.rt.dm.Inbox(n.node) {
 		req.reply <- n.cache.copyPayload(req.id)
 	}
-}
-
-// prefetchWorkers is each node's background prefetching concurrency (for
-// strategies with PrefetchDepth > 0).
-const prefetchWorkers = 2
-
-// prefetcher walks the node's future accesses, keeping the cache filled
-// ahead of training. It runs in its own (small) worker set so it competes
-// with demand loading for storage bandwidth exactly as real background
-// prefetching does.
-func (n *nodeRuntime) prefetcher(depthIters int) {
-	for w := 0; w < prefetchWorkers; w++ {
-		w := w
-		n.prefWG.Add(1)
-		go func() {
-			defer n.prefWG.Done()
-			var ptid int64
-			if ro := n.rt.ro; ro != nil && ro.trace != nil {
-				ptid = ro.trace.NewThread(fmt.Sprintf("node%d/prefetch%d", n.node, w))
-			}
-			cursor := access.Iter(0)
-			var batch []dataset.SampleID
-			for {
-				select {
-				case <-n.stopPref:
-					return
-				default:
-				}
-				// Iterations now and now+1 belong to the demand pipeline (the
-				// ranks submit one batch ahead); fetching them here would
-				// only race it for the same ids.
-				now := access.Iter(n.iterNow.Load())
-				if cursor < now+2 {
-					cursor = now + 2
-				}
-				if cursor > now+access.Iter(depthIters) || int(cursor) >= int(n.rt.totalIters) {
-					// Caught up: yield briefly.
-					select {
-					case <-n.stopPref:
-						return
-					case <-n.rt.tick:
-					}
-					continue
-				}
-				epoch := int(cursor) / n.rt.itersPerEpoch
-				it := int(cursor) % n.rt.itersPerEpoch
-				batch = n.rt.sched.NodeBatch(batch[:0], epoch, it, n.node, n.rt.gpus)
-				var wstart time.Time
-				var before uint64
-				if ptid != 0 {
-					wstart, before = time.Now(), n.prefetched.Load()
-				}
-				if n.rt.kv != nil {
-					n.prefetchWindowKV(batch)
-				} else {
-					for _, id := range batch {
-						select {
-						case <-n.stopPref:
-							return
-						default:
-						}
-						nowC := cache.Iter(n.iterNow.Load())
-						if n.cache.contains(id) {
-							continue
-						}
-						if !n.fetchPrefetch(id, nowC) {
-							break // cache refused: later candidates are needed later
-						}
-						n.prefetched.Add(1)
-					}
-				}
-				if ptid != 0 {
-					n.rt.ro.trace.SpanArgs("prefetch_window", "io", ptid,
-						wstart, time.Since(wstart),
-						"iter", int64(cursor), "fetched", int64(n.prefetched.Load()-before))
-				}
-				cursor++
-			}
-		}()
-	}
-}
-
-// prefetchWindowKV fills the cache for one plan window through the KV
-// cluster: the window's misses are fetched in a single MultiGet round
-// trip per shard, and every PFS fallback read is written back to the
-// cluster in one batched MultiPut. Semantics match the per-id path:
-// a KV hit counts only toward prefetched, a PFS fallback also counts a
-// PFS read, and a local-cache refusal abandons the rest of the window
-// (later candidates are needed later).
-func (n *nodeRuntime) prefetchWindowKV(batch []dataset.SampleID) {
-	resident := make([]bool, len(batch))
-	n.cache.peekBatch(batch, resident)
-	need := batch[:0:0]
-	var keys []string
-	for i, id := range batch {
-		if !resident[i] {
-			need = append(need, id)
-			keys = append(keys, kvKey(id))
-		}
-	}
-	if len(need) == 0 {
-		return
-	}
-	vals, err := n.rt.kv.MultiGet(keys)
-	if err != nil {
-		// A partial fan-out failure still returns the healthy shards'
-		// values (failed shards' entries are nil, i.e. misses); anything
-		// else degrades the whole window to misses.
-		var pe *kvstore.PartialError
-		if errors.As(err, &pe) {
-			n.partials.Add(1)
-		} else {
-			n.failovers.Add(1)
-			vals = nil
-		}
-	}
-	// Write-backs accumulate across the loop and flush in one MultiPut,
-	// including when a cache refusal abandons the window early. The flush
-	// still reads every queued buffer, so pooled ones stay protected
-	// until after it: retained buffers hold a lease (eviction must not
-	// recycle them mid-flush), unretained ones are recycled only once the
-	// flush is done with them.
-	var wbKeys []string
-	var wbVals [][]byte
-	var freeAfterWB, releaseAfterWB [][]byte
-	defer func() {
-		if len(wbKeys) > 0 {
-			_ = n.rt.kv.MultiPut(wbKeys, wbVals) // best-effort, like the per-id write-back
-		}
-		for _, b := range freeAfterWB {
-			preproc.PutPayloadBuf(b)
-		}
-		for _, b := range releaseAfterWB {
-			n.cache.ReleasePayload(b)
-		}
-	}()
-	for i, id := range need {
-		select {
-		case <-n.stopPref:
-			return
-		default:
-		}
-		now := cache.Iter(n.iterNow.Load())
-		var payload []byte
-		pooled := false
-		if vals != nil && vals[i] != nil {
-			payload = vals[i] // KV client copy: not pool-recyclable
-		} else {
-			payload = n.pfsReadRetry(id)
-			n.pfsReads.Add(1)
-			pooled = n.rt.pfs.PooledReads()
-			wbKeys = append(wbKeys, keys[i])
-			wbVals = append(wbVals, payload)
-		}
-		ok, retained := n.cache.put(id, payload, now, pooled, pooled)
-		if pooled {
-			if retained {
-				releaseAfterWB = append(releaseAfterWB, payload)
-			} else {
-				freeAfterWB = append(freeAfterWB, payload)
-			}
-		}
-		if !ok {
-			return // cache refused: later candidates are needed later
-		}
-		n.prefetched.Add(1)
-	}
-}
-
-// fetchPrefetch fetches a sample for the cache only; reports whether the
-// cache accepted it. A pooled buffer the cache did not retain (earlier
-// copy already resident, or insert refused) is recycled on the spot —
-// nothing will ever read it.
-func (n *nodeRuntime) fetchPrefetch(id dataset.SampleID, now cache.Iter) bool {
-	size := n.rt.ds.Size(id)
-	var payload []byte
-	pooled := false
-	if n.rt.kv != nil {
-		p, found, err := n.rt.kv.Get(kvKey(id))
-		if err == nil && found {
-			payload = p
-		}
-		if err != nil {
-			n.failovers.Add(1) // shard unreachable: fall to the PFS
-		}
-	} else if peer := n.rt.dir.Holder(id, n.node); peer >= 0 {
-		if p := n.rt.dm.Fetch(peer, id, size); p != nil {
-			payload, pooled = p, true
-		} else {
-			// Promised holder delivered nothing (crashed/flaky peer, or the
-			// benign eviction race): fall to the PFS.
-			n.failovers.Add(1)
-		}
-	}
-	if payload == nil {
-		payload = n.pfsReadRetry(id)
-		n.pfsReads.Add(1)
-		pooled = n.rt.pfs.PooledReads()
-		if n.rt.kv != nil {
-			_ = n.rt.kv.Put(kvKey(id), payload)
-		}
-	}
-	ok, retained := n.cache.put(id, payload, now, pooled, false)
-	if !retained && pooled {
-		preproc.PutPayloadBuf(payload)
-	}
-	return ok
 }
 
 // buildNodePolicy instantiates the strategy's cache policy for this node.

@@ -27,7 +27,9 @@ import (
 //	                        (names from stallCauseNames, DESIGN.md §14)
 //	node<n>/gpu<j>/loader<k> "load" spans, one per sample materialized
 //	node<n>/preproc/worker<k> "preproc" spans (via preproc.Instruments)
-//	node<n>/prefetch<w>     "prefetch_window" spans, one per plan window
+//	node<n>/prefetch-ledger per-cause spans (cat "prefetch") of what the
+//	                        node's prefetch helpers spent, flushed at the
+//	                        barrier: at most three per iteration
 //	node<n>/controller      "thread_resize" instants (decision events)
 type runtimeObs struct {
 	reg   *obs.Registry
@@ -49,6 +51,12 @@ type runtimeObs struct {
 	causeHists [numStallCauses][]*obs.Histogram
 	ledgerTID  []int64
 	imbalance  atomic.Uint64
+
+	// The prefetch helpers' side of the ledger, indexed by node:
+	// [cause][node] histograms (prefetchCauses only) and the per-node
+	// attribution tracks.
+	prefetchHists [numStallCauses][]*obs.Histogram
+	prefetchTID   []int64
 }
 
 // newRuntimeObs builds the run's wiring; nil when the run is
@@ -64,12 +72,16 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 		trainSeconds: make([]*obs.Histogram, world),
 		rankTID:      make([]int64, world),
 		ctrlTID:      make([]int64, nodes),
-		ledger:       newStallLedger(world),
+		ledger:       newStallLedger(world, nodes),
 		ledgerTID:    make([]int64, world),
+		prefetchTID:  make([]int64, nodes),
 	}
 	if reg != nil {
 		for c := range ro.causeHists {
 			ro.causeHists[c] = make([]*obs.Histogram, world)
+		}
+		for _, c := range prefetchCauses {
+			ro.prefetchHists[c] = make([]*obs.Histogram, nodes)
 		}
 	}
 	for r := 0; r < world; r++ {
@@ -87,7 +99,12 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 		ro.ledgerTID[r] = trace.NewThread("rank" + strconv.Itoa(r) + "/stalls")
 	}
 	for n := 0; n < nodes; n++ {
-		ro.ctrlTID[n] = trace.NewThread("node" + strconv.Itoa(n) + "/controller")
+		node := strconv.Itoa(n)
+		ro.ctrlTID[n] = trace.NewThread("node" + node + "/controller")
+		ro.prefetchTID[n] = trace.NewThread("node" + node + "/prefetch-ledger")
+		if reg != nil {
+			ro.registerPrefetchHists(n, node)
+		}
 	}
 	if reg != nil {
 		reg.GaugeFunc("lobster_runtime_load_imbalance",
@@ -126,6 +143,31 @@ func (ro *runtimeObs) registerCauseHists(r int, rank string) {
 		b, "rank", rank)
 }
 
+// registerPrefetchHists registers node n's per-cause prefetch histograms,
+// one per prefetchCauses entry. Literal names, like registerCauseHists.
+func (ro *runtimeObs) registerPrefetchHists(n int, node string) {
+	b := obs.LatencyBuckets()
+	ro.prefetchHists[causePeerFetch][n] = ro.reg.Histogram("lobster_runtime_prefetch_peer_fetch_seconds",
+		"Prefetch-helper time in shared-tier legs (peer-cache fetches or KV MultiGets, delivered or failed), per iteration and node.",
+		b, "node", node)
+	ro.prefetchHists[causePFS][n] = ro.reg.Histogram("lobster_runtime_prefetch_pfs_seconds",
+		"Prefetch-helper time in normal-path PFS reads, per iteration and node.",
+		b, "node", node)
+	ro.prefetchHists[causeRecovery][n] = ro.reg.Histogram("lobster_runtime_prefetch_recovery_seconds",
+		"Prefetch-helper time in fallback PFS reads after a broken shared-tier promise (failover events), per iteration and node.",
+		b, "node", node)
+}
+
+// prefetchRow returns the ledger row node n's prefetch helpers charge,
+// or nil when attribution is not being recorded (see ledgerOn).
+func (ro *runtimeObs) prefetchRow(n int) *stallRow {
+	led := ro.ledgerOn()
+	if led == nil {
+		return nil
+	}
+	return &led.prefetch[n]
+}
+
 // ledgerOn returns the run's stall ledger when attribution is being
 // recorded — a trace ring is attached or the registry is enabled — and
 // nil otherwise (including on a nil *runtimeObs), so disabled runs pay
@@ -146,7 +188,10 @@ func (ro *runtimeObs) ledgerOn() *stallLedger {
 // ends at the flush), and the load-imbalance gauge gets max/mean of the
 // per-rank load-side time. Runs on the barrier's last arriver while all
 // ranks wait and drains only `completed`'s parity — the next iteration's
-// loads are already charging the other one (see stallLedger).
+// loads are already charging the other one (see stallLedger). The
+// per-node prefetch rows drain in the same pass, into cat "prefetch"
+// spans and the lobster_runtime_prefetch_<cause>_seconds histograms:
+// what the helpers spent while the ranks were on `completed`.
 func (ro *runtimeObs) flushLedger(completed int) {
 	led := ro.ledgerOn()
 	if led == nil {
@@ -156,7 +201,7 @@ func (ro *runtimeObs) flushLedger(completed int) {
 	var durs [numStallCauses]time.Duration
 	var sum, max float64
 	for r := range led.rows {
-		led.drain(r, completed, &durs)
+		led.rows[r][completed&1].drain(&durs)
 		var loadSide time.Duration
 		for c, d := range durs {
 			if d == 0 {
@@ -183,6 +228,21 @@ func (ro *runtimeObs) flushLedger(completed int) {
 	if sum > 0 {
 		mean := sum / float64(len(led.rows))
 		ro.imbalance.Store(math.Float64bits(max / mean))
+	}
+	for n := range led.prefetch {
+		led.prefetch[n].drain(&durs)
+		for c, d := range durs {
+			if d == 0 {
+				continue
+			}
+			if ro.prefetchHists[c] != nil {
+				ro.prefetchHists[c][n].Observe(d.Seconds())
+			}
+			if ro.trace != nil {
+				ro.trace.SpanArgs(stallCauseNames[c], "prefetch", ro.prefetchTID[n],
+					end.Add(-d), d, "iter", int64(completed), "node", int64(n))
+			}
+		}
 	}
 }
 
@@ -253,6 +313,14 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 	ro.reg.CounterFunc("lobster_runtime_prefetched_total",
 		"Samples staged into the cache by the background prefetcher.",
 		func() float64 { return float64(node.prefetched.Load()) }, "node", n)
+	ro.reg.CounterFunc("lobster_runtime_prefetch_late_total",
+		"Demand misses on a sample a prefetch helper had in flight (prefetched too late).",
+		func() float64 { return float64(node.prefetchLate.Load()) }, "node", n)
+	if feed := node.feed; feed != nil {
+		ro.reg.CounterFunc("lobster_runtime_prefetch_pauses_total",
+			"Times a cache refusal paused the node's prefetch feed until the next iteration.",
+			func() float64 { return float64(feed.pauseCount()) }, "node", n)
+	}
 	ro.reg.CounterFunc("lobster_runtime_failover_total",
 		"Shared-tier reads that fell over to the PFS (lost peer copy, unreachable KV shard, or degraded prefetch window).",
 		func() float64 { return float64(node.failovers.Load()) }, "node", n)

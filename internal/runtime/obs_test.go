@@ -42,6 +42,11 @@ func TestRunInstrumented(t *testing.T) {
 		"lobster_runtime_cache_hits_total{node=\"0\"}",
 		"lobster_runtime_pfs_reads_total{node=\"1\"}",
 		"lobster_runtime_prefetched_total{node=\"0\"}",
+		"lobster_runtime_prefetch_late_total{node=\"1\"}",
+		"lobster_runtime_prefetch_pauses_total{node=\"0\"}",
+		"lobster_runtime_prefetch_pfs_seconds_count{node=\"1\"}",
+		"lobster_runtime_prefetch_peer_fetch_seconds_count{node=\"0\"}",
+		"lobster_runtime_prefetch_recovery_seconds_count{node=\"0\"}",
 		"lobster_preproc_jobs_total{node=\"1\"}",
 	} {
 		if !strings.Contains(scrape, family) {
@@ -72,6 +77,9 @@ func TestRunInstrumented(t *testing.T) {
 		if byName[name] == 0 {
 			t.Errorf("trace has no %q spans (got %v)", name, byName)
 		}
+	}
+	if byName["prefetch_window"] != 0 {
+		t.Errorf("trace still has %d per-window prefetch spans", byName["prefetch_window"])
 	}
 	world := opts.Topology.Nodes * opts.Topology.GPUsPerNode
 	if len(rankSpans) != world {

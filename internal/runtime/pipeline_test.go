@@ -118,3 +118,63 @@ func TestLedgerKeepsIterationsApart(t *testing.T) {
 		t.Fatalf("flush %d reported %v, want iteration %d with 500ns", h+1, got, h+1)
 	}
 }
+
+// TestPrefetchLedgerFlush charges two nodes' prefetch rows as helpers do
+// and flushes twice: each flush reports what accumulated since the last
+// one, as one cat "prefetch" span per cause on the node's
+// prefetch-ledger track and one histogram observation, and never under a
+// rank's stall causes.
+func TestPrefetchLedgerFlush(t *testing.T) {
+	reg := obs.NewRegistry()
+	ring := obs.NewTraceRing(64)
+	ro := newRuntimeObs(reg, ring, 2, 2, 8)
+	ro.prefetchRow(1).add(causePFS, 3000)
+	ro.prefetchRow(1).add(causePFS, 4000)
+	ro.prefetchRow(1).add(causeRecovery, 900)
+	ro.prefetchRow(0).add(causePeerFetch, 500)
+	ro.flushLedger(5)
+	ro.prefetchRow(1).add(causePFS, 100)
+	ro.flushLedger(6)
+
+	type key struct {
+		node, iter int64
+		cause      string
+	}
+	got := map[key]int64{}
+	for _, e := range ring.Events() {
+		if e.Cat == "stall" {
+			t.Errorf("prefetch charge surfaced as stall span %+v", e)
+		}
+		if e.Cat != "prefetch" {
+			continue
+		}
+		if want := "node" + string(rune('0'+e.Arg2)) + "/prefetch-ledger"; ring.ThreadName(e.TID) != want {
+			t.Errorf("span %+v is on track %q, want %q", e, ring.ThreadName(e.TID), want)
+		}
+		k := key{e.Arg2, e.Arg1, e.Name}
+		if _, dup := got[k]; dup {
+			t.Errorf("two %s spans for node %d iteration %d", e.Name, e.Arg2, e.Arg1)
+		}
+		got[k] = e.DurNs
+	}
+	want := map[key]int64{
+		{1, 5, "pfs"}: 7000, {1, 5, "recovery"}: 900, {0, 5, "peer_fetch"}: 500, {1, 6, "pfs"}: 100,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("prefetch spans %v, want %v", got, want)
+	}
+	for k, ns := range want {
+		if got[k] != ns {
+			t.Errorf("span %+v lasts %dns, want %d", k, got[k], ns)
+		}
+	}
+	if n := ro.prefetchHists[causePFS][1].Count(); n != 2 {
+		t.Errorf("node 1 pfs histogram has %d observations, want one per flush", n)
+	}
+	if n := ro.prefetchHists[causePFS][0].Count(); n != 0 {
+		t.Errorf("node 0 pfs histogram has %d observations, want none", n)
+	}
+	if ro.prefetchHists[causeLocalHit] != nil || ro.prefetchHists[causeQueueWait] != nil {
+		t.Error("prefetch histograms registered for causes a helper cannot incur")
+	}
+}

@@ -1,0 +1,430 @@
+package runtime
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/loader"
+	"repro/internal/preproc"
+	"repro/internal/sampler"
+)
+
+// Feed fixture: 96 samples over 2 nodes x 2 GPUs x batch 4 is 6
+// iterations per epoch; 3 epochs is 18 iterations.
+const (
+	feedNodes, feedGPUs, feedBatch = 2, 2, 4
+	feedEpochs                     = 3
+	feedTotalIters                 = 18
+)
+
+func feedSchedule(t testing.TB) *sampler.Schedule {
+	t.Helper()
+	ds, err := dataset.Generate(dataset.Spec{
+		Name: "feed", NumSamples: 96, MeanSize: 4 << 10, SigmaLog: 0.3,
+		MinSize: 1 << 10, Classes: 4, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := sampler.New(ds, sampler.Config{WorldSize: feedNodes * feedGPUs, BatchSize: feedBatch, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sched.IterationsPerEpoch() * feedEpochs; got != feedTotalIters {
+		t.Fatalf("fixture has %d iterations, want %d", got, feedTotalIters)
+	}
+	return sched
+}
+
+// residency is the fake cache the feed tests hand the feed.
+type residency struct {
+	mu  sync.Mutex
+	ids map[dataset.SampleID]bool
+}
+
+func newResidency(ids ...dataset.SampleID) *residency {
+	r := &residency{ids: make(map[dataset.SampleID]bool)}
+	for _, id := range ids {
+		r.ids[id] = true
+	}
+	return r
+}
+
+func (r *residency) contains(id dataset.SampleID) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ids[id]
+}
+
+func (r *residency) add(id dataset.SampleID) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ids[id] = true
+}
+
+// window is iteration iter's node batch in the order the feed must hand
+// it out, written the long way round: sample k of every GPU before sample
+// k+1 of any.
+func window(sched *sampler.Schedule, node, iter int) []dataset.SampleID {
+	ipe := sched.IterationsPerEpoch()
+	var perGPU [][]dataset.SampleID
+	for j := 0; j < feedGPUs; j++ {
+		perGPU = append(perGPU, sched.Batch(nil, iter/ipe, iter%ipe, node*feedGPUs+j))
+	}
+	var out []dataset.SampleID
+	for k := 0; k < feedBatch; k++ {
+		for j := 0; j < feedGPUs; j++ {
+			out = append(out, perGPU[j][k])
+		}
+	}
+	return out
+}
+
+// TestPrefetchFeedOrder drains a feed one claim at a time, never
+// settling, and compares the sequence with the windows now+2 … the
+// nearer of now+depth and the last iteration, each in interleaved order,
+// less the resident ids and the ids already claimed.
+func TestPrefetchFeedOrder(t *testing.T) {
+	sched := feedSchedule(t)
+	w2, w9 := window(sched, 1, 2), window(sched, 1, 9)
+	for _, tc := range []struct {
+		name       string
+		node       int
+		now, depth int
+		max        int
+		resident   []dataset.SampleID
+		first      int // first window claimed from
+		last       int // last window claimed from
+	}{
+		{name: "start of the run", node: 0, now: 0, depth: 3, max: 1, first: 2, last: 3},
+		{name: "second node", node: 1, now: 0, depth: 3, max: 1, first: 2, last: 3},
+		{name: "resident ids are passed over", node: 1, now: 0, depth: 2, max: 1,
+			resident: []dataset.SampleID{w2[0], w2[3], w2[7]}, first: 2, last: 2},
+		{name: "depth 1 reaches no window", node: 0, now: 4, depth: 1, max: 1, first: 6, last: 5},
+		{name: "across the epoch boundary", node: 1, now: 3, depth: 6, max: 1,
+			resident: []dataset.SampleID{w9[1]}, first: 5, last: 9},
+		{name: "bounded by the end of the run", node: 0, now: 14, depth: 64, max: 1, first: 16, last: 17},
+		{name: "last iterations leave nothing", node: 0, now: 16, depth: 64, max: 1, first: 18, last: 17},
+		{name: "a window's worth per claim", node: 1, now: 2, depth: 4, max: feedGPUs * feedBatch, first: 4, last: 6},
+		{name: "three per claim", node: 0, now: 2, depth: 4, max: 3, first: 4, last: 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := newResidency(tc.resident...)
+			f := newPrefetchFeed(sched, tc.node, feedGPUs, feedTotalIters, tc.depth, res.contains)
+			claimed := map[dataset.SampleID]bool{}
+			var want []prefetchClaim
+			for iter := tc.first; iter <= tc.last; iter++ {
+				for off, id := range window(sched, tc.node, iter) {
+					if res.ids[id] || claimed[id] {
+						continue
+					}
+					claimed[id] = true
+					want = append(want, prefetchClaim{id: id, iter: iter, off: off})
+				}
+			}
+			var got []prefetchClaim
+			for {
+				cs := f.claim(tc.now, tc.max, nil)
+				if len(cs) == 0 {
+					break
+				}
+				if len(cs) > tc.max {
+					t.Fatalf("claim returned %d ids, max %d", len(cs), tc.max)
+				}
+				for _, c := range cs {
+					if c.iter != cs[0].iter {
+						t.Fatalf("one claim spans windows %d and %d", cs[0].iter, c.iter)
+					}
+					if !f.inFlight(c.id) {
+						t.Fatalf("claimed id %d is not in flight", c.id)
+					}
+				}
+				got = append(got, cs...)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("claims\n got %v\nwant %v", got, want)
+			}
+			for _, c := range got {
+				if c.iter < tc.now+2 || c.iter > tc.now+tc.depth || c.iter >= feedTotalIters {
+					t.Fatalf("claim %+v outside [now+2, min(now+depth, last)] at now=%d depth=%d", c, tc.now, tc.depth)
+				}
+			}
+		})
+	}
+}
+
+// TestPrefetchFeedFollowsIteration advances now between claims: the
+// cursor never hands out a window the demand pipeline has reached, and
+// settled-and-staged ids are not handed out again.
+func TestPrefetchFeedFollowsIteration(t *testing.T) {
+	sched := feedSchedule(t)
+	res := newResidency()
+	f := newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 4, res.contains)
+	seen := map[dataset.SampleID]int{}
+	for now := 0; now < feedTotalIters; now++ {
+		// Three claims per iteration: less than a window, so the cursor
+		// falls behind and must jump to now+2.
+		for i := 0; i < 3; i++ {
+			cs := f.claim(now, 1, nil)
+			if len(cs) == 0 {
+				break
+			}
+			c := cs[0]
+			if c.iter < now+2 || c.iter > now+4 || c.iter >= feedTotalIters {
+				t.Fatalf("now=%d: claim %+v outside the lookahead", now, c)
+			}
+			if want := window(sched, 0, c.iter)[c.off]; c.id != want {
+				t.Fatalf("now=%d: claim %+v, window %d holds %d at that offset", now, c, c.iter, want)
+			}
+			if seen[c.id]++; seen[c.id] > 1 {
+				t.Fatalf("now=%d: id %d handed out again after it was staged", now, c.id)
+			}
+			res.add(c.id)
+			f.settle(c, true, now)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatal("feed never handed anything out")
+	}
+}
+
+// TestPrefetchFeedConcurrentClaims has 8 goroutines claim and settle at
+// once: no id may be in flight twice, and every non-resident id of every
+// window in reach is claimed exactly once.
+func TestPrefetchFeedConcurrentClaims(t *testing.T) {
+	sched := feedSchedule(t)
+	const now, depth = 1, 12
+	pre := window(sched, 0, 4)[:3]
+	res := newResidency(pre...)
+	f := newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, depth, res.contains)
+	want := map[dataset.SampleID]bool{}
+	for iter := now + 2; iter <= now+depth; iter++ {
+		for _, id := range window(sched, 0, iter) {
+			want[id] = true
+		}
+	}
+	for _, id := range pre {
+		delete(want, id)
+	}
+
+	var mu sync.Mutex
+	held := map[dataset.SampleID]bool{}
+	claims := map[dataset.SampleID]int{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			max := 1 + g%3 // mix single claims with small batches
+			for {
+				cs := f.claim(now, max, nil)
+				if len(cs) == 0 {
+					return
+				}
+				mu.Lock()
+				for _, c := range cs {
+					if held[c.id] {
+						t.Errorf("id %d is in flight twice", c.id)
+					}
+					held[c.id] = true
+					claims[c.id]++
+				}
+				mu.Unlock()
+				for _, c := range cs {
+					mu.Lock()
+					delete(held, c.id)
+					mu.Unlock()
+					res.add(c.id)
+					f.settle(c, true, now)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for id := range want {
+		if claims[id] != 1 {
+			t.Errorf("id %d claimed %d times, want once", id, claims[id])
+		}
+	}
+	for id, n := range claims {
+		if !want[id] {
+			t.Errorf("id %d claimed %d times but is resident or out of reach", id, n)
+		}
+	}
+	if cs := f.claim(now, 1, nil); len(cs) != 0 {
+		t.Errorf("drained feed still hands out %v", cs)
+	}
+}
+
+// TestPrefetchFeedRefusalRewindsAndPauses settles claims as refused: the
+// feed hands nothing out until the iteration advances, and then resumes
+// at the earliest refused claim.
+func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
+	sched := feedSchedule(t)
+	res := newResidency()
+	f := newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 8, res.contains)
+	const now = 0
+	// Stage all of window 2 and the first five of window 3, so the
+	// refusals sit in a window still ahead of demand at now+1.
+	var last prefetchClaim
+	for i := 0; i < feedGPUs*feedBatch+5; i++ {
+		last = f.claim(now, 1, nil)[0]
+		res.add(last.id)
+		f.settle(last, true, now)
+	}
+	if last.iter != 3 || last.off != 4 {
+		t.Fatalf("setup ended at %+v, want window 3 offset 4", last)
+	}
+	a := f.claim(now, 1, nil)[0]
+	b := f.claim(now, 1, nil)[0]
+	c := f.claim(now, 1, nil)[0]
+	if a.off != 5 || b.off != 6 || c.off != 7 {
+		t.Fatalf("claims %+v %+v %+v, want window 3 offsets 5, 6, 7", a, b, c)
+	}
+	// The later claim is refused first, then an earlier one; the one in
+	// between is staged.
+	f.settle(c, false, now)
+	if f.inFlight(c.id) {
+		t.Fatal("refused claim is still in flight")
+	}
+	res.add(b.id)
+	f.settle(b, true, now)
+	f.settle(a, false, now)
+	if got := f.pauseCount(); got != 1 {
+		t.Fatalf("two refusals in one iteration counted %d pauses, want 1", got)
+	}
+	for i := 0; i < 3; i++ {
+		if cs := f.claim(now, 4, nil); len(cs) != 0 {
+			t.Fatalf("paused feed handed out %v", cs)
+		}
+	}
+	// Offset 6 was staged meanwhile, and 5 and 7 are all that is left of
+	// window 3's eight ids.
+	cs := f.claim(now+1, 4, nil)
+	if len(cs) != 2 || cs[0] != a || cs[1] != c {
+		t.Fatalf("first claims after the pause are %v, want the refused %+v then %+v", cs, a, c)
+	}
+	if next := f.claim(now+1, 1, nil); len(next) != 1 || next[0].iter != 4 || next[0].off != 0 {
+		t.Fatalf("claim after the refused ones is %v, want the head of window 4", next)
+	}
+}
+
+// TestPrefetchFeedRefusalBehindDemand refuses a claim in the window the
+// demand pipeline reaches next: after the pause the feed moves on to
+// now+2 instead of handing the demand path's window out.
+func TestPrefetchFeedRefusalBehindDemand(t *testing.T) {
+	sched := feedSchedule(t)
+	f := newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 8, newResidency().contains)
+	c := f.claim(0, 1, nil)[0]
+	f.settle(c, false, 0)
+	next := f.claim(1, 1, nil)
+	if len(next) != 1 || next[0].iter != 3 || next[0].off != 0 {
+		t.Fatalf("claim after the pause is %v, want the head of window 3", next)
+	}
+}
+
+// TestPrefetchHelpersPerStrategy counts the helper goroutines each node
+// starts: the strategy's PrefetchThreads, one when a prefetching strategy
+// names none, none for a demand-only strategy.
+func TestPrefetchHelpersPerStrategy(t *testing.T) {
+	bare := loader.Lobster()
+	bare.Name, bare.PrefetchThreads = "lobster-no-helpers-named", 0
+	for _, tc := range []struct {
+		spec loader.Spec
+		want int
+	}{
+		{loader.NoPFS(2, 8), 5},
+		{loader.DALI(8), 2},
+		{loader.Lobster(), 3},
+		{bare, 1},
+		{loader.PyTorch(2, 8), 0},
+	} {
+		opts := testOptions(t, tc.spec, 2, 1)
+		var rt *Runtime
+		hookBarrier(t, func(r *Runtime, _ int) { rt = r })
+		stats, err := Run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec.Name, err)
+		}
+		if stats.SamplesVerified != stats.SamplesLoaded {
+			t.Fatalf("%s: verified %d of %d", tc.spec.Name, stats.SamplesVerified, stats.SamplesLoaded)
+		}
+		if cap(rt.tick) != 4*len(rt.nodes)*tc.want {
+			t.Errorf("%s: tick holds %d wake-ups for %d helpers on %d nodes", tc.spec.Name, cap(rt.tick), tc.want, len(rt.nodes))
+		}
+		for _, node := range rt.nodes {
+			if node.helpers != tc.want {
+				t.Errorf("%s: node %d started %d prefetch helpers, want %d", tc.spec.Name, node.node, node.helpers, tc.want)
+			}
+			if (node.feed != nil) != (tc.want > 0) {
+				t.Errorf("%s: node %d feed present = %v with %d helpers", tc.spec.Name, node.node, node.feed != nil, tc.want)
+			}
+		}
+	}
+}
+
+// TestPrefetchHelpersStageAhead runs two Lobster nodes end to end: the
+// helpers stage samples, every sample still verifies, and nothing the
+// feed handed out is left in flight when the run is over.
+func TestPrefetchHelpersStageAhead(t *testing.T) {
+	opts := testOptions(t, loader.Lobster(), 2, 3)
+	var rt *Runtime
+	hookBarrier(t, func(r *Runtime, _ int) { rt = r })
+	stats, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Prefetched == 0 {
+		t.Fatal("two Lobster nodes never prefetched")
+	}
+	if stats.SamplesVerified != stats.SamplesLoaded || stats.SamplesLoaded == 0 {
+		t.Fatalf("verified %d of %d", stats.SamplesVerified, stats.SamplesLoaded)
+	}
+	if stats.PrefetchLate > stats.CacheMisses {
+		t.Fatalf("%d late prefetches out of %d demand misses", stats.PrefetchLate, stats.CacheMisses)
+	}
+	for _, node := range rt.nodes {
+		node.feed.mu.Lock()
+		inflight := len(node.feed.inflight)
+		node.feed.mu.Unlock()
+		if inflight != 0 {
+			t.Errorf("node %d ends with %d claims in flight", node.node, inflight)
+		}
+	}
+}
+
+// TestPrefetchFeedCountsLateDemandMiss builds a runtime without
+// running it and takes the demand path's fetch for two ids: the one a
+// helper has claimed counts as a late prefetch, the other does not.
+func TestPrefetchFeedCountsLateDemandMiss(t *testing.T) {
+	rt, cleanup, err := build(testOptions(t, loader.PyTorch(2, 8), 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	node := rt.nodes[0]
+	node.feed = newPrefetchFeed(rt.sched, 0, rt.gpus, rt.totalIters, 4, node.cache.contains)
+	claimed := node.feed.claim(0, 1, nil)[0]
+	other := window(rt.sched, 0, 3)[0]
+	for i, id := range []dataset.SampleID{claimed.id, other, claimed.id} {
+		payload, owned, owner, ok := node.fetch(id, 0, 0, nil, true)
+		if !ok || payload == nil {
+			t.Fatalf("demand fetch %d of sample %d: ok=%v payload=%v", i, id, ok, payload != nil)
+		}
+		if owner != nil {
+			owner.ReleasePayload(payload)
+		} else if owned {
+			preproc.PutPayloadBuf(payload)
+		}
+		if i == 1 {
+			node.feed.settle(claimed, true, 0)
+		}
+	}
+	// First fetch: in flight, late. Second: never claimed. Third: settled.
+	if got := node.prefetchLate.Load(); got != 1 {
+		t.Fatalf("prefetchLate = %d, want 1", got)
+	}
+}

@@ -65,8 +65,9 @@ type Options struct {
 	// instrumented into the same registry.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives per-stage spans (stall/train per
-	// rank, load per loading worker, preproc per pool worker, prefetch
-	// windows, thread-resize instants) for /trace.json dumps.
+	// rank, load per loading worker, preproc per pool worker, per-cause
+	// stall and prefetch ledger flushes, thread-resize instants) for
+	// /trace.json dumps.
 	Trace *obs.TraceRing
 	// Chaos, when non-nil, drives deterministic fault injection: the
 	// barrier's last arriver ticks the controller at every iteration
@@ -81,8 +82,8 @@ type Options struct {
 	// (the "alternatives to distributed caching like for example
 	// KV-stores" of Section 2). Demand misses go local cache -> KV
 	// cluster -> PFS, with PFS fetches written back to the cluster; the
-	// background prefetcher fetches each plan window through one batched
-	// MultiGet round trip per shard and writes PFS fallbacks back with a
+	// prefetch helpers fetch each claimed plan window through one batched
+	// MultiGet round trip per shard and write PFS fallbacks back with a
 	// single MultiPut.
 	KVCache *kvstore.Cluster
 }
@@ -98,6 +99,8 @@ type Progress struct {
 	RemoteHits uint64 `json:"remote_hits"`
 	PFSReads   uint64 `json:"pfs_reads"`
 	Prefetched uint64 `json:"prefetched"`
+	// PrefetchLate mirrors Stats.PrefetchLate mid-run.
+	PrefetchLate uint64 `json:"prefetch_late"`
 	// Failovers and PartialFanouts mirror the Stats fields of the same
 	// names mid-run, so health endpoints can surface recovery-layer
 	// pressure while the run is still going.
@@ -129,9 +132,13 @@ type Stats struct {
 	PFSReads        uint64
 	PFSRetries      uint64
 	Prefetched      uint64
+	// PrefetchLate counts demand misses on a sample a prefetch helper had
+	// in flight at that moment: prefetches issued too late to spare the
+	// demand read. The demand read does not wait for the helper's.
+	PrefetchLate    uint64
 	AllreduceRounds uint64
-	// Failovers counts shared-tier reads that fell over to the PFS
-	// (promised peer copy not delivered, KV shard unreachable, or a whole
+	// Failovers counts shared-tier reads, demand or prefetch, that fell
+	// over to the PFS (promised peer copy not delivered, KV shard unreachable, or a whole
 	// prefetch window degraded by a full MultiGet failure) — the recovery
 	// layer's "how often did the middle tier let us down" number.
 	Failovers uint64
@@ -481,6 +488,7 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 		stats.PFSReads += node.pfsReads.Load()
 		stats.PFSRetries += node.pfsRetries.Load()
 		stats.Prefetched += node.prefetched.Load()
+		stats.PrefetchLate += node.prefetchLate.Load()
 		stats.Failovers += node.failovers.Load()
 		stats.PartialFanouts += node.partials.Load()
 		stats.FinalPreprocThreads = append(stats.FinalPreprocThreads, node.pre.Workers())
@@ -525,6 +533,7 @@ func (rt *Runtime) progress(completed int) Progress {
 		p.RemoteHits += node.remoteHits.Load()
 		p.PFSReads += node.pfsReads.Load()
 		p.Prefetched += node.prefetched.Load()
+		p.PrefetchLate += node.prefetchLate.Load()
 		p.Failovers += node.failovers.Load()
 		p.PartialFanouts += node.partials.Load()
 	}

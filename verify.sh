@@ -5,28 +5,32 @@
 #   1. go build        — the tree compiles
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
-#   4. lobster-lint    — the project's own static analysis (determinism,
+#   4. feed determinism — the prefetch feed and helper tests, -race
+#                        -count=10 at GOMAXPROCS 1, 2 and 8: their
+#                        verdict must not depend on scheduling
+#                        (ROADMAP aim 3; same loop: make feed-determinism)
+#   5. lobster-lint    — the project's own static analysis (determinism,
 #                        goroutine/mutex hygiene, errcheck, bounded
 #                        queues, lock-order deadlocks, zero-alloc hot
 #                        paths), analyzers fanned out across cores with
 #                        per-analyzer wall time printed
-#   5. bench smoke     — quick protocol sanity pass of the kvstore
+#   6. bench smoke     — quick protocol sanity pass of the kvstore
 #                        benchmark harness (full run: make bench-kv)
-#   6. overload smoke  — tiny-scale sustained-overload + hedged-read
+#   7. overload smoke  — tiny-scale sustained-overload + hedged-read
 #                        bench plus schema check of the tail-latency
 #                        fields in BENCH_kv.json (DESIGN.md §11)
-#   7. sim bench smoke — BENCH_sim.json schema validation
+#   8. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
-#   8. obs bench smoke — BENCH_obs.json schema + overhead-budget
+#   9. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#   9. chaos bench smoke — tiny live run of the chaos recovery suite
+#  10. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  10. monitor smoke   — boot lobster-kv with its monitor attached and
+#  11. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  11. doctor smoke    — point lobster-doctor at the live monitor (the
+#  12. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -45,6 +49,11 @@ go vet ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> prefetch feed determinism (GOMAXPROCS 1, 2, 8)"
+for procs in 1 2 8; do
+  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers' ./internal/runtime
+done
 
 echo "==> lobster-lint -time ./..."
 go run ./cmd/lobster-lint -time ./...
