@@ -152,14 +152,24 @@ func FillPayload(buf []byte, seed uint64, id SampleID) {
 	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(buf)))
 	n := copy(buf, hdr[:])
 	state := stats.DeriveSeed(seed, uint64(id)+1)
-	for i := n; i < len(buf); i += 8 {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
+	i := n
+	for ; i+8 <= len(buf); i += 8 {
+		state = xorshift(state)
+		binary.LittleEndian.PutUint64(buf[i:], state)
+	}
+	if i < len(buf) {
+		// The tail gets the leading bytes of one more word.
 		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], state)
+		binary.LittleEndian.PutUint64(w[:], xorshift(state))
 		copy(buf[i:], w[:])
 	}
+}
+
+func xorshift(state uint64) uint64 {
+	state ^= state << 13
+	state ^= state >> 7
+	state ^= state << 17
+	return state
 }
 
 // VerifyPayload checks that buf is the payload of sample id under seed.

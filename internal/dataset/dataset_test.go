@@ -1,9 +1,13 @@
 package dataset
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestGenerateValidation(t *testing.T) {
@@ -169,6 +173,30 @@ func TestFillPayloadPropertyDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFillPayloadMatchesByteStream holds FillPayload to the definition of
+// the payload format: header, then the xorshift words as a little-endian
+// byte stream cut off at the buffer's end — for every length around the
+// header and every tail length.
+func TestFillPayloadMatchesByteStream(t *testing.T) {
+	const seed, id = 11, SampleID(5)
+	for size := 0; size < 100; size++ {
+		var stream []byte
+		stream = binary.LittleEndian.AppendUint32(stream, uint32(id))
+		stream = binary.LittleEndian.AppendUint64(stream, uint64(size))
+		for state := stats.DeriveSeed(seed, uint64(id)+1); len(stream) < size; {
+			state ^= state << 13
+			state ^= state >> 7
+			state ^= state << 17
+			stream = binary.LittleEndian.AppendUint64(stream, state)
+		}
+		got := make([]byte, size)
+		FillPayload(got, seed, id)
+		if !bytes.Equal(got, stream[:size]) {
+			t.Fatalf("size %d: payload %x, want %x", size, got, stream[:size])
+		}
 	}
 }
 

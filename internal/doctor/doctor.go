@@ -82,6 +82,14 @@ type Report struct {
 	PrefetchLate   float64
 	PrefetchPauses float64
 
+	// Model error of the run's clock: how many modeled delays it waited
+	// out (storage latencies, bandwidth slots, peer fetches, train steps)
+	// and by how many seconds each returned late
+	// (lobster_runtime_clock_overshoot_seconds).
+	ClockWaits        float64
+	ClockOvershootP50 float64
+	ClockOvershootP99 float64
+
 	// Recovery-layer efficacy.
 	HedgesFired     float64
 	HedgesWon       float64
@@ -159,6 +167,9 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 	r.analyzePrefetch(m)
 	r.RankStallSeconds = m.Sum("lobster_runtime_stall_seconds_sum", nil)
 	r.Imbalance, _ = m.Value("lobster_runtime_load_imbalance", nil)
+	r.ClockWaits = m.Sum("lobster_runtime_clock_overshoot_seconds_count", nil)
+	r.ClockOvershootP50, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.5)
+	r.ClockOvershootP99, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.99)
 	r.HedgesFired = m.Sum("lobster_kvstore_hedge_fired_total", nil)
 	r.HedgesWon = m.Sum("lobster_kvstore_hedge_won_total", nil)
 	r.Failovers = m.Sum("lobster_runtime_failover_total", nil)
@@ -329,6 +340,10 @@ func (r *Report) WriteText(w io.Writer) error {
 		for _, ei := range r.EpochImbalance {
 			p("  epoch %d: %.2f (max at rank %d)\n", ei.Epoch, ei.Coefficient, ei.MaxRank)
 		}
+	}
+	if r.ClockWaits > 0 {
+		p("\nmodeled delays: %.0f waits, overshoot p50 %.0fus / p99 %.0fus\n",
+			r.ClockWaits, 1e6*r.ClockOvershootP50, 1e6*r.ClockOvershootP99)
 	}
 	if r.HedgesFired > 0 || r.Failovers > 0 || r.PartialFanouts > 0 {
 		p("\nRecovery layer:\n")

@@ -2,6 +2,7 @@ package doctor
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -178,6 +179,11 @@ lobster_runtime_prefetch_late_total{node="0"} 6
 lobster_runtime_prefetch_pauses_total{node="1"} 3
 lobster_kvstore_hedge_fired_total 10
 lobster_kvstore_hedge_won_total 7
+lobster_runtime_clock_overshoot_seconds_bucket{le="5e-05"} 100
+lobster_runtime_clock_overshoot_seconds_bucket{le="0.0001"} 180
+lobster_runtime_clock_overshoot_seconds_bucket{le="0.001"} 199
+lobster_runtime_clock_overshoot_seconds_bucket{le="+Inf"} 200
+lobster_runtime_clock_overshoot_seconds_count 200
 `
 
 func TestAnalyzeAndReport(t *testing.T) {
@@ -245,6 +251,9 @@ func TestAnalyzeAndReport(t *testing.T) {
 		"  node 0: pfs=1.500s\n",
 		"  node 1: peer_fetch=0.500s pfs=0.250s recovery=0.200s\n",
 		"prefetch: staged 400, late 6 (1.5%), refusal pauses 3",
+		// p50 is rank 100, the top of the first bucket; p99 is rank 198,
+		// 18/19 of the way through (100us, 1ms].
+		"modeled delays: 200 waits, overshoot p50 50us / p99 953us",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -260,5 +269,36 @@ func TestAnalyzeEmptyInputs(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no stall attribution found") {
 		t.Errorf("empty report should say what to scrape:\n%s", buf.String())
+	}
+}
+
+func TestMetricsQuantile(t *testing.T) {
+	m, err := ParseMetrics(strings.NewReader(`h_bucket{node="0",le="1"} 2
+h_bucket{node="0",le="2"} 4
+h_bucket{node="0",le="+Inf"} 4
+h_bucket{node="1",le="1"} 0
+h_bucket{node="1",le="2"} 4
+h_bucket{node="1",le="+Inf"} 8
+empty_bucket{le="1"} 0
+empty_bucket{le="+Inf"} 0
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both nodes together: 2 at or below 1, 8 at or below 2, 12 in all.
+	for _, c := range []struct{ q, want float64 }{
+		{0.5, 1 + 4.0/6}, // rank 6, the fourth of the six in (1, 2]
+		{1.0 / 12, 0.5},  // rank 1, halfway through the first bucket
+		{0.99, 2},        // in +Inf: clamps to the last finite bound
+	} {
+		got, ok := m.Quantile("h", c.q)
+		if !ok || math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("Quantile(h, %v) = %v, %v; want %v", c.q, got, ok, c.want)
+		}
+	}
+	for _, name := range []string{"empty", "absent"} {
+		if _, ok := m.Quantile(name, 0.5); ok {
+			t.Errorf("Quantile(%s) reported a value without observations", name)
+		}
 	}
 }

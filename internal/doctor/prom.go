@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -201,4 +202,48 @@ func (m *Metrics) LabelValues(name, key string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Quantile estimates the q-quantile of the histogram family name from
+// its cumulative name_bucket{le=...} series, summed over every label set
+// (ranks, nodes, scrapes), interpolating linearly inside the bucket the
+// rank falls in — what obs.Histogram.Quantile computes in-process. A rank
+// in the +Inf bucket clamps to the last finite bound. ok is false when
+// the family has no observations.
+func (m *Metrics) Quantile(name string, q float64) (v float64, ok bool) {
+	cum := make(map[float64]float64) // le -> observations <= le
+	for i := range m.Samples {
+		s := &m.Samples[i]
+		if s.Name != name+"_bucket" {
+			continue
+		}
+		le, err := strconv.ParseFloat(s.Labels["le"], 64) // accepts "+Inf"
+		if err != nil {
+			continue
+		}
+		cum[le] += s.Value
+	}
+	bounds := make([]float64, 0, len(cum))
+	for le := range cum {
+		bounds = append(bounds, le)
+	}
+	sort.Float64s(bounds)
+	if len(bounds) == 0 || cum[bounds[len(bounds)-1]] == 0 {
+		return 0, false
+	}
+	rank := q * cum[bounds[len(bounds)-1]]
+	lower, below := 0.0, 0.0
+	for _, le := range bounds {
+		if math.IsInf(le, 1) {
+			break
+		}
+		if cum[le] >= rank {
+			if in := cum[le] - below; in > 0 {
+				return lower + (le-lower)*(rank-below)/in, true
+			}
+			return le, true
+		}
+		lower, below = le, cum[le]
+	}
+	return lower, true
 }

@@ -66,7 +66,7 @@ func TestDoctorEndToEnd(t *testing.T) {
 		t.Errorf("report has prefetch causes for %d of %d nodes, %.0f samples staged",
 			len(rep.Prefetch), opts.Topology.Nodes, rep.PrefetchStaged)
 	}
-	for _, want := range []string{"Prefetch helpers", "  node 0: ", "  node 1: ", "prefetch: staged ", "refusal pauses "} {
+	for _, want := range []string{"Prefetch helpers", "  node 0: ", "  node 1: ", "prefetch: staged ", "refusal pauses ", "modeled delays: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report text missing %q:\n%s", want, out)
 		}

@@ -111,7 +111,8 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 // //lint:hotpath annotations on SubmitBatch, Completion.Reset/complete/
 // Wait and the pooled buffers: one warmed-up batch round trip —
 // payload lease, submit, decode, deliver, tensor recycle — must not
-// allocate.
+// allocate, and neither must the workers' fused decode+augment pass on
+// its own (its jittered table has to stay on the stack).
 func TestBatchedSteadyStateDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool")
@@ -144,6 +145,18 @@ func TestBatchedSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
 		t.Fatalf("batched steady state allocates %.1f times per round, want 0", allocs)
+	}
+	payload := make([]byte, size)
+	dataset.FillPayload(payload, 7, 3)
+	fused := func() {
+		tensor, err := decodeAugment(payload, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutTensor(tensor)
+	}
+	if allocs := testing.AllocsPerRun(200, fused); allocs != 0 {
+		t.Fatalf("decodeAugment allocates %.1f times per sample, want 0", allocs)
 	}
 }
 

@@ -295,11 +295,8 @@ func (p *Pool) run(job Job, ins *Instruments, tid int64) {
 	if f := p.fault.Load(); f != nil {
 		f.sleep()
 	}
-	t, err := Decode(job.Payload, job.ID)
-	if err == nil {
-		Augment(t, job.Seed)
-	}
-	// Decode copied the bytes out; the data path's read of the payload
+	t, err := decodeAugment(job.Payload, job.ID, job.Seed)
+	// The decode copied the bytes out; the data path's read of the payload
 	// ends here. Owned buffers are recycled on the spot; leased ones are
 	// handed back to their owner, which recycles them at eviction time.
 	if job.Owner != nil {

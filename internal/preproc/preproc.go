@@ -1,7 +1,7 @@
 // Package preproc implements the data preprocessing stage of the training
 // pipeline (Figure 1): decoding, augmentation, and batching.
 //
-// Two layers live here. First, real CPU kernels that the online runtime
+// Two layers live here. First, a real CPU kernel that the online runtime
 // executes on actual payload bytes — a stand-in for JPEG decode and image
 // augmentation with the property that matters: cost proportional to sample
 // bytes, with a streaming memory access pattern. Second, the roofline
@@ -27,11 +27,87 @@ type Tensor struct {
 	Checksum uint64
 }
 
+// decodeTable maps a payload byte to its decoded value: a normalized
+// float with a nonlinearity, like a decode+normalize step would produce.
+// The per-element arithmetic runs once per byte value here, so the
+// kernel's cost per payload byte is a load, a table lookup and a store
+// (DESIGN.md §6).
+var decodeTable = func() (tab [256]float32) {
+	for b := range tab {
+		v := float32(b)/255*2 - 1
+		v = v * (1 - v*v/3)
+		tab[b] = v
+	}
+	return tab
+}()
+
 // Decode turns a raw payload into a Tensor. It validates the payload
-// header (id + length) and expands each byte to a float32 with a little
-// arithmetic per element — enough work per byte to make decoding the
-// dominant preprocessing cost, as JPEG decode is in the real pipeline.
+// header (id + length), expands each body byte to a float32 through
+// decodeTable and folds the bytes into the checksum — one streaming pass
+// over the sample, the property JPEG decode has in the real pipeline.
 func Decode(payload []byte, want dataset.SampleID) (*Tensor, error) {
+	body, err := payloadBody(payload, want)
+	if err != nil {
+		return nil, err
+	}
+	// Tensors come from the size-classed pool; the training loop returns
+	// them with PutTensor once the batch is consumed (DESIGN.md §12).
+	t := getTensor(len(body))
+	t.ID = want
+	t.Checksum = decodeInto(t.Data, body, &decodeTable, false)
+	return t, nil
+}
+
+// Augment applies deterministic-by-seed augmentation in place: a random
+// horizontal flip and a brightness jitter, in one streaming pass over the
+// tensor.
+func Augment(t *Tensor, seed uint64) {
+	d := t.Data
+	jitter := augmentJitter(seed)
+	if !augmentFlips(seed) {
+		for i := range d {
+			d[i] += jitter
+		}
+		return
+	}
+	i, j := 0, len(d)-1
+	for ; i < j; i, j = i+1, j-1 {
+		d[i], d[j] = d[j]+jitter, d[i]+jitter
+	}
+	if i == j {
+		d[i] += jitter
+	}
+}
+
+func augmentFlips(seed uint64) bool { return seed&1 == 1 }
+
+func augmentJitter(seed uint64) float32 { return float32((seed>>1)%100)/1000 - 0.05 }
+
+// decodeAugment is Decode followed by Augment in a single pass over the
+// sample, which is what the pool's workers run: the jitter goes into a
+// stack copy of decodeTable (256 adds, the same float32 add Augment
+// performs per element) and the flip into the store index, so the tensor
+// is written once instead of three times and is bit-identical to the
+// two-step result.
+func decodeAugment(payload []byte, want dataset.SampleID, seed uint64) (*Tensor, error) {
+	body, err := payloadBody(payload, want)
+	if err != nil {
+		return nil, err
+	}
+	jitter := augmentJitter(seed)
+	var tab [256]float32
+	for b, v := range &decodeTable {
+		tab[b] = v + jitter
+	}
+	t := getTensor(len(body))
+	t.ID = want
+	t.Checksum = decodeInto(t.Data, body, &tab, augmentFlips(seed))
+	return t, nil
+}
+
+// payloadBody validates the payload header against the expected sample
+// id and the payload's own length, and returns the bytes after it.
+func payloadBody(payload []byte, want dataset.SampleID) ([]byte, error) {
 	if len(payload) < dataset.PayloadHeaderSize {
 		return nil, fmt.Errorf("preproc: payload of %d bytes shorter than header", len(payload))
 	}
@@ -43,40 +119,77 @@ func Decode(payload []byte, want dataset.SampleID) (*Tensor, error) {
 	if length != uint64(len(payload)) {
 		return nil, fmt.Errorf("preproc: payload header length %d, actual %d", length, len(payload))
 	}
-	body := payload[dataset.PayloadHeaderSize:]
-	// Tensors come from the size-classed pool; the training loop returns
-	// them with PutTensor once the batch is consumed (DESIGN.md §12).
-	t := getTensor(len(body))
-	t.ID = id
-	var sum uint64
-	for i, b := range body {
-		// Byte -> normalized float with a nonlinearity, like a decode+
-		// normalize step would do.
-		v := float32(b)/255*2 - 1
-		v = v * (1 - v*v/3)
-		t.Data[i] = v
-		sum = sum*31 + uint64(b)
-	}
-	t.Checksum = sum
-	return t, nil
+	return payload[dataset.PayloadHeaderSize:], nil
 }
 
-// Augment applies deterministic-by-seed augmentation in place: a random
-// horizontal flip and a brightness jitter — streaming passes over the
-// tensor, like real augmentation.
-func Augment(t *Tensor, seed uint64) {
-	if len(t.Data) == 0 {
-		return
-	}
-	if seed&1 == 1 { // flip
-		for i, j := 0, len(t.Data)-1; i < j; i, j = i+1, j-1 {
-			t.Data[i], t.Data[j] = t.Data[j], t.Data[i]
+// The checksum is the chain sum = sum*31 + b over the body bytes. Eight
+// steps of it are sum*31^8 + (b0*31^7 + ... + b7), exact mod 2^64, so the
+// kernel advances it one word at a time.
+const (
+	pow31x2 = 31 * 31
+	pow31x4 = pow31x2 * pow31x2
+	pow31x8 = pow31x4 * pow31x4
+)
+
+// fold8 returns b0*31^7 + b1*31^6 + ... + b7 for the bytes b0..b7 of the
+// little-endian word w, by pairwise combination inside the word: four
+// 16-bit lanes of b*31 + b' (at most 8160), two 32-bit lanes, then one
+// sum. No lane overflows, so the result is exact.
+func fold8(w uint64) uint64 {
+	const lanes8, lanes16 = 0x00ff00ff00ff00ff, 0x0000ffff0000ffff
+	w = (w&lanes8)*31 + (w>>8)&lanes8
+	w = (w&lanes16)*pow31x2 + (w>>16)&lanes16
+	return (w&0xffffffff)*pow31x4 + w>>32
+}
+
+// decodeInto is the decode kernel: it stores tab[b] for every byte b of
+// body into dst (reversed when flip is set), consuming body as
+// little-endian 8-byte words, and returns the checksum of body.
+//
+//lint:hotpath once per sample on every preprocessing worker; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
+func decodeInto(dst []float32, body []byte, tab *[256]float32, flip bool) uint64 {
+	n := len(body)
+	dst = dst[:n]
+	var sum uint64
+	i := 0
+	if flip {
+		for ; i+8 <= n; i += 8 {
+			w := binary.LittleEndian.Uint64(body[i:])
+			sum = sum*pow31x8 + fold8(w)
+			d := dst[n-8-i : n-i : n-i]
+			d[7] = tab[byte(w)]
+			d[6] = tab[byte(w>>8)]
+			d[5] = tab[byte(w>>16)]
+			d[4] = tab[byte(w>>24)]
+			d[3] = tab[byte(w>>32)]
+			d[2] = tab[byte(w>>40)]
+			d[1] = tab[byte(w>>48)]
+			d[0] = tab[byte(w>>56)]
 		}
+		for ; i < n; i++ {
+			sum = sum*31 + uint64(body[i])
+			dst[n-1-i] = tab[body[i]]
+		}
+		return sum
 	}
-	jitter := float32((seed>>1)%100)/1000 - 0.05
-	for i := range t.Data {
-		t.Data[i] += jitter
+	for ; i+8 <= n; i += 8 {
+		w := binary.LittleEndian.Uint64(body[i:])
+		sum = sum*pow31x8 + fold8(w)
+		d := dst[i : i+8 : i+8]
+		d[0] = tab[byte(w)]
+		d[1] = tab[byte(w>>8)]
+		d[2] = tab[byte(w>>16)]
+		d[3] = tab[byte(w>>24)]
+		d[4] = tab[byte(w>>32)]
+		d[5] = tab[byte(w>>40)]
+		d[6] = tab[byte(w>>48)]
+		d[7] = tab[byte(w>>56)]
 	}
+	for ; i < n; i++ {
+		sum = sum*31 + uint64(body[i])
+		dst[i] = tab[body[i]]
+	}
+	return sum
 }
 
 // Batch groups tensors; the training stage consumes whole batches.

@@ -1,13 +1,179 @@
 package preproc
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-func testPayload(t *testing.T, size int, id dataset.SampleID) []byte {
+// referenceDecode and referenceAugment are the scalar loops the kernel
+// replaced, kept verbatim as the oracle: one divide and one checksum step
+// per byte, then a flip pass and a jitter pass over the tensor.
+func referenceDecode(payload []byte, want dataset.SampleID) (*Tensor, error) {
+	if len(payload) < dataset.PayloadHeaderSize {
+		return nil, fmt.Errorf("preproc: payload of %d bytes shorter than header", len(payload))
+	}
+	id := dataset.SampleID(binary.LittleEndian.Uint32(payload[0:4]))
+	if id != want {
+		return nil, fmt.Errorf("preproc: payload header id %d, want %d", id, want)
+	}
+	length := binary.LittleEndian.Uint64(payload[4:12])
+	if length != uint64(len(payload)) {
+		return nil, fmt.Errorf("preproc: payload header length %d, actual %d", length, len(payload))
+	}
+	body := payload[dataset.PayloadHeaderSize:]
+	t := &Tensor{ID: id, Data: make([]float32, len(body))}
+	var sum uint64
+	for i, b := range body {
+		v := float32(b)/255*2 - 1
+		v = v * (1 - v*v/3)
+		t.Data[i] = v
+		sum = sum*31 + uint64(b)
+	}
+	t.Checksum = sum
+	return t, nil
+}
+
+func referenceAugment(t *Tensor, seed uint64) {
+	if len(t.Data) == 0 {
+		return
+	}
+	if seed&1 == 1 { // flip
+		for i, j := 0, len(t.Data)-1; i < j; i, j = i+1, j-1 {
+			t.Data[i], t.Data[j] = t.Data[j], t.Data[i]
+		}
+	}
+	jitter := float32((seed>>1)%100)/1000 - 0.05
+	for i := range t.Data {
+		t.Data[i] += jitter
+	}
+}
+
+// sameTensor compares two tensors bit for bit.
+func sameTensor(got, want *Tensor) error {
+	if got.ID != want.ID || got.Checksum != want.Checksum || len(got.Data) != len(want.Data) {
+		return fmt.Errorf("id %d checksum %#x len %d, want id %d checksum %#x len %d",
+			got.ID, got.Checksum, len(got.Data), want.ID, want.Checksum, len(want.Data))
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			return fmt.Errorf("element %d = %g (%#x), want %g (%#x)", i,
+				got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+		}
+	}
+	return nil
+}
+
+// checkAgainstReference decodes and augments payload three ways — the
+// fused pass the pool runs, Decode then Augment, and the scalar oracle —
+// and requires identical tensors, or the oracle's error text from both
+// kernels.
+func checkAgainstReference(t *testing.T, payload []byte, id dataset.SampleID, seed uint64) {
+	t.Helper()
+	want, wantErr := referenceDecode(payload, id)
+	fused, fusedErr := decodeAugment(payload, id, seed)
+	split, splitErr := Decode(payload, id)
+	if wantErr != nil {
+		for name, err := range map[string]error{"decodeAugment": fusedErr, "Decode": splitErr} {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%s error = %v, want %v", name, err, wantErr)
+			}
+		}
+		return
+	}
+	if fusedErr != nil || splitErr != nil {
+		t.Fatalf("valid payload rejected: decodeAugment %v, Decode %v", fusedErr, splitErr)
+	}
+	referenceAugment(want, seed)
+	Augment(split, seed)
+	if err := sameTensor(fused, want); err != nil {
+		t.Fatalf("fused pass: %v", err)
+	}
+	if err := sameTensor(split, want); err != nil {
+		t.Fatalf("Decode then Augment: %v", err)
+	}
+	PutTensor(fused)
+	PutTensor(split)
+}
+
+// TestKernelMatchesReference covers every tail length (0-7 bytes past the
+// last whole word) over several word counts, both flip parities and
+// several jitters.
+func TestKernelMatchesReference(t *testing.T) {
+	for body := 0; body <= 70; body++ {
+		for seed := uint64(0); seed <= 5; seed++ {
+			id := dataset.SampleID(body)
+			checkAgainstReference(t, testPayload(t, dataset.PayloadHeaderSize+body, id), id, seed)
+		}
+	}
+}
+
+// headerErrorPayloads are the three ways a header can be wrong, each with
+// the id to ask for.
+func headerErrorPayloads(t testing.TB) map[string]struct {
+	payload []byte
+	id      dataset.SampleID
+} {
+	return map[string]struct {
+		payload []byte
+		id      dataset.SampleID
+	}{
+		"short":        {make([]byte, 4), 0},
+		"wrong id":     {testPayload(t, 1024, 3), 4},
+		"wrong length": {testPayload(t, 1024, 3)[:512], 3},
+	}
+}
+
+func TestKernelHeaderErrorsMatchReference(t *testing.T) {
+	for name, c := range headerErrorPayloads(t) {
+		if _, err := referenceDecode(c.payload, c.id); err == nil {
+			t.Fatalf("%s: oracle accepted the payload", name)
+		}
+		checkAgainstReference(t, c.payload, c.id, 1)
+	}
+}
+
+func FuzzDecodeMatchesReference(f *testing.F) {
+	for _, size := range []int{dataset.PayloadHeaderSize, 13, 64, 333} {
+		f.Add(testPayload(f, size, 9), uint32(9), uint64(size))
+	}
+	for _, c := range headerErrorPayloads(f) {
+		f.Add(c.payload, uint32(c.id), uint64(2)) // seed&2 keeps the bad header as it is
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, id uint32, seed uint64) {
+		// Make most inputs reach the kernel: a payload long enough to carry
+		// a header gets a consistent one unless the fuzzer's own happens to
+		// be valid already.
+		if len(payload) >= dataset.PayloadHeaderSize && seed&2 == 0 {
+			binary.LittleEndian.PutUint32(payload[0:4], id)
+			binary.LittleEndian.PutUint64(payload[4:12], uint64(len(payload)))
+		}
+		checkAgainstReference(t, payload, dataset.SampleID(id), seed)
+	})
+}
+
+// BenchmarkDecodeAugment is one worker's cost per sample on the rt
+// benchmark's mean sample size.
+func BenchmarkDecodeAugment(b *testing.B) {
+	const size = 8 << 10
+	payload := make([]byte, size)
+	dataset.FillPayload(payload, 42, 7)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := decodeAugment(payload, 7, uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		PutTensor(t)
+	}
+}
+
+func testPayload(t testing.TB, size int, id dataset.SampleID) []byte {
 	t.Helper()
 	buf := make([]byte, size)
 	dataset.FillPayload(buf, 42, id)

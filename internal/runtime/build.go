@@ -52,11 +52,13 @@ func (o *Options) normalize() error {
 
 // build validates opts, applies the defaults and constructs the run:
 // schedule, directory, stores, per-node runtimes with their goroutines
-// started, thread managers, allreduce ring and barrier. The returned
-// cleanup is the run's single teardown; the caller runs it exactly once,
-// after every rank has returned. On error build has already run it, so a
-// failed build leaves no goroutine and no open file behind.
-func build(opts Options) (*Runtime, func(), error) {
+// started, thread managers, allreduce ring and barrier. The modeled delays
+// wait on clk; given nil, build starts a wall clock that belongs to the
+// run. The returned cleanup is the run's single teardown; the caller runs
+// it exactly once, after every rank has returned. On error build has
+// already run it, so a failed build leaves no goroutine and no open file
+// behind.
+func build(opts Options, clk clock) (*Runtime, func(), error) {
 	if err := opts.normalize(); err != nil {
 		return nil, nil, err
 	}
@@ -73,14 +75,22 @@ func build(opts Options) (*Runtime, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	ro := newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, sched.IterationsPerEpoch())
+	stopClock := func() {}
+	if clk == nil {
+		wall := newWallClock(ro.clockOvershootHist())
+		clk, stopClock = wall, wall.stop
+	}
 	rt := &Runtime{
 		opts:          opts,
 		kv:            opts.KVCache,
 		ds:            opts.Dataset,
 		sched:         sched,
 		dir:           dir,
-		dm:            NewDistributionManager(top.Nodes, top.Hierarchy.Remote, opts.TimeScale),
-		pfs:           NewPFSStore(opts.Dataset, opts.Seed, top.Hierarchy.PFS, opts.TimeScale),
+		dm:            newDistributionManager(top.Nodes, top.Hierarchy.Remote, opts.TimeScale, clk),
+		pfs:           newPFSStore(opts.Dataset, opts.Seed, top.Hierarchy.PFS, opts.TimeScale, clk),
+		clk:           clk,
+		ro:            ro,
 		gpus:          top.GPUsPerNode,
 		itersPerEpoch: sched.IterationsPerEpoch(),
 		tick:          make(chan struct{}, 4*top.Nodes*prefetchHelpers(opts.Strategy)),
@@ -89,7 +99,6 @@ func build(opts Options) (*Runtime, func(), error) {
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
 	rt.stopIter.Store(-1)
 	rt.bar = newBarrier(top.WorldSize(), rt.endIteration)
-	rt.ro = newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, rt.itersPerEpoch)
 	if rt.kv != nil && opts.Obs != nil {
 		rt.kv.Instrument(opts.Obs)
 	}
@@ -97,6 +106,7 @@ func build(opts Options) (*Runtime, func(), error) {
 	var file *datafile.Reader
 	cleanup := func() {
 		rt.shutdown()
+		stopClock() // after the last sleeper
 		if file != nil {
 			_ = file.Close() // read-only descriptor
 		}

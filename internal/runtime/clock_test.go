@@ -1,0 +1,311 @@
+package runtime
+
+import (
+	"context"
+	"os"
+	"reflect"
+	goruntime "runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/dataset"
+	"repro/internal/loader"
+	"repro/internal/tier"
+)
+
+// fakeClock records every requested delay and returns at once. Its time
+// advances by exactly what was slept, so nothing a test concludes from it
+// depends on the scheduler or the wall clock.
+type fakeClock struct {
+	mu     sync.Mutex
+	t      time.Time
+	sleeps []time.Duration
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1e9, 0)} }
+
+func (f *fakeClock) now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *fakeClock) sleep(d time.Duration) {
+	f.mu.Lock()
+	f.sleeps = append(f.sleeps, d)
+	f.t = f.t.Add(d)
+	f.mu.Unlock()
+}
+
+// take returns the delays requested since the last call.
+func (f *fakeClock) take() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s := f.sleeps
+	f.sleeps = nil
+	return s
+}
+
+func scaled(seconds, scale float64) time.Duration {
+	return time.Duration(seconds * scale * float64(time.Second))
+}
+
+func wantSleeps(t *testing.T, site string, clk *fakeClock, want ...time.Duration) {
+	t.Helper()
+	if got := clk.take(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s slept %v, want %v", site, got, want)
+	}
+}
+
+// TestThrottleRequestsItsReservation: an acquirer waits until the end of
+// its own slot, which starts where the previous one ends.
+func TestThrottleRequestsItsReservation(t *testing.T) {
+	clk := newFakeClock()
+	th := newThrottle(0.5, clk)
+	th.Acquire(0.01)
+	wantSleeps(t, "idle throttle", clk, 5*time.Millisecond)
+	// Two reservations taken at the same instant queue: rewind the clock
+	// to before the first one completed.
+	clk.t = clk.t.Add(-5 * time.Millisecond)
+	th.next = clk.t.Add(5 * time.Millisecond)
+	th.Acquire(0.01)
+	wantSleeps(t, "busy throttle", clk, 10*time.Millisecond)
+}
+
+// TestPFSReadRequestsModeledDelays pins PFSStore.Read's formula: the op
+// latency at the store's scale, the brownout lag unscaled (also on a read
+// that then fails), and the sample's slot of the shared bandwidth.
+func TestPFSReadRequestsModeledDelays(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Spec{Name: "p", NumSamples: 10, MeanSize: 4 << 10, Classes: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const scale = 0.05
+	curve := tier.ThetaGPULike().PFS
+	clk := newFakeClock()
+	store := newPFSStore(ds, 5, curve, scale, clk)
+	op := scaled(curve.OpLatency, scale)
+	slot := func(id dataset.SampleID) time.Duration {
+		return scaled(float64(ds.Size(id))/(curve.PeakMBps*1e6), scale)
+	}
+
+	if _, err := store.Read(3); err != nil {
+		t.Fatal(err)
+	}
+	wantSleeps(t, "healthy read", clk, op, slot(3))
+
+	store.SetFault(chaos.Fault{Lag: 7 * time.Millisecond})
+	if _, err := store.Read(4); err != nil {
+		t.Fatal(err)
+	}
+	wantSleeps(t, "browned-out read", clk, op, 7*time.Millisecond, slot(4))
+
+	store.SetFault(chaos.Fault{Lag: 7 * time.Millisecond, ErrRate: 1, Seed: 9})
+	if _, err := store.Read(4); err != ErrTransient {
+		t.Fatalf("err = %v, want ErrTransient", err)
+	}
+	wantSleeps(t, "failed read", clk, op, 7*time.Millisecond)
+}
+
+// TestFetchRequestsModeledDelays pins DistributionManager.Fetch: one
+// sleep of cost x scale plus the straggler's unscaled lag, and a down
+// peer costs the requester one op latency.
+func TestFetchRequestsModeledDelays(t *testing.T) {
+	const scale = 0.05
+	const size = 8 << 10
+	curve := tier.ThetaGPULike().Remote
+	clk := newFakeClock()
+	dm := newDistributionManager(2, curve, scale, clk)
+	var server sync.WaitGroup
+	server.Add(1)
+	go func() {
+		defer server.Done()
+		for req := range dm.Inbox(1) {
+			req.reply <- nil
+		}
+	}()
+	cost := scaled(curve.OpLatency+size/(curve.PeakMBps*1e6), scale)
+
+	dm.Fetch(1, 0, size)
+	wantSleeps(t, "healthy fetch", clk, cost)
+
+	dm.SetNodeFault(1, chaos.Fault{Lag: 3 * time.Millisecond})
+	dm.Fetch(1, 0, size)
+	wantSleeps(t, "straggler fetch", clk, cost+3*time.Millisecond)
+
+	dm.SetNodeDown(1, true)
+	if p := dm.Fetch(1, 0, size); p != nil {
+		t.Fatal("down peer delivered a payload")
+	}
+	wantSleeps(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
+
+	dm.Close()
+	server.Wait()
+}
+
+// TestRunRequestsModeledDelays runs two epochs on the fake clock — no
+// modeled delay elapses, the run is otherwise the real one — and counts
+// the requests by site: every rank asks for IterTime x TimeScale once per
+// iteration, every PFS read for its op latency.
+func TestRunRequestsModeledDelays(t *testing.T) {
+	opts := testOptions(t, loader.Lobster(), 2, 2)
+	opts.Model.IterTime = 0.003 // apart from the PFS op latency (0.004)
+	clk := newFakeClock()
+	stats, err := run(context.Background(), opts, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SamplesVerified != stats.SamplesLoaded || stats.SamplesLoaded == 0 {
+		t.Fatalf("verified %d of %d samples", stats.SamplesVerified, stats.SamplesLoaded)
+	}
+	counts := map[time.Duration]int{}
+	for _, d := range clk.take() {
+		counts[d]++
+	}
+	step := scaled(opts.Model.IterTime, opts.TimeScale)
+	if want := stats.Iterations * opts.Topology.WorldSize(); counts[step] != want {
+		t.Errorf("%d train steps of %v requested, want %d", counts[step], step, want)
+	}
+	op := scaled(opts.Topology.Hierarchy.PFS.OpLatency, opts.TimeScale)
+	if want := int(stats.PFSReads + stats.PFSRetries); counts[op] != want || want == 0 {
+		t.Errorf("%d PFS op latencies of %v requested, want %d", counts[op], op, want)
+	}
+}
+
+// TestWakeupsArming drives the deadline heap with a recording timer.
+func TestWakeupsArming(t *testing.T) {
+	var armed []int64
+	w := &wakeups{settime: func(rel int64) { armed = append(armed, rel) }}
+	slack := int64(wakeSlack)
+	check := func(step string, want ...int64) {
+		t.Helper()
+		if !reflect.DeepEqual(armed, want) {
+			t.Fatalf("%s: timer set to %v, want %v", step, armed, want)
+		}
+		armed = nil
+	}
+
+	w.add(1000, 100)
+	check("first deadline arms", 900+slack)
+	w.add(2000, 150)
+	check("later deadline leaves the timer alone")
+	w.add(500, 200)
+	check("earlier deadline re-arms", 300+slack)
+	w.add(3000, 250)
+	w.add(1000, 260)
+	check("still later")
+
+	// The timer fires for 500; by the time the reader runs, both 500 and
+	// the two 1000s have passed.
+	w.expire(1200)
+	check("expired entries popped, next one armed", 800+slack)
+	if len(w.pending) != 2 || w.pending[0] != 2000 || w.armed != 2000 {
+		t.Fatalf("pending %v armed %d after expire, want [2000 3000] armed 2000", w.pending, w.armed)
+	}
+	w.expire(5000)
+	check("empty heap leaves the fired timer disarmed")
+	if len(w.pending) != 0 || w.armed != 0 {
+		t.Fatalf("pending %v armed %d after the last expire, want none", w.pending, w.armed)
+	}
+	w.add(6000, 5500)
+	check("arms again after running empty", 500+slack)
+
+	w.close()
+	w.add(5600, 5550)
+	w.expire(7000)
+	check("closed: timer untouched")
+}
+
+// TestWakeupsHeapOrder pops a shuffled set of deadlines in order.
+func TestWakeupsHeapOrder(t *testing.T) {
+	w := &wakeups{settime: func(int64) {}}
+	for i := int64(0); i < 200; i++ {
+		w.add(1+(i*7919)%200, 0)
+	}
+	for want := int64(1); want <= 200; want++ {
+		if got := w.pending[0]; got != want {
+			t.Fatalf("heap top %d, want %d", got, want)
+		}
+		w.pop()
+	}
+}
+
+// TestWallClockConcurrentSleepers has 32 goroutines sleep at once on one
+// wall clock (run under -race -count=10). A sleep may return late but
+// never early, and the clock must stop cleanly afterwards.
+func TestWallClockConcurrentSleepers(t *testing.T) {
+	c := newWallClock(nil)
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				d := time.Duration(1+(i*20+j)%97) * 10 * time.Microsecond
+				start := time.Now()
+				c.sleep(d)
+				if got := time.Since(start); got < d {
+					t.Errorf("sleep(%v) returned after %v", d, got)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	c.stop()
+	c.sleep(time.Microsecond) // a late sleeper still returns
+}
+
+// openDescriptors counts the process's open file descriptors; ok is
+// false where /proc does not say.
+func openDescriptors() (n int, ok bool) {
+	entries, err := os.ReadDir("/proc/self/fd")
+	return len(entries), err == nil
+}
+
+// TestRunReleasesClock: a run's clock owns a goroutine and, on linux, a
+// descriptor. Both must be gone when RunContext returns — after a
+// complete run, a cancelled one and a failed build.
+func TestRunReleasesClock(t *testing.T) {
+	defaultClock() // started once per process, on purpose: keep it out of the count
+	baseG := goruntime.NumGoroutine()
+	baseFD, fdOK := openDescriptors()
+	check := func(step string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for goruntime.NumGoroutine() > baseG {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, %d before", step, goruntime.NumGoroutine(), baseG)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if n, _ := openDescriptors(); fdOK && n != baseFD {
+			t.Fatalf("%s: %d open descriptors, %d before", step, n, baseFD)
+		}
+	}
+
+	if _, err := Run(testOptions(t, loader.Lobster(), 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	check("complete run")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	opts := testOptions(t, loader.Lobster(), 2, 50)
+	opts.OnProgress = func(p Progress) {
+		if p.Iteration == 3 {
+			cancel()
+		}
+	}
+	if _, err := RunContext(ctx, opts); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	check("cancelled run")
+
+	opts = testOptions(t, loader.Lobster(), 2, 1)
+	opts.Model.IterTime = 0 // fails in the thread manager, after the clock started
+	if _, err := Run(opts); err == nil {
+		t.Fatal("zero iteration time accepted")
+	}
+	check("failed build")
+}

@@ -57,6 +57,10 @@ type runtimeObs struct {
 	// attribution tracks.
 	prefetchHists [numStallCauses][]*obs.Histogram
 	prefetchTID   []int64
+
+	// clockOvershoot is the run's model error: how much later than asked
+	// each modeled delay returned (clock.go).
+	clockOvershoot *obs.Histogram
 }
 
 // newRuntimeObs builds the run's wiring; nil when the run is
@@ -107,6 +111,9 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 		}
 	}
 	if reg != nil {
+		ro.clockOvershoot = reg.Histogram("lobster_runtime_clock_overshoot_seconds",
+			"Actual minus requested duration of each modeled delay (storage latency, bandwidth slot, peer fetch, train step).",
+			obs.LatencyBuckets())
 		reg.GaugeFunc("lobster_runtime_load_imbalance",
 			"Max over mean of per-rank load time for the last completed iteration (1.0 = perfectly balanced).",
 			func() float64 { return math.Float64frombits(ro.imbalance.Load()) })
@@ -156,6 +163,15 @@ func (ro *runtimeObs) registerPrefetchHists(n int, node string) {
 	ro.prefetchHists[causeRecovery][n] = ro.reg.Histogram("lobster_runtime_prefetch_recovery_seconds",
 		"Prefetch-helper time in fallback PFS reads after a broken shared-tier promise (failover events), per iteration and node.",
 		b, "node", node)
+}
+
+// clockOvershootHist is the histogram the run's clock records into; nil
+// (a histogram that is never on) for an un-instrumented run.
+func (ro *runtimeObs) clockOvershootHist() *obs.Histogram {
+	if ro == nil {
+		return nil
+	}
+	return ro.clockOvershoot
 }
 
 // prefetchRow returns the ledger row node n's prefetch helpers charge,

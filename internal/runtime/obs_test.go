@@ -48,6 +48,7 @@ func TestRunInstrumented(t *testing.T) {
 		"lobster_runtime_prefetch_peer_fetch_seconds_count{node=\"0\"}",
 		"lobster_runtime_prefetch_recovery_seconds_count{node=\"0\"}",
 		"lobster_preproc_jobs_total{node=\"1\"}",
+		"lobster_runtime_clock_overshoot_seconds_count",
 	} {
 		if !strings.Contains(scrape, family) {
 			t.Errorf("scrape missing %s", family)
@@ -61,6 +62,12 @@ func TestRunInstrumented(t *testing.T) {
 	load := reg.Histogram("lobster_runtime_load_seconds", "", obs.LatencyBuckets(), "node", "0")
 	if load.Count() == 0 {
 		t.Error("load histogram recorded nothing")
+	}
+
+	// Every train step alone is one modeled delay on the run's clock.
+	overshoot := reg.Histogram("lobster_runtime_clock_overshoot_seconds", "", obs.LatencyBuckets())
+	if got, min := overshoot.Count(), uint64(stats.Iterations*opts.Topology.WorldSize()); got < min {
+		t.Errorf("clock overshoot histogram recorded %d waits, want at least the %d train steps", got, min)
 	}
 
 	// Trace spans: stall+train on every rank track, load on loader

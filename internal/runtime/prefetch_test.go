@@ -400,7 +400,7 @@ func TestPrefetchHelpersStageAhead(t *testing.T) {
 // running it and takes the demand path's fetch for two ids: the one a
 // helper has claimed counts as a late prefetch, the other does not.
 func TestPrefetchFeedCountsLateDemandMiss(t *testing.T) {
-	rt, cleanup, err := build(testOptions(t, loader.PyTorch(2, 8), 1, 2))
+	rt, cleanup, err := build(testOptions(t, loader.PyTorch(2, 8), 1, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

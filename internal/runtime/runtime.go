@@ -178,6 +178,7 @@ type Runtime struct {
 	kv    *kvstore.Cluster
 	nodes []*nodeRuntime
 	mgrs  []*threadmgr.Manager
+	clk   clock           // where the modeled delays wait
 	ro    *runtimeObs     // nil when the run is un-instrumented
 	ring  *allreduce.Ring // nil when the collective is disabled (GradientSize < 0)
 	bar   *barrier
@@ -258,7 +259,13 @@ func Run(opts Options) (*Stats, error) {
 // (queues drained, pools closed, remote servers stopped), and the partial
 // statistics are returned alongside ctx.Err().
 func RunContext(ctx context.Context, opts Options) (*Stats, error) {
-	rt, cleanup, err := build(opts)
+	return run(ctx, opts, nil)
+}
+
+// run is RunContext with the modeled delays waiting on clk; nil gives the
+// run a wall clock of its own.
+func run(ctx context.Context, opts Options, clk clock) (*Stats, error) {
+	rt, cleanup, err := build(opts, clk)
 	if err != nil {
 		return nil, err
 	}
@@ -395,7 +402,7 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		// The training stage: compute, then average the pseudo-gradient
 		// with every other GPU — the collective that makes any straggler a
 		// global stall.
-		time.Sleep(time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second)))
+		rt.clk.sleep(time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second)))
 		if rt.ring != nil {
 			for i := range grad {
 				grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536

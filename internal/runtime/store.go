@@ -34,11 +34,16 @@ type Throttle struct {
 	mu    sync.Mutex
 	next  time.Time
 	scale float64 // time scale factor (1.0 = modeled real time)
+	clk   clock
 }
 
 // NewThrottle creates a throttle with the given time scale.
 func NewThrottle(scale float64) *Throttle {
-	return &Throttle{scale: scale}
+	return newThrottle(scale, defaultClock())
+}
+
+func newThrottle(scale float64, clk clock) *Throttle {
+	return &Throttle{scale: scale, clk: clk}
 }
 
 // Acquire reserves `cost` modeled seconds of the resource and sleeps until
@@ -47,7 +52,7 @@ func NewThrottle(scale float64) *Throttle {
 func (t *Throttle) Acquire(cost float64) {
 	d := time.Duration(cost * t.scale * float64(time.Second))
 	t.mu.Lock()
-	now := time.Now()
+	now := t.clk.now()
 	start := t.next
 	if start.Before(now) {
 		start = now
@@ -55,7 +60,7 @@ func (t *Throttle) Acquire(cost float64) {
 	end := start.Add(d)
 	t.next = end
 	t.mu.Unlock()
-	time.Sleep(time.Until(end))
+	t.clk.sleep(end.Sub(now))
 }
 
 // PFSStore serves sample payloads the way a parallel file system would:
@@ -67,6 +72,7 @@ type PFSStore struct {
 	curve    tier.Curve
 	throttle *Throttle
 	scale    float64
+	clk      clock
 	file     *datafile.Reader // optional: serve real bytes from disk
 
 	mu       sync.Mutex
@@ -85,12 +91,17 @@ var ErrTransient = errors.New("runtime: transient PFS failure")
 // NewPFSStore builds the store for a dataset. seed must match the
 // dataset's generation seed so payload verification passes end to end.
 func NewPFSStore(ds *dataset.Dataset, seed uint64, curve tier.Curve, scale float64) *PFSStore {
+	return newPFSStore(ds, seed, curve, scale, defaultClock())
+}
+
+func newPFSStore(ds *dataset.Dataset, seed uint64, curve tier.Curve, scale float64, clk clock) *PFSStore {
 	return &PFSStore{
 		ds:       ds,
 		seed:     seed,
 		curve:    curve,
-		throttle: NewThrottle(scale),
+		throttle: newThrottle(scale, clk),
 		scale:    scale,
+		clk:      clk,
 		rng:      stats.NewRNG(stats.DeriveSeed(seed, 0xfa11)),
 	}
 }
@@ -141,7 +152,7 @@ func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
 	}
 	size := s.ds.Size(id)
 	// Latency is per-op and independent; bandwidth is shared.
-	time.Sleep(time.Duration(s.curve.OpLatency * s.scale * float64(time.Second)))
+	s.clk.sleep(time.Duration(s.curve.OpLatency * s.scale * float64(time.Second)))
 	s.mu.Lock()
 	f := s.fault
 	extra := f.Lag
@@ -159,7 +170,7 @@ func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
 	// Brownout latency is wall-clock and applies to failures too — a
 	// timed-out request costs its timeout.
 	if extra > 0 {
-		time.Sleep(extra)
+		s.clk.sleep(extra)
 	}
 	if failed {
 		return nil, ErrTransient
@@ -305,6 +316,7 @@ type DistributionManager struct {
 	inboxes []chan fetchRequest
 	curve   tier.Curve
 	scale   float64
+	clk     clock
 	// faults holds each node's serving fault: nil is healthy. Immutable
 	// once published (setters swap whole states), except the seeded RNG,
 	// which the jitter/error draws guard with the state's own mutex.
@@ -325,10 +337,15 @@ type peerFault struct {
 
 // NewDistributionManager creates the manager for n nodes.
 func NewDistributionManager(n int, curve tier.Curve, scale float64) *DistributionManager {
+	return newDistributionManager(n, curve, scale, defaultClock())
+}
+
+func newDistributionManager(n int, curve tier.Curve, scale float64, clk clock) *DistributionManager {
 	dm := &DistributionManager{
 		inboxes: make([]chan fetchRequest, n),
 		curve:   curve,
 		scale:   scale,
+		clk:     clk,
 		faults:  make([]atomic.Pointer[peerFault], n),
 	}
 	for i := range dm.inboxes {
@@ -403,7 +420,7 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 		if pf.down {
 			// Crashed peer: the requester pays one op latency (its
 			// timeout) and gets nothing — the failover-to-PFS path.
-			time.Sleep(time.Duration(dm.curve.OpLatency * dm.scale * float64(time.Second)))
+			dm.clk.sleep(time.Duration(dm.curve.OpLatency * dm.scale * float64(time.Second)))
 			return nil
 		}
 		extra = pf.lag
@@ -419,7 +436,7 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 	cost := dm.curve.OpLatency + float64(size)/(dm.curve.PeakMBps*1e6)
 	// Straggler lag/jitter are wall-clock (chaos faults do not scale
 	// with TimeScale) on top of the modeled transfer cost.
-	time.Sleep(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
+	dm.clk.sleep(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
 	if fail {
 		return nil
 	}

@@ -2,7 +2,10 @@
 # Tier-1 verification gate for the Lobster reproduction. Everything a PR
 # must pass, in dependency order:
 #
-#   1. go build        — the tree compiles
+#   1. go build        — the tree compiles, here and for darwin/arm64
+#                        (plus go vet of internal/runtime there), so the
+#                        clock's non-linux fallback file is built on
+#                        every gate
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
 #   4. feed determinism — the prefetch feed and helper tests, -race
@@ -43,6 +46,9 @@ cd "$(dirname "$0")"
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> darwin/arm64 cross-build (clock fallback)"
+GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime
 
 echo "==> go vet ./..."
 go vet ./...
