@@ -21,11 +21,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-## feed-determinism: the prefetch feed and helper tests under -race,
-## ten times each at GOMAXPROCS 1, 2 and 8 (verify.sh runs the same loop)
+## feed-determinism: the prefetch feed, helper and loader work-ahead tests
+## under -race, ten times each at GOMAXPROCS 1, 2 and 8 (verify.sh runs the
+## same loop)
 feed-determinism:
 	for procs in 1 2 8; do \
-		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers' ./internal/runtime || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead' ./internal/runtime || exit 1; \
 	done
 
 ## lint: the project-specific static analysis suite (analyzers run

@@ -2,8 +2,9 @@
 // its observability exhaust. Point it at one or more monitor endpoints
 // (the runtime's and/or lobster-kv shards') or at saved /metrics and
 // /trace.json files, and it prints a ranked report: the dominant stall
-// causes per rank and overall, what each node's prefetch helpers spent
-// and how many prefetches came too late, straggler ranks, the per-epoch
+// causes per rank and overall, what each node spent staging ahead of
+// demand (prefetch helpers and idle loaders) and how many prefetches came
+// too late, straggler ranks, the per-epoch
 // load imbalance coefficient, and the recovery layer's efficacy (hedged
 // reads won, failover cost).
 //

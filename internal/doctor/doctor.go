@@ -27,7 +27,7 @@ var loadSideCauses = map[string]bool{
 // data-path leg slows down.
 func DataPathCause(name string) bool { return loadSideCauses[name] }
 
-// prefetchCauses are the causes a prefetch helper can incur, the
+// prefetchCauses are the causes staging ahead of demand can incur, the
 // <cause> segment of lobster_runtime_prefetch_<cause>_seconds.
 var prefetchCauses = []string{"peer_fetch", "pfs", "recovery"}
 
@@ -43,7 +43,8 @@ type RankReport struct {
 	LoadSeconds float64      // sum over load-side causes
 }
 
-// NodePrefetch is what one node's prefetch helpers spent, by cause.
+// NodePrefetch is what one node spent staging ahead of demand — its
+// prefetch helpers and its idle loading workers — by cause.
 type NodePrefetch struct {
 	Node   int
 	Causes []CauseTotal // dominant first
@@ -74,13 +75,15 @@ type Report struct {
 	Imbalance      float64
 	EpochImbalance []EpochImbalance
 
-	// The prefetch helpers' side of the ledger, per node, and the feed's
-	// counters: samples staged, demand misses on a sample a helper had in
-	// flight (staged too late), and refusal pauses.
-	Prefetch       []NodePrefetch
-	PrefetchStaged float64
-	PrefetchLate   float64
-	PrefetchPauses float64
+	// The prefetch side of the ledger, per node, and the feed's counters:
+	// samples staged, how many of those by loading workers whose queue was
+	// empty (the rest by the prefetch helpers), demand misses on a sample
+	// that was in flight (staged too late), and refusal pauses.
+	Prefetch          []NodePrefetch
+	PrefetchStaged    float64
+	PrefetchWorkAhead float64
+	PrefetchLate      float64
+	PrefetchPauses    float64
 
 	// Model error of the run's clock: how many modeled delays it waited
 	// out (storage latencies, bandwidth slots, peer fetches, train steps)
@@ -97,7 +100,7 @@ type Report struct {
 	PartialFanouts  float64
 	RecoverySeconds float64
 	// PrefetchRecoverySeconds is RecoverySeconds' counterpart on the
-	// helpers' side: failovers are counted on both.
+	// prefetch side: failovers are counted on both.
 	PrefetchRecoverySeconds float64
 }
 
@@ -197,8 +200,8 @@ func causesByLabel(m *Metrics, prefix string, causes []string, label string) map
 	return out
 }
 
-// analyzePrefetch reads the helpers' per-node cause totals and the feed's
-// counters.
+// analyzePrefetch reads the prefetch side's per-node cause totals and the
+// feed's counters.
 func (r *Report) analyzePrefetch(m *Metrics) {
 	for node, causes := range causesByLabel(m, "lobster_runtime_prefetch_", prefetchCauses, "node") {
 		sortCauses(causes)
@@ -206,6 +209,7 @@ func (r *Report) analyzePrefetch(m *Metrics) {
 	}
 	sort.Slice(r.Prefetch, func(i, j int) bool { return r.Prefetch[i].Node < r.Prefetch[j].Node })
 	r.PrefetchStaged = m.Sum("lobster_runtime_prefetched_total", nil)
+	r.PrefetchWorkAhead = m.Sum("lobster_runtime_workahead_total", nil)
 	r.PrefetchLate = m.Sum("lobster_runtime_prefetch_late_total", nil)
 	r.PrefetchPauses = m.Sum("lobster_runtime_prefetch_pauses_total", nil)
 	r.PrefetchRecoverySeconds = m.Sum("lobster_runtime_prefetch_recovery_seconds_sum", nil)
@@ -312,7 +316,7 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 	if len(r.Prefetch) > 0 || r.PrefetchStaged > 0 {
-		p("\nPrefetch helpers (ahead of demand; no rank waits for these):\n")
+		p("\nPrefetch (helpers and idle loaders, ahead of demand; no rank waits for these):\n")
 		for _, np := range r.Prefetch {
 			p("  node %d:", np.Node)
 			for _, ct := range np.Causes {
@@ -324,8 +328,8 @@ func (r *Report) WriteText(w io.Writer) error {
 		if r.PrefetchStaged > 0 {
 			late = 100 * r.PrefetchLate / r.PrefetchStaged
 		}
-		p("  prefetch: staged %.0f, late %.0f (%.1f%%), refusal pauses %.0f\n",
-			r.PrefetchStaged, r.PrefetchLate, late, r.PrefetchPauses)
+		p("  prefetch: staged %.0f (%.0f by idle loaders), late %.0f (%.1f%%), refusal pauses %.0f\n",
+			r.PrefetchStaged, r.PrefetchWorkAhead, r.PrefetchLate, late, r.PrefetchPauses)
 	}
 	if len(r.Stragglers) > 0 {
 		p("\nStragglers (load time > %.1fx mean): ranks %v\n", stragglerFactor, r.Stragglers)
@@ -356,7 +360,7 @@ func (r *Report) WriteText(w io.Writer) error {
 			// average is over both sides' recovery reads.
 			recovery := r.RecoverySeconds + r.PrefetchRecoverySeconds
 			avg := recovery / r.Failovers
-			p("  failovers: %.0f, %.3fs spent in recovery reads (%.1fms avg; %.3fs by ranks, %.3fs by prefetch helpers)\n",
+			p("  failovers: %.0f, %.3fs spent in recovery reads (%.1fms avg; %.3fs by ranks, %.3fs ahead of demand)\n",
 				r.Failovers, recovery, 1e3*avg, r.RecoverySeconds, r.PrefetchRecoverySeconds)
 		}
 		if r.PartialFanouts > 0 {

@@ -175,6 +175,8 @@ lobster_runtime_prefetch_peer_fetch_seconds_sum{node="1"} 0.5
 lobster_runtime_prefetch_recovery_seconds_sum{node="1"} 0.2
 lobster_runtime_prefetched_total{node="0"} 300
 lobster_runtime_prefetched_total{node="1"} 100
+lobster_runtime_workahead_total{node="0"} 120
+lobster_runtime_workahead_total{node="1"} 30
 lobster_runtime_prefetch_late_total{node="0"} 6
 lobster_runtime_prefetch_pauses_total{node="1"} 3
 lobster_kvstore_hedge_fired_total 10
@@ -247,10 +249,11 @@ func TestAnalyzeAndReport(t *testing.T) {
 		"Load imbalance",
 		"epoch 1:",
 		"hedged reads: 10 fired, 7 won (70% efficacy)",
-		"failovers: 5, 0.250s spent in recovery reads (50.0ms avg; 0.050s by ranks, 0.200s by prefetch helpers)",
+		"failovers: 5, 0.250s spent in recovery reads (50.0ms avg; 0.050s by ranks, 0.200s ahead of demand)",
 		"  node 0: pfs=1.500s\n",
 		"  node 1: peer_fetch=0.500s pfs=0.250s recovery=0.200s\n",
-		"prefetch: staged 400, late 6 (1.5%), refusal pauses 3",
+		"Prefetch (helpers and idle loaders, ahead of demand; no rank waits for these):",
+		"prefetch: staged 400 (150 by idle loaders), late 6 (1.5%), refusal pauses 3",
 		// p50 is rank 100, the top of the first bucket; p99 is rank 198,
 		// 18/19 of the way through (100us, 1ms].
 		"modeled delays: 200 waits, overshoot p50 50us / p99 953us",

@@ -110,7 +110,8 @@ func Merge(traces ...*Trace) *Trace {
 
 // The ledger flush emits its attribution spans under two categories,
 // both named by cause: what the ranks' demand loads spent, and what the
-// nodes' prefetch helpers spent (which no rank waited for).
+// nodes' prefetch helpers and idle loading workers spent ahead of demand
+// (which no rank waited for).
 const (
 	catStall    = "stall"
 	catPrefetch = "prefetch"
@@ -179,10 +180,10 @@ func (t *Trace) DiagnoseWindow(from, to int64) []WindowCause {
 	return t.diagnose(catStall, from, to)
 }
 
-// DiagnosePrefetchWindow is DiagnoseWindow for the prefetch helpers'
-// side of the ledger: a fault the helpers absorbed — they run ahead of
-// demand, so a lost peer's failovers land on them first — shows up here
-// and not in the ranks' stalls.
+// DiagnosePrefetchWindow is DiagnoseWindow for the prefetch side of the
+// ledger: a fault the prefetch helpers and idle loading workers absorbed —
+// they run ahead of demand, so a lost or lagging peer's cost lands on them
+// first — shows up here and not in the ranks' stalls.
 func (t *Trace) DiagnosePrefetchWindow(from, to int64) []WindowCause {
 	return t.diagnose(catPrefetch, from, to)
 }

@@ -24,18 +24,25 @@ import (
 //     served fetches charges peer_fetch, failed fetches fall over to
 //     recovery reads. Which of the two tops depends on how much the
 //     build inflates baseline fetch legs (-race makes healthy fetches
-//     as slow as lagged ones), so the test accepts either;
+//     as slow as lagged ones), so the test accepts either. Who pays
+//     them is whoever asks the lagging peer first: since idle loading
+//     workers stage the next two windows ahead of demand, that is
+//     mostly the prefetch rows (helpers and loaders), and the ranks'
+//     own stalls in the window can hold no peer-side time at all. So
+//     the pin reads the side of the ledger that holds more peer-side
+//     time (peer_fetch + recovery) in the window, as nodeloss does;
 //   - brownout: every demand PFS read pays injected lag plus retry
 //     backoff, dwarfing the warm-run pfs rate;
 //   - nodeloss: during the dark phase every promised peer fetch fails
 //     over to a full-cost recovery read — the one cause with no healthy
 //     baseline at all. (Demand pfs reads also surge, but the cold-start
 //     warm-up sets a high pfs baseline, so they rank below recovery on
-//     excess.) The prefetch helpers run ahead of demand, so they are
-//     who usually asks the dark node first and takes the failovers; the
-//     pin therefore reads the side of the ledger — the ranks' stalls or
-//     the helpers' prefetch rows — that holds more recovery time in the
-//     window, and requires recovery to top that side.
+//     excess.) The prefetch helpers and the idle loading workers run
+//     ahead of demand, so they are who usually asks the dark node first
+//     and takes the failovers; the pin therefore reads the side of the
+//     ledger — the ranks' stalls or the nodes' prefetch rows — that
+//     holds more recovery time in the window, and requires recovery to
+//     top that side.
 //
 // The ranking blames data-path causes first (TopCauseInWindow):
 // pipeline queue waits inflate second-hand under any data-path fault,
@@ -51,7 +58,13 @@ func TestChaosAttribution(t *testing.T) {
 		"brownout":  {"pfs"},
 		"nodeloss":  {"recovery"},
 	}
-	p := ChaosParams{}.withDefaults()
+	// Four times the suite's default dataset: the fault window is then 32
+	// iterations instead of 8. A prefetch row's time is reported at the
+	// flush after the read returns, and an iteration of this run lasts
+	// about 0.4 ms, so at the default size the window (~3 ms) was no longer
+	// than one of the straggler's lagged fetches (2-3 ms) and most of the
+	// fault's time was reported after the window had closed.
+	p := ChaosParams{Samples: 1024}.withDefaults()
 	for _, sc := range chaosScenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -122,8 +135,10 @@ func TestChaosAttribution(t *testing.T) {
 				if len(diag) == 0 {
 					t.Fatalf("no attribution spans in fault window [%d,%d)", from, to)
 				}
-				if sc.name == "nodeloss" {
-					if pre := trace.DiagnosePrefetchWindow(from, to); recoverySeconds(pre) > recoverySeconds(diag) {
+				if sc.name == "straggler" || sc.name == "nodeloss" {
+					// A peer-side fault is paid by whoever asks the peer first:
+					// read the side that holds more of the fault's own causes.
+					if pre := trace.DiagnosePrefetchWindow(from, to); causeSeconds(pre, want...) > causeSeconds(diag, want...) {
 						diag, side = pre, "prefetch"
 					}
 				}
@@ -138,7 +153,7 @@ func TestChaosAttribution(t *testing.T) {
 					t.Errorf("top %s-side cause in fault window [%d,%d) = %s, want one of %v\nwindow diagnosis: %s",
 						side, from, to, got, want, fmtDiag(diag))
 				}
-				if sc.wantFailovers && recoverySeconds(diag) <= 0 {
+				if sc.wantFailovers && causeSeconds(diag, "recovery") <= 0 {
 					t.Errorf("fault window has no recovery-attributed time on the %s side\nwindow diagnosis: %s", side, fmtDiag(diag))
 				}
 			}
@@ -162,14 +177,18 @@ func TestChaosAttribution(t *testing.T) {
 	}
 }
 
-// recoverySeconds is the recovery time a window diagnosis holds.
-func recoverySeconds(diag []doctor.WindowCause) float64 {
+// causeSeconds is the time a window diagnosis holds under the named
+// causes.
+func causeSeconds(diag []doctor.WindowCause, causes ...string) float64 {
+	var sum float64
 	for _, wc := range diag {
-		if wc.Cause == "recovery" {
-			return wc.Seconds
+		for _, c := range causes {
+			if wc.Cause == c {
+				sum += wc.Seconds
+			}
 		}
 	}
-	return 0
+	return sum
 }
 
 func fmtDiag(diag []doctor.WindowCause) string {

@@ -15,8 +15,9 @@ import (
 // use it: an instrumented run publishes its registry and span ring
 // through a live monitor endpoint, and the doctor scrapes /metrics and
 // /trace.json over HTTP, merges them, and writes a report that names at
-// least one stall cause, what each node's prefetch helpers spent, and
-// the feed's staged/late/pauses line.
+// least one stall cause, what each node spent staging ahead of demand
+// (prefetch helpers and idle loaders), and the feed's staged/late/pauses
+// line.
 func TestDoctorEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full training loop")
@@ -66,7 +67,11 @@ func TestDoctorEndToEnd(t *testing.T) {
 		t.Errorf("report has prefetch causes for %d of %d nodes, %.0f samples staged",
 			len(rep.Prefetch), opts.Topology.Nodes, rep.PrefetchStaged)
 	}
-	for _, want := range []string{"Prefetch helpers", "  node 0: ", "  node 1: ", "prefetch: staged ", "refusal pauses ", "modeled delays: "} {
+	if rep.PrefetchWorkAhead == 0 || rep.PrefetchWorkAhead > rep.PrefetchStaged {
+		t.Errorf("report has %.0f samples staged by idle loaders of %.0f staged: want some, and no more than all",
+			rep.PrefetchWorkAhead, rep.PrefetchStaged)
+	}
+	for _, want := range []string{"Prefetch (helpers and idle loaders", "  node 0: ", "  node 1: ", "prefetch: staged ", " by idle loaders), late ", "refusal pauses ", "modeled delays: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report text missing %q:\n%s", want, out)
 		}

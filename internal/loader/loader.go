@@ -76,14 +76,19 @@ type Spec struct {
 	// double-buffering helpers), in both executions: the simulator spends
 	// PrefetchThreads x batch time as its per-iteration prefetch budget,
 	// and the runtime starts exactly this many helper goroutines per node
-	// to drain the node's prefetch feed (at least one whenever
-	// PrefetchDepth > 0). In the simulator, strategies with dynamic thread
-	// management additionally convert *idle* loading thread-seconds into
-	// prefetch work — the coordination the paper's second challenge is
-	// about ("a bottleneck in one stage will lead to idle threads in the
-	// other stages that instead could have been used to alleviate the
-	// bottleneck"); the runtime does not (DESIGN.md §8 has the
-	// measurement).
+	// to drain the node's prefetch feed to its full depth (at least one
+	// whenever PrefetchDepth > 0). Strategies with dynamic thread
+	// management additionally put *idle* loading threads to prefetch work,
+	// again in both executions — the coordination the paper's second
+	// challenge is about ("a bottleneck in one stage will lead to idle
+	// threads in the other stages that instead could have been used to
+	// alleviate the bottleneck"). The simulator adds every idle loading
+	// thread-second to the budget at an efficiency factor; in the runtime a
+	// loading worker whose queue is empty stages, one sample at a time,
+	// the misses of the two windows that enter the demand pipeline next,
+	// and goes back to its queue the moment a chunk arrives (DESIGN.md §8
+	// has the mechanism, the bound and the measurements). Static and
+	// shared-pool strategies keep idle loaders idle in both.
 	PrefetchThreads int
 }
 
@@ -225,10 +230,11 @@ func NoPFS(gpusPerNode, totalThreads int) Spec {
 
 // Lobster returns the full system: dynamic thread management (Algorithm
 // 1 + preprocessing throttling), deep prefetching with three background
-// helpers in both executions, and the reuse-based eviction policy
-// coordinating with it. The simulator also converts idle loading
-// threads into prefetch work; the runtime's prefetching is the helpers
-// alone (see Spec.PrefetchThreads).
+// helpers, and the reuse-based eviction policy coordinating with it. In
+// both executions the loading threads Algorithm 1 sized for the next
+// batch prefetch while they have no batch to load (see
+// Spec.PrefetchThreads): the helpers walk the whole depth, the idle
+// loaders cover the nearest windows.
 func Lobster() Spec {
 	return Spec{
 		Name:            "lobster",

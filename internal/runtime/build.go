@@ -183,6 +183,10 @@ func (rt *Runtime) addNode(n int, portfolio *perfmodel.PreprocPortfolio) error {
 	helpers := prefetchHelpers(opts.Strategy)
 	if helpers > 0 {
 		node.feed = newPrefetchFeed(rt.sched, n, rt.gpus, rt.totalIters, opts.Strategy.PrefetchDepth, nc.contains)
+		node.workAhead = opts.Strategy.Mode == loader.ThreadsDynamic
+	}
+	if nodeHook != nil {
+		nodeHook(node)
 	}
 	node.queues = make([]*gpuQueue, rt.gpus)
 	for j := range node.queues {
@@ -202,8 +206,14 @@ func (rt *Runtime) addNode(n int, portfolio *perfmodel.PreprocPortfolio) error {
 	return nil
 }
 
+// nodeHook, when set (tests only), sees each node after addNode has built
+// it and before its first goroutine starts — the last moment its feed and
+// its work-ahead switch may change.
+var nodeHook func(*nodeRuntime)
+
 // shutdown stops everything addNode started, for however many nodes were
-// added: prefetchers, loading queues, preprocessing pools, then the peer
+// added: prefetchers (closing stopPref also ends the loading workers'
+// claims on the feed), loading queues, preprocessing pools, then the peer
 // servers. The queues must be idle — every rank has consumed or drained
 // what it submitted.
 func (rt *Runtime) shutdown() {

@@ -11,6 +11,7 @@ import (
 func TestRunContextCancellation(t *testing.T) {
 	opts := testOptions(t, loader.NoPFS(2, 8), 1, 50) // far more epochs than we will run
 	opts.TimeScale = 0.05                             // slow enough to cancel mid-run
+	nodes := captureNodes(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	//lint:allow goroutine sleeps a fixed 300ms, cancels, and exits; nothing outlives the test body
 	go func() {
@@ -38,6 +39,7 @@ func TestRunContextCancellation(t *testing.T) {
 	if stats.SamplesVerified != stats.SamplesLoaded {
 		t.Fatalf("verified %d of %d after cancellation", stats.SamplesVerified, stats.SamplesLoaded)
 	}
+	checkFeedsDrained(t, "cancelled run", *nodes)
 }
 
 func TestRunContextCompletesWithoutCancel(t *testing.T) {

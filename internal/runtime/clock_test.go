@@ -266,11 +266,14 @@ func openDescriptors() (n int, ok bool) {
 
 // TestRunReleasesClock: a run's clock owns a goroutine and, on linux, a
 // descriptor. Both must be gone when RunContext returns — after a
-// complete run, a cancelled one and a failed build.
+// complete run, a cancelled one and a failed build — along with every
+// other goroutine of the run, loading workers that were staging ahead
+// included, and with no claim of theirs left in flight on a feed.
 func TestRunReleasesClock(t *testing.T) {
 	defaultClock() // started once per process, on purpose: keep it out of the count
 	baseG := goruntime.NumGoroutine()
 	baseFD, fdOK := openDescriptors()
+	nodes := captureNodes(t)
 	check := func(step string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
@@ -289,6 +292,8 @@ func TestRunReleasesClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("complete run")
+	checkFeedsDrained(t, "complete run", *nodes)
+	*nodes = nil
 
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := testOptions(t, loader.Lobster(), 2, 50)
@@ -301,6 +306,7 @@ func TestRunReleasesClock(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	check("cancelled run")
+	checkFeedsDrained(t, "cancelled run", *nodes)
 
 	opts = testOptions(t, loader.Lobster(), 2, 1)
 	opts.Model.IterTime = 0 // fails in the thread manager, after the clock started

@@ -26,9 +26,22 @@ func TestKVClusterAsSharedCacheTier(t *testing.T) {
 
 	opts := testOptions(t, loader.Lobster(), 2, 2)
 	opts.KVCache = cluster
+	nodes := captureNodes(t)
 	stats, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The helpers stage whole windows through MultiGet and the loading
+	// workers single ids through fetch, on one feed: whoever was stopped
+	// mid-window at teardown, nothing stays claimed.
+	checkFeedsDrained(t, "KVCache run", *nodes)
+	for _, node := range *nodes {
+		if !node.workAhead {
+			t.Errorf("node %d: work-ahead off for a dynamic strategy with a KVCache", node.node)
+		}
+	}
+	if stats.WorkAhead > stats.Prefetched {
+		t.Errorf("WorkAhead %d exceeds Prefetched %d", stats.WorkAhead, stats.Prefetched)
 	}
 	want := uint64(stats.Iterations) * uint64(4*opts.Model.BatchSize)
 	if stats.SamplesVerified != want {
@@ -45,4 +58,37 @@ func TestKVClusterAsSharedCacheTier(t *testing.T) {
 	if st.Items == 0 || st.Hits == 0 {
 		t.Fatalf("cluster unused: %+v", st)
 	}
+}
+
+// TestPrefetchFeedDrainedWhenKVWindowStops stops the run while a helper
+// holds a whole claimed window on the KV path: the claims it never got to
+// leave the in-flight set, because the loading workers still read the
+// feed after the helpers are gone.
+func TestPrefetchFeedDrainedWhenKVWindowStops(t *testing.T) {
+	s, err := kvstore.NewServer("127.0.0.1:0", 8<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cluster, err := kvstore.NewCluster([]string{s.Addr()}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	node, _, _ := loaderFixture(t, newFakeClock())
+	node.rt.kv = cluster
+	claims := node.feed.claim(0, node.feed.depth, feedGPUs*feedBatch, nil)
+	if len(claims) != feedGPUs*feedBatch {
+		t.Fatalf("claimed %d ids, want window 2's %d", len(claims), feedGPUs*feedBatch)
+	}
+	close(node.stopPref)
+	node.prefetchWindowKV(claims, 0, nil)
+	if got := node.prefetched.Load(); got != 0 {
+		t.Errorf("%d ids staged after the stop", got)
+	}
+	if got := node.feed.pauseCount(); got != 0 {
+		t.Errorf("abandoned claims paused the feed %d times", got)
+	}
+	checkFeedsDrained(t, "stopped KV window", []*nodeRuntime{node})
 }

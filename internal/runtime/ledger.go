@@ -52,9 +52,10 @@ var stallCauseNames = [numStallCauses]string{
 	"local_hit", "peer_fetch", "pfs", "decode_wait", "queue_wait", "recovery",
 }
 
-// prefetchCauses are the causes a prefetch helper can incur: it fetches
-// through the same tiers as a demand miss, but nothing queues for it and
-// it never hits the cache it is filling.
+// prefetchCauses are the causes staging ahead of demand can incur, by a
+// prefetch helper or a loading worker working ahead: it fetches through
+// the same tiers as a demand miss, but nothing queues for it and it never
+// hits the cache it is filling.
 var prefetchCauses = [...]stallCause{causePeerFetch, causePFS, causeRecovery}
 
 // loadSideCause marks the causes that make up a rank's load time — the
@@ -88,8 +89,9 @@ type stallRow struct {
 // iteration.
 //
 // prefetch holds one more row per node, which that node's prefetch
-// helpers charge with the causes they can incur (peer_fetch, pfs,
-// recovery). No rank waits for a helper, so these are not stalls and
+// helpers — and its loading workers, for what they stage while their
+// queue is empty — charge with the causes they can incur (peer_fetch, pfs,
+// recovery). No rank waits for a staged read, so these are not stalls and
 // belong to no iteration's batch: the flush drains whatever accumulated
 // since the last one, and a charge that lands during a flush is reported
 // with the next.

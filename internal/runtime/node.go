@@ -422,6 +422,15 @@ func (q *gpuQueue) workers() int {
 	return q.target
 }
 
+// worker is one loading thread of the queue. Demand comes first: while a
+// chunk (or a stop token) is waiting it goes straight to the queue. With
+// nothing waiting, a worker of a work-ahead node (nodeRuntime.workAhead)
+// stages one id from the feed's near windows and looks again, so a chunk
+// never waits for more than the one read in progress; with nothing to
+// stage either it blocks on the queue — its own next chunk is its clock.
+// The look is len, which takes no channel lock: the workers of a queue all
+// share these two channels, and a chunk that arrives right after the look
+// waits out one read, which is the bound anyway.
 func (q *gpuQueue) worker() {
 	defer q.wg.Done()
 	var tid int64
@@ -430,6 +439,9 @@ func (q *gpuQueue) worker() {
 	for {
 		if q.claimStopDebt() {
 			return
+		}
+		if q.node.workAhead && len(q.reqs) == 0 && len(q.stops) == 0 && q.node.stageOne(loaderReach, true) {
+			continue
 		}
 		select {
 		case <-q.stops:
@@ -463,8 +475,12 @@ type nodeRuntime struct {
 	pfsReads   atomic.Uint64
 	prefetched atomic.Uint64
 	pfsRetries atomic.Uint64
-	// prefetchLate counts demand misses on an id a helper had in flight:
-	// prefetches issued, but too late to spare the demand read.
+	// stagedByLoaders is the part of prefetched that loading workers staged
+	// while their queue was empty (workAhead).
+	stagedByLoaders atomic.Uint64
+	// prefetchLate counts demand misses on an id a helper or a loading
+	// worker had in flight: prefetches issued, but too late to spare the
+	// demand read.
 	prefetchLate atomic.Uint64
 	// failovers counts shared-tier reads, demand or prefetch, that fell
 	// over to the PFS: a directory-promised peer copy that did not arrive
@@ -482,9 +498,15 @@ type nodeRuntime struct {
 
 	// feed is the node's prefetch walk and helpers the number of
 	// goroutines started to drain it (nil and 0 for demand-only
-	// strategies); both are set before the first helper starts.
-	feed    *prefetchFeed
-	helpers int
+	// strategies). workAhead makes the node's loading workers stage from
+	// the feed while their queue is empty: the simulator's rule
+	// (pipeline.(*sim).prefetch), on for a loader.ThreadsDynamic strategy
+	// that prefetches and for no other — a static or shared-pool strategy's
+	// idle loaders stay idle. All three are fixed before the node's first
+	// loading worker starts.
+	feed      *prefetchFeed
+	helpers   int
+	workAhead bool
 
 	loadWG   sync.WaitGroup
 	serverWG sync.WaitGroup
@@ -571,9 +593,10 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 // cache tier (peer caches via the distribution manager, or a KV cluster
 // when configured) or the PFS, and caches it locally. It is the one walk
 // of the tiers, for both callers: the demand path (demand=true, a loading
-// worker that will decode the sample) and the prefetch helpers
-// (demand=false, staging only — with a KVCache they batch whole windows
-// through prefetchWindowKV instead). The two differ only in who is
+// worker that will decode the sample) and stageOne (demand=false, staging
+// only, for a prefetch helper or a loading worker working ahead — with a
+// KVCache the helpers batch whole windows through prefetchWindowKV
+// instead). The two differ only in who is
 // charged (row), in that demand shared-tier hits count as remoteHits, and
 // in buffer ownership (DESIGN.md §12): a demand fetch takes a decode
 // lease when the local cache retained a pooled buffer (owner = the
@@ -588,8 +611,9 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 // when the tier broke a promise — exactly the failover events.
 func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceCtx, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	if demand && n.feed != nil && n.feed.inFlight(id) {
-		// A helper claimed this id and has not staged it yet: the
-		// prefetch was issued, but too late to spare the demand read.
+		// A helper or a loading worker claimed this id and has not staged
+		// it yet: the prefetch was issued, but too late to spare the
+		// demand read.
 		n.prefetchLate.Add(1)
 	}
 	pooled, retained := false, false

@@ -28,8 +28,9 @@ import (
 //	node<n>/gpu<j>/loader<k> "load" spans, one per sample materialized
 //	node<n>/preproc/worker<k> "preproc" spans (via preproc.Instruments)
 //	node<n>/prefetch-ledger per-cause spans (cat "prefetch") of what the
-//	                        node's prefetch helpers spent, flushed at the
-//	                        barrier: at most three per iteration
+//	                        node's prefetch helpers and idle loading
+//	                        workers spent ahead of demand, flushed at
+//	                        the barrier: at most three per iteration
 //	node<n>/controller      "thread_resize" instants (decision events)
 type runtimeObs struct {
 	reg   *obs.Registry
@@ -52,7 +53,8 @@ type runtimeObs struct {
 	ledgerTID  []int64
 	imbalance  atomic.Uint64
 
-	// The prefetch helpers' side of the ledger, indexed by node:
+	// The prefetch side of the ledger (helpers and loading workers working
+	// ahead), indexed by node:
 	// [cause][node] histograms (prefetchCauses only) and the per-node
 	// attribution tracks.
 	prefetchHists [numStallCauses][]*obs.Histogram
@@ -155,13 +157,13 @@ func (ro *runtimeObs) registerCauseHists(r int, rank string) {
 func (ro *runtimeObs) registerPrefetchHists(n int, node string) {
 	b := obs.LatencyBuckets()
 	ro.prefetchHists[causePeerFetch][n] = ro.reg.Histogram("lobster_runtime_prefetch_peer_fetch_seconds",
-		"Prefetch-helper time in shared-tier legs (peer-cache fetches or KV MultiGets, delivered or failed), per iteration and node.",
+		"Time prefetch helpers and idle loading workers spent in shared-tier legs ahead of demand (peer-cache fetches, KV Gets or MultiGets, delivered or failed), per iteration and node.",
 		b, "node", node)
 	ro.prefetchHists[causePFS][n] = ro.reg.Histogram("lobster_runtime_prefetch_pfs_seconds",
-		"Prefetch-helper time in normal-path PFS reads, per iteration and node.",
+		"Time prefetch helpers and idle loading workers spent in normal-path PFS reads ahead of demand, per iteration and node.",
 		b, "node", node)
 	ro.prefetchHists[causeRecovery][n] = ro.reg.Histogram("lobster_runtime_prefetch_recovery_seconds",
-		"Prefetch-helper time in fallback PFS reads after a broken shared-tier promise (failover events), per iteration and node.",
+		"Time prefetch helpers and idle loading workers spent in fallback PFS reads after a broken shared-tier promise (failover events), per iteration and node.",
 		b, "node", node)
 }
 
@@ -174,8 +176,8 @@ func (ro *runtimeObs) clockOvershootHist() *obs.Histogram {
 	return ro.clockOvershoot
 }
 
-// prefetchRow returns the ledger row node n's prefetch helpers charge,
-// or nil when attribution is not being recorded (see ledgerOn).
+// prefetchRow returns the ledger row node n's staging charges (stageOne,
+// prefetchWindowKV), or nil when attribution is not being recorded (see ledgerOn).
 func (ro *runtimeObs) prefetchRow(n int) *stallRow {
 	led := ro.ledgerOn()
 	if led == nil {
@@ -207,7 +209,7 @@ func (ro *runtimeObs) ledgerOn() *stallLedger {
 // loads are already charging the other one (see stallLedger). The
 // per-node prefetch rows drain in the same pass, into cat "prefetch"
 // spans and the lobster_runtime_prefetch_<cause>_seconds histograms:
-// what the helpers spent while the ranks were on `completed`.
+// what staging ahead of demand cost while the ranks were on `completed`.
 func (ro *runtimeObs) flushLedger(completed int) {
 	led := ro.ledgerOn()
 	if led == nil {
@@ -327,10 +329,13 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 		"Transient PFS read failures retried.",
 		func() float64 { return float64(node.pfsRetries.Load()) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_prefetched_total",
-		"Samples staged into the cache by the background prefetcher.",
+		"Samples staged into the cache ahead of demand, by prefetch helpers and by idle loading workers.",
 		func() float64 { return float64(node.prefetched.Load()) }, "node", n)
+	ro.reg.CounterFunc("lobster_runtime_workahead_total",
+		"Samples staged by loading workers while their queue was empty (a subset of prefetched_total; dynamic strategies only).",
+		func() float64 { return float64(node.stagedByLoaders.Load()) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_prefetch_late_total",
-		"Demand misses on a sample a prefetch helper had in flight (prefetched too late).",
+		"Demand misses on a sample a prefetch helper or an idle loading worker had in flight (prefetched too late).",
 		func() float64 { return float64(node.prefetchLate.Load()) }, "node", n)
 	if feed := node.feed; feed != nil {
 		ro.reg.CounterFunc("lobster_runtime_prefetch_pauses_total",

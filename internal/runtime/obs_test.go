@@ -42,6 +42,7 @@ func TestRunInstrumented(t *testing.T) {
 		"lobster_runtime_cache_hits_total{node=\"0\"}",
 		"lobster_runtime_pfs_reads_total{node=\"1\"}",
 		"lobster_runtime_prefetched_total{node=\"0\"}",
+		"lobster_runtime_workahead_total{node=\"1\"}",
 		"lobster_runtime_prefetch_late_total{node=\"1\"}",
 		"lobster_runtime_prefetch_pauses_total{node=\"0\"}",
 		"lobster_runtime_prefetch_pfs_seconds_count{node=\"1\"}",

@@ -86,6 +86,7 @@ func TestCancelDrainsLookahead(t *testing.T) {
 				t.Fatalf("cancel at %d: node %d ends with %d leased and %d zombie buffers", cancelAt, node.node, leases, zombies)
 			}
 		}
+		checkFeedsDrained(t, "cancelled run", rt.nodes)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"repro/internal/sampler"
 )
 
-// prefetchClaim is one id the feed handed to a helper: the sample, and
-// where in the walk it sits (global iteration of its window, interleaved
+// prefetchClaim is one id the feed handed out: the sample, and where in
+// the walk it sits (global iteration of its window, interleaved
 // offset within it), which is where a refusal rewinds the cursor to.
 type prefetchClaim struct {
 	id   dataset.SampleID
@@ -29,9 +29,11 @@ type prefetchClaim struct {
 // sample k+1 of any, so a partially staged window covers all GPUs evenly
 // instead of leaving the last GPU the straggler every rank waits for.
 //
-// Helpers claim ids from it and settle each claim when its fetch is done.
-// A claimed id is in flight until settled and is never handed out twice,
-// so no sample is fetched by two helpers. A claim the cache refused
+// The node's prefetch helpers claim ids from it, and so do the loading
+// workers of a dynamic strategy while their queue is empty (workAhead);
+// each settles its claim when the fetch is done. A claimed id is in flight
+// until settled and is never handed out twice, so no sample is staged by
+// two of them. A claim the cache refused
 // rewinds the cursor to it and pauses the feed until the node's iteration
 // advances: later candidates are needed even later, so the policy would
 // refuse them too, and each attempt costs a storage read.
@@ -73,23 +75,41 @@ func newPrefetchFeed(sched *sampler.Schedule, node, gpus, totalIters, depth int,
 	}
 }
 
+// The rank loop's shape, as the feed sees it. Windows now and now+1 belong
+// to the demand pipeline (the ranks submit one batch ahead), so every walk
+// starts at now+feedNear. A loading worker with nothing queued stages only
+// from the two windows that enter that pipeline next, up to now+loaderReach:
+// those are the misses it would otherwise take as demand reads one
+// iteration later, and stopping there keeps the extra goroutines from
+// driving the deep walk past what the cache can hold (DESIGN.md §8 has the
+// reach sweep).
+const (
+	feedNear    = 2
+	loaderReach = 3
+)
+
 // claim appends to out the next up-to-max ids worth fetching, all from
 // one window, and marks them in flight. now is the iteration the ranks
-// are training on: windows now and now+1 belong to the demand pipeline
-// (the ranks submit one batch ahead), so the walk starts at now+2 and
-// ends at now+depth or the last iteration of the run. Resident and
-// in-flight ids are passed over. An empty result means the feed is
-// caught up or paused; the caller waits for the next iteration.
-func (f *prefetchFeed) claim(now, max int, out []prefetchClaim) []prefetchClaim {
+// are training on; the walk covers windows now+feedNear to now+reach,
+// bounded by the feed's depth and the last iteration of the run. Helpers
+// pass the depth, idle loading workers loaderReach: one cursor serves
+// both, so a loader is handed something only while the walk has not yet
+// left the near windows. Resident and in-flight ids are passed over. An
+// empty result means the feed is caught up or paused; the caller waits for
+// the next iteration.
+func (f *prefetchFeed) claim(now, reach, max int, out []prefetchClaim) []prefetchClaim {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if now < f.resumeAt {
 		return out
 	}
-	if f.iter < now+2 {
-		f.iter, f.off, f.filled = now+2, 0, false
+	if f.iter < now+feedNear {
+		f.iter, f.off, f.filled = now+feedNear, 0, false
 	}
-	limit := now + f.depth
+	if reach > f.depth {
+		reach = f.depth
+	}
+	limit := now + reach
 	if limit > f.totalIters-1 {
 		limit = f.totalIters - 1
 	}
@@ -137,7 +157,19 @@ func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 	}
 }
 
-// inFlight reports whether a helper is fetching id right now.
+// abandon ends claims whose fetch was never attempted because the run is
+// stopping: they leave the in-flight set, and the cursor and the pause stay
+// as they are.
+func (f *prefetchFeed) abandon(cs []prefetchClaim) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, c := range cs {
+		delete(f.inflight, c.id)
+	}
+}
+
+// inFlight reports whether a helper or a loading worker is staging id
+// right now.
 func (f *prefetchFeed) inFlight(id dataset.SampleID) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -165,46 +197,72 @@ func prefetchHelpers(spec loader.Spec) int {
 	return spec.PrefetchThreads
 }
 
-// prefetchHelper claims from the node's feed until stopPref closes: one
-// id at a time on the peer/PFS path, one window's worth on the KV path so
-// a window still costs one MultiGet round trip per shard. The helpers
-// compete with demand loading for storage bandwidth exactly as real
-// background prefetching does.
+// prefetchHelper drains the node's feed to its full depth until stopPref
+// closes: one id at a time on the peer/PFS path, one window's worth on the
+// KV path so a window still costs one MultiGet round trip per shard. The
+// helpers compete with demand loading for storage bandwidth exactly as
+// real background prefetching does.
 func (n *nodeRuntime) prefetchHelper() {
 	defer n.prefWG.Done()
-	max := 1
-	if n.rt.kv != nil {
-		max = n.rt.gpus * n.rt.sched.BatchSize()
-	}
 	var claims []prefetchClaim
-	for {
+	for !n.stopping() {
+		if n.rt.kv == nil {
+			if n.stageOne(n.feed.depth, false) {
+				continue
+			}
+		} else {
+			now := int(n.iterNow.Load())
+			claims = n.feed.claim(now, n.feed.depth, n.rt.gpus*n.rt.sched.BatchSize(), claims[:0])
+			if len(claims) > 0 {
+				n.prefetchWindowKV(claims, now, n.rt.ro.prefetchRow(n.node))
+				continue
+			}
+		}
+		// Caught up or paused: wait for the next iteration.
 		select {
 		case <-n.stopPref:
 			return
-		default:
-		}
-		now := int(n.iterNow.Load())
-		claims = n.feed.claim(now, max, claims[:0])
-		if len(claims) == 0 {
-			// Caught up or paused: wait for the next iteration.
-			select {
-			case <-n.stopPref:
-				return
-			case <-n.rt.tick:
-			}
-			continue
-		}
-		row := n.rt.ro.prefetchRow(n.node)
-		if n.rt.kv != nil {
-			n.prefetchWindowKV(claims, now, row)
-			continue
-		}
-		_, _, _, staged := n.fetch(claims[0].id, cache.Iter(now), 0, row, false)
-		n.feed.settle(claims[0], staged, now)
-		if staged {
-			n.prefetched.Add(1)
+		case <-n.rt.tick:
 		}
 	}
+}
+
+// stopping reports whether the run is tearing down: stopPref is closed and
+// nothing may claim from the feed any more.
+func (n *nodeRuntime) stopping() bool {
+	select {
+	case <-n.stopPref:
+		return true
+	default:
+		return false
+	}
+}
+
+// stageOne claims the feed's next id within reach windows and stages it:
+// the one claim → fetch → settle → count sequence, for the helpers and for
+// the loading workers that work ahead (byLoader). The fetch is charged to
+// the node's prefetch ledger row whoever runs it: no rank waits for it. It
+// reports false when there was nothing to claim — the feed is caught up
+// within reach or paused, or the run is stopping.
+func (n *nodeRuntime) stageOne(reach int, byLoader bool) bool {
+	if n.stopping() {
+		return false
+	}
+	now := int(n.iterNow.Load())
+	var one [1]prefetchClaim
+	claims := n.feed.claim(now, reach, 1, one[:0])
+	if len(claims) == 0 {
+		return false
+	}
+	_, _, _, staged := n.fetch(claims[0].id, cache.Iter(now), 0, n.rt.ro.prefetchRow(n.node), false)
+	n.feed.settle(claims[0], staged, now)
+	if staged {
+		n.prefetched.Add(1)
+		if byLoader {
+			n.stagedByLoaders.Add(1)
+		}
+	}
+	return true
 }
 
 // prefetchWindowKV stages one claimed window through the KV cluster: the
@@ -269,10 +327,10 @@ func (n *nodeRuntime) prefetchWindowKV(claims []prefetchClaim, now int, row *sta
 			n.feed.settle(c, false, now)
 			continue
 		}
-		select {
-		case <-n.stopPref:
-			return // the feed stops with its helpers: nothing left to settle for
-		default:
+		if n.stopping() {
+			// Loading workers may still read the feed: leave nothing in flight.
+			n.feed.abandon(claims[i:])
+			return
 		}
 		var payload []byte
 		pooled := false

@@ -19,7 +19,7 @@ const (
 	feedTotalIters                 = 18
 )
 
-func feedSchedule(t testing.TB) *sampler.Schedule {
+func feedDataset(t testing.TB) *dataset.Dataset {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Spec{
 		Name: "feed", NumSamples: 96, MeanSize: 4 << 10, SigmaLog: 0.3,
@@ -28,7 +28,12 @@ func feedSchedule(t testing.TB) *sampler.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := sampler.New(ds, sampler.Config{WorldSize: feedNodes * feedGPUs, BatchSize: feedBatch, Seed: 5})
+	return ds
+}
+
+func feedSchedule(t testing.TB) *sampler.Schedule {
+	t.Helper()
+	sched, err := sampler.New(feedDataset(t), sampler.Config{WorldSize: feedNodes * feedGPUs, BatchSize: feedBatch, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +87,24 @@ func window(sched *sampler.Schedule, node, iter int) []dataset.SampleID {
 	return out
 }
 
+// wantClaims is the sequence a feed must hand out over windows first to
+// last when nothing is settled: each window in interleaved order, less
+// the resident ids and the ids already claimed.
+func wantClaims(sched *sampler.Schedule, node, first, last int, res *residency) []prefetchClaim {
+	claimed := map[dataset.SampleID]bool{}
+	var want []prefetchClaim
+	for iter := first; iter <= last; iter++ {
+		for off, id := range window(sched, node, iter) {
+			if res.ids[id] || claimed[id] {
+				continue
+			}
+			claimed[id] = true
+			want = append(want, prefetchClaim{id: id, iter: iter, off: off})
+		}
+	}
+	return want
+}
+
 // TestPrefetchFeedOrder drains a feed one claim at a time, never
 // settling, and compares the sequence with the windows now+2 … the
 // nearer of now+depth and the last iteration, each in interleaved order,
@@ -113,20 +136,10 @@ func TestPrefetchFeedOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			res := newResidency(tc.resident...)
 			f := newPrefetchFeed(sched, tc.node, feedGPUs, feedTotalIters, tc.depth, res.contains)
-			claimed := map[dataset.SampleID]bool{}
-			var want []prefetchClaim
-			for iter := tc.first; iter <= tc.last; iter++ {
-				for off, id := range window(sched, tc.node, iter) {
-					if res.ids[id] || claimed[id] {
-						continue
-					}
-					claimed[id] = true
-					want = append(want, prefetchClaim{id: id, iter: iter, off: off})
-				}
-			}
+			want := wantClaims(sched, tc.node, tc.first, tc.last, res)
 			var got []prefetchClaim
 			for {
-				cs := f.claim(tc.now, tc.max, nil)
+				cs := f.claim(tc.now, f.depth, tc.max, nil)
 				if len(cs) == 0 {
 					break
 				}
@@ -167,7 +180,7 @@ func TestPrefetchFeedFollowsIteration(t *testing.T) {
 		// Three claims per iteration: less than a window, so the cursor
 		// falls behind and must jump to now+2.
 		for i := 0; i < 3; i++ {
-			cs := f.claim(now, 1, nil)
+			cs := f.claim(now, f.depth, 1, nil)
 			if len(cs) == 0 {
 				break
 			}
@@ -220,7 +233,7 @@ func TestPrefetchFeedConcurrentClaims(t *testing.T) {
 			defer wg.Done()
 			max := 1 + g%3 // mix single claims with small batches
 			for {
-				cs := f.claim(now, max, nil)
+				cs := f.claim(now, f.depth, max, nil)
 				if len(cs) == 0 {
 					return
 				}
@@ -254,7 +267,7 @@ func TestPrefetchFeedConcurrentClaims(t *testing.T) {
 			t.Errorf("id %d claimed %d times but is resident or out of reach", id, n)
 		}
 	}
-	if cs := f.claim(now, 1, nil); len(cs) != 0 {
+	if cs := f.claim(now, f.depth, 1, nil); len(cs) != 0 {
 		t.Errorf("drained feed still hands out %v", cs)
 	}
 }
@@ -271,16 +284,16 @@ func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
 	// refusals sit in a window still ahead of demand at now+1.
 	var last prefetchClaim
 	for i := 0; i < feedGPUs*feedBatch+5; i++ {
-		last = f.claim(now, 1, nil)[0]
+		last = f.claim(now, f.depth, 1, nil)[0]
 		res.add(last.id)
 		f.settle(last, true, now)
 	}
 	if last.iter != 3 || last.off != 4 {
 		t.Fatalf("setup ended at %+v, want window 3 offset 4", last)
 	}
-	a := f.claim(now, 1, nil)[0]
-	b := f.claim(now, 1, nil)[0]
-	c := f.claim(now, 1, nil)[0]
+	a := f.claim(now, f.depth, 1, nil)[0]
+	b := f.claim(now, f.depth, 1, nil)[0]
+	c := f.claim(now, f.depth, 1, nil)[0]
 	if a.off != 5 || b.off != 6 || c.off != 7 {
 		t.Fatalf("claims %+v %+v %+v, want window 3 offsets 5, 6, 7", a, b, c)
 	}
@@ -297,17 +310,17 @@ func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
 		t.Fatalf("two refusals in one iteration counted %d pauses, want 1", got)
 	}
 	for i := 0; i < 3; i++ {
-		if cs := f.claim(now, 4, nil); len(cs) != 0 {
+		if cs := f.claim(now, f.depth, 4, nil); len(cs) != 0 {
 			t.Fatalf("paused feed handed out %v", cs)
 		}
 	}
 	// Offset 6 was staged meanwhile, and 5 and 7 are all that is left of
 	// window 3's eight ids.
-	cs := f.claim(now+1, 4, nil)
+	cs := f.claim(now+1, f.depth, 4, nil)
 	if len(cs) != 2 || cs[0] != a || cs[1] != c {
 		t.Fatalf("first claims after the pause are %v, want the refused %+v then %+v", cs, a, c)
 	}
-	if next := f.claim(now+1, 1, nil); len(next) != 1 || next[0].iter != 4 || next[0].off != 0 {
+	if next := f.claim(now+1, f.depth, 1, nil); len(next) != 1 || next[0].iter != 4 || next[0].off != 0 {
 		t.Fatalf("claim after the refused ones is %v, want the head of window 4", next)
 	}
 }
@@ -318,9 +331,9 @@ func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
 func TestPrefetchFeedRefusalBehindDemand(t *testing.T) {
 	sched := feedSchedule(t)
 	f := newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 8, newResidency().contains)
-	c := f.claim(0, 1, nil)[0]
+	c := f.claim(0, f.depth, 1, nil)[0]
 	f.settle(c, false, 0)
-	next := f.claim(1, 1, nil)
+	next := f.claim(1, f.depth, 1, nil)
 	if len(next) != 1 || next[0].iter != 3 || next[0].off != 0 {
 		t.Fatalf("claim after the pause is %v, want the head of window 3", next)
 	}
@@ -386,28 +399,25 @@ func TestPrefetchHelpersStageAhead(t *testing.T) {
 	if stats.PrefetchLate > stats.CacheMisses {
 		t.Fatalf("%d late prefetches out of %d demand misses", stats.PrefetchLate, stats.CacheMisses)
 	}
-	for _, node := range rt.nodes {
-		node.feed.mu.Lock()
-		inflight := len(node.feed.inflight)
-		node.feed.mu.Unlock()
-		if inflight != 0 {
-			t.Errorf("node %d ends with %d claims in flight", node.node, inflight)
-		}
-	}
+	checkFeedsDrained(t, "complete run", rt.nodes)
 }
 
 // TestPrefetchFeedCountsLateDemandMiss builds a runtime without
 // running it and takes the demand path's fetch for two ids: the one a
-// helper has claimed counts as a late prefetch, the other does not.
+// helper has claimed counts as a late prefetch, the other does not. The
+// strategy is demand-only, so nothing but the test claims from the feed,
+// which the node is given before its loading workers start.
 func TestPrefetchFeedCountsLateDemandMiss(t *testing.T) {
+	hookNode(t, func(n *nodeRuntime) {
+		n.feed = newPrefetchFeed(n.rt.sched, 0, n.rt.gpus, n.rt.totalIters, 4, n.cache.contains)
+	})
 	rt, cleanup, err := build(testOptions(t, loader.PyTorch(2, 8), 1, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cleanup()
 	node := rt.nodes[0]
-	node.feed = newPrefetchFeed(rt.sched, 0, rt.gpus, rt.totalIters, 4, node.cache.contains)
-	claimed := node.feed.claim(0, 1, nil)[0]
+	claimed := node.feed.claim(0, node.feed.depth, 1, nil)[0]
 	other := window(rt.sched, 0, 3)[0]
 	for i, id := range []dataset.SampleID{claimed.id, other, claimed.id} {
 		payload, owned, owner, ok := node.fetch(id, 0, 0, nil, true)

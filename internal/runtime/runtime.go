@@ -99,7 +99,9 @@ type Progress struct {
 	RemoteHits uint64 `json:"remote_hits"`
 	PFSReads   uint64 `json:"pfs_reads"`
 	Prefetched uint64 `json:"prefetched"`
-	// PrefetchLate mirrors Stats.PrefetchLate mid-run.
+	// WorkAhead and PrefetchLate mirror the Stats fields of the same names
+	// mid-run.
+	WorkAhead    uint64 `json:"work_ahead"`
 	PrefetchLate uint64 `json:"prefetch_late"`
 	// Failovers and PartialFanouts mirror the Stats fields of the same
 	// names mid-run, so health endpoints can surface recovery-layer
@@ -132,9 +134,14 @@ type Stats struct {
 	PFSReads        uint64
 	PFSRetries      uint64
 	Prefetched      uint64
-	// PrefetchLate counts demand misses on a sample a prefetch helper had
-	// in flight at that moment: prefetches issued too late to spare the
-	// demand read. The demand read does not wait for the helper's.
+	// WorkAhead is the part of Prefetched that loading workers staged while
+	// their own queue was empty (dynamic strategies only), the rest being
+	// the prefetch helpers'.
+	WorkAhead uint64
+	// PrefetchLate counts demand misses on a sample a prefetch helper or a
+	// loading worker working ahead had in flight at that moment:
+	// prefetches issued too late to spare the demand read. The demand read
+	// does not wait for the other one.
 	PrefetchLate    uint64
 	AllreduceRounds uint64
 	// Failovers counts shared-tier reads, demand or prefetch, that fell
@@ -495,6 +502,7 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 		stats.PFSReads += node.pfsReads.Load()
 		stats.PFSRetries += node.pfsRetries.Load()
 		stats.Prefetched += node.prefetched.Load()
+		stats.WorkAhead += node.stagedByLoaders.Load()
 		stats.PrefetchLate += node.prefetchLate.Load()
 		stats.Failovers += node.failovers.Load()
 		stats.PartialFanouts += node.partials.Load()
@@ -540,6 +548,7 @@ func (rt *Runtime) progress(completed int) Progress {
 		p.RemoteHits += node.remoteHits.Load()
 		p.PFSReads += node.pfsReads.Load()
 		p.Prefetched += node.prefetched.Load()
+		p.WorkAhead += node.stagedByLoaders.Load()
 		p.PrefetchLate += node.prefetchLate.Load()
 		p.Failovers += node.failovers.Load()
 		p.PartialFanouts += node.partials.Load()

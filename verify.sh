@@ -8,9 +8,10 @@
 #                        every gate
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
-#   4. feed determinism — the prefetch feed and helper tests, -race
-#                        -count=10 at GOMAXPROCS 1, 2 and 8: their
-#                        verdict must not depend on scheduling
+#   4. feed determinism — the prefetch feed, helper and loader
+#                        work-ahead tests, -race -count=10 at
+#                        GOMAXPROCS 1, 2 and 8: their verdict must not
+#                        depend on scheduling
 #                        (ROADMAP aim 3; same loop: make feed-determinism)
 #   5. lobster-lint    — the project's own static analysis (determinism,
 #                        goroutine/mutex hygiene, errcheck, bounded
@@ -56,9 +57,9 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> prefetch feed determinism (GOMAXPROCS 1, 2, 8)"
+echo "==> prefetch feed and work-ahead determinism (GOMAXPROCS 1, 2, 8)"
 for procs in 1 2 8; do
-  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers' ./internal/runtime
+  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead' ./internal/runtime
 done
 
 echo "==> lobster-lint -time ./..."
