@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race feed-determinism lint bench bench-short bench-kv bench-sim bench-obs bench-chaos
+.PHONY: check build vet test race feed-determinism lint sim-golden bench bench-short bench-kv bench-sim bench-obs bench-chaos
 
 ## check: the full tier-1 gate (build + vet + race tests + lobster-lint)
 check:
@@ -33,6 +33,12 @@ feed-determinism:
 ## concurrently; -time prints per-analyzer wall time)
 lint:
 	$(GO) run ./cmd/lobster-lint -time ./...
+
+## sim-golden: replay the six sim-figs figures at small scale against
+## bench/golden/sim.json (go test ./bench checks them at tiny scale only);
+## exits non-zero on any differing value (verify.sh runs the same command)
+sim-golden:
+	$(GO) run ./bench --workload sim-figs --seed 7 --seconds 10 --trace 1
 
 ## bench: the repository's one benchmark (BENCHMARK.json, bench/README.md):
 ## five workloads, end-to-end pass plus traced per-layer pass, goldens

@@ -55,13 +55,31 @@ type Plan struct {
 
 // Build constructs the plan of `node` (0-based) for `epochs` epochs of the
 // schedule. horizonEpochs bounds how far ahead the detailed lists extend;
-// pass epochs (or 0) for a full-horizon plan.
+// pass epochs (or 0) for a full-horizon plan. A run that needs every
+// node's plan calls BuildAll instead: each Build walks the whole schedule.
 func Build(s *sampler.Schedule, node, gpusPerNode, epochs, horizonEpochs int) (*Plan, error) {
+	plans, err := build(s, node, 1, gpusPerNode, epochs, horizonEpochs)
+	if err != nil {
+		return nil, err
+	}
+	return plans[0], nil
+}
+
+// BuildAll constructs the plans of nodes 0..nodes-1, each equal to what
+// Build returns for that node, in one walk of the schedule: every epoch
+// permutation is generated once, not once per node.
+func BuildAll(s *sampler.Schedule, nodes, gpusPerNode, epochs, horizonEpochs int) ([]*Plan, error) {
+	return build(s, 0, nodes, gpusPerNode, epochs, horizonEpochs)
+}
+
+// build constructs the plans of nodes first..first+count-1.
+func build(s *sampler.Schedule, first, count, gpusPerNode, epochs, horizonEpochs int) ([]*Plan, error) {
 	if s == nil {
 		return nil, fmt.Errorf("access: nil schedule")
 	}
-	if node < 0 || gpusPerNode < 1 || (node+1)*gpusPerNode > s.WorldSize() {
-		return nil, fmt.Errorf("access: node %d with %d GPUs out of world %d", node, gpusPerNode, s.WorldSize())
+	if first < 0 || count < 1 || gpusPerNode < 1 || (first+count)*gpusPerNode > s.WorldSize() {
+		return nil, fmt.Errorf("access: nodes %d to %d with %d GPUs each out of world %d",
+			first, first+count-1, gpusPerNode, s.WorldSize())
 	}
 	if epochs < 1 {
 		return nil, fmt.Errorf("access: epochs %d < 1", epochs)
@@ -69,50 +87,65 @@ func Build(s *sampler.Schedule, node, gpusPerNode, epochs, horizonEpochs int) (*
 	if horizonEpochs <= 0 || horizonEpochs > epochs {
 		horizonEpochs = epochs
 	}
-	p := &Plan{
-		node:        node,
-		gpusPerNode: gpusPerNode,
-		iters:       s.IterationsPerEpoch(),
-		epochs:      epochs,
-		numSamples:  s.Dataset().Len(),
+	iters := s.IterationsPerEpoch()
+	numSamples := s.Dataset().Len()
+	chunk := gpusPerNode * s.BatchSize() // one node's samples per iteration
+	plans := make([]*Plan, count)
+	for i := range plans {
+		plans[i] = &Plan{
+			node:        first + i,
+			gpusPerNode: gpusPerNode,
+			iters:       iters,
+			epochs:      epochs,
+			numSamples:  numSamples,
+			// One slot longer than the finished table: until the scatter
+			// below, sample id's count and then its fill cursor live at
+			// id+2 and id+1.
+			offsets: make([]int32, numSamples+2),
+		}
 	}
 	// Single schedule walk (epoch permutations are expensive to
-	// regenerate): record the node's whole access sequence plus where each
-	// iteration ends, count per-sample accesses, then scatter the sequence
-	// into the flat per-sample layout via an offsets prefix sum.
-	counts := make([]int32, p.numSamples)
-	seq := make([]dataset.SampleID, 0, horizonEpochs*p.iters)
-	iterEnds := make([]int32, 0, horizonEpochs*p.iters)
-	var batch []dataset.SampleID
+	// regenerate): record the nodes' whole access sequence — per
+	// iteration, each node's batch in node order — and count per-sample
+	// accesses, then scatter the sequence into the flat per-sample layout
+	// via an offsets prefix sum.
+	seq := make([]dataset.SampleID, 0, horizonEpochs*iters*count*chunk)
 	for epoch := 0; epoch < horizonEpochs; epoch++ {
-		for it := 0; it < p.iters; it++ {
-			batch = s.NodeBatch(batch[:0], epoch, it, node, gpusPerNode)
-			seq = append(seq, batch...)
-			iterEnds = append(iterEnds, int32(len(seq)))
-			for _, id := range batch {
-				counts[id]++
+		for it := 0; it < iters; it++ {
+			for i, p := range plans {
+				seq = s.NodeBatch(seq, epoch, it, first+i, gpusPerNode)
+				for _, id := range seq[len(seq)-chunk:] {
+					p.offsets[id+2]++
+				}
 			}
 		}
 	}
-	p.offsets = make([]int32, p.numSamples+1)
-	var sum int32
-	for id, n := range counts {
-		p.offsets[id] = sum
-		sum += n
-		counts[id] = 0 // reuse as the fill cursor below
+	for _, p := range plans {
+		// Running sum of the counts at id+2: offsets[id+1] becomes where
+		// id's list starts, the cursor the scatter advances.
+		var sum int32
+		for i := 2; i < len(p.offsets); i++ {
+			sum += p.offsets[i]
+			p.offsets[i] = sum
+		}
+		p.flat = make([]Iter, sum)
 	}
-	p.offsets[p.numSamples] = sum
-	p.flat = make([]Iter, sum)
 	pos := 0
-	for gi, end := range iterEnds {
-		g := Iter(gi)
-		for ; pos < int(end); pos++ {
-			id := seq[pos]
-			p.flat[p.offsets[id]+counts[id]] = g
-			counts[id]++
+	for g := 0; g < horizonEpochs*iters; g++ {
+		for _, p := range plans {
+			for _, id := range seq[pos : pos+chunk] {
+				p.flat[p.offsets[id+1]] = Iter(g)
+				p.offsets[id+1]++
+			}
+			pos += chunk
 		}
 	}
-	return p, nil
+	for _, p := range plans {
+		// Every cursor has reached the start of the next sample's list:
+		// offsets[id] is id's start and offsets[id+1] its end.
+		p.offsets = p.offsets[:numSamples+1]
+	}
+	return plans, nil
 }
 
 // Node returns the node this plan belongs to.
@@ -167,6 +200,17 @@ func (p *Plan) NextReuseDistance(id dataset.SampleID, after Iter) Iter {
 // strictly after `after`. This is the reuse count of Section 4.4.
 func (p *Plan) UsesRemaining(id dataset.SampleID, after Iter) int {
 	return int(p.offsets[id+1] - p.searchAfter(id, after))
+}
+
+// Future returns NextUse(id, after) and UsesRemaining(id, after) from one
+// search of the sample's list: the eviction policies ask for both on every
+// access.
+func (p *Plan) Future(id dataset.SampleID, after Iter) (next Iter, remaining int) {
+	i, end := p.searchAfter(id, after), p.offsets[id+1]
+	if i == end {
+		return NoAccess, 0
+	}
+	return p.flat[i], int(end - i)
 }
 
 // AccessesOf returns the full access list of a sample (shared slice; do not

@@ -228,3 +228,94 @@ func TestNextUsePropertyConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildAllMatchesBuild: the all-nodes builder returns, for every node,
+// exactly the plan the one-node builder returns — same lists for every
+// sample, same geometry — and rejects the same invalid arguments.
+func TestBuildAllMatchesBuild(t *testing.T) {
+	const samples = 1000
+	for _, nodes := range []int{1, 2, 4, 8} {
+		for _, gpus := range []int{1, 4} {
+			s := testSchedule(t, samples, nodes*gpus, 3)
+			for _, epochs := range []int{1, 3, 7} {
+				all, err := BuildAll(s, nodes, gpus, epochs, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(all) != nodes {
+					t.Fatalf("%d nodes x %d GPUs: BuildAll returned %d plans", nodes, gpus, len(all))
+				}
+				for n, got := range all {
+					want, err := Build(s, n, gpus, epochs, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Node() != n || got.IterationsPerEpoch() != want.IterationsPerEpoch() ||
+						got.TotalIterations() != want.TotalIterations() || len(got.offsets) != len(want.offsets) {
+						t.Fatalf("%d nodes x %d GPUs x %d epochs: node %d's plan has another geometry than Build's", nodes, gpus, epochs, n)
+					}
+					for id := dataset.SampleID(0); id < samples; id++ {
+						g, w := got.AccessesOf(id), want.AccessesOf(id)
+						if len(g) != len(w) {
+							t.Fatalf("node %d sample %d: %v, Build has %v", n, id, g, w)
+						}
+						for i := range w {
+							if g[i] != w[i] {
+								t.Fatalf("node %d sample %d: %v, Build has %v", n, id, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The invalid arguments of TestBuildValidation, in BuildAll's terms.
+	s := testSchedule(t, 200, 4, 5)
+	if _, err := BuildAll(nil, 1, 1, 1, 0); err == nil {
+		t.Error("nil schedule accepted")
+	}
+	if _, err := BuildAll(s, 0, 1, 1, 0); err == nil {
+		t.Error("zero nodes accepted")
+	}
+	if _, err := BuildAll(s, 3, 2, 1, 0); err == nil {
+		t.Error("nodes beyond world accepted")
+	}
+	if _, err := BuildAll(s, 2, 0, 1, 0); err == nil {
+		t.Error("zero GPUs per node accepted")
+	}
+	if _, err := BuildAll(s, 2, 2, 0, 0); err == nil {
+		t.Error("zero epochs accepted")
+	}
+}
+
+// TestFutureMatchesSeparateQueries: Future is NextUse and UsesRemaining of
+// one search, on the full plan and on the sliding window as it advances.
+func TestFutureMatchesSeparateQueries(t *testing.T) {
+	const samples, epochs = 400, 6
+	s := testSchedule(t, samples, 4, 5)
+	full, err := Build(s, 1, 2, epochs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := BuildWindowed(s, 1, 2, epochs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := s.IterationsPerEpoch()
+	for epoch := 0; epoch < epochs; epoch++ {
+		win.Advance(epoch)
+		for _, after := range []Iter{Iter(epoch*iters) - 1, Iter(epoch * iters), Iter(epoch*iters + iters/2), Iter((epoch+1)*iters - 1)} {
+			for id := dataset.SampleID(0); id < samples; id++ {
+				if next, rem := full.Future(id, after); next != full.NextUse(id, after) || rem != full.UsesRemaining(id, after) {
+					t.Fatalf("Plan.Future(%d, %d) = %d, %d; NextUse %d, UsesRemaining %d",
+						id, after, next, rem, full.NextUse(id, after), full.UsesRemaining(id, after))
+				}
+				if next, rem := win.Future(id, after); next != win.NextUse(id, after) || rem != win.UsesRemaining(id, after) {
+					t.Fatalf("Windowed.Future(%d, %d) = %d, %d; NextUse %d, UsesRemaining %d",
+						id, after, next, rem, win.NextUse(id, after), win.UsesRemaining(id, after))
+				}
+			}
+		}
+	}
+}

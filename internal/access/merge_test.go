@@ -96,11 +96,7 @@ func TestSharedCacheMergedOracleWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay := func(oracle interface {
-		NextUse(dataset.SampleID, Iter) Iter
-		UsesRemaining(dataset.SampleID, Iter) int
-		IterationsPerEpoch() int
-	}) float64 {
+	replay := func(oracle cache.Oracle) float64 {
 		c, err := cache.New(ds.TotalBytes()/4, cache.NewLobster(oracle, cache.LobsterOptions{}))
 		if err != nil {
 			t.Fatal(err)

@@ -149,7 +149,7 @@ func (w *Windowed) horizon() Iter { return Iter(w.endEpoch * w.iters) }
 // NoAccess when it is never used again.
 func (w *Windowed) NextUse(id dataset.SampleID, after Iter) Iter {
 	list := w.window[id]
-	i := sort.Search(len(list), func(k int) bool { return list[k] > after })
+	i := firstAfter(list, after)
 	if i < len(list) {
 		return list[i]
 	}
@@ -165,8 +165,28 @@ func (w *Windowed) NextUse(id dataset.SampleID, after Iter) Iter {
 // does).
 func (w *Windowed) UsesRemaining(id dataset.SampleID, after Iter) int {
 	list := w.window[id]
-	i := sort.Search(len(list), func(k int) bool { return list[k] > after })
-	return len(list) - i + int(w.afterWindow[id])
+	return len(list) - firstAfter(list, after) + int(w.afterWindow[id])
+}
+
+// Future returns NextUse(id, after) and UsesRemaining(id, after) from one
+// search of the sample's window.
+func (w *Windowed) Future(id dataset.SampleID, after Iter) (next Iter, remaining int) {
+	list := w.window[id]
+	i := firstAfter(list, after)
+	remaining = len(list) - i + int(w.afterWindow[id])
+	switch {
+	case i < len(list):
+		return list[i], remaining
+	case remaining > 0:
+		return w.horizon(), remaining
+	}
+	return NoAccess, 0
+}
+
+// firstAfter returns the index of the first access in the ascending list
+// strictly after `after`, or len(list).
+func firstAfter(list []Iter, after Iter) int {
+	return sort.Search(len(list), func(k int) bool { return list[k] > after })
 }
 
 // IterationsPerEpoch returns I.

@@ -100,6 +100,18 @@ func New(capacity int64, policy Policy) (*Cache, error) {
 	return c, nil
 }
 
+// Reserve sizes the per-sample tables of the cache and of its policy for
+// ids in [0, numSamples), in one allocation each. It is for the caller
+// that knows the dataset's length: left alone, the tables double their way
+// up from empty as ids arrive, in every cache of every simulated campaign.
+// It changes no behaviour; ids beyond numSamples still grow the tables.
+func (c *Cache) Reserve(numSamples int) {
+	c.sizes = grown(c.sizes, numSamples-1, 0)
+	if p, ok := c.policy.(interface{ reserve(numSamples int) }); ok {
+		p.reserve(numSamples)
+	}
+}
+
 // Capacity returns the configured byte capacity.
 func (c *Cache) Capacity() int64 { return c.capacity }
 

@@ -31,6 +31,10 @@ func (f *fakeOracle) UsesRemaining(id dataset.SampleID, after Iter) int {
 	return n
 }
 
+func (f *fakeOracle) Future(id dataset.SampleID, after Iter) (Iter, int) {
+	return f.NextUse(id, after), f.UsesRemaining(id, after)
+}
+
 func (f *fakeOracle) IterationsPerEpoch() int { return f.iters }
 
 func mustCache(t *testing.T, capacity int64, p Policy) *Cache {

@@ -188,3 +188,146 @@ func TestCompactBoundsHeapAndKeepsVictims(t *testing.T) {
 		}
 	}
 }
+
+// futureQueries is what access.Plan and access.Windowed answer.
+type futureQueries interface {
+	Oracle
+	NextUse(id dataset.SampleID, after Iter) Iter
+	UsesRemaining(id dataset.SampleID, after Iter) int
+}
+
+// separateSearches answers Future the way the policies used to ask: next
+// use and remaining uses as two independent queries of the oracle, each
+// with its own search.
+type separateSearches struct{ futureQueries }
+
+func (o separateSearches) Future(id dataset.SampleID, after Iter) (Iter, int) {
+	return o.NextUse(id, after), o.UsesRemaining(id, after)
+}
+
+// TestSingleSearchKeepsVictims replays 100k accesses against every
+// oracle-driven policy over a full plan and over a sliding window, once
+// with the oracle's one-search Future and once with separate NextUse and
+// UsesRemaining queries. Both must evict the same samples in the same
+// order, under capacity pressure (positive ids) and proactively (ids
+// recorded as ^id).
+func TestSingleSearchKeepsVictims(t *testing.T) {
+	const samples, epochs = 2000, 50
+	ds, err := dataset.Generate(dataset.Spec{
+		Name: "single", NumSamples: samples, MeanSize: 1000, SigmaLog: 0.3, Classes: 2, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sampler.New(ds, sampler.Config{WorldSize: 1, BatchSize: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := s.IterationsPerEpoch()
+	oracles := map[string]func() (futureQueries, func(epoch int)){
+		"plan": func() (futureQueries, func(int)) {
+			plan, err := access.Build(s, 0, 1, epochs, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return plan, func(int) {}
+		},
+		"windowed": func() (futureQueries, func(int)) {
+			w, err := access.BuildWindowed(s, 0, 1, epochs, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w, w.Advance
+		},
+	}
+	policies := map[string]func(Oracle) Policy{
+		"belady":  NewBelady,
+		"lobster": func(o Oracle) Policy { return NewLobster(o, LobsterOptions{}) },
+		"nopfs":   NewNoPFS,
+	}
+	for oname, mkOracle := range oracles {
+		for pname, mkPolicy := range policies {
+			replay := func(separate bool) (out []dataset.SampleID) {
+				o, advance := mkOracle()
+				var oracle Oracle = o
+				if separate {
+					oracle = separateSearches{o}
+				}
+				c, err := New(ds.TotalBytes()*30/100, mkPolicy(oracle))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var batch []dataset.SampleID
+				for h := 0; h < epochs*iters; h++ {
+					now := Iter(h)
+					batch = s.NodeBatch(batch[:0], h/iters, h%iters, 0, 1)
+					for _, id := range batch {
+						if c.Get(id, now) {
+							continue
+						}
+						evicted, _ := c.Put(id, ds.Size(id), now)
+						out = append(out, evicted...)
+					}
+					for _, ev := range c.Maintain(now) {
+						out = append(out, ^ev)
+					}
+					if (h+1)%iters == 0 {
+						advance((h + 1) / iters)
+					}
+				}
+				return out
+			}
+			got, want := replay(false), replay(true)
+			if len(got) < samples || len(got) != len(want) {
+				t.Fatalf("%s over %s: %d evictions with one search, %d with separate searches", pname, oname, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s over %s: eviction %d is sample %d with one search, %d with separate searches", pname, oname, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestReserveSizesTablesOnce: after Reserve(n) a pass over every id below n
+// leaves each per-sample table where it was allocated, for every policy
+// that keeps one, and ids at or beyond n still work.
+func TestReserveSizesTablesOnce(t *testing.T) {
+	const n = 3000
+	o := &fakeOracle{iters: 10}
+	for _, p := range []Policy{NewLRU(), NewFIFO(), NewPageCache(), NewBelady(o), NewLobster(o, LobsterOptions{}), NewNoPFS(o)} {
+		c := mustCache(t, 1<<40, p)
+		c.Reserve(n)
+		tables := func() []any {
+			switch p := p.(type) {
+			case *lruPolicy:
+				return []any{&c.sizes[0], &p.order.prev[0], &p.order.next[0]}
+			case *pageCache:
+				return []any{&c.sizes[0], &p.probation.prev[0], &p.protected.next[0]}
+			case *plannedPolicy:
+				return []any{&c.sizes[0], &p.vers[0], &p.expiredSet[0]}
+			case *nopfsPolicy:
+				return []any{&c.sizes[0], &p.expiredSet[0], &p.lru.order.prev[0]}
+			}
+			t.Fatalf("no table list for policy %s", p.Name())
+			return nil
+		}
+		before := tables()
+		if len(c.sizes) != n {
+			t.Fatalf("%s: Reserve(%d) sized the cache's table to %d", p.Name(), n, len(c.sizes))
+		}
+		for id := dataset.SampleID(n - 1); id >= 0; id-- {
+			c.Put(id, 1, 0)
+			c.Get(id, 1)
+		}
+		for i, after := range tables() {
+			if after != before[i] {
+				t.Fatalf("%s: table %d was reallocated after Reserve", p.Name(), i)
+			}
+		}
+		if _, ok := c.Put(n+5, 1, 2); !ok || !c.Contains(n+5) {
+			t.Fatalf("%s: an id beyond the reserved range was not cached", p.Name())
+		}
+	}
+}

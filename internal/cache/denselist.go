@@ -49,6 +49,12 @@ func newDenseList() *denseList { return &denseList{head: listEnd, tail: listEnd}
 
 func (l *denseList) len() int { return l.n }
 
+// reserve sizes the list for ids in [0, n) at once.
+func (l *denseList) reserve(n int) {
+	l.prev = grown(l.prev, n-1, notInList)
+	l.next = grown(l.next, n-1, notInList)
+}
+
 //lint:hotpath one list op per simulated cache access; allocation here was the top source of per-iteration garbage
 func (l *denseList) contains(id dataset.SampleID) bool {
 	return uint(id) < uint(len(l.prev)) && l.prev[id] != notInList

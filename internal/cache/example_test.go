@@ -14,19 +14,12 @@ import (
 // 3 never again.
 type futureOracle struct{}
 
-func (futureOracle) NextUse(id dataset.SampleID, after cache.Iter) cache.Iter {
+func (futureOracle) Future(id dataset.SampleID, after cache.Iter) (next cache.Iter, remaining int) {
 	uses := map[dataset.SampleID]cache.Iter{1: 5, 2: 150, 9: 900}
 	if u, ok := uses[id]; ok && after < u {
-		return u
+		return u, 1
 	}
-	return cache.NoAccess
-}
-
-func (o futureOracle) UsesRemaining(id dataset.SampleID, after cache.Iter) int {
-	if o.NextUse(id, after) == cache.NoAccess {
-		return 0
-	}
-	return 1
+	return cache.NoAccess, 0
 }
 
 func (futureOracle) IterationsPerEpoch() int { return 100 }

@@ -34,6 +34,8 @@ func NewFIFO() Policy {
 
 func (p *lruPolicy) Name() string { return p.name }
 
+func (p *lruPolicy) reserve(numSamples int) { p.order.reserve(numSamples) }
+
 func (p *lruPolicy) OnPut(id dataset.SampleID, _ Iter) {
 	if p.order.contains(id) {
 		p.order.moveToFront(id)

@@ -41,6 +41,11 @@ func NewPageCache() Policy {
 
 func (p *pageCache) Name() string { return "page-cache" }
 
+func (p *pageCache) reserve(numSamples int) {
+	p.probation.reserve(numSamples)
+	p.protected.reserve(numSamples)
+}
+
 func (p *pageCache) OnPut(id dataset.SampleID, _ Iter) {
 	if p.probation.contains(id) || p.protected.contains(id) {
 		p.touch(id)

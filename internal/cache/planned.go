@@ -12,13 +12,14 @@ const NoAccess Iter = -1
 const farFuture Iter = 1 << 30
 
 // Oracle exposes the future-access knowledge a clairvoyant policy needs.
-// access.Plan satisfies it.
+// access.Plan and access.Windowed satisfy it.
 type Oracle interface {
-	// NextUse returns the first iteration strictly after `after` at which
-	// this node accesses the sample, or NoAccess.
-	NextUse(id dataset.SampleID, after Iter) Iter
-	// UsesRemaining returns the number of accesses strictly after `after`.
-	UsesRemaining(id dataset.SampleID, after Iter) int
+	// Future returns the first iteration strictly after `after` at which
+	// this node accesses the sample (NoAccess if none) and the number of
+	// its accesses strictly after `after`. One call, because the policies
+	// need both on every access and both come from the same search of the
+	// sample's access list.
+	Future(id dataset.SampleID, after Iter) (next Iter, remaining int)
 	// IterationsPerEpoch returns I.
 	IterationsPerEpoch() int
 }
@@ -94,8 +95,17 @@ func NewLobster(oracle Oracle, opts LobsterOptions) Policy {
 
 func (p *plannedPolicy) Name() string { return p.name }
 
-func (p *plannedPolicy) push(id dataset.SampleID, now Iter) {
-	next := p.oracle.NextUse(id, now)
+func (p *plannedPolicy) reserve(numSamples int) {
+	p.vers = grown(p.vers, numSamples-1, 0)
+	p.expiredSet = grown(p.expiredSet, numSamples-1, false)
+}
+
+// touch records an access of id at iteration now (an insertion or a hit):
+// it asks the oracle once for the sample's future after now, pushes the
+// new next use as the sample's live heap entry and applies the proactive
+// rules to it.
+func (p *plannedPolicy) touch(id dataset.SampleID, now Iter) {
+	next, remaining := p.oracle.Future(id, now)
 	key := next
 	if next == NoAccess {
 		key = farFuture
@@ -107,6 +117,7 @@ func (p *plannedPolicy) push(id dataset.SampleID, now Iter) {
 	v := p.vers[id] + 1
 	p.vers[id] = v
 	p.heapPush(heapEntry{id: id, key: key, ver: v})
+	p.applyRules(id, now, next, remaining)
 }
 
 // heapPush and heapPop implement the standard binary max-heap sift (the
@@ -178,23 +189,18 @@ func (p *plannedPolicy) compact(live int) {
 	}
 }
 
-func (p *plannedPolicy) OnPut(id dataset.SampleID, now Iter) {
-	p.push(id, now)
-	p.applyRules(id, now)
-}
+func (p *plannedPolicy) OnPut(id dataset.SampleID, now Iter) { p.touch(id, now) }
 
-func (p *plannedPolicy) OnGet(id dataset.SampleID, now Iter) {
-	// The access at `now` just happened; the relevant key is the use
-	// after it.
-	p.push(id, now)
-	p.applyRules(id, now)
-}
+// OnGet: the access at `now` just happened; the relevant key is the use
+// after it.
+func (p *plannedPolicy) OnGet(id dataset.SampleID, now Iter) { p.touch(id, now) }
 
-// applyRules queues proactive evictions per the Lobster sub-policies.
-// Checks run when a sample is touched — the only moments its future
-// changes — so the cost is O(1) per access. push has already grown the
-// per-id slices to cover id.
-func (p *plannedPolicy) applyRules(id dataset.SampleID, now Iter) {
+// applyRules queues proactive evictions per the Lobster sub-policies,
+// given the sample's next use and remaining uses after now. Checks run
+// when a sample is touched — the only moments its future changes — so the
+// cost is O(1) per access. touch has already grown the per-id slices to
+// cover id.
+func (p *plannedPolicy) applyRules(id dataset.SampleID, now, next Iter, remaining int) {
 	if !p.reuseCountRule && !p.reuseDistanceRule {
 		return
 	}
@@ -203,7 +209,7 @@ func (p *plannedPolicy) applyRules(id dataset.SampleID, now Iter) {
 	}
 	// Reuse count rule: no accesses left on this node => evict, unless
 	// this is the group's last copy.
-	if p.reuseCountRule && p.oracle.UsesRemaining(id, now) == 0 {
+	if p.reuseCountRule && remaining == 0 {
 		if p.isLastCopy == nil || !p.isLastCopy(id) {
 			p.expiredSet[id] = true
 			p.expired = append(p.expired, id)
@@ -214,7 +220,6 @@ func (p *plannedPolicy) applyRules(id dataset.SampleID, now Iter) {
 	// (distance > 2I - h, h = position within the current epoch) => the
 	// sample is safe to drop to make room for prefetches.
 	if p.reuseDistanceRule {
-		next := p.oracle.NextUse(id, now)
 		if next == NoAccess {
 			return // handled by the count rule when enabled
 		}
@@ -241,7 +246,7 @@ func (p *plannedPolicy) Victim(now Iter, incoming dataset.SampleID) (dataset.Sam
 		return NoSample, false
 	}
 	if incoming != NoSample {
-		inKey := p.oracle.NextUse(incoming, now)
+		inKey, _ := p.oracle.Future(incoming, now)
 		if inKey == NoAccess {
 			inKey = farFuture
 		}
@@ -301,6 +306,11 @@ func NewNoPFS(oracle Oracle) Policy {
 
 func (p *nopfsPolicy) Name() string { return "nopfs" }
 
+func (p *nopfsPolicy) reserve(numSamples int) {
+	p.lru.reserve(numSamples)
+	p.expiredSet = grown(p.expiredSet, numSamples-1, false)
+}
+
 func (p *nopfsPolicy) OnPut(id dataset.SampleID, now Iter) {
 	p.lru.OnPut(id, now)
 	p.check(id, now)
@@ -315,7 +325,10 @@ func (p *nopfsPolicy) check(id dataset.SampleID, now Iter) {
 	if int(id) >= len(p.expiredSet) {
 		p.expiredSet = grown(p.expiredSet, int(id), false)
 	}
-	if !p.expiredSet[id] && p.oracle.UsesRemaining(id, now) == 0 {
+	if p.expiredSet[id] {
+		return
+	}
+	if _, remaining := p.oracle.Future(id, now); remaining == 0 {
 		p.expiredSet[id] = true
 		p.expired = append(p.expired, id)
 	}

@@ -26,7 +26,8 @@ type Group struct {
 	replicas []int16 // per sample: number of caches holding it
 }
 
-// NewGroup wraps the per-node caches. numSamples bounds sample IDs.
+// NewGroup wraps the per-node caches. numSamples bounds sample IDs; the
+// caches' per-sample tables are sized for it here.
 func NewGroup(nodes []*cache.Cache, numSamples int) (*Group, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("distcache: no nodes")
@@ -38,6 +39,9 @@ func NewGroup(nodes []*cache.Cache, numSamples int) (*Group, error) {
 	}
 	if numSamples <= 0 {
 		return nil, fmt.Errorf("distcache: numSamples %d <= 0", numSamples)
+	}
+	for _, c := range nodes {
+		c.Reserve(numSamples)
 	}
 	return &Group{nodes: nodes, replicas: make([]int16, numSamples)}, nil
 }

@@ -57,33 +57,23 @@ func (a ThreadAlloc) Total() int { return a.Local + a.Remote + a.PFS }
 // guaranteeing at least one thread to every tier with work. It is how a
 // per-GPU thread budget from Algorithm 1 becomes the (α, β, γ) of
 // Equation 1.
-func SplitThreads(h tier.Hierarchy, pl BatchPlacement, n int, activeNodes int) ThreadAlloc {
+func SplitThreads(h *tier.Hierarchy, pl BatchPlacement, n int, activeNodes int) ThreadAlloc {
 	if n <= 0 {
 		return ThreadAlloc{}
 	}
 	// Single-thread cost per tier approximates its weight.
-	wLocal := h.ReadTime(tier.Local, pl.LocalBytes, pl.LocalOps, 1, activeNodes)
-	wRemote := h.ReadTime(tier.Remote, pl.RemoteBytes, pl.RemoteOps, 1, activeNodes)
-	wPFS := h.ReadTime(tier.PFS, pl.PFSBytes, pl.PFSOps, 1, activeNodes)
+	wLocal := h.Local.ReadTime(pl.LocalBytes, pl.LocalOps, 1)
+	wRemote := h.Remote.ReadTime(pl.RemoteBytes, pl.RemoteOps, 1)
+	wPFS := h.PFSNodeCurve(activeNodes).ReadTime(pl.PFSBytes, pl.PFSOps, 1)
 	total := wLocal + wRemote + wPFS
 	var alloc ThreadAlloc
 	if total <= 0 {
 		alloc.Local = n
 		return alloc
 	}
-	assign := func(w float64, ops int) int {
-		if ops == 0 {
-			return 0
-		}
-		k := int(math.Round(w / total * float64(n)))
-		if k < 1 {
-			k = 1
-		}
-		return k
-	}
-	alloc.Local = assign(wLocal, pl.LocalOps)
-	alloc.Remote = assign(wRemote, pl.RemoteOps)
-	alloc.PFS = assign(wPFS, pl.PFSOps)
+	alloc.Local = tierShare(wLocal/total, n, pl.LocalOps)
+	alloc.Remote = tierShare(wRemote/total, n, pl.RemoteOps)
+	alloc.PFS = tierShare(wPFS/total, n, pl.PFSOps)
 	// Trim rounding overshoot from the largest share; pad undershoot onto
 	// the most loaded tier.
 	for alloc.Total() > n && alloc.Total() > 1 {
@@ -113,6 +103,19 @@ func SplitThreads(h tier.Hierarchy, pl BatchPlacement, n int, activeNodes int) T
 	return alloc
 }
 
+// tierShare is a tier's rounded share of n threads given its fraction of
+// the load time: none without work, otherwise at least one.
+func tierShare(frac float64, n, ops int) int {
+	if ops == 0 {
+		return 0
+	}
+	k := int(math.Round(frac * float64(n)))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
 // LoadTime evaluates Equation 1: the duration of loading a mini-batch with
 // the given placement and per-tier thread allocation, with activeNodes
 // nodes sharing the PFS.
@@ -122,7 +125,7 @@ func SplitThreads(h tier.Hierarchy, pl BatchPlacement, n int, activeNodes int) T
 // has fewer loading threads than tiers with work, e.g. PyTorch's one
 // worker doing local then PFS reads in turn). Only an entirely empty
 // allocation with pending work yields +Inf.
-func LoadTime(h tier.Hierarchy, pl BatchPlacement, alloc ThreadAlloc, activeNodes int) float64 {
+func LoadTime(h *tier.Hierarchy, pl BatchPlacement, alloc ThreadAlloc, activeNodes int) float64 {
 	local, remote, pfs := LoadTimeParts(h, pl, alloc, activeNodes)
 	return local + remote + pfs
 }
@@ -130,7 +133,7 @@ func LoadTime(h tier.Hierarchy, pl BatchPlacement, alloc ThreadAlloc, activeNode
 // LoadTimeParts returns the three Equation 1 terms separately, letting
 // callers perturb individual tiers (the simulator injects PFS burstiness
 // into the third term only).
-func LoadTimeParts(h tier.Hierarchy, pl BatchPlacement, alloc ThreadAlloc, activeNodes int) (local, remote, pfs float64) {
+func LoadTimeParts(h *tier.Hierarchy, pl BatchPlacement, alloc ThreadAlloc, activeNodes int) (local, remote, pfs float64) {
 	total := alloc.Total()
 	if total == 0 {
 		if pl.TotalOps() > 0 {
@@ -139,19 +142,20 @@ func LoadTimeParts(h tier.Hierarchy, pl BatchPlacement, alloc ThreadAlloc, activ
 		}
 		return 0, 0, 0
 	}
-	threadsFor := func(dedicated, ops int) int {
-		if ops == 0 {
-			return dedicated
-		}
-		if dedicated == 0 {
-			return total // time-shared across tiers
-		}
-		return dedicated
-	}
-	local = h.ReadTime(tier.Local, pl.LocalBytes, pl.LocalOps, threadsFor(alloc.Local, pl.LocalOps), activeNodes)
-	remote = h.ReadTime(tier.Remote, pl.RemoteBytes, pl.RemoteOps, threadsFor(alloc.Remote, pl.RemoteOps), activeNodes)
-	pfs = h.ReadTime(tier.PFS, pl.PFSBytes, pl.PFSOps, threadsFor(alloc.PFS, pl.PFSOps), activeNodes)
+	local = h.Local.ReadTime(pl.LocalBytes, pl.LocalOps, tierThreads(alloc.Local, pl.LocalOps, total))
+	remote = h.Remote.ReadTime(pl.RemoteBytes, pl.RemoteOps, tierThreads(alloc.Remote, pl.RemoteOps, total))
+	pfs = h.PFSNodeCurve(activeNodes).ReadTime(pl.PFSBytes, pl.PFSOps, tierThreads(alloc.PFS, pl.PFSOps, total))
 	return local, remote, pfs
+}
+
+// tierThreads is the thread count a tier's ops are read with: its
+// dedicated threads, or, for a busy tier that has none, the whole
+// allocation time-shared across tiers.
+func tierThreads(dedicated, ops, total int) int {
+	if ops > 0 && dedicated == 0 {
+		return total
+	}
+	return dedicated
 }
 
 // TimeDifference is the Equation 2 objective for one GPU: the signed gap
@@ -217,8 +221,9 @@ func FitPortfolio(pool *par.Pool, sizes []int64, maxThreads, segments int,
 	return p, nil
 }
 
-// modelFor returns the model whose size is closest to the requested one.
-func (p *PreprocPortfolio) modelFor(size int64) *stats.PiecewiseLinear {
+// closest returns the index of the fitted size closest to the requested
+// one.
+func (p *PreprocPortfolio) closest(size int64) int {
 	best, bestDiff := 0, int64(math.MaxInt64)
 	for i, s := range p.sizes {
 		d := s - size
@@ -229,17 +234,17 @@ func (p *PreprocPortfolio) modelFor(size int64) *stats.PiecewiseLinear {
 			best, bestDiff = i, d
 		}
 	}
-	return p.models[best]
+	return best
 }
 
 // SampleTime predicts the per-sample preprocessing time for a sample of
 // the given size with n threads.
 func (p *PreprocPortfolio) SampleTime(size int64, n int) float64 {
-	t := p.modelFor(size).Eval(float64(n))
+	i := p.closest(size)
+	t := p.models[i].Eval(float64(n))
 	// Per-sample time scales with actual size relative to the fitted
 	// bucket: the kernels are streaming, so time is ~linear in bytes.
-	bucket := p.closestSize(size)
-	if bucket > 0 {
+	if bucket := p.sizes[i]; bucket > 0 {
 		t *= float64(size) / float64(bucket)
 	}
 	return t
@@ -259,7 +264,7 @@ func (p *PreprocPortfolio) BatchTime(bytes int64, count, n int) float64 {
 // per-sample time for the given size — the "optimal number of
 // preprocessing threads" of Section 4.1, Step 1.
 func (p *PreprocPortfolio) PeakThreads(size int64, maxThreads int) int {
-	m := p.modelFor(size)
+	m := p.models[p.closest(size)]
 	best, bestN := math.Inf(1), 1
 	for n := 1; n <= maxThreads; n++ {
 		if t := m.Eval(float64(n)); t < best-1e-15 {
@@ -267,20 +272,6 @@ func (p *PreprocPortfolio) PeakThreads(size int64, maxThreads int) int {
 		}
 	}
 	return bestN
-}
-
-func (p *PreprocPortfolio) closestSize(size int64) int64 {
-	best, bestDiff := int64(0), int64(math.MaxInt64)
-	for _, s := range p.sizes {
-		d := s - size
-		if d < 0 {
-			d = -d
-		}
-		if d < bestDiff {
-			best, bestDiff = s, d
-		}
-	}
-	return best
 }
 
 // Sizes returns the portfolio's fitted size buckets.

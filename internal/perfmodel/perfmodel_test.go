@@ -23,7 +23,7 @@ func TestSplitThreadsCoversAllTiers(t *testing.T) {
 	pl := BatchPlacement{LocalBytes: 1e6, RemoteBytes: 1e6, PFSBytes: 1e6,
 		LocalOps: 10, RemoteOps: 10, PFSOps: 10}
 	for n := 3; n <= 16; n++ {
-		a := SplitThreads(h, pl, n, 1)
+		a := SplitThreads(&h, pl, n, 1)
 		if a.Total() != n {
 			t.Fatalf("n=%d: total alloc %d", n, a.Total())
 		}
@@ -40,14 +40,14 @@ func TestSplitThreadsCoversAllTiers(t *testing.T) {
 func TestSplitThreadsSkipsEmptyTiers(t *testing.T) {
 	h := tier.ThetaGPULike()
 	pl := BatchPlacement{LocalBytes: 1e6, LocalOps: 10}
-	a := SplitThreads(h, pl, 4, 1)
+	a := SplitThreads(&h, pl, 4, 1)
 	if a.Local != 4 || a.Remote != 0 || a.PFS != 0 {
 		t.Fatalf("all threads should go local: %+v", a)
 	}
-	if got := SplitThreads(h, BatchPlacement{}, 4, 1); got.Local != 4 {
+	if got := SplitThreads(&h, BatchPlacement{}, 4, 1); got.Local != 4 {
 		t.Fatalf("empty placement should default to local: %+v", got)
 	}
-	if got := SplitThreads(h, pl, 0, 1); got.Total() != 0 {
+	if got := SplitThreads(&h, pl, 0, 1); got.Total() != 0 {
 		t.Fatalf("zero budget should allocate nothing: %+v", got)
 	}
 }
@@ -76,7 +76,7 @@ func TestSplitThreadsPropertyExact(t *testing.T) {
 			}
 		}
 		n := int(nRaw%16) + tiersWithWork + 1 // enough threads for every busy tier
-		a := SplitThreads(h, pl, n, 2)
+		a := SplitThreads(&h, pl, n, 2)
 		if a.Total() != n {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestLoadTimeEquation1(t *testing.T) {
 	pl := BatchPlacement{LocalBytes: 2e6, RemoteBytes: 3e6, PFSBytes: 4e6,
 		LocalOps: 20, RemoteOps: 30, PFSOps: 40}
 	alloc := ThreadAlloc{Local: 2, Remote: 2, PFS: 4}
-	got := LoadTime(h, pl, alloc, 1)
+	got := LoadTime(&h, pl, alloc, 1)
 	want := h.ReadTime(tier.Local, 2e6, 20, 2, 1) +
 		h.ReadTime(tier.Remote, 3e6, 30, 2, 1) +
 		h.ReadTime(tier.PFS, 4e6, 40, 4, 1)
@@ -113,10 +113,10 @@ func TestLoadTimeEquation1(t *testing.T) {
 func TestLoadTimeInfiniteWithoutAnyThreads(t *testing.T) {
 	h := tier.ThetaGPULike()
 	pl := BatchPlacement{PFSBytes: 1e6, PFSOps: 10}
-	if got := LoadTime(h, pl, ThreadAlloc{}, 1); !math.IsInf(got, 1) {
+	if got := LoadTime(&h, pl, ThreadAlloc{}, 1); !math.IsInf(got, 1) {
 		t.Fatalf("work with zero threads gave %g, want +Inf", got)
 	}
-	if got := LoadTime(h, BatchPlacement{}, ThreadAlloc{}, 1); got != 0 {
+	if got := LoadTime(&h, BatchPlacement{}, ThreadAlloc{}, 1); got != 0 {
 		t.Fatalf("no work, no threads gave %g, want 0", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestLoadTimeTimeSharedTier(t *testing.T) {
 	// full allocation on the orphan tier.
 	h := tier.ThetaGPULike()
 	pl := BatchPlacement{LocalBytes: 1e6, LocalOps: 10, PFSBytes: 1e6, PFSOps: 10}
-	got := LoadTime(h, pl, ThreadAlloc{Local: 1}, 1)
+	got := LoadTime(&h, pl, ThreadAlloc{Local: 1}, 1)
 	want := h.ReadTime(tier.Local, 1e6, 10, 1, 1) + h.ReadTime(tier.PFS, 1e6, 10, 1, 1)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("time-shared LoadTime = %g, want %g", got, want)
@@ -137,8 +137,8 @@ func TestLoadTimeTimeSharedTier(t *testing.T) {
 func TestLoadTimeMoreThreadsFaster(t *testing.T) {
 	h := tier.ThetaGPULike()
 	pl := BatchPlacement{PFSBytes: 10e6, PFSOps: 100}
-	t2 := LoadTime(h, pl, ThreadAlloc{PFS: 2}, 1)
-	t8 := LoadTime(h, pl, ThreadAlloc{PFS: 8}, 1)
+	t2 := LoadTime(&h, pl, ThreadAlloc{PFS: 2}, 1)
+	t8 := LoadTime(&h, pl, ThreadAlloc{PFS: 8}, 1)
 	if t8 >= t2 {
 		t.Fatalf("8 PFS threads (%g) not faster than 2 (%g)", t8, t2)
 	}

@@ -298,14 +298,12 @@ func newSim(cfg Config) (*sim, error) {
 			oracles[n] = w
 		}
 	} else {
-		s.plans = make([]*access.Plan, s.nodes)
-		for n := 0; n < s.nodes; n++ {
-			plan, err := access.Build(sched, n, s.gpus, cfg.Epochs, 0)
-			if err != nil {
-				return nil, err
-			}
-			s.plans[n] = plan
-			oracles[n] = plan
+		s.plans, err = access.BuildAll(sched, s.nodes, s.gpus, cfg.Epochs, 0)
+		if err != nil {
+			return nil, err
+		}
+		for n, p := range s.plans {
+			oracles[n] = p
 		}
 	}
 	caches := make([]*cache.Cache, s.nodes)
@@ -565,7 +563,7 @@ func (s *sim) nodeTimes(n, activePFS int, prevFactor []float64) {
 		s.preThreads[n] = p
 		for j := 0; j < s.gpus; j++ {
 			pl := s.placements[n][j]
-			alloc := perfmodel.SplitThreads(s.hier, pl, spec.LoadingPerGPU, activePFS)
+			alloc := perfmodel.SplitThreads(&s.hier, pl, spec.LoadingPerGPU, activePFS)
 			s.loadTimes[n][j] = s.noisyLoadTime(n*s.gpus+j, pl, alloc, activePFS)
 			s.preTimes[n][j] = s.preShare(pl, p)
 			s.loadThreads[n][j] = spec.LoadingPerGPU
@@ -575,7 +573,7 @@ func (s *sim) nodeTimes(n, activePFS int, prevFactor []float64) {
 		s.preThreads[n] = p
 		for j := 0; j < s.gpus; j++ {
 			pl := s.placements[n][j]
-			alloc := perfmodel.SplitThreads(s.hier, pl, spec.SharedLoading, activePFS)
+			alloc := perfmodel.SplitThreads(&s.hier, pl, spec.SharedLoading, activePFS)
 			s.works[j] = s.noisyLoadTime(n*s.gpus+j, pl, alloc, activePFS)
 		}
 		sharedPoolTimes(s.works, s.loadTimes[n], s.poolScratch)
@@ -610,7 +608,7 @@ func (s *sim) nodeTimes(n, activePFS int, prevFactor []float64) {
 		s.preThreads[n] = dec.PreprocThreads
 		for j := 0; j < s.gpus; j++ {
 			pl := s.placements[n][j]
-			alloc := perfmodel.SplitThreads(s.hier, pl, dec.Loading[j], activePFS)
+			alloc := perfmodel.SplitThreads(&s.hier, pl, dec.Loading[j], activePFS)
 			s.loadTimes[n][j] = s.noisyLoadTime(n*s.gpus+j, pl, alloc, activePFS)
 			s.preTimes[n][j] = s.preShare(pl, dec.PreprocThreads)
 			s.loadThreads[n][j] = dec.Loading[j]
@@ -662,7 +660,7 @@ func (s *sim) applyNUMA(n int) {
 // onto a large finite stall so the simulation continues (and the strategy
 // pays dearly).
 func (s *sim) noisyLoadTime(g int, pl perfmodel.BatchPlacement, alloc perfmodel.ThreadAlloc, activePFS int) float64 {
-	local, remote, pfs := perfmodel.LoadTimeParts(s.hier, pl, alloc, activePFS)
+	local, remote, pfs := perfmodel.LoadTimeParts(&s.hier, pl, alloc, activePFS)
 	if math.IsInf(local, 1) {
 		return 3600 // an hour of virtual stall; only reachable via misconfiguration
 	}

@@ -133,8 +133,14 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 			return fail(err)
 		}
 	}
-	for n := 0; n < top.Nodes; n++ {
-		if err := rt.addNode(n, portfolio); err != nil {
+	// Every node's plan from one walk of the schedule, before the first
+	// node starts: set-up a run pays once, ahead of its first iteration.
+	plans, err := access.BuildAll(sched, top.Nodes, rt.gpus, opts.Epochs, 0)
+	if err != nil {
+		return fail(err)
+	}
+	for n, plan := range plans {
+		if err := rt.addNode(n, plan, portfolio); err != nil {
 			return fail(err)
 		}
 	}
@@ -146,22 +152,19 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	return rt, cleanup, nil
 }
 
-// addNode builds node n, starts its goroutines and appends it to the
-// runtime together with its thread manager (nil when portfolio is nil:
-// the strategy is not dynamic). Every step that can fail comes before the
-// node's first goroutine — the pool, which starts its workers, is the last
-// of them — so a node is either not started at all or in rt.nodes for
-// shutdown to stop.
-func (rt *Runtime) addNode(n int, portfolio *perfmodel.PreprocPortfolio) error {
+// addNode builds node n around its access plan, starts its goroutines and
+// appends it to the runtime together with its thread manager (nil when
+// portfolio is nil: the strategy is not dynamic). Every step that can fail
+// comes before the node's first goroutine — the pool, which starts its
+// workers, is the last of them — so a node is either not started at all or
+// in rt.nodes for shutdown to stop.
+func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.PreprocPortfolio) error {
 	opts, top := &rt.opts, rt.opts.Topology
-	plan, err := access.Build(rt.sched, n, rt.gpus, opts.Epochs, 0)
-	if err != nil {
-		return err
-	}
 	nc, err := newNodeCache(n, top.CacheBytes, buildNodePolicy(opts.Strategy, plan, n, rt.dir), rt.dir)
 	if err != nil {
 		return err
 	}
+	nc.c.Reserve(rt.ds.Len())
 	var mgr *threadmgr.Manager
 	if portfolio != nil {
 		mgr, err = threadmgr.New(threadmgr.Config{

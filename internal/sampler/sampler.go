@@ -34,8 +34,14 @@ type Schedule struct {
 	seed      uint64
 	iters     int // iterations per epoch, I = floor(|D| / (B*G))
 
-	// Tiny permutation cache: schedules are consumed epoch by epoch, and
-	// planner + runtime may look one epoch ahead, so two slots suffice.
+	// Tiny permutation cache. Two slots suffice because every consumer
+	// moves through the epochs in order and at most two are in use at a
+	// time: the plan builders (access.BuildAll, BuildWindowed) walk one
+	// epoch after the other, once, before the run starts; the run itself
+	// (the simulator's step and prefetch cursor, the runtime's ranks,
+	// prefetch feed and thread decisions) reads the current epoch and,
+	// near its end, the first iterations of the next. A consumer that
+	// alternated between three epochs would reshuffle on every call.
 	// Guarded by mu: the online runtime calls Batch from many goroutines.
 	mu    sync.Mutex
 	cache [2]permEntry

@@ -6,12 +6,12 @@ import (
 )
 
 // exhaustiveBest brute-forces the loading thread count in [1, lmax] that
-// minimizes |T_L + T_P - T_train| for one GPU — the optimum Algorithm 1's
-// binary search approximates.
-func exhaustiveBest(m *Manager, d GPUDemand, lmax, p, gpus int, trainTime float64, activeNodes int) (int, float64) {
+// minimizes |T_L + T_P - T_train| for GPU j of the Decide m has begun —
+// the optimum Algorithm 1's binary search approximates.
+func exhaustiveBest(m *Manager, j, lmax, p int) (int, float64) {
 	best, bestDiff := 1, math.Inf(1)
 	for n := 1; n <= lmax; n++ {
-		diff := math.Abs(m.timeDiff(d, n, p, gpus, trainTime, activeNodes))
+		diff := math.Abs(m.timeDiff(j, n, p))
 		if diff < bestDiff {
 			best, bestDiff = n, diff
 		}
@@ -33,10 +33,10 @@ func TestSearchThreadsNearOptimal(t *testing.T) {
 	for _, misses := range []int{2, 6, 12, 20, 28, 32} {
 		for _, train := range []float64{0.012, 0.030, 0.050, 0.070} {
 			for _, p := range []int{4, 6, 8} {
-				d := demand(misses)
-				got := m.searchThreads(d, 2, lmax, p, 4, train, 1)
-				gotDiff := math.Abs(m.timeDiff(d, got, p, 4, train, 1))
-				_, bestDiff := exhaustiveBest(m, d, lmax, p, 4, train, 1)
+				m.begin(fourOf(demand(misses)), train, 1)
+				got := m.searchThreads(0, 2, lmax, p)
+				gotDiff := math.Abs(m.timeDiff(0, got, p))
+				_, bestDiff := exhaustiveBest(m, 0, lmax, p)
 				cases++
 				// Accept the heuristic when it converges below tau (both
 				// are "good enough") or lands within 50% of the optimum
@@ -70,8 +70,8 @@ func TestSearchThreadsTerminatesUnderTinyTau(t *testing.T) {
 	// stop the search.
 	tiny := *pmPortfolio
 	tiny.cfg.Tau = 1e-9
-	d := demand(16)
-	got := tiny.searchThreads(d, 1, 16, 6, 4, 0.05, 1)
+	tiny.begin(fourOf(demand(16)), 0.05, 1)
+	got := tiny.searchThreads(0, 1, 16, 6)
 	if got < 1 || got > 16 {
 		t.Fatalf("searchThreads out of range under tiny tau: %d", got)
 	}

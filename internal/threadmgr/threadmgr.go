@@ -66,11 +66,38 @@ type Config struct {
 	MaxPreprocThreads int
 }
 
-// Manager makes thread decisions for one node. It is stateless between
-// calls except for configuration, so one instance may serve many
-// iterations.
+// Manager makes thread decisions for one node. It keeps no decision
+// state between calls, so one instance serves every iteration of a run,
+// but it does keep the scratch of the Decide in progress (the call's
+// inputs, the table its model terms are computed into, the search
+// window): one Manager runs one Decide at a time. Both callers do — the
+// simulator is single-goroutine and the runtime decides on the barrier's
+// last arriver — and a Decision never points into the scratch.
 type Manager struct {
 	cfg Config
+
+	// Inputs of the Decide in progress, set by begin.
+	gpus        []GPUDemand
+	trainTime   float64
+	activeNodes int
+
+	// memo[j*stride+n] holds GPU j's Equation 1 and preprocessing terms at
+	// thread count n, each computed at most once per Decide: within one
+	// call both are pure functions of (j, n), and Algorithm 1, rebalance
+	// and the steal loop ask for the same few pairs hundreds of times.
+	memo   []memoCell
+	stride int // TotalThreads + 2: thread counts 0..TotalThreads+1
+
+	given  []bool    // proportionalAlloc's per-sweep marks, one per GPU
+	window []float64 // searchThreads' explored gaps
+}
+
+// memoCell is one (GPU, thread count) entry of the table. The has flags,
+// not the values, say whether a term is known: +Inf (no threads) and 0
+// (no work) are ordinary results.
+type memoCell struct {
+	load, pre       float64
+	hasLoad, hasPre bool
 }
 
 // New validates the configuration and returns a Manager.
@@ -90,39 +117,83 @@ func New(cfg Config) (*Manager, error) {
 	if err := cfg.Hierarchy.Validate(); err != nil {
 		return nil, fmt.Errorf("threadmgr: %w", err)
 	}
-	return &Manager{cfg: cfg}, nil
+	return &Manager{cfg: cfg, stride: cfg.TotalThreads + 2}, nil
+}
+
+// begin opens a Decide over the given demands: every model term asked
+// for until the next begin is computed from them, once.
+func (m *Manager) begin(gpus []GPUDemand, trainTime float64, activeNodes int) {
+	m.gpus, m.trainTime, m.activeNodes = gpus, trainTime, activeNodes
+	cells := len(gpus) * m.stride
+	if cells > len(m.memo) { // more GPUs than any Decide before
+		m.memo = make([]memoCell, cells)
+		m.given = make([]bool, len(gpus))
+	} else {
+		clear(m.memo[:cells])
+	}
 }
 
 // preprocTime predicts GPU j's preprocessing duration when the node pool
-// has p threads shared by m GPUs: the GPU's batch is processed at an equal
-// share of the pool's throughput.
-func (m *Manager) preprocTime(d GPUDemand, p, gpus int) float64 {
+// has p threads shared by the call's GPUs: the GPU's batch is processed at
+// an equal share of the pool's throughput.
+//
+//lint:hotpath read hundreds of times per Decide; a lookup must not cost more than the model term it saves
+func (m *Manager) preprocTime(j, p int) float64 {
+	if uint(p) >= uint(m.stride) {
+		return m.evalPreproc(j, p)
+	}
+	c := &m.memo[j*m.stride+p]
+	if !c.hasPre {
+		c.pre, c.hasPre = m.evalPreproc(j, p), true
+	}
+	return c.pre
+}
+
+// evalPreproc computes the term preprocTime looks up.
+func (m *Manager) evalPreproc(j, p int) float64 {
+	d := &m.gpus[j]
 	if d.PreprocCount == 0 || p <= 0 {
 		return 0
 	}
-	return m.cfg.Portfolio.BatchTime(d.PreprocBytes, d.PreprocCount, p) * float64(gpus)
+	return m.cfg.Portfolio.BatchTime(d.PreprocBytes, d.PreprocCount, p) * float64(len(m.gpus))
 }
 
 // loadTime predicts GPU j's loading duration with n threads, applying the
 // observed PFS slowdown feedback to the PFS term.
-func (m *Manager) loadTime(d GPUDemand, n, activeNodes int) float64 {
+//
+//lint:hotpath read hundreds of times per Decide; a lookup must not cost more than the model term it saves
+func (m *Manager) loadTime(j, n int) float64 {
+	if uint(n) >= uint(m.stride) {
+		return m.evalLoad(j, n)
+	}
+	c := &m.memo[j*m.stride+n]
+	if !c.hasLoad {
+		c.load, c.hasLoad = m.evalLoad(j, n), true
+	}
+	return c.load
+}
+
+// evalLoad computes the term loadTime looks up: Equation 1 under the
+// thread split SplitThreads derives for n threads.
+func (m *Manager) evalLoad(j, n int) float64 {
+	d := &m.gpus[j]
 	if d.Placement.TotalOps() == 0 {
 		return 0
 	}
 	if n <= 0 {
 		return math.Inf(1)
 	}
-	alloc := perfmodel.SplitThreads(m.cfg.Hierarchy, d.Placement, n, activeNodes)
-	local, remote, pfs := perfmodel.LoadTimeParts(m.cfg.Hierarchy, d.Placement, alloc, activeNodes)
+	alloc := perfmodel.SplitThreads(&m.cfg.Hierarchy, d.Placement, n, m.activeNodes)
+	local, remote, pfs := perfmodel.LoadTimeParts(&m.cfg.Hierarchy, d.Placement, alloc, m.activeNodes)
 	if d.PFSSlowdown > 0 {
 		pfs *= d.PFSSlowdown
 	}
 	return local + remote + pfs
 }
 
-// timeDiff is Equation 2 for one GPU under (loading threads n, preproc p).
-func (m *Manager) timeDiff(d GPUDemand, n, p, gpus int, trainTime float64, activeNodes int) float64 {
-	return perfmodel.TimeDifference(m.loadTime(d, n, activeNodes), m.preprocTime(d, p, gpus), trainTime)
+// timeDiff is Equation 2 for GPU j under (loading threads n, preproc p).
+func (m *Manager) timeDiff(j, n, p int) float64 {
+	return perfmodel.TimeDifference(m.loadTime(j, n), m.preprocTime(j, p), m.trainTime)
 }
 
 // Decide produces the node's thread plan for the next iteration.
@@ -139,6 +210,7 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 	if nGPU == 0 {
 		return Decision{PreprocThreads: m.cfg.MinPreprocThreads}
 	}
+	m.begin(gpus, trainTime, activeNodes)
 
 	// Step 1: preprocessing threads at peak throughput for the average
 	// sample size, bounded so every GPU can keep at least one loading
@@ -174,8 +246,9 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 		}
 	}
 
-	// Step 2: proportional initial allocation (Section 4.2).
-	loading := proportionalAlloc(gpus, budget)
+	// Step 2: proportional initial allocation (Section 4.2). The plan is
+	// allocated per call: callers keep a Decision across later Decides.
+	loading := proportionalAlloc(gpus, budget, m.given[:nGPU])
 
 	// Straggler prediction: a GPU whose Equation 2 gap is positive beyond
 	// τ will finish assembling its mini-batch after training wants it —
@@ -184,8 +257,8 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 	// heuristic; proportional allocation already serves them.
 	diffs := make([]float64, nGPU)
 	straggler := false
-	for j, d := range gpus {
-		diffs[j] = m.timeDiff(d, loading[j], p, nGPU, trainTime, activeNodes)
+	for j := range gpus {
+		diffs[j] = m.timeDiff(j, loading[j], p)
 		if diffs[j] >= m.cfg.Tau {
 			straggler = true
 		}
@@ -196,15 +269,15 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 
 	// Step 3: Algorithm 1 per GPU, then fit the budget, then steal from
 	// preprocessing while it stays off the critical path.
-	for j, d := range gpus {
-		loading[j] = m.searchThreads(d, loading[j], budget, p, nGPU, trainTime, activeNodes)
+	for j := range gpus {
+		loading[j] = m.searchThreads(j, loading[j], budget, p)
 	}
-	m.rebalance(gpus, loading, budget, p, nGPU, trainTime, activeNodes)
+	m.rebalance(loading, budget, p)
 
 	for p > m.cfg.MinPreprocThreads {
 		worst, worstDiff := -1, m.cfg.Tau
-		for j, d := range gpus {
-			diff := m.timeDiff(d, loading[j], p, nGPU, trainTime, activeNodes)
+		for j := range gpus {
+			diff := m.timeDiff(j, loading[j], p)
 			if diff > worstDiff {
 				worst, worstDiff = j, diff
 			}
@@ -215,8 +288,8 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 		// Taking a preprocessing thread must not make preprocessing the
 		// bottleneck (Section 4.1, Step 2's guard).
 		preBottleneck := false
-		for _, d := range gpus {
-			if m.preprocTime(d, p-1, nGPU) >= trainTime {
+		for j := range gpus {
+			if m.preprocTime(j, p-1) >= trainTime {
 				preBottleneck = true
 				break
 			}
@@ -228,15 +301,15 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 		loading[worst]++
 	}
 
-	for j, d := range gpus {
-		diffs[j] = m.timeDiff(d, loading[j], p, nGPU, trainTime, activeNodes)
+	for j := range gpus {
+		diffs[j] = m.timeDiff(j, loading[j], p)
 	}
 	return Decision{PreprocThreads: p, Loading: loading, PredictedDiff: diffs, UsedAlgorithm1: true}
 }
 
 // proportionalAlloc splits the budget by queue length, guaranteeing one
-// thread per GPU.
-func proportionalAlloc(gpus []GPUDemand, budget int) []int {
+// thread per GPU. given is caller-provided scratch of len(gpus).
+func proportionalAlloc(gpus []GPUDemand, budget int, given []bool) []int {
 	n := len(gpus)
 	loading := make([]int, n)
 	totalQ := 0
@@ -268,7 +341,7 @@ func proportionalAlloc(gpus []GPUDemand, budget int) []int {
 	// queues first (each GPU at most once per sweep, so ties spread
 	// evenly instead of piling onto the first GPU).
 	for left := remaining - assigned; left > 0; {
-		given := make([]bool, n)
+		clear(given)
 		for ; left > 0; left-- {
 			best, bestQ := -1, -1
 			for j, d := range gpus {
@@ -296,7 +369,7 @@ func proportionalAlloc(gpus []GPUDemand, budget int) []int {
 // physically consistent move is the opposite (more threads when the
 // pipeline is too slow), which is what we implement; the listing's
 // variable naming appears inverted.
-func (m *Manager) searchThreads(d GPUDemand, initial, lmax, p, gpus int, trainTime float64, activeNodes int) int {
+func (m *Manager) searchThreads(j, initial, lmax, p int) int {
 	if lmax < 1 {
 		lmax = 1
 	}
@@ -307,16 +380,16 @@ func (m *Manager) searchThreads(d GPUDemand, initial, lmax, p, gpus int, trainTi
 	if cur > lmax {
 		cur = lmax
 	}
-	diff := m.timeDiff(d, cur, p, gpus, trainTime, activeNodes)
+	diff := m.timeDiff(j, cur, p)
 	if math.Abs(diff) < m.cfg.Tau {
 		return cur
 	}
 	best, bestDiff := cur, math.Abs(diff)
 	lo, hi := 0, lmax // open-below, closed-above interval
-	window := make([]float64, 0, lmax+1)
+	m.window = m.window[:0]
 	for math.Abs(diff) >= m.cfg.Tau {
-		window = append(window, diff)
-		if len(window) > lmax || windowStalled(window) {
+		m.window = append(m.window, diff)
+		if len(m.window) > lmax || windowStalled(m.window) {
 			break
 		}
 		if diff > 0 {
@@ -329,7 +402,7 @@ func (m *Manager) searchThreads(d GPUDemand, initial, lmax, p, gpus int, trainTi
 			break
 		}
 		cur = next
-		diff = m.timeDiff(d, cur, p, gpus, trainTime, activeNodes)
+		diff = m.timeDiff(j, cur, p)
 		if math.Abs(diff) < bestDiff {
 			best, bestDiff = cur, math.Abs(diff)
 		}
@@ -347,18 +420,18 @@ func windowStalled(w []float64) bool {
 // rebalance adjusts per-GPU counts to exactly the budget while minimizing
 // the Equation 3 spread: threads are taken from the GPU with the most
 // headroom (most negative gap) and given to the GPU with the worst gap.
-func (m *Manager) rebalance(gpus []GPUDemand, loading []int, budget, p, nGPU int, trainTime float64, activeNodes int) {
+func (m *Manager) rebalance(loading []int, budget, p int) {
 	sum := 0
 	for _, l := range loading {
 		sum += l
 	}
 	for sum > budget {
 		best, bestDiff := -1, math.Inf(1)
-		for j, d := range gpus {
+		for j := range loading {
 			if loading[j] <= 1 {
 				continue
 			}
-			diff := m.timeDiff(d, loading[j]-1, p, nGPU, trainTime, activeNodes)
+			diff := m.timeDiff(j, loading[j]-1, p)
 			if diff < bestDiff {
 				best, bestDiff = j, diff
 			}
@@ -371,8 +444,8 @@ func (m *Manager) rebalance(gpus []GPUDemand, loading []int, budget, p, nGPU int
 	}
 	for sum < budget {
 		worst, worstDiff := 0, math.Inf(-1)
-		for j, d := range gpus {
-			diff := m.timeDiff(d, loading[j], p, nGPU, trainTime, activeNodes)
+		for j := range loading {
+			diff := m.timeDiff(j, loading[j], p)
 			if diff > worstDiff {
 				worst, worstDiff = j, diff
 			}

@@ -46,6 +46,10 @@ func demand(pfsMisses int) GPUDemand {
 	}
 }
 
+// fourOf is a 4-GPU node whose GPUs all carry demand d: the searchThreads
+// tests look at GPU 0 of it (the preprocessing pool is shared four ways).
+func fourOf(d GPUDemand) []GPUDemand { return []GPUDemand{d, d, d, d} }
+
 func TestNewValidation(t *testing.T) {
 	pm := preproc.DefaultModel()
 	portfolio, _ := perfmodel.FitPortfolio(nil, []int64{1 << 10}, 4, 2,
@@ -150,8 +154,9 @@ func TestDecideImprovesWorstGap(t *testing.T) {
 
 	// Naive equal split for comparison.
 	naive := make([]float64, 4)
-	for j, d := range gpus {
-		naive[j] = m.timeDiff(d, 3, 4, 4, train, 1) // 12 loading + 4 preproc
+	m.begin(gpus, train, 1)
+	for j := range gpus {
+		naive[j] = m.timeDiff(j, 3, 4) // 12 loading + 4 preproc
 	}
 	dec := m.Decide(gpus, train, 1)
 	worstNaive, worstDec := math.Inf(-1), math.Inf(-1)
@@ -170,7 +175,7 @@ func TestDecideImprovesWorstGap(t *testing.T) {
 
 func TestProportionalAlloc(t *testing.T) {
 	gpus := []GPUDemand{{QueueLen: 30}, {QueueLen: 10}, {QueueLen: 0}}
-	got := proportionalAlloc(gpus, 9)
+	got := proportionalAlloc(gpus, 9, make([]bool, len(gpus)))
 	sum := 0
 	for _, l := range got {
 		sum += l
@@ -188,7 +193,7 @@ func TestProportionalAlloc(t *testing.T) {
 
 func TestProportionalAllocIdleQueues(t *testing.T) {
 	gpus := []GPUDemand{{}, {}, {}}
-	got := proportionalAlloc(gpus, 7)
+	got := proportionalAlloc(gpus, 7, make([]bool, len(gpus)))
 	sum := 0
 	for _, l := range got {
 		sum += l
@@ -204,7 +209,7 @@ func TestProportionalAllocIdleQueues(t *testing.T) {
 
 func TestProportionalAllocTightBudget(t *testing.T) {
 	gpus := []GPUDemand{{QueueLen: 5}, {QueueLen: 5}}
-	got := proportionalAlloc(gpus, 2)
+	got := proportionalAlloc(gpus, 2, make([]bool, len(gpus)))
 	if got[0] != 1 || got[1] != 1 {
 		t.Fatalf("tight budget alloc = %v, want [1 1]", got)
 	}
@@ -212,15 +217,15 @@ func TestProportionalAllocTightBudget(t *testing.T) {
 
 func TestSearchThreadsConverges(t *testing.T) {
 	m := testManager(t, 16)
-	d := demand(24)
 	const train = 0.030
-	got := m.searchThreads(d, 1, 12, 4, 4, train, 1)
+	m.begin(fourOf(demand(24)), train, 1)
+	got := m.searchThreads(0, 1, 12, 4)
 	if got < 1 || got > 12 {
 		t.Fatalf("searchThreads out of range: %d", got)
 	}
 	// The found count must be at least as good as the start.
-	start := math.Abs(m.timeDiff(d, 1, 4, 4, train, 1))
-	found := math.Abs(m.timeDiff(d, got, 4, 4, train, 1))
+	start := math.Abs(m.timeDiff(0, 1, 4))
+	found := math.Abs(m.timeDiff(0, got, 4))
 	if found > start {
 		t.Fatalf("search made things worse: start %g, found %g", start, found)
 	}
@@ -228,8 +233,9 @@ func TestSearchThreadsConverges(t *testing.T) {
 
 func TestSearchThreadsAlreadyConverged(t *testing.T) {
 	m := testManager(t, 16)
-	d := demand(0) // trivially fast: |diff| dominated by -train, still >= tau
-	got := m.searchThreads(d, 2, 12, 4, 4, 1000.0, 1)
+	// Trivially fast: |diff| dominated by -train, still >= tau.
+	m.begin(fourOf(demand(0)), 1000.0, 1)
+	got := m.searchThreads(0, 2, 12, 4)
 	// With an absurd train time every allocation has the same huge |diff|;
 	// the search must terminate and return something in range.
 	if got < 1 || got > 12 {

@@ -105,6 +105,8 @@ func (c Curve) ReadTime(bytes int64, ops, n int) float64 {
 }
 
 // Hierarchy bundles the three tier curves plus the global PFS capacity.
+// Its methods take a pointer: the struct is thirteen words, and the model
+// functions that read it run hundreds of times per thread decision.
 type Hierarchy struct {
 	Local  Curve
 	Remote Curve
@@ -115,7 +117,7 @@ type Hierarchy struct {
 }
 
 // Validate checks all curves.
-func (h Hierarchy) Validate() error {
+func (h *Hierarchy) Validate() error {
 	for _, c := range []struct {
 		name  string
 		curve Curve
@@ -131,7 +133,7 @@ func (h Hierarchy) Validate() error {
 }
 
 // CurveOf returns the curve for a tier kind.
-func (h Hierarchy) CurveOf(k Kind) Curve {
+func (h *Hierarchy) CurveOf(k Kind) Curve {
 	switch k {
 	case Local:
 		return h.Local
@@ -154,7 +156,7 @@ const PFSLatencyContention = 0.10
 // `activeNodes` nodes are reading from the PFS concurrently: the node-local
 // saturating curve clipped by its share of the global capacity, with op
 // latency inflated by client contention.
-func (h Hierarchy) PFSNodeCurve(activeNodes int) Curve {
+func (h *Hierarchy) PFSNodeCurve(activeNodes int) Curve {
 	if activeNodes < 1 {
 		activeNodes = 1
 	}
@@ -169,7 +171,7 @@ func (h Hierarchy) PFSNodeCurve(activeNodes int) Curve {
 
 // ReadTime computes the time to read ops operations totalling bytes from
 // tier k with n threads, with activeNodes nodes sharing the PFS.
-func (h Hierarchy) ReadTime(k Kind, bytes int64, ops, n, activeNodes int) float64 {
+func (h *Hierarchy) ReadTime(k Kind, bytes int64, ops, n, activeNodes int) float64 {
 	if k == PFS {
 		return h.PFSNodeCurve(activeNodes).ReadTime(bytes, ops, n)
 	}

@@ -18,23 +18,27 @@
 #                        queues, lock-order deadlocks, zero-alloc hot
 #                        paths), analyzers fanned out across cores with
 #                        per-analyzer wall time printed
-#   6. bench smoke     — quick protocol sanity pass of the kvstore
+#   6. sim goldens    — the six sim-figs figures replayed once at small
+#                        scale (the scale `go test ./bench` does not
+#                        reach) against bench/golden/sim.json; any
+#                        differing value fails (same run: make sim-golden)
+#   7. bench smoke     — quick protocol sanity pass of the kvstore
 #                        benchmark harness (full run: make bench-kv)
-#   7. overload smoke  — tiny-scale sustained-overload + hedged-read
+#   8. overload smoke  — tiny-scale sustained-overload + hedged-read
 #                        bench plus schema check of the tail-latency
 #                        fields in BENCH_kv.json (DESIGN.md §11)
-#   8. sim bench smoke — BENCH_sim.json schema validation
+#   9. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
-#   9. obs bench smoke — BENCH_obs.json schema + overhead-budget
+#  10. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#  10. chaos bench smoke — tiny live run of the chaos recovery suite
+#  11. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  11. monitor smoke   — boot lobster-kv with its monitor attached and
+#  12. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  12. doctor smoke    — point lobster-doctor at the live monitor (the
+#  13. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -64,6 +68,13 @@ done
 
 echo "==> lobster-lint -time ./..."
 go run ./cmd/lobster-lint -time ./...
+
+echo "==> sim goldens at small scale"
+# The traced pass of sim-figs replays the six figures at small scale and
+# exits non-zero when any reported value differs from its golden, naming
+# it on a WRONG line (~15 s; the per-layer timings it prints are not
+# judged here, and the contract JSON line is dropped).
+go run ./bench --workload sim-figs --seed 7 --seconds 10 --trace 1 | grep -v '^{'
 
 echo "==> kvstore bench smoke"
 # Short protocol sanity pass of the bench harness (the full run is
