@@ -2,9 +2,8 @@
 // standalone process, so a cluster can be deployed across machines (the
 // "alternatives to distributed caching like for example KV-stores" of the
 // paper's Section 2). Point the online runtime's KVCache at the shard
-// addresses. The shard speaks both wire protocols — v1 blocking
-// round trips and the pipelined/batched v2 — classifying each frame by
-// its first byte, so old and new clients can share a deployment.
+// addresses. The shard speaks the pipelined, batched kvstore wire
+// protocol (DESIGN.md §8).
 //
 // Overload control (DESIGN.md §11) is off by default; arm it with the
 // -max-inflight / -max-queue / -quota-rate / -quota-burst flags to make
@@ -52,8 +51,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// With a monitor, the shard records server-side spans for traced
-	// (0xA4-framed) requests. The ring's process identity is this shard's
+	// With a monitor, the shard records server-side spans for requests
+	// carrying a trace context. The ring's process identity is this shard's
 	// pid, so its /trace.json merges with client-side dumps in one
 	// timeline (lobster-doctor correlates them on rank/iter).
 	var ring *obs.TraceRing

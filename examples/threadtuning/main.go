@@ -21,7 +21,7 @@ import (
 
 func main() {
 	monAddr := flag.String("monitor", "127.0.0.1:0",
-		"address for /metrics, /metrics.json, /trace.json, /healthz and pprof")
+		"address for /metrics, /trace.json, /healthz and pprof")
 	flag.Parse()
 
 	fmt.Println("online runtime, 2 nodes x 8 GPUs, Lobster strategy:")
@@ -40,7 +40,7 @@ func main() {
 	// Expose live progress over HTTP while the run executes — the
 	// observability surface a production deployment would scrape: a
 	// Prometheus registry of per-stage instruments, a span ring for
-	// Perfetto traces, and the JSON progress snapshot.
+	// Perfetto traces, and the progress snapshot behind /healthz.
 	mon, err := monitor.Serve(*monAddr)
 	if err != nil {
 		log.Fatal(err)

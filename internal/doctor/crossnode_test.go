@@ -11,7 +11,7 @@ import (
 // TestCrossNodeTraceMerge drives the full cross-node correlation path:
 // two kvstore shards on separate "nodes" (rings that happen to share a
 // pid, as two hosts' processes legitimately can), clients on different
-// ranks issuing 0xA4-framed gets, each shard's /trace.json dump merged
+// ranks issuing traced gets, each shard's /trace.json dump merged
 // by the doctor. The originating rank/iter must survive the wire
 // round-trip into the server-side spans, and the merge must keep the
 // two nodes' tracks collision-free.
@@ -46,7 +46,7 @@ func TestCrossNodeTraceMerge(t *testing.T) {
 		{node: 1, rank: 5, epoch: 2, iter: 9},
 	}
 	for _, q := range reqs {
-		cl, err := kvstore.NewClientV2(nodes[q.node].srv.Addr(), 1)
+		cl, err := kvstore.NewClient(nodes[q.node].srv.Addr(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

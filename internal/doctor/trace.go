@@ -65,7 +65,7 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 // Merge combines trace dumps from several processes into one timeline.
 // Sources whose pid collides with an already-merged source are remapped
 // to a fresh pid so their tracks do not interleave; span correlation
-// across sources rides on the rank/iter args (which the 0xA4 frame
+// across sources rides on the rank/iter args (which a traced kv request
 // carries server-side), not on pids, so remapping loses nothing.
 func Merge(traces ...*Trace) *Trace {
 	out := &Trace{Processes: make(map[int]string)}

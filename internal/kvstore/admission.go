@@ -9,9 +9,10 @@ import (
 // Overload control for one shard server (DESIGN.md §11). Three gates
 // run, cheapest first, before a request may touch the store:
 //
-//  1. Deadline: a request whose client-supplied budget (the 0xA3 frame
-//     extension) has already expired is answered statusRetryLater
-//     without any store work — finishing it late helps no one.
+//  1. Deadline: a request whose client-supplied budget (the frame's
+//     flagDeadline field) has already expired is answered
+//     statusRetryLater without any store work — finishing it late helps
+//     no one.
 //  2. Per-connection token bucket: each connection earns QuotaRate
 //     tokens/sec up to QuotaBurst; a request with no token available is
 //     shed. This stops one hot client from starving its peers.

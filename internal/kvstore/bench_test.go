@@ -10,17 +10,11 @@ import (
 
 // Benchmark fixture: one shard preloaded with benchKeys values of
 // benchValBytes each, far under capacity so no evictions perturb
-// timing. Each protocol runs its natural connection shape: v1 blocks a
-// connection per in-flight op, so it gets a pool of benchConnsV1; v2
-// multiplexes, so it gets a single pipelined connection. That is the
-// comparison the ISSUE asks for — one-op-per-round-trip vs pipelined —
-// not a socket-count contest (v1 throughput is flat in pool size on
-// this box; see BENCH_kv.json).
+// timing. The client multiplexes every caller over a single pipelined
+// connection.
 const (
 	benchKeys     = 1024
 	benchValBytes = 4 << 10
-	benchConnsV1  = 4
-	benchConnsV2  = 1
 )
 
 func newBenchServer() (*Server, error) {
@@ -28,7 +22,7 @@ func newBenchServer() (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed, err := NewClientV2(s.Addr(), 1)
+	seed, err := NewClient(s.Addr(), 1)
 	if err != nil {
 		s.Close()
 		return nil, err
@@ -114,57 +108,36 @@ func runClients(b *testing.B, clients int, op func(g, i int) error) {
 	}
 }
 
-type benchClient interface {
-	Get(key string) ([]byte, bool, error)
-	Put(key string, val []byte) error
-	MultiGet(keys []string) ([][]byte, error)
-	Close()
-}
-
-func benchDial(b *testing.B, s *Server, proto string) benchClient {
+func benchDial(b *testing.B, s *Server) *Client {
 	b.Helper()
-	switch proto {
-	case "v1":
-		c, err := NewClient(s.Addr(), benchConnsV1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	default:
-		c, err := NewClientV2(s.Addr(), benchConnsV2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
+	c, err := NewClient(s.Addr(), 1)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return c
 }
 
-// BenchmarkKVGet measures single-key Get throughput for both protocols
-// at 1–64 concurrent client goroutines over the same 4 connections.
-// The v2/16-client case is the ISSUE-2 acceptance number: it must be
-// >= 2x v1/16 on ops/sec.
+// BenchmarkKVGet measures single-key Get throughput at 1–64 concurrent
+// client goroutines over one pipelined connection.
 func BenchmarkKVGet(b *testing.B) {
 	s := benchServer(b)
-	for _, proto := range []string{"v1", "v2"} {
-		for _, clients := range []int{1, 4, 16, 64} {
-			b.Run(fmt.Sprintf("proto=%s/clients=%d", proto, clients), func(b *testing.B) {
-				c := benchDial(b, s, proto)
-				defer c.Close()
-				runClients(b, clients, func(g, i int) error {
-					_, found, err := c.Get(benchKey((g*7919 + i) % benchKeys))
-					if err == nil && !found {
-						err = fmt.Errorf("bench key missing")
-					}
-					return err
-				})
+	for _, clients := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			c := benchDial(b, s)
+			defer c.Close()
+			runClients(b, clients, func(g, i int) error {
+				_, found, err := c.Get(benchKey((g*7919 + i) % benchKeys))
+				if err == nil && !found {
+					err = fmt.Errorf("bench key missing")
+				}
+				return err
 			})
-		}
+		})
 	}
 }
 
-// BenchmarkKVMultiGet measures fetching a 32-key prefetch window:
-// one MultiGet round trip (v2) vs 32 sequential Gets (v1's only
-// option). Reported per window.
+// BenchmarkKVMultiGet measures fetching a 32-key prefetch window in one
+// MultiGet round trip. Reported per window.
 func BenchmarkKVMultiGet(b *testing.B) {
 	const window = 32
 	s := benchServer(b)
@@ -173,20 +146,8 @@ func BenchmarkKVMultiGet(b *testing.B) {
 		keys[k] = benchKey(k * 31 % benchKeys)
 	}
 	for _, clients := range []int{1, 16} {
-		b.Run(fmt.Sprintf("proto=v1-loop/clients=%d", clients), func(b *testing.B) {
-			c := benchDial(b, s, "v1")
-			defer c.Close()
-			runClients(b, clients, func(g, i int) error {
-				for _, key := range keys {
-					if _, _, err := c.Get(key); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-		b.Run(fmt.Sprintf("proto=v2-batch/clients=%d", clients), func(b *testing.B) {
-			c := benchDial(b, s, "v2")
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
 				_, err := c.MultiGet(keys)
@@ -200,13 +161,11 @@ func BenchmarkKVMultiGet(b *testing.B) {
 func BenchmarkKVPut(b *testing.B) {
 	s := benchServer(b)
 	val := make([]byte, benchValBytes)
-	for _, proto := range []string{"v1", "v2"} {
-		b.Run(fmt.Sprintf("proto=%s/clients=16", proto), func(b *testing.B) {
-			c := benchDial(b, s, proto)
-			defer c.Close()
-			runClients(b, 16, func(g, i int) error {
-				return c.Put(benchKey((g*7919+i)%benchKeys), val)
-			})
+	b.Run("clients=16", func(b *testing.B) {
+		c := benchDial(b, s)
+		defer c.Close()
+		runClients(b, 16, func(g, i int) error {
+			return c.Put(benchKey((g*7919+i)%benchKeys), val)
 		})
-	}
+	})
 }

@@ -14,7 +14,7 @@ import (
 // `make bench-kv`.
 //
 // Default (no env) it is a CI-safe smoke test: it drives a few hundred
-// ops through both protocols against a live server and fails on any
+// ops through the client against a live server and fails on any
 // protocol error — enough to catch a broken frame encoder without
 // burning benchmark time in `go test ./...`.
 //
@@ -26,8 +26,7 @@ import (
 // With LOBSTER_BENCH_KV=1 it runs the kvstore micro-benchmarks via
 // testing.Benchmark plus the full-size overload/hedge phases and
 // writes the results (ops/sec, B/op, allocs/op, p99, goodput, shed
-// rates, tail quantiles) to BENCH_kv.json at the repository root,
-// including the v1-vs-v2 headline comparison at 16 concurrent clients.
+// rates, tail quantiles) to BENCH_kv.json at the repository root.
 func TestBenchKVJSON(t *testing.T) {
 	switch os.Getenv("LOBSTER_BENCH_KV") {
 	case "":
@@ -49,45 +48,28 @@ func benchSmoke(t *testing.T) {
 	for i := range window {
 		window[i] = benchKey(i)
 	}
-	for _, proto := range []string{"v1", "v2"} {
-		var c benchClient
-		switch proto {
-		case "v1":
-			cl, err := NewClient(s.Addr(), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c = cl
-		default:
-			cl, err := NewClientV2(s.Addr(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c = cl
+	c, err := NewClient(s.Addr(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 100; i++ {
+		v, found, err := c.Get(benchKey(i % benchKeys))
+		if err != nil || !found || len(v) != benchValBytes {
+			t.Fatalf("smoke Get: len=%d found=%v err=%v", len(v), found, err)
 		}
-		for i := 0; i < 100; i++ {
-			v, found, err := c.Get(benchKey(i % benchKeys))
-			if err != nil || !found || len(v) != benchValBytes {
-				c.Close()
-				t.Fatalf("%s smoke Get: len=%d found=%v err=%v", proto, len(v), found, err)
-			}
+	}
+	vals, err := c.MultiGet(window)
+	if err != nil {
+		t.Fatalf("smoke MultiGet: %v", err)
+	}
+	for i, v := range vals {
+		if len(v) != benchValBytes {
+			t.Fatalf("smoke MultiGet[%d]: len=%d", i, len(v))
 		}
-		vals, err := c.MultiGet(window)
-		if err != nil {
-			c.Close()
-			t.Fatalf("%s smoke MultiGet: %v", proto, err)
-		}
-		for i, v := range vals {
-			if len(v) != benchValBytes {
-				c.Close()
-				t.Fatalf("%s smoke MultiGet[%d]: len=%d", proto, i, len(v))
-			}
-		}
-		if err := c.Put("smoke", []byte("x")); err != nil {
-			c.Close()
-			t.Fatalf("%s smoke Put: %v", proto, err)
-		}
-		c.Close()
+	}
+	if err := c.Put("smoke", []byte("x")); err != nil {
+		t.Fatalf("smoke Put: %v", err)
 	}
 }
 
@@ -193,7 +175,6 @@ func schemaCheckBenchKV(t *testing.T, path string) {
 // benchEntry is one benchmark row in BENCH_kv.json.
 type benchEntry struct {
 	Name        string  `json:"name"`
-	Proto       string  `json:"proto"`
 	Clients     int     `json:"clients"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
@@ -202,11 +183,10 @@ type benchEntry struct {
 	P99Ns       float64 `json:"p99_ns,omitempty"`
 }
 
-func toEntry(name, proto string, clients int, r testing.BenchmarkResult) benchEntry {
+func toEntry(name string, clients int, r testing.BenchmarkResult) benchEntry {
 	ns := float64(r.NsPerOp())
 	e := benchEntry{
 		Name:        name,
-		Proto:       proto,
 		Clients:     clients,
 		NsPerOp:     ns,
 		BytesPerOp:  r.AllocedBytesPerOp(),
@@ -229,9 +209,9 @@ func benchFull(t *testing.T) {
 	defer s.Close()
 
 	var entries []benchEntry
-	get := func(proto string, clients int) benchEntry {
+	for _, clients := range []int{1, 4, 16, 64} {
 		r := testing.Benchmark(func(b *testing.B) {
-			c := benchDial(b, s, proto)
+			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
 				_, found, err := c.Get(benchKey((g*7919 + i) % benchKeys))
@@ -241,15 +221,10 @@ func benchFull(t *testing.T) {
 				return err
 			})
 		})
-		e := toEntry("get", proto, clients, r)
-		t.Logf("get/%s/clients=%d: %.0f ops/sec, %d B/op, %d allocs/op, p99 %.0fns",
-			proto, clients, e.OpsPerSec, e.BytesPerOp, e.AllocsPerOp, e.P99Ns)
-		return e
-	}
-	for _, proto := range []string{"v1", "v2"} {
-		for _, clients := range []int{1, 4, 16, 64} {
-			entries = append(entries, get(proto, clients))
-		}
+		e := toEntry("get", clients, r)
+		t.Logf("get/clients=%d: %.0f ops/sec, %d B/op, %d allocs/op, p99 %.0fns",
+			clients, e.OpsPerSec, e.BytesPerOp, e.AllocsPerOp, e.P99Ns)
+		entries = append(entries, e)
 	}
 
 	window := make([]string, 32)
@@ -257,62 +232,26 @@ func benchFull(t *testing.T) {
 		window[k] = benchKey(k * 31 % benchKeys)
 	}
 	for _, clients := range []int{1, 16} {
-		clients := clients
 		r := testing.Benchmark(func(b *testing.B) {
-			c := benchDial(b, s, "v1")
-			defer c.Close()
-			runClients(b, clients, func(g, i int) error {
-				for _, key := range window {
-					if _, _, err := c.Get(key); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-		entries = append(entries, toEntry("multiget-window32", "v1-loop", clients, r))
-		r = testing.Benchmark(func(b *testing.B) {
-			c := benchDial(b, s, "v2")
+			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
 				_, err := c.MultiGet(window)
 				return err
 			})
 		})
-		entries = append(entries, toEntry("multiget-window32", "v2-batch", clients, r))
+		entries = append(entries, toEntry("multiget-window32", clients, r))
 	}
 
 	val := make([]byte, benchValBytes)
-	for _, proto := range []string{"v1", "v2"} {
-		proto := proto
-		r := testing.Benchmark(func(b *testing.B) {
-			c := benchDial(b, s, proto)
-			defer c.Close()
-			runClients(b, 16, func(g, i int) error {
-				return c.Put(benchKey((g*7919+i)%benchKeys), val)
-			})
+	r := testing.Benchmark(func(b *testing.B) {
+		c := benchDial(b, s)
+		defer c.Close()
+		runClients(b, 16, func(g, i int) error {
+			return c.Put(benchKey((g*7919+i)%benchKeys), val)
 		})
-		entries = append(entries, toEntry("put", proto, 16, r))
-	}
-
-	var v1at16, v2at16 *benchEntry
-	for i := range entries {
-		e := &entries[i]
-		if e.Name == "get" && e.Clients == 16 {
-			switch e.Proto {
-			case "v1":
-				v1at16 = e
-			case "v2":
-				v2at16 = e
-			}
-		}
-	}
-	if v1at16 == nil || v2at16 == nil {
-		t.Fatal("missing 16-client entries")
-	}
-	speedup := v2at16.OpsPerSec / v1at16.OpsPerSec
-	t.Logf("headline: v2 %.0f ops/sec vs v1 %.0f ops/sec at 16 clients = %.2fx",
-		v2at16.OpsPerSec, v1at16.OpsPerSec, speedup)
+	})
+	entries = append(entries, toEntry("put", 16, r))
 
 	overload, env := runOverloadBench(t, overloadFull)
 	hedged := runHedgeBench(t, overloadFull)
@@ -326,13 +265,8 @@ func benchFull(t *testing.T) {
 		// round trips, unstriped mutex LRU, no pooling) measured at
 		// commit dd14fa7 with the same 16-client Get workload on the
 		// same machine as the rest of this file.
-		SeedBaseline benchEntry `json:"seed_baseline"`
-		Headline     struct {
-			V1OpsPerSec float64 `json:"v1_ops_per_sec"`
-			V2OpsPerSec float64 `json:"v2_ops_per_sec"`
-			Speedup     float64 `json:"speedup_v2_over_v1"`
-		} `json:"headline_get_16_clients"`
-		Results []benchEntry `json:"results"`
+		SeedBaseline benchEntry   `json:"seed_baseline"`
+		Results      []benchEntry `json:"results"`
 		// Overload and Hedged are the tail-latency sections (DESIGN.md
 		// §11): sustained-overload goodput vs saturation and the hedged
 		// MultiGet comparison against one artificially slow shard.
@@ -343,10 +277,10 @@ func benchFull(t *testing.T) {
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
-		Note: "get/put: 4KiB values, 1024 keys; v1 uses a 4-conn pool, " +
-			"v2 one pipelined conn; multiget fetches a 32-key window",
+		Note: "get/put: 4KiB values, 1024 keys, one pipelined conn; " +
+			"multiget fetches a 32-key window",
 		SeedBaseline: benchEntry{
-			Name: "get-seed-dd14fa7", Proto: "v1-seed", Clients: 16,
+			Name: "get-seed-dd14fa7", Clients: 16,
 			NsPerOp: 12008, OpsPerSec: 83278, BytesPerOp: 4162, AllocsPerOp: 9,
 		},
 		Results:  entries,
@@ -354,9 +288,6 @@ func benchFull(t *testing.T) {
 		Hedged:   hedged,
 		Env:      env,
 	}
-	out.Headline.V1OpsPerSec = v1at16.OpsPerSec
-	out.Headline.V2OpsPerSec = v2at16.OpsPerSec
-	out.Headline.Speedup = speedup
 
 	root, err := repoRoot()
 	if err != nil {
@@ -371,9 +302,6 @@ func benchFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", path)
-	if speedup < 2 {
-		t.Logf("WARNING: v2 speedup %.2fx below the 2x target; box may be loaded", speedup)
-	}
 }
 
 // repoRoot walks up from the working directory to the module root.

@@ -10,24 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
-// shardClient is the per-shard surface Cluster runs on; both the v1
-// Client and the pipelined ClientV2 implement it.
-type shardClient interface {
-	Get(key string) ([]byte, bool, error)
-	Put(key string, val []byte) error
-	Delete(key string) error
-	Stats() (Stats, error)
-	MultiGet(keys []string) ([][]byte, error)
-	MultiPut(keys []string, vals [][]byte) error
-	Close()
-}
-
 // Cluster shards keys across several servers by FNV-1a hash — the
 // KV-store alternative to the node-to-node distribution manager. Batch
 // ops group keys by shard and fan the per-shard batches out
 // concurrently, one round trip per shard.
 type Cluster struct {
-	clients []shardClient
+	clients []*Client
 
 	// repl is the read-replica count: each key's value is written
 	// through to the repl shards after its primary in ring order, and
@@ -67,18 +55,17 @@ type clusterScratch struct {
 	hedge []int      // per shard: group hedge target, -1 = none
 }
 
-// NewCluster connects to every shard address with the pipelined v2
-// protocol (conns multiplexed connections per shard). Use NewClusterV1
-// for v1-only peers.
+// NewCluster connects to every shard address (conns multiplexed
+// connections per shard).
 func NewCluster(addrs []string, conns int) (*Cluster, error) {
 	return NewClusterConfig(addrs, ClusterConfig{Conns: conns})
 }
 
-// ClusterConfig configures a v2 cluster beyond its shard addresses.
+// ClusterConfig configures a cluster beyond its shard addresses.
 type ClusterConfig struct {
 	// Conns is the number of multiplexed connections per shard (min 1).
 	Conns int
-	// Window is the per-connection in-flight cap (see ClientV2Options).
+	// Window is the per-connection in-flight cap (see ClientOptions).
 	Window int
 	// Replicas is the read-replica count per key: writes go through to
 	// this many extra shards (ring order after the primary) and reads
@@ -97,36 +84,9 @@ type ClusterConfig struct {
 	HedgeMin, HedgeMax time.Duration
 }
 
-// NewClusterConfig connects a v2 cluster with explicit options,
-// including read replication and hedged reads (hedge.go).
+// NewClusterConfig connects a cluster with explicit options, including
+// read replication and hedged reads (hedge.go).
 func NewClusterConfig(addrs []string, cfg ClusterConfig) (*Cluster, error) {
-	c, err := newCluster(addrs, func(addr string) (shardClient, error) {
-		return NewClientV2Options(addr, ClientV2Options{Conns: cfg.Conns, Window: cfg.Window})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Replicas >= len(addrs) {
-		cfg.Replicas = len(addrs) - 1
-	}
-	if cfg.Replicas > 0 {
-		c.repl = cfg.Replicas
-		c.hedge = newHedgeTracker(cfg.HedgeDelay, cfg.HedgeQuantile, cfg.HedgeMin, cfg.HedgeMax)
-	}
-	return c, nil
-}
-
-// NewClusterV1 connects with the legacy one-op-per-round-trip protocol
-// (poolSize pooled connections per shard). Batch ops degrade to key-
-// at-a-time loops; kept for compatibility and as the benchmark
-// baseline.
-func NewClusterV1(addrs []string, poolSize int) (*Cluster, error) {
-	return newCluster(addrs, func(addr string) (shardClient, error) {
-		return NewClient(addr, poolSize)
-	})
-}
-
-func newCluster(addrs []string, dial func(string) (shardClient, error)) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("kvstore: no shard addresses")
 	}
@@ -142,12 +102,19 @@ func newCluster(addrs []string, dial func(string) (shardClient, error)) (*Cluste
 		}
 	}
 	for _, addr := range addrs {
-		cl, err := dial(addr)
+		cl, err := NewClientOptions(addr, ClientOptions{Conns: cfg.Conns, Window: cfg.Window})
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.clients = append(c.clients, cl)
+	}
+	if cfg.Replicas >= shards {
+		cfg.Replicas = shards - 1
+	}
+	if cfg.Replicas > 0 {
+		c.repl = cfg.Replicas
+		c.hedge = newHedgeTracker(cfg.HedgeDelay, cfg.HedgeQuantile, cfg.HedgeMin, cfg.HedgeMax)
 	}
 	return c, nil
 }
@@ -157,11 +124,6 @@ func (c *Cluster) shardIndex(key string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key)) // hash.Hash.Write never returns an error
 	return int(h.Sum32()) % len(c.clients)
-}
-
-// shard picks the client for a key.
-func (c *Cluster) shard(key string) shardClient {
-	return c.clients[c.shardIndex(key)]
 }
 
 // SetShardDown marks shard s lost (true) or restored (false) in the
@@ -226,38 +188,19 @@ func (c *Cluster) hedgeIndex(s0, routed int) int {
 
 // Get fetches a key from its shard (routing past down shards), hedging
 // to another live copy-holder when replication is configured.
-func (c *Cluster) Get(key string) ([]byte, bool, error) {
-	s0 := c.shardIndex(key)
-	s := c.routeFrom(s0)
-	if pc, rc := c.hedgePair(s, c.hedgeIndex(s0, s)); rc != nil {
-		return c.hedgedGet(pc, rc, key)
-	}
-	return c.clients[s].Get(key)
-}
+func (c *Cluster) Get(key string) ([]byte, bool, error) { return c.GetTraced(key, 0) }
 
-// tracedClient is the optional per-shard surface for reads carrying a
-// trace context; the pipelined ClientV2 implements it, v1 clients fall
-// back to the untraced op.
-type tracedClient interface {
-	GetTraced(key string, tctx obs.TraceCtx) ([]byte, bool, error)
-	MultiGetTraced(keys []string, tctx obs.TraceCtx) ([][]byte, error)
-}
-
-// GetTraced is Get carrying a trace context onto the wire (the 0xA4
-// frame), so the serving shard's span records the originating
-// rank/iter. Hedged reads stay untraced — the hedge arms race on two
-// shards and a per-arm span would double-count the read — as do v1
-// shard clients, which have no trace extension.
+// GetTraced is Get carrying a trace context onto the wire, so the
+// serving shard's span records the originating rank/iter. Hedged reads
+// stay untraced: the hedge arms race on two shards and a per-arm span
+// would double-count the read.
 func (c *Cluster) GetTraced(key string, tctx obs.TraceCtx) ([]byte, bool, error) {
 	s0 := c.shardIndex(key)
 	s := c.routeFrom(s0)
-	if pc, rc := c.hedgePair(s, c.hedgeIndex(s0, s)); rc != nil {
-		return c.hedgedGet(pc, rc, key)
+	if h := c.hedgeIndex(s0, s); h >= 0 {
+		return c.hedgedGet(c.clients[s], c.clients[h], key)
 	}
-	if tc, ok := c.clients[s].(tracedClient); ok && tctx.Valid() {
-		return tc.GetTraced(key, tctx)
-	}
-	return c.clients[s].Get(key)
+	return c.clients[s].GetTraced(key, tctx)
 }
 
 // Put stores a key on its shard and writes through to its replicas,
@@ -365,34 +308,25 @@ func (c *Cluster) Shards() int { return len(c.clients) }
 
 // shardMultiGet runs one shard's batch, hedged to the group's hedge
 // shard h when one exists (h < 0 = plain read). A valid tctx rides the
-// unhedged v2 path as an 0xA4 frame (see GetTraced).
+// unhedged read only (see GetTraced).
 func (c *Cluster) shardMultiGet(s, h int, keys []string, tctx obs.TraceCtx) ([][]byte, error) {
-	if pc, rc := c.hedgePair(s, h); rc != nil {
-		return c.hedgedMultiGet(pc, rc, keys)
+	if h >= 0 {
+		return c.hedgedMultiGet(c.clients[s], c.clients[h], keys)
 	}
-	if tc, ok := c.clients[s].(tracedClient); ok && tctx.Valid() {
-		return tc.MultiGetTraced(keys, tctx)
-	}
-	return c.clients[s].MultiGet(keys)
+	return c.clients[s].MultiGetTraced(keys, tctx)
 }
 
 // MultiGet fetches a batch of keys: grouped by shard, fanned out
-// concurrently (one round trip per shard on v2 clients), reassembled in
-// request order. vals[i] is nil when keys[i] is absent and non-nil
-// (possibly empty) when present. When some — but not all — shard
-// batches fail, the healthy shards' values are returned alongside a
-// *PartialError, so tolerant callers keep what arrived.
-func (c *Cluster) MultiGet(keys []string) ([][]byte, error) {
-	return c.multiGet(keys, 0)
-}
+// concurrently (one round trip per shard), reassembled in request
+// order. vals[i] is nil when keys[i] is absent and non-nil (possibly
+// empty) when present. When some — but not all — shard batches fail,
+// the healthy shards' values are returned alongside a *PartialError, so
+// tolerant callers keep what arrived.
+func (c *Cluster) MultiGet(keys []string) ([][]byte, error) { return c.MultiGetTraced(keys, 0) }
 
 // MultiGetTraced is MultiGet carrying a trace context onto the wire for
-// every unhedged v2 shard batch (see GetTraced).
+// every unhedged shard batch (see GetTraced).
 func (c *Cluster) MultiGetTraced(keys []string, tctx obs.TraceCtx) ([][]byte, error) {
-	return c.multiGet(keys, tctx)
-}
-
-func (c *Cluster) multiGet(keys []string, tctx obs.TraceCtx) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}

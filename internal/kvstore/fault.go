@@ -43,9 +43,8 @@ func (o FaultOps) matches(op byte) bool {
 // FaultConfig is a shard's fault-injection profile (Server.SetFault):
 // per-request service lag with optional seeded jitter, a probability of
 // answering with statusError, and a probability of severing the
-// connection mid-op — the generalization of the old lag-only SetLag
-// hook, shared by the chaos harness, the hedged-read tests and the
-// overload benchmarks.
+// connection mid-op — shared by the chaos harness, the hedged-read
+// tests and the overload benchmarks.
 type FaultConfig struct {
 	// Lag is a fixed extra service delay per matched request, applied
 	// while the request occupies its in-flight slot.

@@ -42,7 +42,7 @@ func TestFaultOpsScoping(t *testing.T) {
 
 func TestFaultErrorVisibleToV2Batches(t *testing.T) {
 	s := testServer(t, 1<<20)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	if err := c.Put("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFaultErrorVisibleToV2Batches(t *testing.T) {
 
 func TestFaultDropAndRedial(t *testing.T) {
 	s := testServer(t, 1<<20)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFaultLagDelays(t *testing.T) {
 	}
 }
 
-// chaosCluster builds servers plus a replicated v2 cluster over them.
+// chaosCluster builds servers plus a replicated cluster over them.
 func chaosCluster(t *testing.T, shards, replicas int) ([]*Server, *Cluster) {
 	t.Helper()
 	servers := make([]*Server, shards)
@@ -223,20 +223,6 @@ func TestClusterAllShardsDown(t *testing.T) {
 	}
 }
 
-func TestSetLagWrapsSetFault(t *testing.T) {
-	s := testServer(t, 1<<20)
-	c := testClient(t, s)
-	s.SetLag(15 * time.Millisecond)
-	start := time.Now()
-	if err := c.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("SetLag no longer delays: %v", elapsed)
-	}
-	s.SetLag(0)
-}
-
 // TestDownShardReadsNeverHedgeOutsideReplicaWindow is the regression
 // pin for a race the chaos suite exposed: with a key's primary down,
 // its reads re-route to the replica — and used to hedge from there to
@@ -268,8 +254,8 @@ func TestDownShardReadsNeverHedgeOutsideReplicaWindow(t *testing.T) {
 	victim := c.shardIndex(keys[0])
 	routed := (victim + 1) % 3
 	c.SetShardDown(victim, true)
-	servers[routed].SetLag(5 * time.Millisecond)
-	defer servers[routed].SetLag(0)
+	servers[routed].SetFault(FaultConfig{Lag: 5 * time.Millisecond})
+	defer servers[routed].SetFault(FaultConfig{})
 
 	if h := c.hedgeIndex(victim, routed); h != -1 {
 		t.Fatalf("hedgeIndex(%d, %d) = %d, want -1: the only other copy-holder is down", victim, routed, h)

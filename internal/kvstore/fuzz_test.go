@@ -7,17 +7,72 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// fuzzStore builds a small striped store for decoder fuzzing.
-func fuzzStore() *store { return newStore(1<<20, 4) }
+// FuzzHandleFrame throws arbitrary bytes at the request parser, frame
+// after frame until it errors: it must never panic, and must either
+// serve each frame with a well-formed response or return an error that
+// drops the connection. The store records traced spans and has its
+// admission gates armed — every input gets a fresh two-token bucket, so
+// from its third data frame on the shed path drains hostile bodies.
+func FuzzHandleFrame(f *testing.F) {
+	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+	chunk := func(b string) []byte { return append(u32(uint32(len(b))), b...) }
+	frame := func(flags, op byte, parts ...[]byte) []byte {
+		buf := append([]byte{frameMagic, flags, op}, u32(7)...)
+		for _, p := range parts {
+			buf = append(buf, p...)
+		}
+		return buf
+	}
+	budget := u32(500_000)
+	tctx := binary.BigEndian.AppendUint64(nil, uint64(obs.NewTraceCtx(3, 1, 7)))
+	get := frame(0, opGet, chunk("key"), u32(0))
+	f.Add(get)
+	f.Add(frame(0, opPut, chunk("key"), chunk("value")))
+	f.Add(frame(0, opStats, u32(0), u32(0)))
+	f.Add(frame(flagDeadline, opMultiGet, budget, u32(3), chunk("a"), chunk("b"), chunk("c")))
+	f.Add(frame(flagTrace, opMultiPut, tctx, u32(2), chunk("a"), chunk("1"), chunk("b"), chunk("2")))
+	f.Add(frame(flagDeadline|flagTrace, opGet, u32(1), tctx, chunk("key"), u32(0)))
+	// Three pipelined frames: the third is shed and drained.
+	f.Add(bytes.Join([][]byte{
+		frame(flagTrace, opPut, tctx, chunk("k"), chunk("v")),
+		frame(flagDeadline|flagTrace, opDelete, budget, tctx, chunk("k"), u32(0)),
+		frame(flagDeadline, opMultiPut, budget, u32(2), chunk("a"), chunk("1"), chunk("b"), chunk("2")),
+	}, nil))
+	f.Add(frame(1<<2, opGet, chunk("key"), u32(0)))                 // unknown flag bit
+	f.Add(append([]byte{0xA2, opGet}, u32(7)...))                   // retired magic
+	f.Add(frame(flagDeadline, opMultiGet, budget, u32(0xFFFFFFFF))) // hostile count
+	f.Add(frame(0, 0x7F))                                           // unknown op
+	f.Add(get[:6])                                                  // truncated header
+	f.Add([]byte{})
+	st := newStore(1<<20, 4)
+	st.adm = newAdmitter(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QuotaRate: 1e-3, QuotaBurst: 2})
+	st.trace = obs.NewTraceRing(64)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q := st.adm.newConnQuota(time.Now())
+		r := bufio.NewReader(bytes.NewReader(data))
+		w := bufio.NewWriter(io.Discard)
+		for {
+			if err := st.handleFrame(r, w, q, 0); err != nil {
+				break
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("discard writer failed: %v", err)
+		}
+	})
+}
 
-// FuzzHandleV1 throws arbitrary bytes at the v1 frame handler: it must
-// never panic, and must either serve a well-formed request or return an
-// error — no partial state.
+// FuzzHandleV1 throws retired v1 op-byte frames (and anything else) at
+// the request parser: it must never panic, and any input that does not
+// open with frameMagic must be refused with an error before a single
+// response byte is written.
 func FuzzHandleV1(f *testing.F) {
-	// Seed corpus: a valid PUT, a valid GET, truncations, and oversized
-	// length fields.
+	// Seed corpus: a valid v1 PUT, a valid v1 GET, truncations, and
+	// oversized length fields.
 	valid := func(op byte, key string, val []byte) []byte {
 		var buf bytes.Buffer
 		buf.WriteByte(op)
@@ -32,40 +87,35 @@ func FuzzHandleV1(f *testing.F) {
 	f.Add([]byte{opGet})
 	f.Add([]byte{opPut, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
-	st := fuzzStore()
+	st := newStore(1<<20, 4)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		r := bufio.NewReader(bytes.NewReader(data[1:]))
+		r := bufio.NewReader(bytes.NewReader(data))
 		w := bufio.NewWriter(io.Discard)
-		if err := st.handleV1(data[0], r, w, nil); err != nil {
+		err := st.handleFrame(r, w, nil, 0)
+		if len(data) > 0 && data[0] == frameMagic {
 			return
 		}
-		if err := w.Flush(); err != nil {
-			t.Fatalf("discard writer failed: %v", err)
+		if err == nil {
+			t.Fatalf("frame opening with %#x was served", data[:1])
+		}
+		if w.Buffered() != 0 {
+			t.Fatalf("refused frame wrote %d response bytes", w.Buffered())
 		}
 	})
 }
 
-// FuzzHandleV2 drives the v2 frame decoder (everything after the magic
-// byte) with arbitrary bytes: it must never panic and must produce
-// either a well-formed response frame or an error that drops the
-// connection.
+// FuzzHandleV2 drives the flag-free request frame (everything after
+// magic and flags) with arbitrary bytes: it must never panic and must
+// produce either a well-formed response frame or an error that drops
+// the connection.
 func FuzzHandleV2(f *testing.F) {
-	u32 := func(v uint32) []byte {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], v)
-		return b[:]
-	}
+	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
 	frame := func(op byte, id uint32, body ...[]byte) []byte {
-		var buf bytes.Buffer
-		buf.WriteByte(op)
-		buf.Write(u32(id))
+		buf := append([]byte{op}, u32(id)...)
 		for _, b := range body {
-			buf.Write(b)
+			buf = append(buf, b...)
 		}
-		return buf.Bytes()
+		return buf
 	}
 	chunk := func(b []byte) []byte { return append(u32(uint32(len(b))), b...) }
 	// Seeds: valid single ops, a 3-key MultiGet, a 2-pair MultiPut,
@@ -80,11 +130,11 @@ func FuzzHandleV2(f *testing.F) {
 	f.Add(frame(0x7F, 7))
 	f.Add([]byte{opGet})
 	f.Add([]byte{})
-	st := fuzzStore()
+	st := newStore(1<<20, 4)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReader(bytes.NewReader(data))
+		r := bufio.NewReader(io.MultiReader(bytes.NewReader([]byte{frameMagic, 0}), bytes.NewReader(data)))
 		w := bufio.NewWriter(io.Discard)
-		if err := st.handleV2(r, w, nil, frameV2Magic, 0); err != nil {
+		if err := st.handleFrame(r, w, nil, 0); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -93,24 +143,18 @@ func FuzzHandleV2(f *testing.F) {
 	})
 }
 
-// FuzzHandleV2Deadline drives the 0xA3 deadline frame extension decoder
-// against a store with every admission gate armed, so the shed/drain
-// paths (drainChunk, writeV2Shed) see hostile bytes too.
+// FuzzHandleV2Deadline drives frames carrying flagDeadline against a
+// store with every admission gate armed, so the shed/drain paths
+// (drainBody, writeEmpty) see hostile bytes too.
 func FuzzHandleV2Deadline(f *testing.F) {
-	u32 := func(v uint32) []byte {
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], v)
-		return b[:]
-	}
+	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
 	frame := func(op byte, id, budget uint32, body ...[]byte) []byte {
-		var buf bytes.Buffer
-		buf.WriteByte(op)
-		buf.Write(u32(id))
-		buf.Write(u32(budget))
+		buf := append([]byte{op}, u32(id)...)
+		buf = append(buf, u32(budget)...)
 		for _, b := range body {
-			buf.Write(b)
+			buf = append(buf, b...)
 		}
-		return buf.Bytes()
+		return buf
 	}
 	chunk := func(b []byte) []byte { return append(u32(uint32(len(b))), b...) }
 	// Seeds: deadlined single ops with generous and with ~expired
@@ -122,13 +166,13 @@ func FuzzHandleV2Deadline(f *testing.F) {
 	f.Add(frame(opStats, 5, 250, u32(0), u32(0)))
 	f.Add([]byte{opGet, 0, 0})
 	f.Add([]byte{})
-	st := fuzzStore()
+	st := newStore(1<<20, 4)
 	st.adm = newAdmitter(AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QuotaRate: 1e6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q := st.adm.newConnQuota(time.Now())
-		r := bufio.NewReader(bytes.NewReader(data))
+		r := bufio.NewReader(io.MultiReader(bytes.NewReader([]byte{frameMagic, flagDeadline}), bytes.NewReader(data)))
 		w := bufio.NewWriter(io.Discard)
-		if err := st.handleV2(r, w, q, frameV2DeadlineMagic, 0); err != nil {
+		if err := st.handleFrame(r, w, q, 0); err != nil {
 			return
 		}
 		if err := w.Flush(); err != nil {
@@ -138,24 +182,19 @@ func FuzzHandleV2Deadline(f *testing.F) {
 }
 
 // FuzzServerRoundTrip drives the real TCP server with fuzzed keys and
-// values through both typed clients: data integrity must hold for
-// whatever fits the protocol limits, on either wire protocol.
+// values through the client: data integrity must hold for whatever fits
+// the protocol limits.
 func FuzzServerRoundTrip(f *testing.F) {
 	s, err := NewServer("127.0.0.1:0", 1<<20)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { s.Close() })
-	c1, err := NewClient(s.Addr(), 1)
+	c, err := NewClient(s.Addr(), 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(c1.Close)
-	c2, err := NewClientV2(s.Addr(), 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(c2.Close)
+	f.Cleanup(c.Close)
 
 	f.Add("key", []byte("value"))
 	f.Add("", []byte{})
@@ -164,17 +203,15 @@ func FuzzServerRoundTrip(f *testing.F) {
 		if len(key) > maxKeyLen || len(val) > 1<<15 {
 			return
 		}
-		for name, c := range map[string]shardClient{"v1": c1, "v2": c2} {
-			if err := c.Put(key, val); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			got, found, err := c.Get(key)
-			if err != nil || !found {
-				t.Fatalf("%s: Get(%q) = %v %v", name, key, found, err)
-			}
-			if !bytes.Equal(got, val) {
-				t.Fatalf("%s: round trip corrupted %q: %d vs %d bytes", name, key, len(got), len(val))
-			}
+		if err := c.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		got, found, err := c.Get(key)
+		if err != nil || !found {
+			t.Fatalf("Get(%q) = %v %v", key, found, err)
+		}
+		if !bytes.Equal(got, val) {
+			t.Fatalf("round trip corrupted %q: %d vs %d bytes", key, len(got), len(val))
 		}
 	})
 }

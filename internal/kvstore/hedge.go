@@ -24,14 +24,6 @@ import (
 // data, because the kv tier is a cache — a hedged "not found" just
 // sends the caller down its normal miss path.
 
-// ctxShardClient is the optional per-shard surface hedging needs;
-// ClientV2 implements it, the v1 Client does not (so v1 clusters
-// replicate writes but never hedge).
-type ctxShardClient interface {
-	GetContext(ctx context.Context, key string) ([]byte, bool, error)
-	MultiGetContext(ctx context.Context, keys []string) ([][]byte, error)
-}
-
 // Defaults for the adaptive hedge delay.
 const (
 	defaultHedgeQuantile = 0.95
@@ -137,25 +129,6 @@ type hedgeRes struct {
 	hedged bool
 }
 
-// hedgePair returns the ctx-capable clients for a routed shard s and
-// its hedge shard h (picked by Cluster.hedgeIndex, so h is always a
-// live copy-holder of the keys being read); nils when hedging is off
-// for this read (h < 0) or a v1 client sits on either end.
-func (c *Cluster) hedgePair(s, h int) (ctxShardClient, ctxShardClient) {
-	if h < 0 {
-		return nil, nil
-	}
-	pc, ok := c.clients[s].(ctxShardClient)
-	if !ok {
-		return nil, nil
-	}
-	rc, ok := c.clients[h].(ctxShardClient)
-	if !ok {
-		return nil, nil
-	}
-	return pc, rc
-}
-
 // hedgedRace runs the primary arm, fires the hedge arm after the
 // tracked delay (or immediately on a fast primary error — failover),
 // and returns the first success. The losing arm's request is cancelled
@@ -212,8 +185,9 @@ func (c *Cluster) hedgedRace(run func(ctx context.Context, hedged bool) hedgeRes
 	return firstErr
 }
 
-// hedgedGet races a single-key Get between primary and replica.
-func (c *Cluster) hedgedGet(pc, rc ctxShardClient, key string) ([]byte, bool, error) {
+// hedgedGet races a single-key Get between primary pc and the live
+// copy-holder rc that Cluster.hedgeIndex picked.
+func (c *Cluster) hedgedGet(pc, rc *Client, key string) ([]byte, bool, error) {
 	r := c.hedgedRace(func(ctx context.Context, hedged bool) hedgeRes {
 		cl := pc
 		if hedged {
@@ -226,7 +200,7 @@ func (c *Cluster) hedgedGet(pc, rc ctxShardClient, key string) ([]byte, bool, er
 }
 
 // hedgedMultiGet races one shard's batch between primary and replica.
-func (c *Cluster) hedgedMultiGet(pc, rc ctxShardClient, keys []string) ([][]byte, error) {
+func (c *Cluster) hedgedMultiGet(pc, rc *Client, keys []string) ([][]byte, error) {
 	r := c.hedgedRace(func(ctx context.Context, hedged bool) hedgeRes {
 		cl := pc
 		if hedged {

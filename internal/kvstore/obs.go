@@ -11,7 +11,7 @@ import (
 // counter for transparently replaced dead connections, and a counter of
 // puts the shard refused as too large for its striped admission bound.
 // Build one per shard with NewClientInstruments and attach via
-// ClientV2.SetInstruments (or every shard at once with
+// Client.SetInstruments (or every shard at once with
 // Cluster.Instrument).
 type ClientInstruments struct {
 	GetSeconds      *obs.Histogram
@@ -126,17 +126,14 @@ func InstrumentServer(reg *obs.Registry, srv *Server) {
 }
 
 // Instrument attaches per-shard client instruments from reg to every
-// pipelined (v2) shard client; v1 clients are left untouched. Shards
-// are labelled by index in cluster order. Hedged-read counters are
-// surfaced at scrape time.
+// shard client, labelled by index in cluster order. Hedged-read
+// counters are surfaced at scrape time.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	for i, cl := range c.clients {
-		if v2, ok := cl.(*ClientV2); ok {
-			v2.SetInstruments(NewClientInstruments(reg, strconv.Itoa(i)))
-		}
+		cl.SetInstruments(NewClientInstruments(reg, strconv.Itoa(i)))
 	}
 	reg.CounterFunc("lobster_kvstore_hedge_fired_total",
 		"Hedge requests sent after the primary outlived the hedge delay.",

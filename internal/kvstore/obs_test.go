@@ -11,7 +11,7 @@ import (
 // latency, in-flight, and TooLarge refusals into an attached registry.
 func TestClientInstruments(t *testing.T) {
 	s := testServer(t, 10)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	reg := obs.NewRegistry()
 	ins := NewClientInstruments(reg, "0")
 	c.SetInstruments(ins)
@@ -66,7 +66,7 @@ func TestClientInstruments(t *testing.T) {
 }
 
 // TestClusterInstrument checks Cluster.Instrument attaches per-shard
-// instruments to every v2 shard client.
+// instruments to every shard client.
 func TestClusterInstrument(t *testing.T) {
 	s0 := testServer(t, 1<<20)
 	s1 := testServer(t, 1<<20)
@@ -99,7 +99,7 @@ func TestInstrumentServer(t *testing.T) {
 	s := testServer(t, 1<<20)
 	reg := obs.NewRegistry()
 	InstrumentServer(reg, s)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 // Sustained-overload and hedged-read benchmark (DESIGN.md §11).
 //
 // The overload bench models a shard whose cost is service time, not
-// CPU: SetLag (a fixed-lag FaultConfig, the same injection mechanism
-// the chaos harness uses) adds a per-request delay held across the
+// CPU: a lag-only FaultConfig (the same injection mechanism the chaos
+// harness uses) adds a per-request delay held across the
 // admission slot, so capacity is maxInFlight/serviceTime regardless of
 // core count — which makes the measurement deterministic on the 1-CPU
 // CI box. A saturation phase (just enough closed-loop workers to keep
@@ -147,7 +147,7 @@ func runOverloadBench(t *testing.T, sc overloadScale) (overloadReport, benchEnv)
 			MaxWait:     sc.opDeadline,
 		},
 	})
-	cl, err := NewClientV2Options(s.Addr(), ClientV2Options{Conns: sc.conns, Window: sc.window})
+	cl, err := NewClientOptions(s.Addr(), ClientOptions{Conns: sc.conns, Window: sc.window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func runOverloadBench(t *testing.T, sc overloadScale) (overloadReport, benchEnv)
 	if len(rep.Phases) > 0 && rep.SaturationOpsPerSec > 0 {
 		rep.GoodputRatioAt10x = rep.Phases[0].GoodputOpsPerSec / rep.SaturationOpsPerSec
 	}
-	s.SetLag(0)
+	s.SetFault(FaultConfig{})
 	return rep, env
 }
 

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // testServerOptions starts a shard with explicit options on an
@@ -24,8 +26,8 @@ func testServerOptions(t *testing.T, opts ServerOptions) *Server {
 
 // TestAdmissionQuotaShed arms only the per-connection token bucket and
 // checks the shed surfaces as ErrRetryLater on the plain (retry-free)
-// ops of both protocols, that Stats counts it, and that a shed response
-// leaves the connection healthy for later requests.
+// ops, and that Stats — exempt from the gate on the same connection —
+// counts it.
 func TestAdmissionQuotaShed(t *testing.T) {
 	s := testServerOptions(t, ServerOptions{
 		Capacity: 1 << 20,
@@ -33,7 +35,7 @@ func TestAdmissionQuotaShed(t *testing.T) {
 		// the second is shed deterministically.
 		Admission: AdmissionConfig{QuotaRate: 0.1, QuotaBurst: 1},
 	})
-	cl, err := NewClientV2(s.Addr(), 1) // one conn = one bucket
+	cl, err := NewClient(s.Addr(), 1) // one conn = one bucket
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +55,6 @@ func TestAdmissionQuotaShed(t *testing.T) {
 	if st.ShedQuota != 1 {
 		t.Fatalf("ShedQuota = %d, want 1", st.ShedQuota)
 	}
-
-	// Same behaviour over the v1 protocol, on a fresh connection (fresh
-	// bucket).
-	c1, err := NewClient(s.Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	if _, _, err := c1.Get("k"); err != nil {
-		t.Fatalf("v1 first op should be admitted: %v", err)
-	}
-	if err := c1.Put("k2", []byte("v")); !errors.Is(err, ErrRetryLater) {
-		t.Fatalf("v1 second op: err = %v, want ErrRetryLater", err)
-	}
 }
 
 // TestAdmissionQueueShed fills the in-flight gate with slow requests
@@ -76,8 +64,8 @@ func TestAdmissionQueueShed(t *testing.T) {
 		Capacity:  1 << 20,
 		Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, MaxWait: 5 * time.Millisecond},
 	})
-	s.SetLag(50 * time.Millisecond)
-	cl := testClientV2(t, s)
+	s.SetFault(FaultConfig{Lag: 50 * time.Millisecond})
+	cl := testClient(t, s)
 	const n = 8
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
@@ -109,7 +97,7 @@ func TestAdmissionQueueShed(t *testing.T) {
 		t.Fatalf("ShedQueue = 0 after %d sheds", sheds)
 	}
 	// The shed path must preserve framing: the connection still works.
-	s.SetLag(0)
+	s.SetFault(FaultConfig{})
 	if err := cl.Put("after", []byte("ok")); err != nil {
 		t.Fatalf("connection unhealthy after sheds: %v", err)
 	}
@@ -124,8 +112,8 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 		Capacity:  1 << 20,
 		Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: 4, MaxWait: time.Second},
 	})
-	s.SetLag(200 * time.Millisecond)
-	cl := testClientV2(t, s)
+	s.SetFault(FaultConfig{Lag: 200 * time.Millisecond})
+	cl := testClient(t, s)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -140,7 +128,7 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	wg.Wait()
-	s.SetLag(0)
+	s.SetFault(FaultConfig{})
 	st, err := cl.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -150,16 +138,67 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	}
 }
 
-// TestClientV2RetryAfterShed checks the context ops absorb a shed with
+// TestDeadlineAndTraceInOneFrame sends requests carrying both a
+// deadline and a trace context: each must record its server span with
+// the originating rank/iter, and the one queued behind a full gate must
+// still be shed once its budget runs out.
+func TestDeadlineAndTraceInOneFrame(t *testing.T) {
+	ring := obs.NewTraceRing(64)
+	s := testServerOptions(t, ServerOptions{
+		Capacity:  1 << 20,
+		Admission: AdmissionConfig{MaxInFlight: 1, MaxQueue: 4, MaxWait: time.Second},
+		Trace:     ring,
+	})
+	occupier, traced := testClient(t, s), testClient(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if st, _, err := traced.doRaw(ctx, opGet, "k", nil, obs.NewTraceCtx(3, 1, 6)); err != nil || st != statusNotFound {
+		t.Fatalf("admitted traced Get = status %d, %v", st, err)
+	}
+
+	s.SetFault(FaultConfig{Lag: 200 * time.Millisecond})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _, _ = occupier.Get("occupier") // holds the only slot for the lag
+	}()
+	for s.QueueDepth() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	st, _, err := traced.doRaw(ctx, opGet, "k", nil, obs.NewTraceCtx(3, 1, 7))
+	if err == nil && st != statusRetryLater || err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued traced Get = status %d, %v; want a shed or DeadlineExceeded", st, err)
+	}
+	wg.Wait()
+	if got := s.Stats().ShedDeadline; got != 1 {
+		t.Fatalf("ShedDeadline = %d, want 1", got)
+	}
+
+	s.Close() // waits out the connection handlers, so every span has landed
+	iters := map[int64]bool{}
+	for _, e := range ring.Events() {
+		if e.Name == "kv.get" && e.Arg1Name == "rank" && e.Arg1 == 3 && e.Arg2Name == "iter" {
+			iters[e.Arg2] = true
+		}
+	}
+	if !iters[6] || !iters[7] {
+		t.Fatalf("kv.get spans for rank 3 cover iters %v, want 6 (admitted) and 7 (shed)", iters)
+	}
+}
+
+// TestClientRetryAfterShed checks the context ops absorb a shed with
 // backoff: a 1-token bucket refilling fast enough sheds the second op
 // once, then the retry succeeds.
-func TestClientV2RetryAfterShed(t *testing.T) {
+func TestClientRetryAfterShed(t *testing.T) {
 	s := testServerOptions(t, ServerOptions{
 		Capacity: 1 << 20,
 		// 200 tokens/sec = one fresh token every 5ms; burst 1.
 		Admission: AdmissionConfig{QuotaRate: 200, QuotaBurst: 1},
 	})
-	cl, err := NewClientV2(s.Addr(), 1)
+	cl, err := NewClient(s.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,17 +233,17 @@ func TestClientV2RetryAfterShed(t *testing.T) {
 	}
 }
 
-// TestClientV2ContextCancelMidPipeline hammers a lagged server with
+// TestClientContextCancelMidPipeline hammers a lagged server with
 // short-deadline ops from many goroutines: cancelled calls must leave
 // no stuck waiters and no pool corruption, and afterwards the same
 // client must still round-trip values correctly. Run under -race.
-func TestClientV2ContextCancelMidPipeline(t *testing.T) {
+func TestClientContextCancelMidPipeline(t *testing.T) {
 	s := testServer(t, 1<<20)
-	cl := testClientV2(t, s)
+	cl := testClient(t, s)
 	if err := cl.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	s.SetLag(2 * time.Millisecond)
+	s.SetFault(FaultConfig{Lag: 2 * time.Millisecond})
 	const goroutines, iters = 8, 40
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -241,7 +280,7 @@ func TestClientV2ContextCancelMidPipeline(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s.SetLag(0)
+	s.SetFault(FaultConfig{})
 	// The pipeline must be fully healthy: every pooled call object
 	// recycles cleanly and values round-trip uncorrupted.
 	for i := 0; i < 200; i++ {

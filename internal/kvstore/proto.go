@@ -7,15 +7,14 @@ import (
 	"sync"
 )
 
-// Protocol ops, shared by v1 and v2. The batch ops exist only in v2
-// frames; a v1 peer sending them gets statusError.
+// Protocol ops.
 const (
 	opGet byte = iota + 1
 	opPut
 	opDelete
 	opStats
-	opMultiGet // v2 only
-	opMultiPut // v2 only
+	opMultiGet
+	opMultiPut
 )
 
 // Response statuses.
@@ -35,31 +34,31 @@ const (
 // refusals, and the three admission shed counters).
 const statsWireLen = 72
 
-// frameV2Magic introduces a v2 request frame. It is disjoint from every
-// v1 op byte, so the server classifies each incoming frame by its first
-// byte and one connection can carry either protocol (or both).
-const frameV2Magic byte = 0xA2
+// frameMagic opens every request frame. The retired 0xA2–0xA4 magics
+// of the earlier framings are not reused, so a peer still speaking one
+// of them is dropped at its first byte instead of misparsed.
+const frameMagic byte = 0xA5
 
-// frameV2DeadlineMagic introduces the v2 frame extension that carries a
-// client deadline: the layout is identical to a frameV2Magic frame with
-// one extra u32 after the request ID — the remaining deadline budget in
-// microseconds, measured by the client when the frame is serialized.
-// A relative budget needs no clock synchronization; the server restarts
-// it at parse time, so it bounds the time a request may spend queued
-// behind the admission gate and executing, not time on the wire.
-const frameV2DeadlineMagic byte = 0xA3
+// Request flag bits; any other bit set drops the connection.
+//
+// flagDeadline adds a u32 after the request ID: the remaining deadline
+// budget in microseconds, measured by the client when the frame is
+// serialized. A relative budget needs no clock synchronization; the
+// server restarts it at parse time, so it bounds the time a request may
+// spend queued behind the admission gate and executing, not time on
+// the wire.
+//
+// flagTrace adds a u64 after the budget (if any): an obs.TraceCtx
+// packing the originating (rank, epoch, iter). The server stamps it on
+// the span it records for the request, so /trace.json scraped from a kv
+// shard can be merged with the requesting rank's trace and correlated on
+// the rank/iter labels.
+const (
+	flagDeadline byte = 1 << iota
+	flagTrace
 
-// frameV2TraceMagic introduces the v2 frame extension that carries a
-// trace context: the layout is identical to a frameV2Magic frame with
-// one extra u64 after the request ID — an obs.TraceCtx packing the
-// originating (rank, epoch, iter). The server stamps it on the span it
-// records for the request, so /trace.json scraped from a kv shard can
-// be merged with the requesting rank's trace and correlated on the
-// rank/iter labels. Deadline and trace extensions are disjoint frames:
-// when a call carries both, the deadline wins (overload control
-// outranks attribution) and the trace context is dropped for that
-// request.
-const frameV2TraceMagic byte = 0xA4
+	knownFlags = flagDeadline | flagTrace
+)
 
 // maxKeyLen, maxValLen and maxBatchLen bound request sizes (defense
 // against corrupt or hostile peers).
@@ -80,7 +79,7 @@ var ErrTooLarge = errors.New("kvstore: value exceeds shard capacity")
 var ErrRetryLater = errors.New("kvstore: server overloaded, retry later")
 
 // errFrame is the generic malformed-frame error; connections carrying a
-// malformed frame are dropped, matching v1 behaviour.
+// malformed frame are dropped.
 var errFrame = errors.New("kvstore: malformed frame")
 
 // readLen and friends move u32 length fields byte-at-a-time through

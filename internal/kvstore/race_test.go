@@ -13,11 +13,7 @@ import (
 // and the striped store end to end.
 func TestConcurrentMixedOpsV2(t *testing.T) {
 	s := testServer(t, 1<<20)
-	c, err := NewClientV2(s.Addr(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c := testClient(t, s)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {

@@ -5,18 +5,12 @@
 // kvstore.Cluster as its shared cache layer instead of node-to-node
 // fetches.
 //
-// Two wire protocols share every connection, classified per frame by
-// the first byte:
-//
-// v1 (legacy, one blocking request per round trip):
-//
-//	request : op(1) keyLen(u32) key valLen(u32) val
-//	response: status(1) valLen(u32) val
-//
-// v2 (pipelined): requests carry a magic byte and a request ID so many
-// ops can be in flight per connection, and MultiGet/MultiPut move a
-// whole plan window in one round trip (frame layout in store.go and
-// DESIGN.md §8). All lengths are big-endian.
+// The wire protocol is pipelined: every request frame carries a magic
+// byte, a flags byte and a request ID, so many ops can be in flight per
+// connection, and MultiGet/MultiPut move a whole plan window in one
+// round trip. The flags add an optional deadline budget and an optional
+// trace context to any request (frame layout in store.go and DESIGN.md
+// §8). All lengths are big-endian.
 //
 // Servers bound their memory with an LRU over value bytes, striped
 // across N key-hashed sub-shards so concurrent clients do not serialize
@@ -65,7 +59,7 @@ func NewServer(addr string, capacity int64) (*Server, error) {
 
 // NewServerStriped is NewServer with an explicit LRU stripe count
 // (rounded down to a power of two; <= 0 selects automatically). One
-// stripe reproduces the exact global-LRU eviction order of the v1
+// stripe reproduces the exact global-LRU eviction order of an unstriped
 // store; more stripes trade that for concurrency, with the byte budget
 // — and therefore the largest admissible value and the eviction
 // pressure — split evenly per stripe.
@@ -85,8 +79,8 @@ type ServerOptions struct {
 	// quotas and the bounded in-flight gate. The zero value disables
 	// them all.
 	Admission AdmissionConfig
-	// Trace, when non-nil, records one server-side span per traced
-	// (0xA4-framed) request, stamped with the originating rank/iter so
+	// Trace, when non-nil, records one server-side span per request
+	// carrying a trace context, stamped with the originating rank/iter so
 	// this shard's /trace.json merges with the requesting rank's trace.
 	// Untraced frames record nothing.
 	Trace *obs.TraceRing
@@ -117,16 +111,10 @@ func NewServerOptions(addr string, opts ServerOptions) (*Server, error) {
 
 // SetFault installs the shard's fault-injection profile (fault.go):
 // per-request lag/jitter, statusError rate, connection-drop rate,
-// optionally scoped per op — the generalization of SetLag shared by the
-// chaos harness, the hedged-read tests and the overload benchmarks. A
-// zero config restores health. Safe to call while serving.
+// optionally scoped per op — shared by the chaos harness, the
+// hedged-read tests and the overload benchmarks. A zero config restores
+// health. Safe to call while serving.
 func (s *Server) SetFault(cfg FaultConfig) { s.st.setFault(cfg) }
-
-// SetLag injects an artificial per-request service delay, applied while
-// the request occupies its in-flight slot — the lag-only special case
-// of SetFault kept for the common "this shard is slow" call sites.
-// Zero removes the lag. Safe to call while serving.
-func (s *Server) SetLag(d time.Duration) { s.SetFault(FaultConfig{Lag: d}) }
 
 // QueueDepth reports requests executing or waiting at the admission
 // gate right now (0 when admission is disabled).
@@ -241,11 +229,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve processes frames from one connection until it drops. Each
-// frame's first byte selects the protocol: a v1 op byte or the v2
-// magic. Responses are written in request order and flushed only when
-// the read buffer holds no further request bytes, so a pipelined burst
-// of N ops costs one write syscall, not N.
+// serve processes frames from one connection until it drops. Responses
+// are written in request order and flushed only when the read buffer
+// holds no further request bytes, so a pipelined burst of N ops costs
+// one write syscall, not N.
 func (s *Server) serve(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -261,18 +248,8 @@ func (s *Server) serve(conn net.Conn) {
 		tid = s.st.trace.NewThread("kv/conn")
 	}
 	for {
-		first, err := r.ReadByte()
-		if err != nil {
+		if err := s.st.handleFrame(r, w, q, tid); err != nil {
 			return // EOF or protocol error: drop the connection
-		}
-		switch first {
-		case frameV2Magic, frameV2DeadlineMagic, frameV2TraceMagic:
-			err = s.st.handleV2(r, w, q, first, tid)
-		default:
-			err = s.st.handleV1(first, r, w, q)
-		}
-		if err != nil {
-			return
 		}
 		if r.Buffered() == 0 {
 			if err := w.Flush(); err != nil {

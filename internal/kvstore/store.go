@@ -14,7 +14,7 @@ import (
 
 // minStripeBytes is the smallest per-stripe byte budget worth striping
 // for: below it the auto-sizing collapses stripes so tiny shards keep
-// the exact global-LRU semantics of the v1 store.
+// the exact global-LRU semantics of an unstriped store.
 const minStripeBytes = 64 << 10
 
 // defaultStripes caps the automatic stripe count.
@@ -46,8 +46,8 @@ type store struct {
 	faultErrs  atomic.Uint64
 	faultDrops atomic.Uint64
 
-	// trace records one server-side span per traced (0xA4) request,
-	// stamped with the originating rank/iter from the frame's TraceCtx
+	// trace records one server-side span per traced request, stamped
+	// with the originating rank/iter from the frame's TraceCtx
 	// (ServerOptions.Trace; nil records nothing).
 	trace *obs.TraceRing
 }
@@ -234,84 +234,48 @@ func (sp *stripe) moveToFront(e *entry) {
 	sp.pushFront(e)
 }
 
-// ---- protocol handlers ----
+// ---- protocol handler ----
 //
-// Both handlers live on the store (not the Server) so the fuzzers can
-// drive them over in-memory readers without a TCP listener.
+// The handler lives on the store (not the Server) so the fuzzer can
+// drive it over in-memory readers without a TCP listener.
 
-// handleV1 serves one v1 request whose op byte has already been
-// consumed. Responses are buffered in w; the serve loop flushes when no
-// further request bytes are pending. The admission gates apply to the
-// data ops (v1 has no deadline extension, so only the quota and queue
-// gates can fire); Stats is exempt so monitoring survives overload.
-func (st *store) handleV1(op byte, r *bufio.Reader, w *bufio.Writer, q *connQuota) error {
-	key, val, err := readKV(r)
-	if err != nil {
-		return err
-	}
-	defer putBuf(key)
-	if op == opStats {
-		writeStats(w, st.stats())
-		return nil
-	}
-	if st.adm != nil {
-		if v := st.adm.admit(q, time.Time{}, time.Now()); v != admitOK {
-			writeResponse(w, statusRetryLater, nil)
-			return nil
-		}
-		defer st.adm.release()
-	}
-	switch st.applyFault(op) {
-	case faultDrop:
-		return errFrame // sever: the crashed-shard failure mode
-	case faultErr:
-		writeResponse(w, statusError, nil)
-		return nil
-	}
-	switch op {
-	case opGet:
-		if v, ok := st.get(key.b); ok {
-			writeResponse(w, statusOK, v)
-		} else {
-			writeResponse(w, statusNotFound, nil)
-		}
-	case opPut:
-		writeResponse(w, st.put(key.b, val), nil)
-	case opDelete:
-		st.delete(key.b)
-		writeResponse(w, statusOK, nil)
-	default:
-		writeResponse(w, statusError, nil)
-	}
-	return nil
-}
-
-// handleV2 serves one v2 request whose magic byte has already been
-// consumed. magic selects the frame extension: 0xA3 carries the
-// client's remaining deadline budget, 0xA4 a trace context (the span
-// recorded for a traced request lands on track tid, stamped with the
-// originating rank/iter).
+// handleFrame serves one request frame. Responses are buffered in w; the
+// serve loop flushes when no further request bytes are pending. A traced
+// request's span lands on track tid, stamped with the originating
+// rank/iter.
 //
-// v2 request frame (big-endian lengths):
+// Request frame (big-endian lengths; flag bits in proto.go):
 //
-//	magic(1)=0xA2 op(1) reqID(u32) body
-//	magic(1)=0xA3 op(1) reqID(u32) budgetMicros(u32) body
-//	magic(1)=0xA4 op(1) reqID(u32) traceCtx(u64) body
+//	magic(1)=0xA5 flags(1) op(1) reqID(u32)
+//	  [budgetMicros(u32) if flagDeadline] [traceCtx(u64) if flagTrace] body
 //	  single ops : keyLen(u32) key valLen(u32) val
 //	  opMultiGet : count(u32) { keyLen(u32) key }*
 //	  opMultiPut : count(u32) { keyLen(u32) key valLen(u32) val }*
 //
-// v2 response frame:
+// Response frame:
 //
 //	op(1) reqID(u32) status(1) body
 //	  single ops : valLen(u32) val
 //	  opMultiGet : count(u32) { status(1) valLen(u32) val }*
 //	  opMultiPut : count(u32) { status(1) }*
 //
-// A shed request (statusRetryLater) answers batch ops with count 0: the
+// A shed (statusRetryLater) or fault-injected (statusError) request is
+// answered with an empty body (valLen 0, or count 0 for batch ops): the
 // server drained the request body to preserve framing but did none of
-// the work.
-func (st *store) handleV2(r *bufio.Reader, w *bufio.Writer, q *connQuota, magic byte, tid int64) error {
+// the work. Any other magic, an unknown flag bit or an unknown op loses
+// the frame boundary and drops the connection.
+func (st *store) handleFrame(r *bufio.Reader, w *bufio.Writer, q *connQuota, tid int64) error {
+	magic, err := r.ReadByte()
+	if err != nil {
+		return err
+	}
+	flags, err := r.ReadByte()
+	if err != nil {
+		return err
+	}
+	if magic != frameMagic || flags&^knownFlags != 0 {
+		return errFrame
+	}
 	op, err := r.ReadByte()
 	if err != nil {
 		return err
@@ -321,8 +285,7 @@ func (st *store) handleV2(r *bufio.Reader, w *bufio.Writer, q *connQuota, magic 
 		return err
 	}
 	var expiry time.Time
-	switch magic {
-	case frameV2DeadlineMagic:
+	if flags&flagDeadline != 0 {
 		budget, err := readU32(r)
 		if err != nil {
 			return err
@@ -330,7 +293,8 @@ func (st *store) handleV2(r *bufio.Reader, w *bufio.Writer, q *connQuota, magic 
 		if budget > 0 {
 			expiry = time.Now().Add(time.Duration(budget) * time.Microsecond)
 		}
-	case frameV2TraceMagic:
+	}
+	if flags&flagTrace != 0 {
 		raw, err := readU64(r)
 		if err != nil {
 			return err
@@ -343,90 +307,52 @@ func (st *store) handleV2(r *bufio.Reader, w *bufio.Writer, q *connQuota, magic 
 			}()
 		}
 	}
+	count := uint32(1) // single ops carry one key/value pair
 	switch op {
-	case opGet, opPut, opDelete, opStats:
-		if st.adm != nil && op != opStats {
-			if v := st.adm.admit(q, expiry, time.Now()); v != admitOK {
-				// Drain the body without materializing the value, then
-				// answer with the cheap shed status.
-				if err := drainChunk(r, maxKeyLen); err != nil {
-					return err
-				}
-				if err := drainChunk(r, maxValLen); err != nil {
-					return err
-				}
-				writeV2Response(w, op, id, statusRetryLater, nil)
-				return nil
-			}
-			defer st.adm.release()
-		}
-		key, val, err := readKV(r)
-		if err != nil {
+	case opStats:
+		// Exempt from admission and faults, so monitoring survives
+		// overload and chaos; the request body is ignored.
+		if err := drainBody(r, op, count); err != nil {
 			return err
 		}
-		defer putBuf(key)
-		if op == opStats {
-			s := st.stats()
-			buf := getBuf(statsWireLen)
-			encodeStats(buf.b, s)
-			writeV2Response(w, op, id, statusOK, buf.b)
-			putBuf(buf)
-			return nil
-		}
-		switch st.applyFault(op) {
-		case faultDrop:
-			return errFrame // sever: the crashed-shard failure mode
-		case faultErr:
-			writeV2Response(w, op, id, statusError, nil)
-			return nil
-		}
-		switch op {
-		case opGet:
-			if v, ok := st.get(key.b); ok {
-				writeV2Response(w, op, id, statusOK, v)
-			} else {
-				writeV2Response(w, op, id, statusNotFound, nil)
-			}
-		case opPut:
-			writeV2Response(w, op, id, st.put(key.b, val), nil)
-		case opDelete:
-			st.delete(key.b)
-			writeV2Response(w, op, id, statusOK, nil)
-		}
+		buf := getBuf(statsWireLen)
+		encodeStats(buf.b, st.stats())
+		writeResponse(w, op, id, statusOK, buf.b)
+		putBuf(buf)
 		return nil
-	case opMultiGet:
-		count, err := readLen(r, maxBatchLen)
-		if err != nil {
+	case opGet, opPut, opDelete:
+	case opMultiGet, opMultiPut:
+		if count, err = readLen(r, maxBatchLen); err != nil {
 			return err
 		}
-		if st.adm != nil {
-			if v := st.adm.admit(q, expiry, time.Now()); v != admitOK {
-				// Drain the batch body cheaply, then answer with an
-				// empty shed response.
-				for i := uint32(0); i < count; i++ {
-					if err := drainChunk(r, maxKeyLen); err != nil {
-						return err
-					}
-				}
-				writeV2Shed(w, op, id)
-				return nil
-			}
+	default:
+		return errFrame
+	}
+	status := statusOK
+	if st.adm != nil {
+		if st.adm.admit(q, expiry, time.Now()) != admitOK {
+			status = statusRetryLater
+		} else {
 			defer st.adm.release()
 		}
+	}
+	if status == statusOK {
 		switch st.applyFault(op) {
 		case faultDrop:
 			return errFrame // sever: the crashed-shard failure mode
 		case faultErr:
-			// Drain the batch body to preserve framing, then answer with
-			// an empty error response (count 0, like a shed).
-			for i := uint32(0); i < count; i++ {
-				if err := drainChunk(r, maxKeyLen); err != nil {
-					return err
-				}
-			}
-			writeV2Empty(w, op, id, statusError)
-			return nil
+			status = statusError
 		}
+	}
+	if status != statusOK {
+		if err := drainBody(r, op, count); err != nil {
+			return err
+		}
+		writeEmpty(w, op, id, status)
+		return nil
+	}
+	switch op {
+	case opMultiGet:
 		// Stream the response while decoding: each key is looked up and
 		// its entry written as soon as it is read, so the batch needs no
 		// materialized request and only one key buffer of scratch.
@@ -449,47 +375,7 @@ func (st *store) handleV2(r *bufio.Reader, w *bufio.Writer, q *connQuota, magic 
 			}
 			putBuf(key)
 		}
-		return nil
 	case opMultiPut:
-		count, err := readLen(r, maxBatchLen)
-		if err != nil {
-			return err
-		}
-		shed := false
-		if st.adm != nil {
-			if v := st.adm.admit(q, expiry, time.Now()); v != admitOK {
-				shed = true
-			} else {
-				defer st.adm.release()
-			}
-		}
-		if shed {
-			for i := uint32(0); i < count; i++ {
-				if err := drainChunk(r, maxKeyLen); err != nil {
-					return err
-				}
-				if err := drainChunk(r, maxValLen); err != nil {
-					return err
-				}
-			}
-			writeV2Shed(w, op, id)
-			return nil
-		}
-		switch st.applyFault(op) {
-		case faultDrop:
-			return errFrame // sever: the crashed-shard failure mode
-		case faultErr:
-			for i := uint32(0); i < count; i++ {
-				if err := drainChunk(r, maxKeyLen); err != nil {
-					return err
-				}
-				if err := drainChunk(r, maxValLen); err != nil {
-					return err
-				}
-			}
-			writeV2Empty(w, op, id, statusError)
-			return nil
-		}
 		statuses := getBuf(int(count))
 		defer putBuf(statuses)
 		for i := uint32(0); i < count; i++ {
@@ -505,15 +391,31 @@ func (st *store) handleV2(r *bufio.Reader, w *bufio.Writer, q *connQuota, magic 
 		_ = w.WriteByte(statusOK)
 		writeU32(w, count)
 		_, _ = w.Write(statuses.b)
-		return nil
 	default:
-		// Unknown op: the frame boundary is lost, drop the connection.
-		return errFrame
+		key, val, err := readKV(r)
+		if err != nil {
+			return err
+		}
+		defer putBuf(key)
+		switch op {
+		case opGet:
+			if v, ok := st.get(key.b); ok {
+				writeResponse(w, op, id, statusOK, v)
+			} else {
+				writeResponse(w, op, id, statusNotFound, nil)
+			}
+		case opPut:
+			writeResponse(w, op, id, st.put(key.b, val), nil)
+		case opDelete:
+			st.delete(key.b)
+			writeResponse(w, op, id, statusOK, nil)
+		}
 	}
+	return nil
 }
 
 // opTraceName maps a wire op to the constant span name recorded for a
-// traced (0xA4) request. Constants, so recording stays allocation-free.
+// traced request. Constants, so recording stays allocation-free.
 func opTraceName(op byte) string {
 	switch op {
 	case opGet:
@@ -531,24 +433,35 @@ func opTraceName(op byte) string {
 	}
 }
 
-// writeV2Shed writes the zero-count batch response of a shed batch op.
-func writeV2Shed(w *bufio.Writer, op byte, id uint32) {
-	writeV2Empty(w, op, id, statusRetryLater)
-}
-
-// writeV2Empty writes a zero-count batch response carrying only a
-// status — the frame of a shed (statusRetryLater) or fault-injected
-// (statusError) batch op: the request body was drained to preserve
-// framing, but none of the work was done.
-func writeV2Empty(w *bufio.Writer, op byte, id uint32, status byte) {
+// writeEmpty writes a response carrying only a status — the frame of a
+// shed (statusRetryLater) or fault-injected (statusError) request. The
+// zero u32 is a single op's value length or a batch op's count.
+func writeEmpty(w *bufio.Writer, op byte, id uint32, status byte) {
 	_ = w.WriteByte(op)
 	writeU32(w, id)
 	_ = w.WriteByte(status)
 	writeU32(w, 0)
 }
 
-// drainChunk consumes one length-prefixed blob without materializing
-// it — the cheap path shed requests take through their body.
+// drainBody consumes the body of a request that will not be served
+// (shed, fault-injected, or an opStats whose key is ignored) without
+// materializing it: count keys, each followed by its value except in an
+// opMultiGet. count is 1 for single ops.
+func drainBody(r *bufio.Reader, op byte, count uint32) error {
+	for i := uint32(0); i < count; i++ {
+		if err := drainChunk(r, maxKeyLen); err != nil {
+			return err
+		}
+		if op != opMultiGet {
+			if err := drainChunk(r, maxValLen); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// drainChunk consumes one length-prefixed blob without materializing it.
 func drainChunk(r *bufio.Reader, max uint32) error {
 	n, err := readLen(r, max)
 	if err != nil {
@@ -605,22 +518,9 @@ func encodeStats(buf []byte, s Stats) {
 	binary.BigEndian.PutUint64(buf[64:], s.ShedQueue)
 }
 
-func writeStats(w *bufio.Writer, s Stats) {
-	buf := getBuf(statsWireLen)
-	encodeStats(buf.b, s)
-	writeResponse(w, statusOK, buf.b)
-	putBuf(buf)
-}
-
-func writeResponse(w *bufio.Writer, status byte, val []byte) {
-	// bufio.Writer errors are sticky; the caller's Flush surfaces the
+func writeResponse(w *bufio.Writer, op byte, id uint32, status byte, val []byte) {
+	// bufio.Writer errors are sticky; the serve loop's Flush surfaces the
 	// first one and drops the connection.
-	_ = w.WriteByte(status)
-	writeU32(w, uint32(len(val)))
-	_, _ = w.Write(val)
-}
-
-func writeV2Response(w *bufio.Writer, op byte, id uint32, status byte, val []byte) {
 	_ = w.WriteByte(op)
 	writeU32(w, id)
 	_ = w.WriteByte(status)

@@ -12,21 +12,10 @@ import (
 	"time"
 )
 
-func testClientV2(t *testing.T, s *Server) *ClientV2 {
-	t.Helper()
-	c, err := NewClientV2(s.Addr(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return c
-}
-
-// TestV2PutGetDelete covers the single-op surface over the pipelined
-// protocol, against the same server that serves v1.
+// TestV2PutGetDelete covers the single-op surface, Stats included.
 func TestV2PutGetDelete(t *testing.T) {
 	s := testServer(t, 1<<20)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 
 	if _, found, err := c.Get("missing"); err != nil || found {
 		t.Fatalf("Get(missing) = %v, %v", found, err)
@@ -58,7 +47,7 @@ func TestV2PutGetDelete(t *testing.T) {
 // survives.
 func TestV2OversizedValueRefused(t *testing.T) {
 	s := testServer(t, 10)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	if err := c.Put("big", make([]byte, 100)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Put(oversized) = %v, want ErrTooLarge", err)
 	}
@@ -93,7 +82,7 @@ func TestV2OversizedValueRefused(t *testing.T) {
 // an empty value.
 func TestMultiGetMixed(t *testing.T) {
 	s := testServer(t, 1<<20)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	if err := c.MultiPut(
 		[]string{"a", "empty", "c"},
 		[][]byte{[]byte("va"), {}, []byte("vc")}); err != nil {
@@ -117,7 +106,7 @@ func TestMultiGetMixed(t *testing.T) {
 	}
 }
 
-// TestClusterMultiGetSpansShards drives a batch across a 3-shard v2
+// TestClusterMultiGetSpansShards drives a batch across a 3-shard
 // cluster with mixed hits and misses, verifying order-preserving
 // reassembly.
 func TestClusterMultiGetSpansShards(t *testing.T) {
@@ -174,21 +163,6 @@ func TestClusterMultiGetSpansShards(t *testing.T) {
 			t.Fatalf("key %d: miss returned %q", i, got[i])
 		}
 	}
-	// A v1 cluster must satisfy the same contract (loop fallback).
-	v1, err := NewClusterV1(addrs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	got1, err := v1.MultiGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(got1[i], got[i]) {
-			t.Fatalf("v1/v2 disagree on key %d: %q vs %q", i, got1[i], got[i])
-		}
-	}
 }
 
 // TestV2Pipelining verifies many concurrent ops share few connections:
@@ -196,7 +170,7 @@ func TestClusterMultiGetSpansShards(t *testing.T) {
 // observe their own writes.
 func TestV2Pipelining(t *testing.T) {
 	s := testServer(t, 8<<20)
-	c, err := NewClientV2(s.Addr(), 1)
+	c, err := NewClient(s.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +211,7 @@ func TestV2Pipelining(t *testing.T) {
 // verifies the next ops heal via the lazy redial path.
 func TestV2Reconnect(t *testing.T) {
 	s := testServer(t, 1<<20)
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +244,7 @@ func TestV2Reconnect(t *testing.T) {
 // return rather than hang.
 func TestV2FailureUnderLoad(t *testing.T) {
 	s := testServer(t, 8<<20)
-	c, err := NewClientV2(s.Addr(), 1)
+	c, err := NewClient(s.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,15 +315,15 @@ func TestV2MismatchedResponseErrors(t *testing.T) {
 		}
 		defer conn.Close()
 		// Consume the Get("k") request frame:
-		// magic(1) op(1) id(4) keyLen(4) "k"(1) valLen(4).
-		buf := make([]byte, 15)
+		// magic(1) flags(1) op(1) id(4) keyLen(4) "k"(1) valLen(4).
+		buf := make([]byte, 16)
 		if _, err := io.ReadFull(conn, buf); err != nil {
 			return
 		}
 		// Answer request 0 with the wrong op byte and an empty body.
 		_, _ = conn.Write([]byte{opPut, 0, 0, 0, 0, statusOK, 0, 0, 0, 0})
 	}()
-	c, err := NewClientV2(ln.Addr().String(), 1)
+	c, err := NewClient(ln.Addr().String(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +355,7 @@ func TestStripingSpreadsAndBounds(t *testing.T) {
 	if s.Stripes() != 8 {
 		t.Fatalf("stripes = %d, want 8", s.Stripes())
 	}
-	c := testClientV2(t, s)
+	c := testClient(t, s)
 	val := make([]byte, 4<<10)
 	for i := 0; i < 1000; i++ {
 		if err := c.Put(fmt.Sprintf("key-%d", i), val); err != nil {
@@ -409,7 +383,7 @@ func TestStripingSpreadsAndBounds(t *testing.T) {
 }
 
 // TestAutoStripeCollapse: tiny capacities must collapse to one stripe so
-// the global LRU eviction order of the v1 store is preserved exactly.
+// the global LRU eviction order of an unstriped store is preserved exactly.
 func TestAutoStripeCollapse(t *testing.T) {
 	small := testServer(t, 100)
 	if small.Stripes() != 1 {

@@ -240,7 +240,7 @@ func (a *lockAnalysis) scanRegions(mf *moduleFunc) {
 
 // heldLock carries the context of one held-lock region scan.
 type heldLock struct {
-	id         string // lock identity, e.g. "kvstore.ClientV2.mu"
+	id         string // lock identity, e.g. "kvstore.Client.mu"
 	owner      string // rendered expression owning the lock ("cl")
 	holder     string // rendered lock expression ("cl.mu"), for unlock matching
 	unlockName string // "Unlock" or "RUnlock"

@@ -1,7 +1,6 @@
 // Package monitor exposes a running training job's statistics over HTTP —
 // the observability surface a production data-loading runtime needs:
 //
-//	/metrics.json    the most recent snapshot, JSON
 //	/metrics         Prometheus text exposition of an attached
 //	                 obs.Registry (404 until SetRegistry)
 //	/trace.json      Chrome trace-event dump of an attached
@@ -11,11 +10,10 @@
 //	/healthz         liveness probe, staleness-aware (SetMaxStale);
 //	                 healthy responses are JSON and include the
 //	                 snapshot's HealthSignaler counters when it has them
-//	/                human-readable text dashboard
 //
 // The server is generic: anything that can produce a snapshot value can
-// be monitored. The online runtime publishes a runtime.Progress every
-// iteration (see runtime.Options.OnProgress); attach the run's
+// be health-checked. The online runtime publishes a runtime.Progress
+// every iteration (see runtime.Options.OnProgress); attach the run's
 // obs.Registry and obs.TraceRing for the live per-stage view.
 package monitor
 
@@ -37,7 +35,8 @@ import (
 // finish before forcibly closing connections.
 const shutdownTimeout = 2 * time.Second
 
-// Server serves the most recently published snapshot.
+// Server serves the attached registry and trace ring, and health-checks
+// the most recently published snapshot.
 type Server struct {
 	ln      net.Listener
 	httpSrv *http.Server
@@ -63,7 +62,6 @@ func Serve(addr string) (*Server, error) {
 	}
 	s := &Server{ln: ln}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics.json", s.handleJSON)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/trace.json", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleHealth)
@@ -72,7 +70,6 @@ func Serve(addr string) (*Server, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/", s.handleText)
 	s.httpSrv = &http.Server{Handler: mux}
 	go s.httpSrv.Serve(ln) //lint:allow errcheck Serve always returns non-nil on Close; nothing to do with it
 	return s, nil
@@ -120,23 +117,6 @@ func (s *Server) Close() error {
 		return s.httpSrv.Close()
 	}
 	return nil
-}
-
-func (s *Server) handleJSON(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	snap, updated := s.snapshot, s.updated
-	s.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/json")
-	out := map[string]any{
-		"updated_unix_ms": updated.UnixMilli(),
-		"updates":         s.updates.Load(),
-		"snapshot":        snap,
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -201,24 +181,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	// Best-effort health probe; client disconnects are not actionable.
 	_ = json.NewEncoder(w).Encode(out)
-}
-
-func (s *Server) handleText(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	snap, updated := s.snapshot, s.updated
-	s.mu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	// Best-effort text dashboard; client disconnects are not actionable.
-	_, _ = fmt.Fprintf(w, "lobster monitor — %d updates, last at %s\n\n",
-		s.updates.Load(), updated.Format(time.RFC3339Nano))
-	if snap == nil {
-		_, _ = fmt.Fprintln(w, "(no snapshot published yet)")
-		return
-	}
-	// Render the snapshot as indented JSON; a text template would need to
-	// know the concrete type.
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// A failed render is visible to the client; nothing to do here.
-	_ = enc.Encode(snap)
 }

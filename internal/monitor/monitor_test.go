@@ -29,41 +29,29 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	defer s.Close()
 
-	// Before any snapshot: unhealthy, but the endpoints respond.
-	code, _ := get(t, "http://"+s.Addr()+"/healthz")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz before snapshot = %d", code)
-	}
-	_, text := get(t, "http://"+s.Addr()+"/")
-	if !strings.Contains(text, "no snapshot") {
-		t.Fatalf("dashboard before snapshot:\n%s", text)
+	// Before any snapshot: unhealthy, but the probe responds.
+	code, body := get(t, "http://"+s.Addr()+"/healthz")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "no snapshot") {
+		t.Fatalf("healthz before snapshot = %d %q", code, body)
 	}
 
 	s.Update(map[string]any{"iteration": 3, "hit_ratio": 0.5})
 	if s.Updates() != 1 {
 		t.Fatalf("updates = %d", s.Updates())
 	}
-	code, body := get(t, "http://"+s.Addr()+"/metrics.json")
+	code, body = get(t, "http://"+s.Addr()+"/healthz")
 	if code != http.StatusOK {
-		t.Fatalf("metrics = %d", code)
+		t.Fatalf("healthz after snapshot = %d", code)
 	}
 	var out struct {
-		Updates  uint64         `json:"updates"`
-		Snapshot map[string]any `json:"snapshot"`
+		Status  string `json:"status"`
+		Updates uint64 `json:"updates"`
 	}
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
-	if out.Updates != 1 || out.Snapshot["iteration"].(float64) != 3 {
-		t.Fatalf("snapshot wrong: %+v", out)
-	}
-	code, _ = get(t, "http://"+s.Addr()+"/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("healthz after snapshot = %d", code)
-	}
-	_, text = get(t, "http://"+s.Addr()+"/")
-	if !strings.Contains(text, "hit_ratio") {
-		t.Fatalf("dashboard missing fields:\n%s", text)
+	if out.Status != "ok" || out.Updates != 1 {
+		t.Fatalf("healthz body wrong: %+v", out)
 	}
 }
 
@@ -82,7 +70,7 @@ func TestServerConcurrentUpdates(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		get(t, "http://"+s.Addr()+"/metrics.json")
+		get(t, "http://"+s.Addr()+"/healthz")
 	}
 	<-done
 	if s.Updates() != 200 {

@@ -4,8 +4,8 @@ package obs
 // so a stall observed deep in the stack — a preproc queue wait, a peer
 // fetch, a kvstore op on another machine — can be attributed back to
 // the (rank, epoch, iteration) that paid for it. It is a single uint64
-// so it rides in hot-path structs and on the kvstore v2 wire (the 0xA4
-// frame) without allocating:
+// so it rides in hot-path structs and on the kvstore wire (a request
+// frame's flagTrace field) without allocating:
 //
 //	bits 63..48  rank   (uint16)
 //	bits 47..32  epoch  (uint16)

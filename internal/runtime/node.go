@@ -255,7 +255,7 @@ type loadWork struct {
 	iter cache.Iter
 	// ctx carries the requesting (rank, epoch, iter) down the demand
 	// path: into the stall ledger, the preproc jobs, and — through the
-	// KV client's 0xA4 frames — onto the server's trace ring. Zero when
+	// KV client's traced frames — onto the server's trace ring. Zero when
 	// the run is un-instrumented.
 	ctx obs.TraceCtx
 	// enq, when non-zero, timestamps the submit so the claiming worker

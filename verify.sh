@@ -27,18 +27,20 @@
 #   8. overload smoke  — tiny-scale sustained-overload + hedged-read
 #                        bench plus schema check of the tail-latency
 #                        fields in BENCH_kv.json (DESIGN.md §11)
-#   9. sim bench smoke — BENCH_sim.json schema validation
+#   9. kv frame fuzz   — 10 s of FuzzHandleFrame against the kvstore's
+#                        one request parser (DESIGN.md §8)
+#  10. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
-#  10. obs bench smoke — BENCH_obs.json schema + overhead-budget
+#  11. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#  11. chaos bench smoke — tiny live run of the chaos recovery suite
+#  12. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  12. monitor smoke   — boot lobster-kv with its monitor attached and
+#  13. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  13. doctor smoke    — point lobster-doctor at the live monitor (the
+#  14. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -88,6 +90,11 @@ echo "==> kvstore overload bench smoke"
 # BENCH_kv.json.
 LOBSTER_BENCH_KV=tiny go test ./internal/kvstore -run TestBenchKVJSON -count=1
 
+echo "==> kv frame fuzz"
+# Bounded fuzzing of the one request parser: every flag combination and
+# the shed/drain paths against arbitrary bytes.
+go test ./internal/kvstore -run '^$' -fuzz '^FuzzHandleFrame$' -fuzztime 10s
+
 echo "==> sim bench smoke"
 # Schema validation of the committed BENCH_sim.json (the full run is
 # `make bench-sim`, which regenerates it).
@@ -136,7 +143,7 @@ curl -fsS "$mon_url/healthz" | grep -q '"signals"' \
 
 echo "==> doctor smoke"
 # The doctor must ingest the live monitor over HTTP (its /metrics plus
-# the 0xA4-fed /trace.json) and produce a report...
+# the /trace.json fed by traced kv requests) and produce a report...
 doctor_bin="$(dirname "$kv_bin")/lobster-doctor"
 go build -o "$doctor_bin" ./cmd/lobster-doctor
 "$doctor_bin" "$mon_url" | grep -q '^lobster-doctor report' \
