@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/stats"
 )
@@ -172,24 +173,52 @@ func xorshift(state uint64) uint64 {
 	return state
 }
 
-// VerifyPayload checks that buf is the payload of sample id under seed.
-// It validates the header and a sparse sample of body words, returning a
-// descriptive error on mismatch.
+// VerifyPayload checks that buf is the payload of sample id under seed:
+// every byte, header and body, against the stream FillPayload writes,
+// regenerated a word at a time with no buffer. It returns a descriptive
+// error on mismatch.
+//
+//lint:hotpath one check per value a kv read returns; a scratch copy of the payload was most of the reader's garbage
 func VerifyPayload(buf []byte, seed uint64, id SampleID) error {
-	want := make([]byte, len(buf))
-	FillPayload(want, seed, id)
 	if len(buf) >= 4 {
 		gotID := binary.LittleEndian.Uint32(buf[0:4])
 		if gotID != uint32(id) {
+			//lint:allow hotpath cold mismatch path, formatted once per corrupt payload
 			return fmt.Errorf("dataset: payload header id %d, want %d", gotID, id)
 		}
 	}
-	// Sparse comparison: 64 probe positions cover corruption cheaply.
-	step := len(buf)/64 + 1
-	for i := 0; i < len(buf); i += step {
-		if buf[i] != want[i] {
-			return fmt.Errorf("dataset: payload of sample %d corrupt at offset %d", id, i)
-		}
+	if off := payloadMismatch(buf, seed, id); off >= 0 {
+		//lint:allow hotpath cold mismatch path, formatted once per corrupt payload
+		return fmt.Errorf("dataset: payload of sample %d corrupt at offset %d", id, off)
 	}
 	return nil
+}
+
+// payloadMismatch returns the offset of the first byte of buf that
+// differs from FillPayload's output for a buffer of its length, or -1.
+func payloadMismatch(buf []byte, seed uint64, id SampleID) int {
+	var hdr [PayloadHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(id))
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(buf)))
+	i := 0
+	for ; i < len(buf) && i < len(hdr); i++ {
+		if buf[i] != hdr[i] {
+			return i
+		}
+	}
+	state := stats.DeriveSeed(seed, uint64(id)+1)
+	for ; i+8 <= len(buf); i += 8 {
+		state = xorshift(state)
+		if diff := binary.LittleEndian.Uint64(buf[i:]) ^ state; diff != 0 {
+			return i + bits.TrailingZeros64(diff)/8 // little-endian: low byte first
+		}
+	}
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], xorshift(state))
+	for j := 0; i+j < len(buf); j++ {
+		if buf[i+j] != w[j] {
+			return i + j
+		}
+	}
+	return -1
 }

@@ -3,7 +3,9 @@ package dataset
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +140,50 @@ func TestVerifyPayloadDetectsCorruption(t *testing.T) {
 	q := d.Payload(1)
 	if err := VerifyPayload(q, spec.Seed, 2); err == nil {
 		t.Fatal("wrong-id payload not detected")
+	}
+	// A byte strictly between two probes of a 64-probe sparse check
+	// (probes every len/64+1 bytes): only a full comparison sees it.
+	r := d.Payload(2)
+	off := (len(r)/64 + 1) * 3 / 2
+	r[off] ^= 0x01
+	if err := VerifyPayload(r, spec.Seed, 2); err == nil {
+		t.Fatalf("body corruption at offset %d not detected", off)
+	}
+}
+
+// TestVerifyPayloadAllocationFree pins the verifier at zero allocations:
+// it runs once per value every kv read returns.
+func TestVerifyPayloadAllocationFree(t *testing.T) {
+	const seed, id = 3, SampleID(7)
+	for _, size := range []int{0, 5, PayloadHeaderSize, 8<<10 + 3} {
+		p := make([]byte, size)
+		FillPayload(p, seed, id)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := VerifyPayload(p, seed, id); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("size %d: VerifyPayload allocates %.1f times per call", size, allocs)
+		}
+	}
+}
+
+// TestVerifyPayloadReportsFirstCorruptByte flips each byte of a payload in
+// turn, header and tail included, and checks the error names its offset.
+func TestVerifyPayloadReportsFirstCorruptByte(t *testing.T) {
+	const seed, id = 5, SampleID(9)
+	p := make([]byte, 45) // header, four words, a 1-byte tail
+	FillPayload(p, seed, id)
+	for off := range p {
+		p[off] ^= 0x80
+		err := VerifyPayload(p, seed, id)
+		p[off] ^= 0x80
+		if err == nil {
+			t.Fatalf("flip at offset %d not detected", off)
+		}
+		if off >= 4 && !strings.HasSuffix(err.Error(), fmt.Sprintf("at offset %d", off)) {
+			t.Fatalf("flip at offset %d: %v", off, err)
+		}
 	}
 }
 

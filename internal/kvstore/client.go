@@ -29,19 +29,35 @@ const writeQueueDepth = 512
 // into large writes, and a reader goroutine dispatches responses to
 // their waiters — so one connection sustains many concurrent ops
 // instead of one per round trip. Safe for concurrent use.
+//
+// The connections form two lanes. Single-key ops and Stats ride the
+// point lane; MultiGet and MultiPut ride the batch lane. The server
+// answers one connection's frames one at a time and the reader drains
+// them in order, so a Get sharing a connection with a prefetch window's
+// MultiGet would wait out the whole batch (DESIGN.md §8).
 type Client struct {
-	addr   string
-	window int
-	mu     sync.Mutex
-	conns  []*pipeConn
-	rr     atomic.Uint32
-	shut   bool
+	addr         string
+	window       int
+	point, batch lane
 
 	// ins is the optional observability hookup (SetInstruments); an
 	// atomic pointer so it can be attached while ops are in flight. The
 	// un-instrumented fast path costs one pointer load per op.
 	ins atomic.Pointer[ClientInstruments]
 }
+
+// lane is one class of traffic's connections to the shard, picked
+// round-robin and redialed when dead; each connection carries its own
+// backpressure window.
+type lane struct {
+	mu    sync.Mutex
+	conns []*pipeConn
+	rr    atomic.Uint32
+	shut  bool
+}
+
+// lanes lists the client's lanes, point first.
+func (cl *Client) lanes() [2]*lane { return [2]*lane{&cl.point, &cl.batch} }
 
 // SetInstruments attaches (or with nil detaches) per-op latency and
 // counter instruments. Safe to call concurrently with ops.
@@ -70,8 +86,8 @@ func opDone(h *obs.Histogram, g *obs.Gauge, start time.Time) {
 }
 
 // NewClient connects to a shard with the given number of multiplexed
-// connections (a handful is plenty; each carries hundreds of in-flight
-// ops).
+// connections per lane (a handful is plenty; each carries hundreds of
+// in-flight ops).
 func NewClient(addr string, conns int) (*Client, error) {
 	return NewClientOptions(addr, ClientOptions{Conns: conns})
 }
@@ -79,7 +95,9 @@ func NewClient(addr string, conns int) (*Client, error) {
 // ClientOptions configures the pipelined client beyond its connection
 // count.
 type ClientOptions struct {
-	// Conns is the number of multiplexed connections (min 1).
+	// Conns is the number of multiplexed connections per lane (min 1):
+	// the client dials Conns for its point ops and Conns more for its
+	// batch ops.
 	Conns int
 	// Window caps requests in flight per connection — registered but not
 	// yet completed. An op arriving at a full window blocks (respecting
@@ -98,57 +116,60 @@ func NewClientOptions(addr string, opts ClientOptions) (*Client, error) {
 		opts.Window = writeQueueDepth
 	}
 	cl := &Client{addr: addr, window: opts.Window}
-	for i := 0; i < opts.Conns; i++ {
-		p, err := dialPipe(addr, opts.Window)
-		if err != nil {
-			cl.Close()
-			return nil, err
+	for _, l := range cl.lanes() {
+		for i := 0; i < opts.Conns; i++ {
+			p, err := dialPipe(addr, opts.Window)
+			if err != nil {
+				cl.Close()
+				return nil, err
+			}
+			l.conns = append(l.conns, p)
 		}
-		cl.conns = append(cl.conns, p)
 	}
 	return cl, nil
 }
 
-// conn picks a connection round-robin, transparently replacing dead
-// ones.
-func (cl *Client) conn() (*pipeConn, error) {
-	cl.mu.Lock()
-	if cl.shut {
-		cl.mu.Unlock()
+// conn picks one of lane l's connections round-robin, transparently
+// replacing dead ones.
+func (cl *Client) conn(l *lane) (*pipeConn, error) {
+	l.mu.Lock()
+	if l.shut {
+		l.mu.Unlock()
 		return nil, ErrClientClosed
 	}
 	// Unsigned modulo before the int conversion: on 32-bit platforms a
 	// wrapped counter would otherwise go negative and panic the index.
-	i := int(cl.rr.Add(1) % uint32(len(cl.conns)))
-	p := cl.conns[i]
-	cl.mu.Unlock()
+	i := int(l.rr.Add(1) % uint32(len(l.conns)))
+	p := l.conns[i]
+	l.mu.Unlock()
 	if !p.dead.Load() {
 		return p, nil
 	}
-	return cl.replace(i, p)
+	return cl.replace(l, i, p)
 }
 
-// replace redials slot i if it still holds the dead connection old.
-func (cl *Client) replace(i int, old *pipeConn) (*pipeConn, error) {
+// replace redials lane l's slot i if it still holds the dead connection
+// old.
+func (cl *Client) replace(l *lane, i int, old *pipeConn) (*pipeConn, error) {
 	fresh, err := dialPipe(cl.addr, cl.window)
 	if err != nil {
 		return nil, err
 	}
-	cl.mu.Lock()
-	if cl.shut {
-		cl.mu.Unlock()
+	l.mu.Lock()
+	if l.shut {
+		l.mu.Unlock()
 		fresh.shutdown(ErrClientClosed)
 		return nil, ErrClientClosed
 	}
-	cur := cl.conns[i]
+	cur := l.conns[i]
 	if cur != old && !cur.dead.Load() {
 		// Someone else already replaced the slot; use theirs.
-		cl.mu.Unlock()
+		l.mu.Unlock()
 		fresh.shutdown(ErrClientClosed)
 		return cur, nil
 	}
-	cl.conns[i] = fresh
-	cl.mu.Unlock()
+	l.conns[i] = fresh
+	l.mu.Unlock()
 	if ins := cl.ins.Load(); ins != nil {
 		ins.Redials.Inc()
 	}
@@ -156,13 +177,19 @@ func (cl *Client) replace(i int, old *pipeConn) (*pipeConn, error) {
 	return fresh, nil
 }
 
-// Close tears down every connection; in-flight ops fail with
-// ErrClientClosed.
+// Close tears down every connection of both lanes; in-flight ops fail
+// with ErrClientClosed.
 func (cl *Client) Close() {
-	cl.mu.Lock()
-	cl.shut = true
-	conns := cl.conns
-	cl.mu.Unlock()
+	for _, l := range cl.lanes() {
+		l.close()
+	}
+}
+
+func (l *lane) close() {
+	l.mu.Lock()
+	l.shut = true
+	conns := l.conns
+	l.mu.Unlock()
 	for _, p := range conns {
 		p.shutdown(ErrClientClosed)
 	}
@@ -889,7 +916,7 @@ func (cl *Client) doRawRetry(ctx context.Context, op byte, key string, val []byt
 }
 
 func (cl *Client) doRaw(ctx context.Context, op byte, key string, val []byte, tctx obs.TraceCtx) (byte, []byte, error) {
-	p, err := cl.conn()
+	p, err := cl.conn(&cl.point)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -1100,7 +1127,7 @@ func (cl *Client) MultiGetContext(ctx context.Context, keys []string) ([][]byte,
 }
 
 func (cl *Client) multiGetRaw(ctx context.Context, keys []string, tctx obs.TraceCtx) ([][]byte, error) {
-	p, err := cl.conn()
+	p, err := cl.conn(&cl.batch)
 	if err != nil {
 		return nil, err
 	}
@@ -1180,7 +1207,7 @@ func (cl *Client) MultiPutContext(ctx context.Context, keys []string, vals [][]b
 }
 
 func (cl *Client) multiPutRaw(ctx context.Context, keys []string, vals [][]byte) error {
-	p, err := cl.conn()
+	p, err := cl.conn(&cl.batch)
 	if err != nil {
 		return err
 	}

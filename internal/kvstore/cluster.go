@@ -56,14 +56,15 @@ type clusterScratch struct {
 }
 
 // NewCluster connects to every shard address (conns multiplexed
-// connections per shard).
+// connections per shard and lane, see Client).
 func NewCluster(addrs []string, conns int) (*Cluster, error) {
 	return NewClusterConfig(addrs, ClusterConfig{Conns: conns})
 }
 
 // ClusterConfig configures a cluster beyond its shard addresses.
 type ClusterConfig struct {
-	// Conns is the number of multiplexed connections per shard (min 1).
+	// Conns is the number of multiplexed connections per shard and lane
+	// (min 1; see ClientOptions).
 	Conns int
 	// Window is the per-connection in-flight cap (see ClientOptions).
 	Window int

@@ -207,31 +207,61 @@ func TestV2Pipelining(t *testing.T) {
 	}
 }
 
-// TestV2Reconnect kills the client's sockets behind its back and
-// verifies the next ops heal via the lazy redial path.
+// laneConns snapshots a lane's connections.
+func laneConns(l *lane) []*pipeConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*pipeConn(nil), l.conns...)
+}
+
+// failAllConns drops every connection of both lanes behind the client's
+// back.
+func failAllConns(c *Client) {
+	for _, l := range c.lanes() {
+		for _, p := range laneConns(l) {
+			p.fail(errors.New("test: injected drop"))
+		}
+	}
+}
+
+// TestV2Reconnect kills the client's sockets in both lanes behind its
+// back and verifies the next point and batch ops heal via the lazy
+// redial path.
 func TestV2Reconnect(t *testing.T) {
 	s := testServer(t, 1<<20)
 	c := testClient(t, s)
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	conns := append([]*pipeConn(nil), c.conns...)
-	c.mu.Unlock()
-	for _, p := range conns {
-		p.fail(errors.New("test: injected drop"))
-	}
+	failAllConns(c)
 	// The first op after the drop may race the failure; the client must
-	// heal within a couple of attempts, not poison its pool.
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		v, found, err := c.Get("k")
-		if err == nil && found && string(v) == "v" {
-			return
+	// heal within a couple of attempts, not poison its pool. Every
+	// connection is dead, so Get heals only by redialing the point lane
+	// and MultiGet only by redialing the batch lane.
+	for _, op := range []struct {
+		name string
+		read func() ([]byte, error)
+	}{
+		{"Get", func() ([]byte, error) { v, _, err := c.Get("k"); return v, err }},
+		{"MultiGet", func() ([]byte, error) {
+			vals, err := c.MultiGet([]string{"k"})
+			if err != nil {
+				return nil, err
+			}
+			return vals[0], nil
+		}},
+	} {
+		var lastErr error
+		healed := false
+		for attempt := 0; attempt < 4 && !healed; attempt++ {
+			v, err := op.read()
+			healed = err == nil && string(v) == "v"
+			lastErr = err
 		}
-		lastErr = err
+		if !healed {
+			t.Fatalf("%s did not recover from dropped connections: %v", op.name, lastErr)
+		}
 	}
-	t.Fatalf("client did not recover from dropped connections: %v", lastErr)
 }
 
 // TestV2FailureUnderLoad repeatedly kills the client's connections
@@ -280,12 +310,7 @@ func TestV2FailureUnderLoad(t *testing.T) {
 	}
 	for round := 0; round < 8; round++ {
 		time.Sleep(2 * time.Millisecond)
-		c.mu.Lock()
-		conns := append([]*pipeConn(nil), c.conns...)
-		c.mu.Unlock()
-		for _, p := range conns {
-			p.fail(errors.New("test: injected drop"))
-		}
+		failAllConns(c) // the Gets' point lane and the MultiPuts' batch lane
 	}
 	stop.Store(true)
 	done := make(chan struct{})
@@ -295,6 +320,15 @@ func TestV2FailureUnderLoad(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("pipelined ops hung across injected connection failures")
+	}
+	// Both lanes redial: with one connection each, the next op on each
+	// lane gets a fresh one.
+	failAllConns(c)
+	if err := c.MultiPut([]string{"after"}, [][]byte{[]byte("x")}); err != nil {
+		t.Fatalf("MultiPut after the drops: %v", err)
+	}
+	if v, found, err := c.Get("after"); err != nil || !found || string(v) != "x" {
+		t.Fatalf("Get after the drops = %q, %v, %v", v, found, err)
 	}
 }
 

@@ -1,10 +1,14 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/doctor"
 	"repro/internal/kvstore"
 	"repro/internal/loader"
+	"repro/internal/obs"
 )
 
 func TestKVClusterAsSharedCacheTier(t *testing.T) {
@@ -57,6 +61,59 @@ func TestKVClusterAsSharedCacheTier(t *testing.T) {
 	}
 	if st.Items == 0 || st.Hits == 0 {
 		t.Fatalf("cluster unused: %+v", st)
+	}
+}
+
+// TestKVDemandReadsSkipLaggedWindows lags every MultiGet the shards serve
+// by 40ms, so the prefetch helpers' windows fall behind and demand misses
+// reach the tier while windows are in flight — the paper's premise that
+// prefetching uses spare capacity and demand loads never wait on it. The
+// mean peer_fetch time the ledger charges per demand kv read must stay
+// far below the lag: a demand Get that queued behind a window would pay
+// the rest of it.
+func TestKVDemandReadsSkipLaggedWindows(t *testing.T) {
+	const lag = 40 * time.Millisecond
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		s, err := kvstore.NewServer("127.0.0.1:0", 8<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.SetFault(kvstore.FaultConfig{Lag: lag, Ops: kvstore.FaultMultiGet})
+		addrs = append(addrs, s.Addr())
+	}
+	cluster, err := kvstore.NewCluster(addrs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+
+	opts := testOptions(t, loader.Lobster(), 2, 1)
+	opts.KVCache = cluster
+	reg := obs.NewRegistry()
+	opts.Obs = reg
+	stats, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.CacheMisses == 0 {
+		t.Fatal("no demand read reached the kv tier")
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	m, err := doctor.ParseMetrics(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := m.Sum("lobster_runtime_stall_peer_fetch_seconds_sum", nil)
+	mean := time.Duration(peer / float64(stats.CacheMisses) * float64(time.Second))
+	t.Logf("mean demand peer_fetch %v per kv read over %d reads", mean, stats.CacheMisses)
+	if mean >= lag/4 {
+		t.Fatalf("mean demand peer_fetch %v per kv read (%d reads) behind MultiGets lagged %v, want < %v",
+			mean, stats.CacheMisses, lag, lag/4)
 	}
 }
 
