@@ -1,11 +1,19 @@
-// Command lobster-sim runs one simulated training and prints its metrics,
-// or — with -compare — runs every loading strategy on the same workload
-// and prints the Fig. 7-style comparison table.
+// Command lobster-sim drives the virtual-time simulator. With no
+// subcommand it runs one simulated training and prints its metrics, or —
+// with -compare — runs the paper's four loading strategies on the same
+// workload and prints the Fig. 7-style comparison table. Subcommands:
+//
+//	plan     print the offline thread-management plan (Section 4.5)
+//	trace    render Fig. 3-style per-iteration pipeline breakdowns
+//	figures  regenerate the paper's tables and figures
 //
 // Examples:
 //
 //	lobster-sim -strategy lobster -dataset imagenet-1k -scale small -epochs 10
 //	lobster-sim -compare -dataset imagenet-22k -nodes 8 -scale small
+//	lobster-sim plan -dataset imagenet-1k -scale tiny -iterations 12
+//	lobster-sim trace -strategy dali -epoch 1 -gpus 0,1,8 -nodes 8
+//	lobster-sim figures -experiment fig07a -scale medium
 package main
 
 import (
@@ -13,12 +21,36 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
+	"repro/internal/experiments"
+	"repro/internal/loader"
+	"repro/internal/pipeline"
 )
 
 func main() {
+	args := os.Args[1:]
+	var err error
+	switch {
+	case len(args) == 0 || strings.HasPrefix(args[0], "-"):
+		err = simulate()
+	case args[0] == "plan":
+		err = planCmd(args[1:])
+	case args[0] == "trace":
+		err = traceCmd(args[1:])
+	case args[0] == "figures":
+		err = figuresCmd(args[1:])
+	default:
+		err = fmt.Errorf("unknown subcommand %q (want plan, trace or figures)", args[0])
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lobster-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// simulate is the default command: one run, or -compare's four.
+func simulate() error {
 	var (
 		datasetName = flag.String("dataset", "imagenet-1k", "imagenet-1k | imagenet-22k")
 		scale       = flag.String("scale", "small", "tiny | small | medium | full")
@@ -30,25 +62,30 @@ func main() {
 		compare     = flag.Bool("compare", false, "run all strategies and print the comparison table")
 		jsonOut     = flag.Bool("json", false, "emit machine-readable JSON instead of text")
 	)
+	flag.Usage = func() {
+		_, _ = fmt.Fprint(flag.CommandLine.Output(), // best-effort usage text; stderr has no recovery
+			"usage: lobster-sim [flags]\n       lobster-sim plan|trace|figures [flags]\n\nflags:\n")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	names := []string{*strategy}
 	if *compare {
-		names = []string{"pytorch", "dali", "nopfs", "lobster"}
+		names = loader.ComparedStrategies()
 	}
-	var runs []*metrics.Run
+	var runs []*pipeline.Metrics
 	var rows []jsonRow
 	for _, name := range names {
-		cfg, err := core.NewConfig(core.Workload{
+		cfg, err := experiments.NewConfig(experiments.Workload{
 			Dataset: *datasetName, Scale: *scale, Model: *model,
 			Nodes: *nodes, Epochs: *epochs, Strategy: name, Seed: *seed,
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		res, err := core.Simulate(cfg)
+		res, err := pipeline.Run(cfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runs = append(runs, res.Metrics)
 		rows = append(rows, rowOf(res.Metrics))
@@ -66,14 +103,12 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fatal(err)
-		}
-		return
+		return enc.Encode(rows)
 	}
 	if *compare {
-		fmt.Print(metrics.Table(runs))
+		fmt.Print(pipeline.Table(runs))
 	}
+	return nil
 }
 
 // jsonRow is the machine-readable summary of one run.
@@ -97,7 +132,7 @@ type jsonRow struct {
 	BatchCoefVar   float64 `json:"batch_coef_var"`
 }
 
-func rowOf(m *metrics.Run) jsonRow {
+func rowOf(m *pipeline.Metrics) jsonRow {
 	return jsonRow{
 		Strategy:       m.Strategy,
 		Model:          m.Model,
@@ -117,9 +152,4 @@ func rowOf(m *metrics.Run) jsonRow {
 		BatchP95S:      m.BatchTimes.Percentile(95),
 		BatchCoefVar:   m.BatchTimes.CoefVar(),
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "lobster-sim:", err)
-	os.Exit(1)
 }

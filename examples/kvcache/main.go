@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/kvstore"
 	"repro/internal/runtime"
 )
@@ -39,7 +39,7 @@ func main() {
 		fmt.Printf("  shard %d at %s\n", i, a)
 	}
 
-	cfg, err := core.NewConfig(core.Workload{
+	cfg, err := experiments.NewConfig(experiments.Workload{
 		Dataset:  "imagenet-1k",
 		Scale:    "tiny",
 		Model:    "resnet50",
@@ -51,12 +51,12 @@ func main() {
 		log.Fatal(err)
 	}
 	stats, err := runtime.Run(runtime.Options{
-		Topology:  cfg.Pipeline.Topology,
-		Dataset:   cfg.Pipeline.Dataset,
-		Model:     cfg.Pipeline.Model,
-		Epochs:    cfg.Pipeline.Epochs,
-		Seed:      cfg.Pipeline.Seed,
-		Strategy:  cfg.Pipeline.Strategy,
+		Topology:  cfg.Topology,
+		Dataset:   cfg.Dataset,
+		Model:     cfg.Model,
+		Epochs:    cfg.Epochs,
+		Seed:      cfg.Seed,
+		Strategy:  cfg.Strategy,
 		TimeScale: 0.002,
 		KVCache:   cluster,
 	})

@@ -13,7 +13,7 @@ import (
 	"log"
 	"net/http"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -26,7 +26,7 @@ func main() {
 
 	fmt.Println("online runtime, 2 nodes x 8 GPUs, Lobster strategy:")
 	fmt.Println()
-	cfg, err := core.NewConfig(core.Workload{
+	cfg, err := experiments.NewConfig(experiments.Workload{
 		Dataset:  "imagenet-1k",
 		Scale:    "tiny",
 		Model:    "resnet50",
@@ -53,12 +53,12 @@ func main() {
 	fmt.Printf("live metrics at http://%s/metrics (trace at /trace.json)\n\n", mon.Addr())
 
 	stats, err := runtime.Run(runtime.Options{
-		Topology:   cfg.Pipeline.Topology,
-		Dataset:    cfg.Pipeline.Dataset,
-		Model:      cfg.Pipeline.Model,
-		Epochs:     cfg.Pipeline.Epochs,
-		Seed:       cfg.Pipeline.Seed,
-		Strategy:   cfg.Pipeline.Strategy,
+		Topology:   cfg.Topology,
+		Dataset:    cfg.Dataset,
+		Model:      cfg.Model,
+		Epochs:     cfg.Epochs,
+		Seed:       cfg.Seed,
+		Strategy:   cfg.Strategy,
 		TimeScale:  0.002, // 500x faster than modeled time
 		Obs:        reg,
 		Trace:      trace,

@@ -28,7 +28,7 @@ func golden(t *testing.T, id string, p Params) string {
 // its campaigns run serially, on a width-8 pool, or on a second repeated
 // same-seed run. Parallelism may only change wall time, never a reported
 // number. fig07d exercises the deepest fan-out (eight campaigns across
-// four node counts); fig09 covers the trainsim path.
+// four node counts); fig09 covers the pipeline.Train path.
 func TestReportsIdenticalAcrossPoolWidths(t *testing.T) {
 	for _, id := range []string{"fig07d", "fig09"} {
 		serial := Params{Scale: dataset.ScaleTiny, Seed: 42}

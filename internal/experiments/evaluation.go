@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/loader"
 	"repro/internal/pipeline"
-	"repro/internal/trainsim"
 )
 
 // Fig09Accuracy reproduces Figure 9: ResNet50 training-accuracy curves on
@@ -57,7 +56,7 @@ func Fig09Accuracy() Experiment {
 	}
 }
 
-func curvesEqual(a, b *trainsim.Campaign) bool {
+func curvesEqual(a, b *pipeline.Campaign) bool {
 	if len(a.Curve) != len(b.Curve) {
 		return false
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/loader"
 	"repro/internal/pipeline"
-	"repro/internal/trainsim"
 )
 
 // ExtCacheSweep is an extension experiment beyond the paper's figures: how
@@ -132,7 +131,7 @@ func ExtTimeToAccuracy() Experiment {
 
 			// Target: the accuracy the schedule reaches at 60% of the
 			// run (scale-independent anchor).
-			probe := trainsim.AccuracyCurve(model, p.epochs(), p.Seed)
+			probe := pipeline.AccuracyCurve(model, p.epochs(), p.Seed)
 			target := probe[len(probe)*6/10-1]
 			rep.Printf("target accuracy: %.4f (reached at epoch %d of %d)",
 				target, len(probe)*6/10, p.epochs())

@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/par"
 	"repro/internal/pipeline"
-	"repro/internal/trainsim"
 )
 
 // runAll executes a set of independent simulation campaigns, fanning out
@@ -20,11 +19,11 @@ func runAll(p Params, cfgs []pipeline.Config) ([]*pipeline.Result, error) {
 	})
 }
 
-// runAllTrain is runAll for accuracy-tracking campaigns (trainsim.Run).
-func runAllTrain(p Params, cfgs []pipeline.Config) ([]*trainsim.Campaign, error) {
-	return par.Map(p.Pool, len(cfgs), func(i int) (*trainsim.Campaign, error) {
+// runAllTrain is runAll for accuracy-tracking campaigns (pipeline.Train).
+func runAllTrain(p Params, cfgs []pipeline.Config) ([]*pipeline.Campaign, error) {
+	return par.Map(p.Pool, len(cfgs), func(i int) (*pipeline.Campaign, error) {
 		cfg := cfgs[i]
 		cfg.Pool = p.Pool
-		return trainsim.Run(cfg)
+		return pipeline.Train(cfg)
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/loader"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
 
@@ -23,11 +22,11 @@ func runComparison(rep *Report, p Params, top cluster.Topology, ds *dataset.Data
 	if err != nil {
 		return err
 	}
-	runs := make([]*metrics.Run, len(results))
+	runs := make([]*pipeline.Metrics, len(results))
 	for i, res := range results {
 		runs[i] = res.Metrics
 	}
-	rep.Lines = append(rep.Lines, splitLines(metrics.Table(runs))...)
+	rep.Lines = append(rep.Lines, splitLines(pipeline.Table(runs))...)
 	base := runs[0]
 	lob := runs[len(runs)-1]
 	for _, r := range runs {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
 
@@ -21,7 +20,7 @@ func runImbalance(rep *Report, p Params, top cluster.Topology, ds *dataset.Datas
 	if err != nil {
 		return err
 	}
-	runs := make([]*metrics.Run, len(results))
+	runs := make([]*pipeline.Metrics, len(results))
 	var itersPerEpoch int
 	for i, res := range results {
 		runs[i] = res.Metrics

@@ -7,7 +7,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/preproc"
 	"repro/internal/sampler"
-	"repro/internal/trace"
 )
 
 // Fig03Breakdown reproduces Figure 3: the per-iteration execution-time
@@ -39,11 +38,11 @@ func Fig03Breakdown() Experiment {
 			// The three displayed GPUs: GPU0/GPU1 of node 0, GPU0 of node 1.
 			gpus := []int{0, 1, top.GPUsPerNode}
 			epoch := 1 // second epoch, as in the paper (cache warmed)
-			slice := trace.Slice(res.Trace, epoch, 8)
-			rep.Lines = append(rep.Lines, splitLines(trace.Render(slice, gpus, 120))...)
+			slice := pipeline.SliceTrace(res.Trace, epoch, 8)
+			rep.Lines = append(rep.Lines, splitLines(pipeline.RenderTrace(slice, gpus, 120))...)
 
 			full := filterEpochOnward(res.Trace, 1) // exclude warm-up epoch
-			st := trace.Analyze(full, cfg.Model.IterTime, 1.0)
+			st := pipeline.AnalyzeTrace(full, cfg.Model.IterTime, 1.0)
 			rep.Printf("iterations analysed (epochs >= 2): %d", st.Iterations)
 			rep.Printf("iterations with load imbalance: %.1f%% (paper: 65.3%%)", st.ImbalancedFrac*100)
 			rep.Printf("(iteration,GPU) pairs where loading > training: %.1f%%", st.LoadBottleneckFrac*100)

@@ -13,7 +13,7 @@ import (
 // and renamed modules both work.
 var determinismScope = []string{
 	"internal/sim",
-	"internal/trainsim",
+	"internal/pipeline",
 	"internal/plan",
 	"internal/perfmodel",
 	"internal/access",

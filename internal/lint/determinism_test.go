@@ -72,8 +72,8 @@ func Keys(m map[int]string) []int {
 		},
 		{
 			name: "map range printing flagged",
-			pkg:  "repro/internal/trainsim",
-			src: `package trainsim
+			pkg:  "repro/internal/pipeline",
+			src: `package pipeline
 import "fmt"
 func Dump(m map[string]int) {
 	for k, v := range m {

@@ -282,11 +282,34 @@ func LobsterEvict(gpusPerNode, totalThreads int) Spec {
 	}
 }
 
-// Baselines returns the paper's three comparison systems for a node shape.
-func Baselines(gpusPerNode, totalThreads int) []Spec {
-	return []Spec{
-		PyTorch(gpusPerNode, totalThreads),
-		DALI(totalThreads),
-		NoPFS(gpusPerNode, totalThreads),
+// Strategies lists every strategy name StrategyByName resolves. The first
+// four are the paper's comparison systems (ComparedStrategies).
+func Strategies() []string {
+	return []string{"pytorch", "dali", "nopfs", "lobster", "lobster_th", "lobster_evict"}
+}
+
+// ComparedStrategies lists the paper's four comparison systems, PyTorch
+// first: the speedup baseline of Fig. 7.
+func ComparedStrategies() []string {
+	return Strategies()[:4]
+}
+
+// StrategyByName resolves a strategy spec for a node shape.
+func StrategyByName(name string, gpusPerNode, totalThreads int) (Spec, error) {
+	switch name {
+	case "pytorch":
+		return PyTorch(gpusPerNode, totalThreads), nil
+	case "dali":
+		return DALI(totalThreads), nil
+	case "nopfs":
+		return NoPFS(gpusPerNode, totalThreads), nil
+	case "lobster":
+		return Lobster(), nil
+	case "lobster_th":
+		return LobsterTh(), nil
+	case "lobster_evict":
+		return LobsterEvict(gpusPerNode, totalThreads), nil
+	default:
+		return Spec{}, fmt.Errorf("loader: unknown strategy %q (want one of %v)", name, Strategies())
 	}
 }

@@ -47,8 +47,26 @@ func TestCatalogSpecsValidate(t *testing.T) {
 		}
 		names[s.Name] = true
 	}
-	if len(Baselines(gpus, threads)) != 3 {
-		t.Error("Baselines should return the paper's three systems")
+	if got := ComparedStrategies(); len(got) != 4 || got[0] != "pytorch" {
+		t.Errorf("ComparedStrategies = %v, want the paper's four systems, PyTorch first", got)
+	}
+}
+
+func TestStrategyByName(t *testing.T) {
+	for _, name := range Strategies() {
+		spec, err := StrategyByName(name, 8, 24)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if spec.Name != name {
+			t.Fatalf("spec name %q for %q", spec.Name, name)
+		}
+		if err := spec.Validate(8, 24); err != nil {
+			t.Fatalf("%s: invalid spec: %v", name, err)
+		}
+	}
+	if _, err := StrategyByName("magic", 8, 24); err == nil {
+		t.Fatal("unknown strategy accepted")
 	}
 }
 

@@ -13,7 +13,7 @@
 //     of goroutine scheduling. Only wall time may change with W.
 //   - Deadlock-free under nesting: the calling goroutine always executes
 //     items itself, so a fan-out inside a fan-out (an experiment's
-//     campaigns inside lobster-bench's experiment sweep, or FitPortfolio's
+//     campaigns inside lobster-sim figures' experiment sweep, or FitPortfolio's
 //     per-size fits inside a campaign) makes progress even when the pool
 //     has no spare workers.
 package par

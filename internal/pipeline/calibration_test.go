@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/loader"
-	"repro/internal/metrics"
 )
 
 // TestCalibrationShape verifies the headline comparative shape of the
@@ -22,8 +21,8 @@ func TestCalibrationShape(t *testing.T) {
 		loader.NoPFS(8, 24),
 		loader.Lobster(),
 	}
-	runs := map[string]*metrics.Run{}
-	var ordered []*metrics.Run
+	runs := map[string]*Metrics{}
+	var ordered []*Metrics
 	for _, spec := range specs {
 		res, err := Run(testConfig(t, spec, 4))
 		if err != nil {
@@ -32,7 +31,7 @@ func TestCalibrationShape(t *testing.T) {
 		runs[spec.Name] = res.Metrics
 		ordered = append(ordered, res.Metrics)
 	}
-	t.Logf("\n%s", metrics.Table(ordered))
+	t.Logf("\n%s", Table(ordered))
 
 	if runs["lobster"].TotalTime >= runs["nopfs"].TotalTime {
 		t.Errorf("Lobster (%.2fs) not faster than NoPFS (%.2fs)",

@@ -10,7 +10,10 @@
 // preprocessing throughput, a constant per-model T_train, and the
 // data-parallel allreduce barrier that turns any one GPU's data stall into
 // everyone's idle time (Observation 1). The paper's own planner is
-// simulator-based (Section 4.5); this package is that simulator.
+// simulator-based (Section 4.5); this package is that simulator, and it
+// also holds what reads a run's output: Metrics, the Fig. 3 trace
+// rendering, Train's Fig. 9 accuracy curve and BuildPlan's offline
+// thread plan.
 package pipeline
 
 import (
@@ -23,8 +26,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distcache"
 	"repro/internal/loader"
-	"repro/internal/metrics"
-	"repro/internal/numa"
 	"repro/internal/par"
 	"repro/internal/perfmodel"
 	"repro/internal/plan"
@@ -122,7 +123,7 @@ type IterRecord struct {
 
 // Result bundles the run metrics with the optional trace.
 type Result struct {
-	Metrics *metrics.Run
+	Metrics *Metrics
 	Trace   []IterRecord
 	// Schedule gives access to the run's iteration arithmetic.
 	IterationsPerEpoch int
@@ -249,7 +250,7 @@ type sim struct {
 	poolScratch []poolQueue
 
 	// Outputs.
-	runOut  *metrics.Run
+	runOut  *Metrics
 	trace   []IterRecord
 	perIter []GPUIter // scratch for trace rows
 }
@@ -373,7 +374,7 @@ func newSim(cfg Config) (*sim, error) {
 	s.poolScratch = make([]poolQueue, s.gpus)
 	s.perIter = make([]GPUIter, s.world)
 
-	s.runOut = &metrics.Run{
+	s.runOut = &Metrics{
 		Strategy:   cfg.Strategy.Name,
 		Model:      cfg.Model.Name,
 		Dataset:    cfg.Dataset.Name(),
@@ -638,7 +639,7 @@ func (s *sim) applyNUMA(n int) {
 	if perDomain < 1 {
 		perDomain = 1
 	}
-	placement, err := numa.Assign(domains, perDomain, s.loadThreads[n], s.preThreads[n], s.cfg.Strategy.NUMAAware)
+	placement, err := assignNUMA(domains, perDomain, s.loadThreads[n], s.preThreads[n], s.cfg.Strategy.NUMAAware)
 	if err != nil {
 		return
 	}
@@ -646,7 +647,7 @@ func (s *sim) applyNUMA(n int) {
 	for j := 0; j < s.gpus; j++ {
 		bytes[j] = s.placements[n][j].TotalBytes()
 	}
-	factor := numa.Penalty(numa.CrossTrafficFraction(placement, bytes))
+	factor := numaPenalty(crossTrafficFraction(placement, bytes))
 	if factor >= 1 {
 		return
 	}

@@ -50,6 +50,20 @@ func serialOracle(t *testing.T, opts Options) (fold, samples uint64) {
 	return fold, samples
 }
 
+// checkOracle fails the test unless the run loaded, verified and folded
+// exactly the data serialOracle computes for opts: faults may slow a run
+// down, never change what it trains on.
+func checkOracle(t *testing.T, opts Options, got *Stats) {
+	t.Helper()
+	wantFold, wantSamples := serialOracle(t, opts)
+	if got.DataFold != wantFold {
+		t.Errorf("DataFold %#x, oracle %#x", got.DataFold, wantFold)
+	}
+	if got.SamplesLoaded != wantSamples || got.SamplesVerified != wantSamples {
+		t.Errorf("loaded %d, verified %d, oracle %d", got.SamplesLoaded, got.SamplesVerified, wantSamples)
+	}
+}
+
 // TestRunMatchesSerialOracle is the differential gate for the data path:
 // whatever the transport does (chunked queue messages whose size follows
 // the dynamic strategy's live resizes, one batch of lookahead, peer and
@@ -68,17 +82,11 @@ func TestRunMatchesSerialOracle(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			opts := testOptions(t, c.spec, c.nodes, 2)
-			wantFold, wantSamples := serialOracle(t, opts)
 			got, err := Run(opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.DataFold != wantFold {
-				t.Errorf("DataFold %#x, oracle %#x", got.DataFold, wantFold)
-			}
-			if got.SamplesLoaded != wantSamples || got.SamplesVerified != wantSamples {
-				t.Errorf("loaded %d, verified %d, oracle %d", got.SamplesLoaded, got.SamplesVerified, wantSamples)
-			}
+			checkOracle(t, opts, got)
 		})
 	}
 }

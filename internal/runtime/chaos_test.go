@@ -88,6 +88,7 @@ func TestNodeCacheCrashRepairsDirectory(t *testing.T) {
 	if stats.SamplesVerified != want {
 		t.Fatalf("verified %d/%d with a cache crash mid-run", stats.SamplesVerified, want)
 	}
+	checkOracle(t, opts, stats)
 	if inj, rev := ctl.Counts(); inj != 1 || rev != 1 {
 		t.Fatalf("controller counts = (%d,%d), want (1,1)", inj, rev)
 	}
@@ -126,6 +127,7 @@ func TestTrainingSurvivesPeerLossMidEpoch(t *testing.T) {
 	if stats.SamplesVerified != want {
 		t.Fatalf("verified %d/%d under peer loss", stats.SamplesVerified, want)
 	}
+	checkOracle(t, opts, stats)
 	if stats.Failovers == 0 {
 		t.Fatal("no failovers recorded despite fully dark peers")
 	}
@@ -158,6 +160,7 @@ func TestTrainingSurvivesBrownout(t *testing.T) {
 	if stats.SamplesVerified != want {
 		t.Fatalf("verified %d/%d through the brownout", stats.SamplesVerified, want)
 	}
+	checkOracle(t, opts, stats)
 	if stats.PFSRetries == 0 {
 		t.Fatal("no PFS retries despite a 50% brownout window")
 	}
@@ -177,9 +180,11 @@ func TestChaosEventLogDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Chaos = ctl
-		if _, err := Run(opts); err != nil {
+		stats, err := Run(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		checkOracle(t, opts, stats)
 		return ctl.EventLog()
 	}
 	a, b := run(), run()

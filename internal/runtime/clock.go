@@ -14,7 +14,7 @@ import (
 // (DESIGN.md §15), and a test that substitutes the clock sees exactly
 // the durations the model asked for. Delays that are wall-clock by
 // definition stay on time.Sleep: the retry backoff of a failed PFS read
-// (internal/retry, 1 ms and up) and the chaos harness's slow-decode fault
+// (retryTransient, 1 ms and up) and the chaos harness's slow-decode fault
 // (preproc.Pool.SetDecodeDelay).
 type clock interface {
 	now() time.Time

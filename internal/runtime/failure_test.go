@@ -46,6 +46,7 @@ func TestTrainingSurvivesTransientPFSFailures(t *testing.T) {
 	if stats.SamplesVerified != want {
 		t.Fatalf("verified %d/%d under failure injection", stats.SamplesVerified, want)
 	}
+	checkOracle(t, opts, stats)
 	if stats.PFSRetries == 0 {
 		t.Fatal("no retries recorded despite 15% failure rate")
 	}

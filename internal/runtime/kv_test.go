@@ -51,6 +51,7 @@ func TestKVClusterAsSharedCacheTier(t *testing.T) {
 	if stats.SamplesVerified != want {
 		t.Fatalf("verified %d, want %d", stats.SamplesVerified, want)
 	}
+	checkOracle(t, opts, stats)
 	// Node B must find node A's PFS write-backs in the cluster.
 	if stats.RemoteHits == 0 {
 		t.Fatal("no KV-cluster hits across nodes")

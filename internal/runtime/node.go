@@ -15,7 +15,6 @@ import (
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/preproc"
-	"repro/internal/retry"
 )
 
 // cachedBuf is one resident payload plus its recycling provenance.
@@ -694,31 +693,48 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceC
 	}
 }
 
-// pfsRetryPolicy shapes the PFS read backoff: exponential from 1ms
-// capped at 16ms, unbounded attempts — training cannot proceed without
-// the sample, so real loaders surface storage outages as hangs rather
-// than corrupt batches.
-var pfsRetryPolicy = retry.Policy{Base: time.Millisecond, Max: 16 * time.Millisecond}
+// PFS reads back off exponentially between transient failures, doubling
+// from pfsRetryBase up to pfsRetryMax, and never give up: training cannot
+// proceed without the sample, so real loaders surface storage outages as
+// hangs rather than corrupt batches.
+const (
+	pfsRetryBase = time.Millisecond
+	pfsRetryMax  = 16 * time.Millisecond
+)
 
-// pfsReadRetry reads from the PFS through the shared retry helper,
-// retrying transient failures (errors.Is on the ErrTransient sentinel,
-// so wrapped transients match too) and counting each retry for the
-// failure-injection diagnostics.
+// pfsReadRetry reads from the PFS, retrying transient failures and
+// counting each retry for the failure-injection diagnostics.
 func (n *nodeRuntime) pfsReadRetry(id dataset.SampleID) []byte {
 	var payload []byte
-	err := retry.Do(pfsRetryPolicy,
-		func(err error) bool { return errors.Is(err, ErrTransient) },
-		func(int, error) { n.pfsRetries.Add(1) },
-		func() error {
-			var err error
-			payload, err = n.rt.pfs.Read(id)
-			return err
-		})
+	err := retryTransient(func() { n.pfsRetries.Add(1) }, func() error {
+		var err error
+		payload, err = n.rt.pfs.Read(id)
+		return err
+	})
 	if err != nil {
 		// Unreachable for in-range ids; surface loudly if it happens.
 		panic(fmt.Sprintf("runtime: PFS read failed: %v", err))
 	}
 	return payload
+}
+
+// retryTransient runs op until it succeeds or fails with an error that is
+// not ErrTransient (matched with errors.Is, so wrapped transients retry
+// too). onRetry observes each transient failure before its backoff sleep.
+func retryTransient(onRetry func(), op func() error) error {
+	for backoff := pfsRetryBase; ; backoff = nextBackoff(backoff) {
+		err := op()
+		if err == nil || !errors.Is(err, ErrTransient) {
+			return err
+		}
+		onRetry()
+		time.Sleep(backoff)
+	}
+}
+
+// nextBackoff doubles a backoff, capped at pfsRetryMax.
+func nextBackoff(d time.Duration) time.Duration {
+	return min(2*d, pfsRetryMax)
 }
 
 // kvKey renders a sample's cluster key.
