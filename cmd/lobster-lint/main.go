@@ -11,7 +11,7 @@
 //	lobster-lint [-list] [-check ids] [-json|-github] [-time] [-parallel n] [packages]
 //
 // Packages are module-relative patterns: "./..." (default, the whole
-// module), "./internal/..." (a subtree), or "./internal/sim" (one
+// module), "./internal/..." (a subtree), or "./internal/pipeline" (one
 // package; its external test package, if any, rides along). Exit
 // status: 0 clean, 1 findings, 2 load/usage error.
 package main
@@ -169,7 +169,7 @@ func relPath(root, name string) string {
 }
 
 // filterPackages keeps packages matching the command-line patterns
-// ("./...", "./internal/...", "./internal/sim"). With no patterns
+// ("./...", "./internal/...", "./internal/pipeline"). With no patterns
 // everything is kept. An external test package ("<path>_test") matches
 // wherever its package under test does. A pattern that matches no
 // package is an error — a typo'd path must not pass as a clean run.

@@ -290,7 +290,7 @@ func TestBuildAllMatchesBuild(t *testing.T) {
 }
 
 // TestFutureMatchesSeparateQueries: Future is NextUse and UsesRemaining of
-// one search, on the full plan and on the sliding window as it advances.
+// one search.
 func TestFutureMatchesSeparateQueries(t *testing.T) {
 	const samples, epochs = 400, 6
 	s := testSchedule(t, samples, 4, 5)
@@ -298,22 +298,13 @@ func TestFutureMatchesSeparateQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := BuildWindowed(s, 1, 2, epochs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	iters := s.IterationsPerEpoch()
 	for epoch := 0; epoch < epochs; epoch++ {
-		win.Advance(epoch)
 		for _, after := range []Iter{Iter(epoch*iters) - 1, Iter(epoch * iters), Iter(epoch*iters + iters/2), Iter((epoch+1)*iters - 1)} {
 			for id := dataset.SampleID(0); id < samples; id++ {
 				if next, rem := full.Future(id, after); next != full.NextUse(id, after) || rem != full.UsesRemaining(id, after) {
 					t.Fatalf("Plan.Future(%d, %d) = %d, %d; NextUse %d, UsesRemaining %d",
 						id, after, next, rem, full.NextUse(id, after), full.UsesRemaining(id, after))
-				}
-				if next, rem := win.Future(id, after); next != win.NextUse(id, after) || rem != win.UsesRemaining(id, after) {
-					t.Fatalf("Windowed.Future(%d, %d) = %d, %d; NextUse %d, UsesRemaining %d",
-						id, after, next, rem, win.NextUse(id, after), win.UsesRemaining(id, after))
 				}
 			}
 		}

@@ -291,21 +291,26 @@ func TestLobsterReuseDistanceRule(t *testing.T) {
 	}
 }
 
-func TestLobsterAblationSwitches(t *testing.T) {
+// TestBeladyHasNoProactiveRules: the accesses that make Lobster expire
+// both samples (one past its last use, one beyond the next epoch) leave
+// Belady's cache untouched.
+func TestBeladyHasNoProactiveRules(t *testing.T) {
 	o := &fakeOracle{iters: 10, accesses: map[dataset.SampleID][]Iter{
 		1: {3, 25},
 		2: {3},
 	}}
-	c := mustCache(t, 100, NewLobster(o, LobsterOptions{
-		DisableReuseCount:    true,
-		DisableReuseDistance: true,
-	}))
-	c.Put(1, 10, 0)
-	c.Put(2, 10, 0)
-	c.Get(1, 3)
-	c.Get(2, 3)
-	if ev := c.Maintain(3); len(ev) != 0 {
-		t.Fatalf("disabled rules still evicted %v", ev)
+	for _, tc := range []struct {
+		p    Policy
+		want int
+	}{{NewBelady(o), 0}, {NewLobster(o, LobsterOptions{}), 2}} {
+		c := mustCache(t, 100, tc.p)
+		c.Put(1, 10, 0)
+		c.Put(2, 10, 0)
+		c.Get(1, 3)
+		c.Get(2, 3)
+		if ev := c.Maintain(3); len(ev) != tc.want {
+			t.Fatalf("%s: Maintain evicted %v, want %d samples", tc.p.Name(), ev, tc.want)
+		}
 	}
 }
 

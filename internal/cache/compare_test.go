@@ -189,28 +189,20 @@ func TestCompactBoundsHeapAndKeepsVictims(t *testing.T) {
 	}
 }
 
-// futureQueries is what access.Plan and access.Windowed answer.
-type futureQueries interface {
-	Oracle
-	NextUse(id dataset.SampleID, after Iter) Iter
-	UsesRemaining(id dataset.SampleID, after Iter) int
-}
-
 // separateSearches answers Future the way the policies used to ask: next
-// use and remaining uses as two independent queries of the oracle, each
+// use and remaining uses as two independent queries of the plan, each
 // with its own search.
-type separateSearches struct{ futureQueries }
+type separateSearches struct{ *access.Plan }
 
 func (o separateSearches) Future(id dataset.SampleID, after Iter) (Iter, int) {
 	return o.NextUse(id, after), o.UsesRemaining(id, after)
 }
 
 // TestSingleSearchKeepsVictims replays 100k accesses against every
-// oracle-driven policy over a full plan and over a sliding window, once
-// with the oracle's one-search Future and once with separate NextUse and
-// UsesRemaining queries. Both must evict the same samples in the same
-// order, under capacity pressure (positive ids) and proactively (ids
-// recorded as ^id).
+// oracle-driven policy over a full plan, once with the plan's one-search
+// Future and once with separate NextUse and UsesRemaining queries. Both
+// must evict the same samples in the same order, under capacity pressure
+// (positive ids) and proactively (ids recorded as ^id).
 func TestSingleSearchKeepsVictims(t *testing.T) {
 	const samples, epochs = 2000, 50
 	ds, err := dataset.Generate(dataset.Spec{
@@ -224,67 +216,49 @@ func TestSingleSearchKeepsVictims(t *testing.T) {
 		t.Fatal(err)
 	}
 	iters := s.IterationsPerEpoch()
-	oracles := map[string]func() (futureQueries, func(epoch int)){
-		"plan": func() (futureQueries, func(int)) {
-			plan, err := access.Build(s, 0, 1, epochs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return plan, func(int) {}
-		},
-		"windowed": func() (futureQueries, func(int)) {
-			w, err := access.BuildWindowed(s, 0, 1, epochs, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w, w.Advance
-		},
+	plan, err := access.Build(s, 0, 1, epochs, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	policies := map[string]func(Oracle) Policy{
 		"belady":  NewBelady,
 		"lobster": func(o Oracle) Policy { return NewLobster(o, LobsterOptions{}) },
 		"nopfs":   NewNoPFS,
 	}
-	for oname, mkOracle := range oracles {
-		for pname, mkPolicy := range policies {
-			replay := func(separate bool) (out []dataset.SampleID) {
-				o, advance := mkOracle()
-				var oracle Oracle = o
-				if separate {
-					oracle = separateSearches{o}
-				}
-				c, err := New(ds.TotalBytes()*30/100, mkPolicy(oracle))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var batch []dataset.SampleID
-				for h := 0; h < epochs*iters; h++ {
-					now := Iter(h)
-					batch = s.NodeBatch(batch[:0], h/iters, h%iters, 0, 1)
-					for _, id := range batch {
-						if c.Get(id, now) {
-							continue
-						}
-						evicted, _ := c.Put(id, ds.Size(id), now)
-						out = append(out, evicted...)
-					}
-					for _, ev := range c.Maintain(now) {
-						out = append(out, ^ev)
-					}
-					if (h+1)%iters == 0 {
-						advance((h + 1) / iters)
-					}
-				}
-				return out
+	for pname, mkPolicy := range policies {
+		replay := func(separate bool) (out []dataset.SampleID) {
+			var oracle Oracle = plan
+			if separate {
+				oracle = separateSearches{plan}
 			}
-			got, want := replay(false), replay(true)
-			if len(got) < samples || len(got) != len(want) {
-				t.Fatalf("%s over %s: %d evictions with one search, %d with separate searches", pname, oname, len(got), len(want))
+			c, err := New(ds.TotalBytes()*30/100, mkPolicy(oracle))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s over %s: eviction %d is sample %d with one search, %d with separate searches", pname, oname, i, got[i], want[i])
+			var batch []dataset.SampleID
+			for h := 0; h < epochs*iters; h++ {
+				now := Iter(h)
+				batch = s.NodeBatch(batch[:0], h/iters, h%iters, 0, 1)
+				for _, id := range batch {
+					if c.Get(id, now) {
+						continue
+					}
+					evicted, _ := c.Put(id, ds.Size(id), now)
+					out = append(out, evicted...)
 				}
+				for _, ev := range c.Maintain(now) {
+					out = append(out, ^ev)
+				}
+			}
+			return out
+		}
+		got, want := replay(false), replay(true)
+		if len(got) < samples || len(got) != len(want) {
+			t.Fatalf("%s: %d evictions with one search, %d with separate searches", pname, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: eviction %d is sample %d with one search, %d with separate searches", pname, i, got[i], want[i])
 			}
 		}
 	}

@@ -12,7 +12,7 @@ const NoAccess Iter = -1
 const farFuture Iter = 1 << 30
 
 // Oracle exposes the future-access knowledge a clairvoyant policy needs.
-// access.Plan and access.Windowed satisfy it.
+// access.Plan satisfies it.
 type Oracle interface {
 	// Future returns the first iteration strictly after `after` at which
 	// this node accesses the sample (NoAccess if none) and the number of
@@ -50,12 +50,12 @@ type plannedPolicy struct {
 	h      []heapEntry
 	vers   []uint32 // per dense id; 0 = absent, live versions start at 1
 
-	// Lobster-specific features, disabled for plain Belady.
-	reuseCountRule    bool
-	reuseDistanceRule bool
-	isLastCopy        func(dataset.SampleID) bool
-	expired           []dataset.SampleID
-	expiredSet        []bool // per dense id
+	// Lobster's proactive sub-policies (reuse count, reuse distance),
+	// off for plain Belady.
+	proactive  bool
+	isLastCopy func(dataset.SampleID) bool
+	expired    []dataset.SampleID
+	expiredSet []bool // per dense id
 }
 
 // NewBelady returns the clairvoyant OPT policy: evict the cached sample
@@ -74,10 +74,6 @@ type LobsterOptions struct {
 	// in the node group from reuse-count eviction ("unless no other node
 	// in the group holds a copy", Section 4.4).
 	IsLastCopy func(dataset.SampleID) bool
-	// DisableReuseCount and DisableReuseDistance switch off the
-	// corresponding sub-policy (for ablations).
-	DisableReuseCount    bool
-	DisableReuseDistance bool
 }
 
 // NewLobster returns the paper's eviction policy: the Belady-style
@@ -85,11 +81,10 @@ type LobsterOptions struct {
 // two proactive sub-policies of Section 4.4 (reuse count, reuse distance).
 func NewLobster(oracle Oracle, opts LobsterOptions) Policy {
 	return &plannedPolicy{
-		name:              "lobster",
-		oracle:            oracle,
-		reuseCountRule:    !opts.DisableReuseCount,
-		reuseDistanceRule: !opts.DisableReuseDistance,
-		isLastCopy:        opts.IsLastCopy,
+		name:       "lobster",
+		oracle:     oracle,
+		proactive:  true,
+		isLastCopy: opts.IsLastCopy,
 	}
 }
 
@@ -201,15 +196,12 @@ func (p *plannedPolicy) OnGet(id dataset.SampleID, now Iter) { p.touch(id, now) 
 // cost is O(1) per access. touch has already grown the per-id slices to
 // cover id.
 func (p *plannedPolicy) applyRules(id dataset.SampleID, now, next Iter, remaining int) {
-	if !p.reuseCountRule && !p.reuseDistanceRule {
-		return
-	}
-	if p.expiredSet[id] {
+	if !p.proactive || p.expiredSet[id] {
 		return
 	}
 	// Reuse count rule: no accesses left on this node => evict, unless
 	// this is the group's last copy.
-	if p.reuseCountRule && remaining == 0 {
+	if remaining == 0 {
 		if p.isLastCopy == nil || !p.isLastCopy(id) {
 			p.expiredSet[id] = true
 			p.expired = append(p.expired, id)
@@ -219,16 +211,11 @@ func (p *plannedPolicy) applyRules(id dataset.SampleID, now, next Iter, remainin
 	// Reuse distance rule: next use beyond the end of the next epoch
 	// (distance > 2I - h, h = position within the current epoch) => the
 	// sample is safe to drop to make room for prefetches.
-	if p.reuseDistanceRule {
-		if next == NoAccess {
-			return // handled by the count rule when enabled
-		}
-		iters := Iter(p.oracle.IterationsPerEpoch())
-		h := now % iters
-		if next-now > 2*iters-h {
-			p.expiredSet[id] = true
-			p.expired = append(p.expired, id)
-		}
+	iters := Iter(p.oracle.IterationsPerEpoch())
+	h := now % iters
+	if next-now > 2*iters-h {
+		p.expiredSet[id] = true
+		p.expired = append(p.expired, id)
 	}
 }
 

@@ -46,15 +46,6 @@ func NewGroup(nodes []*cache.Cache, numSamples int) (*Group, error) {
 	return &Group{nodes: nodes, replicas: make([]int16, numSamples)}, nil
 }
 
-// Nodes returns the number of participating nodes.
-func (g *Group) Nodes() int { return len(g.nodes) }
-
-// Cache returns node i's cache.
-func (g *Group) Cache(node int) *cache.Cache { return g.nodes[node] }
-
-// ReplicaCount returns the number of nodes currently holding the sample.
-func (g *Group) ReplicaCount(id dataset.SampleID) int { return int(g.replicas[id]) }
-
 // Locate reports where node would find the sample right now, without
 // touching any cache state: its own cache (Local), some peer's cache
 // (Remote), or the PFS.
@@ -132,30 +123,6 @@ func (g *Group) Maintain(node int, now cache.Iter) int {
 		g.decReplica(ev)
 	}
 	return len(evicted)
-}
-
-// Remove invalidates the sample on node (replica-count aware).
-func (g *Group) Remove(node int, id dataset.SampleID) bool {
-	if !g.nodes[node].Remove(id) {
-		return false
-	}
-	g.decReplica(id)
-	return true
-}
-
-// Crash wipes node's cache as a process loss would: every resident
-// sample is removed with its replica count decremented, so the group's
-// shard map is consistent the moment the call returns — no peer is
-// promised a copy the dead node no longer has, and IsLastCopy stays
-// truthful for the survivors. Returns the number of samples lost.
-func (g *Group) Crash(node int) int {
-	n := 0
-	for id := range g.replicas {
-		if g.Remove(node, dataset.SampleID(id)) {
-			n++
-		}
-	}
-	return n
 }
 
 func (g *Group) decReplica(id dataset.SampleID) {

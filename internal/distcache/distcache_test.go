@@ -28,6 +28,16 @@ func newGroup(t *testing.T, nodes int, capacity int64) *Group {
 	return g
 }
 
+// wipe empties node's cache the way a lost process would, keeping the
+// replica counts in step.
+func wipe(g *Group, node int) {
+	for id := range g.replicas {
+		if g.nodes[node].Remove(dataset.SampleID(id)) {
+			g.decReplica(dataset.SampleID(id))
+		}
+	}
+}
+
 func TestNewGroupValidation(t *testing.T) {
 	if _, err := NewGroup(nil, 10); err == nil {
 		t.Error("empty group accepted")
@@ -63,10 +73,10 @@ func TestGetRecordsStatsOnOwnNode(t *testing.T) {
 		t.Fatalf("Get = %v, want remote", got)
 	}
 	// Node 0 counted a miss, node 1 must be untouched.
-	if s := g.Cache(0).Stats(); s.Misses != 1 || s.Hits != 0 {
+	if s := g.nodes[0].Stats(); s.Misses != 1 || s.Hits != 0 {
 		t.Fatalf("node 0 stats = %+v", s)
 	}
-	if s := g.Cache(1).Stats(); s.Misses != 0 || s.Hits != 0 {
+	if s := g.nodes[1].Stats(); s.Misses != 0 || s.Hits != 0 {
 		t.Fatalf("node 1 stats = %+v (remote lookup must not count)", s)
 	}
 }
@@ -75,15 +85,12 @@ func TestReplicaCounting(t *testing.T) {
 	g := newGroup(t, 3, 100)
 	g.Put(0, 7, 10, 0)
 	g.Put(1, 7, 10, 0)
-	if got := g.ReplicaCount(7); got != 2 {
+	if got := g.replicas[7]; got != 2 {
 		t.Fatalf("replicas = %d, want 2", got)
 	}
-	g.Remove(0, 7)
-	if got := g.ReplicaCount(7); got != 1 {
-		t.Fatalf("after remove, replicas = %d, want 1", got)
-	}
-	if g.Remove(0, 7) {
-		t.Fatal("double remove succeeded")
+	g.Put(2, 7, 10, 0)
+	if got := g.replicas[7]; got != 3 {
+		t.Fatalf("replicas = %d, want 3", got)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -94,7 +101,7 @@ func TestDuplicatePutDoesNotDoubleCount(t *testing.T) {
 	g := newGroup(t, 1, 100)
 	g.Put(0, 3, 10, 0)
 	g.Put(0, 3, 10, 1)
-	if got := g.ReplicaCount(3); got != 1 {
+	if got := g.replicas[3]; got != 1 {
 		t.Fatalf("replicas = %d after duplicate put, want 1", got)
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -107,7 +114,7 @@ func TestEvictionUpdatesReplicas(t *testing.T) {
 	g.Put(0, 1, 10, 0)
 	g.Put(0, 2, 10, 1)
 	g.Put(0, 3, 10, 2) // evicts 1 (LRU)
-	if got := g.ReplicaCount(1); got != 0 {
+	if got := g.replicas[1]; got != 0 {
 		t.Fatalf("evicted sample still counted: %d", got)
 	}
 	if got := g.Locate(1, 1); got != tier.PFS {
@@ -128,7 +135,7 @@ func TestRejectedPutNotCounted(t *testing.T) {
 	if ok := g.Put(0, 3, 10, 0); ok {
 		t.Fatal("never-evict admitted over capacity")
 	}
-	if got := g.ReplicaCount(3); got != 0 {
+	if got := g.replicas[3]; got != 0 {
 		t.Fatalf("rejected sample counted: %d", got)
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -147,7 +154,7 @@ func TestIsLastCopy(t *testing.T) {
 	if isLast0(5) {
 		t.Fatal("replicated sample reported as last copy")
 	}
-	g.Remove(0, 5)
+	wipe(g, 0)
 	if isLast0(5) {
 		t.Fatal("sample not on node 0 reported as its last copy")
 	}
@@ -277,7 +284,7 @@ func TestGetBatchMatchesLoop(t *testing.T) {
 		t.Errorf("stats diverge: loop %+v, batched %+v", sLoop, sBatch)
 	}
 	for id := 0; id < 10; id++ {
-		if gLoop.ReplicaCount(dataset.SampleID(id)) != gBatch.ReplicaCount(dataset.SampleID(id)) {
+		if gLoop.replicas[dataset.SampleID(id)] != gBatch.replicas[dataset.SampleID(id)] {
 			t.Errorf("replica count diverges for sample %d", id)
 		}
 	}
@@ -286,48 +293,9 @@ func TestGetBatchMatchesLoop(t *testing.T) {
 	}
 }
 
-func TestCrashWipesNodeAndRepairsMap(t *testing.T) {
-	g := newGroup(t, 3, 1000)
-	// Samples 0-9 on node 1 (5-9 also replicated on node 2).
-	for id := dataset.SampleID(0); id < 10; id++ {
-		if !g.Put(1, id, 10, 0) {
-			t.Fatal("seed insert refused")
-		}
-	}
-	for id := dataset.SampleID(5); id < 10; id++ {
-		if !g.Put(2, id, 10, 0) {
-			t.Fatal("seed insert refused")
-		}
-	}
-
-	if lost := g.Crash(1); lost != 10 {
-		t.Fatalf("Crash(1) lost %d samples, want 10", lost)
-	}
-	if err := g.CheckInvariants(); err != nil {
-		t.Fatalf("shard map inconsistent after crash: %v", err)
-	}
-	// Sole copies are gone (back to PFS); replicated ones survive on
-	// node 2 — no peer is promised a copy the dead node no longer has.
-	for id := dataset.SampleID(0); id < 5; id++ {
-		if got := g.Locate(0, id); got != tier.PFS {
-			t.Fatalf("lost sample %d located at %v, want pfs", id, got)
-		}
-	}
-	for id := dataset.SampleID(5); id < 10; id++ {
-		if got := g.Locate(0, id); got != tier.Remote {
-			t.Fatalf("replicated sample %d located at %v, want remote", id, got)
-		}
-	}
-	// Idempotent: crashing an empty node loses nothing.
-	if lost := g.Crash(1); lost != 0 {
-		t.Fatalf("second Crash(1) lost %d samples, want 0", lost)
-	}
-}
-
-// TestGetBatchAfterPeerLoss is the dead-peer error path of the batch
-// resolver: samples the group believed were remote must re-resolve to
-// the PFS after the holding node crashes, and the crashed node's own
-// lookups keep working (its cache refills from scratch).
+// TestGetBatchAfterPeerLoss: samples the group believed were remote must
+// re-resolve to the PFS once the holding node's cache is emptied, and that
+// node's own lookups keep working (its cache refills from scratch).
 func TestGetBatchAfterPeerLoss(t *testing.T) {
 	sizeOf := func(dataset.SampleID) int64 { return 10 }
 	g := newGroup(t, 2, 1000)
@@ -343,10 +311,10 @@ func TestGetBatchAfterPeerLoss(t *testing.T) {
 		t.Fatalf("before crash: %+v, want all remote", pl)
 	}
 
-	g.Crash(1)
+	wipe(g, 1)
 	// Node 0 cached the batch during the remote fetches above; wipe it
 	// too so the placement question starts cold.
-	g.Crash(0)
+	wipe(g, 0)
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +328,58 @@ func TestGetBatchAfterPeerLoss(t *testing.T) {
 	pl = g.GetBatch(1, ids, sizeOf, 3)
 	if pl.PFSOps != 0 {
 		t.Fatalf("crashed node should see peer copies after refill: %+v", pl)
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// usesLeft is a future-access oracle in which the listed samples have one
+// use left, at the next iteration, and every other sample has none.
+type usesLeft map[dataset.SampleID]bool
+
+func (o usesLeft) Future(id dataset.SampleID, after cache.Iter) (cache.Iter, int) {
+	if o[id] {
+		return after + 1, 1
+	}
+	return cache.NoAccess, 0
+}
+
+func (usesLeft) IterationsPerEpoch() int { return 100 }
+
+// TestLastCopyAtInsertIsInverted pins a known divergence (DESIGN.md §6):
+// the Lobster policy asks IsLastCopy from inside cache.Put, before Put
+// counts the new replica. For a sample inserted at its last use the
+// predicate is inverted: node 0 expires the group's only copy of sample 1
+// and keeps its second copy of sample 2. The rule of Section 4.4 ("keep
+// iff no other node holds it") would do the opposite.
+func TestLastCopyAtInsertIsInverted(t *testing.T) {
+	var g *Group
+	caches := make([]*cache.Cache, 2)
+	for n, plan := range []usesLeft{{}, {2: true}} {
+		n := n
+		c, err := cache.New(1000, cache.NewLobster(plan, cache.LobsterOptions{
+			IsLastCopy: func(id dataset.SampleID) bool { return g.IsLastCopy(n)(id) },
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[n] = c
+	}
+	g, err := NewGroup(caches, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Put(1, 2, 10, 0)
+	g.Put(0, 1, 10, 0) // the group's only copy
+	g.Put(0, 2, 10, 0) // node 1 holds another
+	g.Maintain(0, 0)
+	g.Maintain(1, 0)
+	if got := g.Locate(0, 1); got != tier.PFS {
+		t.Fatalf("sample 1 at %v; today node 0 expires the group's only copy", got)
+	}
+	if got := g.Locate(0, 2); got != tier.Local {
+		t.Fatalf("sample 2 at %v; today node 0 keeps its second copy", got)
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAllowDirectiveMissingJustification(t *testing.T) {
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 import "time"
 //lint:allow determinism
 func Stamp() time.Time { return time.Now() }
@@ -34,7 +34,7 @@ func Stamp() time.Time { return time.Now() }
 }
 
 func TestAllowDirectiveNoCheckID(t *testing.T) {
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 //lint:allow
 func F() {}
 `)
@@ -47,7 +47,7 @@ func F() {}
 func TestAllowDirectiveScopedToCheck(t *testing.T) {
 	// The directive names errcheck, so the determinism finding on the
 	// same line must survive.
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 import "time"
 //lint:allow errcheck wrong check named here
 func Stamp() time.Time { return time.Now() }
@@ -65,7 +65,7 @@ func Stamp() time.Time { return time.Now() }
 }
 
 func TestAllowDirectiveEndOfLine(t *testing.T) {
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 import "time"
 func Stamp() time.Time { return time.Now() } //lint:allow determinism calibration-only helper
 `)
@@ -77,7 +77,7 @@ func Stamp() time.Time { return time.Now() } //lint:allow determinism calibratio
 func TestAllowDirectiveStale(t *testing.T) {
 	// The directive names a check that ran over the file but had nothing
 	// to suppress: the directive itself becomes the finding.
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 //lint:allow determinism left over from a deleted time.Now call
 func F() int { return 1 }
 `)
@@ -89,7 +89,7 @@ func F() int { return 1 }
 }
 
 func TestAllowDirectiveUnknownCheck(t *testing.T) {
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 //lint:allow nosuchcheck typo in the id
 func F() int { return 1 }
 `)
@@ -104,7 +104,7 @@ func TestAllowDirectiveNotStaleForUnranCheck(t *testing.T) {
 	// Running a single analyzer must not declare directives for other
 	// (known) checks stale: fixture tests and partial runs would drown
 	// in noise otherwise.
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 //lint:allow errcheck held for a check this run does not include
 func F() int { return 1 }
 `)
@@ -118,10 +118,10 @@ func TestAllowDirectiveProdOnlyCheckInTestFile(t *testing.T) {
 	// determinism does not run on test files, so a determinism allow in
 	// a _test.go file can never fire; it must be reported as stale with
 	// a message explaining why.
-	p := checkFixtureWithTest(t, "repro/internal/sim", `package sim
+	p := checkFixtureWithTest(t, "repro/internal/distcache", `package distcache
 
 func F() int { return 1 }
-`, `package sim
+`, `package distcache
 
 //lint:allow determinism tests may use wall time
 func helper() int { return F() }
@@ -135,10 +135,10 @@ func helper() int { return F() }
 
 func TestAllowDirectiveUsedInTestFileNotStale(t *testing.T) {
 	// goroutine DOES run on test files; a used allow there is not stale.
-	p := checkFixtureWithTest(t, "repro/internal/sim", `package sim
+	p := checkFixtureWithTest(t, "repro/internal/distcache", `package distcache
 
 func F() int { return 1 }
-`, `package sim
+`, `package distcache
 
 func spawn() {
 	//lint:allow goroutine fixture goroutine is intentionally unbounded
@@ -158,7 +158,7 @@ func TestAllowDirectiveMultiLineStatement(t *testing.T) {
 	// The directive covers its own line and the line directly below.
 	// A multi-line statement whose finding position lands on that next
 	// line is suppressed...
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 import "time"
 
 //lint:allow determinism calibration-only helper
@@ -174,7 +174,7 @@ func TestAllowDirectiveDoesNotReachDeepIntoStatement(t *testing.T) {
 	// ...but a finding two or more lines below the directive is out of
 	// range: the offending call must carry its own (end-of-line) allow.
 	// The out-of-range directive is then itself stale.
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 import "time"
 
 func wrap(_ int, t time.Time) time.Time { return t }

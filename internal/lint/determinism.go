@@ -12,8 +12,8 @@ import (
 // load-balance guarantee. Matched by module-relative suffix so fixtures
 // and renamed modules both work.
 var determinismScope = []string{
-	"internal/sim",
 	"internal/pipeline",
+	"internal/distcache",
 	"internal/plan",
 	"internal/perfmodel",
 	"internal/access",

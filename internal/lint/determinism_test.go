@@ -6,8 +6,8 @@ func TestDeterminism(t *testing.T) {
 	runFixtures(t, Determinism, []fixtureTest{
 		{
 			name: "time.Now flagged in sim",
-			pkg:  "repro/internal/sim",
-			src: `package sim
+			pkg:  "repro/internal/pipeline",
+			src: `package pipeline
 import "time"
 func Stamp() time.Time { return time.Now() }
 `,
@@ -86,8 +86,8 @@ func Dump(m map[string]int) {
 		},
 		{
 			name: "map range channel send flagged",
-			pkg:  "repro/internal/sim",
-			src: `package sim
+			pkg:  "repro/internal/distcache",
+			src: `package distcache
 func Drain(m map[int]int, ch chan<- int) {
 	for _, v := range m {
 		ch <- v
@@ -143,8 +143,8 @@ func Copy(in []int) []int {
 		},
 		{
 			name: "allow directive suppresses",
-			pkg:  "repro/internal/sim",
-			src: `package sim
+			pkg:  "repro/internal/distcache",
+			src: `package distcache
 import "time"
 //lint:allow determinism calibration helper, result never reaches a plan
 func Stamp() time.Time { return time.Now() }

@@ -78,7 +78,7 @@ func (f Finding) String() string {
 // type-checked alongside them (or, for an external foo_test package,
 // all of its files). Analyzers receive it read-only.
 type Package struct {
-	Path      string // import path, e.g. "repro/internal/sim"
+	Path      string // import path, e.g. "repro/internal/pipeline"
 	Fset      *token.FileSet
 	Files     []*ast.File
 	TestFiles []*ast.File
@@ -247,7 +247,7 @@ func RunConcurrent(pkgs []*Package, analyzers []*Analyzer, pool *par.Pool) ([]Fi
 
 // hasSuffixPkg reports whether the package path ends with one of the
 // given module-relative suffixes (so checks scoped to e.g.
-// "internal/sim" work regardless of the module name).
+// "internal/pipeline" work regardless of the module name).
 func hasSuffixPkg(path string, suffixes []string) bool {
 	for _, s := range suffixes {
 		if path == s || len(path) > len(s) && path[len(path)-len(s)-1] == '/' && path[len(path)-len(s):] == s {

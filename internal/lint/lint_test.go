@@ -172,7 +172,7 @@ func renderFindings(fs []Finding) string {
 }
 
 func TestFindingSortingAndString(t *testing.T) {
-	p := checkFixture(t, "repro/internal/sim", `package sim
+	p := checkFixture(t, "repro/internal/distcache", `package distcache
 import "time"
 
 func a() time.Time { return time.Now() }

@@ -67,7 +67,7 @@ func TestLoadModulePackages(t *testing.T) {
 			t.Fatalf("packages not sorted: %s before %s", pkgs[i-1].Path, p.Path)
 		}
 	}
-	for _, want := range []string{"/internal/sim", "/internal/runtime", "/internal/lint", "/cmd/lobster-lint"} {
+	for _, want := range []string{"/internal/pipeline", "/internal/runtime", "/internal/lint", "/cmd/lobster-lint"} {
 		p := byPath[modPath+want]
 		if p == nil {
 			t.Fatalf("package %s%s not loaded", modPath, want)

@@ -127,9 +127,8 @@ func (s Spec) Validate(gpusPerNode, totalThreads int) error {
 }
 
 // BuildPolicy constructs the spec's eviction policy for one node, given
-// the node's future-access oracle (a full access.Plan or a memory-bounded
-// access.Windowed) and a last-copy predicate (used only by the Lobster
-// policy; may be nil).
+// the node's future-access oracle (its access.Plan) and a last-copy
+// predicate (used only by the Lobster policy; may be nil).
 func (s Spec) BuildPolicy(plan cache.Oracle, isLastCopy func(dataset.SampleID) bool) cache.Policy {
 	switch s.Policy {
 	case PolicyPageCache:

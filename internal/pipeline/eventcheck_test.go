@@ -5,57 +5,33 @@ import (
 	"testing"
 	"testing/quick"
 
-	dessim "repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// eventPoolTimes approximates processor sharing with a discrete-event
-// round-robin server: the pool serves active queues in fixed quanta,
-// rotating fairly. As the quantum shrinks it converges to the analytic
-// water-filling solution used by sharedPoolTimes — an independent check
-// of the shared-pool model from internal/sim's event engine.
+// eventPoolTimes approximates processor sharing with a round-robin
+// server: the whole pool serves one active queue at a time for one
+// quantum of its work, rotating fairly. As the quantum shrinks it
+// converges to the analytic water-filling solution used by
+// sharedPoolTimes — an independent check of the shared-pool model.
 func eventPoolTimes(works []float64, quantum float64) []float64 {
-	eng := dessim.NewEngine()
 	remaining := append([]float64(nil), works...)
 	done := make([]float64, len(works))
-	var serve func()
-	serve = func() {
-		// Pick the next active queue round-robin by smallest remaining
-		// index order each quantum cycle; simpler: serve every active
-		// queue one quantum per cycle.
-		active := 0
-		for _, r := range remaining {
-			if r > 1e-12 {
-				active++
-			}
-		}
-		if active == 0 {
-			return
-		}
-		// One cycle serves each active queue for quantum pool-seconds of
-		// its own work; the cycle's wall duration is active*min(quantum,
-		// max remaining) — modeled by sequential quanta.
-		cycle := 0.0
+	now := 0.0
+	for served := true; served; {
+		served = false
 		for i := range remaining {
 			if remaining[i] <= 1e-12 {
 				continue
 			}
-			q := quantum
-			if remaining[i] < q {
-				q = remaining[i]
-			}
+			q := math.Min(quantum, remaining[i])
 			remaining[i] -= q
-			cycle += q
+			now += q
+			served = true
 			if remaining[i] <= 1e-12 {
-				at := float64(eng.Now()) + cycle
-				i := i
-				eng.At(dessim.Time(at), func() { done[i] = at })
+				done[i] = now
 			}
 		}
-		eng.After(dessim.Time(cycle), serve)
 	}
-	eng.At(0, serve)
-	eng.Run()
 	return done
 }
 

@@ -36,7 +36,9 @@ import (
 	"repro/internal/tier"
 )
 
-// Config describes one simulated training run.
+// Config describes one simulated training run. The model's calibrated
+// values (τ, the noise processes, the imbalance threshold, the
+// preprocessing model) are not options but constants (DESIGN.md §6).
 type Config struct {
 	Topology cluster.Topology
 	Model    cluster.DNNModel
@@ -45,50 +47,23 @@ type Config struct {
 	Seed     uint64
 	Strategy loader.Spec
 
-	// Tau is Algorithm 1's convergence threshold in seconds
-	// (default: 5% of the model's iteration time).
-	Tau float64
-	// ImbalanceFrac is the fraction of the training-stage duration by
-	// which per-GPU data delays must differ for the iteration to count as
-	// imbalanced (default 1.0: a straggler held the node for at least one
-	// extra training-stage's worth of time — calibrated so the DALI
-	// motivation study reproduces the paper's "65.3% of iterations").
-	ImbalanceFrac float64
-	// TrainJitter is the sigma of the log-normal multiplicative noise on
-	// the training stage (default 0.02; 0 disables explicitly via -1).
-	TrainJitter float64
-	// PFSNoise is the sigma of the log-normal burstiness multiplier on
-	// per-GPU PFS read times (default 0.20; -1 disables). Lustre serves
-	// small random reads with highly variable latency depending on OST
-	// load — the source of the "bursty pattern" of Observation 2.
-	PFSNoise float64
-	// PFSNoiseRho is the AR(1) autocorrelation of the burstiness across
-	// iterations (default 0.6): OST congestion persists, which is what
-	// makes per-iteration re-planning worthwhile.
-	PFSNoiseRho float64
 	// PipelineDepth is how many iterations the loading pipeline may run
-	// ahead of training (default 2, the usual double-buffering).
+	// ahead of training (default 2, the usual double-buffering). An
+	// option because the DESIGN.md §5 ablations sweep it.
 	PipelineDepth int
 	// DecideEvery is how often (in iterations) dynamic strategies re-run
 	// the thread manager; between decisions the last allocation is kept.
 	// Section 4.1: "The frequency of running this algorithm can be
 	// adjusted to reach a trade-off where we avoid excessive overheads
-	// ... while maintaining the capability to adapt quickly". Default 1.
+	// ... while maintaining the capability to adapt quickly". Default 1;
+	// an option because the DESIGN.md §5 ablations sweep it.
 	DecideEvery int
-	// PlanWindowEpochs, when > 0, bounds the planner's memory: the cache
-	// policies see a sliding access.Windowed oracle with this many epochs
-	// of detail instead of the full-run plan. Use for full-scale runs
-	// (the Lobster rules only look two epochs ahead; 3 is the minimum).
-	PlanWindowEpochs int
 
 	// CollectTrace records per-iteration breakdowns (Fig. 3); capped at
-	// MaxTraceIters records (default 4096).
+	// MaxTraceIters records (default 4096). Figures, the plan builder and
+	// `lobster-sim trace` each set their own values.
 	CollectTrace  bool
 	MaxTraceIters int
-
-	// Preproc is the ground-truth preprocessing throughput model
-	// (default preproc.DefaultModel()).
-	Preproc *preproc.ThroughputModel
 
 	// Pool, when non-nil, parallelizes internal setup work that is
 	// independent per item (currently the per-size portfolio fits of
@@ -96,6 +71,28 @@ type Config struct {
 	// are slotted by index, so output is identical for any pool width.
 	Pool *par.Pool
 }
+
+// The simulator's calibrated constants (DESIGN.md §6).
+const (
+	// imbalanceFrac is the fraction of the training-stage duration by
+	// which per-GPU data delays must differ for the iteration to count as
+	// imbalanced: 1.0, a straggler held the node for at least one extra
+	// training-stage's worth of time — calibrated so the DALI motivation
+	// study reproduces the paper's "65.3% of iterations".
+	imbalanceFrac = 1.0
+	// trainJitter is the sigma of the log-normal multiplicative noise on
+	// the training stage.
+	trainJitter = 0.02
+	// pfsNoise is the sigma of the log-normal burstiness multiplier on
+	// per-GPU PFS read times. Lustre serves small random reads with highly
+	// variable latency depending on OST load — the source of the "bursty
+	// pattern" of Observation 2.
+	pfsNoise = 0.20
+	// pfsNoiseRho is the AR(1) autocorrelation of the burstiness across
+	// iterations: OST congestion persists, which is what makes
+	// per-iteration re-planning worthwhile.
+	pfsNoiseRho = 0.6
+)
 
 // GPUIter is the per-GPU breakdown of one iteration (the bars of Fig. 3).
 type GPUIter struct {
@@ -134,27 +131,6 @@ type Result struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.Tau == 0 {
-		out.Tau = out.Model.IterTime * 0.05
-	}
-	if out.ImbalanceFrac == 0 {
-		out.ImbalanceFrac = 1.0
-	}
-	if out.TrainJitter == 0 {
-		out.TrainJitter = 0.02
-	} else if out.TrainJitter < 0 {
-		out.TrainJitter = 0
-	}
-	if out.PFSNoise == 0 {
-		out.PFSNoise = 0.20
-	} else if out.PFSNoise < 0 {
-		out.PFSNoise = 0
-	}
-	if out.PFSNoiseRho == 0 {
-		out.PFSNoiseRho = 0.6
-	} else if out.PFSNoiseRho < 0 {
-		out.PFSNoiseRho = 0
-	}
 	if out.PipelineDepth == 0 {
 		out.PipelineDepth = 2
 	}
@@ -163,10 +139,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DecideEvery < 1 {
 		out.DecideEvery = 1
-	}
-	if out.Preproc == nil {
-		m := preproc.DefaultModel()
-		out.Preproc = &m
 	}
 	return out
 }
@@ -187,9 +159,6 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Strategy.Validate(cfg.Topology.GPUsPerNode, cfg.Topology.CPUThreads); err != nil {
 		return nil, err
 	}
-	if err := cfg.Preproc.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := newSim(cfg)
 	if err != nil {
 		return nil, err
@@ -199,15 +168,13 @@ func Run(cfg Config) (*Result, error) {
 
 // sim holds all mutable state of one run.
 type sim struct {
-	cfg      Config
-	sched    *sampler.Schedule
-	plans    []*access.Plan
-	windowed []*access.Windowed // non-nil when PlanWindowEpochs > 0
-	group    *distcache.Group
-	mgr      *threadmgr.Manager // dynamic mode only
-	truth    *preproc.ThroughputModel
-	hier     tier.Hierarchy
-	rng      *stats.RNG
+	cfg   Config
+	sched *sampler.Schedule
+	group *distcache.Group
+	mgr   *threadmgr.Manager // dynamic mode only
+	truth preproc.ThroughputModel
+	hier  tier.Hierarchy
+	rng   *stats.RNG
 
 	nodes, gpus int
 	world       int
@@ -275,7 +242,7 @@ func newSim(cfg Config) (*sim, error) {
 	s := &sim{
 		cfg:   cfg,
 		sched: sched,
-		truth: cfg.Preproc,
+		truth: preproc.DefaultModel(),
 		hier:  top.Hierarchy,
 		rng:   stats.NewRNG(stats.DeriveSeed(cfg.Seed, 0x717e)),
 		nodes: top.Nodes,
@@ -285,32 +252,15 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	s.totalIters = cfg.Epochs * s.iters
 
-	// Future-access oracles and per-node caches: a full plan by default,
-	// or a memory-bounded sliding window when PlanWindowEpochs is set.
-	oracles := make([]cache.Oracle, s.nodes)
-	if cfg.PlanWindowEpochs > 0 {
-		s.windowed = make([]*access.Windowed, s.nodes)
-		for n := 0; n < s.nodes; n++ {
-			w, err := access.BuildWindowed(sched, n, s.gpus, cfg.Epochs, cfg.PlanWindowEpochs)
-			if err != nil {
-				return nil, err
-			}
-			s.windowed[n] = w
-			oracles[n] = w
-		}
-	} else {
-		s.plans, err = access.BuildAll(sched, s.nodes, s.gpus, cfg.Epochs, 0)
-		if err != nil {
-			return nil, err
-		}
-		for n, p := range s.plans {
-			oracles[n] = p
-		}
+	// Every node's full-run future-access plan, then its cache.
+	plans, err := access.BuildAll(sched, s.nodes, s.gpus, cfg.Epochs, 0)
+	if err != nil {
+		return nil, err
 	}
 	caches := make([]*cache.Cache, s.nodes)
 	for n := 0; n < s.nodes; n++ {
 		n := n
-		policy := cfg.Strategy.BuildPolicy(oracles[n], func(id dataset.SampleID) bool {
+		policy := cfg.Strategy.BuildPolicy(plans[n], func(id dataset.SampleID) bool {
 			return s.group.IsLastCopy(n)(id)
 		})
 		c, err := cache.New(top.CacheBytes, policy)
@@ -337,7 +287,7 @@ func newSim(cfg Config) (*sim, error) {
 			Hierarchy:    s.hier,
 			Portfolio:    portfolio,
 			TotalThreads: top.CPUThreads,
-			Tau:          cfg.Tau,
+			Tau:          cfg.Model.IterTime * threadmgr.TauFraction,
 		})
 		if err != nil {
 			return nil, err
@@ -392,11 +342,6 @@ func (s *sim) run() (*Result, error) {
 		s.step(h)
 		if (h+1)%s.iters == 0 {
 			epochEnds = append(epochEnds, s.allreduceDone)
-			if s.windowed != nil {
-				for _, w := range s.windowed {
-					w.Advance((h + 1) / s.iters)
-				}
-			}
 		}
 	}
 	s.runOut.TotalTime = s.allreduceDone
@@ -446,17 +391,18 @@ func (s *sim) step(h int) {
 	// Phase B: advance the PFS burstiness state. Thread decisions see
 	// only the PREVIOUS iteration's realized factors (observable
 	// feedback); actual load times use the new ones.
+	// sigma and rho are variables so the arithmetic below rounds at every
+	// float64 step: with constant operands Go would evaluate sigma*sigma/2
+	// exactly, and the noise would move in the last bit.
 	prevFactor := s.pfsFactor
-	if sigma := s.cfg.PFSNoise; sigma > 0 {
-		rho := s.cfg.PFSNoiseRho
-		innov := sigma * math.Sqrt(1-rho*rho)
-		newFactor := s.pfsFactorAlt
-		for g := 0; g < s.world; g++ {
-			s.pfsNoiseX[g] = rho*s.pfsNoiseX[g] + innov*s.rng.NormFloat64()
-			newFactor[g] = math.Exp(s.pfsNoiseX[g] - sigma*sigma/2)
-		}
-		s.pfsFactor, s.pfsFactorAlt = newFactor, prevFactor
+	sigma, rho := pfsNoise, pfsNoiseRho
+	innov := sigma * math.Sqrt(1-rho*rho)
+	newFactor := s.pfsFactorAlt
+	for g := 0; g < s.world; g++ {
+		s.pfsNoiseX[g] = rho*s.pfsNoiseX[g] + innov*s.rng.NormFloat64()
+		newFactor[g] = math.Exp(s.pfsNoiseX[g] - sigma*sigma/2)
 	}
+	s.pfsFactor, s.pfsFactorAlt = newFactor, prevFactor
 
 	// Phases C-D: thread decisions, load times, preprocessing times,
 	// NUMA placement effects.
@@ -518,7 +464,7 @@ func (s *sim) step(h int) {
 	s.allreduceHist[h%len(s.allreduceHist)] = s.allreduceDone
 	batchTime := s.allreduceDone - prevDone
 	s.runOut.BatchTimes.Add(batchTime)
-	if maxStall-minStall > s.cfg.ImbalanceFrac*s.cfg.Model.IterTime {
+	if maxStall-minStall > imbalanceFrac*s.cfg.Model.IterTime {
 		s.runOut.ImbalancedIterations++
 	}
 	if collectTrace {
@@ -704,10 +650,7 @@ func sharedPoolTimes(works []float64, out []float64, qs []poolQueue) {
 
 // jitter returns the multiplicative training-time noise (mean 1).
 func (s *sim) jitter() float64 {
-	sigma := s.cfg.TrainJitter
-	if sigma == 0 {
-		return 1
-	}
+	sigma := trainJitter // a variable, for the rounding reason in step
 	return math.Exp(sigma*s.rng.NormFloat64() - sigma*sigma/2)
 }
 

@@ -33,9 +33,6 @@ func (o *Options) normalize() error {
 	if o.GradientSize == 0 {
 		o.GradientSize = 64
 	}
-	if o.DecideEvery < 1 {
-		o.DecideEvery = 1
-	}
 	if o.ThreadPlan != nil {
 		if err := o.ThreadPlan.Validate(); err != nil {
 			return err
@@ -171,7 +168,7 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 			Hierarchy:    top.Hierarchy,
 			Portfolio:    portfolio,
 			TotalThreads: top.CPUThreads,
-			Tau:          opts.Model.IterTime * 0.05,
+			Tau:          opts.Model.IterTime * threadmgr.TauFraction,
 		})
 		if err != nil {
 			return err

@@ -5,37 +5,37 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/tier"
 )
 
-func TestDirectoryPurgeAndCount(t *testing.T) {
-	d, err := NewDirectory(16, 3)
+// TestNodeCacheCrashClearsDirectory: a crashed node cache drops every
+// directory bit it held, and copies on other nodes stay advertised.
+func TestNodeCacheCrashClearsDirectory(t *testing.T) {
+	dir, err := NewDirectory(16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < 8; id++ {
-		d.Add(1, dataset.SampleID(id))
+	nc, err := newNodeCache(1, 1<<20, cache.NewLRU(), dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.Add(2, dataset.SampleID(0))
-	if got := d.CountNode(1); got != 8 {
-		t.Fatalf("CountNode(1) = %d, want 8", got)
+	for id := dataset.SampleID(0); id < 8; id++ {
+		nc.put(id, make([]byte, 16), 0, false, false)
 	}
-	if purged := d.PurgeNode(1); purged != 8 {
-		t.Fatalf("PurgeNode(1) = %d, want 8", purged)
+	dir.Add(2, 0)
+	if lost := nc.crash(); lost != 8 {
+		t.Fatalf("crash dropped %d entries, want 8", lost)
 	}
-	if got := d.CountNode(1); got != 0 {
-		t.Fatalf("CountNode(1) after purge = %d", got)
+	if got := dir.Holder(0, 0); got != 2 {
+		t.Fatalf("Holder(0) = %d after crash, want 2", got)
 	}
-	// Sample 0's copy on node 2 survives; the rest have no holder.
-	if got := d.Holder(dataset.SampleID(0), 0); got != 2 {
-		t.Fatalf("Holder(0) = %d, want 2", got)
-	}
-	for id := 1; id < 8; id++ {
-		if got := d.Holder(dataset.SampleID(id), 0); got != -1 {
-			t.Fatalf("Holder(%d) = %d after purge, want -1", id, got)
+	for id := dataset.SampleID(1); id < 8; id++ {
+		if got := dir.Holder(id, 0); got != -1 || nc.contains(id) {
+			t.Fatalf("sample %d: Holder %d, resident %v after crash", id, got, nc.contains(id))
 		}
 	}
 }

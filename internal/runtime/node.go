@@ -753,8 +753,9 @@ func (n *nodeRuntime) serveRemote() {
 	}
 }
 
-// buildNodePolicy instantiates the strategy's cache policy for this node.
-func buildNodePolicy(spec loader.Spec, plan *access.Plan, node int, dir *Directory) cache.Policy {
+// buildNodePolicy instantiates the strategy's cache policy for this node
+// over its access plan.
+func buildNodePolicy(spec loader.Spec, plan cache.Oracle, node int, dir *Directory) cache.Policy {
 	return spec.BuildPolicy(plan, func(id dataset.SampleID) bool {
 		return dir.IsLastCopy(node, id)
 	})

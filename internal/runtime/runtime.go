@@ -45,14 +45,12 @@ type Options struct {
 	// dataset file (written by cmd/lobster-pack or datafile.Write): every
 	// PFS read becomes a real positional file read, checksum-verified.
 	DataFilePath string
-	// DecideEvery is how often (iterations) the dynamic thread controller
-	// re-runs (Section 4.1's overhead/adaptivity trade-off; default 1).
-	DecideEvery int
 	// GradientSize is the per-iteration pseudo-gradient length each GPU
 	// contributes to the ring allreduce that implements the data-parallel
 	// barrier (default 64; -1 disables the collective and leaves only
 	// the synchronization barrier). All ranks must obtain bit-identical
-	// averaged gradients; the run fails verification otherwise.
+	// averaged gradients; the run fails verification otherwise. It stays
+	// an option because the benchmark's barrier-free what-if sets -1.
 	GradientSize int
 	// OnProgress, when non-nil, receives a Progress snapshot at the end
 	// of every iteration (from the barrier's last arriver). Keep the
@@ -592,7 +590,7 @@ var barrierHook func(rt *Runtime, completed int)
 
 // decideThreads sets iteration h's thread assignment: from the offline
 // plan when one is loaded, otherwise from the live controller (dynamic
-// strategies only).
+// strategies only), which re-decides every iteration.
 func (rt *Runtime) decideThreads(h int) {
 	if h >= rt.totalIters {
 		return
@@ -610,9 +608,6 @@ func (rt *Runtime) decideThreads(h int) {
 			}
 		}
 		return
-	}
-	if h%rt.opts.DecideEvery != 0 {
-		return // keep the previous allocation (Section 4.1 frequency knob)
 	}
 	epoch, it := h/rt.itersPerEpoch, h%rt.itersPerEpoch
 	for n, node := range rt.nodes {

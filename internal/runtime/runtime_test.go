@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/loader"
@@ -217,6 +218,52 @@ func TestDirectory(t *testing.T) {
 	d.Remove(1, 5)
 	if got := d.Holder(5, 0); got != 2 {
 		t.Fatalf("after remove, Holder = %d, want 2", got)
+	}
+}
+
+// usesLeft is a future-access oracle in which the listed samples have one
+// use left, at the next iteration, and every other sample has none.
+type usesLeft map[dataset.SampleID]bool
+
+func (o usesLeft) Future(id dataset.SampleID, after cache.Iter) (cache.Iter, int) {
+	if o[id] {
+		return after + 1, 1
+	}
+	return cache.NoAccess, 0
+}
+
+func (usesLeft) IterationsPerEpoch() int { return 100 }
+
+// TestLastCopyAtInsertExpiresBoth pins a known divergence (DESIGN.md §6):
+// the Lobster policy asks IsLastCopy from inside cache.Put, before put
+// adds the node to the directory. A sample inserted at its last use is
+// therefore never "the last copy": node 0 expires the group's only copy
+// of sample 1 as well as its second copy of sample 2. The rule of Section
+// 4.4 ("keep iff no other node holds it") would keep sample 1.
+func TestLastCopyAtInsertExpiresBoth(t *testing.T) {
+	dir, err := NewDirectory(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := make([]*nodeCache, 2)
+	for n, plan := range []usesLeft{{}, {2: true}} {
+		if nodes[n], err = newNodeCache(n, 1<<20, buildNodePolicy(loader.Lobster(), plan, n, dir), dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, 64)
+	nodes[1].put(2, payload, 0, false, false)
+	nodes[0].put(1, payload, 0, false, false) // the group's only copy
+	nodes[0].put(2, payload, 0, false, false) // node 1 holds another
+	for _, nc := range nodes {
+		nc.maintain(0)
+	}
+	if nodes[0].contains(1) || nodes[0].contains(2) {
+		t.Fatalf("node 0 kept sample 1: %v, sample 2: %v; today it expires both",
+			nodes[0].contains(1), nodes[0].contains(2))
+	}
+	if !nodes[1].contains(2) {
+		t.Fatal("node 1 lost a sample it uses again")
 	}
 }
 

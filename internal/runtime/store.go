@@ -270,39 +270,6 @@ func (d *Directory) IsLastCopy(node int, id dataset.SampleID) bool {
 	return d.holders[id] == 1<<uint(node)
 }
 
-// PurgeNode clears every holder bit of node in one pass — the shard-map
-// repair step after a cache-node loss: no sample may keep advertising a
-// copy on the dead node, or peers would burn a fetch round trip on it.
-// Returns how many entries were purged.
-func (d *Directory) PurgeNode(node int) int {
-	mask := uint64(1) << uint(node)
-	n := 0
-	d.mu.Lock()
-	for i := range d.holders {
-		if d.holders[i]&mask != 0 {
-			d.holders[i] &^= mask
-			n++
-		}
-	}
-	d.mu.Unlock()
-	return n
-}
-
-// CountNode returns how many samples the directory records node as
-// holding (repair assertions and diagnostics).
-func (d *Directory) CountNode(node int) int {
-	mask := uint64(1) << uint(node)
-	n := 0
-	d.mu.Lock()
-	for i := range d.holders {
-		if d.holders[i]&mask != 0 {
-			n++
-		}
-	}
-	d.mu.Unlock()
-	return n
-}
-
 // fetchRequest is a peer cache read over the distribution manager.
 type fetchRequest struct {
 	id    dataset.SampleID

@@ -36,8 +36,8 @@ type Schedule struct {
 
 	// Tiny permutation cache. Two slots suffice because every consumer
 	// moves through the epochs in order and at most two are in use at a
-	// time: the plan builders (access.BuildAll, BuildWindowed) walk one
-	// epoch after the other, once, before the run starts; the run itself
+	// time: the plan builder (access.BuildAll) walks one epoch after the
+	// other, once, before the run starts; the run itself
 	// (the simulator's step and prefetch cursor, the runtime's ranks,
 	// prefetch feed and thread decisions) reads the current epoch and,
 	// near its end, the first iterations of the next. A consumer that

@@ -49,6 +49,11 @@ type Decision struct {
 	UsedAlgorithm1 bool
 }
 
+// TauFraction is Algorithm 1's convergence threshold τ as a fraction of
+// the model's iteration time T_train. The simulator and the runtime both
+// set Config.Tau to TauFraction x T_train.
+const TauFraction = 0.05
+
 // Config parameterises a Manager.
 type Config struct {
 	Hierarchy tier.Hierarchy
