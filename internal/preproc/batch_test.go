@@ -63,8 +63,11 @@ func TestSubmitBatchSlotOrdered(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchMatchesSubmit pins that batched delivery decodes to the
-// same tensors as per-sample delivery for identical inputs.
+// TestSubmitBatchMatchesSubmit pins that packing jobs into blocks
+// changes nothing a tensor holds: a batch submitted one job at a time
+// (every block carries one job) decodes to the same checksums as the
+// same batch submitted whole, and both equal the fused decode+augment
+// run directly.
 func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	p, err := NewPool(4, 64)
 	if err != nil {
@@ -72,37 +75,32 @@ func TestSubmitBatchMatchesSubmit(t *testing.T) {
 	}
 	defer p.Close()
 	const n = 16
-	done := make(chan Result, n)
-	want := make(map[dataset.SampleID]uint64, n)
-	for i := 0; i < n; i++ {
-		buf := make([]byte, 300)
-		dataset.FillPayload(buf, 7, dataset.SampleID(i))
-		p.Submit(Job{ID: dataset.SampleID(i), Payload: buf, Seed: uint64(i), Done: done})
-	}
-	for i := 0; i < n; i++ {
-		res := <-done
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		want[res.Tensor.ID] = res.Tensor.Checksum
-	}
 	comp := GetCompletion()
 	defer comp.Release()
 	comp.Reset(n)
-	var jobs []Job
-	for i := 0; i < n; i++ {
-		buf := make([]byte, 300)
-		dataset.FillPayload(buf, 7, dataset.SampleID(i))
-		jobs = append(jobs, Job{ID: dataset.SampleID(i), Payload: buf, Seed: uint64(i), Comp: comp, Slot: i})
+	for _, job := range makeJobs(nil, n, 300, comp) {
+		p.SubmitBatch([]Job{job})
 	}
-	p.SubmitBatch(jobs)
+	one := make([]uint64, n)
 	for i, res := range comp.Wait() {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		if res.Tensor.Checksum != want[dataset.SampleID(i)] {
-			t.Fatalf("slot %d checksum %#x, per-sample path got %#x",
-				i, res.Tensor.Checksum, want[dataset.SampleID(i)])
+		one[i] = res.Tensor.Checksum
+	}
+	payload := make([]byte, 300)
+	for i, res := range runBatch(p, comp, n, 300) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		dataset.FillPayload(payload, 7, dataset.SampleID(i))
+		direct, err := decodeAugment(payload, dataset.SampleID(i), uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tensor.Checksum != one[i] || one[i] != direct.Checksum {
+			t.Fatalf("slot %d checksum %#x batched, %#x one job at a time, %#x direct",
+				i, res.Tensor.Checksum, one[i], direct.Checksum)
 		}
 	}
 }
@@ -157,63 +155,6 @@ func TestBatchedSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, fused); allocs != 0 {
 		t.Fatalf("decodeAugment allocates %.1f times per sample, want 0", allocs)
-	}
-}
-
-// TestResizeStormDoesNotBlock forces the stop-token channel to
-// overflow: all workers are wedged mid-job, so nobody drains tokens,
-// and a shrink far past the channel bound must return immediately by
-// banking the overflow as stop debt (the documented bound — see
-// poolStopsCap — affects promptness only, never controller liveness).
-func TestResizeStormDoesNotBlock(t *testing.T) {
-	p, err := newPool(8, 64, 2) // stop channel bound of 2
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wedge every worker: unbuffered Done with no receiver blocks the
-	// delivery send.
-	stuck := make(chan Result)
-	const wedged = 8
-	for i := 0; i < wedged; i++ {
-		buf := make([]byte, 128)
-		dataset.FillPayload(buf, 7, dataset.SampleID(i))
-		p.Submit(Job{ID: dataset.SampleID(i), Payload: buf, Seed: 0, Done: stuck})
-	}
-	// A storm of full-range resizes. Before the debt mechanism the third
-	// shrink would block forever on the size-2 stops channel.
-	for i := 0; i < 50; i++ {
-		if err := p.Resize(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Resize(8); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Resize(4); err != nil {
-		t.Fatal(err)
-	}
-	// Unwedge and check the pool still works and converges: every job
-	// completes, including fresh ones submitted after the storm.
-	var sub sync.WaitGroup
-	sub.Add(1)
-	go func() {
-		defer sub.Done()
-		buf := make([]byte, 128)
-		dataset.FillPayload(buf, 7, 99)
-		p.Submit(Job{ID: 99, Payload: buf, Seed: 0, Done: stuck})
-	}()
-	for i := 0; i < wedged+1; i++ {
-		if res := <-stuck; res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	sub.Wait()
-	p.Close()
-	if got := p.Processed(); got != wedged+1 {
-		t.Fatalf("processed %d, want %d", got, wedged+1)
-	}
-	if p.Workers() != 4 {
-		t.Fatalf("target %d after storm, want 4", p.Workers())
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 )
 
 // Completion collects one batch's preprocessing results and wakes the
-// consumer exactly once, when the last result lands. It replaces the N
-// `chan Result` receives of per-sample delivery (Job.Done) with one
-// atomic decrement per sample and a single channel wake per batch.
+// consumer exactly once, when the last result lands: one atomic decrement
+// per sample and a single channel wake per batch, where a channel send
+// per result would cost N receives. It is the pool's only delivery path.
 //
 // Protocol: Reset(n) arms the completion for an n-result batch; jobs
 // carrying {Comp, Slot} have their Result written into slot Slot by the

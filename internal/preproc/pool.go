@@ -25,13 +25,9 @@ type Job struct {
 	ID      dataset.SampleID
 	Payload []byte
 	Seed    uint64
-	// Done receives the result exactly once (per-sample delivery; used
-	// when Comp is nil).
-	Done chan<- Result
-	// Comp, when non-nil, selects batched delivery: the worker writes
-	// the Result into Comp's slot Slot instead of sending on Done, and
-	// the batch's consumer is woken once, by the last slot (see
-	// Completion).
+	// Comp and Slot deliver the result: the worker writes it into Comp's
+	// slot Slot, and the batch's consumer is woken once, by the last slot
+	// (see Completion).
 	Comp *Completion
 	Slot int
 	// Owned marks Payload as exclusively owned by the data path: no
@@ -79,24 +75,12 @@ type Result struct {
 // Pool is a resizable preprocessing worker pool. Lobster's thread manager
 // grows and shrinks it at runtime ("take away one thread from the
 // preprocessing stage and make it available for data loading",
-// Section 4.1); Resize is safe to call concurrently with Submit.
+// Section 4.1); Resize is safe to call concurrently with SubmitBatch.
 type Pool struct {
 	jobs chan jobBlock
-
-	mu      sync.Mutex
-	target  int           // desired worker count
-	workers int           // current worker count
-	stops   chan struct{} // one token per worker asked to exit
-	closed  bool
-
-	// stopDebt holds stop requests that did not fit in the stops
-	// channel (a Resize storm can outrun token delivery). Workers claim
-	// debt at the top of their loop, so a full channel stalls nobody:
-	// Resize records the overflow and returns. See Resize.
-	stopDebt atomic.Int64
+	crew *Crew
 
 	processed atomic.Uint64
-	wg        sync.WaitGroup
 
 	// ins is the optional live instrumentation (SetInstruments); an
 	// atomic pointer so attaching mid-run cannot race the workers. The
@@ -105,12 +89,6 @@ type Pool struct {
 	// fault is the injected per-job decode delay (SetDecodeDelay; nil =
 	// none) — the slow-decode-worker fault of the chaos harness.
 	fault atomic.Pointer[decodeFault]
-	// tidFree recycles trace thread IDs across worker generations so a
-	// thread-controller resizing every iteration does not mint
-	// unbounded trace tracks.
-	tidMu   sync.Mutex
-	tidFree []int64
-	tidSeq  int
 }
 
 // Instruments is the pool's optional observability hookup. JobSeconds
@@ -135,100 +113,33 @@ func (ins *Instruments) active() bool {
 }
 
 // SetInstruments attaches (or replaces, or with nil detaches) the
-// pool's instrumentation. Safe to call concurrently with Submit.
+// pool's instrumentation. Safe to call concurrently with SubmitBatch.
 func (p *Pool) SetInstruments(ins *Instruments) { p.ins.Store(ins) }
-
-// takeTID leases a trace track for one worker, reusing returned IDs
-// before minting new ones.
-func (p *Pool) takeTID(ins *Instruments) int64 {
-	p.tidMu.Lock()
-	if n := len(p.tidFree); n > 0 {
-		tid := p.tidFree[n-1]
-		p.tidFree = p.tidFree[:n-1]
-		p.tidMu.Unlock()
-		return tid
-	}
-	p.tidSeq++
-	seq := p.tidSeq
-	p.tidMu.Unlock()
-	return ins.Trace.NewThread(fmt.Sprintf("%s/worker%d", ins.TraceLabel, seq))
-}
-
-func (p *Pool) putTID(tid int64) {
-	if tid == 0 {
-		return
-	}
-	p.tidMu.Lock()
-	p.tidFree = append(p.tidFree, tid)
-	p.tidMu.Unlock()
-}
 
 // QueueLen returns the number of jobs waiting in the queue (for
 // scrape-time gauge callbacks).
 func (p *Pool) QueueLen() int { return len(p.jobs) }
 
-// poolStopsCap bounds the stop-token channel. Overflow past it goes to
-// stopDebt, so the bound affects only how promptly *idle* workers learn
-// about a shrink — never whether Resize can block (it cannot).
-const poolStopsCap = 1024
-
 // NewPool starts a pool with the given number of workers.
 func NewPool(workers, queueDepth int) (*Pool, error) {
-	return newPool(workers, queueDepth, poolStopsCap)
-}
-
-// newPool is NewPool with the stop-token capacity exposed so tests can
-// force the overflow path without thousands of workers.
-func newPool(workers, queueDepth, stopsCap int) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("preproc: workers %d < 1", workers)
 	}
 	if queueDepth < 1 {
 		return nil, fmt.Errorf("preproc: queueDepth %d < 1", queueDepth)
 	}
-	p := &Pool{
-		jobs:  make(chan jobBlock, queueDepth),
-		stops: make(chan struct{}, stopsCap),
-	}
-	p.mu.Lock()
-	p.target = workers
-	for i := 0; i < workers; i++ {
-		p.spawn()
-	}
-	p.mu.Unlock()
+	p := &Pool{jobs: make(chan jobBlock, queueDepth)}
+	p.crew = NewCrew("worker", p.worker)
+	p.crew.Resize(workers)
 	return p, nil
 }
 
-func (p *Pool) spawn() {
-	p.workers++
-	p.wg.Add(1)
-	go p.worker()
-}
-
-// claimStopDebt consumes one overflowed stop request, if any. Called by
-// workers at the top of their loop, so debt drains as jobs flow.
-func (p *Pool) claimStopDebt() bool {
-	for {
-		d := p.stopDebt.Load()
-		if d <= 0 {
-			return false
-		}
-		if p.stopDebt.CompareAndSwap(d, d-1) {
-			return true
-		}
-	}
-}
-
 func (p *Pool) worker() {
-	defer p.wg.Done()
 	var tid int64
-	defer func() { p.putTID(tid) }()
-	for {
-		if p.claimStopDebt() {
-			return
-		}
+	defer func() { p.crew.PutTID(tid) }()
+	for !p.crew.ClaimStopDebt() {
 		select {
-		case <-p.stops:
+		case <-p.crew.Stops():
 			return
 		case blk, ok := <-p.jobs:
 			if !ok {
@@ -236,7 +147,7 @@ func (p *Pool) worker() {
 			}
 			ins := p.ins.Load()
 			if tid == 0 && ins != nil && ins.Trace != nil {
-				tid = p.takeTID(ins)
+				tid = p.crew.TakeTID(ins.Trace, ins.TraceLabel)
 			}
 			for i := 0; i < blk.n; i++ {
 				p.run(blk.jobs[i], ins, tid)
@@ -317,26 +228,14 @@ func (p *Pool) run(job Job, ins *Instruments, tid int64) {
 			}
 		}
 	}
-	if job.Comp != nil {
-		job.Comp.complete(job.Slot, Result{Tensor: t, Err: err})
-		return
-	}
-	job.Done <- Result{Tensor: t, Err: err}
-}
-
-// Submit enqueues a job, blocking if the queue is full. Submitting to a
-// closed pool panics (it is a caller sequencing bug).
-func (p *Pool) Submit(job Job) {
-	var b jobBlock
-	b.n = 1
-	b.jobs[0] = job
-	p.jobs <- b
+	job.Comp.complete(job.Slot, Result{Tensor: t, Err: err})
 }
 
 // SubmitBatch enqueues a slice of jobs in blocks of up to jobBlockCap —
 // one channel send per block instead of one per job. Jobs are copied
 // into the queue, so the caller may reuse its slice the moment
-// SubmitBatch returns. Blocking and close semantics match Submit.
+// SubmitBatch returns. It blocks while the queue is full; submitting to a
+// closed pool panics (it is a caller sequencing bug).
 //
 //lint:hotpath one call per loaded chunk on the batched data path; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
 func (p *Pool) SubmitBatch(jobs []Job) {
@@ -354,62 +253,23 @@ func (p *Pool) Resize(n int) error {
 	if n < 1 {
 		return fmt.Errorf("preproc: Resize to %d < 1", n)
 	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if !p.crew.Resize(n) {
 		return fmt.Errorf("preproc: Resize after Close")
-	}
-	for p.target < n {
-		p.target++
-		// A pending stop cancels against a spawn: claiming the debt
-		// keeps an already-running worker alive instead of starting a
-		// goroutine whose sibling is about to retire.
-		if p.claimStopDebt() {
-			p.workers++
-			continue
-		}
-		p.spawn()
-	}
-	shrink := 0
-	for p.target > n {
-		p.target--
-		p.workers--
-		shrink++
-	}
-	p.mu.Unlock()
-	// Deliver stop tokens after releasing the lock, and never block on
-	// them: overflow past the channel bound becomes debt that workers
-	// claim at the top of their loop, so a resize storm stalls nobody.
-	for ; shrink > 0; shrink-- {
-		select {
-		case p.stops <- struct{}{}:
-		default:
-			p.stopDebt.Add(1)
-		}
 	}
 	return nil
 }
 
 // Workers returns the current desired worker count.
-func (p *Pool) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.target
-}
+func (p *Pool) Workers() int { return p.crew.Size() }
 
 // Processed returns the number of jobs completed.
 func (p *Pool) Processed() uint64 { return p.processed.Load() }
 
-// Close drains the pool: no further Submits are allowed; it blocks until
-// all workers exit.
+// Close drains the pool: no further SubmitBatch calls are allowed; it
+// blocks until all workers exit.
 func (p *Pool) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
+	if p.crew.Close() {
+		close(p.jobs)
+		p.crew.Wait()
 	}
-	p.closed = true
-	close(p.jobs)
-	p.mu.Unlock()
-	p.wg.Wait()
 }

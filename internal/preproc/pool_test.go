@@ -18,30 +18,31 @@ func TestPoolValidation(t *testing.T) {
 	}
 }
 
+// runBatch submits jobs for samples 0..n-1 as one batch on comp and
+// returns the slot-ordered results.
+func runBatch(p *Pool, comp *Completion, n, size int) []Result {
+	comp.Reset(n)
+	p.SubmitBatch(makeJobs(nil, n, size, comp))
+	return comp.Wait()
+}
+
 func TestPoolProcessesJobs(t *testing.T) {
 	p, err := NewPool(2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	comp := GetCompletion()
+	defer comp.Release()
 
 	const n = 20
-	done := make(chan Result, n)
-	for i := 0; i < n; i++ {
-		buf := make([]byte, 2048)
-		dataset.FillPayload(buf, 1, dataset.SampleID(i))
-		p.Submit(Job{ID: dataset.SampleID(i), Payload: buf, Seed: uint64(i), Done: done})
-	}
-	seen := map[dataset.SampleID]bool{}
-	for i := 0; i < n; i++ {
-		r := <-done
+	for i, r := range runBatch(p, comp, n, 2048) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if seen[r.Tensor.ID] {
-			t.Fatalf("sample %d processed twice", r.Tensor.ID)
+		if r.Tensor.ID != dataset.SampleID(i) {
+			t.Fatalf("slot %d holds sample %d", i, r.Tensor.ID)
 		}
-		seen[r.Tensor.ID] = true
 	}
 	if p.Processed() != n {
 		t.Fatalf("Processed = %d, want %d", p.Processed(), n)
@@ -51,12 +52,13 @@ func TestPoolProcessesJobs(t *testing.T) {
 func TestPoolReportsDecodeErrors(t *testing.T) {
 	p, _ := NewPool(1, 1)
 	defer p.Close()
-	done := make(chan Result, 1)
+	comp := GetCompletion()
+	defer comp.Release()
 	buf := make([]byte, 2048)
 	dataset.FillPayload(buf, 1, 5)
-	p.Submit(Job{ID: 6, Payload: buf, Done: done}) // wrong id
-	r := <-done
-	if r.Err == nil {
+	comp.Reset(1)
+	p.SubmitBatch([]Job{{ID: 6, Payload: buf, Comp: comp}}) // wrong id
+	if r := comp.Wait()[0]; r.Err == nil {
 		t.Fatal("decode error not reported")
 	}
 }
@@ -80,21 +82,11 @@ func TestPoolResize(t *testing.T) {
 		t.Fatal("Resize(0) accepted")
 	}
 	// The pool must still process work after shrinking.
-	done := make(chan Result, 8)
-	for i := 0; i < 8; i++ {
-		buf := make([]byte, 1024)
-		dataset.FillPayload(buf, 1, dataset.SampleID(i))
-		p.Submit(Job{ID: dataset.SampleID(i), Payload: buf, Done: done})
-	}
-	timeout := time.After(5 * time.Second)
-	for i := 0; i < 8; i++ {
-		select {
-		case r := <-done:
-			if r.Err != nil {
-				t.Fatal(r.Err)
-			}
-		case <-timeout:
-			t.Fatal("pool stalled after resize")
+	comp := GetCompletion()
+	defer comp.Release()
+	for _, r := range runBatch(p, comp, 8, 1024) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
 		}
 	}
 }
@@ -103,14 +95,18 @@ func TestPoolConcurrentSubmitAndResize(t *testing.T) {
 	p, _ := NewPool(2, 16)
 	defer p.Close()
 	var wg sync.WaitGroup
-	done := make(chan Result, 256)
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			buf := make([]byte, 512)
-			dataset.FillPayload(buf, 1, dataset.SampleID(i))
-			p.Submit(Job{ID: dataset.SampleID(i), Payload: buf, Seed: uint64(i), Done: done})
+		comp := GetCompletion()
+		defer comp.Release()
+		for round := 0; round < 25; round++ {
+			for _, r := range runBatch(p, comp, 8, 512) {
+				if r.Err != nil {
+					t.Error(r.Err)
+					return
+				}
+			}
 		}
 	}()
 	go func() {
@@ -124,12 +120,6 @@ func TestPoolConcurrentSubmitAndResize(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	for i := 0; i < 200; i++ {
-		r := <-done
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
@@ -148,14 +138,11 @@ func TestPoolSetDecodeDelay(t *testing.T) {
 	}
 	defer p.Close()
 
+	comp := GetCompletion()
+	defer comp.Release()
 	decode := func() time.Duration {
-		done := make(chan Result, 1)
-		buf := make([]byte, 2048)
-		dataset.FillPayload(buf, 1, 0)
 		start := time.Now()
-		p.Submit(Job{ID: 0, Payload: buf, Done: done})
-		r := <-done
-		if r.Err != nil {
+		if r := runBatch(p, comp, 1, 2048)[0]; r.Err != nil {
 			t.Fatal(r.Err)
 		}
 		return time.Since(start)

@@ -3,22 +3,19 @@ package preproc
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 // TestPoolResizeRace hammers Resize from several goroutines while
 // submissions are in flight — the shape the thread manager produces
 // when per-GPU decisions land on a shared node pool. Run under -race
 // this guards the lock-free stop-token delivery (tokens are sent after
-// p.mu is released; see Resize).
+// the crew's lock is released; see Crew.Resize).
 func TestPoolResizeRace(t *testing.T) {
 	p, err := NewPool(4, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const jobs = 300
-	done := make(chan Result, jobs)
+	const rounds, n = 30, 10
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		g := g
@@ -38,20 +35,20 @@ func TestPoolResizeRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < jobs; i++ {
-			buf := make([]byte, 256)
-			dataset.FillPayload(buf, 7, dataset.SampleID(i))
-			p.Submit(Job{ID: dataset.SampleID(i), Payload: buf, Seed: uint64(i), Done: done})
+		comp := GetCompletion()
+		defer comp.Release()
+		for round := 0; round < rounds; round++ {
+			for _, r := range runBatch(p, comp, n, 256) {
+				if r.Err != nil {
+					t.Error(r.Err)
+					return
+				}
+			}
 		}
 	}()
 	wg.Wait()
-	for i := 0; i < jobs; i++ {
-		if r := <-done; r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
 	p.Close()
-	if got := p.Processed(); got != jobs {
-		t.Fatalf("processed = %d, want %d", got, jobs)
+	if got := p.Processed(); got != rounds*n {
+		t.Fatalf("processed = %d, want %d", got, rounds*n)
 	}
 }

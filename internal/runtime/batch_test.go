@@ -1,11 +1,8 @@
 package runtime
 
 import (
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/cache"
 	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/preproc"
@@ -89,78 +86,4 @@ func TestRunMatchesSerialOracle(t *testing.T) {
 			checkOracle(t, opts, got)
 		})
 	}
-}
-
-// TestGPUQueueResizeStormDoesNotBlock wedges every loading worker (the
-// preprocessing pool below them is plugged), then storms resize far
-// past the stop-token channel bound. Before the stop-debt mechanism the
-// controller would block forever on the full channel.
-func TestGPUQueueResizeStormDoesNotBlock(t *testing.T) {
-	ds, err := dataset.Generate(dataset.Spec{
-		Name: "storm", NumSamples: 16, MeanSize: 4 << 10, SigmaLog: 0.1,
-		MinSize: 1 << 10, Classes: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := NewDirectory(ds.Len(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nc, err := newNodeCache(0, 1<<30, cache.NewLRU(), dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < ds.Len(); i++ {
-		id := dataset.SampleID(i)
-		nc.put(id, ds.Payload(id), 0, false, false)
-	}
-	// A one-worker, one-slot preprocessing pool, wedged by a job whose
-	// unbuffered Done has no receiver yet: the loading workers'
-	// SubmitBatch calls back up behind it.
-	pre, err := preproc.NewPool(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stuck := make(chan preproc.Result)
-	pre.Submit(preproc.Job{ID: 0, Payload: ds.Payload(0), Done: stuck})
-
-	node := &nodeRuntime{node: 0, rt: &Runtime{}, cache: nc, pre: pre}
-	var wg sync.WaitGroup
-	q := newGPUQueueCap(node, 0, 4, &wg, 2) // stop channel bound of 2
-
-	// One batch of 8 over 4 workers: four chunks of two, one per worker.
-	ids := make([]dataset.SampleID, 8)
-	for i := range ids {
-		ids[i] = dataset.SampleID(i)
-	}
-	comp := preproc.GetCompletion()
-	defer comp.Release()
-	comp.Reset(len(ids))
-	q.submitBatch(ids, 0, 9, comp, 0, time.Time{}) // untraced
-	// Give the four workers time to wedge inside pre.SubmitBatch, then storm.
-	for i := 0; i < 50; i++ {
-		q.resize(1)
-		q.resize(32)
-	}
-	q.resize(4)
-	if got := q.workers(); got != 4 {
-		t.Fatalf("target %d after storm, want 4", got)
-	}
-
-	// Unplug the pool and drain everything the queue accepted.
-	if res := <-stuck; res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	for i, res := range comp.Wait() {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Tensor.ID != ids[i] {
-			t.Fatalf("slot %d delivered sample %d, want %d", i, res.Tensor.ID, ids[i])
-		}
-	}
-	close(q.reqs)
-	wg.Wait()
-	pre.Close()
 }

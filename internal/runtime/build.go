@@ -162,6 +162,7 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 		return err
 	}
 	nc.c.Reserve(rt.ds.Len())
+	rt.dm.caches[n] = nc
 	var mgr *threadmgr.Manager
 	if portfolio != nil {
 		mgr, err = threadmgr.New(threadmgr.Config{
@@ -190,13 +191,11 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 	}
 	node.queues = make([]*gpuQueue, rt.gpus)
 	for j := range node.queues {
-		node.queues[j] = newGPUQueue(node, j, loadWorkers[j], &node.loadWG)
+		node.queues[j] = newGPUQueue(node, j, loadWorkers[j])
 	}
 	if rt.ro != nil {
 		rt.ro.instrumentNode(node)
 	}
-	node.serverWG.Add(1)
-	go node.serveRemote()
 	for ; node.helpers < helpers; node.helpers++ {
 		node.prefWG.Add(1)
 		go node.prefetchHelper()
@@ -213,9 +212,9 @@ var nodeHook func(*nodeRuntime)
 
 // shutdown stops everything addNode started, for however many nodes were
 // added: prefetchers (closing stopPref also ends the loading workers'
-// claims on the feed), loading queues, preprocessing pools, then the peer
-// servers. The queues must be idle — every rank has consumed or drained
-// what it submitted.
+// claims on the feed), loading queues, then preprocessing pools. The
+// queues must be idle — every rank has consumed or drained what it
+// submitted.
 func (rt *Runtime) shutdown() {
 	for _, node := range rt.nodes {
 		close(node.stopPref)
@@ -225,14 +224,10 @@ func (rt *Runtime) shutdown() {
 		for _, q := range node.queues {
 			close(q.reqs)
 		}
-		node.loadWG.Wait()
+		for _, q := range node.queues {
+			q.crew.Wait()
+		}
 		node.pre.Close()
-	}
-	// Peer servers go last: another node's prefetcher or loader may still
-	// have been fetching from this one until its own workers stopped.
-	rt.dm.Close()
-	for _, node := range rt.nodes {
-		node.serverWG.Wait()
 	}
 }
 

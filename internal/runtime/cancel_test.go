@@ -39,7 +39,7 @@ func TestRunContextCancellation(t *testing.T) {
 	if stats.SamplesVerified != stats.SamplesLoaded {
 		t.Fatalf("verified %d of %d after cancellation", stats.SamplesVerified, stats.SamplesLoaded)
 	}
-	checkFeedsDrained(t, "cancelled run", *nodes)
+	checkTeardown(t, "cancelled run", *nodes)
 }
 
 func TestRunContextCompletesWithoutCancel(t *testing.T) {
@@ -52,6 +52,7 @@ func TestRunContextCompletesWithoutCancel(t *testing.T) {
 	if stats.Iterations != want {
 		t.Fatalf("iterations = %d, want %d", stats.Iterations, want)
 	}
+	checkOracle(t, opts, stats)
 }
 
 func TestRunContextPreCancelled(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
-	"repro/internal/tier"
 )
 
 // TestNodeCacheCrashClearsDirectory: a crashed node cache drops every
@@ -41,14 +40,13 @@ func TestNodeCacheCrashClearsDirectory(t *testing.T) {
 }
 
 func TestDistributionManagerNodeDown(t *testing.T) {
-	dm := NewDistributionManager(2, tier.ThetaGPULike().Remote, 0.0001)
-	defer dm.Close()
+	dm := peerManager(t, 0.0001, newFakeClock(), make([]byte, 128))
 	dm.SetNodeDown(1, true)
 	if !dm.NodeDown(1) || dm.NodeDown(0) {
 		t.Fatal("down flags wrong")
 	}
-	// A fetch from a down peer returns nil without touching its inbox
-	// (nobody is serving it) — the requester's failover path.
+	// A fetch from a down peer returns nil although its cache holds the
+	// sample — the requester's failover path.
 	if p := dm.Fetch(1, 0, 128); p != nil {
 		t.Fatalf("Fetch from down node returned %d bytes", len(p))
 	}

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
@@ -109,27 +111,43 @@ func TestPFSReadRequestsModeledDelays(t *testing.T) {
 	wantSleeps(t, "failed read", clk, op, 7*time.Millisecond)
 }
 
+// peerManager is a two-node distribution manager on clk with a node
+// cache registered for each node; node 1's holds payload as sample 0.
+func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *DistributionManager {
+	t.Helper()
+	dir, err := NewDirectory(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := newDistributionManager(2, tier.ThetaGPULike().Remote, scale, clk)
+	for n := range dm.caches {
+		if dm.caches[n], err = newNodeCache(n, 1<<20, cache.NewLRU(), dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dm.caches[1].put(0, payload, 0, false, false)
+	return dm
+}
+
 // TestFetchRequestsModeledDelays pins DistributionManager.Fetch: one
-// sleep of cost x scale plus the straggler's unscaled lag, and a down
-// peer costs the requester one op latency.
+// sleep of cost x scale plus the straggler's unscaled lag, then a copy of
+// the holder's bytes; a down peer costs the requester one op latency.
 func TestFetchRequestsModeledDelays(t *testing.T) {
 	const scale = 0.05
 	const size = 8 << 10
 	curve := tier.ThetaGPULike().Remote
 	clk := newFakeClock()
-	dm := newDistributionManager(2, curve, scale, clk)
-	var server sync.WaitGroup
-	server.Add(1)
-	go func() {
-		defer server.Done()
-		for req := range dm.Inbox(1) {
-			req.reply <- nil
-		}
-	}()
+	payload := make([]byte, size)
+	dataset.FillPayload(payload, 5, 0)
+	dm := peerManager(t, scale, clk, payload)
 	cost := scaled(curve.OpLatency+size/(curve.PeakMBps*1e6), scale)
 
-	dm.Fetch(1, 0, size)
+	got := dm.Fetch(1, 0, size)
 	wantSleeps(t, "healthy fetch", clk, cost)
+	if err := dataset.VerifyPayload(got, 5, 0); err != nil || unsafe.SliceData(got) == unsafe.SliceData(payload) {
+		t.Fatalf("fetch delivered %v (aliasing the holder's buffer: %v), want a copy of sample 0",
+			err, unsafe.SliceData(got) == unsafe.SliceData(payload))
+	}
 
 	dm.SetNodeFault(1, chaos.Fault{Lag: 3 * time.Millisecond})
 	dm.Fetch(1, 0, size)
@@ -140,9 +158,6 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 		t.Fatal("down peer delivered a payload")
 	}
 	wantSleeps(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
-
-	dm.Close()
-	server.Wait()
 }
 
 // TestRunRequestsModeledDelays runs two epochs on the fake clock — no
@@ -157,9 +172,7 @@ func TestRunRequestsModeledDelays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SamplesVerified != stats.SamplesLoaded || stats.SamplesLoaded == 0 {
-		t.Fatalf("verified %d of %d samples", stats.SamplesVerified, stats.SamplesLoaded)
-	}
+	checkOracle(t, opts, stats)
 	counts := map[time.Duration]int{}
 	for _, d := range clk.take() {
 		counts[d]++
@@ -288,15 +301,18 @@ func TestRunReleasesClock(t *testing.T) {
 		}
 	}
 
-	if _, err := Run(testOptions(t, loader.Lobster(), 2, 1)); err != nil {
+	opts := testOptions(t, loader.Lobster(), 2, 1)
+	stats, err := Run(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	check("complete run")
-	checkFeedsDrained(t, "complete run", *nodes)
+	checkOracle(t, opts, stats)
+	checkTeardown(t, "complete run", *nodes)
 	*nodes = nil
 
 	ctx, cancel := context.WithCancel(context.Background())
-	opts := testOptions(t, loader.Lobster(), 2, 50)
+	opts = testOptions(t, loader.Lobster(), 2, 50)
 	opts.OnProgress = func(p Progress) {
 		if p.Iteration == 3 {
 			cancel()
@@ -306,7 +322,7 @@ func TestRunReleasesClock(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	check("cancelled run")
-	checkFeedsDrained(t, "cancelled run", *nodes)
+	checkTeardown(t, "cancelled run", *nodes)
 
 	opts = testOptions(t, loader.Lobster(), 2, 1)
 	opts.Model.IterTime = 0 // fails in the thread manager, after the clock started

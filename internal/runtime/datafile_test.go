@@ -26,6 +26,7 @@ func TestFileBackedPFS(t *testing.T) {
 	if stats.PFSReads == 0 {
 		t.Fatal("no PFS reads recorded")
 	}
+	checkOracle(t, opts, stats)
 }
 
 func TestFileBackedPFSRejectsMismatch(t *testing.T) {

@@ -38,7 +38,7 @@ func TestKVClusterAsSharedCacheTier(t *testing.T) {
 	// The helpers stage whole windows through MultiGet and the loading
 	// workers single ids through fetch, on one feed: whoever was stopped
 	// mid-window at teardown, nothing stays claimed.
-	checkFeedsDrained(t, "KVCache run", *nodes)
+	checkTeardown(t, "KVCache run", *nodes)
 	for _, node := range *nodes {
 		if !node.workAhead {
 			t.Errorf("node %d: work-ahead off for a dynamic strategy with a KVCache", node.node)
@@ -98,6 +98,7 @@ func TestKVDemandReadsSkipLaggedWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	if stats.CacheMisses == 0 {
 		t.Fatal("no demand read reached the kv tier")
 	}
@@ -134,7 +135,7 @@ func TestPrefetchFeedDrainedWhenKVWindowStops(t *testing.T) {
 	}
 	defer cluster.Close()
 
-	node, _, _ := loaderFixture(t, newFakeClock())
+	node, _ := loaderFixture(t, newFakeClock())
 	node.rt.kv = cluster
 	claims := node.feed.claim(0, node.feed.depth, feedGPUs*feedBatch, nil)
 	if len(claims) != feedGPUs*feedBatch {
@@ -148,5 +149,5 @@ func TestPrefetchFeedDrainedWhenKVWindowStops(t *testing.T) {
 	if got := node.feed.pauseCount(); got != 0 {
 		t.Errorf("abandoned claims paused the feed %d times", got)
 	}
-	checkFeedsDrained(t, "stopped KV window", []*nodeRuntime{node})
+	checkTeardown(t, "stopped KV window", []*nodeRuntime{node})
 }

@@ -16,10 +16,11 @@ import (
 //	local_hit   serving the sample from this node's cache (the happy
 //	            path; large totals here mean the cache itself is slow
 //	            or the batch is huge, not that I/O is)
-//	peer_fetch  the shared-tier leg — a peer-cache fetch through the
-//	            distribution manager or a KV-cluster Get — whether it
-//	            delivered or failed (a slow failing peer stalls the
-//	            GPU exactly as long as a slow succeeding one)
+//	peer_fetch  the shared-tier leg — a peer-cache read (the modeled
+//	            interconnect delay, then the copy out of the holder's
+//	            cache) or a KV-cluster Get — whether it delivered or
+//	            failed (a slow failing peer stalls the GPU exactly as
+//	            long as a slow succeeding one)
 //	pfs         a demand read from the parallel file system on the
 //	            normal path: no holder was promised and the KV tier
 //	            reported a clean miss. Includes retry backoff and

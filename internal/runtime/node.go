@@ -136,10 +136,10 @@ func (nc *nodeCache) contains(id dataset.SampleID) bool {
 }
 
 // copyPayload returns a pooled copy of a resident payload (nil when
-// absent), without touching the hit/miss stats. Remote serves hand out
-// copies rather than aliases so buffer ownership stays node-local: the
-// requester exclusively owns what it receives, and this node can recycle
-// the original on eviction without a cross-node read racing it.
+// absent), without touching the hit/miss stats. Peer reads take copies
+// rather than aliases so buffer ownership stays node-local: the requester
+// exclusively owns what it receives, and this node can recycle the
+// original on eviction without a cross-node read racing it.
 func (nc *nodeCache) copyPayload(id dataset.SampleID) []byte {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
@@ -268,76 +268,26 @@ type loadWork struct {
 // serialize a whole large batch.
 const maxLoadChunk = 8
 
-// gpuStopsCap bounds the stop-token channel. Overflow past it goes to
-// stopDebt (see resize), so a resize storm can never block the caller.
-const gpuStopsCap = 256
-
 // gpuQueue is the per-GPU request queue of Section 4.2 with a resizable
-// worker set — "a separate request queue for each GPU, each of which can
+// worker crew — "a separate request queue for each GPU, each of which can
 // be assigned a different number of threads".
 type gpuQueue struct {
 	reqs    chan loadWork
 	node    *nodeRuntime
 	label   string // trace track-name prefix, "node<n>/gpu<j>"
-	mu      sync.Mutex
-	target  int
-	stops   chan struct{}
-	wg      *sync.WaitGroup
+	crew    *preproc.Crew
 	pending atomic.Int64
-
-	// stopDebt holds stop requests that did not fit in stops; workers
-	// claim debt at the top of their loop and resize's grow path cancels
-	// it against spawns.
-	stopDebt atomic.Int64
-
-	// tidFree recycles trace thread IDs across worker generations so
-	// per-iteration resizing does not mint unbounded trace tracks.
-	tidMu   sync.Mutex
-	tidFree []int64
-	tidSeq  int
 }
 
-func newGPUQueue(node *nodeRuntime, gpu, workers int, wg *sync.WaitGroup) *gpuQueue {
-	return newGPUQueueCap(node, gpu, workers, wg, gpuStopsCap)
-}
-
-// newGPUQueueCap is newGPUQueue with the stop-token capacity exposed so
-// tests can force the overflow path without hundreds of workers.
-func newGPUQueueCap(node *nodeRuntime, gpu, workers int, wg *sync.WaitGroup, stopsCap int) *gpuQueue {
+func newGPUQueue(node *nodeRuntime, gpu, workers int) *gpuQueue {
 	q := &gpuQueue{
 		reqs:  make(chan loadWork, 1024),
 		node:  node,
 		label: fmt.Sprintf("node%d/gpu%d", node.node, gpu),
-		stops: make(chan struct{}, stopsCap),
-		wg:    wg,
 	}
+	q.crew = preproc.NewCrew("loader", q.worker)
 	q.resize(workers)
 	return q
-}
-
-// takeTID leases a trace track for one loading worker, reusing
-// returned IDs before minting new ones.
-func (q *gpuQueue) takeTID(tr *obs.TraceRing) int64 {
-	q.tidMu.Lock()
-	if n := len(q.tidFree); n > 0 {
-		tid := q.tidFree[n-1]
-		q.tidFree = q.tidFree[:n-1]
-		q.tidMu.Unlock()
-		return tid
-	}
-	q.tidSeq++
-	seq := q.tidSeq
-	q.tidMu.Unlock()
-	return tr.NewThread(fmt.Sprintf("%s/loader%d", q.label, seq))
-}
-
-func (q *gpuQueue) putTID(tid int64) {
-	if tid == 0 {
-		return
-	}
-	q.tidMu.Lock()
-	q.tidFree = append(q.tidFree, tid)
-	q.tidMu.Unlock()
 }
 
 // submitBatch enqueues one GPU batch as contiguous chunks — one channel
@@ -350,7 +300,7 @@ func (q *gpuQueue) putTID(tid int64) {
 //
 //lint:hotpath one call per iteration per rank on the data path; preproc's TestBatchedSteadyStateDoesNotAllocate pins the round trip it feeds at 0 allocs
 func (q *gpuQueue) submitBatch(ids []dataset.SampleID, iter cache.Iter, seed uint64, comp *preproc.Completion, tctx obs.TraceCtx, enq time.Time) {
-	w := q.workers()
+	w := q.crew.Size()
 	chunk := (len(ids) + w - 1) / w
 	if chunk > maxLoadChunk {
 		chunk = maxLoadChunk
@@ -368,58 +318,8 @@ func (q *gpuQueue) submitBatch(ids []dataset.SampleID, iter cache.Iter, seed uin
 	}
 }
 
-// claimStopDebt consumes one overflowed stop request, if any.
-func (q *gpuQueue) claimStopDebt() bool {
-	for {
-		d := q.stopDebt.Load()
-		if d <= 0 {
-			return false
-		}
-		if q.stopDebt.CompareAndSwap(d, d-1) {
-			return true
-		}
-	}
-}
-
-func (q *gpuQueue) resize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	q.mu.Lock()
-	for q.target < n {
-		q.target++
-		// A pending stop cancels against a spawn: claiming the debt
-		// keeps an already-running worker alive instead of starting a
-		// goroutine whose sibling is about to retire.
-		if q.claimStopDebt() {
-			continue
-		}
-		q.wg.Add(1)
-		go q.worker()
-	}
-	shrink := 0
-	for q.target > n {
-		q.target--
-		shrink++
-	}
-	q.mu.Unlock()
-	// Deliver stop tokens after releasing the lock, and never block on
-	// them: overflow past the channel bound becomes debt that workers
-	// claim at the top of their loop, so a resize storm stalls nobody.
-	for ; shrink > 0; shrink-- {
-		select {
-		case q.stops <- struct{}{}:
-		default:
-			q.stopDebt.Add(1)
-		}
-	}
-}
-
-func (q *gpuQueue) workers() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.target
-}
+// resize sets the queue's worker count, at least one.
+func (q *gpuQueue) resize(n int) { q.crew.Resize(max(n, 1)) }
 
 // worker is one loading thread of the queue. Demand comes first: while a
 // chunk (or a stop token) is waiting it goes straight to the queue. With
@@ -431,19 +331,16 @@ func (q *gpuQueue) workers() int {
 // share these two channels, and a chunk that arrives right after the look
 // waits out one read, which is the bound anyway.
 func (q *gpuQueue) worker() {
-	defer q.wg.Done()
 	var tid int64
-	defer func() { q.putTID(tid) }()
+	defer func() { q.crew.PutTID(tid) }()
 	var jobs []preproc.Job // reused chunk scratch
-	for {
-		if q.claimStopDebt() {
-			return
-		}
-		if q.node.workAhead && len(q.reqs) == 0 && len(q.stops) == 0 && q.node.stageOne(loaderReach, true) {
+	stops := q.crew.Stops()
+	for !q.crew.ClaimStopDebt() {
+		if q.node.workAhead && len(q.reqs) == 0 && len(stops) == 0 && q.node.stageOne(loaderReach, true) {
 			continue
 		}
 		select {
-		case <-q.stops:
+		case <-stops:
 			return
 		case w, ok := <-q.reqs:
 			if !ok {
@@ -451,7 +348,7 @@ func (q *gpuQueue) worker() {
 			}
 			if tid == 0 {
 				if ro := q.node.rt.ro; ro != nil && ro.trace != nil {
-					tid = q.takeTID(ro.trace)
+					tid = q.crew.TakeTID(ro.trace, q.label)
 				}
 			}
 			jobs = q.node.loadChunk(w, tid, jobs[:0])
@@ -507,8 +404,6 @@ type nodeRuntime struct {
 	helpers   int
 	workAhead bool
 
-	loadWG   sync.WaitGroup
-	serverWG sync.WaitGroup
 	prefWG   sync.WaitGroup
 	stopPref chan struct{}
 }
@@ -637,9 +532,9 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceC
 			}
 			failed = err != nil // shard unreachable
 		} else {
-			// The serving node copies into a pooled buffer just for us. A
-			// promised holder that delivers nothing is a crashed or flaky
-			// peer, or the benign eviction race.
+			// The holder's cache copies into a pooled buffer just for us.
+			// A promised holder that delivers nothing is a crashed or
+			// flaky peer, or the benign eviction race.
 			payload, pooled = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id)), true
 			failed = payload == nil
 		}
@@ -740,17 +635,6 @@ func nextBackoff(d time.Duration) time.Duration {
 // kvKey renders a sample's cluster key.
 func kvKey(id dataset.SampleID) string {
 	return "sample/" + strconv.FormatUint(uint64(id), 10)
-}
-
-// serveRemote answers peer-cache fetches until the inbox closes. Each
-// reply is a pooled copy of the resident payload (nil when absent), so
-// the requester owns what it receives and this node's eviction-time
-// recycling never races a remote read (DESIGN.md §12).
-func (n *nodeRuntime) serveRemote() {
-	defer n.serverWG.Done()
-	for req := range n.rt.dm.Inbox(n.node) {
-		req.reply <- n.cache.copyPayload(req.id)
-	}
 }
 
 // buildNodePolicy instantiates the strategy's cache policy for this node

@@ -299,7 +299,7 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 			func() float64 { return float64(q.pending.Load()) }, "node", n, "gpu", g)
 		ro.reg.GaugeFunc("lobster_runtime_load_threads",
 			"Loading workers currently assigned to each per-GPU queue.",
-			func() float64 { return float64(q.workers()) }, "node", n, "gpu", g)
+			func() float64 { return float64(q.crew.Size()) }, "node", n, "gpu", g)
 	}
 	pre := node.pre
 	ro.reg.GaugeFunc("lobster_preproc_threads",

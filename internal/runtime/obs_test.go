@@ -22,9 +22,7 @@ func TestRunInstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SamplesLoaded == 0 {
-		t.Fatal("run loaded nothing")
-	}
+	checkOracle(t, opts, stats)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -106,9 +104,7 @@ func TestRunUninstrumented(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SamplesLoaded == 0 {
-		t.Fatal("run loaded nothing")
-	}
+	checkOracle(t, opts, stats)
 }
 
 // TestRunTraceOnly attaches only a span ring (no registry) — the
@@ -117,9 +113,11 @@ func TestRunTraceOnly(t *testing.T) {
 	opts := testOptions(t, loader.PyTorch(2, 8), 1, 1)
 	trace := obs.NewTraceRing(1024)
 	opts.Trace = trace
-	if _, err := Run(opts); err != nil {
+	stats, err := Run(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	if trace.Len() == 0 {
 		t.Fatal("trace-only run recorded no spans")
 	}

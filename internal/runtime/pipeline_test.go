@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/loader"
@@ -40,6 +41,7 @@ func TestRanksSubmitOneBatchAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	if barriers != stats.Iterations || barriers == 0 {
 		t.Fatalf("hook ran at %d barriers of %d iterations", barriers, stats.Iterations)
 	}
@@ -77,16 +79,7 @@ func TestCancelDrainsLookahead(t *testing.T) {
 			t.Fatalf("cancel at %d: loaded %d, verified %d, want %d (the drained batch is not counted)",
 				cancelAt, stats.SamplesLoaded, stats.SamplesVerified, want)
 		}
-		for _, node := range rt.nodes {
-			nc := node.cache
-			nc.mu.Lock()
-			leases, zombies := len(nc.leases), len(nc.zombies)
-			nc.mu.Unlock()
-			if leases != 0 || zombies != 0 {
-				t.Fatalf("cancel at %d: node %d ends with %d leased and %d zombie buffers", cancelAt, node.node, leases, zombies)
-			}
-		}
-		checkFeedsDrained(t, "cancelled run", rt.nodes)
+		checkTeardown(t, fmt.Sprintf("cancel at %d", cancelAt), rt.nodes)
 	}
 }
 

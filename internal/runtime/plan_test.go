@@ -36,6 +36,7 @@ func TestPlanFollowingMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	// The runtime must end on the plan's assignment, not a controller
 	// decision.
 	if stats.FinalPreprocThreads[0] != 2 {

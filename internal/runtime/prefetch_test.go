@@ -362,9 +362,7 @@ func TestPrefetchHelpersPerStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec.Name, err)
 		}
-		if stats.SamplesVerified != stats.SamplesLoaded {
-			t.Fatalf("%s: verified %d of %d", tc.spec.Name, stats.SamplesVerified, stats.SamplesLoaded)
-		}
+		checkOracle(t, opts, stats)
 		if cap(rt.tick) != 4*len(rt.nodes)*tc.want {
 			t.Errorf("%s: tick holds %d wake-ups for %d helpers on %d nodes", tc.spec.Name, cap(rt.tick), tc.want, len(rt.nodes))
 		}
@@ -393,13 +391,11 @@ func TestPrefetchHelpersStageAhead(t *testing.T) {
 	if stats.Prefetched == 0 {
 		t.Fatal("two Lobster nodes never prefetched")
 	}
-	if stats.SamplesVerified != stats.SamplesLoaded || stats.SamplesLoaded == 0 {
-		t.Fatalf("verified %d of %d", stats.SamplesVerified, stats.SamplesLoaded)
-	}
+	checkOracle(t, opts, stats)
 	if stats.PrefetchLate > stats.CacheMisses {
 		t.Fatalf("%d late prefetches out of %d demand misses", stats.PrefetchLate, stats.CacheMisses)
 	}
-	checkFeedsDrained(t, "complete run", rt.nodes)
+	checkTeardown(t, "complete run", rt.nodes)
 }
 
 // TestPrefetchFeedCountsLateDemandMiss builds a runtime without

@@ -21,6 +21,7 @@ func TestOnProgressPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(snaps) != stats.Iterations {
@@ -55,6 +56,7 @@ func TestProgressIntoMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	if srv.Updates() != uint64(stats.Iterations) {
 		t.Fatalf("monitor saw %d updates, want %d", srv.Updates(), stats.Iterations)
 	}

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func TestDoSucceedsAfterRetries(t *testing.T) {
+func TestRetryTransientSucceedsAfterRetries(t *testing.T) {
 	calls, retries := 0, 0
 	err := retryTransient(func() { retries++ }, func() error {
 		calls++
@@ -24,7 +24,7 @@ func TestDoSucceedsAfterRetries(t *testing.T) {
 	}
 }
 
-func TestDoStopsOnNonRetryable(t *testing.T) {
+func TestRetryTransientStopsOnNonRetryable(t *testing.T) {
 	fatal := errors.New("fatal")
 	calls, retries := 0, 0
 	err := retryTransient(func() { retries++ }, func() error { calls++; return fatal })
@@ -36,7 +36,7 @@ func TestDoStopsOnNonRetryable(t *testing.T) {
 	}
 }
 
-func TestDoBackoffCapped(t *testing.T) {
+func TestRetryTransientBackoffCapped(t *testing.T) {
 	// Doubling from 1 ms, then 16 ms for ever.
 	d := pfsRetryBase
 	for i, want := range []time.Duration{1, 2, 4, 8, 16, 16, 16} {
@@ -47,7 +47,7 @@ func TestDoBackoffCapped(t *testing.T) {
 	}
 }
 
-func TestDoImmediateSuccessSkipsHooks(t *testing.T) {
+func TestRetryTransientImmediateSuccessSkipsHooks(t *testing.T) {
 	hooked := false
 	err := retryTransient(func() { hooked = true }, func() error { return nil })
 	if err != nil || hooked {

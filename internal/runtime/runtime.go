@@ -261,7 +261,7 @@ func Run(opts Options) (*Stats, error) {
 
 // RunContext is Run with cancellation: when ctx is cancelled, every GPU
 // stops at its next iteration boundary, the runtime shuts down cleanly
-// (queues drained, pools closed, remote servers stopped), and the partial
+// (queues drained, prefetchers and pools stopped), and the partial
 // statistics are returned alongside ctx.Err().
 func RunContext(ctx context.Context, opts Options) (*Stats, error) {
 	return run(ctx, opts, nil)
@@ -507,7 +507,7 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 		stats.FinalPreprocThreads = append(stats.FinalPreprocThreads, node.pre.Workers())
 		row := make([]int, len(node.queues))
 		for j, q := range node.queues {
-			row[j] = q.workers()
+			row[j] = q.crew.Size()
 		}
 		stats.FinalLoadThreads = append(stats.FinalLoadThreads, row)
 	}

@@ -68,7 +68,7 @@ func TestRunValidation(t *testing.T) {
 
 // TestBuildErrorLeavesNoGoroutines fails the build in the thread manager
 // (Tau = 5% of a zero IterTime). Whatever the build had started by then
-// — peer server, prefetchers, loading workers, preprocessing pool — must
+// — prefetchers, loading workers, preprocessing pool — must
 // be stopped again before Run returns the error.
 func TestBuildErrorLeavesNoGoroutines(t *testing.T) {
 	opts := testOptions(t, loader.Lobster(), 2, 1)
@@ -92,6 +92,7 @@ func TestSingleNodeLobsterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	world := opts.Topology.WorldSize()
 	wantSamples := uint64(stats.Iterations) * uint64(world*opts.Model.BatchSize)
 	if stats.SamplesLoaded != wantSamples {
@@ -127,6 +128,9 @@ func TestMultiNodeRemoteHits(t *testing.T) {
 	if stats.RemoteHits == 0 {
 		t.Fatal("no peer-cache fetches on a 3-node run with generous caches")
 	}
+	// Peer reads copy straight out of the holder's cache: the bytes they
+	// deliver must decode to what the schedule names.
+	checkOracle(t, opts, stats)
 	if stats.PFSReads == 0 {
 		t.Fatal("PFS never used (first epoch must miss)")
 	}
@@ -151,6 +155,7 @@ func TestAllStrategiesComplete(t *testing.T) {
 			if stats.SamplesVerified != want {
 				t.Fatalf("verified %d, want %d", stats.SamplesVerified, want)
 			}
+			checkOracle(t, opts, stats)
 		})
 	}
 }
@@ -161,6 +166,7 @@ func TestDynamicControllerAdjustsThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, stats)
 	if len(stats.FinalPreprocThreads) != 1 || stats.FinalPreprocThreads[0] < 1 {
 		t.Fatalf("no preprocessing threads recorded: %v", stats.FinalPreprocThreads)
 	}
@@ -177,7 +183,7 @@ func TestDynamicControllerAdjustsThreads(t *testing.T) {
 }
 
 func TestThrottleSerializes(t *testing.T) {
-	th := NewThrottle(1.0)
+	th := newThrottle(1.0, defaultClock())
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

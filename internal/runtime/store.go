@@ -4,8 +4,9 @@
 // package actually does it: worker pools load payload bytes through
 // throttled storage tiers, a resizable preprocessing pool decodes and
 // augments them, per-GPU request queues feed trainer goroutines that
-// synchronize on a data-parallel barrier, and a channel-based distribution
-// manager stands in for MPI between node-local caches.
+// synchronize on a data-parallel barrier, and a distribution manager
+// stands in for MPI between node-local caches: it charges the modeled
+// interconnect delay, then copies straight out of the holder's cache.
 //
 // Wall-clock durations are the modeled ones multiplied by Options.
 // TimeScale, so integration tests and examples run in milliseconds while
@@ -35,11 +36,6 @@ type Throttle struct {
 	next  time.Time
 	scale float64 // time scale factor (1.0 = modeled real time)
 	clk   clock
-}
-
-// NewThrottle creates a throttle with the given time scale.
-func NewThrottle(scale float64) *Throttle {
-	return newThrottle(scale, defaultClock())
 }
 
 func newThrottle(scale float64, clk clock) *Throttle {
@@ -270,20 +266,18 @@ func (d *Directory) IsLastCopy(node int, id dataset.SampleID) bool {
 	return d.holders[id] == 1<<uint(node)
 }
 
-// fetchRequest is a peer cache read over the distribution manager.
-type fetchRequest struct {
-	id    dataset.SampleID
-	reply chan []byte // nil payload = not found
-}
-
-// DistributionManager routes peer-cache reads between nodes over channels
-// — the MPI substitute. Each registered node serves its inbox from its
-// own goroutine (started by the node runtime).
+// DistributionManager routes peer-cache reads between nodes — the MPI
+// substitute. A read pays the modeled interconnect delay on the
+// requester's goroutine, then copies from the holder's cache directly.
 type DistributionManager struct {
-	inboxes []chan fetchRequest
-	curve   tier.Curve
-	scale   float64
-	clk     clock
+	// caches holds each node's cache, registered before the node's first
+	// goroutine starts. A peer reads caches[n] only after the directory
+	// named n as a holder, which n's first insert (after registration)
+	// published under the directory's lock.
+	caches []*nodeCache
+	curve  tier.Curve
+	scale  float64
+	clk    clock
 	// faults holds each node's serving fault: nil is healthy. Immutable
 	// once published (setters swap whole states), except the seeded RNG,
 	// which the jitter/error draws guard with the state's own mutex.
@@ -302,23 +296,14 @@ type peerFault struct {
 	rng     *stats.RNG
 }
 
-// NewDistributionManager creates the manager for n nodes.
-func NewDistributionManager(n int, curve tier.Curve, scale float64) *DistributionManager {
-	return newDistributionManager(n, curve, scale, defaultClock())
-}
-
 func newDistributionManager(n int, curve tier.Curve, scale float64, clk clock) *DistributionManager {
-	dm := &DistributionManager{
-		inboxes: make([]chan fetchRequest, n),
-		curve:   curve,
-		scale:   scale,
-		clk:     clk,
-		faults:  make([]atomic.Pointer[peerFault], n),
+	return &DistributionManager{
+		caches: make([]*nodeCache, n),
+		curve:  curve,
+		scale:  scale,
+		clk:    clk,
+		faults: make([]atomic.Pointer[peerFault], n),
 	}
-	for i := range dm.inboxes {
-		dm.inboxes[i] = make(chan fetchRequest, 256)
-	}
-	return dm
 }
 
 // SetNodeFault applies a chaos straggler profile to node n's serving:
@@ -366,19 +351,10 @@ func (dm *DistributionManager) NodeDown(n int) bool {
 	return pf != nil && pf.down
 }
 
-// Inbox returns node n's request stream (consumed by its server loop).
-func (dm *DistributionManager) Inbox(n int) <-chan fetchRequest { return dm.inboxes[n] }
-
-// fetchReplyPool recycles Fetch reply channels: each request uses one for
-// exactly one send/receive pair, so after the receive the channel is
-// empty and safe to lease out again. Channels are pointer-shaped, so the
-// pool round trip itself never allocates.
-var fetchReplyPool = sync.Pool{New: func() any { return make(chan []byte, 1) }}
-
 // Fetch asks `from` for a sample, paying interconnect latency + transfer.
 // Returns nil if the peer no longer holds it (a benign race: the directory
 // is advisory, exactly as in a real distributed cache). The returned
-// slice is a pooled copy made by the serving node — the caller owns it
+// slice is a pooled copy of the holder's buffer — the caller owns it
 // exclusively (DESIGN.md §12).
 func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) []byte {
 	var extra time.Duration
@@ -407,16 +383,5 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 	if fail {
 		return nil
 	}
-	reply := fetchReplyPool.Get().(chan []byte)
-	dm.inboxes[from] <- fetchRequest{id: id, reply: reply}
-	payload := <-reply
-	fetchReplyPool.Put(reply)
-	return payload
-}
-
-// Close shuts the inboxes down (after all node servers stopped reading).
-func (dm *DistributionManager) Close() {
-	for _, ch := range dm.inboxes {
-		close(ch)
-	}
+	return dm.caches[from].copyPayload(id)
 }

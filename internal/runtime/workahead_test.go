@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -28,22 +27,30 @@ func captureNodes(t *testing.T) *[]*nodeRuntime {
 	return nodes
 }
 
-// checkFeedsDrained is ROADMAP item 4's feed invariant at teardown: once a
-// run has returned, no node's feed holds a claim in flight.
-func checkFeedsDrained(t *testing.T, step string, nodes []*nodeRuntime) {
+// checkTeardown asserts the invariants of a run that has returned,
+// complete, cancelled or stopped: no node's feed holds a claim in flight,
+// and every decode lease on a node cache's buffers is back, so no evicted
+// buffer is still parked waiting for one (DESIGN.md §12).
+func checkTeardown(t *testing.T, step string, nodes []*nodeRuntime) {
 	t.Helper()
 	if len(nodes) == 0 {
 		t.Fatalf("%s: no nodes captured", step)
 	}
 	for _, node := range nodes {
-		if node.feed == nil {
-			continue
+		if node.feed != nil {
+			node.feed.mu.Lock()
+			inflight := len(node.feed.inflight)
+			node.feed.mu.Unlock()
+			if inflight != 0 {
+				t.Errorf("%s: node %d ends with %d claims in flight", step, node.node, inflight)
+			}
 		}
-		node.feed.mu.Lock()
-		inflight := len(node.feed.inflight)
-		node.feed.mu.Unlock()
-		if inflight != 0 {
-			t.Errorf("%s: node %d ends with %d claims in flight", step, node.node, inflight)
+		nc := node.cache
+		nc.mu.Lock()
+		leases, zombies := len(nc.leases), len(nc.zombies)
+		nc.mu.Unlock()
+		if leases != 0 || zombies != 0 {
+			t.Errorf("%s: node %d ends with %d leased buffers and %d zombies", step, node.node, leases, zombies)
 		}
 	}
 }
@@ -124,8 +131,8 @@ func (c *sleepHookClock) sleep(d time.Duration) {
 // a feed and the work-ahead switch on — and no goroutine of its own: no
 // helper, no rank, no barrier. The iteration stays 0, so the loaders' two
 // windows are 2 and 3. Tests start the workers they want on the returned
-// queue, whose stop channel and request channel they drive directly.
-func loaderFixture(t *testing.T, clk clock) (*nodeRuntime, *gpuQueue, *sync.WaitGroup) {
+// queue, whose crew and request channel they drive directly.
+func loaderFixture(t *testing.T, clk clock) (*nodeRuntime, *gpuQueue) {
 	t.Helper()
 	ds := feedDataset(t)
 	sched := feedSchedule(t)
@@ -152,9 +159,9 @@ func loaderFixture(t *testing.T, clk clock) (*nodeRuntime, *gpuQueue, *sync.Wait
 		feed:      newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 8, nc.contains),
 		workAhead: true,
 	}
-	wg := new(sync.WaitGroup)
-	q := &gpuQueue{reqs: make(chan loadWork, 4), node: node, stops: make(chan struct{}, 4), wg: wg}
-	return node, q, wg
+	q := &gpuQueue{reqs: make(chan loadWork, 4), node: node}
+	q.crew = preproc.NewCrew("loader", q.worker)
+	return node, q
 }
 
 // readState is what a sleepHookClock saw during one modeled delay: how
@@ -189,7 +196,7 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 		const nearIDs = 2 * feedGPUs * feedBatch // windows 2 and 3
 		var seen []readState
 		clk := &sleepHookClock{fakeClock: newFakeClock()}
-		node, q, wg := loaderFixture(t, clk)
+		node, q := loaderFixture(t, clk)
 		clk.onSleep = func() { seen = append(seen, observe(node)) }
 		comp := preproc.GetCompletion()
 		defer comp.Release()
@@ -205,7 +212,7 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 		// A closed queue holds nothing, so the worker goes on staging until
 		// the feed hands it no more, and only then finds the queue closed.
 		close(q.reqs)
-		wg.Wait()
+		q.crew.Wait()
 
 		demand := 0
 		for i, s := range seen {
@@ -230,7 +237,7 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 		if got := node.stagedByLoaders.Load(); got != nearIDs || node.prefetched.Load() != nearIDs {
 			t.Errorf("loader staged %d ids (prefetched %d), want windows 2 and 3: %d", got, node.prefetched.Load(), nearIDs)
 		}
-		checkFeedsDrained(t, "queued chunk", []*nodeRuntime{node})
+		checkTeardown(t, "queued chunk", []*nodeRuntime{node})
 	})
 
 	// A chunk that arrives while the worker is in a staged read: the worker
@@ -238,7 +245,7 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 	t.Run("chunk arriving mid-read waits for one read", func(t *testing.T) {
 		var seen []readState
 		clk := &sleepHookClock{fakeClock: newFakeClock()}
-		node, q, wg := loaderFixture(t, clk)
+		node, q := loaderFixture(t, clk)
 		comp := preproc.GetCompletion()
 		defer comp.Release()
 		w := demandChunk(node, comp)
@@ -256,7 +263,7 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 			preproc.PutTensor(r.Tensor)
 		}
 		close(q.reqs)
-		wg.Wait()
+		q.crew.Wait()
 
 		if seen[0].inflight != 1 || seen[0].staged != 0 {
 			t.Fatalf("the idle worker's first delay is %+v, want its first staged read", seen[0])
@@ -276,38 +283,38 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 				t.Fatalf("delay %d is %+v: the chunk's reads were interrupted by a claim: %v", i, seen[i], seen)
 			}
 		}
-		checkFeedsDrained(t, "mid-read chunk", []*nodeRuntime{node})
+		checkTeardown(t, "mid-read chunk", []*nodeRuntime{node})
 	})
 }
 
-// TestWorkAheadRetiresOnStopToken delivers a stop token (what resize
-// sends a shrinking queue) while the worker is in a staged read: the
-// worker finishes that read, settles its claim and retires.
+// TestWorkAheadRetiresOnStopToken shrinks the crew to zero, which sends
+// one stop token, while the worker is in a staged read: the worker
+// finishes that read, settles its claim and retires.
 func TestWorkAheadRetiresOnStopToken(t *testing.T) {
 	clk := &sleepHookClock{fakeClock: newFakeClock()}
-	node, q, wg := loaderFixture(t, clk)
+	node, q := loaderFixture(t, clk)
 	delays := 0
 	clk.onSleep = func() {
 		if delays++; delays == 1 {
-			q.stops <- struct{}{}
+			q.crew.Resize(0)
 		}
 	}
 	q.resize(1)
-	wg.Wait() // nothing else ends the worker: reqs stays open
+	q.crew.Wait() // nothing else ends the worker: reqs stays open
 	if got := node.stagedByLoaders.Load(); got != 1 {
 		t.Fatalf("worker staged %d ids after the stop token, want only the read in progress", got)
 	}
 	if delays != 2 {
 		t.Fatalf("%d modeled delays, want the one read's op latency and bandwidth slot", delays)
 	}
-	checkFeedsDrained(t, "stop token", []*nodeRuntime{node})
+	checkTeardown(t, "stop token", []*nodeRuntime{node})
 }
 
 // TestWorkAheadStopsWithTheRun closes stopPref, as shutdown does before it
 // closes the queues: from then on nothing is claimed, so a loading worker
 // finds nothing to stage and goes back to waiting on its queue.
 func TestWorkAheadStopsWithTheRun(t *testing.T) {
-	node, _, _ := loaderFixture(t, newFakeClock())
+	node, _ := loaderFixture(t, newFakeClock())
 	if !node.stageOne(loaderReach, true) || node.stagedByLoaders.Load() != 1 {
 		t.Fatalf("running node staged %d ids, want 1", node.stagedByLoaders.Load())
 	}
@@ -318,7 +325,7 @@ func TestWorkAheadStopsWithTheRun(t *testing.T) {
 	if got := node.prefetched.Load(); got != 1 {
 		t.Fatalf("%d ids staged, want the 1 from before the stop", got)
 	}
-	checkFeedsDrained(t, "stopped run", []*nodeRuntime{node})
+	checkTeardown(t, "stopped run", []*nodeRuntime{node})
 }
 
 // TestWorkAheadFollowsThreadMode is the simulator's rule
@@ -354,6 +361,7 @@ func TestWorkAheadFollowsThreadMode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkOracle(t, opts, stats)
 			for _, node := range *nodes {
 				if node.workAhead != tc.want {
 					t.Errorf("node %d: work-ahead switch %v, want %v", node.node, node.workAhead, tc.want)
@@ -365,7 +373,7 @@ func TestWorkAheadFollowsThreadMode(t *testing.T) {
 			if stats.WorkAhead > stats.Prefetched {
 				t.Errorf("WorkAhead %d exceeds Prefetched %d, of which it is a part", stats.WorkAhead, stats.Prefetched)
 			}
-			checkFeedsDrained(t, name, *nodes)
+			checkTeardown(t, name, *nodes)
 		})
 	}
 }
@@ -393,6 +401,7 @@ func TestWorkAheadRaisesHitRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkOracle(t, opts, on)
 	if last.WorkAhead == 0 || last.WorkAhead > on.WorkAhead || last.WorkAhead > last.Prefetched {
 		t.Errorf("last Progress has WorkAhead %d of Prefetched %d, Stats.WorkAhead %d", last.WorkAhead, last.Prefetched, on.WorkAhead)
 	}
@@ -407,9 +416,7 @@ func TestWorkAheadRaisesHitRatio(t *testing.T) {
 	if on.WorkAhead == 0 {
 		t.Fatal("switch on, yet loaders staged nothing")
 	}
-	if on.DataFold != off.DataFold {
-		t.Fatalf("DataFold %#x with work-ahead, %#x without", on.DataFold, off.DataFold)
-	}
+	checkOracle(t, opts, off)
 	t.Logf("hit ratio %.3f with work-ahead (%d of %d staged by loaders), %.3f without", on.HitRatio(), on.WorkAhead, on.Prefetched, off.HitRatio())
 	if on.HitRatio() <= off.HitRatio() {
 		t.Fatalf("hit ratio %.3f with work-ahead, %.3f without: want higher", on.HitRatio(), off.HitRatio())
