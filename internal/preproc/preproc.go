@@ -43,7 +43,7 @@ var decodeTable = func() (tab [256]float32) {
 
 // Decode turns a raw payload into a Tensor. It validates the payload
 // header (id + length), expands each body byte to a float32 through
-// decodeTable and folds the bytes into the checksum — one streaming pass
+// decodeTable and folds the bytes into the checksum — streaming passes
 // over the sample, the property JPEG decode has in the real pipeline.
 func Decode(payload []byte, want dataset.SampleID) (*Tensor, error) {
 	body, err := payloadBody(payload, want)
@@ -83,12 +83,12 @@ func augmentFlips(seed uint64) bool { return seed&1 == 1 }
 
 func augmentJitter(seed uint64) float32 { return float32((seed>>1)%100)/1000 - 0.05 }
 
-// decodeAugment is Decode followed by Augment in a single pass over the
-// sample, which is what the pool's workers run: the jitter goes into a
-// stack copy of decodeTable (256 adds, the same float32 add Augment
-// performs per element) and the flip into the store index, so the tensor
-// is written once instead of three times and is bit-identical to the
-// two-step result.
+// decodeAugment is Decode followed by Augment, with the augment folded
+// into the table pass, which is what the pool's workers run: the jitter
+// goes into a stack copy of decodeTable (256 adds, the same float32 add
+// Augment performs per element) and the flip into the store index, so the
+// tensor is written once instead of three times and is bit-identical to
+// the two-step result.
 func decodeAugment(payload []byte, want dataset.SampleID, seed uint64) (*Tensor, error) {
 	body, err := payloadBody(payload, want)
 	if err != nil {
@@ -123,8 +123,8 @@ func payloadBody(payload []byte, want dataset.SampleID) ([]byte, error) {
 }
 
 // The checksum is the chain sum = sum*31 + b over the body bytes. Eight
-// steps of it are sum*31^8 + (b0*31^7 + ... + b7), exact mod 2^64, so the
-// kernel advances it one word at a time.
+// steps of it are sum*31^8 + (b0*31^7 + ... + b7), exact mod 2^64, so
+// bodySum advances it one word at a time.
 const (
 	pow31x2 = 31 * 31
 	pow31x4 = pow31x2 * pow31x2
@@ -142,54 +142,93 @@ func fold8(w uint64) uint64 {
 	return (w&0xffffffff)*pow31x4 + w>>32
 }
 
+// bodySum returns the checksum of body, the chain sum = sum*31 + b over
+// its bytes. With AVX2 the whole 64-byte blocks go through sumBlocksAVX2:
+// lane m is the chain of word m of every block, stepped by 31^64 per
+// block, and word m of the last block is 7-m words from the end, so the
+// lanes in order combine as eight word steps. Leftover words and bytes
+// continue the chain here.
+//
+//lint:hotpath once per sample on every preprocessing worker; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
+func bodySum(body []byte) uint64 {
+	var sum uint64
+	i := 0
+	if useAVX2 && len(body) >= 64 {
+		i = len(body) &^ 63
+		var acc [8]uint64
+		sumBlocksAVX2(body[:i], &acc)
+		for _, a := range acc {
+			sum = sum*pow31x8 + a
+		}
+	}
+	for ; i+8 <= len(body); i += 8 {
+		sum = sum*pow31x8 + fold8(binary.LittleEndian.Uint64(body[i:]))
+	}
+	for ; i < len(body); i++ {
+		sum = sum*31 + uint64(body[i])
+	}
+	return sum
+}
+
 // decodeInto is the decode kernel: it stores tab[b] for every byte b of
-// body into dst (reversed when flip is set), consuming body as
-// little-endian 8-byte words, and returns the checksum of body.
+// body into dst (reversed when flip is set), 16 bytes per bounds check,
+// and returns the checksum of body from a second pass (bodySum).
 //
 //lint:hotpath once per sample on every preprocessing worker; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
 func decodeInto(dst []float32, body []byte, tab *[256]float32, flip bool) uint64 {
 	n := len(body)
 	dst = dst[:n]
-	var sum uint64
 	i := 0
 	if flip {
-		for ; i+8 <= n; i += 8 {
-			w := binary.LittleEndian.Uint64(body[i:])
-			sum = sum*pow31x8 + fold8(w)
-			d := dst[n-8-i : n-i : n-i]
-			d[7] = tab[byte(w)]
-			d[6] = tab[byte(w>>8)]
-			d[5] = tab[byte(w>>16)]
-			d[4] = tab[byte(w>>24)]
-			d[3] = tab[byte(w>>32)]
-			d[2] = tab[byte(w>>40)]
-			d[1] = tab[byte(w>>48)]
-			d[0] = tab[byte(w>>56)]
+		for ; i+16 <= n; i += 16 {
+			b := body[i : i+16 : i+16]
+			d := dst[n-16-i : n-i : n-i]
+			d[15] = tab[b[0]]
+			d[14] = tab[b[1]]
+			d[13] = tab[b[2]]
+			d[12] = tab[b[3]]
+			d[11] = tab[b[4]]
+			d[10] = tab[b[5]]
+			d[9] = tab[b[6]]
+			d[8] = tab[b[7]]
+			d[7] = tab[b[8]]
+			d[6] = tab[b[9]]
+			d[5] = tab[b[10]]
+			d[4] = tab[b[11]]
+			d[3] = tab[b[12]]
+			d[2] = tab[b[13]]
+			d[1] = tab[b[14]]
+			d[0] = tab[b[15]]
 		}
 		for ; i < n; i++ {
-			sum = sum*31 + uint64(body[i])
 			dst[n-1-i] = tab[body[i]]
 		}
-		return sum
+		return bodySum(body)
 	}
-	for ; i+8 <= n; i += 8 {
-		w := binary.LittleEndian.Uint64(body[i:])
-		sum = sum*pow31x8 + fold8(w)
-		d := dst[i : i+8 : i+8]
-		d[0] = tab[byte(w)]
-		d[1] = tab[byte(w>>8)]
-		d[2] = tab[byte(w>>16)]
-		d[3] = tab[byte(w>>24)]
-		d[4] = tab[byte(w>>32)]
-		d[5] = tab[byte(w>>40)]
-		d[6] = tab[byte(w>>48)]
-		d[7] = tab[byte(w>>56)]
+	for ; i+16 <= n; i += 16 {
+		b := body[i : i+16 : i+16]
+		d := dst[i : i+16 : i+16]
+		d[0] = tab[b[0]]
+		d[1] = tab[b[1]]
+		d[2] = tab[b[2]]
+		d[3] = tab[b[3]]
+		d[4] = tab[b[4]]
+		d[5] = tab[b[5]]
+		d[6] = tab[b[6]]
+		d[7] = tab[b[7]]
+		d[8] = tab[b[8]]
+		d[9] = tab[b[9]]
+		d[10] = tab[b[10]]
+		d[11] = tab[b[11]]
+		d[12] = tab[b[12]]
+		d[13] = tab[b[13]]
+		d[14] = tab[b[14]]
+		d[15] = tab[b[15]]
 	}
 	for ; i < n; i++ {
-		sum = sum*31 + uint64(body[i])
 		dst[i] = tab[body[i]]
 	}
-	return sum
+	return bodySum(body)
 }
 
 // Batch groups tensors; the training stage consumes whole batches.

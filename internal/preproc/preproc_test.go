@@ -4,6 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	goruntime "runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -67,47 +71,89 @@ func sameTensor(got, want *Tensor) error {
 	return nil
 }
 
-// checkAgainstReference decodes and augments payload three ways — the
-// fused pass the pool runs, Decode then Augment, and the scalar oracle —
-// and requires identical tensors, or the oracle's error text from both
-// kernels.
-func checkAgainstReference(t *testing.T, payload []byte, id dataset.SampleID, seed uint64) {
-	t.Helper()
-	want, wantErr := referenceDecode(payload, id)
-	fused, fusedErr := decodeAugment(payload, id, seed)
-	split, splitErr := Decode(payload, id)
-	if wantErr != nil {
-		for name, err := range map[string]error{"decodeAugment": fusedErr, "Decode": splitErr} {
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("%s error = %v, want %v", name, err, wantErr)
-			}
-		}
-		return
+// checksumPaths are the checksum paths this CPU runs: the portable word
+// loop, and the AVX2 block loop when the package selected it at init.
+var checksumPaths = map[bool]string{false: "portable"}
+
+func init() {
+	if useAVX2 {
+		checksumPaths[true] = "simd"
 	}
-	if fusedErr != nil || splitErr != nil {
-		t.Fatalf("valid payload rejected: decodeAugment %v, Decode %v", fusedErr, splitErr)
-	}
-	referenceAugment(want, seed)
-	Augment(split, seed)
-	if err := sameTensor(fused, want); err != nil {
-		t.Fatalf("fused pass: %v", err)
-	}
-	if err := sameTensor(split, want); err != nil {
-		t.Fatalf("Decode then Augment: %v", err)
-	}
-	PutTensor(fused)
-	PutTensor(split)
 }
 
-// TestKernelMatchesReference covers every tail length (0-7 bytes past the
-// last whole word) over several word counts, both flip parities and
-// several jitters.
+// checkAgainstReference decodes and augments payload three ways — the
+// fused pass the pool runs, Decode then Augment, and the scalar oracle —
+// on every checksum path, and requires identical tensors, or the oracle's
+// error text from both kernels.
+func checkAgainstReference(t *testing.T, payload []byte, id dataset.SampleID, seed uint64) {
+	t.Helper()
+	defer func(selected bool) { useAVX2 = selected }(useAVX2)
+	for simd, path := range checksumPaths {
+		useAVX2 = simd
+		want, wantErr := referenceDecode(payload, id)
+		fused, fusedErr := decodeAugment(payload, id, seed)
+		split, splitErr := Decode(payload, id)
+		if wantErr != nil {
+			for name, err := range map[string]error{"decodeAugment": fusedErr, "Decode": splitErr} {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("%s: %s error = %v, want %v", path, name, err, wantErr)
+				}
+			}
+			continue
+		}
+		if fusedErr != nil || splitErr != nil {
+			t.Fatalf("%s: valid payload rejected: decodeAugment %v, Decode %v", path, fusedErr, splitErr)
+		}
+		referenceAugment(want, seed)
+		Augment(split, seed)
+		if err := sameTensor(fused, want); err != nil {
+			t.Fatalf("%s: fused pass: %v", path, err)
+		}
+		if err := sameTensor(split, want); err != nil {
+			t.Fatalf("%s: Decode then Augment: %v", path, err)
+		}
+		PutTensor(fused)
+		PutTensor(split)
+	}
+}
+
+// TestKernelMatchesReference covers bodies of 0-300 bytes — more than
+// four 64-byte checksum blocks, so every remainder mod 64 (whole words and
+// bytes past the last block) over several block counts — both flip
+// parities and several jitters, plus 8 KiB bodies of all 0x00 and all
+// 0xFF, the extremes of every checksum lane.
 func TestKernelMatchesReference(t *testing.T) {
-	for body := 0; body <= 70; body++ {
+	for body := 0; body <= 300; body++ {
 		for seed := uint64(0); seed <= 5; seed++ {
 			id := dataset.SampleID(body)
 			checkAgainstReference(t, testPayload(t, dataset.PayloadHeaderSize+body, id), id, seed)
 		}
+	}
+	for _, fill := range []byte{0x00, 0xff} {
+		payload := testPayload(t, dataset.PayloadHeaderSize+8<<10, 1)
+		body := payload[dataset.PayloadHeaderSize:]
+		for i := range body {
+			body[i] = fill
+		}
+		for seed := uint64(0); seed <= 1; seed++ {
+			checkAgainstReference(t, payload, 1, seed)
+		}
+	}
+}
+
+// TestSIMDPathSelected catches a CPU probe that falls back to the
+// portable loop on a machine that has AVX2.
+func TestSIMDPathSelected(t *testing.T) {
+	if goruntime.GOOS != "linux" || goruntime.GOARCH != "amd64" {
+		t.Skip("reads /proc/cpuinfo; the AVX2 loop is amd64 only")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	listed := slices.Contains(strings.Fields(string(info)), "avx2")
+	if useAVX2 != listed {
+		t.Fatalf("useAVX2 = %v, /proc/cpuinfo lists avx2: %v", useAVX2, listed)
 	}
 }
 
@@ -156,20 +202,29 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 }
 
 // BenchmarkDecodeAugment is one worker's cost per sample on the rt
-// benchmark's mean sample size.
+// benchmark's mean sample size, on each checksum path this CPU runs.
 func BenchmarkDecodeAugment(b *testing.B) {
 	const size = 8 << 10
 	payload := make([]byte, size)
 	dataset.FillPayload(payload, 42, 7)
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := decodeAugment(payload, 7, uint64(i))
-		if err != nil {
-			b.Fatal(err)
+	defer func(selected bool) { useAVX2 = selected }(useAVX2)
+	for _, simd := range []bool{true, false} {
+		path, ok := checksumPaths[simd]
+		if !ok {
+			continue
 		}
-		PutTensor(t)
+		b.Run(path, func(b *testing.B) {
+			useAVX2 = simd
+			b.SetBytes(size)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t, err := decodeAugment(payload, 7, uint64(i))
+				if err != nil {
+					b.Fatal(err)
+				}
+				PutTensor(t)
+			}
+		})
 	}
 }
 

@@ -3,9 +3,10 @@
 # must pass, in dependency order:
 #
 #   1. go build        — the tree compiles, here and for darwin/arm64
-#                        (plus go vet of internal/runtime there), so the
-#                        clock's non-linux fallback file is built on
-#                        every gate
+#                        (plus go vet of internal/runtime and
+#                        internal/preproc there), so the clock's non-linux
+#                        fallback and the decode checksum's portable file
+#                        are built on every gate
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
 #   4. feed determinism — the prefetch feed, helper and loader
@@ -29,18 +30,21 @@
 #                        fields in BENCH_kv.json (DESIGN.md §11)
 #   9. kv frame fuzz   — 10 s of FuzzHandleFrame against the kvstore's
 #                        one request parser (DESIGN.md §8)
-#  10. sim bench smoke — BENCH_sim.json schema validation
+#  10. decode fuzz    — 10 s of FuzzDecodeMatchesReference: the decode
+#                        kernel, on every checksum path the CPU runs,
+#                        against the scalar oracle (DESIGN.md §6)
+#  11. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
-#  11. obs bench smoke — BENCH_obs.json schema + overhead-budget
+#  12. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#  12. chaos bench smoke — tiny live run of the chaos recovery suite
+#  13. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  13. monitor smoke   — boot lobster-kv with its monitor attached and
+#  14. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  14. doctor smoke    — point lobster-doctor at the live monitor (the
+#  15. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -54,8 +58,8 @@ cd "$(dirname "$0")"
 echo "==> go build ./..."
 go build ./...
 
-echo "==> darwin/arm64 cross-build (clock fallback)"
-GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime
+echo "==> darwin/arm64 cross-build (clock fallback, portable checksum)"
+GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime ./internal/preproc
 
 echo "==> go vet ./..."
 go vet ./...
@@ -94,6 +98,11 @@ echo "==> kv frame fuzz"
 # Bounded fuzzing of the one request parser: every flag combination and
 # the shed/drain paths against arbitrary bytes.
 go test ./internal/kvstore -run '^$' -fuzz '^FuzzHandleFrame$' -fuzztime 10s
+
+echo "==> decode kernel fuzz"
+# Bounded fuzzing of the decode kernel: the AVX2 and portable checksum
+# paths, flip and jitter against the scalar oracle on arbitrary payloads.
+go test ./internal/preproc -run '^$' -fuzz '^FuzzDecodeMatchesReference$' -fuzztime 10s
 
 echo "==> sim bench smoke"
 # Schema validation of the committed BENCH_sim.json (the full run is
