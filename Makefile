@@ -49,8 +49,8 @@ bench:
 bench-short:
 	$(GO) run ./bench -short
 
-## bench-kv: run the kvstore micro-benchmarks and the overload/hedge
-## benches and record ops/sec, B/op, p99, goodput and shed rates in
+## bench-kv: run the kvstore micro-benchmarks and the overload bench
+## and record ops/sec, B/op, p99, goodput and shed rates in
 ## BENCH_kv.json at the repo root.
 bench-kv:
 	LOBSTER_BENCH_KV=1 $(GO) test ./internal/kvstore -run TestBenchKVJSON -count=1 -v -timeout 30m

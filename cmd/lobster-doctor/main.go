@@ -5,8 +5,8 @@
 // causes per rank and overall, what each node spent staging ahead of
 // demand (prefetch helpers and idle loaders) and how many prefetches came
 // too late, straggler ranks, the per-epoch
-// load imbalance coefficient, and the recovery layer's efficacy (hedged
-// reads won, failover cost).
+// load imbalance coefficient, and the recovery layer's cost (failovers,
+// partial fan-outs).
 //
 // Examples:
 //

@@ -49,8 +49,9 @@ const (
 	// continues — only its cache tier is lost.
 	KindCacheCrash
 	// KindShardCrash is a kv shard crash and restart. The runtime has no
-	// handle on external kv servers, so the harness that owns them
-	// registers this injector (see internal/experiments).
+	// handle on external kv servers, so the harness that owns them would
+	// register this injector; nothing registers it yet (a generator of
+	// random schedules is its intended first user).
 	KindShardCrash
 	// KindConnDrop injects connection drops on a kv shard: Fault.DropRate
 	// of requests sever the connection mid-op, exercising client redial.

@@ -94,8 +94,6 @@ type Report struct {
 	ClockOvershootP99 float64
 
 	// Recovery-layer efficacy.
-	HedgesFired     float64
-	HedgesWon       float64
 	Failovers       float64
 	PartialFanouts  float64
 	RecoverySeconds float64
@@ -173,8 +171,6 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 	r.ClockWaits = m.Sum("lobster_runtime_clock_overshoot_seconds_count", nil)
 	r.ClockOvershootP50, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.5)
 	r.ClockOvershootP99, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.99)
-	r.HedgesFired = m.Sum("lobster_kvstore_hedge_fired_total", nil)
-	r.HedgesWon = m.Sum("lobster_kvstore_hedge_won_total", nil)
 	r.Failovers = m.Sum("lobster_runtime_failover_total", nil)
 	r.PartialFanouts = m.Sum("lobster_runtime_partial_fanout_total", nil)
 	r.RecoverySeconds = m.Sum("lobster_runtime_stall_recovery_seconds_sum", nil)
@@ -349,12 +345,8 @@ func (r *Report) WriteText(w io.Writer) error {
 		p("\nmodeled delays: %.0f waits, overshoot p50 %.0fus / p99 %.0fus\n",
 			r.ClockWaits, 1e6*r.ClockOvershootP50, 1e6*r.ClockOvershootP99)
 	}
-	if r.HedgesFired > 0 || r.Failovers > 0 || r.PartialFanouts > 0 {
+	if r.Failovers > 0 || r.PartialFanouts > 0 {
 		p("\nRecovery layer:\n")
-		if r.HedgesFired > 0 {
-			p("  hedged reads: %.0f fired, %.0f won (%.0f%% efficacy)\n",
-				r.HedgesFired, r.HedgesWon, 100*r.HedgesWon/r.HedgesFired)
-		}
 		if r.Failovers > 0 {
 			// Failovers are counted on both sides of the ledger, so the
 			// average is over both sides' recovery reads.

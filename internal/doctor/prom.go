@@ -2,8 +2,8 @@
 // /metrics scrapes and Chrome-trace /trace.json dumps from any number
 // of monitor endpoints — into a ranked bottleneck report: which stall
 // cause dominates, per rank; which rank is the straggler; how
-// imbalanced each epoch's load was; and whether the recovery machinery
-// (hedged reads, failovers) earned its keep. It is the consumer of the
+// imbalanced each epoch's load was; and what the recovery machinery
+// (failovers, partial fan-outs) cost. It is the consumer of the
 // stall-attribution ledger (DESIGN.md §14) and is deliberately
 // dependency-free so it can ingest saved files offline.
 package doctor

@@ -18,13 +18,13 @@ import (
 // protocol error — enough to catch a broken frame encoder without
 // burning benchmark time in `go test ./...`.
 //
-// With LOBSTER_BENCH_KV=tiny it runs the sustained-overload and hedged
-// MultiGet benches at verify.sh scale, writes their JSON to a temp
-// file, and schema-checks both that file and the committed
-// BENCH_kv.json for the goodput/shed/p999 fields.
+// With LOBSTER_BENCH_KV=tiny it runs the sustained-overload bench at
+// verify.sh scale, writes its JSON to a temp file, and schema-checks
+// both that file and the committed BENCH_kv.json for the
+// goodput/shed/p999 fields.
 //
 // With LOBSTER_BENCH_KV=1 it runs the kvstore micro-benchmarks via
-// testing.Benchmark plus the full-size overload/hedge phases and
+// testing.Benchmark plus the full-size overload phases and
 // writes the results (ops/sec, B/op, allocs/op, p99, goodput, shed
 // rates, tail quantiles) to BENCH_kv.json at the repository root.
 func TestBenchKVJSON(t *testing.T) {
@@ -73,25 +73,22 @@ func benchSmoke(t *testing.T) {
 	}
 }
 
-// benchTiny runs the overload and hedge benches at smoke scale, writes
-// their JSON to a temp file, and schema-checks it alongside the
-// committed BENCH_kv.json. This is the verify.sh gate for the
-// tail-latency sections: it proves the bench runs end to end and that
+// benchTiny runs the overload bench at smoke scale, writes its JSON to
+// a temp file, and schema-checks it alongside the committed
+// BENCH_kv.json. This is the verify.sh gate for the tail-latency
+// section: it proves the bench runs end to end and that
 // the recorded schema carries the goodput/shed/p999 fields.
 func benchTiny(t *testing.T) {
 	overload, env := runOverloadBench(t, overloadTiny)
-	hedged := runHedgeBench(t, overloadTiny)
 	out := struct {
 		Generated string         `json:"generated"`
 		GoVersion string         `json:"go_version"`
 		Overload  overloadReport `json:"sustained_overload"`
-		Hedged    hedgeReport    `json:"hedged_multiget"`
 		Env       benchEnv       `json:"env"`
 	}{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Overload:  overload,
-		Hedged:    hedged,
 		Env:       env,
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
@@ -159,12 +156,6 @@ func schemaCheckBenchKV(t *testing.T, path string) {
 	num("sustained_overload", "phases", "p99_ms")
 	num("sustained_overload", "phases", "p999_ms")
 	num("sustained_overload", "phases", "hist_p999_ms")
-	if v := num("hedged_multiget", "p99_improvement"); v < 2 {
-		t.Fatalf("schema check %s: hedged p99_improvement = %v, want >= 2", path, v)
-	}
-	num("hedged_multiget", "unhedged_p99_ms")
-	num("hedged_multiget", "hedged_p99_ms")
-	num("hedged_multiget", "hedge_fired")
 	if v := num("env", "gomaxprocs"); v < 1 {
 		t.Fatalf("schema check %s: gomaxprocs = %v", path, v)
 	}
@@ -254,7 +245,6 @@ func benchFull(t *testing.T) {
 	entries = append(entries, toEntry("put", 16, r))
 
 	overload, env := runOverloadBench(t, overloadFull)
-	hedged := runHedgeBench(t, overloadFull)
 
 	out := struct {
 		Generated string `json:"generated"`
@@ -267,11 +257,9 @@ func benchFull(t *testing.T) {
 		// same machine as the rest of this file.
 		SeedBaseline benchEntry   `json:"seed_baseline"`
 		Results      []benchEntry `json:"results"`
-		// Overload and Hedged are the tail-latency sections (DESIGN.md
-		// §11): sustained-overload goodput vs saturation and the hedged
-		// MultiGet comparison against one artificially slow shard.
+		// Overload is the tail-latency section (DESIGN.md §11):
+		// sustained-overload goodput vs saturation.
 		Overload overloadReport `json:"sustained_overload"`
-		Hedged   hedgeReport    `json:"hedged_multiget"`
 		Env      benchEnv       `json:"env"`
 	}{
 		Generated: time.Now().UTC().Format(time.RFC3339),
@@ -285,7 +273,6 @@ func benchFull(t *testing.T) {
 		},
 		Results:  entries,
 		Overload: overload,
-		Hedged:   hedged,
 		Env:      env,
 	}
 

@@ -43,7 +43,7 @@ func (o FaultOps) matches(op byte) bool {
 // FaultConfig is a shard's fault-injection profile (Server.SetFault):
 // per-request service lag with optional seeded jitter, a probability of
 // answering with statusError, and a probability of severing the
-// connection mid-op — shared by the chaos harness, the hedged-read
+// connection mid-op — shared by the fault tests, the runtime's kv-tier
 // tests and the overload benchmarks.
 type FaultConfig struct {
 	// Lag is a fixed extra service delay per matched request, applied

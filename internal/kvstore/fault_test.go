@@ -218,170 +218,3 @@ func TestGetDoesNotQueueBehindMultiGet(t *testing.T) {
 		})
 	}
 }
-
-// chaosCluster builds servers plus a replicated cluster over them.
-func chaosCluster(t *testing.T, shards, replicas int) ([]*Server, *Cluster) {
-	t.Helper()
-	servers := make([]*Server, shards)
-	addrs := make([]string, shards)
-	for i := range servers {
-		servers[i] = testServer(t, 8<<20)
-		addrs[i] = servers[i].Addr()
-	}
-	c, err := NewClusterConfig(addrs, ClusterConfig{Conns: 1, Replicas: replicas})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	return servers, c
-}
-
-func TestClusterRoutesAroundDownShard(t *testing.T) {
-	_, c := chaosCluster(t, 3, 1)
-	keys := make([]string, 30)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%03d", i)
-		if err := c.Put(keys[i], []byte(keys[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	victim := c.shardIndex(keys[0])
-	c.SetShardDown(victim, true)
-	if !c.ShardDown(victim) {
-		t.Fatal("shard not marked down")
-	}
-
-	// Every key is still readable: primaries on the dead shard route to
-	// their replica; the rest are untouched.
-	for _, k := range keys {
-		v, found, err := c.Get(k)
-		if err != nil || !found || string(v) != k {
-			t.Fatalf("Get(%s) with shard %d down = %q, %v, %v", k, victim, v, found, err)
-		}
-	}
-
-	// Batch reads route per key too.
-	vals, err := c.MultiGet(keys)
-	if err != nil {
-		t.Fatalf("MultiGet with a down shard: %v", err)
-	}
-	for i, v := range vals {
-		if string(v) != keys[i] {
-			t.Fatalf("MultiGet[%d] = %q, want %q", i, v, keys[i])
-		}
-	}
-
-	// Writes succeed while the shard is down (the down copy is skipped).
-	if err := c.Put("during-outage", []byte("x")); err != nil {
-		t.Fatalf("Put with a down shard: %v", err)
-	}
-	c.SetShardDown(victim, false)
-}
-
-func TestClusterRepairRestoresReplicas(t *testing.T) {
-	_, c := chaosCluster(t, 3, 1)
-	keys := make([]string, 30)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%03d", i)
-		if err := c.Put(keys[i], []byte(keys[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Crash shard 1: mark it down and wipe its store (a restarted shard
-	// comes back empty).
-	victim := 1
-	c.SetShardDown(victim, true)
-	for _, k := range keys {
-		if err := c.clients[victim].Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Revive and repair: every key readable from any ring member again.
-	c.SetShardDown(victim, false)
-	restored, err := c.Repair(keys)
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if restored != len(keys) {
-		t.Fatalf("Repair restored %d/%d keys", restored, len(keys))
-	}
-	for _, k := range keys {
-		s := c.shardIndex(k)
-		for r := 0; r <= 1; r++ {
-			cl := c.clients[(s+r)%3]
-			v, found, err := cl.Get(k)
-			if err != nil || !found || string(v) != k {
-				t.Fatalf("post-repair copy %d of %s = %q, %v, %v", r, k, v, found, err)
-			}
-		}
-	}
-}
-
-func TestClusterAllShardsDown(t *testing.T) {
-	_, c := chaosCluster(t, 2, 1)
-	c.SetShardDown(0, true)
-	c.SetShardDown(1, true)
-	if err := c.Put("k", []byte("v")); err == nil {
-		t.Fatal("Put with every shard down succeeded")
-	}
-	c.SetShardDown(0, false)
-	c.SetShardDown(1, false)
-	if err := c.Put("k", []byte("v")); err != nil {
-		t.Fatalf("Put after revival: %v", err)
-	}
-}
-
-// TestDownShardReadsNeverHedgeOutsideReplicaWindow is the regression
-// pin for a race the chaos suite exposed: with a key's primary down,
-// its reads re-route to the replica — and used to hedge from there to
-// the *replica's* successor, a shard that never held a copy. When that
-// hedge won the race it returned a spurious clean miss. Here the hedge
-// is made near-certain to win if it fires at all (1µs hedge delay, the
-// routed shard lagged 5ms), so any wrong-window hedge fails the test
-// deterministically rather than one run in ten.
-func TestDownShardReadsNeverHedgeOutsideReplicaWindow(t *testing.T) {
-	servers := make([]*Server, 3)
-	addrs := make([]string, 3)
-	for i := range servers {
-		servers[i] = testServer(t, 8<<20)
-		addrs[i] = servers[i].Addr()
-	}
-	c, err := NewClusterConfig(addrs, ClusterConfig{Conns: 1, Replicas: 1, HedgeDelay: time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-
-	keys := make([]string, 12)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("pin-%03d", i)
-		if err := c.Put(keys[i], []byte(keys[i])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	victim := c.shardIndex(keys[0])
-	routed := (victim + 1) % 3
-	c.SetShardDown(victim, true)
-	servers[routed].SetFault(FaultConfig{Lag: 5 * time.Millisecond})
-	defer servers[routed].SetFault(FaultConfig{})
-
-	if h := c.hedgeIndex(victim, routed); h != -1 {
-		t.Fatalf("hedgeIndex(%d, %d) = %d, want -1: the only other copy-holder is down", victim, routed, h)
-	}
-	if v, found, err := c.Get(keys[0]); err != nil || !found || string(v) != keys[0] {
-		t.Fatalf("Get(%s) with primary down = %q, %v, %v", keys[0], v, found, err)
-	}
-	vals, err := c.MultiGet(keys)
-	if err != nil {
-		t.Fatalf("MultiGet with primary down: %v", err)
-	}
-	for i, v := range vals {
-		if string(v) != keys[i] {
-			t.Fatalf("MultiGet[%d] = %q, want %q", i, v, keys[i])
-		}
-	}
-	c.SetShardDown(victim, false)
-}

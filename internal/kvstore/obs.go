@@ -126,8 +126,7 @@ func InstrumentServer(reg *obs.Registry, srv *Server) {
 }
 
 // Instrument attaches per-shard client instruments from reg to every
-// shard client, labelled by index in cluster order. Hedged-read
-// counters are surfaced at scrape time.
+// shard client, labelled by index in cluster order.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -135,10 +134,4 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 	for i, cl := range c.clients {
 		cl.SetInstruments(NewClientInstruments(reg, strconv.Itoa(i)))
 	}
-	reg.CounterFunc("lobster_kvstore_hedge_fired_total",
-		"Hedge requests sent after the primary outlived the hedge delay.",
-		func() float64 { fired, _ := c.HedgeCounters(); return float64(fired) })
-	reg.CounterFunc("lobster_kvstore_hedge_won_total",
-		"Hedged-read races won by the replica arm.",
-		func() float64 { _, won := c.HedgeCounters(); return float64(won) })
 }

@@ -111,8 +111,8 @@ func NewServerOptions(addr string, opts ServerOptions) (*Server, error) {
 
 // SetFault installs the shard's fault-injection profile (fault.go):
 // per-request lag/jitter, statusError rate, connection-drop rate,
-// optionally scoped per op — shared by the chaos harness, the
-// hedged-read tests and the overload benchmarks. A zero config restores
+// optionally scoped per op — shared by the fault tests, the runtime's
+// kv-tier tests and the overload benchmarks. A zero config restores
 // health. Safe to call while serving.
 func (s *Server) SetFault(cfg FaultConfig) { s.st.setFault(cfg) }
 
@@ -129,8 +129,8 @@ func (s *Server) Stripes() int { return len(s.st.stripes) }
 // Close stops the listener, severs every live connection, and waits
 // for connection handlers to exit. Clients see the drop as an I/O
 // error mid-operation — the same failure mode as a crashed shard —
-// which is what the cluster's partial-failure and hedged-read paths
-// are built to absorb.
+// which is what the cluster's partial-failure path (PartialError) is
+// built to absorb.
 func (s *Server) Close() error {
 	select {
 	case <-s.closed:

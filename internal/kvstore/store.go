@@ -40,8 +40,8 @@ type store struct {
 	// fault is the injected fault profile (Server.SetFault; nil =
 	// healthy): per-request lag/jitter while the request occupies its
 	// in-flight slot, error and connection-drop rates — the
-	// straggler/chaos hook behind the hedged-read tests, the overload
-	// benchmark and the chaos harness (fault.go).
+	// straggler/fault hook behind the fault tests and the overload
+	// benchmark (fault.go).
 	fault      atomic.Pointer[faultState]
 	faultErrs  atomic.Uint64
 	faultDrops atomic.Uint64

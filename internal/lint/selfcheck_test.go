@@ -1,10 +1,35 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 )
+
+// repoRoot is the root of the module this file belongs to.
+func repoRoot() (string, error) {
+	_, thisFile, _, ok := runtime.Caller(0)
+	if !ok {
+		return "", fmt.Errorf("cannot locate test source file")
+	}
+	return FindModuleRoot(filepath.Dir(thisFile))
+}
+
+// loadRepo type-checks this module once for every test that needs the
+// whole of it: each load takes seconds.
+var loadRepo = sync.OnceValues(func() ([]*Package, error) {
+	root, err := repoRoot()
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := LoadModule(root)
+	if err != nil {
+		return nil, fmt.Errorf("loading module: %w", err)
+	}
+	return pkgs, nil
+})
 
 // TestRepoIsLintClean is the self-check gate: the committed tree must
 // pass its own static analysis. Any intentional exception must carry a
@@ -14,17 +39,9 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	_, thisFile, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("cannot locate test source file")
-	}
-	root, err := FindModuleRoot(filepath.Dir(thisFile))
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
-	}
-	pkgs, err := LoadModule(root)
-	if err != nil {
-		t.Fatalf("loading module: %v", err)
 	}
 	if len(pkgs) < 20 {
 		t.Fatalf("suspiciously few packages loaded (%d); loader regression?", len(pkgs))
@@ -44,11 +61,7 @@ func TestLoadModulePackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	_, thisFile, _, ok := runtime.Caller(0)
-	if !ok {
-		t.Fatal("cannot locate test source file")
-	}
-	root, err := FindModuleRoot(filepath.Dir(thisFile))
+	root, err := repoRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +69,7 @@ func TestLoadModulePackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadModule(root)
+	pkgs, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,28 +23,27 @@
 #                        scale (the scale `go test ./bench` does not
 #                        reach) against bench/golden/sim.json; any
 #                        differing value fails (same run: make sim-golden)
-#   7. bench smoke     — quick protocol sanity pass of the kvstore
-#                        benchmark harness (full run: make bench-kv)
-#   8. overload smoke  — tiny-scale sustained-overload + hedged-read
-#                        bench plus schema check of the tail-latency
-#                        fields in BENCH_kv.json (DESIGN.md §11)
-#   9. kv frame fuzz   — 10 s of FuzzHandleFrame against the kvstore's
+#   7. overload smoke  — tiny-scale sustained-overload bench plus schema
+#                        check of the tail-latency fields in
+#                        BENCH_kv.json (DESIGN.md §11; full run:
+#                        make bench-kv)
+#   8. kv frame fuzz   — 10 s of FuzzHandleFrame against the kvstore's
 #                        one request parser (DESIGN.md §8)
-#  10. decode fuzz    — 10 s of FuzzDecodeMatchesReference: the decode
+#   9. decode fuzz     — 10 s of FuzzDecodeMatchesReference: the decode
 #                        kernel, on every checksum path the CPU runs,
 #                        against the scalar oracle (DESIGN.md §6)
-#  11. sim bench smoke — BENCH_sim.json schema validation
+#  10. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
-#  12. obs bench smoke — BENCH_obs.json schema + overhead-budget
+#  11. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#  13. chaos bench smoke — tiny live run of the chaos recovery suite
+#  12. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  14. monitor smoke   — boot lobster-kv with its monitor attached and
+#  13. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  15. doctor smoke    — point lobster-doctor at the live monitor (the
+#  14. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -82,16 +81,11 @@ echo "==> sim goldens at small scale"
 # judged here, and the contract JSON line is dropped).
 go run ./bench --workload sim-figs --seed 7 --seconds 10 --trace 1 | grep -v '^{'
 
-echo "==> kvstore bench smoke"
-# Short protocol sanity pass of the bench harness (the full run is
-# `make bench-kv`, which writes BENCH_kv.json).
-go test ./internal/kvstore -run TestBenchKVJSON -count=1
-
 echo "==> kvstore overload bench smoke"
-# Tiny-scale sustained-overload + hedged-read bench (DESIGN.md §11):
-# proves the tail-latency harness runs end to end and schema-checks the
+# Tiny-scale sustained-overload bench (DESIGN.md §11): proves the
+# tail-latency harness runs end to end and schema-checks the
 # goodput/shed/p99/p999 fields in its output and in the committed
-# BENCH_kv.json.
+# BENCH_kv.json (the full run is `make bench-kv`, which writes it).
 LOBSTER_BENCH_KV=tiny go test ./internal/kvstore -run TestBenchKVJSON -count=1
 
 echo "==> kv frame fuzz"
