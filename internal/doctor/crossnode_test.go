@@ -2,7 +2,9 @@ package doctor
 
 import (
 	"bytes"
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/obs"
@@ -50,12 +52,14 @@ func TestCrossNodeTraceMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.Put("sample", []byte("payload")); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := cl.Put(ctx, "sample", []byte("payload")); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, err := cl.GetTraced("sample", obs.NewTraceCtx(q.rank, q.epoch, q.iter)); err != nil || !ok {
-			t.Fatalf("GetTraced: ok=%v err=%v", ok, err)
+		if _, ok, err := cl.Get(obs.WithTrace(ctx, obs.NewTraceCtx(q.rank, q.epoch, q.iter)), "sample"); err != nil || !ok {
+			t.Fatalf("traced Get: ok=%v err=%v", ok, err)
 		}
+		cancel()
 		cl.Close()
 	}
 

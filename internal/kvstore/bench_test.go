@@ -33,7 +33,7 @@ func newBenchServer() (*Server, error) {
 		val[i] = byte(i)
 	}
 	for i := 0; i < benchKeys; i++ {
-		if err := seed.Put(benchKey(i), val); err != nil {
+		if err := seed.Put(bg, benchKey(i), val); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func BenchmarkKVGet(b *testing.B) {
 			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
-				_, found, err := c.Get(benchKey((g*7919 + i) % benchKeys))
+				_, found, err := c.Get(bg, benchKey((g*7919+i)%benchKeys))
 				if err == nil && !found {
 					err = fmt.Errorf("bench key missing")
 				}
@@ -150,7 +150,7 @@ func BenchmarkKVMultiGet(b *testing.B) {
 			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
-				_, err := c.MultiGet(keys)
+				_, err := c.MultiGet(bg, keys)
 				return err
 			})
 		})
@@ -165,7 +165,7 @@ func BenchmarkKVPut(b *testing.B) {
 		c := benchDial(b, s)
 		defer c.Close()
 		runClients(b, 16, func(g, i int) error {
-			return c.Put(benchKey((g*7919+i)%benchKeys), val)
+			return c.Put(bg, benchKey((g*7919+i)%benchKeys), val)
 		})
 	})
 }

@@ -54,12 +54,12 @@ func benchSmoke(t *testing.T) {
 	}
 	defer c.Close()
 	for i := 0; i < 100; i++ {
-		v, found, err := c.Get(benchKey(i % benchKeys))
+		v, found, err := c.Get(bg, benchKey(i%benchKeys))
 		if err != nil || !found || len(v) != benchValBytes {
 			t.Fatalf("smoke Get: len=%d found=%v err=%v", len(v), found, err)
 		}
 	}
-	vals, err := c.MultiGet(window)
+	vals, err := c.MultiGet(bg, window)
 	if err != nil {
 		t.Fatalf("smoke MultiGet: %v", err)
 	}
@@ -68,7 +68,7 @@ func benchSmoke(t *testing.T) {
 			t.Fatalf("smoke MultiGet[%d]: len=%d", i, len(v))
 		}
 	}
-	if err := c.Put("smoke", []byte("x")); err != nil {
+	if err := c.Put(bg, "smoke", []byte("x")); err != nil {
 		t.Fatalf("smoke Put: %v", err)
 	}
 }
@@ -205,7 +205,7 @@ func benchFull(t *testing.T) {
 			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
-				_, found, err := c.Get(benchKey((g*7919 + i) % benchKeys))
+				_, found, err := c.Get(bg, benchKey((g*7919+i)%benchKeys))
 				if err == nil && !found {
 					err = fmt.Errorf("bench key missing")
 				}
@@ -227,7 +227,7 @@ func benchFull(t *testing.T) {
 			c := benchDial(b, s)
 			defer c.Close()
 			runClients(b, clients, func(g, i int) error {
-				_, err := c.MultiGet(window)
+				_, err := c.MultiGet(bg, window)
 				return err
 			})
 		})
@@ -239,7 +239,7 @@ func benchFull(t *testing.T) {
 		c := benchDial(b, s)
 		defer c.Close()
 		runClients(b, 16, func(g, i int) error {
-			return c.Put(benchKey((g*7919+i)%benchKeys), val)
+			return c.Put(bg, benchKey((g*7919+i)%benchKeys), val)
 		})
 	})
 	entries = append(entries, toEntry("put", 16, r))

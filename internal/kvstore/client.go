@@ -30,8 +30,8 @@ const writeQueueDepth = 512
 // their waiters — so one connection sustains many concurrent ops
 // instead of one per round trip. Safe for concurrent use.
 //
-// The connections form two lanes. Single-key ops and Stats ride the
-// point lane; MultiGet and MultiPut ride the batch lane. The server
+// The connections form two lanes. Get, Put and Stats ride the point
+// lane; MultiGet and MultiPut ride the batch lane. The server
 // answers one connection's frames one at a time and the reader drains
 // them in order, so a Get sharing a connection with a prefetch window's
 // MultiGet would wait out the whole batch (DESIGN.md §8).
@@ -202,13 +202,8 @@ func (l *lane) close() {
 // whose round trip errored may still be queued for — or held by — the
 // writer, so error paths drop it for the GC instead of recycling it.
 type call struct {
-	op  byte
-	id  uint32
-	key string
-	val []byte
-	// Batch request fields (opMultiGet/opMultiPut).
-	keys []string
-	vals [][]byte
+	request
+	id uint32
 	// Response fields.
 	status   byte
 	out      []byte
@@ -240,11 +235,20 @@ type call struct {
 	wrote atomic.Bool
 }
 
+// request is one op as its caller states it.
+type request struct {
+	op   byte
+	key  string
+	val  []byte
+	keys []string // opMultiGet, opMultiPut
+	vals [][]byte // opMultiPut
+}
+
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan *call, 1)} }}
 
-func getCall(op byte) *call {
+func getCall(req request) *call {
 	c := callPool.Get().(*call)
-	c.op = op
+	c.request = req
 	return c
 }
 
@@ -254,8 +258,7 @@ func putCall(c *call) {
 	default:
 	}
 	// Field-by-field: a struct assignment would copy the atomic.
-	c.op, c.id, c.key, c.val = 0, 0, "", nil
-	c.keys, c.vals = nil, nil
+	c.request, c.id = request{}, 0
 	c.status, c.out, c.statuses, c.outs = 0, nil, nil, nil
 	c.err = nil
 	c.expiry = time.Time{}
@@ -833,8 +836,8 @@ func readResponseBody(r *bufio.Reader, op byte, c *call) error {
 	}
 }
 
-// Retry policy for the context ops: jittered exponential backoff on
-// statusRetryLater, bounded by the context and by retryAttempts.
+// Retry policy for every op: jittered exponential backoff on
+// statusRetryLater, bounded by the op's context and by retryAttempts.
 const (
 	retryBase     = time.Millisecond
 	retryMax      = 50 * time.Millisecond
@@ -868,195 +871,129 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// noteRetry counts one absorbed shed on the retry counter.
-func (cl *Client) noteRetry() {
-	if ins := cl.ins.Load(); ins != nil {
-		ins.RetryLater.Inc()
-	}
-}
-
-// do runs one single-key op on some connection, timing it when
-// instruments are attached (inline rather than deferred — this is the
-// per-sample hot path and a defer closure would allocate).
-func (cl *Client) do(op byte, key string, val []byte) (byte, []byte, error) {
-	return cl.doTraced(op, key, val, 0)
-}
-
-// doTraced is do carrying an optional trace context onto the wire.
-func (cl *Client) doTraced(op byte, key string, val []byte, tctx obs.TraceCtx) (byte, []byte, error) {
-	h, g, start := cl.opStart(op)
-	status, out, err := cl.doRaw(context.Background(), op, key, val, tctx)
+// do is the one path every op takes: it times the op when instruments
+// are attached (inline rather than deferred — this is the per-sample
+// hot path and a defer closure would allocate) around send. The
+// returned call holds the response; the caller reads it and recycles it
+// with putCall.
+func (cl *Client) do(ctx context.Context, req request) (*call, error) {
+	h, g, start := cl.opStart(req.op)
+	c, err := cl.send(ctx, req)
 	if h != nil {
 		opDone(h, g, start)
 	}
-	return status, out, err
+	return c, err
 }
 
-// doCtx is do with cancellation, deadline propagation and shed retry.
-func (cl *Client) doCtx(ctx context.Context, op byte, key string, val []byte) (byte, []byte, error) {
-	h, g, start := cl.opStart(op)
-	status, out, err := cl.doRawRetry(ctx, op, key, val)
-	if h != nil {
-		opDone(h, g, start)
+// send runs req on its lane, carrying ctx's deadline (flagDeadline lets
+// the server shed the request once its budget is spent) and ctx's trace
+// context (flagTrace stamps the server's span with the originating
+// rank/iter), and absorbs server sheds with retryDelay backoff.
+func (cl *Client) send(ctx context.Context, req request) (*call, error) {
+	l := &cl.point
+	if req.op == opMultiGet || req.op == opMultiPut {
+		l = &cl.batch
 	}
-	return status, out, err
-}
-
-func (cl *Client) doRawRetry(ctx context.Context, op byte, key string, val []byte) (byte, []byte, error) {
+	expiry, _ := ctx.Deadline()
+	tctx := obs.TraceFrom(ctx)
 	for attempt := 0; ; attempt++ {
-		status, out, err := cl.doRaw(ctx, op, key, val, 0)
-		if err != nil || status != statusRetryLater || attempt >= retryAttempts {
-			return status, out, err
+		p, err := cl.conn(l)
+		if err != nil {
+			return nil, err
 		}
-		cl.noteRetry()
+		c := getCall(req)
+		c.expiry, c.tctx = expiry, tctx
+		if err := p.roundTrip(ctx, c); err != nil {
+			// Failed calls may still be referenced by the writer goroutine;
+			// drop them for the GC rather than recycling (see call).
+			return nil, err
+		}
+		if c.status != statusRetryLater || attempt == retryAttempts {
+			return c, nil
+		}
+		putCall(c)
+		if ins := cl.ins.Load(); ins != nil {
+			ins.RetryLater.Inc()
+		}
 		if err := sleepCtx(ctx, retryDelay(attempt)); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	}
 }
 
-func (cl *Client) doRaw(ctx context.Context, op byte, key string, val []byte, tctx obs.TraceCtx) (byte, []byte, error) {
-	p, err := cl.conn(&cl.point)
+// statusErr maps a refusal status to the error of the op described by
+// what (e.g. `Get("k")`).
+func statusErr(status byte, what string) error {
+	switch status {
+	case statusTooLarge:
+		return fmt.Errorf("kvstore: %s: %w", what, ErrTooLarge)
+	case statusRetryLater:
+		return fmt.Errorf("kvstore: %s: %w", what, ErrRetryLater)
+	default:
+		return fmt.Errorf("kvstore: server error on %s", what)
+	}
+}
+
+// putErr maps one stored key's status to its error, counting a
+// too-large refusal on the client's instruments.
+func (cl *Client) putErr(status byte, key string) error {
+	if status == statusOK {
+		return nil
+	}
+	if status == statusTooLarge {
+		if ins := cl.ins.Load(); ins != nil {
+			ins.TooLarge.Inc()
+		}
+	}
+	return statusErr(status, fmt.Sprintf("Put(%q)", key))
+}
+
+// Every op below takes a context: its cancellation ends the op, its
+// deadline travels with the frame, its trace (obs.WithTrace) stamps the
+// server's span, and a server shed is retried until ctx ends or
+// retryAttempts run out. context.Background() sends a plain frame that
+// still retries.
+
+// Get fetches a value; found=false when the key is absent.
+func (cl *Client) Get(ctx context.Context, key string) ([]byte, bool, error) {
+	c, err := cl.do(ctx, request{op: opGet, key: key})
 	if err != nil {
-		return 0, nil, err
-	}
-	c := getCall(op)
-	c.key, c.val = key, val
-	c.tctx = tctx
-	if d, ok := ctx.Deadline(); ok {
-		c.expiry = d
-	}
-	if err := p.roundTrip(ctx, c); err != nil {
-		// Failed calls may still be referenced by the writer goroutine;
-		// drop them for the GC rather than recycling (see call).
-		return 0, nil, err
+		return nil, false, err
 	}
 	status, out := c.status, c.out
 	putCall(c)
-	return status, out, nil
-}
-
-// getStatus maps a Get response status to the public return triple.
-func getStatus(status byte, out []byte, key string) ([]byte, bool, error) {
 	switch status {
 	case statusOK:
 		return out, true, nil
 	case statusNotFound:
 		return nil, false, nil
-	case statusRetryLater:
-		return nil, false, fmt.Errorf("kvstore: Get(%q): %w", key, ErrRetryLater)
 	default:
-		return nil, false, fmt.Errorf("kvstore: server error on Get(%q)", key)
+		return nil, false, statusErr(status, fmt.Sprintf("Get(%q)", key))
 	}
-}
-
-// Get fetches a value; found=false when the key is absent.
-func (cl *Client) Get(key string) ([]byte, bool, error) { return cl.GetTraced(key, 0) }
-
-// GetTraced is Get carrying a trace context (flagTrace), so a
-// Trace-equipped server records a span stamped with the originating
-// rank/iter for this read. A zero tctx sends an untraced frame.
-func (cl *Client) GetTraced(key string, tctx obs.TraceCtx) ([]byte, bool, error) {
-	status, out, err := cl.doTraced(opGet, key, nil, tctx)
-	if err != nil {
-		return nil, false, err
-	}
-	return getStatus(status, out, key)
-}
-
-// GetContext is Get with context cancellation, deadline propagation
-// (flagDeadline lets the server shed the request once its budget is
-// spent) and jittered-backoff retry on server sheds.
-func (cl *Client) GetContext(ctx context.Context, key string) ([]byte, bool, error) {
-	status, out, err := cl.doCtx(ctx, opGet, key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	return getStatus(status, out, key)
 }
 
 // Put stores a value; ErrTooLarge when the shard can never admit it.
-func (cl *Client) Put(key string, val []byte) error {
-	status, _, err := cl.do(opPut, key, val)
+// The value buffer is borrowed until the op completes: after a
+// cancellation it may still be serialized onto the wire, so callers
+// must not mutate it on the error path.
+func (cl *Client) Put(ctx context.Context, key string, val []byte) error {
+	c, err := cl.do(ctx, request{op: opPut, key: key, val: val})
 	if err != nil {
 		return err
 	}
-	if status == statusTooLarge {
-		if ins := cl.ins.Load(); ins != nil {
-			ins.TooLarge.Inc()
-		}
-	}
-	return putStatusErr(status, key)
+	status := c.status
+	putCall(c)
+	return cl.putErr(status, key)
 }
 
-// PutContext is Put with cancellation, deadline propagation and shed
-// retry (see GetContext). The value buffer is borrowed until the op
-// completes: after a cancellation it may still be serialized onto the
-// wire, so callers must not mutate it on the error path.
-func (cl *Client) PutContext(ctx context.Context, key string, val []byte) error {
-	status, _, err := cl.doCtx(ctx, opPut, key, val)
-	if err != nil {
-		return err
-	}
-	if status == statusTooLarge {
-		if ins := cl.ins.Load(); ins != nil {
-			ins.TooLarge.Inc()
-		}
-	}
-	return putStatusErr(status, key)
-}
-
-// putStatusErr maps a Put response status to the client-facing error.
-func putStatusErr(status byte, key string) error {
-	switch status {
-	case statusOK:
-		return nil
-	case statusTooLarge:
-		return fmt.Errorf("kvstore: Put(%q): %w", key, ErrTooLarge)
-	case statusRetryLater:
-		return fmt.Errorf("kvstore: Put(%q): %w", key, ErrRetryLater)
-	default:
-		return fmt.Errorf("kvstore: server error on Put(%q)", key)
-	}
-}
-
-// Delete removes a key (no-op when absent).
-func (cl *Client) Delete(key string) error {
-	status, _, err := cl.do(opDelete, key, nil)
-	if err != nil {
-		return err
-	}
-	return deleteStatusErr(status, key)
-}
-
-// DeleteContext is Delete with cancellation, deadline propagation and
-// shed retry (see GetContext).
-func (cl *Client) DeleteContext(ctx context.Context, key string) error {
-	status, _, err := cl.doCtx(ctx, opDelete, key, nil)
-	if err != nil {
-		return err
-	}
-	return deleteStatusErr(status, key)
-}
-
-// deleteStatusErr maps a Delete response status to the client error.
-func deleteStatusErr(status byte, key string) error {
-	switch status {
-	case statusOK:
-		return nil
-	case statusRetryLater:
-		return fmt.Errorf("kvstore: Delete(%q): %w", key, ErrRetryLater)
-	default:
-		return fmt.Errorf("kvstore: server error on Delete(%q)", key)
-	}
-}
-
-// Stats fetches the shard's counters.
-func (cl *Client) Stats() (Stats, error) {
-	status, out, err := cl.do(opStats, "", nil)
+// Stats fetches the shard's counters. The server never sheds it.
+func (cl *Client) Stats(ctx context.Context) (Stats, error) {
+	c, err := cl.do(ctx, request{op: opStats})
 	if err != nil {
 		return Stats{}, err
 	}
+	status, out := c.status, c.out
+	putCall(c)
 	if status != statusOK || len(out) != statsWireLen {
 		return Stats{}, fmt.Errorf("kvstore: bad stats response")
 	}
@@ -1079,85 +1016,30 @@ func decodeStats(out []byte) Stats {
 
 // MultiGet fetches a whole batch of keys in one round trip. vals[i] is
 // nil when keys[i] is absent and non-nil (possibly empty) when present.
-func (cl *Client) MultiGet(keys []string) ([][]byte, error) { return cl.MultiGetTraced(keys, 0) }
-
-// MultiGetTraced is MultiGet carrying a trace context (see GetTraced).
-func (cl *Client) MultiGetTraced(keys []string, tctx obs.TraceCtx) ([][]byte, error) {
+func (cl *Client) MultiGet(ctx context.Context, keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	if len(keys) > maxBatchLen {
 		return nil, fmt.Errorf("kvstore: MultiGet batch %d exceeds %d keys", len(keys), maxBatchLen)
 	}
-	h, g, start := cl.opStart(opMultiGet)
-	outs, err := cl.multiGetRaw(context.Background(), keys, tctx)
-	if h != nil {
-		opDone(h, g, start)
-	}
-	return outs, err
-}
-
-// MultiGetContext is MultiGet with cancellation, deadline propagation
-// and jittered-backoff retry on server sheds (see GetContext).
-func (cl *Client) MultiGetContext(ctx context.Context, keys []string) ([][]byte, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	if len(keys) > maxBatchLen {
-		return nil, fmt.Errorf("kvstore: MultiGet batch %d exceeds %d keys", len(keys), maxBatchLen)
-	}
-	h, g, start := cl.opStart(opMultiGet)
-	var outs [][]byte
-	var err error
-	for attempt := 0; ; attempt++ {
-		outs, err = cl.multiGetRaw(ctx, keys, 0)
-		if !errors.Is(err, ErrRetryLater) || attempt >= retryAttempts {
-			break
-		}
-		cl.noteRetry()
-		if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
-			err = serr
-			break
-		}
-	}
-	if h != nil {
-		opDone(h, g, start)
-	}
-	return outs, err
-}
-
-func (cl *Client) multiGetRaw(ctx context.Context, keys []string, tctx obs.TraceCtx) ([][]byte, error) {
-	p, err := cl.conn(&cl.batch)
+	c, err := cl.do(ctx, request{op: opMultiGet, keys: keys})
 	if err != nil {
 		return nil, err
 	}
-	c := getCall(opMultiGet)
-	c.keys = keys
-	c.tctx = tctx
-	if d, ok := ctx.Deadline(); ok {
-		c.expiry = d
-	}
-	if err := p.roundTrip(ctx, c); err != nil {
-		// Drop, don't recycle: the writer may still hold the call.
-		return nil, err
-	}
-	outs := c.outs
-	status := c.status
+	status, outs := c.status, c.outs
 	putCall(c)
-	switch status {
-	case statusOK:
-		return outs, nil
-	case statusRetryLater:
-		return nil, fmt.Errorf("kvstore: MultiGet(%d keys): %w", len(keys), ErrRetryLater)
-	default:
-		return nil, fmt.Errorf("kvstore: server error on MultiGet(%d keys)", len(keys))
+	if status != statusOK {
+		return nil, statusErr(status, fmt.Sprintf("MultiGet(%d keys)", len(keys)))
 	}
+	return outs, nil
 }
 
-// MultiPut stores a whole batch of key/value pairs in one round trip.
-// Storage is best-effort per key; the first per-key refusal (e.g.
-// ErrTooLarge) is returned after the batch completes.
-func (cl *Client) MultiPut(keys []string, vals [][]byte) error {
+// MultiPut stores a whole batch of key/value pairs in one round trip
+// (see Put's buffer caveat). Storage is best-effort per key; the first
+// per-key refusal (e.g. ErrTooLarge) is returned after the batch
+// completes.
+func (cl *Client) MultiPut(ctx context.Context, keys []string, vals [][]byte) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("kvstore: MultiPut got %d keys, %d values", len(keys), len(vals))
 	}
@@ -1167,81 +1049,19 @@ func (cl *Client) MultiPut(keys []string, vals [][]byte) error {
 	if len(keys) > maxBatchLen {
 		return fmt.Errorf("kvstore: MultiPut batch %d exceeds %d keys", len(keys), maxBatchLen)
 	}
-	h, g, start := cl.opStart(opMultiPut)
-	err := cl.multiPutRaw(context.Background(), keys, vals)
-	if h != nil {
-		opDone(h, g, start)
-	}
-	return err
-}
-
-// MultiPutContext is MultiPut with cancellation, deadline propagation
-// and shed retry (see GetContext and PutContext's buffer caveat).
-func (cl *Client) MultiPutContext(ctx context.Context, keys []string, vals [][]byte) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("kvstore: MultiPut got %d keys, %d values", len(keys), len(vals))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if len(keys) > maxBatchLen {
-		return fmt.Errorf("kvstore: MultiPut batch %d exceeds %d keys", len(keys), maxBatchLen)
-	}
-	h, g, start := cl.opStart(opMultiPut)
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = cl.multiPutRaw(ctx, keys, vals)
-		if !errors.Is(err, ErrRetryLater) || attempt >= retryAttempts {
-			break
-		}
-		cl.noteRetry()
-		if serr := sleepCtx(ctx, retryDelay(attempt)); serr != nil {
-			err = serr
-			break
-		}
-	}
-	if h != nil {
-		opDone(h, g, start)
-	}
-	return err
-}
-
-func (cl *Client) multiPutRaw(ctx context.Context, keys []string, vals [][]byte) error {
-	p, err := cl.conn(&cl.batch)
+	c, err := cl.do(ctx, request{op: opMultiPut, keys: keys, vals: vals})
 	if err != nil {
 		return err
 	}
-	c := getCall(opMultiPut)
-	c.keys, c.vals = keys, vals
-	if d, ok := ctx.Deadline(); ok {
-		c.expiry = d
-	}
-	if err := p.roundTrip(ctx, c); err != nil {
-		// Drop, don't recycle: the writer may still hold the call.
-		return err
-	}
-	statuses := c.statuses
-	status := c.status
+	status, statuses := c.status, c.statuses
 	putCall(c)
-	switch status {
-	case statusOK:
-	case statusRetryLater:
-		return fmt.Errorf("kvstore: MultiPut(%d keys): %w", len(keys), ErrRetryLater)
-	default:
-		return fmt.Errorf("kvstore: server error on MultiPut(%d keys)", len(keys))
+	if status != statusOK {
+		return statusErr(status, fmt.Sprintf("MultiPut(%d keys)", len(keys)))
 	}
 	var firstErr error
 	for i, st := range statuses {
-		if st == statusOK {
-			continue
-		}
-		if st == statusTooLarge {
-			if ins := cl.ins.Load(); ins != nil {
-				ins.TooLarge.Inc()
-			}
-		}
-		if firstErr == nil {
-			firstErr = putStatusErr(st, keys[i])
+		if err := cl.putErr(st, keys[i]); firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -12,7 +13,9 @@ import (
 // KV-store alternative to the node-to-node distribution manager. Every
 // op goes to its key's shard and nowhere else. Batch ops group keys by
 // shard and fan the per-shard batches out concurrently, one round trip
-// per shard.
+// per shard. The methods take no context yet, so each shard call runs
+// under context.TODO(): no deadline, shed retries bounded by
+// retryAttempts.
 type Cluster struct {
 	clients []*Client
 
@@ -77,7 +80,9 @@ func NewCluster(addrs []string, conns int) (*Cluster, error) {
 func (c *Cluster) shardIndex(key string) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key)) // hash.Hash.Write never returns an error
-	return int(h.Sum32()) % len(c.clients)
+	// Reduce in uint32 first: on 32-bit platforms int(h.Sum32()) can be
+	// negative.
+	return int(h.Sum32() % uint32(len(c.clients)))
 }
 
 // Get fetches a key from its shard.
@@ -86,16 +91,13 @@ func (c *Cluster) Get(key string) ([]byte, bool, error) { return c.GetTraced(key
 // GetTraced is Get carrying a trace context onto the wire, so the
 // serving shard's span records the originating rank/iter.
 func (c *Cluster) GetTraced(key string, tctx obs.TraceCtx) ([]byte, bool, error) {
-	return c.clients[c.shardIndex(key)].GetTraced(key, tctx)
+	return c.clients[c.shardIndex(key)].Get(obs.WithTrace(context.TODO(), tctx), key)
 }
 
 // Put stores a key on its shard.
 func (c *Cluster) Put(key string, val []byte) error {
-	return c.clients[c.shardIndex(key)].Put(key, val)
+	return c.clients[c.shardIndex(key)].Put(context.TODO(), key, val)
 }
-
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return len(c.clients) }
 
 // MultiGet fetches a batch of keys: grouped by shard, fanned out
 // concurrently (one round trip per shard), reassembled in request
@@ -103,16 +105,12 @@ func (c *Cluster) Shards() int { return len(c.clients) }
 // empty) when present. When some — but not all — shard batches fail,
 // the healthy shards' values are returned alongside a *PartialError, so
 // tolerant callers keep what arrived.
-func (c *Cluster) MultiGet(keys []string) ([][]byte, error) { return c.MultiGetTraced(keys, 0) }
-
-// MultiGetTraced is MultiGet carrying a trace context onto the wire for
-// every shard batch (see GetTraced).
-func (c *Cluster) MultiGetTraced(keys []string, tctx obs.TraceCtx) ([][]byte, error) {
+func (c *Cluster) MultiGet(keys []string) ([][]byte, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
 	if len(c.clients) == 1 {
-		return c.clients[0].MultiGetTraced(keys, tctx)
+		return c.clients[0].MultiGet(context.TODO(), keys)
 	}
 	sc := c.scratch.Get().(*clusterScratch)
 	defer c.putScratch(sc)
@@ -132,7 +130,7 @@ func (c *Cluster) MultiGetTraced(keys []string, tctx obs.TraceCtx) ([][]byte, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vals, err := c.clients[s].MultiGetTraced(sc.keys[s], tctx)
+			vals, err := c.clients[s].MultiGet(context.TODO(), sc.keys[s])
 			if err != nil {
 				errs[s] = err
 				return
@@ -178,7 +176,7 @@ func (c *Cluster) MultiPut(keys []string, vals [][]byte) error {
 		return nil
 	}
 	if len(c.clients) == 1 {
-		return c.clients[0].MultiPut(keys, vals)
+		return c.clients[0].MultiPut(context.TODO(), keys, vals)
 	}
 	sc := c.scratch.Get().(*clusterScratch)
 	defer c.putScratch(sc)
@@ -197,7 +195,7 @@ func (c *Cluster) MultiPut(keys []string, vals [][]byte) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[s] = cl.MultiPut(sc.keys[s], sc.vals[s])
+			errs[s] = cl.MultiPut(context.TODO(), sc.keys[s], sc.vals[s])
 		}()
 	}
 	wg.Wait()
@@ -227,7 +225,7 @@ func (c *Cluster) putScratch(sc *clusterScratch) {
 func (c *Cluster) Stats() (Stats, error) {
 	var total Stats
 	for _, cl := range c.clients {
-		st, err := cl.Stats()
+		st, err := cl.Stats(context.TODO())
 		if err != nil {
 			return Stats{}, err
 		}

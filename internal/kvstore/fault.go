@@ -14,7 +14,6 @@ type FaultOps uint8
 const (
 	FaultGet FaultOps = 1 << iota
 	FaultPut
-	FaultDelete
 	FaultMultiGet
 	FaultMultiPut
 )
@@ -29,8 +28,6 @@ func (o FaultOps) matches(op byte) bool {
 		return o&FaultGet != 0
 	case opPut:
 		return o&FaultPut != 0
-	case opDelete:
-		return o&FaultDelete != 0
 	case opMultiGet:
 		return o&FaultMultiGet != 0
 	case opMultiPut:

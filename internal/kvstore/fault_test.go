@@ -12,10 +12,10 @@ func TestFaultOpsScoping(t *testing.T) {
 
 	// Error every Get; Puts must pass untouched.
 	s.SetFault(FaultConfig{ErrRate: 1, Ops: FaultGet})
-	if err := c.Put("k", []byte("v")); err != nil {
+	if err := c.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatalf("Put under Get-scoped fault: %v", err)
 	}
-	if _, _, err := c.Get("k"); err == nil {
+	if _, _, err := c.Get(bg, "k"); err == nil {
 		t.Fatal("Get-scoped fault did not fire")
 	}
 	errs, drops := s.FaultCounts()
@@ -25,17 +25,17 @@ func TestFaultOpsScoping(t *testing.T) {
 
 	// Clear: both ops healthy again.
 	s.SetFault(FaultConfig{})
-	if v, found, err := c.Get("k"); err != nil || !found || string(v) != "v" {
+	if v, found, err := c.Get(bg, "k"); err != nil || !found || string(v) != "v" {
 		t.Fatalf("Get after clearing fault = %q, %v, %v", v, found, err)
 	}
 
 	// Zero Ops mask matches all data ops.
 	s.SetFault(FaultConfig{ErrRate: 1})
-	if err := c.Put("k2", []byte("v")); err == nil {
+	if err := c.Put(bg, "k2", []byte("v")); err == nil {
 		t.Fatal("all-ops fault did not hit Put")
 	}
 	// Stats is always exempt: monitoring survives chaos.
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.Stats(bg); err != nil {
 		t.Fatalf("Stats under all-ops fault: %v", err)
 	}
 }
@@ -43,22 +43,22 @@ func TestFaultOpsScoping(t *testing.T) {
 func TestFaultErrorVisibleToV2Batches(t *testing.T) {
 	s := testServer(t, 1<<20)
 	c := testClient(t, s)
-	if err := c.Put("a", []byte("1")); err != nil {
+	if err := c.Put(bg, "a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 
 	s.SetFault(FaultConfig{ErrRate: 1, Ops: FaultMultiGet | FaultMultiPut})
-	if _, err := c.MultiGet([]string{"a", "b"}); err == nil {
+	if _, err := c.MultiGet(bg, []string{"a", "b"}); err == nil {
 		t.Fatal("injected MultiGet error not surfaced")
 	}
-	if err := c.MultiPut([]string{"x"}, [][]byte{[]byte("y")}); err == nil {
+	if err := c.MultiPut(bg, []string{"x"}, [][]byte{[]byte("y")}); err == nil {
 		t.Fatal("injected MultiPut error not surfaced")
 	}
 
 	// Framing must survive the injected error: the same connection keeps
 	// answering once the fault clears.
 	s.SetFault(FaultConfig{})
-	v, found, err := c.Get("a")
+	v, found, err := c.Get(bg, "a")
 	if err != nil || !found || string(v) != "1" {
 		t.Fatalf("connection desynced after injected batch error: %q, %v, %v", v, found, err)
 	}
@@ -67,13 +67,13 @@ func TestFaultErrorVisibleToV2Batches(t *testing.T) {
 func TestFaultDropAndRedial(t *testing.T) {
 	s := testServer(t, 1<<20)
 	c := testClient(t, s)
-	if err := c.Put("k", []byte("v")); err != nil {
+	if err := c.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 
 	// Every request severs the connection: ops fail.
 	s.SetFault(FaultConfig{DropRate: 1})
-	if _, _, err := c.Get("k"); err == nil {
+	if _, _, err := c.Get(bg, "k"); err == nil {
 		t.Fatal("dropped connection reported success")
 	}
 	if _, drops := s.FaultCounts(); drops == 0 {
@@ -84,7 +84,7 @@ func TestFaultDropAndRedial(t *testing.T) {
 	// without being rebuilt.
 	s.SetFault(FaultConfig{})
 	eventually(t, "Get after drops cleared", func() error {
-		v, found, err := c.Get("k")
+		v, found, err := c.Get(bg, "k")
 		if err == nil && (!found || string(v) != "v") {
 			err = fmt.Errorf("Get = %q, %v", v, found)
 		}
@@ -95,15 +95,15 @@ func TestFaultDropAndRedial(t *testing.T) {
 	// lane keeps serving while batches fail.
 	before := laneConns(&c.batch)
 	s.SetFault(FaultConfig{DropRate: 1, Ops: FaultMultiGet})
-	if _, err := c.MultiGet([]string{"k"}); err == nil {
+	if _, err := c.MultiGet(bg, []string{"k"}); err == nil {
 		t.Fatal("dropped batch connection reported success")
 	}
-	if v, found, err := c.Get("k"); err != nil || !found || string(v) != "v" {
+	if v, found, err := c.Get(bg, "k"); err != nil || !found || string(v) != "v" {
 		t.Fatalf("Get while the batch lane drops = %q, %v, %v", v, found, err)
 	}
 	s.SetFault(FaultConfig{})
 	multiGet := func() error {
-		vals, err := c.MultiGet([]string{"k"})
+		vals, err := c.MultiGet(bg, []string{"k"})
 		if err == nil && string(vals[0]) != "v" {
 			err = fmt.Errorf("MultiGet = %q", vals)
 		}
@@ -147,7 +147,7 @@ func TestFaultLagDelays(t *testing.T) {
 	c := testClient(t, s)
 	s.SetFault(FaultConfig{Lag: 20 * time.Millisecond, Ops: FaultGet})
 	start := time.Now()
-	if _, _, err := c.Get("k"); err != nil {
+	if _, _, err := c.Get(bg, "k"); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
@@ -176,7 +176,7 @@ func TestGetDoesNotQueueBehindMultiGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Close)
-	if err := c.Put("k", []byte("v")); err != nil {
+	if err := c.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	s.SetFault(FaultConfig{Lag: lag, Ops: FaultMultiGet})
@@ -186,7 +186,9 @@ func TestGetDoesNotQueueBehindMultiGet(t *testing.T) {
 		multiGet func([]string) ([][]byte, error)
 		get      func(string) ([]byte, bool, error)
 	}{
-		{"client", c.MultiGet, c.Get},
+		{"client",
+			func(keys []string) ([][]byte, error) { return c.MultiGet(bg, keys) },
+			func(key string) ([]byte, bool, error) { return c.Get(bg, key) }},
 		{"cluster", cluster.MultiGet, cluster.Get},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -39,13 +39,13 @@ func FuzzHandleFrame(f *testing.F) {
 	// Three pipelined frames: the third is shed and drained.
 	f.Add(bytes.Join([][]byte{
 		frame(flagTrace, opPut, tctx, chunk("k"), chunk("v")),
-		frame(flagDeadline|flagTrace, opDelete, budget, tctx, chunk("k"), u32(0)),
+		frame(flagDeadline|flagTrace, opGet, budget, tctx, chunk("k"), u32(0)),
 		frame(flagDeadline, opMultiPut, budget, u32(2), chunk("a"), chunk("1"), chunk("b"), chunk("2")),
 	}, nil))
 	f.Add(frame(1<<2, opGet, chunk("key"), u32(0)))                 // unknown flag bit
 	f.Add(append([]byte{0xA2, opGet}, u32(7)...))                   // retired magic
 	f.Add(frame(flagDeadline, opMultiGet, budget, u32(0xFFFFFFFF))) // hostile count
-	f.Add(frame(0, 0x7F))                                           // unknown op
+	f.Add(frame(0, 3, chunk("key"), u32(0)))                        // retired delete op
 	f.Add(get[:6])                                                  // truncated header
 	f.Add([]byte{})
 	st := newStore(1<<20, 4)
@@ -203,10 +203,10 @@ func FuzzServerRoundTrip(f *testing.F) {
 		if len(key) > maxKeyLen || len(val) > 1<<15 {
 			return
 		}
-		if err := c.Put(key, val); err != nil {
+		if err := c.Put(bg, key, val); err != nil {
 			t.Fatal(err)
 		}
-		got, found, err := c.Get(key)
+		got, found, err := c.Get(bg, key)
 		if err != nil || !found {
 			t.Fatalf("Get(%q) = %v %v", key, found, err)
 		}

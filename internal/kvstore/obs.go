@@ -16,15 +16,14 @@ import (
 type ClientInstruments struct {
 	GetSeconds      *obs.Histogram
 	PutSeconds      *obs.Histogram
-	DeleteSeconds   *obs.Histogram
 	StatsSeconds    *obs.Histogram
 	MultiGetSeconds *obs.Histogram
 	MultiPutSeconds *obs.Histogram
 	InFlight        *obs.Gauge
 	Redials         *obs.Counter
 	TooLarge        *obs.Counter
-	// RetryLater counts server sheds (statusRetryLater) seen by the
-	// context ops' retry loop — each increment is one backoff+retry.
+	// RetryLater counts server sheds (statusRetryLater) absorbed by the
+	// ops' retry loop — each increment is one backoff+retry.
 	RetryLater *obs.Counter
 }
 
@@ -52,7 +51,6 @@ func NewClientInstruments(reg *obs.Registry, shard string) *ClientInstruments {
 	return &ClientInstruments{
 		GetSeconds:      hist("get"),
 		PutSeconds:      hist("put"),
-		DeleteSeconds:   hist("delete"),
 		StatsSeconds:    hist("stats"),
 		MultiGetSeconds: hist("multiget"),
 		MultiPutSeconds: hist("multiput"),
@@ -74,8 +72,6 @@ func (ci *ClientInstruments) opSeconds(op byte) *obs.Histogram {
 		return ci.GetSeconds
 	case opPut:
 		return ci.PutSeconds
-	case opDelete:
-		return ci.DeleteSeconds
 	case opMultiGet:
 		return ci.MultiGetSeconds
 	case opMultiPut:

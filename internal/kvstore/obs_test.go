@@ -16,17 +16,17 @@ func TestClientInstruments(t *testing.T) {
 	ins := NewClientInstruments(reg, "0")
 	c.SetInstruments(ins)
 
-	if err := c.Put("k", []byte("v")); err != nil {
+	if err := c.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get("k"); err != nil {
+	if _, _, err := c.Get(bg, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("big", make([]byte, 100)); err == nil {
+	if err := c.Put(bg, "big", make([]byte, 100)); err == nil {
 		t.Fatal("oversized Put must fail")
 	}
-	_ = c.MultiPut([]string{"a", "big2"}, [][]byte{[]byte("x"), make([]byte, 100)})
-	if _, err := c.MultiGet([]string{"a", "k"}); err != nil {
+	_ = c.MultiPut(bg, []string{"a", "big2"}, [][]byte{[]byte("x"), make([]byte, 100)})
+	if _, err := c.MultiGet(bg, []string{"a", "k"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,13 +100,13 @@ func TestInstrumentServer(t *testing.T) {
 	reg := obs.NewRegistry()
 	InstrumentServer(reg, s)
 	c := testClient(t, s)
-	if err := c.Put("k", []byte("v")); err != nil {
+	if err := c.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get("k"); err != nil {
+	if _, _, err := c.Get(bg, "k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get("missing"); err != nil {
+	if _, _, err := c.Get(bg, "missing"); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

@@ -136,7 +136,7 @@ func runOverloadBench(t *testing.T, sc overloadScale) (overloadReport, benchEnv)
 	const keys = 256
 	val := make([]byte, 64)
 	for i := 0; i < keys; i++ {
-		if err := cl.Put(benchKey(i), val); err != nil {
+		if err := cl.Put(bg, benchKey(i), val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func runOverloadBench(t *testing.T, sc overloadScale) (overloadReport, benchEnv)
 	// pressure — the ceiling the overload phases are judged against.
 	var satOps atomic.Uint64
 	runPhase(sc.phase, sc.maxInFlight, func(w, i int) {
-		_, _, err := cl.Get(benchKey((w*31 + i) % keys))
+		_, _, err := cl.Get(bg, benchKey((w*31+i)%keys))
 		if err == nil {
 			satOps.Add(1)
 		}
@@ -179,7 +179,7 @@ func runOverloadBench(t *testing.T, sc overloadScale) (overloadReport, benchEnv)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), sc.opDeadline)
 			start := time.Now()
-			_, _, err := cl.GetContext(ctx, benchKey((w*31+i)%keys))
+			_, _, err := cl.Get(ctx, benchKey((w*31+i)%keys))
 			cancel()
 			switch {
 			case err == nil:

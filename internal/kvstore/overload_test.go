@@ -24,41 +24,42 @@ func testServerOptions(t *testing.T, opts ServerOptions) *Server {
 	return s
 }
 
-// TestAdmissionQuotaShed arms only the per-connection token bucket and
-// checks the shed surfaces as ErrRetryLater on the plain (retry-free)
-// ops, and that Stats — exempt from the gate on the same connection —
-// counts it.
+// TestAdmissionQuotaShed arms only the per-connection token bucket:
+// with no token coming back for 10s, every attempt of an op is shed, so
+// the op gives up after retryAttempts retries with ErrRetryLater, and
+// Stats — exempt from the gate on the same connection — counts each
+// attempt.
 func TestAdmissionQuotaShed(t *testing.T) {
 	s := testServerOptions(t, ServerOptions{
 		Capacity: 1 << 20,
-		// One token, refilled every 10s: the first data op spends it,
-		// the second is shed deterministically.
+		// One token, refilled every 10s: the first data op spends it.
 		Admission: AdmissionConfig{QuotaRate: 0.1, QuotaBurst: 1},
 	})
-	cl, err := NewClient(s.Addr(), 1) // one conn = one bucket
+	cl, err := NewClient(s.Addr(), 1) // one conn per lane = one bucket
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Put("k", []byte("v")); err != nil {
+	if err := cl.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatalf("first op should be admitted: %v", err)
 	}
-	_, _, err = cl.Get("k")
+	_, _, err = cl.Get(bg, "k")
 	if !errors.Is(err, ErrRetryLater) {
 		t.Fatalf("second op: err = %v, want ErrRetryLater", err)
 	}
-	// Stats is exempt from the quota gate and reports the shed.
-	st, err := cl.Stats()
+	st, err := cl.Stats(bg)
 	if err != nil {
 		t.Fatalf("stats must be exempt from admission: %v", err)
 	}
-	if st.ShedQuota != 1 {
-		t.Fatalf("ShedQuota = %d, want 1", st.ShedQuota)
+	if st.ShedQuota != retryAttempts+1 {
+		t.Fatalf("ShedQuota = %d, want %d", st.ShedQuota, retryAttempts+1)
 	}
 }
 
 // TestAdmissionQueueShed fills the in-flight gate with slow requests
-// and checks the overflow is shed, not queued without bound.
+// and checks the overflow is shed, not queued without bound. The
+// client retries each shed, so an op either ends up served or gives up
+// with ErrRetryLater; the shard's counter shows the sheds.
 func TestAdmissionQueueShed(t *testing.T) {
 	s := testServerOptions(t, ServerOptions{
 		Capacity:  1 << 20,
@@ -73,32 +74,26 @@ func TestAdmissionQueueShed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := cl.Get("missing")
+			_, _, err := cl.Get(bg, "missing")
 			errs <- err
 		}()
 	}
 	defer wg.Wait()
-	sheds := 0
 	for i := 0; i < n; i++ {
-		if err := <-errs; errors.Is(err, ErrRetryLater) {
-			sheds++
-		} else if err != nil {
+		if err := <-errs; err != nil && !errors.Is(err, ErrRetryLater) {
 			t.Fatalf("unexpected error: %v", err)
 		}
 	}
-	if sheds == 0 {
-		t.Fatal("no request was shed at a 1-slot gate with 8 concurrent ops")
-	}
-	st, err := cl.Stats()
+	st, err := cl.Stats(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ShedQueue == 0 {
-		t.Fatalf("ShedQueue = 0 after %d sheds", sheds)
+		t.Fatal("no request was shed at a 1-slot gate with 8 concurrent ops")
 	}
 	// The shed path must preserve framing: the connection still works.
 	s.SetFault(FaultConfig{})
-	if err := cl.Put("after", []byte("ok")); err != nil {
+	if err := cl.Put(bg, "after", []byte("ok")); err != nil {
 		t.Fatalf("connection unhealthy after sheds: %v", err)
 	}
 }
@@ -118,18 +113,18 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = cl.Get("occupier") // holds the slot for the lag
+		_, _, _ = cl.Get(bg, "occupier") // holds the slot for the lag
 	}()
 	time.Sleep(10 * time.Millisecond) // let the occupier take the slot
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := cl.GetContext(ctx, "deadlined")
+	_, _, err := cl.Get(ctx, "deadlined")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	wg.Wait()
 	s.SetFault(FaultConfig{})
-	st, err := cl.Stats()
+	st, err := cl.Stats(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +147,8 @@ func TestDeadlineAndTraceInOneFrame(t *testing.T) {
 	occupier, traced := testClient(t, s), testClient(t, s)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if st, _, err := traced.doRaw(ctx, opGet, "k", nil, obs.NewTraceCtx(3, 1, 6)); err != nil || st != statusNotFound {
-		t.Fatalf("admitted traced Get = status %d, %v", st, err)
+	if _, found, err := traced.Get(obs.WithTrace(ctx, obs.NewTraceCtx(3, 1, 6)), "k"); err != nil || found {
+		t.Fatalf("admitted traced Get = %v, %v; want a miss", found, err)
 	}
 
 	s.SetFault(FaultConfig{Lag: 200 * time.Millisecond})
@@ -161,16 +156,16 @@ func TestDeadlineAndTraceInOneFrame(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = occupier.Get("occupier") // holds the only slot for the lag
+		_, _, _ = occupier.Get(bg, "occupier") // holds the only slot for the lag
 	}()
 	for s.QueueDepth() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	st, _, err := traced.doRaw(ctx, opGet, "k", nil, obs.NewTraceCtx(3, 1, 7))
-	if err == nil && st != statusRetryLater || err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued traced Get = status %d, %v; want a shed or DeadlineExceeded", st, err)
+	_, _, err := traced.Get(obs.WithTrace(ctx, obs.NewTraceCtx(3, 1, 7)), "k")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued traced Get = %v, want DeadlineExceeded", err)
 	}
 	wg.Wait()
 	if got := s.Stats().ShedDeadline; got != 1 {
@@ -189,47 +184,76 @@ func TestDeadlineAndTraceInOneFrame(t *testing.T) {
 	}
 }
 
-// TestClientRetryAfterShed checks the context ops absorb a shed with
-// backoff: a 1-token bucket refilling fast enough sheds the second op
-// once, then the retry succeeds.
-func TestClientRetryAfterShed(t *testing.T) {
+// TestClientRetriesShed checks every verb absorbs a server shed. Each
+// case runs its verb twice on a fresh one-connection lane whose 1-token
+// bucket refills every 50ms: the first call spends the token, the
+// second is shed, backs off until the refill and returns the right
+// value, counted on lobster_kvstore_client_retries_total. Stats is
+// exempt from the gate: it is never shed and never retried.
+func TestClientRetriesShed(t *testing.T) {
 	s := testServerOptions(t, ServerOptions{
-		Capacity: 1 << 20,
-		// 200 tokens/sec = one fresh token every 5ms; burst 1.
-		Admission: AdmissionConfig{QuotaRate: 200, QuotaBurst: 1},
+		Capacity:  1 << 20,
+		Admission: AdmissionConfig{QuotaRate: 20, QuotaBurst: 1},
 	})
-	cl, err := NewClient(s.Addr(), 1)
+	seed, err := NewClient(s.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if err := cl.Put("k", []byte("v")); err != nil {
+	defer seed.Close()
+	if err := seed.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	v, found, err := cl.GetContext(ctx, "k")
-	if err != nil || !found || string(v) != "v" {
-		t.Fatalf("GetContext after shed = %q, %v, %v; want v, true, nil", v, found, err)
-	}
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ShedQuota == 0 {
-		t.Fatal("ShedQuota = 0: the retry path was never exercised")
-	}
-
-	// Batch ops retry too.
-	if err := cl.MultiPutContext(ctx, []string{"a", "b"}, [][]byte{[]byte("1"), []byte("2")}); err != nil {
-		t.Fatalf("MultiPutContext: %v", err)
-	}
-	vals, err := cl.MultiGetContext(ctx, []string{"a", "b", "absent"})
-	if err != nil {
-		t.Fatalf("MultiGetContext: %v", err)
-	}
-	if string(vals[0]) != "1" || string(vals[1]) != "2" || vals[2] != nil {
-		t.Fatalf("MultiGetContext values = %q", vals)
+	for _, tc := range []struct {
+		verb string
+		run  func(cl *Client) error // one call, checking its result
+	}{
+		{"Get", func(cl *Client) error {
+			v, found, err := cl.Get(bg, "k")
+			if err == nil && (!found || string(v) != "v") {
+				err = fmt.Errorf("Get = %q, %v; want v, true", v, found)
+			}
+			return err
+		}},
+		{"Put", func(cl *Client) error { return cl.Put(bg, "p", []byte("1")) }},
+		{"MultiGet", func(cl *Client) error {
+			vals, err := cl.MultiGet(bg, []string{"k", "absent"})
+			if err == nil && (string(vals[0]) != "v" || vals[1] != nil) {
+				err = fmt.Errorf("MultiGet = %q; want [v <nil>]", vals)
+			}
+			return err
+		}},
+		{"MultiPut", func(cl *Client) error {
+			return cl.MultiPut(bg, []string{"a", "b"}, [][]byte{[]byte("1"), []byte("2")})
+		}},
+	} {
+		t.Run(tc.verb, func(t *testing.T) {
+			cl, err := NewClient(s.Addr(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ins := NewClientInstruments(obs.NewRegistry(), "0")
+			cl.SetInstruments(ins)
+			for i := 0; i < 2; i++ {
+				if err := tc.run(cl); err != nil {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			retries := ins.RetryLater.Value()
+			if retries == 0 {
+				t.Fatal("retries = 0: the second call was never shed")
+			}
+			st, err := cl.Stats(bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ShedQuota < retries {
+				t.Fatalf("ShedQuota = %d, fewer than the %d retries", st.ShedQuota, retries)
+			}
+			if got := ins.RetryLater.Value(); got != retries {
+				t.Fatalf("Stats was retried: retries %d -> %d", retries, got)
+			}
+		})
 	}
 }
 
@@ -240,7 +264,7 @@ func TestClientRetryAfterShed(t *testing.T) {
 func TestClientContextCancelMidPipeline(t *testing.T) {
 	s := testServer(t, 1<<20)
 	cl := testClient(t, s)
-	if err := cl.Put("k", []byte("v")); err != nil {
+	if err := cl.Put(bg, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	s.SetFault(FaultConfig{Lag: 2 * time.Millisecond})
@@ -259,20 +283,20 @@ func TestClientContextCancelMidPipeline(t *testing.T) {
 				ctx, cancel := context.WithTimeout(context.Background(), d)
 				switch i % 3 {
 				case 0:
-					_, _, err := cl.GetContext(ctx, "k")
+					_, _, err := cl.Get(ctx, "k")
 					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-						t.Errorf("GetContext: %v", err)
+						t.Errorf("Get: %v", err)
 					}
 				case 1:
 					key := fmt.Sprintf("w/%d/%d", g, i)
-					err := cl.PutContext(ctx, key, []byte(key))
+					err := cl.Put(ctx, key, []byte(key))
 					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-						t.Errorf("PutContext: %v", err)
+						t.Errorf("Put: %v", err)
 					}
 				case 2:
-					_, err := cl.MultiGetContext(ctx, []string{"k", "absent"})
+					_, err := cl.MultiGet(ctx, []string{"k", "absent"})
 					if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-						t.Errorf("MultiGetContext: %v", err)
+						t.Errorf("MultiGet: %v", err)
 					}
 				}
 				cancel()
@@ -285,10 +309,10 @@ func TestClientContextCancelMidPipeline(t *testing.T) {
 	// recycles cleanly and values round-trip uncorrupted.
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("post/%d", i)
-		if err := cl.Put(key, []byte(key)); err != nil {
+		if err := cl.Put(bg, key, []byte(key)); err != nil {
 			t.Fatalf("post-cancel Put: %v", err)
 		}
-		v, found, err := cl.Get(key)
+		v, found, err := cl.Get(bg, key)
 		if err != nil || !found || string(v) != key {
 			t.Fatalf("post-cancel Get(%q) = %q, %v, %v", key, v, found, err)
 		}
@@ -309,10 +333,8 @@ func TestWriteLoopFlushesAfterDiscardedCall(t *testing.T) {
 	}
 	p := newPipeConn(conn, 0)
 	defer p.shutdown(ErrClientClosed)
-	live := getCall(opGet)
-	live.key = "absent"
-	spent := getCall(opGet)
-	spent.key = "absent"
+	live := getCall(request{op: opGet, key: "absent"})
+	spent := getCall(request{op: opGet, key: "absent"})
 	spent.expiry = time.Now().Add(-time.Second)
 	for _, c := range []*call{live, spent} {
 		if err := p.register(c); err != nil {
@@ -360,9 +382,9 @@ func testClusterServers(t *testing.T, n int) ([]*Server, []string) {
 // test can guarantee fan-out coverage of every shard.
 func clusterKeysFor(t *testing.T, c *Cluster, numPer int) []string {
 	t.Helper()
-	per := make([]int, c.Shards())
+	per := make([]int, len(c.clients))
 	var keys []string
-	for i := 0; len(keys) < numPer*c.Shards(); i++ {
+	for i := 0; len(keys) < numPer*len(c.clients); i++ {
 		key := fmt.Sprintf("sample/%d", i)
 		if s := c.shardIndex(key); per[s] < numPer {
 			per[s]++

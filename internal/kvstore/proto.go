@@ -7,11 +7,12 @@ import (
 	"sync"
 )
 
-// Protocol ops.
+// Protocol ops. Byte 3, the retired delete op, is unknown to the
+// server like any other unlisted byte.
 const (
 	opGet byte = iota + 1
 	opPut
-	opDelete
+	_
 	opStats
 	opMultiGet
 	opMultiPut
@@ -73,9 +74,9 @@ const (
 var ErrTooLarge = errors.New("kvstore: value exceeds shard capacity")
 
 // ErrRetryLater is returned when the server sheds a request at
-// admission (statusRetryLater) and the retry budget — if any — is
-// exhausted. The context-carrying client ops retry it internally with
-// jittered exponential backoff; the plain ops surface it immediately.
+// admission (statusRetryLater) and the retry budget is exhausted: every
+// client op retries a shed with jittered exponential backoff until its
+// context or retryAttempts runs out.
 var ErrRetryLater = errors.New("kvstore: server overloaded, retry later")
 
 // errFrame is the generic malformed-frame error; connections carrying a

@@ -51,20 +51,10 @@ type Server struct {
 // admission bound: striping splits the capacity, so the largest
 // admissible value is capacity / Stripes(), not capacity — larger puts
 // are refused with ErrTooLarge and counted in Stats.TooLarge. Size the
-// capacity (or pick an explicit stripe count via NewServerStriped) so
-// the per-stripe budget comfortably exceeds the largest value stored.
+// capacity (or pick an explicit ServerOptions.Stripes) so the
+// per-stripe budget comfortably exceeds the largest value stored.
 func NewServer(addr string, capacity int64) (*Server, error) {
-	return NewServerStriped(addr, capacity, 0)
-}
-
-// NewServerStriped is NewServer with an explicit LRU stripe count
-// (rounded down to a power of two; <= 0 selects automatically). One
-// stripe reproduces the exact global-LRU eviction order of an unstriped
-// store; more stripes trade that for concurrency, with the byte budget
-// — and therefore the largest admissible value and the eviction
-// pressure — split evenly per stripe.
-func NewServerStriped(addr string, capacity int64, stripes int) (*Server, error) {
-	return NewServerOptions(addr, ServerOptions{Capacity: capacity, Stripes: stripes})
+	return NewServerOptions(addr, ServerOptions{Capacity: capacity})
 }
 
 // ServerOptions configures a shard beyond its capacity: LRU striping
@@ -72,8 +62,12 @@ func NewServerStriped(addr string, capacity int64, stripes int) (*Server, error)
 type ServerOptions struct {
 	// Capacity is the shard's byte budget (required, > 0).
 	Capacity int64
-	// Stripes is the LRU stripe count (<= 0 auto-sizes; see
-	// NewServerStriped).
+	// Stripes is the LRU stripe count, rounded down to a power of two
+	// (<= 0 auto-sizes). One stripe reproduces the exact global-LRU
+	// eviction order of an unstriped store; more stripes trade that for
+	// concurrency, with the byte budget — and therefore the largest
+	// admissible value and the eviction pressure — split evenly per
+	// stripe.
 	Stripes int
 	// Admission configures deadline-aware load shedding, per-connection
 	// quotas and the bounded in-flight gate. The zero value disables

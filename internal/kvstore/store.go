@@ -164,17 +164,6 @@ func (st *store) put(key []byte, val []byte) byte {
 	return statusOK
 }
 
-func (st *store) delete(key []byte) {
-	sp := st.stripeFor(key)
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if e, ok := sp.items[string(key)]; ok {
-		sp.remove(e)
-		delete(sp.items, e.key)
-		sp.used -= int64(len(e.val))
-	}
-}
-
 // stats aggregates the counters across stripes.
 func (st *store) stats() Stats {
 	var total Stats
@@ -320,7 +309,7 @@ func (st *store) handleFrame(r *bufio.Reader, w *bufio.Writer, q *connQuota, tid
 		writeResponse(w, op, id, statusOK, buf.b)
 		putBuf(buf)
 		return nil
-	case opGet, opPut, opDelete:
+	case opGet, opPut:
 	case opMultiGet, opMultiPut:
 		if count, err = readLen(r, maxBatchLen); err != nil {
 			return err
@@ -406,9 +395,6 @@ func (st *store) handleFrame(r *bufio.Reader, w *bufio.Writer, q *connQuota, tid
 			}
 		case opPut:
 			writeResponse(w, op, id, st.put(key.b, val), nil)
-		case opDelete:
-			st.delete(key.b)
-			writeResponse(w, op, id, statusOK, nil)
 		}
 	}
 	return nil
@@ -422,8 +408,6 @@ func opTraceName(op byte) string {
 		return "kv.get"
 	case opPut:
 		return "kv.put"
-	case opDelete:
-		return "kv.delete"
 	case opMultiGet:
 		return "kv.multiget"
 	case opMultiPut:

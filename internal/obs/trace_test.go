@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -172,5 +173,23 @@ func TestTraceRingConcurrentScrape(t *testing.T) {
 	scrapeWG.Wait()
 	if tr.Len() != 256 {
 		t.Fatalf("ring holds %d events, want full 256", tr.Len())
+	}
+}
+
+// TestWithTraceRoundTrip checks a TraceCtx rides a context.Context: a
+// valid one comes back out, and a zero one leaves ctx itself in place.
+func TestWithTraceRoundTrip(t *testing.T) {
+	bg := context.Background()
+	if got := TraceFrom(bg); got != 0 {
+		t.Fatalf("TraceFrom(Background) = %#x, want 0", got)
+	}
+	if WithTrace(bg, 0) != bg {
+		t.Fatal("WithTrace with a zero trace wrapped ctx")
+	}
+	tc := NewTraceCtx(3, 1, 7)
+	ctx, cancel := context.WithCancel(WithTrace(bg, tc))
+	defer cancel()
+	if got := TraceFrom(ctx); got != tc {
+		t.Fatalf("TraceFrom = %#x, want %#x", got, tc)
 	}
 }

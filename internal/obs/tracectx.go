@@ -1,5 +1,7 @@
 package obs
 
+import "context"
+
 // TraceCtx is the compact trace context threaded through the data path
 // so a stall observed deep in the stack — a preproc queue wait, a peer
 // fetch, a kvstore op on another machine — can be attributed back to
@@ -62,3 +64,22 @@ func (c TraceCtx) Epoch() int { return int((c >> 32) & (1<<15 - 1)) }
 
 // Iter returns the originating global iteration index.
 func (c TraceCtx) Iter() int64 { return int64(uint32(c)) }
+
+// traceKey is the context key WithTrace stores a TraceCtx under.
+type traceKey struct{}
+
+// WithTrace returns ctx carrying t, so a call that takes a context (a kv
+// op) sends the trace with its deadline. A zero t returns ctx itself:
+// untraced calls allocate nothing.
+func WithTrace(ctx context.Context, t TraceCtx) context.Context {
+	if !t.Valid() {
+		return ctx
+	}
+	return context.WithValue(ctx, traceKey{}, t)
+}
+
+// TraceFrom returns the TraceCtx ctx carries, or zero when it has none.
+func TraceFrom(ctx context.Context) TraceCtx {
+	t, _ := ctx.Value(traceKey{}).(TraceCtx)
+	return t
+}

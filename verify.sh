@@ -6,7 +6,8 @@
 #                        (plus go vet of internal/runtime and
 #                        internal/preproc there), so the clock's non-linux
 #                        fallback and the decode checksum's portable file
-#                        are built on every gate
+#                        are built on every gate; the kvstore tests also
+#                        run as 386, where int is 32 bits
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
 #   4. feed determinism — the prefetch feed, helper and loader
@@ -59,6 +60,9 @@ go build ./...
 
 echo "==> darwin/arm64 cross-build (clock fallback, portable checksum)"
 GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime ./internal/preproc
+
+echo "==> kvstore tests on 386 (32-bit int: shard routing, lane round-robin)"
+GOARCH=386 go test ./internal/kvstore
 
 echo "==> go vet ./..."
 go vet ./...
