@@ -2,34 +2,73 @@
 
 package preproc
 
-// useAVX2 selects the AVX2 block loop in bodySum. It is set once, from the
-// CPU's feature bits; only tests change it, to run both paths.
-var useAVX2 = hasAVX2()
+import "math"
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state:
-// CPUID leaf 1 ECX bit 27 (OSXSAVE), XCR0 bits 1 and 2 (XMM and YMM
-// state) and CPUID leaf 7 EBX bit 5 (AVX2).
-func hasAVX2() bool {
+// useAVX512 selects the one-pass AVX-512 block loop in decodeInto. It is
+// set once, from the CPU's feature bits; only tests change it, to run
+// both paths.
+var useAVX512 = hasAVX512VBMI()
+
+// hasAVX512VBMI reports whether the CPU has AVX512F, AVX512BW and
+// AVX512VBMI and the OS saves ZMM state: CPUID leaf 1 ECX bit 27
+// (OSXSAVE), XCR0 bits 1, 2, 5, 6 and 7 (XMM, YMM, opmask and both ZMM
+// halves), CPUID leaf 7 EBX bits 16 and 30 (AVX512F, AVX512BW) and ECX
+// bit 1 (AVX512VBMI).
+func hasAVX512VBMI() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
 	}
 	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 {
 		return false
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
 		return false
 	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	_, ebx, ecx, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0 && ebx&(1<<30) != 0 && ecx&(1<<1) != 0
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// sumBlocksAVX2 advances eight interleaved checksum chains over the whole
-// 64-byte blocks of body: acc[m] is the chain of word m of every block,
-// stepped by 31^64 per block (bodysum_amd64.s).
+// decodePlanes is decodeTable split into byte planes: plane k holds byte
+// k of each entry's bits, so four 256-byte lookups and an interleave
+// rebuild the float32 (bodysum_amd64.s).
+var decodePlanes = func() (planes [4][256]byte) {
+	for b, v := range &decodeTable {
+		bits := math.Float32bits(v)
+		for k := range planes {
+			planes[k][b] = byte(bits >> (8 * k))
+		}
+	}
+	return planes
+}()
+
+// blockOrder and flipOrder pre-order a block's bytes for the interleave:
+// the unpacks of a byte-plane lookup put index byte 16L+4q+d into dword
+// d of 128-bit lane L of output register q, so byte 16L+4q+d must be
+// body byte 16q+4L+d for the 64 floats to come out in order, or body
+// byte 63-(16q+4L+d) for them to come out reversed.
+var blockOrder, flipOrder = func() (in, rev [64]byte) {
+	for lane := 0; lane < 4; lane++ {
+		for q := 0; q < 4; q++ {
+			for d := 0; d < 4; d++ {
+				e := 16*q + 4*lane + d
+				in[16*lane+4*q+d] = byte(e)
+				rev[16*lane+4*q+d] = byte(63 - e)
+			}
+		}
+	}
+	return in, rev
+}()
+
+// decodeBlocksAVX512 is the decode kernel over the whole 64-byte blocks
+// of body, one load per block: it stores decodeTable[b]+jitter for every
+// byte b into dst (block k at dst[64k:], or, when flip is set, reversed
+// into the 64 floats that end 64k floats before the end of dst) and
+// advances acc[m], the checksum chain of word m of every block, by 31^64
+// per block (bodysum_amd64.s).
 //
 //go:noescape
-func sumBlocksAVX2(body []byte, acc *[8]uint64)
+func decodeBlocksAVX512(dst []float32, body []byte, jitter float32, flip bool, acc *[8]uint64)

@@ -2,9 +2,9 @@
 
 package preproc
 
-// useAVX2 is false off amd64: bodySum runs the portable word loop alone.
-var useAVX2 = false
+// useAVX512 is false off amd64: decodeInto runs the portable kernel alone.
+var useAVX512 = false
 
-func sumBlocksAVX2(body []byte, acc *[8]uint64) {
-	panic("preproc: AVX2 block loop called off amd64")
+func decodeBlocksAVX512(dst []float32, body []byte, jitter float32, flip bool, acc *[8]uint64) {
+	panic("preproc: AVX-512 block loop called off amd64")
 }

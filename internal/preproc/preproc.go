@@ -13,6 +13,7 @@ package preproc
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/dataset"
 )
@@ -21,9 +22,10 @@ import (
 type Tensor struct {
 	ID   dataset.SampleID
 	Data []float32
-	// Checksum is a fold of the decoded values, used by integration tests
-	// to verify end-to-end integrity (and to keep the compiler from
-	// eliding the decode work in benchmarks).
+	// Checksum is the chain sum = sum*31 + b over the payload body bytes
+	// (flip and jitter do not change it), used by integration tests to
+	// verify end-to-end integrity (and to keep the compiler from eliding
+	// the decode work in benchmarks).
 	Checksum uint64
 }
 
@@ -43,7 +45,7 @@ var decodeTable = func() (tab [256]float32) {
 
 // Decode turns a raw payload into a Tensor. It validates the payload
 // header (id + length), expands each body byte to a float32 through
-// decodeTable and folds the bytes into the checksum — streaming passes
+// decodeTable and folds the bytes into the checksum — a streaming pass
 // over the sample, the property JPEG decode has in the real pipeline.
 func Decode(payload []byte, want dataset.SampleID) (*Tensor, error) {
 	body, err := payloadBody(payload, want)
@@ -54,9 +56,13 @@ func Decode(payload []byte, want dataset.SampleID) (*Tensor, error) {
 	// them with PutTensor once the batch is consumed (DESIGN.md §12).
 	t := getTensor(len(body))
 	t.ID = want
-	t.Checksum = decodeInto(t.Data, body, &decodeTable, false)
+	t.Checksum = decodeInto(t.Data, body, noJitter, false)
 	return t, nil
 }
+
+// noJitter is -0, the float32 whose addition leaves every value's bits
+// as they are (adding +0 would turn a -0 into +0).
+var noJitter = math.Float32frombits(1 << 31)
 
 // Augment applies deterministic-by-seed augmentation in place: a random
 // horizontal flip and a brightness jitter, in one streaming pass over the
@@ -84,24 +90,18 @@ func augmentFlips(seed uint64) bool { return seed&1 == 1 }
 func augmentJitter(seed uint64) float32 { return float32((seed>>1)%100)/1000 - 0.05 }
 
 // decodeAugment is Decode followed by Augment, with the augment folded
-// into the table pass, which is what the pool's workers run: the jitter
-// goes into a stack copy of decodeTable (256 adds, the same float32 add
-// Augment performs per element) and the flip into the store index, so the
-// tensor is written once instead of three times and is bit-identical to
-// the two-step result.
+// into the decode, which is what the pool's workers run: each element is
+// decodeTable[b]+jitter (the same float32 add Augment performs) stored at
+// its flipped index, so the tensor is written once instead of three times
+// and is bit-identical to the two-step result.
 func decodeAugment(payload []byte, want dataset.SampleID, seed uint64) (*Tensor, error) {
 	body, err := payloadBody(payload, want)
 	if err != nil {
 		return nil, err
 	}
-	jitter := augmentJitter(seed)
-	var tab [256]float32
-	for b, v := range &decodeTable {
-		tab[b] = v + jitter
-	}
 	t := getTensor(len(body))
 	t.ID = want
-	t.Checksum = decodeInto(t.Data, body, &tab, augmentFlips(seed))
+	t.Checksum = decodeInto(t.Data, body, augmentJitter(seed), augmentFlips(seed))
 	return t, nil
 }
 
@@ -124,7 +124,7 @@ func payloadBody(payload []byte, want dataset.SampleID) ([]byte, error) {
 
 // The checksum is the chain sum = sum*31 + b over the body bytes. Eight
 // steps of it are sum*31^8 + (b0*31^7 + ... + b7), exact mod 2^64, so
-// bodySum advances it one word at a time.
+// chainSum advances it one word at a time.
 const (
 	pow31x2 = 31 * 31
 	pow31x4 = pow31x2 * pow31x2
@@ -142,25 +142,10 @@ func fold8(w uint64) uint64 {
 	return (w&0xffffffff)*pow31x4 + w>>32
 }
 
-// bodySum returns the checksum of body, the chain sum = sum*31 + b over
-// its bytes. With AVX2 the whole 64-byte blocks go through sumBlocksAVX2:
-// lane m is the chain of word m of every block, stepped by 31^64 per
-// block, and word m of the last block is 7-m words from the end, so the
-// lanes in order combine as eight word steps. Leftover words and bytes
-// continue the chain here.
-//
-//lint:hotpath once per sample on every preprocessing worker; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
-func bodySum(body []byte) uint64 {
-	var sum uint64
+// chainSum continues the checksum chain sum over body, a word at a time
+// and then byte by byte.
+func chainSum(sum uint64, body []byte) uint64 {
 	i := 0
-	if useAVX2 && len(body) >= 64 {
-		i = len(body) &^ 63
-		var acc [8]uint64
-		sumBlocksAVX2(body[:i], &acc)
-		for _, a := range acc {
-			sum = sum*pow31x8 + a
-		}
-	}
 	for ; i+8 <= len(body); i += 8 {
 		sum = sum*pow31x8 + fold8(binary.LittleEndian.Uint64(body[i:]))
 	}
@@ -170,14 +155,51 @@ func bodySum(body []byte) uint64 {
 	return sum
 }
 
-// decodeInto is the decode kernel: it stores tab[b] for every byte b of
-// body into dst (reversed when flip is set), 16 bytes per bounds check,
-// and returns the checksum of body from a second pass (bodySum).
+// decodeInto is the decode kernel: it stores decodeTable[b]+jitter for
+// every byte b of body into dst (reversed when flip is set) and returns
+// the checksum of body. With AVX-512 VBMI the whole 64-byte blocks take
+// one pass through decodeBlocksAVX512, which decodes each block and
+// folds it into eight checksum lanes: lane m is the chain of word m of
+// every block, stepped by 31^64 per block, and word m of the last block
+// is 7-m words from the end, so the lanes in order combine as eight word
+// steps. The bytes past the last block continue here.
 //
 //lint:hotpath once per sample on every preprocessing worker; TestBatchedSteadyStateDoesNotAllocate pins 0 allocs/op
-func decodeInto(dst []float32, body []byte, tab *[256]float32, flip bool) uint64 {
+func decodeInto(dst []float32, body []byte, jitter float32, flip bool) uint64 {
 	n := len(body)
 	dst = dst[:n]
+	if !useAVX512 || n < 64 {
+		return decodePortable(dst, body, jitter, flip)
+	}
+	whole := n &^ 63
+	var acc [8]uint64
+	decodeBlocksAVX512(dst, body[:whole], jitter, flip, &acc)
+	var sum uint64
+	for _, a := range acc {
+		sum = sum*pow31x8 + a
+	}
+	for i := whole; i < n; i++ {
+		j := i
+		if flip {
+			j = n - 1 - i
+		}
+		dst[j] = decodeTable[body[i]] + jitter
+	}
+	return chainSum(sum, body[whole:])
+}
+
+// decodePortable is decodeInto in Go, the path off amd64 and on CPUs
+// without AVX-512 VBMI: the jitter goes into a stack copy of decodeTable
+// (256 adds), then a table pass stores 16 elements per bounds check and a
+// second pass sums the body.
+//
+//lint:hotpath once per sample on every preprocessing worker without AVX-512 VBMI
+func decodePortable(dst []float32, body []byte, jitter float32, flip bool) uint64 {
+	var tab [256]float32
+	for b, v := range &decodeTable {
+		tab[b] = v + jitter
+	}
+	n := len(body)
 	i := 0
 	if flip {
 		for ; i+16 <= n; i += 16 {
@@ -203,7 +225,7 @@ func decodeInto(dst []float32, body []byte, tab *[256]float32, flip bool) uint64
 		for ; i < n; i++ {
 			dst[n-1-i] = tab[body[i]]
 		}
-		return bodySum(body)
+		return chainSum(0, body)
 	}
 	for ; i+16 <= n; i += 16 {
 		b := body[i : i+16 : i+16]
@@ -228,7 +250,7 @@ func decodeInto(dst []float32, body []byte, tab *[256]float32, flip bool) uint64
 	for ; i < n; i++ {
 		dst[i] = tab[body[i]]
 	}
-	return bodySum(body)
+	return chainSum(0, body)
 }
 
 // Batch groups tensors; the training stage consumes whole batches.

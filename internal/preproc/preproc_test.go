@@ -71,25 +71,25 @@ func sameTensor(got, want *Tensor) error {
 	return nil
 }
 
-// checksumPaths are the checksum paths this CPU runs: the portable word
-// loop, and the AVX2 block loop when the package selected it at init.
-var checksumPaths = map[bool]string{false: "portable"}
+// decodePaths are the decode paths this CPU runs: the portable kernel,
+// and the AVX-512 one-pass loop when the package selected it at init.
+var decodePaths = map[bool]string{false: "portable"}
 
 func init() {
-	if useAVX2 {
-		checksumPaths[true] = "simd"
+	if useAVX512 {
+		decodePaths[true] = "simd"
 	}
 }
 
 // checkAgainstReference decodes and augments payload three ways — the
 // fused pass the pool runs, Decode then Augment, and the scalar oracle —
-// on every checksum path, and requires identical tensors, or the oracle's
+// on every decode path, and requires identical tensors, or the oracle's
 // error text from both kernels.
 func checkAgainstReference(t *testing.T, payload []byte, id dataset.SampleID, seed uint64) {
 	t.Helper()
-	defer func(selected bool) { useAVX2 = selected }(useAVX2)
-	for simd, path := range checksumPaths {
-		useAVX2 = simd
+	defer func(selected bool) { useAVX512 = selected }(useAVX512)
+	for simd, path := range decodePaths {
+		useAVX512 = simd
 		want, wantErr := referenceDecode(payload, id)
 		fused, fusedErr := decodeAugment(payload, id, seed)
 		split, splitErr := Decode(payload, id)
@@ -118,15 +118,27 @@ func checkAgainstReference(t *testing.T, payload []byte, id dataset.SampleID, se
 }
 
 // TestKernelMatchesReference covers bodies of 0-300 bytes — more than
-// four 64-byte checksum blocks, so every remainder mod 64 (whole words and
-// bytes past the last block) over several block counts — both flip
-// parities and several jitters, plus 8 KiB bodies of all 0x00 and all
-// 0xFF, the extremes of every checksum lane.
+// four 64-byte blocks, so every remainder mod 64 (whole words and bytes
+// past the last block) over several block counts — both flip parities
+// and several jitters; every table entry under every jitter, from bodies
+// holding each byte value once, alone (256 bytes, whole blocks only) and
+// followed by a 64-byte tail (320 bytes); and 8 KiB bodies of all 0x00
+// and all 0xFF, the extremes of every checksum lane.
 func TestKernelMatchesReference(t *testing.T) {
 	for body := 0; body <= 300; body++ {
 		for seed := uint64(0); seed <= 5; seed++ {
 			id := dataset.SampleID(body)
 			checkAgainstReference(t, testPayload(t, dataset.PayloadHeaderSize+body, id), id, seed)
+		}
+	}
+	for _, size := range []int{256, 320} {
+		payload := testPayload(t, dataset.PayloadHeaderSize+size, 2)
+		body := payload[dataset.PayloadHeaderSize:]
+		for i := range body {
+			body[i] = byte(i * 167) // odd, so every 256 bytes hold each value once
+		}
+		for seed := uint64(0); seed < 200; seed++ { // 100 jitters, both flips
+			checkAgainstReference(t, payload, 2, seed)
 		}
 	}
 	for _, fill := range []byte{0x00, 0xff} {
@@ -141,19 +153,30 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSIMDPathSelected catches a CPU probe that falls back to the
-// portable loop on a machine that has AVX2.
+// TestSIMDPathSelected catches a CPU probe that disagrees with
+// /proc/cpuinfo: the AVX-512 loop must be selected exactly when the CPU
+// lists avx512f, avx512bw and avx512vbmi. It logs the path that ran, so
+// a machine without them shows up as portable-only.
 func TestSIMDPathSelected(t *testing.T) {
 	if goruntime.GOOS != "linux" || goruntime.GOARCH != "amd64" {
-		t.Skip("reads /proc/cpuinfo; the AVX2 loop is amd64 only")
+		t.Skip("reads /proc/cpuinfo; the AVX-512 loop is amd64 only")
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
 		t.Skip(err)
 	}
-	listed := slices.Contains(strings.Fields(string(info)), "avx2")
-	if useAVX2 != listed {
-		t.Fatalf("useAVX2 = %v, /proc/cpuinfo lists avx2: %v", useAVX2, listed)
+	flags := strings.Fields(string(info))
+	listed := true
+	for _, flag := range []string{"avx512f", "avx512bw", "avx512vbmi"} {
+		listed = listed && slices.Contains(flags, flag)
+	}
+	if useAVX512 != listed {
+		t.Fatalf("useAVX512 = %v, /proc/cpuinfo lists avx512f, avx512bw and avx512vbmi: %v", useAVX512, listed)
+	}
+	if useAVX512 {
+		t.Log("decode paths: simd (AVX-512 VBMI) and portable")
+	} else {
+		t.Log("decode paths: portable only (no AVX-512 VBMI)")
 	}
 }
 
@@ -202,19 +225,19 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 }
 
 // BenchmarkDecodeAugment is one worker's cost per sample on the rt
-// benchmark's mean sample size, on each checksum path this CPU runs.
+// benchmark's mean sample size, on each decode path this CPU runs.
 func BenchmarkDecodeAugment(b *testing.B) {
 	const size = 8 << 10
 	payload := make([]byte, size)
 	dataset.FillPayload(payload, 42, 7)
-	defer func(selected bool) { useAVX2 = selected }(useAVX2)
+	defer func(selected bool) { useAVX512 = selected }(useAVX512)
 	for _, simd := range []bool{true, false} {
-		path, ok := checksumPaths[simd]
+		path, ok := decodePaths[simd]
 		if !ok {
 			continue
 		}
 		b.Run(path, func(b *testing.B) {
-			useAVX2 = simd
+			useAVX512 = simd
 			b.SetBytes(size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

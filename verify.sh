@@ -5,9 +5,10 @@
 #   1. go build        — the tree compiles, here and for darwin/arm64
 #                        (plus go vet of internal/runtime and
 #                        internal/preproc there), so the clock's non-linux
-#                        fallback and the decode checksum's portable file
-#                        are built on every gate; the kvstore tests also
-#                        run as 386, where int is 32 bits
+#                        fallback and the decode kernel's non-amd64 stubs
+#                        (bodysum_other.go) are built on every gate; the
+#                        kvstore tests also run as 386, where int is 32
+#                        bits
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
 #   4. feed determinism — the prefetch feed, helper and loader
@@ -31,7 +32,7 @@
 #   8. kv frame fuzz   — 10 s of FuzzHandleFrame against the kvstore's
 #                        one request parser (DESIGN.md §8)
 #   9. decode fuzz     — 10 s of FuzzDecodeMatchesReference: the decode
-#                        kernel, on every checksum path the CPU runs,
+#                        kernel, on every decode path the CPU runs,
 #                        against the scalar oracle (DESIGN.md §6)
 #  10. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
@@ -58,7 +59,7 @@ cd "$(dirname "$0")"
 echo "==> go build ./..."
 go build ./...
 
-echo "==> darwin/arm64 cross-build (clock fallback, portable checksum)"
+echo "==> darwin/arm64 cross-build (clock fallback, portable decode stubs)"
 GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime ./internal/preproc
 
 echo "==> kvstore tests on 386 (32-bit int: shard routing, lane round-robin)"
@@ -98,8 +99,9 @@ echo "==> kv frame fuzz"
 go test ./internal/kvstore -run '^$' -fuzz '^FuzzHandleFrame$' -fuzztime 10s
 
 echo "==> decode kernel fuzz"
-# Bounded fuzzing of the decode kernel: the AVX2 and portable checksum
-# paths, flip and jitter against the scalar oracle on arbitrary payloads.
+# Bounded fuzzing of the decode kernel: the one-pass AVX-512 path (where
+# the CPU has AVX-512 VBMI) and the portable path, flip and jitter against
+# the scalar oracle on arbitrary payloads.
 go test ./internal/preproc -run '^$' -fuzz '^FuzzDecodeMatchesReference$' -fuzztime 10s
 
 echo "==> sim bench smoke"
