@@ -50,7 +50,7 @@ func traceCmd(args []string) error {
 	slice := pipeline.SliceTrace(res.Trace, *epoch, *perSection)
 	fmt.Print(pipeline.RenderTrace(slice, gpus, 120))
 
-	st := pipeline.AnalyzeTrace(res.Trace, cfg.Model.IterTime, 1.0)
+	st := pipeline.AnalyzeTrace(res.Trace, cfg.Model.IterTime)
 	fmt.Printf("\niterations: %d\n", st.Iterations)
 	fmt.Printf("iterations with load imbalance: %.1f%%\n", st.ImbalancedFrac*100)
 	fmt.Printf("(iteration,GPU) pairs where loading > training: %.1f%%\n", st.LoadBottleneckFrac*100)

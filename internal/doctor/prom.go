@@ -1,9 +1,9 @@
 // Package doctor turns a run's observability exhaust — Prometheus
 // /metrics scrapes and Chrome-trace /trace.json dumps from any number
 // of monitor endpoints — into a ranked bottleneck report: which stall
-// cause dominates, per rank; which rank is the straggler; how
-// imbalanced each epoch's load was; and what the recovery machinery
-// (failovers, partial fan-outs) cost. It is the consumer of the
+// cause dominates, per rank; which rank is the straggler; how often
+// each epoch's barrier waited on an imbalanced load; and what the
+// recovery machinery (failovers, partial fan-outs) cost. It is the consumer of the
 // stall-attribution ledger (DESIGN.md §14) and is deliberately
 // dependency-free so it can ingest saved files offline.
 package doctor
@@ -173,16 +173,6 @@ func (m *Metrics) Sum(name string, want map[string]string) float64 {
 		}
 	}
 	return total
-}
-
-// Value returns the first matching sample's value.
-func (m *Metrics) Value(name string, want map[string]string) (float64, bool) {
-	for i := range m.Samples {
-		if m.Samples[i].matches(name, want) {
-			return m.Samples[i].Value, true
-		}
-	}
-	return 0, false
 }
 
 // LabelValues returns the sorted distinct values of key across samples

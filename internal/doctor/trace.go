@@ -111,10 +111,13 @@ func Merge(traces ...*Trace) *Trace {
 // The ledger flush emits its attribution spans under two categories,
 // both named by cause: what the ranks' demand loads spent, and what the
 // nodes' prefetch helpers and idle loading workers spent ahead of demand
-// (which no rank waited for).
+// (which no rank waited for). The barrier's per-iteration verdicts are
+// instants ("balanced" or "imbalanced", with epoch and critical_rank
+// args) under a third.
 const (
 	catStall    = "stall"
 	catPrefetch = "prefetch"
+	catBarrier  = "barrier"
 )
 
 // ledgerSpans visits every attribution span of one category.

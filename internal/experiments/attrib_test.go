@@ -188,7 +188,7 @@ func TestChaosAttribution(t *testing.T) {
 				t.Error("report has no ranked causes")
 			}
 			if len(rep.EpochImbalance) == 0 {
-				t.Error("report has no per-epoch imbalance (iters_per_epoch gauge missing?)")
+				t.Error("report has no per-epoch imbalance (barrier instants missing?)")
 			}
 			if sc.wantFailovers && rep.Failovers == 0 {
 				t.Error("scenario guarantees failovers but the report shows none")

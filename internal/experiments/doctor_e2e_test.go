@@ -71,7 +71,10 @@ func TestDoctorEndToEnd(t *testing.T) {
 		t.Errorf("report has %.0f samples staged by idle loaders of %.0f staged: want some, and no more than all",
 			rep.PrefetchWorkAhead, rep.PrefetchStaged)
 	}
-	for _, want := range []string{"Prefetch (helpers and idle loaders", "  node 0: ", "  node 1: ", "prefetch: staged ", " by idle loaders), late ", "refusal pauses ", "modeled delays: "} {
+	if len(rep.EpochImbalance) == 0 {
+		t.Error("report has no per-epoch imbalance rows: the barrier's instants did not reach the doctor")
+	}
+	for _, want := range []string{"Prefetch (helpers and idle loaders", "  node 0: ", "  node 1: ", "prefetch: staged ", " by idle loaders), late ", "refusal pauses ", "modeled delays: ", "Imbalanced iterations (per-rank stall spread > one training step): ", "  epoch 0: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report text missing %q:\n%s", want, out)
 		}

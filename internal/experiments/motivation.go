@@ -5,6 +5,7 @@ import (
 	"repro/internal/loader"
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
+	"repro/internal/plan"
 	"repro/internal/preproc"
 	"repro/internal/sampler"
 )
@@ -42,7 +43,7 @@ func Fig03Breakdown() Experiment {
 			rep.Lines = append(rep.Lines, splitLines(pipeline.RenderTrace(slice, gpus, 120))...)
 
 			full := filterEpochOnward(res.Trace, 1) // exclude warm-up epoch
-			st := pipeline.AnalyzeTrace(full, cfg.Model.IterTime, 1.0)
+			st := pipeline.AnalyzeTrace(full, cfg.Model.IterTime)
 			rep.Printf("iterations analysed (epochs >= 2): %d", st.Iterations)
 			rep.Printf("iterations with load imbalance: %.1f%% (paper: 65.3%%)", st.ImbalancedFrac*100)
 			rep.Printf("(iteration,GPU) pairs where loading > training: %.1f%%", st.LoadBottleneckFrac*100)
@@ -56,8 +57,8 @@ func Fig03Breakdown() Experiment {
 	}
 }
 
-func filterEpochOnward(recs []pipeline.IterRecord, epoch int) []pipeline.IterRecord {
-	var out []pipeline.IterRecord
+func filterEpochOnward(recs []plan.IterRecord, epoch int) []plan.IterRecord {
+	var out []plan.IterRecord
 	for _, r := range recs {
 		if r.Epoch >= epoch {
 			out = append(out, r)

@@ -13,7 +13,7 @@ import (
 // (timings) for display.
 type Plan struct {
 	IterationsPerEpoch int
-	PerIteration       []IterRecord
+	PerIteration       []plan.IterRecord
 	// File is the serializable plan (internal/plan format) the online
 	// runtime can interpret directly.
 	File *plan.Plan

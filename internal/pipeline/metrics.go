@@ -42,10 +42,6 @@ type Metrics struct {
 
 	// BatchTimes is the distribution of per-iteration durations (Fig. 8c).
 	BatchTimes *stats.Summary
-
-	// StallTotal is the cumulative GPU time spent waiting for data across
-	// all GPUs.
-	StallTotal float64
 }
 
 // HitRatio returns local cache hits over all lookups (Section 5.5's

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/loader"
+	"repro/internal/plan"
 )
 
 // testConfig builds a small single-node run: 8 GPUs, cache at 30% of the
@@ -207,5 +208,37 @@ func TestTrainJitterMeanOne(t *testing.T) {
 	}
 	if res.Metrics.TrainTimeTotal == want {
 		t.Fatal("training stage has no jitter")
+	}
+}
+
+// TestImbalancedIterationsFollowTheRule: with a full trace, the count the
+// run reports for Fig. 8 is the number of records plan.Imbalance flags,
+// under every loader.
+func TestImbalancedIterationsFollowTheRule(t *testing.T) {
+	flaggedAny := false
+	for _, spec := range []loader.Spec{loader.PyTorch(8, 24), loader.DALI(24), loader.NoPFS(8, 24), loader.Lobster()} {
+		cfg := testConfig(t, spec, 2)
+		cfg.CollectTrace = true
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trace) != res.Metrics.Iterations {
+			t.Fatalf("%s: %d records for %d iterations", spec.Name, len(res.Trace), res.Metrics.Iterations)
+		}
+		flagged := 0
+		for _, rec := range res.Trace {
+			if imbalanced, _ := plan.Imbalance(rec.PerGPU, cfg.Model.IterTime); imbalanced {
+				flagged++
+			}
+		}
+		if flagged != res.Metrics.ImbalancedIterations {
+			t.Errorf("%s: ImbalancedIterations = %d, the rule flags %d records", spec.Name, res.Metrics.ImbalancedIterations, flagged)
+		}
+		t.Logf("%s: %d of %d iterations imbalanced", spec.Name, flagged, len(res.Trace))
+		flaggedAny = flaggedAny || flagged > 0
+	}
+	if !flaggedAny {
+		t.Error("no loader produced an imbalanced iteration: the comparison is vacuous")
 	}
 }

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/plan"
 )
 
 // Trace rendering: the textual reproduction of Figure 3 ("Execution time
@@ -12,8 +14,8 @@ import (
 
 // SliceTrace selects the iterations Fig. 3 displays: "eight each in the
 // beginning, middle, and end" of an epoch.
-func SliceTrace(records []IterRecord, epoch, perSection int) []IterRecord {
-	var epochRecs []IterRecord
+func SliceTrace(records []plan.IterRecord, epoch, perSection int) []plan.IterRecord {
+	var epochRecs []plan.IterRecord
 	for _, r := range records {
 		if r.Epoch == epoch {
 			epochRecs = append(epochRecs, r)
@@ -26,7 +28,7 @@ func SliceTrace(records []IterRecord, epoch, perSection int) []IterRecord {
 	if n <= 3*perSection {
 		return epochRecs
 	}
-	out := make([]IterRecord, 0, 3*perSection)
+	out := make([]plan.IterRecord, 0, 3*perSection)
 	out = append(out, epochRecs[:perSection]...)
 	mid := n/2 - perSection/2
 	out = append(out, epochRecs[mid:mid+perSection]...)
@@ -38,7 +40,7 @@ func SliceTrace(records []IterRecord, epoch, perSection int) []IterRecord {
 // stacked bars, one row per (iteration, GPU): L=loading, P=preprocessing,
 // T=training, s=stall (waiting for own data), i=idle (waiting for
 // stragglers). widthPerSecond scales bar length.
-func RenderTrace(records []IterRecord, gpus []int, widthPerSecond float64) string {
+func RenderTrace(records []plan.IterRecord, gpus []int, widthPerSecond float64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-9s %-5s %8s  %s\n", "iter", "gpu", "batch(s)", "L=load P=preproc T=train s=stall i=idle")
 	for _, rec := range records {
@@ -53,7 +55,7 @@ func RenderTrace(records []IterRecord, gpus []int, widthPerSecond float64) strin
 	return b.String()
 }
 
-func traceBar(g GPUIter, scale float64) string {
+func traceBar(g plan.GPUIter, scale float64) string {
 	var b strings.Builder
 	b.WriteString(strings.Repeat("L", barChars(g.Load, scale)))
 	b.WriteString(strings.Repeat("P", barChars(g.Preproc, scale)))
@@ -77,8 +79,7 @@ func barChars(seconds, scale float64) int {
 // TraceStats summarises a trace the way Section 3 does.
 type TraceStats struct {
 	Iterations int
-	// ImbalancedFrac is the fraction of iterations in which the spread of
-	// per-GPU stalls exceeds the given fraction of the training time
+	// ImbalancedFrac is the fraction of iterations plan.Imbalance flags
 	// (Observation 1: "data load imbalances occur ... in 65.3% of our
 	// iterations").
 	ImbalancedFrac float64
@@ -94,9 +95,9 @@ type TraceStats struct {
 	MeanIdleFrac float64
 }
 
-// AnalyzeTrace computes trace statistics. imbalanceFrac mirrors
-// Config.ImbalanceFrac.
-func AnalyzeTrace(records []IterRecord, trainTime, imbalanceFrac float64) TraceStats {
+// AnalyzeTrace computes trace statistics; trainTime is the training step
+// the imbalance rule compares against.
+func AnalyzeTrace(records []plan.IterRecord, trainTime float64) TraceStats {
 	var st TraceStats
 	st.Iterations = len(records)
 	if len(records) == 0 {
@@ -106,14 +107,7 @@ func AnalyzeTrace(records []IterRecord, trainTime, imbalanceFrac float64) TraceS
 	var idleSum float64
 	prevBound := make([]bool, len(records[0].PerGPU))
 	for ri, rec := range records {
-		minStall, maxStall := rec.PerGPU[0].Stall, rec.PerGPU[0].Stall
 		for g, gi := range rec.PerGPU {
-			if gi.Stall < minStall {
-				minStall = gi.Stall
-			}
-			if gi.Stall > maxStall {
-				maxStall = gi.Stall
-			}
 			bound := gi.Load > gi.Train
 			if bound {
 				loadBound++
@@ -127,7 +121,7 @@ func AnalyzeTrace(records []IterRecord, trainTime, imbalanceFrac float64) TraceS
 			}
 			pairs++
 		}
-		if maxStall-minStall > imbalanceFrac*trainTime {
+		if imbalanced, _ := plan.Imbalance(rec.PerGPU, trainTime); imbalanced {
 			st.ImbalancedFrac++
 		}
 	}

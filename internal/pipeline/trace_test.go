@@ -3,12 +3,14 @@ package pipeline
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
-func traceRecord(epoch, iter int, stalls ...float64) IterRecord {
-	rec := IterRecord{Epoch: epoch, Iter: iter, BatchTime: 0.1}
+func traceRecord(epoch, iter int, stalls ...float64) plan.IterRecord {
+	rec := plan.IterRecord{Epoch: epoch, Iter: iter, BatchTime: 0.1}
 	for _, s := range stalls {
-		rec.PerGPU = append(rec.PerGPU, GPUIter{
+		rec.PerGPU = append(rec.PerGPU, plan.GPUIter{
 			Load: 0.02, Preproc: 0.01, Train: 0.05, Stall: s, Idle: 0.01,
 		})
 	}
@@ -16,7 +18,7 @@ func traceRecord(epoch, iter int, stalls ...float64) IterRecord {
 }
 
 func TestSliceSelectsSections(t *testing.T) {
-	var recs []IterRecord
+	var recs []plan.IterRecord
 	for i := 0; i < 100; i++ {
 		recs = append(recs, traceRecord(1, i, 0, 0))
 	}
@@ -40,7 +42,7 @@ func TestSliceSelectsSections(t *testing.T) {
 }
 
 func TestSliceShortEpoch(t *testing.T) {
-	recs := []IterRecord{traceRecord(0, 0, 0), traceRecord(0, 1, 0)}
+	recs := []plan.IterRecord{traceRecord(0, 0, 0), traceRecord(0, 1, 0)}
 	got := SliceTrace(recs, 0, 8)
 	if len(got) != 2 {
 		t.Fatalf("short epoch slice length %d", len(got))
@@ -51,7 +53,7 @@ func TestSliceShortEpoch(t *testing.T) {
 }
 
 func TestRenderContainsStages(t *testing.T) {
-	recs := []IterRecord{traceRecord(0, 3, 0.02, 0.0)}
+	recs := []plan.IterRecord{traceRecord(0, 3, 0.02, 0.0)}
 	out := RenderTrace(recs, []int{0, 1}, 200)
 	if !strings.Contains(out, "e00/i003") {
 		t.Fatalf("missing iteration label:\n%s", out)
@@ -77,7 +79,7 @@ func TestRenderContainsStages(t *testing.T) {
 }
 
 func TestAnalyzeImbalanceAndBottlenecks(t *testing.T) {
-	recs := []IterRecord{
+	recs := []plan.IterRecord{
 		traceRecord(0, 0, 0.00, 0.00), // balanced
 		traceRecord(0, 1, 0.06, 0.00), // spread 0.06 > 0.05 => imbalanced
 		traceRecord(0, 2, 0.01, 0.01), // balanced
@@ -85,7 +87,7 @@ func TestAnalyzeImbalanceAndBottlenecks(t *testing.T) {
 	// Make GPU 0 load-bound in iteration 1 only: creates 2 shifts
 	// (0->1 and 1->2).
 	recs[1].PerGPU[0].Load = 0.09
-	st := AnalyzeTrace(recs, 0.05, 1.0)
+	st := AnalyzeTrace(recs, 0.05)
 	if st.Iterations != 3 {
 		t.Fatalf("iterations %d", st.Iterations)
 	}
@@ -104,7 +106,7 @@ func TestAnalyzeImbalanceAndBottlenecks(t *testing.T) {
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	st := AnalyzeTrace(nil, 0.05, 1.0)
+	st := AnalyzeTrace(nil, 0.05)
 	if st.Iterations != 0 || st.ImbalancedFrac != 0 {
 		t.Fatalf("empty analyze = %+v", st)
 	}

@@ -72,7 +72,7 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ro := newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, sched.IterationsPerEpoch())
+	ro := newRuntimeObs(opts.Obs, opts.Trace, top.WorldSize(), top.Nodes, sched.IterationsPerEpoch(), opts.Model.IterTime*opts.TimeScale)
 	stopClock := func() {}
 	if clk == nil {
 		wall := newWallClock(ro.clockOvershootHist())

@@ -60,9 +60,8 @@ var stallCauseNames = [numStallCauses]string{
 var prefetchCauses = [...]stallCause{causePeerFetch, causePFS, causeRecovery}
 
 // loadSideCause marks the causes that make up a rank's load time — the
-// storage-facing legs, excluding the queueing waits — which feed the
-// load-imbalance gauge (max over mean of per-rank load time, the
-// paper's load-balance signal).
+// storage-facing legs, excluding the queueing waits — which sum to the
+// iteration record's Load.
 func loadSideCause(c stallCause) bool {
 	return c == causeLocalHit || c == causePeerFetch || c == causePFS || c == causeRecovery
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/preproc"
 )
 
@@ -406,6 +407,15 @@ type nodeRuntime struct {
 
 	prefWG   sync.WaitGroup
 	stopPref chan struct{}
+}
+
+// threads returns the node's pool sizes in force.
+func (n *nodeRuntime) threads() plan.NodeThreads {
+	th := plan.NodeThreads{Preproc: n.pre.Workers(), Loading: make([]int, len(n.queues))}
+	for j, q := range n.queues {
+		th.Loading[j] = q.crew.Size()
+	}
+	return th
 }
 
 // loadChunk materializes one contiguous chunk of a GPU batch and hands

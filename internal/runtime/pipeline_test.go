@@ -88,7 +88,7 @@ func TestCancelDrainsLookahead(t *testing.T) {
 // report only h's time and flush h+1 the rest.
 func TestLedgerKeepsIterationsApart(t *testing.T) {
 	ring := obs.NewTraceRing(64)
-	ro := newRuntimeObs(nil, ring, 2, 1, 8)
+	ro := newRuntimeObs(nil, ring, 2, 1, 8, 0.01)
 	const h = 5
 	ro.ledger.add(obs.NewTraceCtx(1, 0, h), causePFS, 3000)
 	ro.ledger.add(obs.NewTraceCtx(1, 0, h+1), causePFS, 500)
@@ -103,11 +103,11 @@ func TestLedgerKeepsIterationsApart(t *testing.T) {
 		}
 		return got
 	}
-	ro.flushLedger(h)
+	ro.flushLedger(h, nil)
 	if got := spans(); len(got) != 1 || got[h] != 7000 {
 		t.Fatalf("flush %d reported %v, want only iteration %d with 7000ns", h, got, h)
 	}
-	ro.flushLedger(h + 1)
+	ro.flushLedger(h+1, nil)
 	if got := spans(); len(got) != 2 || got[h+1] != 500 {
 		t.Fatalf("flush %d reported %v, want iteration %d with 500ns", h+1, got, h+1)
 	}
@@ -121,14 +121,14 @@ func TestLedgerKeepsIterationsApart(t *testing.T) {
 func TestPrefetchLedgerFlush(t *testing.T) {
 	reg := obs.NewRegistry()
 	ring := obs.NewTraceRing(64)
-	ro := newRuntimeObs(reg, ring, 2, 2, 8)
+	ro := newRuntimeObs(reg, ring, 2, 2, 8, 0.01)
 	ro.prefetchRow(1).add(causePFS, 3000)
 	ro.prefetchRow(1).add(causePFS, 4000)
 	ro.prefetchRow(1).add(causeRecovery, 900)
 	ro.prefetchRow(0).add(causePeerFetch, 500)
-	ro.flushLedger(5)
+	ro.flushLedger(5, nil)
 	ro.prefetchRow(1).add(causePFS, 100)
-	ro.flushLedger(6)
+	ro.flushLedger(6, nil)
 
 	type key struct {
 		node, iter int64
