@@ -6,8 +6,7 @@
 // demand (prefetch helpers and idle loaders) and how many prefetches came
 // too late, straggler ranks, the iterations the runtime's barrier flagged
 // as load-imbalanced with each epoch's share and the rank most often
-// critical in them, and the recovery layer's cost (failovers, partial
-// fan-outs).
+// critical in them, and the recovery layer's cost (failovers).
 //
 // Examples:
 //

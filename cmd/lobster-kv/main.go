@@ -1,9 +1,8 @@
 // Command lobster-kv runs one shard of the key-value cache tier as a
 // standalone process, so a cluster can be deployed across machines (the
 // "alternatives to distributed caching like for example KV-stores" of the
-// paper's Section 2). Point the online runtime's KVCache at the shard
-// addresses. The shard speaks the pipelined, batched kvstore wire
-// protocol (DESIGN.md §8).
+// paper's Section 2). The shard speaks the pipelined, batched kvstore
+// wire protocol (DESIGN.md §8).
 //
 // Overload control (DESIGN.md §11) is off by default; arm it with the
 // -max-inflight / -max-queue / -quota-rate / -quota-burst flags to make

@@ -27,7 +27,6 @@ func TestExamplesAndCLI(t *testing.T) {
 	}{
 		{"evictionstudy", nil, "Belady is the clairvoyant upper bound"},
 		{"multijob", nil, "lobster (merged plan)"},
-		{"kvcache", nil, "all verified: true"},
 		{"threadtuning", nil, "all verified: true"},
 		{"lobster-sim", []string{"-scale", "tiny", "-epochs", "2"}, "batch times:"},
 		{"lobster-sim", []string{"-compare", "-json", "-scale", "tiny", "-epochs", "2"}, `"strategy": "nopfs"`},

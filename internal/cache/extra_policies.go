@@ -225,17 +225,3 @@ func (a *arcPolicy) Victim(_ Iter, _ dataset.SampleID) (dataset.SampleID, bool) 
 }
 
 func (a *arcPolicy) DrainExpired(_ Iter, _ func(dataset.SampleID)) {}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

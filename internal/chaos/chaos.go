@@ -1,8 +1,8 @@
 // Package chaos is the deterministic fault-injection layer of the
 // reproduction: a seeded Schedule of timed fault events — straggler
-// peers, PFS brownouts, cache-node crashes, kv shard loss, connection
-// drops, slow decode workers — driven through a common Injector
-// interface by a Controller that advances on iteration boundaries.
+// peers, PFS brownouts, cache-node crashes, slow decode workers —
+// driven through a common Injector interface by a Controller that
+// advances on iteration boundaries.
 //
 // Determinism is the point. Events activate and revert on iteration
 // numbers (the data-parallel barrier's last arriver ticks the
@@ -11,13 +11,12 @@
 // per-event RNG seeded from the schedule's own seed. Two runs of the
 // same schedule therefore produce the identical fault event log and —
 // for the structural recovery criteria (samples verified, failovers
-// observed, shard map repaired) — the identical verdicts, which is what
+// observed, directory repaired) — the identical verdicts, which is what
 // makes chaos scenarios regression-testable instead of anecdotes.
 //
 // The package deliberately knows nothing about the subsystems it
-// breaks: internal/runtime, internal/kvstore, internal/preproc and the
-// experiment harness each register the injectors for the fault kinds
-// they own (DESIGN.md §13).
+// breaks: internal/runtime registers the injectors for every kind, and a
+// harness may register its own first (DESIGN.md §13).
 package chaos
 
 import (
@@ -29,8 +28,7 @@ import (
 
 // Kind identifies a fault class. Each kind is wired to one Injector;
 // the Target index is interpreted per kind (a cache node for
-// Straggler/CacheCrash/SlowDecode, a kv shard for ShardCrash/ConnDrop,
-// unused for Brownout).
+// Straggler/CacheCrash/SlowDecode, unused for Brownout).
 type Kind uint8
 
 const (
@@ -48,14 +46,6 @@ const (
 	// until the event reverts ("restart"). The node's training itself
 	// continues — only its cache tier is lost.
 	KindCacheCrash
-	// KindShardCrash is a kv shard crash and restart. The runtime has no
-	// handle on external kv servers, so the harness that owns them would
-	// register this injector; nothing registers it yet (a generator of
-	// random schedules is its intended first user).
-	KindShardCrash
-	// KindConnDrop injects connection drops on a kv shard: Fault.DropRate
-	// of requests sever the connection mid-op, exercising client redial.
-	KindConnDrop
 	// KindSlowDecode slows one node's preprocessing workers by
 	// Fault.Lag (+Jitter) per job.
 	KindSlowDecode
@@ -70,10 +60,6 @@ func (k Kind) String() string {
 		return "brownout"
 	case KindCacheCrash:
 		return "cache-crash"
-	case KindShardCrash:
-		return "shard-crash"
-	case KindConnDrop:
-		return "conn-drop"
 	case KindSlowDecode:
 		return "slow-decode"
 	default:
@@ -92,9 +78,6 @@ type Fault struct {
 	Jitter time.Duration
 	// ErrRate is the per-operation probability of a transient failure.
 	ErrRate float64
-	// DropRate is the per-operation probability of a connection drop
-	// (kv tier only).
-	DropRate float64
 	// Seed seeds the injectee's RNG for the jitter/error draws. Schedule
 	// builders derive it from the schedule seed when left zero, so every
 	// probabilistic draw of a chaos run is replayable.
@@ -103,7 +86,7 @@ type Fault struct {
 
 // IsZero reports whether the fault is the healthy state.
 func (f Fault) IsZero() bool {
-	return f.Lag == 0 && f.Jitter == 0 && f.ErrRate == 0 && f.DropRate == 0
+	return f.Lag == 0 && f.Jitter == 0 && f.ErrRate == 0
 }
 
 // Event is one scheduled fault: Kind hits Target for iterations
@@ -165,17 +148,6 @@ func (s *Schedule) CacheCrash(node, start, revive int) *Schedule {
 	return s.Add(Event{Kind: KindCacheCrash, Target: node, Start: start, End: revive})
 }
 
-// ShardCrash schedules a kv shard crash at start, restarted at revive.
-func (s *Schedule) ShardCrash(shard, start, revive int) *Schedule {
-	return s.Add(Event{Kind: KindShardCrash, Target: shard, Start: start, End: revive})
-}
-
-// ConnDrop schedules a connection-drop window on a kv shard.
-func (s *Schedule) ConnDrop(shard, start, end int, dropRate float64) *Schedule {
-	return s.Add(Event{Kind: KindConnDrop, Target: shard, Start: start, End: end,
-		Fault: Fault{DropRate: dropRate}})
-}
-
 // SlowDecode schedules slowed preprocessing on one node.
 func (s *Schedule) SlowDecode(node, start, end int, lag, jitter time.Duration) *Schedule {
 	return s.Add(Event{Kind: KindSlowDecode, Target: node, Start: start, End: end,
@@ -199,9 +171,6 @@ func (s *Schedule) Validate() error {
 		}
 		if e.Fault.ErrRate < 0 || e.Fault.ErrRate > 1 {
 			return fmt.Errorf("chaos: event %d (%s) error rate %g outside [0,1]", i, e.Kind, e.Fault.ErrRate)
-		}
-		if e.Fault.DropRate < 0 || e.Fault.DropRate > 1 {
-			return fmt.Errorf("chaos: event %d (%s) drop rate %g outside [0,1]", i, e.Kind, e.Fault.DropRate)
 		}
 		if e.Fault.Lag < 0 || e.Fault.Jitter < 0 {
 			return fmt.Errorf("chaos: event %d (%s) has negative lag or jitter", i, e.Kind)

@@ -12,11 +12,9 @@ func TestScheduleBuildersDeriveSeeds(t *testing.T) {
 		Straggler(1, 2, 5, time.Millisecond, time.Millisecond).
 		Brownout(3, 7, time.Millisecond, 0, 0.5).
 		CacheCrash(0, 4, 8).
-		ShardCrash(2, 1, 6).
-		ConnDrop(1, 0, 3, 0.25).
 		SlowDecode(0, 2, 4, time.Millisecond, 0)
-	if len(s.Events) != 6 {
-		t.Fatalf("events = %d, want 6", len(s.Events))
+	if len(s.Events) != 4 {
+		t.Fatalf("events = %d, want 4", len(s.Events))
 	}
 	seen := map[uint64]bool{}
 	for i, e := range s.Events {
@@ -50,7 +48,7 @@ func TestScheduleValidate(t *testing.T) {
 		{Kind: KindStraggler, Start: -1},
 		{Kind: KindStraggler, Start: 5, End: 5},
 		{Kind: KindBrownout, Fault: Fault{ErrRate: 1.5}},
-		{Kind: KindConnDrop, Fault: Fault{DropRate: -0.1}},
+		{Kind: KindStraggler, Fault: Fault{ErrRate: -0.1}},
 		{Kind: KindStraggler, Fault: Fault{Lag: -time.Second}},
 	}
 	for i, e := range bad {
@@ -127,11 +125,11 @@ func TestControllerIgnoresStaleBoundaries(t *testing.T) {
 }
 
 func TestControllerSkipsUnwiredKinds(t *testing.T) {
-	s := NewSchedule(1).ShardCrash(0, 0, 2)
+	s := NewSchedule(1).SlowDecode(0, 0, 2, time.Millisecond, 0)
 	c, _ := NewController(s)
 	c.OnIteration(0)
 	logd := c.EventLog()
-	if len(logd) != 1 || !strings.Contains(logd[0], "skip shard-crash") {
+	if len(logd) != 1 || !strings.Contains(logd[0], "skip slow-decode") {
 		t.Fatalf("unwired kind not skipped: %v", logd)
 	}
 	if inj, _ := c.Counts(); inj != 0 {

@@ -97,7 +97,6 @@ type Report struct {
 
 	// Recovery-layer efficacy.
 	Failovers       float64
-	PartialFanouts  float64
 	RecoverySeconds float64
 	// PrefetchRecoverySeconds is RecoverySeconds' counterpart on the
 	// prefetch side: failovers are counted on both.
@@ -161,7 +160,6 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 	r.ClockOvershootP50, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.5)
 	r.ClockOvershootP99, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.99)
 	r.Failovers = m.Sum("lobster_runtime_failover_total", nil)
-	r.PartialFanouts = m.Sum("lobster_runtime_partial_fanout_total", nil)
 	r.RecoverySeconds = m.Sum("lobster_runtime_stall_recovery_seconds_sum", nil)
 }
 
@@ -321,19 +319,14 @@ func (r *Report) WriteText(w io.Writer) error {
 		p("\nmodeled delays: %.0f waits, overshoot p50 %.0fus / p99 %.0fus\n",
 			r.ClockWaits, 1e6*r.ClockOvershootP50, 1e6*r.ClockOvershootP99)
 	}
-	if r.Failovers > 0 || r.PartialFanouts > 0 {
+	if r.Failovers > 0 {
+		// Failovers are counted on both sides of the ledger, so the
+		// average is over both sides' recovery reads.
+		recovery := r.RecoverySeconds + r.PrefetchRecoverySeconds
+		avg := recovery / r.Failovers
 		p("\nRecovery layer:\n")
-		if r.Failovers > 0 {
-			// Failovers are counted on both sides of the ledger, so the
-			// average is over both sides' recovery reads.
-			recovery := r.RecoverySeconds + r.PrefetchRecoverySeconds
-			avg := recovery / r.Failovers
-			p("  failovers: %.0f, %.3fs spent in recovery reads (%.1fms avg; %.3fs by ranks, %.3fs ahead of demand)\n",
-				r.Failovers, recovery, 1e3*avg, r.RecoverySeconds, r.PrefetchRecoverySeconds)
-		}
-		if r.PartialFanouts > 0 {
-			p("  partial fan-outs: %.0f\n", r.PartialFanouts)
-		}
+		p("  failovers: %.0f, %.3fs spent in recovery reads (%.1fms avg; %.3fs by ranks, %.3fs ahead of demand)\n",
+			r.Failovers, recovery, 1e3*avg, r.RecoverySeconds, r.PrefetchRecoverySeconds)
 	}
 	return werr
 }

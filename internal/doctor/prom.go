@@ -3,7 +3,7 @@
 // of monitor endpoints — into a ranked bottleneck report: which stall
 // cause dominates, per rank; which rank is the straggler; how often
 // each epoch's barrier waited on an imbalanced load; and what the
-// recovery machinery (failovers, partial fan-outs) cost. It is the consumer of the
+// recovery machinery (failovers) cost. It is the consumer of the
 // stall-attribution ledger (DESIGN.md §14) and is deliberately
 // dependency-free so it can ingest saved files offline.
 package doctor

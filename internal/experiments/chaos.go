@@ -99,7 +99,6 @@ type ChaosResult struct {
 	SamplesVerified uint64   `json:"samples_verified"`
 	SamplesExpected uint64   `json:"samples_expected"`
 	Failovers       uint64   `json:"failovers"`
-	PartialFanouts  uint64   `json:"partial_fanouts"`
 	PFSRetries      uint64   `json:"pfs_retries"`
 	RemoteHits      uint64   `json:"remote_hits"`
 	Injected        int      `json:"injected"`
@@ -330,7 +329,6 @@ func runChaosScenario(sc chaosScenario, p ChaosParams) (ChaosResult, error) {
 	res.SamplesVerified = stats.SamplesVerified
 	res.SamplesExpected = uint64(stats.Iterations) * uint64(ranks*opts.Model.BatchSize)
 	res.Failovers = stats.Failovers
-	res.PartialFanouts = stats.PartialFanouts
 	res.PFSRetries = stats.PFSRetries
 	res.RemoteHits = stats.RemoteHits
 	res.Injected, res.Reverted = ctl.Counts()

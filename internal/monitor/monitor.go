@@ -148,7 +148,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
 // HealthSignaler lets a snapshot type surface recovery- and
 // overload-pressure counters through /healthz: a published snapshot
 // implementing it gets its counters embedded in the healthy JSON body
-// (runtime.Progress reports failovers and partial fan-outs,
+// (runtime.Progress reports failovers,
 // kvstore.Stats its shed counters), so a probe that is "up" can still
 // show a deployment degrading before anyone opens /metrics.
 type HealthSignaler interface {

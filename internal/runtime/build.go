@@ -80,7 +80,6 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	}
 	rt := &Runtime{
 		opts:          opts,
-		kv:            opts.KVCache,
 		ds:            opts.Dataset,
 		sched:         sched,
 		dir:           dir,
@@ -96,9 +95,6 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
 	rt.stopIter.Store(-1)
 	rt.bar = newBarrier(top.WorldSize(), rt.endIteration)
-	if rt.kv != nil && opts.Obs != nil {
-		rt.kv.Instrument(opts.Obs)
-	}
 
 	var file *datafile.Reader
 	cleanup := func() {

@@ -8,11 +8,10 @@ import (
 
 // registerChaosInjectors wires the fault kinds the runtime owns into the
 // controller (DESIGN.md §13). Registration is soft (RegisterDefault), so
-// a harness that registered its own injector for a kind — e.g. to crash
-// a real kv server process it owns — always wins. The controller calls
-// Inject/Revert from the barrier's last arriver, one at a time, so the
-// closures need no synchronization beyond what the touched subsystems
-// already provide.
+// a harness that registered its own injector for a kind always wins. The
+// controller calls Inject/Revert from the barrier's last arriver, one at
+// a time, so the closures need no synchronization beyond what the touched
+// subsystems already provide.
 //
 // Kinds wired here:
 //
@@ -26,10 +25,6 @@ import (
 //     The node's own training continues on a cold cache.
 //   - SlowDecode: per-job decode latency on one node's preprocessing
 //     pool.
-//
-// ShardCrash and ConnDrop are not wired: the runtime has no handle on
-// the kv servers behind its cluster client; the harness that owns them
-// registers those injectors (see internal/experiments).
 func (rt *Runtime) registerChaosInjectors(c *chaos.Controller) {
 	c.RegisterDefault(chaos.KindBrownout, chaos.Funcs(
 		func(ev chaos.Event) error {

@@ -16,23 +16,21 @@ import (
 //	local_hit   serving the sample from this node's cache (the happy
 //	            path; large totals here mean the cache itself is slow
 //	            or the batch is huge, not that I/O is)
-//	peer_fetch  the shared-tier leg — a peer-cache read (the modeled
+//	peer_fetch  the peer leg — a peer-cache read (the modeled
 //	            interconnect delay, then the copy out of the holder's
-//	            cache) or a KV-cluster Get — whether it delivered or
-//	            failed (a slow failing peer stalls the GPU exactly as
+//	            cache) — whether it delivered or failed (a slow failing peer stalls the GPU exactly as
 //	            long as a slow succeeding one)
 //	pfs         a demand read from the parallel file system on the
-//	            normal path: no holder was promised and the KV tier
-//	            reported a clean miss. Includes retry backoff and
+//	            normal path: no holder was promised. Includes retry backoff and
 //	            the local-cache insert that follows the read.
 //	decode_wait time a decode job sat in the preprocessing queue
 //	            before a worker picked it up (decode-bound node)
 //	queue_wait  time a load request sat in its per-GPU queue before a
 //	            loading worker picked it up (loader-bound node)
 //	recovery    the fallback PFS read (including retry backoff) paid
-//	            because the shared tier broke a promise — a directory
-//	            holder that delivered nothing or an unreachable KV
-//	            shard, i.e. exactly the failover-counted events
+//	            because a peer broke a promise — a directory holder
+//	            that delivered nothing, i.e. exactly the
+//	            failover-counted events
 type stallCause int
 
 const (

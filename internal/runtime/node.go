@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,10 +20,10 @@ import (
 // cachedBuf is one resident payload plus its recycling provenance.
 // pooled marks buffers drawn from preproc's size-classed payload pool
 // (PFS regenerated reads, peer-fetch copies): only those are returned to
-// the pool on eviction. Buffers of unknown provenance — KV client
-// copies, data-file reads, test-injected dataset slices — are never
-// recycled, even when their capacity happens to be class-sized, because
-// someone else may still reference the memory.
+// the pool on eviction. Buffers of unknown provenance — data-file reads,
+// test-injected dataset slices — are never recycled, even when their
+// capacity happens to be class-sized, because someone else may still
+// reference the memory.
 type cachedBuf struct {
 	b      []byte
 	pooled bool
@@ -254,9 +253,8 @@ type loadWork struct {
 	// so this is not the node's iterNow.
 	iter cache.Iter
 	// ctx carries the requesting (rank, epoch, iter) down the demand
-	// path: into the stall ledger, the preproc jobs, and — through the
-	// KV client's traced frames — onto the server's trace ring. Zero when
-	// the run is un-instrumented.
+	// path: into the stall ledger and the preproc jobs. Zero when the run
+	// is un-instrumented.
 	ctx obs.TraceCtx
 	// enq, when non-zero, timestamps the submit so the claiming worker
 	// can charge the queue wait to ctx's rank. Stamped only while
@@ -379,15 +377,10 @@ type nodeRuntime struct {
 	// worker had in flight: prefetches issued, but too late to spare the
 	// demand read.
 	prefetchLate atomic.Uint64
-	// failovers counts shared-tier reads, demand or prefetch, that fell
-	// over to the PFS: a directory-promised peer copy that did not arrive
-	// (crashed or flaky peer — or the benign advisory-directory race), a
-	// KV Get that errored, or a whole prefetch window degraded by a full
-	// MultiGet failure.
+	// failovers counts peer reads, demand or prefetch, that fell over to
+	// the PFS: a directory-promised peer copy that did not arrive (crashed
+	// or flaky peer — or the benign advisory-directory race).
 	failovers atomic.Uint64
-	// partials counts KV MultiGet fan-outs that came back partial (some
-	// shards failed, the rest delivered — kvstore.PartialError).
-	partials atomic.Uint64
 
 	// loadHist times each sample materialization (runtimeObs; nil when
 	// un-instrumented — nil-safe to observe).
@@ -455,7 +448,7 @@ func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []pre
 }
 
 // loadPayload materializes one sample's bytes for iteration now: local
-// cache, else peer cache/KV cluster, else PFS. This is the Equation 1
+// cache, else a peer's cache, else PFS. This is the Equation 1
 // path, executed for real. now is the iteration of the access, which the
 // planned policies key their next-use lookups on. owned reports whether the returned slice is exclusively the
 // data path's — recyclable after decode; a non-nil owner means the
@@ -476,7 +469,7 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 			owner = n.cache
 		}
 	} else {
-		payload, owned, owner, _ = n.fetch(id, now, tctx, row, true)
+		payload, owned, owner, _ = n.fetch(id, now, row, true)
 	}
 	if rec {
 		d := time.Since(start)
@@ -493,27 +486,25 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 	return payload, owned, owner
 }
 
-// fetch pulls a sample that is not in the local cache from the shared
-// cache tier (peer caches via the distribution manager, or a KV cluster
-// when configured) or the PFS, and caches it locally. It is the one walk
-// of the tiers, for both callers: the demand path (demand=true, a loading
-// worker that will decode the sample) and stageOne (demand=false, staging
-// only, for a prefetch helper or a loading worker working ahead — with a
-// KVCache the helpers batch whole windows through prefetchWindowKV
-// instead). The two differ only in who is
-// charged (row), in that demand shared-tier hits count as remoteHits, and
-// in buffer ownership (DESIGN.md §12): a demand fetch takes a decode
+// fetch pulls a sample that is not in the local cache from a peer's cache
+// (via the distribution manager) or the PFS, and caches it locally. It is
+// the one walk of the tiers, for both callers: the demand path
+// (demand=true, a loading worker that will decode the sample) and
+// stageOne (demand=false, staging only, for a prefetch helper or a
+// loading worker working ahead). The two differ only in who is charged
+// (row), in that demand peer hits count as remoteHits, and in buffer
+// ownership (DESIGN.md §12): a demand fetch takes a decode
 // lease when the local cache retained a pooled buffer (owner = the
 // cache) and otherwise owns the fetched buffer (owned) — the cache kept
 // its own earlier copy, or refused; a prefetch takes no lease, returns no
 // buffer, and recycles on the spot a pooled one the cache did not retain.
 // ok reports whether the sample is cached after the call.
 //
-// row, when non-nil, receives the attribution (DESIGN.md §14): the
-// shared-tier leg is peer_fetch whether it delivers or fails; a PFS read
-// is pfs on the normal path (no holder, or a clean KV miss) and recovery
-// when the tier broke a promise — exactly the failover events.
-func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceCtx, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
+// row, when non-nil, receives the attribution (DESIGN.md §14): the peer
+// leg is peer_fetch whether it delivers or fails; a PFS read is pfs on
+// the normal path (no holder) and recovery when the peer broke a promise
+// — exactly the failover events.
+func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	if demand && n.feed != nil && n.feed.inFlight(id) {
 		// A helper or a loading worker claimed this id and has not staged
 		// it yet: the prefetch was issued, but too late to spare the
@@ -522,37 +513,20 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceC
 	}
 	pooled, retained := false, false
 	pfsCause := causePFS
-	peer := -1
-	if n.rt.kv == nil {
-		peer = n.rt.dir.Holder(id, n.node)
-	}
 	var legStart time.Time
-	if n.rt.kv != nil || peer >= 0 {
+	if peer := n.rt.dir.Holder(id, n.node); peer >= 0 {
 		if row != nil {
 			legStart = time.Now()
 		}
-		failed := false
-		if n.rt.kv != nil {
-			// A hit is the KV client's copy, allocated at exact value size:
-			// not pool-recyclable, so ownership only decides whether the
-			// worker's PutPayloadBuf (a capacity-checked no-op here) runs.
-			p, found, err := n.rt.kv.GetTraced(kvKey(id), tctx)
-			if err == nil && found {
-				payload = p
-			}
-			failed = err != nil // shard unreachable
-		} else {
-			// The holder's cache copies into a pooled buffer just for us.
-			// A promised holder that delivers nothing is a crashed or
-			// flaky peer, or the benign eviction race.
-			payload, pooled = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id)), true
-			failed = payload == nil
-		}
+		// The holder's cache copies into a pooled buffer just for us.
+		// A promised holder that delivers nothing is a crashed or
+		// flaky peer, or the benign eviction race.
+		payload, pooled = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id)), true
 		if row != nil {
 			row.add(causePeerFetch, time.Since(legStart))
 		}
-		if failed {
-			n.failovers.Add(1) // the tier broke its promise: fall to the PFS
+		if payload == nil {
+			n.failovers.Add(1) // the peer broke its promise: fall to the PFS
 			pfsCause = causeRecovery
 		}
 	}
@@ -568,21 +542,9 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, tctx obs.TraceC
 		payload = n.pfsReadRetry(id)
 		n.pfsReads.Add(1)
 		pooled = n.rt.pfs.PooledReads()
-		// Write-back so other nodes find it in the shared tier; the
-		// cluster's own LRU bounds its memory. Put is synchronous — the
-		// payload is fully on the wire before it returns — so it does not
-		// extend the buffer's ownership. A demand fetch writes back after
-		// the insert, under its lease; a prefetch has none, so it writes
-		// back while the buffer is still exclusively its own.
-		if n.rt.kv != nil && !demand {
-			_ = n.rt.kv.Put(kvKey(id), payload)
-		}
 		ok, retained = n.cache.put(id, payload, now, pooled, demand)
 		if row != nil {
 			row.add(pfsCause, time.Since(legStart))
-		}
-		if n.rt.kv != nil && demand {
-			_ = n.rt.kv.Put(kvKey(id), payload)
 		}
 	}
 	switch {
@@ -640,11 +602,6 @@ func retryTransient(onRetry func(), op func() error) error {
 // nextBackoff doubles a backoff, capped at pfsRetryMax.
 func nextBackoff(d time.Duration) time.Duration {
 	return min(2*d, pfsRetryMax)
-}
-
-// kvKey renders a sample's cluster key.
-func kvKey(id dataset.SampleID) string {
-	return "sample/" + strconv.FormatUint(uint64(id), 10)
 }
 
 // buildNodePolicy instantiates the strategy's cache policy for this node

@@ -153,10 +153,10 @@ func (ro *runtimeObs) registerCauseHists(r int, rank string) {
 		"Stall time attributed to serving samples from the local cache, per iteration and rank.",
 		b, "rank", rank)
 	ro.causeHists[causePeerFetch][r] = ro.reg.Histogram("lobster_runtime_stall_peer_fetch_seconds",
-		"Stall time attributed to shared-tier legs (peer-cache or KV fetches, delivered or failed), per iteration and rank.",
+		"Stall time attributed to peer-cache fetches (delivered or failed), per iteration and rank.",
 		b, "rank", rank)
 	ro.causeHists[causePFS][r] = ro.reg.Histogram("lobster_runtime_stall_pfs_seconds",
-		"Stall time attributed to normal-path demand PFS reads (clean shared-tier miss), per iteration and rank.",
+		"Stall time attributed to normal-path demand PFS reads (no peer holder), per iteration and rank.",
 		b, "rank", rank)
 	ro.causeHists[causeDecodeWait][r] = ro.reg.Histogram("lobster_runtime_stall_decode_wait_seconds",
 		"Stall time attributed to decode jobs waiting in the preprocessing queue, per iteration and rank.",
@@ -165,7 +165,7 @@ func (ro *runtimeObs) registerCauseHists(r int, rank string) {
 		"Stall time attributed to load requests waiting in per-GPU queues, per iteration and rank.",
 		b, "rank", rank)
 	ro.causeHists[causeRecovery][r] = ro.reg.Histogram("lobster_runtime_stall_recovery_seconds",
-		"Stall time attributed to fallback PFS reads after a broken shared-tier promise (failover events), per iteration and rank.",
+		"Stall time attributed to fallback PFS reads after a broken peer promise (failover events), per iteration and rank.",
 		b, "rank", rank)
 }
 
@@ -174,13 +174,13 @@ func (ro *runtimeObs) registerCauseHists(r int, rank string) {
 func (ro *runtimeObs) registerPrefetchHists(n int, node string) {
 	b := obs.LatencyBuckets()
 	ro.prefetchHists[causePeerFetch][n] = ro.reg.Histogram("lobster_runtime_prefetch_peer_fetch_seconds",
-		"Time prefetch helpers and idle loading workers spent in shared-tier legs ahead of demand (peer-cache fetches, KV Gets or MultiGets, delivered or failed), per iteration and node.",
+		"Time prefetch helpers and idle loading workers spent in peer-cache fetches ahead of demand (delivered or failed), per iteration and node.",
 		b, "node", node)
 	ro.prefetchHists[causePFS][n] = ro.reg.Histogram("lobster_runtime_prefetch_pfs_seconds",
 		"Time prefetch helpers and idle loading workers spent in normal-path PFS reads ahead of demand, per iteration and node.",
 		b, "node", node)
 	ro.prefetchHists[causeRecovery][n] = ro.reg.Histogram("lobster_runtime_prefetch_recovery_seconds",
-		"Time prefetch helpers and idle loading workers spent in fallback PFS reads after a broken shared-tier promise (failover events), per iteration and node.",
+		"Time prefetch helpers and idle loading workers spent in fallback PFS reads after a broken peer promise (failover events), per iteration and node.",
 		b, "node", node)
 }
 
@@ -193,8 +193,8 @@ func (ro *runtimeObs) clockOvershootHist() *obs.Histogram {
 	return ro.clockOvershoot
 }
 
-// prefetchRow returns the ledger row node n's staging charges (stageOne,
-// prefetchWindowKV), or nil when attribution is not being recorded (see ledgerOn).
+// prefetchRow returns the ledger row node n's staging charges (stageOne),
+// or nil when attribution is not being recorded (see ledgerOn).
 func (ro *runtimeObs) prefetchRow(n int) *stallRow {
 	led := ro.ledgerOn()
 	if led == nil {
@@ -321,7 +321,7 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 		return
 	}
 	node.loadHist = ro.reg.Histogram("lobster_runtime_load_seconds",
-		"Time to materialize one sample (local cache, peer/KV tier, or PFS).",
+		"Time to materialize one sample (local cache, peer cache, or PFS).",
 		obs.LatencyBuckets(), "node", n)
 
 	for j, q := range node.queues {
@@ -353,7 +353,7 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 		"Local cache misses on the demand path.",
 		func() float64 { return float64(nc.stats().Misses) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_remote_hits_total",
-		"Misses served by the shared tier (peer caches or KV cluster).",
+		"Misses served by a peer's cache.",
 		func() float64 { return float64(node.remoteHits.Load()) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_pfs_reads_total",
 		"Samples read from the parallel file system.",
@@ -376,11 +376,8 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 			func() float64 { return float64(feed.pauseCount()) }, "node", n)
 	}
 	ro.reg.CounterFunc("lobster_runtime_failover_total",
-		"Shared-tier reads that fell over to the PFS (lost peer copy, unreachable KV shard, or degraded prefetch window).",
+		"Peer reads that fell over to the PFS (promised peer copy not delivered).",
 		func() float64 { return float64(node.failovers.Load()) }, "node", n)
-	ro.reg.CounterFunc("lobster_runtime_partial_fanout_total",
-		"KV MultiGet fan-outs that returned a partial result (some shards failed).",
-		func() float64 { return float64(node.partials.Load()) }, "node", n)
 }
 
 // gpuSpan records one GPU-loop stage ("stall" or "train") into both the

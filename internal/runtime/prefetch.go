@@ -1,15 +1,11 @@
 package runtime
 
 import (
-	"errors"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dataset"
-	"repro/internal/kvstore"
 	"repro/internal/loader"
-	"repro/internal/preproc"
 	"repro/internal/sampler"
 )
 
@@ -88,20 +84,20 @@ const (
 	loaderReach = 3
 )
 
-// claim appends to out the next up-to-max ids worth fetching, all from
-// one window, and marks them in flight. now is the iteration the ranks
-// are training on; the walk covers windows now+feedNear to now+reach,
+// claim hands out the next id worth fetching and marks it in flight; ok
+// is false when there is none. now is the iteration the ranks are
+// training on; the walk covers windows now+feedNear to now+reach,
 // bounded by the feed's depth and the last iteration of the run. Helpers
 // pass the depth, idle loading workers loaderReach: one cursor serves
 // both, so a loader is handed something only while the walk has not yet
-// left the near windows. Resident and in-flight ids are passed over. An
-// empty result means the feed is caught up or paused; the caller waits for
-// the next iteration.
-func (f *prefetchFeed) claim(now, reach, max int, out []prefetchClaim) []prefetchClaim {
+// left the near windows. Resident and in-flight ids are passed over.
+// Nothing to hand out means the feed is caught up or paused; the caller
+// waits for the next iteration.
+func (f *prefetchFeed) claim(now, reach int) (c prefetchClaim, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if now < f.resumeAt {
-		return out
+		return c, false
 	}
 	if f.iter < now+feedNear {
 		f.iter, f.off, f.filled = now+feedNear, 0, false
@@ -119,27 +115,26 @@ func (f *prefetchFeed) claim(now, reach, max int, out []prefetchClaim) []prefetc
 			f.filled = true
 		}
 		perGPU := len(f.batch) / f.gpus
-		for ; f.off < len(f.batch) && len(out) < max; f.off++ {
+		for ; f.off < len(f.batch); f.off++ {
 			id := f.batch[f.off%f.gpus*perGPU+f.off/f.gpus]
 			if _, busy := f.inflight[id]; busy || f.resident(id) {
 				continue
 			}
 			f.inflight[id] = struct{}{}
-			out = append(out, prefetchClaim{id: id, iter: f.iter, off: f.off})
-		}
-		if len(out) > 0 {
-			return out
+			c = prefetchClaim{id: id, iter: f.iter, off: f.off}
+			f.off++
+			return c, true
 		}
 		f.iter, f.off, f.filled = f.iter+1, 0, false
 	}
-	return out
+	return c, false
 }
 
 // settle ends a claim. staged reports whether the sample is in the cache
-// now; when it is not (the policy refused it, or refused an earlier claim
-// of the same batch) the cursor goes back to the claim, so it is the
-// first thing handed out again, and the feed pauses until the iteration
-// advances past now — the iteration the refusal was decided at.
+// now; when it is not (the policy refused it) the cursor goes back to the
+// claim, so it is the first thing handed out again, and the feed pauses
+// until the iteration advances past now — the iteration the refusal was
+// decided at.
 func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -154,17 +149,6 @@ func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 	if f.resumeAt <= now {
 		f.resumeAt = now + 1
 		f.pauses++
-	}
-}
-
-// abandon ends claims whose fetch was never attempted because the run is
-// stopping: they leave the in-flight set, and the cursor and the pause stay
-// as they are.
-func (f *prefetchFeed) abandon(cs []prefetchClaim) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, c := range cs {
-		delete(f.inflight, c.id)
 	}
 }
 
@@ -197,26 +181,14 @@ func prefetchHelpers(spec loader.Spec) int {
 	return spec.PrefetchThreads
 }
 
-// prefetchHelper drains the node's feed to its full depth until stopPref
-// closes: one id at a time on the peer/PFS path, one window's worth on the
-// KV path so a window still costs one MultiGet round trip per shard. The
-// helpers compete with demand loading for storage bandwidth exactly as
-// real background prefetching does.
+// prefetchHelper drains the node's feed to its full depth, one id at a
+// time, until stopPref closes. The helpers compete with demand loading for
+// storage bandwidth exactly as real background prefetching does.
 func (n *nodeRuntime) prefetchHelper() {
 	defer n.prefWG.Done()
-	var claims []prefetchClaim
 	for !n.stopping() {
-		if n.rt.kv == nil {
-			if n.stageOne(n.feed.depth, false) {
-				continue
-			}
-		} else {
-			now := int(n.iterNow.Load())
-			claims = n.feed.claim(now, n.feed.depth, n.rt.gpus*n.rt.sched.BatchSize(), claims[:0])
-			if len(claims) > 0 {
-				n.prefetchWindowKV(claims, now, n.rt.ro.prefetchRow(n.node))
-				continue
-			}
+		if n.stageOne(n.feed.depth, false) {
+			continue
 		}
 		// Caught up or paused: wait for the next iteration.
 		select {
@@ -249,13 +221,12 @@ func (n *nodeRuntime) stageOne(reach int, byLoader bool) bool {
 		return false
 	}
 	now := int(n.iterNow.Load())
-	var one [1]prefetchClaim
-	claims := n.feed.claim(now, reach, 1, one[:0])
-	if len(claims) == 0 {
+	c, ok := n.feed.claim(now, reach)
+	if !ok {
 		return false
 	}
-	_, _, _, staged := n.fetch(claims[0].id, cache.Iter(now), 0, n.rt.ro.prefetchRow(n.node), false)
-	n.feed.settle(claims[0], staged, now)
+	_, _, _, staged := n.fetch(c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false)
+	n.feed.settle(c, staged, now)
 	if staged {
 		n.prefetched.Add(1)
 		if byLoader {
@@ -263,104 +234,4 @@ func (n *nodeRuntime) stageOne(reach int, byLoader bool) bool {
 		}
 	}
 	return true
-}
-
-// prefetchWindowKV stages one claimed window through the KV cluster: the
-// claims are fetched in a single MultiGet round trip per shard, and every
-// PFS fallback read is written back to the cluster in one batched
-// MultiPut. Semantics match the per-id path: a KV hit counts only toward
-// prefetched, a PFS fallback also counts a PFS read, and a local-cache
-// refusal settles the rest of the claims unstaged (the feed rewinds to
-// the refused one). row, when non-nil, is charged like fetch charges it:
-// the MultiGet is peer_fetch, a PFS read is pfs, or recovery when the
-// whole fan-out failed.
-func (n *nodeRuntime) prefetchWindowKV(claims []prefetchClaim, now int, row *stallRow) {
-	keys := make([]string, len(claims))
-	for i, c := range claims {
-		keys[i] = kvKey(c.id)
-	}
-	var legStart time.Time
-	if row != nil {
-		legStart = time.Now()
-	}
-	vals, err := n.rt.kv.MultiGet(keys)
-	if row != nil {
-		row.add(causePeerFetch, time.Since(legStart))
-	}
-	pfsCause := causePFS
-	if err != nil {
-		// A partial fan-out failure still returns the healthy shards'
-		// values (failed shards' entries are nil, i.e. misses); anything
-		// else degrades the whole window to misses.
-		var pe *kvstore.PartialError
-		if errors.As(err, &pe) {
-			n.partials.Add(1)
-		} else {
-			n.failovers.Add(1)
-			vals = nil
-			pfsCause = causeRecovery
-		}
-	}
-	// Write-backs accumulate across the loop and flush in one MultiPut,
-	// including when a cache refusal abandons the window early. The flush
-	// still reads every queued buffer, so pooled ones stay protected
-	// until after it: retained buffers hold a lease (eviction must not
-	// recycle them mid-flush), unretained ones are recycled only once the
-	// flush is done with them.
-	var wbKeys []string
-	var wbVals [][]byte
-	var freeAfterWB, releaseAfterWB [][]byte
-	defer func() {
-		if len(wbKeys) > 0 {
-			_ = n.rt.kv.MultiPut(wbKeys, wbVals) // best-effort, like the per-id write-back
-		}
-		for _, b := range freeAfterWB {
-			preproc.PutPayloadBuf(b)
-		}
-		for _, b := range releaseAfterWB {
-			n.cache.ReleasePayload(b)
-		}
-	}()
-	refused := false
-	for i, c := range claims {
-		if refused {
-			n.feed.settle(c, false, now)
-			continue
-		}
-		if n.stopping() {
-			// Loading workers may still read the feed: leave nothing in flight.
-			n.feed.abandon(claims[i:])
-			return
-		}
-		var payload []byte
-		pooled := false
-		if vals != nil && vals[i] != nil {
-			payload = vals[i] // KV client copy: not pool-recyclable
-		} else {
-			if row != nil {
-				legStart = time.Now()
-			}
-			payload = n.pfsReadRetry(c.id)
-			if row != nil {
-				row.add(pfsCause, time.Since(legStart))
-			}
-			n.pfsReads.Add(1)
-			pooled = n.rt.pfs.PooledReads()
-			wbKeys = append(wbKeys, keys[i])
-			wbVals = append(wbVals, payload)
-		}
-		ok, retained := n.cache.put(c.id, payload, cache.Iter(now), pooled, pooled)
-		if pooled {
-			if retained {
-				releaseAfterWB = append(releaseAfterWB, payload)
-			} else {
-				freeAfterWB = append(freeAfterWB, payload)
-			}
-		}
-		n.feed.settle(c, ok, now)
-		if ok {
-			n.prefetched.Add(1)
-		}
-		refused = !ok
-	}
 }

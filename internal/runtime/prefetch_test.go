@@ -105,10 +105,22 @@ func wantClaims(sched *sampler.Schedule, node, first, last int, res *residency) 
 	return want
 }
 
-// TestPrefetchFeedOrder drains a feed one claim at a time, never
-// settling, and compares the sequence with the windows now+2 … the
-// nearer of now+depth and the last iteration, each in interleaved order,
-// less the resident ids and the ids already claimed.
+// mustClaim claims the next id within the feed's depth, failing the test
+// when the feed hands out nothing.
+func mustClaim(t *testing.T, f *prefetchFeed, now int) prefetchClaim {
+	t.Helper()
+	c, ok := f.claim(now, f.depth)
+	if !ok {
+		t.Fatalf("feed handed out nothing at now=%d", now)
+	}
+	return c
+}
+
+// TestPrefetchFeedOrder drains a feed, never settling, and compares the
+// sequence with the windows now+2 … the nearer of now+depth and the last
+// iteration, each in interleaved order, less the resident ids and the
+// ids already claimed. Each row takes held claims back to back before
+// checking that every one of them is still in flight.
 func TestPrefetchFeedOrder(t *testing.T) {
 	sched := feedSchedule(t)
 	w2, w9 := window(sched, 1, 2), window(sched, 1, 9)
@@ -116,40 +128,39 @@ func TestPrefetchFeedOrder(t *testing.T) {
 		name       string
 		node       int
 		now, depth int
-		max        int
+		held       int
 		resident   []dataset.SampleID
 		first      int // first window claimed from
 		last       int // last window claimed from
 	}{
-		{name: "start of the run", node: 0, now: 0, depth: 3, max: 1, first: 2, last: 3},
-		{name: "second node", node: 1, now: 0, depth: 3, max: 1, first: 2, last: 3},
-		{name: "resident ids are passed over", node: 1, now: 0, depth: 2, max: 1,
+		{name: "start of the run", node: 0, now: 0, depth: 3, held: 1, first: 2, last: 3},
+		{name: "second node", node: 1, now: 0, depth: 3, held: 1, first: 2, last: 3},
+		{name: "resident ids are passed over", node: 1, now: 0, depth: 2, held: 1,
 			resident: []dataset.SampleID{w2[0], w2[3], w2[7]}, first: 2, last: 2},
-		{name: "depth 1 reaches no window", node: 0, now: 4, depth: 1, max: 1, first: 6, last: 5},
-		{name: "across the epoch boundary", node: 1, now: 3, depth: 6, max: 1,
+		{name: "depth 1 reaches no window", node: 0, now: 4, depth: 1, held: 1, first: 6, last: 5},
+		{name: "across the epoch boundary", node: 1, now: 3, depth: 6, held: 1,
 			resident: []dataset.SampleID{w9[1]}, first: 5, last: 9},
-		{name: "bounded by the end of the run", node: 0, now: 14, depth: 64, max: 1, first: 16, last: 17},
-		{name: "last iterations leave nothing", node: 0, now: 16, depth: 64, max: 1, first: 18, last: 17},
-		{name: "a window's worth per claim", node: 1, now: 2, depth: 4, max: feedGPUs * feedBatch, first: 4, last: 6},
-		{name: "three per claim", node: 0, now: 2, depth: 4, max: 3, first: 4, last: 6},
+		{name: "bounded by the end of the run", node: 0, now: 14, depth: 64, held: 1, first: 16, last: 17},
+		{name: "last iterations leave nothing", node: 0, now: 16, depth: 64, held: 1, first: 18, last: 17},
+		{name: "a window's worth per claim", node: 1, now: 2, depth: 4, held: feedGPUs * feedBatch, first: 4, last: 6},
+		{name: "three per claim", node: 0, now: 2, depth: 4, held: 3, first: 4, last: 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := newResidency(tc.resident...)
 			f := newPrefetchFeed(sched, tc.node, feedGPUs, feedTotalIters, tc.depth, res.contains)
 			want := wantClaims(sched, tc.node, tc.first, tc.last, res)
 			var got []prefetchClaim
-			for {
-				cs := f.claim(tc.now, f.depth, tc.max, nil)
-				if len(cs) == 0 {
-					break
-				}
-				if len(cs) > tc.max {
-					t.Fatalf("claim returned %d ids, max %d", len(cs), tc.max)
+			for drained := false; !drained; {
+				var cs []prefetchClaim
+				for len(cs) < tc.held {
+					c, ok := f.claim(tc.now, f.depth)
+					if !ok {
+						drained = true
+						break
+					}
+					cs = append(cs, c)
 				}
 				for _, c := range cs {
-					if c.iter != cs[0].iter {
-						t.Fatalf("one claim spans windows %d and %d", cs[0].iter, c.iter)
-					}
 					if !f.inFlight(c.id) {
 						t.Fatalf("claimed id %d is not in flight", c.id)
 					}
@@ -180,11 +191,10 @@ func TestPrefetchFeedFollowsIteration(t *testing.T) {
 		// Three claims per iteration: less than a window, so the cursor
 		// falls behind and must jump to now+2.
 		for i := 0; i < 3; i++ {
-			cs := f.claim(now, f.depth, 1, nil)
-			if len(cs) == 0 {
+			c, ok := f.claim(now, f.depth)
+			if !ok {
 				break
 			}
-			c := cs[0]
 			if c.iter < now+2 || c.iter > now+4 || c.iter >= feedTotalIters {
 				t.Fatalf("now=%d: claim %+v outside the lookahead", now, c)
 			}
@@ -231,11 +241,16 @@ func TestPrefetchFeedConcurrentClaims(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			max := 1 + g%3 // mix single claims with small batches
-			for {
-				cs := f.claim(now, f.depth, max, nil)
-				if len(cs) == 0 {
-					return
+			hold := 1 + g%3 // mix single claims with a few held at once
+			for drained := false; !drained; {
+				var cs []prefetchClaim
+				for len(cs) < hold {
+					c, ok := f.claim(now, f.depth)
+					if !ok {
+						drained = true
+						break
+					}
+					cs = append(cs, c)
 				}
 				mu.Lock()
 				for _, c := range cs {
@@ -267,8 +282,8 @@ func TestPrefetchFeedConcurrentClaims(t *testing.T) {
 			t.Errorf("id %d claimed %d times but is resident or out of reach", id, n)
 		}
 	}
-	if cs := f.claim(now, f.depth, 1, nil); len(cs) != 0 {
-		t.Errorf("drained feed still hands out %v", cs)
+	if c, ok := f.claim(now, f.depth); ok {
+		t.Errorf("drained feed still hands out %+v", c)
 	}
 }
 
@@ -284,16 +299,16 @@ func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
 	// refusals sit in a window still ahead of demand at now+1.
 	var last prefetchClaim
 	for i := 0; i < feedGPUs*feedBatch+5; i++ {
-		last = f.claim(now, f.depth, 1, nil)[0]
+		last = mustClaim(t, f, now)
 		res.add(last.id)
 		f.settle(last, true, now)
 	}
 	if last.iter != 3 || last.off != 4 {
 		t.Fatalf("setup ended at %+v, want window 3 offset 4", last)
 	}
-	a := f.claim(now, f.depth, 1, nil)[0]
-	b := f.claim(now, f.depth, 1, nil)[0]
-	c := f.claim(now, f.depth, 1, nil)[0]
+	a := mustClaim(t, f, now)
+	b := mustClaim(t, f, now)
+	c := mustClaim(t, f, now)
 	if a.off != 5 || b.off != 6 || c.off != 7 {
 		t.Fatalf("claims %+v %+v %+v, want window 3 offsets 5, 6, 7", a, b, c)
 	}
@@ -310,18 +325,18 @@ func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
 		t.Fatalf("two refusals in one iteration counted %d pauses, want 1", got)
 	}
 	for i := 0; i < 3; i++ {
-		if cs := f.claim(now, f.depth, 4, nil); len(cs) != 0 {
-			t.Fatalf("paused feed handed out %v", cs)
+		if got, ok := f.claim(now, f.depth); ok {
+			t.Fatalf("paused feed handed out %+v", got)
 		}
 	}
 	// Offset 6 was staged meanwhile, and 5 and 7 are all that is left of
 	// window 3's eight ids.
-	cs := f.claim(now+1, f.depth, 4, nil)
-	if len(cs) != 2 || cs[0] != a || cs[1] != c {
-		t.Fatalf("first claims after the pause are %v, want the refused %+v then %+v", cs, a, c)
+	first, second := mustClaim(t, f, now+1), mustClaim(t, f, now+1)
+	if first != a || second != c {
+		t.Fatalf("first claims after the pause are %+v %+v, want the refused %+v then %+v", first, second, a, c)
 	}
-	if next := f.claim(now+1, f.depth, 1, nil); len(next) != 1 || next[0].iter != 4 || next[0].off != 0 {
-		t.Fatalf("claim after the refused ones is %v, want the head of window 4", next)
+	if next := mustClaim(t, f, now+1); next.iter != 4 || next.off != 0 {
+		t.Fatalf("claim after the refused ones is %+v, want the head of window 4", next)
 	}
 }
 
@@ -331,11 +346,10 @@ func TestPrefetchFeedRefusalRewindsAndPauses(t *testing.T) {
 func TestPrefetchFeedRefusalBehindDemand(t *testing.T) {
 	sched := feedSchedule(t)
 	f := newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 8, newResidency().contains)
-	c := f.claim(0, f.depth, 1, nil)[0]
+	c := mustClaim(t, f, 0)
 	f.settle(c, false, 0)
-	next := f.claim(1, f.depth, 1, nil)
-	if len(next) != 1 || next[0].iter != 3 || next[0].off != 0 {
-		t.Fatalf("claim after the pause is %v, want the head of window 3", next)
+	if next := mustClaim(t, f, 1); next.iter != 3 || next.off != 0 {
+		t.Fatalf("claim after the pause is %+v, want the head of window 3", next)
 	}
 }
 
@@ -413,10 +427,10 @@ func TestPrefetchFeedCountsLateDemandMiss(t *testing.T) {
 	}
 	defer cleanup()
 	node := rt.nodes[0]
-	claimed := node.feed.claim(0, node.feed.depth, 1, nil)[0]
+	claimed := mustClaim(t, node.feed, 0)
 	other := window(rt.sched, 0, 3)[0]
 	for i, id := range []dataset.SampleID{claimed.id, other, claimed.id} {
-		payload, owned, owner, ok := node.fetch(id, 0, 0, nil, true)
+		payload, owned, owner, ok := node.fetch(id, 0, nil, true)
 		if !ok || payload == nil {
 			t.Fatalf("demand fetch %d of sample %d: ok=%v payload=%v", i, id, ok, payload != nil)
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/kvstore"
 	"repro/internal/loader"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
@@ -59,8 +58,7 @@ type Options struct {
 	// Obs, when non-nil, is the instrument registry the run records into:
 	// per-stage latency histograms (stall/load/preproc), per-GPU queue
 	// depths, cache/PFS counters — everything a monitor.Server serves at
-	// /metrics. When the run uses a KVCache, its shard clients are
-	// instrumented into the same registry.
+	// /metrics.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives per-stage spans (stall/train per
 	// rank, load per loading worker, preproc per pool worker, per-cause
@@ -71,19 +69,10 @@ type Options struct {
 	// barrier's last arriver ticks the controller at every iteration
 	// boundary, and the runtime registers default injectors for the fault
 	// kinds it owns (PFS brownouts, straggler peers, cache-node crashes,
-	// slow decode workers) — see internal/chaos and DESIGN.md §13. Kinds
-	// the runtime has no handle on (kv shard crash, connection drops) are
-	// the harness's to Register before the run.
+	// slow decode workers) — see internal/chaos and DESIGN.md §13. A
+	// harness may Register its own injector for any of these kinds
+	// before the run; it replaces the runtime's.
 	Chaos *chaos.Controller
-	// KVCache, when non-nil, replaces the node-to-node distribution
-	// manager with a shared KV-store cluster as the middle cache tier
-	// (the "alternatives to distributed caching like for example
-	// KV-stores" of Section 2). Demand misses go local cache -> KV
-	// cluster -> PFS, with PFS fetches written back to the cluster; the
-	// prefetch helpers fetch each claimed plan window through one batched
-	// MultiGet round trip per shard and write PFS fallbacks back with a
-	// single MultiPut.
-	KVCache *kvstore.Cluster
 }
 
 // Progress is a live mid-run snapshot published through
@@ -101,13 +90,12 @@ type Progress struct {
 	// mid-run.
 	WorkAhead    uint64 `json:"work_ahead"`
 	PrefetchLate uint64 `json:"prefetch_late"`
-	// Failovers and PartialFanouts mirror the Stats fields of the same
-	// names mid-run, so health endpoints can surface recovery-layer
-	// pressure while the run is still going.
-	Failovers      uint64  `json:"failovers"`
-	PartialFanouts uint64  `json:"partial_fanouts"`
-	HitRatio       float64 `json:"hit_ratio"`
-	ElapsedSec     float64 `json:"elapsed_sec"`
+	// Failovers mirrors the Stats field of the same name mid-run, so
+	// health endpoints can surface recovery-layer pressure while the run
+	// is still going.
+	Failovers  uint64  `json:"failovers"`
+	HitRatio   float64 `json:"hit_ratio"`
+	ElapsedSec float64 `json:"elapsed_sec"`
 }
 
 // HealthSignals implements monitor.HealthSignaler (structurally; the
@@ -115,8 +103,7 @@ type Progress struct {
 // fed with Progress snapshots shows recovery-layer pressure inline.
 func (p Progress) HealthSignals() map[string]uint64 {
 	return map[string]uint64{
-		"failovers":       p.Failovers,
-		"partial_fanouts": p.PartialFanouts,
+		"failovers": p.Failovers,
 	}
 }
 
@@ -142,14 +129,10 @@ type Stats struct {
 	// does not wait for the other one.
 	PrefetchLate    uint64
 	AllreduceRounds uint64
-	// Failovers counts shared-tier reads, demand or prefetch, that fell
-	// over to the PFS (promised peer copy not delivered, KV shard unreachable, or a whole
-	// prefetch window degraded by a full MultiGet failure) — the recovery
-	// layer's "how often did the middle tier let us down" number.
+	// Failovers counts peer reads, demand or prefetch, that fell over to
+	// the PFS because the promised peer copy was not delivered — the
+	// recovery layer's "how often did the middle tier let us down" number.
 	Failovers uint64
-	// PartialFanouts counts KV MultiGet fan-outs that came back partial
-	// (kvstore.PartialError: some shards failed, the rest delivered).
-	PartialFanouts uint64
 	// DataFold is a deterministic fold of every decoded tensor checksum:
 	// a rank-major chain of per-iteration folds, where each iteration's
 	// fold is order-independent (results may finish in any order within
@@ -184,7 +167,6 @@ type Runtime struct {
 	dir   *Directory
 	dm    *DistributionManager
 	pfs   *PFSStore
-	kv    *kvstore.Cluster
 	nodes []*nodeRuntime
 	mgrs  []*threadmgr.Manager
 	clk   clock           // where the modeled delays wait
@@ -503,7 +485,7 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 		WallTime: wall, Iterations: rt.totalIters,
 		CacheHits: c.CacheHits, CacheMisses: c.CacheMiss, RemoteHits: c.RemoteHits, PFSReads: c.PFSReads,
 		Prefetched: c.Prefetched, WorkAhead: c.WorkAhead, PrefetchLate: c.PrefetchLate,
-		Failovers: c.Failovers, PartialFanouts: c.PartialFanouts,
+		Failovers: c.Failovers,
 	}
 	if stop := rt.stopIter.Load(); stop >= 0 {
 		stats.Iterations = int(stop)
@@ -561,7 +543,6 @@ func (rt *Runtime) counters() (p Progress) {
 		p.WorkAhead += node.stagedByLoaders.Load()
 		p.PrefetchLate += node.prefetchLate.Load()
 		p.Failovers += node.failovers.Load()
-		p.PartialFanouts += node.partials.Load()
 	}
 	return p
 }

@@ -85,8 +85,8 @@ func TestPrefetchFeedLoaderReach(t *testing.T) {
 				if turn%3 == 2 {
 					reach = tc.depth
 				}
-				cs := f.claim(tc.now, reach, 1, nil)
-				if len(cs) == 0 {
+				c, ok := f.claim(tc.now, reach)
+				if !ok {
 					if reach == tc.depth {
 						break
 					}
@@ -94,11 +94,11 @@ func TestPrefetchFeedLoaderReach(t *testing.T) {
 				}
 				if reach == loaderReach {
 					byLoader++
-					if cs[0].iter > tc.now+loaderReach || cs[0].iter > tc.loaderLast {
-						t.Fatalf("loader-side claim %+v beyond window %d at now=%d", cs[0], tc.loaderLast, tc.now)
+					if c.iter > tc.now+loaderReach || c.iter > tc.loaderLast {
+						t.Fatalf("loader-side claim %+v beyond window %d at now=%d", c, tc.loaderLast, tc.now)
 					}
 				}
-				got = append(got, cs...)
+				got = append(got, c)
 			}
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("claims\n got %v\nwant %v", got, want)
@@ -106,8 +106,8 @@ func TestPrefetchFeedLoaderReach(t *testing.T) {
 			if byLoader == 0 {
 				t.Fatal("no claim went to a loader")
 			}
-			if cs := f.claim(tc.now, loaderReach, 1, nil); len(cs) != 0 {
-				t.Fatalf("drained feed still hands a loader %v", cs)
+			if c, ok := f.claim(tc.now, loaderReach); ok {
+				t.Fatalf("drained feed still hands a loader %+v", c)
 			}
 		})
 	}

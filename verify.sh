@@ -8,7 +8,9 @@
 #                        fallback and the decode kernel's non-amd64 stubs
 #                        (bodysum_other.go) are built on every gate; the
 #                        kvstore tests also run as 386, where int is 32
-#                        bits
+#                        bits; and internal/runtime must not depend on
+#                        internal/kvstore (one peer transport: DESIGN.md
+#                        §16)
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
 #   4. feed determinism — the prefetch feed, helper and loader
@@ -58,6 +60,12 @@ cd "$(dirname "$0")"
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> internal/runtime does not import internal/kvstore"
+if go list -deps ./internal/runtime | grep -qx 'repro/internal/kvstore'; then
+  echo "internal/runtime depends on repro/internal/kvstore: the runtime has one peer transport, the distribution manager" >&2
+  exit 1
+fi
 
 echo "==> darwin/arm64 cross-build (clock fallback, portable decode stubs)"
 GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime ./internal/preproc
