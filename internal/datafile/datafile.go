@@ -57,12 +57,24 @@ func Write(path string, ds *dataset.Dataset, seed uint64) error {
 	binary.LittleEndian.PutUint64(u64[:], seed)
 	put(u64[:])
 
+	// Both passes regenerate each payload into one reused buffer.
+	var buf []byte
+	fill := func(id dataset.SampleID) []byte {
+		size := int(ds.Size(id))
+		if cap(buf) < size {
+			buf = make([]byte, size)
+		}
+		buf = buf[:size]
+		dataset.FillPayload(buf, ds.Seed(), id)
+		return buf
+	}
+
 	// Index: offsets are relative to the start of the data section.
 	offset := uint64(0)
 	for i := 0; i < n; i++ {
 		id := dataset.SampleID(i)
 		size := uint64(ds.Size(id))
-		payload := ds.Payload(id)
+		payload := fill(id)
 		binary.LittleEndian.PutUint64(u64[:], offset)
 		put(u64[:])
 		var u32 [4]byte
@@ -74,7 +86,7 @@ func Write(path string, ds *dataset.Dataset, seed uint64) error {
 	}
 	// Data.
 	for i := 0; i < n; i++ {
-		if _, err := w.Write(ds.Payload(dataset.SampleID(i))); err != nil {
+		if _, err := w.Write(fill(dataset.SampleID(i))); err != nil {
 			return fmt.Errorf("datafile: %w", err)
 		}
 	}

@@ -1,6 +1,7 @@
 package datafile
 
 import (
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -57,6 +58,20 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	}
 	if err := r.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteBytesPinned pins the whole packed file of testFile's dataset,
+// header, index and data, by its length and CRC-32: a change to the
+// payload generator or the format that moves any byte fails here.
+func TestWriteBytesPinned(t *testing.T) {
+	path, _, _ := testFile(t)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := crc32.ChecksumIEEE(b); len(b) != 799071 || got != 0xd9801a53 {
+		t.Fatalf("file of %d bytes, CRC-32 %#08x; want 799071 bytes, CRC-32 0xd9801a53", len(b), got)
 	}
 }
 

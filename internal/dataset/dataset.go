@@ -11,10 +11,8 @@
 package dataset
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/stats"
 )
@@ -115,6 +113,10 @@ func (d *Dataset) Size(id SampleID) int64 { return d.sizes[id] }
 // Label returns the class label of sample id.
 func (d *Dataset) Label(id SampleID) int32 { return d.labels[id] }
 
+// Seed returns the generation seed, which also seeds every payload
+// (Payload, FillPayload).
+func (d *Dataset) Seed() uint64 { return d.seed }
+
 // TotalBytes returns the sum of all sample sizes (S in the paper's model).
 func (d *Dataset) TotalBytes() int64 { return d.total }
 
@@ -124,101 +126,4 @@ func (d *Dataset) MeanSize() int64 {
 		return 0
 	}
 	return d.total / int64(len(d.sizes))
-}
-
-// Payload deterministically regenerates the raw bytes of a sample for the
-// online runtime. The content is a function of (dataset seed, sample id)
-// only, so every node's PFS store serves identical bytes — which lets
-// integration tests verify end-to-end data integrity after cache hops.
-//
-// The first 12 bytes are a header (sample id + length) that the preproc
-// decoder validates; the rest is a cheap xorshift stream.
-func (d *Dataset) Payload(id SampleID) []byte {
-	size := d.sizes[id]
-	buf := make([]byte, size)
-	FillPayload(buf, d.seed, id)
-	return buf
-}
-
-// PayloadHeaderSize is the number of leading bytes carrying sample
-// metadata inside a payload. Samples smaller than this carry a truncated
-// header.
-const PayloadHeaderSize = 12
-
-// FillPayload writes the deterministic payload of sample id into buf
-// (whose length defines the sample size written).
-func FillPayload(buf []byte, seed uint64, id SampleID) {
-	var hdr [PayloadHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(id))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(buf)))
-	n := copy(buf, hdr[:])
-	state := stats.DeriveSeed(seed, uint64(id)+1)
-	i := n
-	for ; i+8 <= len(buf); i += 8 {
-		state = xorshift(state)
-		binary.LittleEndian.PutUint64(buf[i:], state)
-	}
-	if i < len(buf) {
-		// The tail gets the leading bytes of one more word.
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], xorshift(state))
-		copy(buf[i:], w[:])
-	}
-}
-
-func xorshift(state uint64) uint64 {
-	state ^= state << 13
-	state ^= state >> 7
-	state ^= state << 17
-	return state
-}
-
-// VerifyPayload checks that buf is the payload of sample id under seed:
-// every byte, header and body, against the stream FillPayload writes,
-// regenerated a word at a time with no buffer. It returns a descriptive
-// error on mismatch.
-//
-//lint:hotpath one check per value a kv read returns; a scratch copy of the payload was most of the reader's garbage
-func VerifyPayload(buf []byte, seed uint64, id SampleID) error {
-	if len(buf) >= 4 {
-		gotID := binary.LittleEndian.Uint32(buf[0:4])
-		if gotID != uint32(id) {
-			//lint:allow hotpath cold mismatch path, formatted once per corrupt payload
-			return fmt.Errorf("dataset: payload header id %d, want %d", gotID, id)
-		}
-	}
-	if off := payloadMismatch(buf, seed, id); off >= 0 {
-		//lint:allow hotpath cold mismatch path, formatted once per corrupt payload
-		return fmt.Errorf("dataset: payload of sample %d corrupt at offset %d", id, off)
-	}
-	return nil
-}
-
-// payloadMismatch returns the offset of the first byte of buf that
-// differs from FillPayload's output for a buffer of its length, or -1.
-func payloadMismatch(buf []byte, seed uint64, id SampleID) int {
-	var hdr [PayloadHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(id))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(buf)))
-	i := 0
-	for ; i < len(buf) && i < len(hdr); i++ {
-		if buf[i] != hdr[i] {
-			return i
-		}
-	}
-	state := stats.DeriveSeed(seed, uint64(id)+1)
-	for ; i+8 <= len(buf); i += 8 {
-		state = xorshift(state)
-		if diff := binary.LittleEndian.Uint64(buf[i:]) ^ state; diff != 0 {
-			return i + bits.TrailingZeros64(diff)/8 // little-endian: low byte first
-		}
-	}
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], xorshift(state))
-	for j := 0; i+j < len(buf); j++ {
-		if buf[i+j] != w[j] {
-			return i + j
-		}
-	}
-	return -1
 }

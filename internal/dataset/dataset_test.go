@@ -1,15 +1,8 @@
 package dataset
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
 	"math"
-	"strings"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/stats"
 )
 
 func TestGenerateValidation(t *testing.T) {
@@ -105,144 +98,6 @@ func TestLabelsInRange(t *testing.T) {
 	}
 	if len(seen) != 17 {
 		t.Fatalf("only %d/17 classes observed", len(seen))
-	}
-}
-
-func TestPayloadRoundTrip(t *testing.T) {
-	spec := Spec{Name: "p", NumSamples: 50, MeanSize: 32 << 10, SigmaLog: 0.5, Classes: 3, Seed: 9}
-	d, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < d.Len(); i++ {
-		id := SampleID(i)
-		p := d.Payload(id)
-		if int64(len(p)) != d.Size(id) {
-			t.Fatalf("payload length %d != size %d", len(p), d.Size(id))
-		}
-		if err := VerifyPayload(p, spec.Seed, id); err != nil {
-			t.Fatalf("verify failed: %v", err)
-		}
-	}
-}
-
-func TestVerifyPayloadDetectsCorruption(t *testing.T) {
-	spec := Spec{Name: "v", NumSamples: 3, MeanSize: 8 << 10, Classes: 1, Seed: 2}
-	d, err := Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.Payload(0)
-	p[0] ^= 0xFF // corrupt the header id
-	if err := VerifyPayload(p, spec.Seed, 0); err == nil {
-		t.Fatal("corrupted header not detected")
-	}
-	q := d.Payload(1)
-	if err := VerifyPayload(q, spec.Seed, 2); err == nil {
-		t.Fatal("wrong-id payload not detected")
-	}
-	// A byte strictly between two probes of a 64-probe sparse check
-	// (probes every len/64+1 bytes): only a full comparison sees it.
-	r := d.Payload(2)
-	off := (len(r)/64 + 1) * 3 / 2
-	r[off] ^= 0x01
-	if err := VerifyPayload(r, spec.Seed, 2); err == nil {
-		t.Fatalf("body corruption at offset %d not detected", off)
-	}
-}
-
-// TestVerifyPayloadAllocationFree pins the verifier at zero allocations:
-// it runs once per value every kv read returns.
-func TestVerifyPayloadAllocationFree(t *testing.T) {
-	const seed, id = 3, SampleID(7)
-	for _, size := range []int{0, 5, PayloadHeaderSize, 8<<10 + 3} {
-		p := make([]byte, size)
-		FillPayload(p, seed, id)
-		if allocs := testing.AllocsPerRun(100, func() {
-			if err := VerifyPayload(p, seed, id); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("size %d: VerifyPayload allocates %.1f times per call", size, allocs)
-		}
-	}
-}
-
-// TestVerifyPayloadReportsFirstCorruptByte flips each byte of a payload in
-// turn, header and tail included, and checks the error names its offset.
-func TestVerifyPayloadReportsFirstCorruptByte(t *testing.T) {
-	const seed, id = 5, SampleID(9)
-	p := make([]byte, 45) // header, four words, a 1-byte tail
-	FillPayload(p, seed, id)
-	for off := range p {
-		p[off] ^= 0x80
-		err := VerifyPayload(p, seed, id)
-		p[off] ^= 0x80
-		if err == nil {
-			t.Fatalf("flip at offset %d not detected", off)
-		}
-		if off >= 4 && !strings.HasSuffix(err.Error(), fmt.Sprintf("at offset %d", off)) {
-			t.Fatalf("flip at offset %d: %v", off, err)
-		}
-	}
-}
-
-func TestPayloadDiffersAcrossSamples(t *testing.T) {
-	spec := Spec{Name: "u", NumSamples: 2, MeanSize: 4096, Classes: 1, Seed: 4}
-	d, _ := Generate(spec)
-	a, b := d.Payload(0), d.Payload(1)
-	same := 0
-	for i := range a {
-		if a[i] == b[i] {
-			same++
-		}
-	}
-	if float64(same)/float64(len(a)) > 0.1 {
-		t.Fatalf("payloads of different samples are %d/%d identical", same, len(a))
-	}
-}
-
-func TestFillPayloadPropertyDeterministic(t *testing.T) {
-	f := func(seed uint64, idRaw uint16, szRaw uint16) bool {
-		sz := int(szRaw%4096) + 1
-		id := SampleID(idRaw)
-		a := make([]byte, sz)
-		b := make([]byte, sz)
-		FillPayload(a, seed, id)
-		FillPayload(b, seed, id)
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return VerifyPayload(a, seed, id) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFillPayloadMatchesByteStream holds FillPayload to the definition of
-// the payload format: header, then the xorshift words as a little-endian
-// byte stream cut off at the buffer's end — for every length around the
-// header and every tail length.
-func TestFillPayloadMatchesByteStream(t *testing.T) {
-	const seed, id = 11, SampleID(5)
-	for size := 0; size < 100; size++ {
-		var stream []byte
-		stream = binary.LittleEndian.AppendUint32(stream, uint32(id))
-		stream = binary.LittleEndian.AppendUint64(stream, uint64(size))
-		for state := stats.DeriveSeed(seed, uint64(id)+1); len(stream) < size; {
-			state ^= state << 13
-			state ^= state >> 7
-			state ^= state << 17
-			stream = binary.LittleEndian.AppendUint64(stream, state)
-		}
-		got := make([]byte, size)
-		FillPayload(got, seed, id)
-		if !bytes.Equal(got, stream[:size]) {
-			t.Fatalf("size %d: payload %x, want %x", size, got, stream[:size])
-		}
 	}
 }
 

@@ -2,35 +2,16 @@
 
 package preproc
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/cpu"
+)
 
 // useAVX512 selects the one-pass AVX-512 block loop in decodeInto. It is
-// set once, from the CPU's feature bits; only tests change it, to run
-// both paths.
-var useAVX512 = hasAVX512VBMI()
-
-// hasAVX512VBMI reports whether the CPU has AVX512F, AVX512BW and
-// AVX512VBMI and the OS saves ZMM state: CPUID leaf 1 ECX bit 27
-// (OSXSAVE), XCR0 bits 1, 2, 5, 6 and 7 (XMM, YMM, opmask and both ZMM
-// halves), CPUID leaf 7 EBX bits 16 and 30 (AVX512F, AVX512BW) and ECX
-// bit 1 (AVX512VBMI).
-func hasAVX512VBMI() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(1<<27) == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
-		return false
-	}
-	_, ebx, ecx, _ := cpuid(7, 0)
-	return ebx&(1<<16) != 0 && ebx&(1<<30) != 0 && ecx&(1<<1) != 0
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+// set once, from the CPU's feature bits (AVX512F, AVX512BW and
+// AVX512VBMI); only tests change it, to run both paths.
+var useAVX512 = cpu.AVX512F && cpu.AVX512BW && cpu.AVX512VBMI
 
 // decodePlanes is decodeTable split into byte planes: plane k holds byte
 // k of each entry's bits, so four 256-byte lookups and an interleave

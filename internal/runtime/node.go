@@ -503,7 +503,8 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 // row, when non-nil, receives the attribution (DESIGN.md §14): the peer
 // leg is peer_fetch whether it delivers or fails; a PFS read is pfs on
 // the normal path (no holder) and recovery when the peer broke a promise
-// — exactly the failover events.
+// (no copy, or one that fails verification) — exactly the failover
+// events.
 func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	if demand && n.feed != nil && n.feed.inFlight(id) {
 		// A helper or a loading worker claimed this id and has not staged
@@ -520,8 +521,17 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, 
 		}
 		// The holder's cache copies into a pooled buffer just for us.
 		// A promised holder that delivers nothing is a crashed or
-		// flaky peer, or the benign eviction race.
+		// flaky peer, or the benign eviction race; one that delivers
+		// the wrong bytes delivered nothing either, so its copy goes
+		// back to the pool unread.
 		payload, pooled = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id)), true
+		if payload != nil && peerCopyHook != nil {
+			peerCopyHook(payload)
+		}
+		if payload != nil && dataset.VerifyPayload(payload, n.rt.pfs.seed, id) != nil {
+			preproc.PutPayloadBuf(payload)
+			payload = nil
+		}
 		if row != nil {
 			row.add(causePeerFetch, time.Since(legStart))
 		}
@@ -559,6 +569,10 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, 
 		return payload, !retained, nil, ok
 	}
 }
+
+// peerCopyHook, when set (tests only), sees each peer copy before it is
+// verified, and may corrupt it.
+var peerCopyHook func(payload []byte)
 
 // PFS reads back off exponentially between transient failures, doubling
 // from pfsRetryBase up to pfsRetryMax, and never give up: training cannot

@@ -130,8 +130,9 @@ type Stats struct {
 	PrefetchLate    uint64
 	AllreduceRounds uint64
 	// Failovers counts peer reads, demand or prefetch, that fell over to
-	// the PFS because the promised peer copy was not delivered — the
-	// recovery layer's "how often did the middle tier let us down" number.
+	// the PFS because the promised peer copy was not delivered, or was
+	// delivered with bytes that fail dataset.VerifyPayload — the recovery
+	// layer's "how often did the middle tier let us down" number.
 	Failovers uint64
 	// DataFold is a deterministic fold of every decoded tensor checksum:
 	// a rank-major chain of per-iteration folds, where each iteration's

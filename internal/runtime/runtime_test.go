@@ -3,6 +3,7 @@ package runtime
 import (
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -290,5 +291,39 @@ func TestPFSStoreServesValidPayloads(t *testing.T) {
 	}
 	if store.Ops() != 1 {
 		t.Fatalf("ops = %d, want 1", store.Ops())
+	}
+}
+
+// TestCorruptPeerCopiesFallToPFS corrupts one byte of every third peer
+// copy: each corrupt copy must fail verification, go back to the pool
+// and be replaced by a PFS read charged as a failover, so the run trains
+// on exactly the fault-free data.
+func TestCorruptPeerCopiesFallToPFS(t *testing.T) {
+	opts := testOptions(t, loader.PyTorch(2, 8), 3, 3)
+	clean, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var copies, corrupted atomic.Int64
+	peerCopyHook = func(payload []byte) {
+		if copies.Add(1)%3 == 0 {
+			payload[len(payload)/2] ^= 0x20
+			corrupted.Add(1)
+		}
+	}
+	t.Cleanup(func() { peerCopyHook = nil })
+	stats, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupted.Load() == 0 {
+		t.Fatalf("no peer copy corrupted (%d copies): the test exercised nothing", copies.Load())
+	}
+	if stats.DataFold != clean.DataFold {
+		t.Errorf("DataFold %#x, fault-free run %#x", stats.DataFold, clean.DataFold)
+	}
+	checkOracle(t, opts, stats)
+	if stats.Failovers < uint64(corrupted.Load()) {
+		t.Errorf("failovers %d < %d corrupted peer copies", stats.Failovers, corrupted.Load())
 	}
 }

@@ -3,10 +3,12 @@
 # must pass, in dependency order:
 #
 #   1. go build        — the tree compiles, here and for darwin/arm64
-#                        (plus go vet of internal/runtime and
-#                        internal/preproc there), so the clock's non-linux
-#                        fallback and the decode kernel's non-amd64 stubs
-#                        (bodysum_other.go) are built on every gate; the
+#                        (plus go vet of internal/runtime,
+#                        internal/preproc and internal/dataset there), so
+#                        the clock's non-linux fallback and the non-amd64
+#                        stubs of the decode kernel (bodysum_other.go) and
+#                        of the payload lanes (payload_other.go) are built
+#                        on every gate; the
 #                        kvstore tests also run as 386, where int is 32
 #                        bits; and internal/runtime must not depend on
 #                        internal/kvstore (one peer transport: DESIGN.md
@@ -36,18 +38,22 @@
 #   9. decode fuzz     — 10 s of FuzzDecodeMatchesReference: the decode
 #                        kernel, on every decode path the CPU runs,
 #                        against the scalar oracle (DESIGN.md §6)
-#  10. sim bench smoke — BENCH_sim.json schema validation
+#  10. payload stream fuzz — 10 s of FuzzPayloadStream: FillPayload and
+#                        VerifyPayload, on every payload path the CPU
+#                        runs, against the serial xorshift stream
+#                        (DESIGN.md §6)
+#  11. sim bench smoke — BENCH_sim.json schema validation
 #                        (full regeneration: make bench-sim)
-#  11. obs bench smoke — BENCH_obs.json schema + overhead-budget
+#  12. obs bench smoke — BENCH_obs.json schema + overhead-budget
 #                        validation (full regeneration: make bench-obs)
-#  12. chaos bench smoke — tiny live run of the chaos recovery suite
+#  13. chaos bench smoke — tiny live run of the chaos recovery suite
 #                        (straggler / brownout / node-loss scenarios,
 #                        structural criteria) plus schema check of the
 #                        committed BENCH_chaos.json (DESIGN.md §13;
 #                        full regeneration: make bench-chaos)
-#  13. monitor smoke   — boot lobster-kv with its monitor attached and
+#  14. monitor smoke   — boot lobster-kv with its monitor attached and
 #                        scrape the live /metrics and /healthz endpoints
-#  14. doctor smoke    — point lobster-doctor at the live monitor (the
+#  15. doctor smoke    — point lobster-doctor at the live monitor (the
 #                        scrape/report path end to end over HTTP), then
 #                        run an instrumented mini training run and check
 #                        the doctor names at least one stall cause
@@ -67,8 +73,8 @@ if go list -deps ./internal/runtime | grep -qx 'repro/internal/kvstore'; then
   exit 1
 fi
 
-echo "==> darwin/arm64 cross-build (clock fallback, portable decode stubs)"
-GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime ./internal/preproc
+echo "==> darwin/arm64 cross-build (clock fallback, portable decode and payload stubs)"
+GOOS=darwin GOARCH=arm64 go build ./... && GOOS=darwin GOARCH=arm64 go vet ./internal/runtime ./internal/preproc ./internal/dataset
 
 echo "==> kvstore tests on 386 (32-bit int: shard routing, lane round-robin)"
 GOARCH=386 go test ./internal/kvstore
@@ -111,6 +117,13 @@ echo "==> decode kernel fuzz"
 # the CPU has AVX-512 VBMI) and the portable path, flip and jitter against
 # the scalar oracle on arbitrary payloads.
 go test ./internal/preproc -run '^$' -fuzz '^FuzzDecodeMatchesReference$' -fuzztime 10s
+
+echo "==> payload stream fuzz"
+# Bounded fuzzing of the payload lanes: FillPayload and VerifyPayload on
+# the eight-lane AVX-512 path (where the CPU has AVX-512F) and the
+# four-lane portable path, for arbitrary seed, id and length, against the
+# serial xorshift stream, with one byte corrupted.
+go test ./internal/dataset -run '^$' -fuzz '^FuzzPayloadStream$' -fuzztime 10s
 
 echo "==> sim bench smoke"
 # Schema validation of the committed BENCH_sim.json (the full run is
