@@ -22,11 +22,11 @@ race:
 	$(GO) test -race ./...
 
 ## feed-determinism: the prefetch feed, helper and loader work-ahead tests
-## under -race, ten times each at GOMAXPROCS 1, 2 and 8 (verify.sh runs the
-## same loop)
+## and the node cache's decode lease tests under -race, ten times each at
+## GOMAXPROCS 1, 2 and 8 (verify.sh runs the same loop)
 feed-determinism:
 	for procs in 1 2 8; do \
-		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead' ./internal/runtime || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead|Lease' ./internal/runtime || exit 1; \
 	done
 
 ## census: every package whose tests start goroutines, -count=20 at

@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("packing %s (%d samples, %.1f MB) to %s...\n",
 		ds.Name(), ds.Len(), float64(ds.TotalBytes())/1e6, *output)
-	if err := datafile.Write(*output, ds, *seed); err != nil {
+	if err := datafile.Write(*output, ds); err != nil {
 		fatal(err)
 	}
 	fi, err := os.Stat(*output)

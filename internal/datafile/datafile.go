@@ -33,9 +33,10 @@ const headerSize = 8 + 8 + 8
 const indexEntrySize = 8 + 4 + 4
 
 // Write packs the dataset's payloads into path. Payloads are generated
-// deterministically from (seed, id), so the file is reproducible
-// bit-for-bit.
-func Write(path string, ds *dataset.Dataset, seed uint64) error {
+// deterministically from (ds.Seed(), id), and the header records that
+// seed, so the file is reproducible bit-for-bit and names the bytes it
+// holds.
+func Write(path string, ds *dataset.Dataset) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("datafile: %w", err)
@@ -54,7 +55,7 @@ func Write(path string, ds *dataset.Dataset, seed uint64) error {
 	var u64 [8]byte
 	binary.LittleEndian.PutUint64(u64[:], uint64(n))
 	put(u64[:])
-	binary.LittleEndian.PutUint64(u64[:], seed)
+	binary.LittleEndian.PutUint64(u64[:], ds.Seed())
 	put(u64[:])
 
 	// Both passes regenerate each payload into one reused buffer.

@@ -20,7 +20,7 @@ func testFile(t *testing.T) (string, *dataset.Dataset, uint64) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "ds.lobster")
-	if err := Write(path, ds, seed); err != nil {
+	if err := Write(path, ds); err != nil {
 		t.Fatal(err)
 	}
 	return path, ds, seed
@@ -150,9 +150,9 @@ func TestReadOutOfRange(t *testing.T) {
 }
 
 func TestWriteDeterministic(t *testing.T) {
-	path1, ds, seed := testFile(t)
+	path1, ds, _ := testFile(t)
 	path2 := filepath.Join(t.TempDir(), "again")
-	if err := Write(path2, ds, seed); err != nil {
+	if err := Write(path2, ds); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := os.ReadFile(path1)

@@ -21,7 +21,7 @@ func FuzzOpen(f *testing.F) {
 	}
 	dir := f.TempDir()
 	good := filepath.Join(dir, "good")
-	if err := Write(good, ds, 1); err != nil {
+	if err := Write(good, ds); err != nil {
 		f.Fatal(err)
 	}
 	data, err := os.ReadFile(good)

@@ -13,11 +13,12 @@ import (
 
 // PayloadOwner is implemented by payload lessors (the runtime's node
 // cache): a worker calls ReleasePayload exactly once per leased job,
-// after decode, to tell the owner the data path no longer reads the
-// buffer. The owner may then recycle it — immediately if it was evicted
-// in the meantime, or whenever it eventually is (DESIGN.md §12).
+// after decode, with the job's ID and payload, to tell the owner the data
+// path no longer reads the buffer. The owner may then recycle it —
+// immediately if it was evicted in the meantime, or whenever it
+// eventually is (DESIGN.md §12).
 type PayloadOwner interface {
-	ReleasePayload(p []byte)
+	ReleasePayload(id dataset.SampleID, p []byte)
 }
 
 // Job is one preprocessing work item: a raw payload to decode and augment.
@@ -211,7 +212,7 @@ func (p *Pool) run(job Job, ins *Instruments, tid int64) {
 	// ends here. Owned buffers are recycled on the spot; leased ones are
 	// handed back to their owner, which recycles them at eviction time.
 	if job.Owner != nil {
-		job.Owner.ReleasePayload(job.Payload)
+		job.Owner.ReleasePayload(job.ID, job.Payload)
 	} else if job.Owned {
 		PutPayloadBuf(job.Payload)
 	}

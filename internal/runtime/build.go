@@ -153,11 +153,10 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 // in rt.nodes for shutdown to stop.
 func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.PreprocPortfolio) error {
 	opts, top := &rt.opts, rt.opts.Topology
-	nc, err := newNodeCache(n, top.CacheBytes, buildNodePolicy(opts.Strategy, plan, n, rt.dir), rt.dir)
+	nc, err := newNodeCache(n, rt.ds.Len(), top.CacheBytes, buildNodePolicy(opts.Strategy, plan, n, rt.dir), rt.dir)
 	if err != nil {
 		return err
 	}
-	nc.c.Reserve(rt.ds.Len())
 	rt.dm.caches[n] = nc
 	var mgr *threadmgr.Manager
 	if portfolio != nil {

@@ -18,7 +18,7 @@ func TestNodeCacheCrashClearsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := newNodeCache(1, 1<<20, cache.NewLRU(), dir)
+	nc, err := newNodeCache(1, 16, 1<<20, cache.NewLRU(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestDistributionManagerNodeDown(t *testing.T) {
 	}
 	// A fetch from a down peer returns nil although its cache holds the
 	// sample — the requester's failover path.
-	if p := dm.Fetch(1, 0, 128); p != nil {
+	if p, evicted := dm.Fetch(1, 0, 128); p != nil || evicted {
 		t.Fatalf("Fetch from down node returned %d bytes", len(p))
 	}
 	dm.SetNodeDown(1, false)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/obs"
 )
 
-// clock is where the package's modeled delays wait: the throttle's
-// bandwidth reservations, the PFS op latency and brownout lag, the peer
+// clock is where the package's modeled delays wait: a PFS read's op
+// latency, brownout lag and bandwidth slot (one wait per read), the peer
 // fetch cost, and the train step. Every one of them is a duration the
 // model computed, so how faithfully it elapses is the run's model error
 // (DESIGN.md §15), and a test that substitutes the clock sees exactly

@@ -61,24 +61,57 @@ func wantSleeps(t *testing.T, site string, clk *fakeClock, want ...time.Duration
 	}
 }
 
-// TestThrottleRequestsItsReservation: an acquirer waits until the end of
-// its own slot, which starts where the previous one ends.
+// TestThrottleRequestsItsReservation: reserve waits for nothing and
+// returns the wait until the end of its own slot, which starts where the
+// previous one ends or when the transfer arrives, whichever is later.
 func TestThrottleRequestsItsReservation(t *testing.T) {
 	clk := newFakeClock()
 	th := newThrottle(0.5, clk)
-	th.Acquire(0.01)
-	wantSleeps(t, "idle throttle", clk, 5*time.Millisecond)
-	// Two reservations taken at the same instant queue: rewind the clock
-	// to before the first one completed.
-	clk.t = clk.t.Add(-5 * time.Millisecond)
-	th.next = clk.t.Add(5 * time.Millisecond)
-	th.Acquire(0.01)
-	wantSleeps(t, "busy throttle", clk, 10*time.Millisecond)
+	for _, tc := range []struct {
+		site  string
+		after time.Duration
+		want  time.Duration
+	}{
+		{"idle throttle", 0, 5 * time.Millisecond},
+		{"busy throttle", 0, 10 * time.Millisecond},
+		{"arrival past the queue", 20 * time.Millisecond, 25 * time.Millisecond},
+	} {
+		if got := th.reserve(0.01, tc.after); got != tc.want {
+			t.Fatalf("%s: reserve returned %v, want %v", tc.site, got, tc.want)
+		}
+	}
+	wantSleeps(t, "reserve", clk)
 }
 
-// TestPFSReadRequestsModeledDelays pins PFSStore.Read's formula: the op
-// latency at the store's scale, the brownout lag unscaled (also on a read
-// that then fails), and the sample's slot of the shared bandwidth.
+// TestThrottleQueuesArrivalsFIFO: slots go out in booking order, not in
+// arrival order. A transfer booked with an arrival offset queues behind
+// the slot outstanding when it was booked, even when it arrives before
+// that slot's transfer does.
+func TestThrottleQueuesArrivalsFIFO(t *testing.T) {
+	clk := newFakeClock()
+	th := newThrottle(1, clk)
+	const ms = time.Millisecond
+	// Booked first, arriving at 4 ms: holds the link from 4 to 14 ms.
+	if got := th.reserve(0.010, 4*ms); got != 14*ms {
+		t.Fatalf("first read completes after %v, want 14ms", got)
+	}
+	// Booked second, arriving at 2 ms: waits for the first slot, 14-17 ms.
+	if got := th.reserve(0.003, 2*ms); got != 17*ms {
+		t.Fatalf("earlier arrival booked later completes after %v, want 17ms", got)
+	}
+	// Booked third, 1 ms of the clock later, arriving inside the first
+	// slot: behind both, 17-18 ms, which is 17 ms from its own booking.
+	clk.sleep(ms)
+	clk.take()
+	if got := th.reserve(0.001, 5*ms); got != 17*ms {
+		t.Fatalf("third read completes %v after booking, want 17ms", got)
+	}
+}
+
+// TestPFSReadRequestsModeledDelays pins PFSStore.Read's formula: one wait
+// per read of the op latency at the store's scale, plus the brownout lag
+// unscaled, plus the sample's slot of the shared bandwidth; a read that
+// fails waits out its latency and lag only.
 func TestPFSReadRequestsModeledDelays(t *testing.T) {
 	ds, err := dataset.Generate(dataset.Spec{Name: "p", NumSamples: 10, MeanSize: 4 << 10, Classes: 1, Seed: 5})
 	if err != nil {
@@ -96,19 +129,31 @@ func TestPFSReadRequestsModeledDelays(t *testing.T) {
 	if _, err := store.Read(3); err != nil {
 		t.Fatal(err)
 	}
-	wantSleeps(t, "healthy read", clk, op, slot(3))
+	wantSleeps(t, "healthy read", clk, op+slot(3))
 
 	store.SetFault(chaos.Fault{Lag: 7 * time.Millisecond})
 	if _, err := store.Read(4); err != nil {
 		t.Fatal(err)
 	}
-	wantSleeps(t, "browned-out read", clk, op, 7*time.Millisecond, slot(4))
+	wantSleeps(t, "browned-out read", clk, op+7*time.Millisecond+slot(4))
 
 	store.SetFault(chaos.Fault{Lag: 7 * time.Millisecond, ErrRate: 1, Seed: 9})
 	if _, err := store.Read(4); err != ErrTransient {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	wantSleeps(t, "failed read", clk, op, 7*time.Millisecond)
+	wantSleeps(t, "failed read", clk, op+7*time.Millisecond)
+
+	// Two reads booked before either completes: the second queues behind
+	// the first's slot. Rewind the clock to the first read's booking.
+	store.SetFault(chaos.Fault{})
+	start := clk.now()
+	for _, id := range []dataset.SampleID{5, 6} {
+		if _, err := store.Read(id); err != nil {
+			t.Fatal(err)
+		}
+		clk.t = start
+	}
+	wantSleeps(t, "queued reads", clk, op+slot(5), op+slot(5)+slot(6))
 }
 
 // peerManager is a two-node distribution manager on clk with a node
@@ -121,7 +166,7 @@ func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *Distri
 	}
 	dm := newDistributionManager(2, tier.ThetaGPULike().Remote, scale, clk)
 	for n := range dm.caches {
-		if dm.caches[n], err = newNodeCache(n, 1<<20, cache.NewLRU(), dir); err != nil {
+		if dm.caches[n], err = newNodeCache(n, 1, 1<<20, cache.NewLRU(), dir); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,8 +187,11 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	dm := peerManager(t, scale, clk, payload)
 	cost := scaled(curve.OpLatency+size/(curve.PeakMBps*1e6), scale)
 
-	got := dm.Fetch(1, 0, size)
+	got, evicted := dm.Fetch(1, 0, size)
 	wantSleeps(t, "healthy fetch", clk, cost)
+	if evicted {
+		t.Fatal("healthy fetch of a resident sample reports it evicted")
+	}
 	if err := dataset.VerifyPayload(got, 5, 0); err != nil || unsafe.SliceData(got) == unsafe.SliceData(payload) {
 		t.Fatalf("fetch delivered %v (aliasing the holder's buffer: %v), want a copy of sample 0",
 			err, unsafe.SliceData(got) == unsafe.SliceData(payload))
@@ -154,16 +202,29 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	wantSleeps(t, "straggler fetch", clk, cost+3*time.Millisecond)
 
 	dm.SetNodeDown(1, true)
-	if p := dm.Fetch(1, 0, size); p != nil {
-		t.Fatal("down peer delivered a payload")
+	if p, evicted := dm.Fetch(1, 0, size); p != nil || evicted {
+		t.Fatalf("down peer delivered %d bytes (evicted %v), want a broken promise", len(p), evicted)
 	}
 	wantSleeps(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
+
+	// A holder that evicted the sample after the directory named it pays
+	// the full fetch and reports the race, not a broken promise.
+	dm.SetNodeDown(1, false)
+	dm.SetNodeFault(1, chaos.Fault{})
+	dm.caches[1].crash()
+	if p, evicted := dm.Fetch(1, 0, size); p != nil || !evicted {
+		t.Fatalf("evicted sample: fetch delivered %d bytes (evicted %v), want nil and evicted", len(p), evicted)
+	}
+	wantSleeps(t, "evicted-sample fetch", clk, cost)
 }
 
 // TestRunRequestsModeledDelays runs two epochs on the fake clock — no
 // modeled delay elapses, the run is otherwise the real one — and counts
 // the requests by site: every rank asks for IterTime x TimeScale once per
-// iteration, every PFS read for its op latency.
+// iteration, and every PFS read, failed or not, makes exactly one wait of
+// at least its op latency plus its bandwidth slot. Peer fetches (150 µs
+// x TimeScale) and train steps (3 ms x TimeScale) are shorter than the
+// PFS op latency (4 ms x TimeScale), so the waits that long are the reads.
 func TestRunRequestsModeledDelays(t *testing.T) {
 	opts := testOptions(t, loader.Lobster(), 2, 2)
 	opts.Model.IterTime = 0.003 // apart from the PFS op latency (0.004)
@@ -173,17 +234,31 @@ func TestRunRequestsModeledDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkOracle(t, opts, stats)
-	counts := map[time.Duration]int{}
-	for _, d := range clk.take() {
-		counts[d]++
-	}
 	step := scaled(opts.Model.IterTime, opts.TimeScale)
-	if want := stats.Iterations * opts.Topology.WorldSize(); counts[step] != want {
-		t.Errorf("%d train steps of %v requested, want %d", counts[step], step, want)
+	pfs := opts.Topology.Hierarchy.PFS
+	op := scaled(pfs.OpLatency, opts.TimeScale)
+	smallest := opts.Dataset.Size(0)
+	for id := 1; id < opts.Dataset.Len(); id++ {
+		smallest = min(smallest, opts.Dataset.Size(dataset.SampleID(id)))
 	}
-	op := scaled(opts.Topology.Hierarchy.PFS.OpLatency, opts.TimeScale)
-	if want := int(stats.PFSReads + stats.PFSRetries); counts[op] != want || want == 0 {
-		t.Errorf("%d PFS op latencies of %v requested, want %d", counts[op], op, want)
+	minRead := op + scaled(float64(smallest)/(pfs.PeakMBps*1e6), opts.TimeScale)
+	steps, reads := 0, 0
+	for _, d := range clk.take() {
+		switch {
+		case d == step:
+			steps++
+		case d >= op:
+			reads++
+			if d < minRead {
+				t.Errorf("a PFS read waited %v, below op latency plus the smallest slot (%v)", d, minRead)
+			}
+		}
+	}
+	if want := stats.Iterations * opts.Topology.WorldSize(); steps != want {
+		t.Errorf("%d train steps of %v requested, want %d", steps, step, want)
+	}
+	if want := int(stats.PFSReads + stats.PFSRetries); reads != want || want == 0 {
+		t.Errorf("%d PFS read waits of at least %v requested, want one per read: %d", reads, op, want)
 	}
 }
 

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/datafile"
+	"repro/internal/dataset"
 	"repro/internal/loader"
 )
 
 func TestFileBackedPFS(t *testing.T) {
 	opts := testOptions(t, loader.NoPFS(2, 8), 1, 2)
 	path := filepath.Join(t.TempDir(), "ds.lobster")
-	if err := datafile.Write(path, opts.Dataset, opts.Seed); err != nil {
+	if err := datafile.Write(path, opts.Dataset); err != nil {
 		t.Fatal(err)
 	}
 	opts.DataFilePath = path
@@ -32,8 +33,14 @@ func TestFileBackedPFS(t *testing.T) {
 func TestFileBackedPFSRejectsMismatch(t *testing.T) {
 	opts := testOptions(t, loader.NoPFS(2, 8), 1, 1)
 	path := filepath.Join(t.TempDir(), "wrong.lobster")
-	// Write with a different seed: the store must refuse it.
-	if err := datafile.Write(path, opts.Dataset, opts.Seed+1); err != nil {
+	// Pack a dataset generated with another seed: the store must refuse it.
+	other, err := dataset.Generate(dataset.Spec{
+		Name: "rt", NumSamples: opts.Dataset.Len(), MeanSize: 8 << 10, Classes: 4, Seed: opts.Seed + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := datafile.Write(path, other); err != nil {
 		t.Fatal(err)
 	}
 	opts.DataFilePath = path

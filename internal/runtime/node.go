@@ -17,16 +17,18 @@ import (
 	"repro/internal/preproc"
 )
 
-// cachedBuf is one resident payload plus its recycling provenance.
-// pooled marks buffers drawn from preproc's size-classed payload pool
-// (PFS regenerated reads, peer-fetch copies): only those are returned to
-// the pool on eviction. Buffers of unknown provenance — data-file reads,
-// test-injected dataset slices — are never recycled, even when their
-// capacity happens to be class-sized, because someone else may still
-// reference the memory.
+// cachedBuf is one resident payload plus its recycling provenance and
+// its decode leases. pooled marks buffers drawn from preproc's
+// size-classed payload pool (PFS regenerated reads, peer-fetch copies):
+// only those are returned to the pool on eviction. Buffers of unknown
+// provenance — data-file reads, test-injected dataset slices — are never
+// recycled, even when their capacity happens to be class-sized, because
+// someone else may still reference the memory. leases counts the decodes
+// reading b right now; only pooled buffers are leased.
 type cachedBuf struct {
 	b      []byte
 	pooled bool
+	leases int32
 }
 
 // nodeCache pairs the policy-managed membership cache with the payload
@@ -34,39 +36,48 @@ type cachedBuf struct {
 // with local contents.
 //
 // It is also the lessor of DESIGN.md §12's buffer-recycling protocol: a
-// demand read leases the resident buffer to the decode pipeline
-// (leases), eviction recycles unleased pooled buffers immediately and
-// parks leased ones (zombies) until the preprocessing worker releases
-// the lease after decode. This closes the payload-buffer loop — evicted
-// bytes go back to the pool that PFS reads draw from — instead of
-// feeding every cache turnover to the garbage collector.
+// demand read leases the resident buffer to the decode pipeline (the
+// entry's lease count), eviction recycles unleased pooled buffers
+// immediately and parks leased ones (zombies) until the preprocessing
+// worker releases the last lease after decode. This closes the
+// payload-buffer loop — evicted bytes go back to the pool that PFS reads
+// draw from — instead of feeding every cache turnover to the garbage
+// collector.
 type nodeCache struct {
-	mu       sync.Mutex
-	node     int
-	c        *cache.Cache
-	payloads map[dataset.SampleID]cachedBuf
-	dir      *Directory
-	// leases counts in-flight decodes per buffer (keyed by the buffer's
-	// base pointer, so an id evicted and refetched into a new buffer
-	// cannot be confused with outstanding leases on the old one).
-	leases map[*byte]int
-	// zombies holds evicted-but-still-leased pooled buffers until their
-	// last lease is released.
-	zombies map[*byte][]byte
+	mu   sync.Mutex
+	node int
+	c    *cache.Cache
+	dir  *Directory
+	// entries is indexed by sample id, like the membership cache's own
+	// table and the directory: entries[id].b is id's resident payload, nil
+	// while id is not resident. Sized to the dataset when the cache is
+	// built, so no access looks anything up in a map.
+	entries []cachedBuf
+	// zombies holds evicted pooled buffers that decodes still read, keyed
+	// by the buffer's base pointer and carrying their outstanding leases,
+	// until the last lease is released. A release whose buffer is no
+	// longer its id's entry (the id was evicted, and maybe re-inserted
+	// into another buffer since) finds its lease here.
+	zombies map[*byte]cachedBuf
+	// recycle returns an evicted pooled buffer to the payload pool
+	// (preproc.PutPayloadBuf; tests count the calls).
+	recycle func([]byte)
 }
 
-func newNodeCache(node int, capacity int64, policy cache.Policy, dir *Directory) (*nodeCache, error) {
+// newNodeCache builds node's cache for a dataset of samples ids.
+func newNodeCache(node, samples int, capacity int64, policy cache.Policy, dir *Directory) (*nodeCache, error) {
 	c, err := cache.New(capacity, policy)
 	if err != nil {
 		return nil, err
 	}
+	c.Reserve(samples)
 	return &nodeCache{
-		node:     node,
-		c:        c,
-		payloads: make(map[dataset.SampleID]cachedBuf),
-		dir:      dir,
-		leases:   make(map[*byte]int),
-		zombies:  make(map[*byte][]byte),
+		node:    node,
+		c:       c,
+		dir:     dir,
+		entries: make([]cachedBuf, samples),
+		zombies: make(map[*byte]cachedBuf),
+		recycle: preproc.PutPayloadBuf,
 	}, nil
 }
 
@@ -76,53 +87,58 @@ func newNodeCache(node int, capacity int64, policy cache.Policy, dir *Directory)
 func (nc *nodeCache) get(id dataset.SampleID, now cache.Iter) (payload []byte, ok, leased bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	if nc.c.Get(id, now) {
-		e := nc.payloads[id]
-		if e.pooled {
-			nc.leases[unsafe.SliceData(e.b)]++
-			return e.b, true, true
-		}
-		return e.b, true, false
+	if !nc.c.Get(id, now) {
+		return nil, false, false
 	}
-	return nil, false, false
+	e := &nc.entries[id]
+	if e.pooled {
+		e.leases++
+	}
+	return e.b, true, e.pooled
 }
 
 // ReleasePayload implements preproc.PayloadOwner: the decode pipeline is
-// done reading a leased buffer. If the buffer was evicted while leased
-// it is recycled now; otherwise it simply becomes evictable again.
-func (nc *nodeCache) ReleasePayload(p []byte) {
+// done reading p, leased as sample id. If p is still id's entry it simply
+// becomes evictable again; if it was evicted while leased it is recycled
+// with its last lease.
+func (nc *nodeCache) ReleasePayload(id dataset.SampleID, p []byte) {
 	base := unsafe.SliceData(p)
 	nc.mu.Lock()
-	n := nc.leases[base] - 1
-	if n > 0 {
-		nc.leases[base] = n
+	if e := &nc.entries[id]; e.leases > 0 && unsafe.SliceData(e.b) == base {
+		e.leases--
 		nc.mu.Unlock()
 		return
 	}
-	delete(nc.leases, base)
-	z, dead := nc.zombies[base]
-	if dead {
-		delete(nc.zombies, base)
+	z, ok := nc.zombies[base]
+	if !ok {
+		nc.mu.Unlock()
+		panic(fmt.Sprintf("runtime: node %d: release of sample %d, which holds no lease on that buffer", nc.node, id))
 	}
+	if z.leases--; z.leases > 0 {
+		nc.zombies[base] = z
+		nc.mu.Unlock()
+		return
+	}
+	delete(nc.zombies, base)
 	nc.mu.Unlock()
-	if dead {
-		preproc.PutPayloadBuf(z)
-	}
+	nc.recycle(z.b)
 }
 
-// discard routes an evicted entry: pooled buffers go back to the payload
-// pool, unless a decode still reads them — then they park in zombies for
-// ReleasePayload to recycle. Called with nc.mu held.
-func (nc *nodeCache) discard(e cachedBuf) {
-	if !e.pooled {
-		return
+// evict drops id's entry and its directory bit after the membership cache
+// let it go. A pooled buffer goes back to the payload pool, unless a
+// decode still reads it — then it parks in zombies for ReleasePayload to
+// recycle. Called with nc.mu held.
+func (nc *nodeCache) evict(id dataset.SampleID) {
+	e := &nc.entries[id]
+	if e.pooled {
+		if e.leases > 0 {
+			nc.zombies[unsafe.SliceData(e.b)] = *e
+		} else {
+			nc.recycle(e.b)
+		}
 	}
-	base := unsafe.SliceData(e.b)
-	if nc.leases[base] > 0 {
-		nc.zombies[base] = e.b
-		return
-	}
-	preproc.PutPayloadBuf(e.b)
+	*e = cachedBuf{}
+	nc.dir.Remove(nc.node, id)
 }
 
 // contains reports residency without touching stats (peer/prefetch
@@ -131,8 +147,7 @@ func (nc *nodeCache) discard(e cachedBuf) {
 func (nc *nodeCache) contains(id dataset.SampleID) bool {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	_, ok := nc.payloads[id]
-	return ok
+	return nc.entries[id].b != nil
 }
 
 // copyPayload returns a pooled copy of a resident payload (nil when
@@ -143,8 +158,8 @@ func (nc *nodeCache) contains(id dataset.SampleID) bool {
 func (nc *nodeCache) copyPayload(id dataset.SampleID) []byte {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
-	e, ok := nc.payloads[id]
-	if !ok {
+	e := &nc.entries[id]
+	if e.b == nil {
 		return nil
 	}
 	buf := preproc.GetPayloadBuf(len(e.b))
@@ -159,7 +174,7 @@ func (nc *nodeCache) peekBatch(ids []dataset.SampleID, out []bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	for i, id := range ids {
-		_, out[i] = nc.payloads[id]
+		out[i] = nc.entries[id].b != nil
 	}
 }
 
@@ -182,16 +197,15 @@ func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, po
 	}
 	evicted, inserted := nc.c.Put(id, int64(len(payload)), now)
 	for _, ev := range evicted {
-		nc.discard(nc.payloads[ev])
-		delete(nc.payloads, ev)
-		nc.dir.Remove(nc.node, ev)
+		nc.evict(ev)
 	}
 	if inserted {
-		nc.payloads[id] = cachedBuf{b: payload, pooled: pooled}
-		nc.dir.Add(nc.node, id)
+		e := &nc.entries[id]
+		*e = cachedBuf{b: payload, pooled: pooled}
 		if pooled && lease {
-			nc.leases[unsafe.SliceData(payload)]++
+			e.leases = 1
 		}
+		nc.dir.Add(nc.node, id)
 	}
 	return inserted, inserted
 }
@@ -202,9 +216,7 @@ func (nc *nodeCache) maintain(now cache.Iter) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	for _, ev := range nc.c.Maintain(now) {
-		nc.discard(nc.payloads[ev])
-		delete(nc.payloads, ev)
-		nc.dir.Remove(nc.node, ev)
+		nc.evict(ev)
 	}
 	nc.c.Compact()
 }
@@ -219,18 +231,20 @@ func (nc *nodeCache) stats() cache.Stats {
 // dropped from the membership cache, its payload discarded, and its
 // directory bit cleared — all in one critical section, so the shard map
 // is repaired atomically with the loss and no peer can be promised a
-// copy the node no longer has. Pooled buffers go through discard, which
+// copy the node no longer has. Pooled buffers go through evict, which
 // parks still-leased ones as zombies instead of recycling memory a
 // decode worker is reading. Returns the number of entries dropped.
 func (nc *nodeCache) crash() int {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	n := 0
-	for id, e := range nc.payloads {
+	for i := range nc.entries {
+		if nc.entries[i].b == nil {
+			continue
+		}
+		id := dataset.SampleID(i)
 		nc.c.Remove(id)
-		nc.discard(e)
-		delete(nc.payloads, id)
-		nc.dir.Remove(nc.node, id)
+		nc.evict(id)
 		n++
 	}
 	return n
@@ -378,9 +392,13 @@ type nodeRuntime struct {
 	// demand read.
 	prefetchLate atomic.Uint64
 	// failovers counts peer reads, demand or prefetch, that fell over to
-	// the PFS: a directory-promised peer copy that did not arrive (crashed
-	// or flaky peer — or the benign advisory-directory race).
+	// the PFS because the peer broke its promise: a crashed or flaky peer,
+	// or a copy that fails verification.
 	failovers atomic.Uint64
+	// evictionRaces counts peer reads that found the sample gone: the
+	// holder evicted it after the directory lookup. Its PFS read is the
+	// normal path, not a recovery.
+	evictionRaces atomic.Uint64
 
 	// loadHist times each sample materialization (runtimeObs; nil when
 	// un-instrumented — nil-safe to observe).
@@ -501,10 +519,10 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 // ok reports whether the sample is cached after the call.
 //
 // row, when non-nil, receives the attribution (DESIGN.md §14): the peer
-// leg is peer_fetch whether it delivers or fails; a PFS read is pfs on
-// the normal path (no holder) and recovery when the peer broke a promise
-// (no copy, or one that fails verification) — exactly the failover
-// events.
+// leg is peer_fetch whether it delivers or fails; a PFS read is recovery
+// when the peer broke a promise (down or flaky, or a copy that fails
+// verification) — exactly the failover events — and pfs otherwise: no
+// holder, or one that evicted the sample after the directory lookup.
 func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	if demand && n.feed != nil && n.feed.inFlight(id) {
 		// A helper or a loading worker claimed this id and has not staged
@@ -519,12 +537,12 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, 
 		if row != nil {
 			legStart = time.Now()
 		}
-		// The holder's cache copies into a pooled buffer just for us.
-		// A promised holder that delivers nothing is a crashed or
-		// flaky peer, or the benign eviction race; one that delivers
-		// the wrong bytes delivered nothing either, so its copy goes
-		// back to the pool unread.
-		payload, pooled = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id)), true
+		// The holder's cache copies into a pooled buffer just for us. One
+		// that delivers the wrong bytes delivered nothing, so its copy
+		// goes back to the pool unread.
+		var evicted bool
+		payload, evicted = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id))
+		pooled = true
 		if payload != nil && peerCopyHook != nil {
 			peerCopyHook(payload)
 		}
@@ -535,7 +553,11 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, 
 		if row != nil {
 			row.add(causePeerFetch, time.Since(legStart))
 		}
-		if payload == nil {
+		switch {
+		case payload != nil:
+		case evicted:
+			n.evictionRaces.Add(1)
+		default:
 			n.failovers.Add(1) // the peer broke its promise: fall to the PFS
 			pfsCause = causeRecovery
 		}

@@ -376,8 +376,11 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 			func() float64 { return float64(feed.pauseCount()) }, "node", n)
 	}
 	ro.reg.CounterFunc("lobster_runtime_failover_total",
-		"Peer reads that fell over to the PFS (promised peer copy not delivered).",
+		"Peer reads that fell over to the PFS because the peer broke its promise (down, failed fetch, or a copy that fails verification).",
 		func() float64 { return float64(node.failovers.Load()) }, "node", n)
+	ro.reg.CounterFunc("lobster_runtime_eviction_races_total",
+		"Peer reads that found the sample evicted after the directory lookup and read the PFS instead.",
+		func() float64 { return float64(node.evictionRaces.Load()) }, "node", n)
 }
 
 // gpuSpan records one GPU-loop stage ("stall" or "train") into both the

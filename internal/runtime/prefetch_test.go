@@ -435,7 +435,7 @@ func TestPrefetchFeedCountsLateDemandMiss(t *testing.T) {
 			t.Fatalf("demand fetch %d of sample %d: ok=%v payload=%v", i, id, ok, payload != nil)
 		}
 		if owner != nil {
-			owner.ReleasePayload(payload)
+			owner.ReleasePayload(id, payload)
 		} else if owned {
 			preproc.PutPayloadBuf(payload)
 		}

@@ -93,9 +93,10 @@ type Progress struct {
 	// Failovers mirrors the Stats field of the same name mid-run, so
 	// health endpoints can surface recovery-layer pressure while the run
 	// is still going.
-	Failovers  uint64  `json:"failovers"`
-	HitRatio   float64 `json:"hit_ratio"`
-	ElapsedSec float64 `json:"elapsed_sec"`
+	Failovers     uint64  `json:"failovers"`
+	EvictionRaces uint64  `json:"eviction_races"`
+	HitRatio      float64 `json:"hit_ratio"`
+	ElapsedSec    float64 `json:"elapsed_sec"`
 }
 
 // HealthSignals implements monitor.HealthSignaler (structurally; the
@@ -130,10 +131,16 @@ type Stats struct {
 	PrefetchLate    uint64
 	AllreduceRounds uint64
 	// Failovers counts peer reads, demand or prefetch, that fell over to
-	// the PFS because the promised peer copy was not delivered, or was
-	// delivered with bytes that fail dataset.VerifyPayload — the recovery
-	// layer's "how often did the middle tier let us down" number.
+	// the PFS because the peer broke its promise: it was down, the fetch
+	// failed, or the copy failed dataset.VerifyPayload — the recovery
+	// layer's "how often did the middle tier let us down" number. A
+	// fault-free run reports none.
 	Failovers uint64
+	// EvictionRaces counts peer reads that found the sample gone because
+	// the holder evicted it after the directory lookup. The directory is
+	// advisory, so this is the normal path; its PFS read is charged to
+	// pfs, not to recovery.
+	EvictionRaces uint64
 	// DataFold is a deterministic fold of every decoded tensor checksum:
 	// a rank-major chain of per-iteration folds, where each iteration's
 	// fold is order-independent (results may finish in any order within
@@ -486,7 +493,7 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 		WallTime: wall, Iterations: rt.totalIters,
 		CacheHits: c.CacheHits, CacheMisses: c.CacheMiss, RemoteHits: c.RemoteHits, PFSReads: c.PFSReads,
 		Prefetched: c.Prefetched, WorkAhead: c.WorkAhead, PrefetchLate: c.PrefetchLate,
-		Failovers: c.Failovers,
+		Failovers: c.Failovers, EvictionRaces: c.EvictionRaces,
 	}
 	if stop := rt.stopIter.Load(); stop >= 0 {
 		stats.Iterations = int(stop)
@@ -544,6 +551,7 @@ func (rt *Runtime) counters() (p Progress) {
 		p.WorkAhead += node.stagedByLoaders.Load()
 		p.PrefetchLate += node.prefetchLate.Load()
 		p.Failovers += node.failovers.Load()
+		p.EvictionRaces += node.evictionRaces.Load()
 	}
 	return p
 }

@@ -184,19 +184,20 @@ func TestDynamicControllerAdjustsThreads(t *testing.T) {
 }
 
 func TestThrottleSerializes(t *testing.T) {
-	th := newThrottle(1.0, defaultClock())
+	clk := defaultClock()
+	th := newThrottle(1.0, clk)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			th.Acquire(0.01) // 10 ms each
+			clk.sleep(th.reserve(0.01, 0)) // 10 ms each
 		}()
 	}
 	wg.Wait()
 	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {
-		t.Fatalf("4 x 10ms acquisitions finished in %v; throttle not serializing", elapsed)
+		t.Fatalf("4 x 10ms reservations finished in %v; throttle not serializing", elapsed)
 	}
 }
 
@@ -254,7 +255,7 @@ func TestLastCopyAtInsertExpiresBoth(t *testing.T) {
 	}
 	nodes := make([]*nodeCache, 2)
 	for n, plan := range []usesLeft{{}, {2: true}} {
-		if nodes[n], err = newNodeCache(n, 1<<20, buildNodePolicy(loader.Lobster(), plan, n, dir), dir); err != nil {
+		if nodes[n], err = newNodeCache(n, 4, 1<<20, buildNodePolicy(loader.Lobster(), plan, n, dir), dir); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,6 +292,30 @@ func TestPFSStoreServesValidPayloads(t *testing.T) {
 	}
 	if store.Ops() != 1 {
 		t.Fatalf("ops = %d, want 1", store.Ops())
+	}
+}
+
+// TestFaultFreeRunHasNoFailovers: a failover is a broken promise, and a
+// run without faults breaks none. A peer that evicted a sample after the
+// directory named it is an eviction race, read from the PFS as a normal
+// miss.
+func TestFaultFreeRunHasNoFailovers(t *testing.T) {
+	peerHits := uint64(0)
+	for _, spec := range []loader.Spec{loader.PyTorch(2, 8), loader.Lobster()} {
+		opts := testOptions(t, spec, 3, 3)
+		stats, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, opts, stats)
+		peerHits += stats.RemoteHits
+		if stats.Failovers != 0 {
+			t.Errorf("%s: fault-free run reports %d failovers (%d eviction races)", spec.Name, stats.Failovers, stats.EvictionRaces)
+		}
+		t.Logf("%s: %d peer hits, %d eviction races", spec.Name, stats.RemoteHits, stats.EvictionRaces)
+	}
+	if peerHits == 0 {
+		t.Fatal("no peer hits: the runs exercised no peer read")
 	}
 }
 

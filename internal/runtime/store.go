@@ -28,9 +28,10 @@ import (
 	"repro/internal/tier"
 )
 
-// Throttle serializes access to a shared bandwidth resource: each Acquire
-// reserves a transfer slot and sleeps until it completes. It models the
-// aggregate-throughput curves of internal/tier in real time.
+// Throttle is a shared bandwidth resource booked FIFO: reserve takes the
+// next transfer slot and says when it completes, and the caller waits
+// that long. It models the aggregate-throughput curves of internal/tier
+// in real time.
 type Throttle struct {
 	mu    sync.Mutex
 	next  time.Time
@@ -42,21 +43,23 @@ func newThrottle(scale float64, clk clock) *Throttle {
 	return &Throttle{scale: scale, clk: clk}
 }
 
-// Acquire reserves `cost` modeled seconds of the resource and sleeps until
-// the reservation completes. Concurrent acquirers queue FIFO, which is
-// exactly how a saturated link behaves.
-func (t *Throttle) Acquire(cost float64) {
+// reserve books `cost` modeled seconds of the resource for a transfer
+// that arrives `after` from now, and returns how long from now until the
+// transfer completes. It does not wait. Slots go out in the order reserve
+// is called, which is how a saturated link behaves, and a slot never
+// starts before its transfer arrives.
+func (t *Throttle) reserve(cost float64, after time.Duration) time.Duration {
 	d := time.Duration(cost * t.scale * float64(time.Second))
 	t.mu.Lock()
 	now := t.clk.now()
-	start := t.next
-	if start.Before(now) {
-		start = now
+	start := now.Add(after)
+	if start.Before(t.next) {
+		start = t.next
 	}
 	end := start.Add(d)
 	t.next = end
 	t.mu.Unlock()
-	t.clk.sleep(end.Sub(now))
+	return end.Sub(now)
 }
 
 // PFSStore serves sample payloads the way a parallel file system would:
@@ -141,19 +144,24 @@ func (s *PFSStore) Failures() int64 {
 	return s.failures
 }
 
-// Read fetches one sample, paying latency and bandwidth.
+// Read fetches one sample, paying latency and bandwidth in one wait
+// (DESIGN.md §15): the op latency, then the brownout lag, then the
+// sample's slot of the shared bandwidth, queued behind the slots booked
+// before it. A failed read waits out its latency and lag only.
 func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
 	if int(id) < 0 || int(id) >= s.ds.Len() {
 		return nil, fmt.Errorf("runtime: sample %d out of range", id)
 	}
 	size := s.ds.Size(id)
 	// Latency is per-op and independent; bandwidth is shared.
-	s.clk.sleep(time.Duration(s.curve.OpLatency * s.scale * float64(time.Second)))
+	arrive := time.Duration(s.curve.OpLatency * s.scale * float64(time.Second))
 	s.mu.Lock()
 	f := s.fault
-	extra := f.Lag
+	// Brownout latency is wall-clock and applies to failures too — a
+	// timed-out request costs its timeout.
+	arrive += f.Lag
 	if f.Jitter > 0 {
-		extra += time.Duration(s.rng.Int63() % int64(f.Jitter))
+		arrive += time.Duration(s.rng.Int63() % int64(f.Jitter))
 	}
 	failed := f.ErrRate > 0 && s.rng.Float64() < f.ErrRate
 	if failed {
@@ -163,15 +171,13 @@ func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
 	}
 	file := s.file
 	s.mu.Unlock()
-	// Brownout latency is wall-clock and applies to failures too — a
-	// timed-out request costs its timeout.
-	if extra > 0 {
-		s.clk.sleep(extra)
-	}
 	if failed {
+		s.clk.sleep(arrive)
 		return nil, ErrTransient
 	}
-	s.throttle.Acquire(float64(size) / (s.curve.PeakMBps * 1e6))
+	// The bandwidth slot is booked now, for a transfer that arrives after
+	// the latency and lag, so the read parks once for the whole delay.
+	s.clk.sleep(s.throttle.reserve(float64(size)/(s.curve.PeakMBps*1e6), arrive))
 	if file != nil {
 		return file.Read(id)
 	}
@@ -352,11 +358,14 @@ func (dm *DistributionManager) NodeDown(n int) bool {
 }
 
 // Fetch asks `from` for a sample, paying interconnect latency + transfer.
-// Returns nil if the peer no longer holds it (a benign race: the directory
-// is advisory, exactly as in a real distributed cache). The returned
-// slice is a pooled copy of the holder's buffer — the caller owns it
-// exclusively (DESIGN.md §12).
-func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) []byte {
+// The returned slice is a pooled copy of the holder's buffer — the caller
+// owns it exclusively (DESIGN.md §12). A nil payload with evicted set
+// means the peer served but no longer holds the sample: the holder
+// evicted it after the directory named it (a benign race, the directory
+// is advisory, exactly as in a real distributed cache). A nil payload
+// without evicted is a broken promise: the peer is down, or the fetch
+// failed.
+func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool) {
 	var extra time.Duration
 	fail := false
 	if pf := dm.faults[from].Load(); pf != nil {
@@ -364,7 +373,7 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 			// Crashed peer: the requester pays one op latency (its
 			// timeout) and gets nothing — the failover-to-PFS path.
 			dm.clk.sleep(time.Duration(dm.curve.OpLatency * dm.scale * float64(time.Second)))
-			return nil
+			return nil, false
 		}
 		extra = pf.lag
 		if pf.jitter > 0 || pf.errRate > 0 {
@@ -381,7 +390,8 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 	// with TimeScale) on top of the modeled transfer cost.
 	dm.clk.sleep(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
 	if fail {
-		return nil
+		return nil, false
 	}
-	return dm.caches[from].copyPayload(id)
+	payload = dm.caches[from].copyPayload(id)
+	return payload, payload == nil
 }

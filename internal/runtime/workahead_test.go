@@ -47,10 +47,16 @@ func checkTeardown(t *testing.T, step string, nodes []*nodeRuntime) {
 		}
 		nc := node.cache
 		nc.mu.Lock()
-		leases, zombies := len(nc.leases), len(nc.zombies)
+		leased := 0
+		for _, e := range nc.entries {
+			if e.leases != 0 {
+				leased++
+			}
+		}
+		zombies := len(nc.zombies)
 		nc.mu.Unlock()
-		if leases != 0 || zombies != 0 {
-			t.Errorf("%s: node %d ends with %d leased buffers and %d zombies", step, node.node, leases, zombies)
+		if leased != 0 || zombies != 0 {
+			t.Errorf("%s: node %d ends with %d leased entries and %d zombies", step, node.node, leased, zombies)
 		}
 	}
 }
@@ -140,7 +146,7 @@ func loaderFixture(t *testing.T, clk clock) (*nodeRuntime, *gpuQueue) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := newNodeCache(0, 1<<30, cache.NewLRU(), dir)
+	nc, err := newNodeCache(0, ds.Len(), 1<<30, cache.NewLRU(), dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +229,10 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 				}
 			}
 		}
-		// Each of the chunk's reads is an op latency and a bandwidth slot.
-		if demand != 2*len(w.ids) {
-			t.Fatalf("%d demand-read delays, want %d: %v", demand, 2*len(w.ids), seen)
+		// Each of the chunk's reads is one wait: op latency and bandwidth
+		// slot together.
+		if demand != len(w.ids) {
+			t.Fatalf("%d demand-read delays, want %d: %v", demand, len(w.ids), seen)
 		}
 		for iter, resident := range map[int]bool{2: true, 3: true, 4: false} {
 			for _, id := range window(node.rt.sched, 0, iter) {
@@ -278,7 +285,7 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 		if firstDemand < 0 || seen[firstDemand].staged != 1 {
 			t.Fatalf("first demand read at delay %d of %v, want it right after the one staged read", firstDemand, seen)
 		}
-		for i := firstDemand; i < firstDemand+2*len(w.ids); i++ {
+		for i := firstDemand; i < firstDemand+len(w.ids); i++ {
 			if seen[i].inflight != 0 || seen[i].staged != 1 {
 				t.Fatalf("delay %d is %+v: the chunk's reads were interrupted by a claim: %v", i, seen[i], seen)
 			}
@@ -304,8 +311,8 @@ func TestWorkAheadRetiresOnStopToken(t *testing.T) {
 	if got := node.stagedByLoaders.Load(); got != 1 {
 		t.Fatalf("worker staged %d ids after the stop token, want only the read in progress", got)
 	}
-	if delays != 2 {
-		t.Fatalf("%d modeled delays, want the one read's op latency and bandwidth slot", delays)
+	if delays != 1 {
+		t.Fatalf("%d modeled delays, want the one read's single wait", delays)
 	}
 	checkTeardown(t, "stop token", []*nodeRuntime{node})
 }

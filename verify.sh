@@ -16,7 +16,8 @@
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
 #   4. feed determinism — the prefetch feed, helper and loader
-#                        work-ahead tests, -race -count=10 at
+#                        work-ahead tests and the node cache's decode
+#                        lease tests, -race -count=10 at
 #                        GOMAXPROCS 1, 2 and 8: their verdict must not
 #                        depend on scheduling
 #                        (ROADMAP aim 3; same loop: make feed-determinism)
@@ -85,9 +86,9 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> prefetch feed and work-ahead determinism (GOMAXPROCS 1, 2, 8)"
+echo "==> prefetch feed, work-ahead and lease determinism (GOMAXPROCS 1, 2, 8)"
 for procs in 1 2 8; do
-  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead' ./internal/runtime
+  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead|Lease' ./internal/runtime
 done
 
 echo "==> lobster-lint -time ./..."
