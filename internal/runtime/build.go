@@ -49,9 +49,9 @@ func (o *Options) normalize() error {
 
 // build validates opts, applies the defaults and constructs the run:
 // schedule, directory, stores, per-node runtimes with their goroutines
-// started, thread managers, allreduce ring and barrier. The modeled delays
-// wait on clk; given nil, build starts a wall clock that belongs to the
-// run. The returned cleanup is the run's single teardown; the caller runs
+// started, thread managers, and the allreduce group that is the
+// iteration barrier. The modeled delays wait on clk; given nil, build
+// starts a wall clock that belongs to the run. The returned cleanup is the run's single teardown; the caller runs
 // it exactly once, after every rank has returned. On error build has
 // already run it, so a failed build leaves no goroutine and no open file
 // behind.
@@ -94,7 +94,6 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	}
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
 	rt.stopIter.Store(-1)
-	rt.bar = newBarrier(top.WorldSize(), rt.endIteration)
 
 	var file *datafile.Reader
 	cleanup := func() {
@@ -111,10 +110,8 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	if file, err = openDataFile(opts, rt.pfs); err != nil {
 		return fail(err)
 	}
-	if opts.GradientSize > 0 {
-		if rt.ring, err = allreduce.NewRing(top.WorldSize()); err != nil {
-			return fail(err)
-		}
+	if rt.allreduce, err = allreduce.NewGroup(top.WorldSize(), rt.endIteration); err != nil {
+		return fail(err)
 	}
 	var portfolio *perfmodel.PreprocPortfolio
 	if opts.Strategy.Mode == loader.ThreadsDynamic {

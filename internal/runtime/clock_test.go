@@ -174,9 +174,10 @@ func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *Distri
 	return dm
 }
 
-// TestFetchRequestsModeledDelays pins DistributionManager.Fetch: one
-// sleep of cost x scale plus the straggler's unscaled lag, then a copy of
-// the holder's bytes; a down peer costs the requester one op latency.
+// TestFetchRequestsModeledDelays pins DistributionManager.Fetch: a copy
+// of the holder's bytes and one sleep of cost x scale plus the
+// straggler's unscaled lag; a down peer, and a holder that no longer
+// holds the sample, cost the requester one op latency.
 func TestFetchRequestsModeledDelays(t *testing.T) {
 	const scale = 0.05
 	const size = 8 << 10
@@ -207,15 +208,26 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	}
 	wantSleeps(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
 
-	// A holder that evicted the sample after the directory named it pays
-	// the full fetch and reports the race, not a broken promise.
+	// A holder that evicted the sample after the directory named it
+	// answers after one op latency (a straggler's after its lag too) and
+	// reports the race, not a broken promise.
 	dm.SetNodeDown(1, false)
-	dm.SetNodeFault(1, chaos.Fault{})
 	dm.caches[1].crash()
-	if p, evicted := dm.Fetch(1, 0, size); p != nil || !evicted {
-		t.Fatalf("evicted sample: fetch delivered %d bytes (evicted %v), want nil and evicted", len(p), evicted)
+	for _, lag := range []time.Duration{3 * time.Millisecond, 0} {
+		dm.SetNodeFault(1, chaos.Fault{Lag: lag})
+		if p, evicted := dm.Fetch(1, 0, size); p != nil || !evicted {
+			t.Fatalf("evicted sample: fetch delivered %d bytes (evicted %v), want nil and evicted", len(p), evicted)
+		}
+		wantSleeps(t, "evicted-sample fetch", clk, scaled(curve.OpLatency, scale)+lag)
 	}
-	wantSleeps(t, "evicted-sample fetch", clk, cost)
+
+	// A flaky fetch fails after the whole transfer, even from a holder
+	// that no longer holds the sample.
+	dm.SetNodeFault(1, chaos.Fault{ErrRate: 1})
+	if p, evicted := dm.Fetch(1, 0, size); p != nil || evicted {
+		t.Fatalf("failed fetch delivered %d bytes (evicted %v), want a broken promise", len(p), evicted)
+	}
+	wantSleeps(t, "failed fetch", clk, cost)
 }
 
 // TestRunRequestsModeledDelays runs two epochs on the fake clock — no

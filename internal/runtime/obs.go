@@ -20,7 +20,7 @@ import (
 // Per-stage span layout (what a /trace.json dump shows in Perfetto):
 //
 //	rank<r>                 "stall" (GPU waiting on its batch) and
-//	                        "train" (compute + allreduce) spans
+//	                        "train" (compute) spans
 //	rank<r>/stalls          per-cause attribution spans, one per cause
 //	                        per iteration, flushed at the barrier
 //	                        (names from stallCauseNames, DESIGN.md §14)
@@ -118,7 +118,7 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 				"Time each GPU spent waiting for its batch (data stall).",
 				obs.LatencyBuckets(), "rank", rank)
 			ro.trainSeconds[r] = reg.Histogram("lobster_runtime_train_seconds",
-				"Modeled per-iteration compute plus allreduce time per GPU.",
+				"Modeled per-iteration compute time per GPU (the allreduce is the barrier: its time is Idle).",
 				obs.LatencyBuckets(), "rank", rank)
 			ro.registerCauseHists(r, rank)
 			ro.imbalanced[r] = reg.Counter("lobster_runtime_imbalanced_iterations_total",
@@ -274,8 +274,8 @@ func (ro *runtimeObs) flushLedger(completed int, nodes []*nodeRuntime) {
 // time end. Load (the loadSideCause causes) and Preproc (decode_wait) are
 // ledger sums over concurrent loads and decode jobs, so they can exceed
 // wall time; Train is the compute alone, so Idle, what BatchTime (flush
-// to flush) leaves after Stall and Train, holds the allreduce and the
-// barrier wait. Threads are the pool sizes in force. plan.Imbalance's
+// to flush) leaves after Stall and Train, holds the allreduce, which is
+// the barrier. Threads are the pool sizes in force. plan.Imbalance's
 // verdict goes to the counter and the barrier track.
 func (ro *runtimeObs) recordIteration(completed int, end time.Time, nodes []*nodeRuntime) {
 	batch := end.Sub(ro.lastEnd).Seconds()

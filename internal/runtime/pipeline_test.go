@@ -47,6 +47,39 @@ func TestRanksSubmitOneBatchAhead(t *testing.T) {
 	}
 }
 
+// TestAllreduceIsTheIterationBarrier: the gradient average is the run's
+// only rendezvous. With the default gradient and with zero-length ones
+// (GradientSize -1) a 2x2 Lobster run delivers the same data, completes
+// one allreduce round per iteration, and ends each iteration exactly
+// once, in order.
+func TestAllreduceIsTheIterationBarrier(t *testing.T) {
+	var folds [2]uint64
+	for i, size := range []int{0, -1} {
+		opts := testOptions(t, loader.Lobster(), 2, 2)
+		opts.GradientSize = size
+		var ended []int
+		hookBarrier(t, func(_ *Runtime, completed int) { ended = append(ended, completed) })
+		stats, err := Run(opts)
+		if err != nil {
+			t.Fatalf("GradientSize %d: %v", size, err)
+		}
+		checkOracle(t, opts, stats)
+		if stats.AllreduceRounds != uint64(stats.Iterations) || len(ended) != stats.Iterations {
+			t.Fatalf("GradientSize %d: %d iterations, %d allreduce rounds, %d iteration ends",
+				size, stats.Iterations, stats.AllreduceRounds, len(ended))
+		}
+		for h, completed := range ended {
+			if completed != h {
+				t.Fatalf("GradientSize %d: iteration end %d reported iteration %d", size, h, completed)
+			}
+		}
+		folds[i] = stats.DataFold
+	}
+	if folds[0] != folds[1] {
+		t.Fatalf("data fold %#x with the default gradient, %#x with none", folds[0], folds[1])
+	}
+}
+
 // TestCancelDrainsLookahead cancels the run at several iterations. A
 // stopped rank has one batch in flight; it must wait it out, so that
 // after RunContext returns no payload lease is outstanding on any node

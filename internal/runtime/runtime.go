@@ -45,11 +45,12 @@ type Options struct {
 	// PFS read becomes a real positional file read, checksum-verified.
 	DataFilePath string
 	// GradientSize is the per-iteration pseudo-gradient length each GPU
-	// contributes to the ring allreduce that implements the data-parallel
-	// barrier (default 64; -1 disables the collective and leaves only
-	// the synchronization barrier). All ranks must obtain bit-identical
-	// averaged gradients; the run fails verification otherwise. It stays
-	// an option because the benchmark's barrier-free what-if sets -1.
+	// contributes to the allreduce that is the data-parallel barrier
+	// (default 64; -1 averages zero-length gradients: the same
+	// rendezvous, with no sum to fold). All ranks must obtain
+	// bit-identical averaged gradients; the run fails verification
+	// otherwise. It stays an option because the benchmark's
+	// allreduce-free what-if sets -1.
 	GradientSize int
 	// OnProgress, when non-nil, receives a Progress snapshot at the end
 	// of every iteration (from the barrier's last arriver). Keep the
@@ -128,7 +129,9 @@ type Stats struct {
 	// loading worker working ahead had in flight at that moment:
 	// prefetches issued too late to spare the demand read. The demand read
 	// does not wait for the other one.
-	PrefetchLate    uint64
+	PrefetchLate uint64
+	// AllreduceRounds counts the allreduce rounds rank 0 completed: one
+	// per iteration, whatever GradientSize.
 	AllreduceRounds uint64
 	// Failovers counts peer reads, demand or prefetch, that fell over to
 	// the PFS because the peer broke its promise: it was down, the fetch
@@ -177,10 +180,11 @@ type Runtime struct {
 	pfs   *PFSStore
 	nodes []*nodeRuntime
 	mgrs  []*threadmgr.Manager
-	clk   clock           // where the modeled delays wait
-	ro    *runtimeObs     // nil when the run is un-instrumented
-	ring  *allreduce.Ring // nil when the collective is disabled (GradientSize < 0)
-	bar   *barrier
+	clk   clock       // where the modeled delays wait
+	ro    *runtimeObs // nil when the run is un-instrumented
+	// allreduce is the gradient average and the iteration barrier in one:
+	// its last arriver runs endIteration with every other rank parked.
+	allreduce *allreduce.Ring
 
 	gpus          int
 	itersPerEpoch int
@@ -209,43 +213,6 @@ type Runtime struct {
 	decideBatch   []dataset.SampleID
 	decideLocal   []bool
 	decideRemote  []bool
-}
-
-// barrier is the data-parallel allreduce stand-in: all GPUs arrive, the
-// last one runs the per-iteration action (cache maintenance, thread
-// decisions), then everyone proceeds.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	size    int
-	arrived int
-	gen     int
-	onLast  func(completedIter int)
-}
-
-func newBarrier(size int, onLast func(int)) *barrier {
-	b := &barrier{size: size, onLast: onLast}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.arrived++
-	if b.arrived == b.size {
-		if b.onLast != nil {
-			b.onLast(b.gen)
-		}
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return
-	}
-	gen := b.gen
-	for gen == b.gen {
-		b.cond.Wait()
-	}
 }
 
 // Run executes the online training and returns its statistics.
@@ -312,8 +279,8 @@ type rankResult struct {
 
 // runRank is one GPU's training loop. It runs one batch deep — the depth
 // the simulator's PipelineDepth defaults to: batch h+1 is submitted
-// before the wait on batch h, so it loads and decodes under h's compute,
-// allreduce and barrier wait.
+// before the wait on batch h, so it loads and decodes under h's compute
+// and allreduce (the barrier).
 func (rt *Runtime) runRank(rank int) (res rankResult) {
 	opts := &rt.opts
 	q := rt.nodes[rank/rt.gpus].queues[rank%rt.gpus]
@@ -329,10 +296,7 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		slots[i].comp = preproc.GetCompletion()
 		defer slots[i].comp.Release()
 	}
-	var grad []float64
-	if rt.ring != nil {
-		grad = make([]float64, opts.GradientSize)
-	}
+	grad := make([]float64, max(opts.GradientSize, 0))
 	ro := rt.ro
 	var stallH, trainH *obs.Histogram
 	var rankTID int64
@@ -403,34 +367,31 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		}
 		// The training stage: compute, then average the pseudo-gradient
 		// with every other GPU — the collective that makes any straggler a
-		// global stall.
+		// global stall, and the barrier whose last arriver ends the
+		// iteration.
 		rt.clk.sleep(time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second)))
 		if rec {
-			ro.gpu[rank].Train = time.Since(trainStart).Seconds() // the compute alone, as simulated
+			// The compute alone, as simulated: the allreduce is the
+			// barrier, so its time is the record's Idle.
+			ro.gpu[rank].Train = ro.gpuSpan("train", trainH, rankTID, h, trainStart)
 		}
-		if rt.ring != nil {
-			for i := range grad {
-				grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536
+		for i := range grad {
+			grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536
+		}
+		if err := rt.allreduce.Average(rank, grad); err != nil {
+			if res.err == nil {
+				res.err = err
 			}
-			if err := rt.ring.Average(rank, grad); err != nil {
-				if res.err == nil {
-					res.err = err
-				}
-			} else {
-				// Fold the averaged gradient so ranks can be compared for
-				// bit-identical results at the end.
-				fold := uint64(1469598103934665603)
-				for _, v := range grad {
-					fold = fold*1099511628211 + math.Float64bits(v)
-				}
-				res.gradFold = res.gradFold*31 + fold
-				res.rounds++
+		} else {
+			// Fold the averaged gradient so ranks can be compared for
+			// bit-identical results at the end.
+			fold := uint64(1469598103934665603)
+			for _, v := range grad {
+				fold = fold*1099511628211 + math.Float64bits(v)
 			}
+			res.gradFold = res.gradFold*31 + fold
+			res.rounds++
 		}
-		if rec {
-			ro.gpuSpan("train", trainH, rankTID, h, trainStart)
-		}
-		rt.bar.wait()
 	}
 	if h < rt.totalIters {
 		// Stopped with batch h in flight: wait it out and recycle its
@@ -443,8 +404,8 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 	return res
 }
 
-// endIteration is the barrier's last-arriver action after iteration
-// `completed`, run with every other rank parked in the barrier.
+// endIteration is the allreduce's last-arriver action after iteration
+// `completed`, run with every other rank parked in the allreduce.
 func (rt *Runtime) endIteration(completed int) {
 	select {
 	case <-rt.cancel:
@@ -516,12 +477,10 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 			fail = r.err
 		}
 	}
-	if rt.ring != nil {
-		stats.AllreduceRounds = results[0].rounds
-		for rank := 1; rank < len(results) && fail == nil; rank++ {
-			if results[rank].gradFold != results[0].gradFold {
-				fail = fmt.Errorf("runtime: rank %d averaged gradients diverged from rank 0", rank)
-			}
+	stats.AllreduceRounds = results[0].rounds
+	for rank := 1; rank < len(results) && fail == nil; rank++ {
+		if results[rank].gradFold != results[0].gradFold {
+			fail = fmt.Errorf("runtime: rank %d averaged gradients diverged from rank 0", rank)
 		}
 	}
 	return stats, fail

@@ -362,9 +362,9 @@ func (dm *DistributionManager) NodeDown(n int) bool {
 // owns it exclusively (DESIGN.md §12). A nil payload with evicted set
 // means the peer served but no longer holds the sample: the holder
 // evicted it after the directory named it (a benign race, the directory
-// is advisory, exactly as in a real distributed cache). A nil payload
-// without evicted is a broken promise: the peer is down, or the fetch
-// failed.
+// is advisory, exactly as in a real distributed cache), and answers so
+// after one op latency, with no transfer. A nil payload without evicted
+// is a broken promise: the peer is down, or the fetch failed.
 func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool) {
 	var extra time.Duration
 	fail := false
@@ -386,12 +386,15 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 		}
 	}
 	cost := dm.curve.OpLatency + float64(size)/(dm.curve.PeakMBps*1e6)
-	// Straggler lag/jitter are wall-clock (chaos faults do not scale
-	// with TimeScale) on top of the modeled transfer cost.
-	dm.clk.sleep(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
-	if fail {
-		return nil, false
+	if !fail {
+		// The holder looks before it sends: what it no longer holds costs
+		// the request's op latency, not the transfer.
+		if payload = dm.caches[from].copyPayload(id); payload == nil {
+			cost = dm.curve.OpLatency
+		}
 	}
-	payload = dm.caches[from].copyPayload(id)
-	return payload, payload == nil
+	// Straggler lag/jitter are wall-clock (chaos faults do not scale
+	// with TimeScale) on top of the modeled cost.
+	dm.clk.sleep(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
+	return payload, !fail && payload == nil
 }

@@ -86,9 +86,10 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> prefetch feed, work-ahead and lease determinism (GOMAXPROCS 1, 2, 8)"
+echo "==> prefetch feed, work-ahead, lease and allreduce determinism (GOMAXPROCS 1, 2, 8)"
 for procs in 1 2 8; do
-  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead|Lease' ./internal/runtime
+  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime
+  GOMAXPROCS=$procs go test -race -count=10 ./internal/allreduce
 done
 
 echo "==> lobster-lint -time ./..."
