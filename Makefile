@@ -21,13 +21,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-## feed-determinism: the prefetch feed, helper and loader work-ahead tests,
-## the node cache's decode lease tests and the allreduce (the iteration
-## barrier) under -race, ten times each at GOMAXPROCS 1, 2 and 8 (verify.sh
-## runs the same loop)
+## feed-determinism: the prefetch feed, prefetch loop and loader work-ahead
+## tests, the run's modeled-delay and teardown pins, the node cache's decode
+## lease tests and the allreduce (the iteration barrier) under -race, ten
+## times each at GOMAXPROCS 1, 2 and 8 (verify.sh runs the same loop)
 feed-determinism:
 	for procs in 1 2 8; do \
-		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 ./internal/allreduce || exit 1; \
 	done
 

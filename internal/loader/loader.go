@@ -75,9 +75,10 @@ type Spec struct {
 	// PrefetchThreads is the background prefetching concurrency (NoPFS's
 	// double-buffering helpers), in both executions: the simulator spends
 	// PrefetchThreads x batch time as its per-iteration prefetch budget,
-	// and the runtime starts exactly this many helper goroutines per node
-	// to drain the node's prefetch feed to its full depth (at least one
-	// whenever PrefetchDepth > 0). Strategies with dynamic thread
+	// and the runtime gives each node's prefetch loop exactly this many
+	// read slots — reads booked and in flight at once — to drain the
+	// node's prefetch feed to its full depth (at least one whenever
+	// PrefetchDepth > 0). Strategies with dynamic thread
 	// management additionally put *idle* loading threads to prefetch work,
 	// again in both executions — the coordination the paper's second
 	// challenge is about ("a bottleneck in one stage will lead to idle

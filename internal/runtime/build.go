@@ -89,7 +89,6 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 		ro:            ro,
 		gpus:          top.GPUsPerNode,
 		itersPerEpoch: sched.IterationsPerEpoch(),
-		tick:          make(chan struct{}, 4*top.Nodes*prefetchHelpers(opts.Strategy)),
 		submitted:     make([]int, top.WorldSize()),
 	}
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
@@ -172,10 +171,10 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 	if err != nil {
 		return err
 	}
-	node := &nodeRuntime{node: n, rt: rt, plan: plan, cache: nc, pre: pre, stopPref: make(chan struct{})}
-	helpers := prefetchHelpers(opts.Strategy)
-	if helpers > 0 {
+	node := &nodeRuntime{node: n, rt: rt, plan: plan, cache: nc, pre: pre, tick: make(chan struct{}, 1), stopPref: make(chan struct{})}
+	if slots := prefetchSlots(opts.Strategy); slots > 0 {
 		node.feed = newPrefetchFeed(rt.sched, n, rt.gpus, rt.totalIters, opts.Strategy.PrefetchDepth, nc.contains)
+		node.slots = make([]prefetchSlot, slots)
 		node.workAhead = opts.Strategy.Mode == loader.ThreadsDynamic
 	}
 	if nodeHook != nil {
@@ -188,9 +187,9 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 	if rt.ro != nil {
 		rt.ro.instrumentNode(node)
 	}
-	for ; node.helpers < helpers; node.helpers++ {
+	if len(node.slots) > 0 {
 		node.prefWG.Add(1)
-		go node.prefetchHelper()
+		go node.prefetchLoop()
 	}
 	rt.nodes = append(rt.nodes, node)
 	rt.mgrs = append(rt.mgrs, mgr)
@@ -203,7 +202,7 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 var nodeHook func(*nodeRuntime)
 
 // shutdown stops everything addNode started, for however many nodes were
-// added: prefetchers (closing stopPref also ends the loading workers'
+// added: prefetch loops (closing stopPref also ends the loading workers'
 // claims on the feed), loading queues, then preprocessing pools. The
 // queues must be idle — every rank has consumed or drained what it
 // submitted.

@@ -7,18 +7,27 @@ import (
 	"repro/internal/obs"
 )
 
-// clock is where the package's modeled delays wait: a PFS read's op
-// latency, brownout lag and bandwidth slot (one wait per read), the peer
-// fetch cost, and the train step. Every one of them is a duration the
-// model computed, so how faithfully it elapses is the run's model error
-// (DESIGN.md §15), and a test that substitutes the clock sees exactly
-// the durations the model asked for. Delays that are wall-clock by
-// definition stay on time.Sleep: the retry backoff of a failed PFS read
-// (retryTransient, 1 ms and up) and the chaos harness's slow-decode fault
-// (preproc.Pool.SetDecodeDelay).
+// clock is where the package's modeled delays elapse: a PFS read's op
+// latency, brownout lag and bandwidth slot (one booking per read), the
+// peer fetch cost, and the train step. Every one of them is a duration
+// the model computed, so how faithfully it elapses is the run's model
+// error (DESIGN.md §15), and a test that substitutes the clock sees
+// exactly the durations the model asked for. A train step sleeps its
+// delay; a read books its delay (deadline) and waits for it later
+// (until), on its own goroutine or together with the other reads of a
+// node's prefetch loop, so one wait may end many booked delays. Delays
+// that are wall-clock by definition stay off the clock: the retry
+// backoff of a failed PFS read (1 ms and up) and the chaos harness's
+// slow-decode fault (preproc.Pool.SetDecodeDelay).
 type clock interface {
 	now() time.Time
+	// sleep lets a modeled delay of d elapse.
 	sleep(d time.Duration)
+	// deadline books a modeled delay of d that starts now and returns
+	// when it ends.
+	deadline(d time.Duration) time.Time
+	// until waits until t, a deadline booked earlier.
+	until(t time.Time)
 }
 
 // wallClock waits in real time. A sleeper always waits on a Go timer,
@@ -52,6 +61,10 @@ func newWallClock(overshoot *obs.Histogram) *wallClock {
 var defaultClock = sync.OnceValue(func() clock { return newWallClock(nil) })
 
 func (c *wallClock) now() time.Time { return time.Now() }
+
+func (c *wallClock) deadline(d time.Duration) time.Time { return time.Now().Add(d) }
+
+func (c *wallClock) until(t time.Time) { c.sleep(time.Until(t)) }
 
 func (c *wallClock) sleep(d time.Duration) {
 	if d <= 0 {

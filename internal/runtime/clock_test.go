@@ -18,12 +18,17 @@ import (
 )
 
 // fakeClock records every requested delay and returns at once. Its time
-// advances by exactly what was slept, so nothing a test concludes from it
-// depends on the scheduler or the wall clock.
+// advances by exactly what was slept, or to the deadline waited for when
+// that is later, so nothing a test concludes from it depends on the
+// scheduler or the wall clock. Slept and booked delays are recorded
+// apart; a wait for a booked deadline is recorded as the time it moved
+// the clock on.
 type fakeClock struct {
-	mu     sync.Mutex
-	t      time.Time
-	sleeps []time.Duration
+	mu       sync.Mutex
+	t        time.Time
+	sleeps   []time.Duration
+	bookings []time.Duration
+	waits    []time.Duration
 }
 
 func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1e9, 0)} }
@@ -41,7 +46,40 @@ func (f *fakeClock) sleep(d time.Duration) {
 	f.mu.Unlock()
 }
 
-// take returns the delays requested since the last call.
+func (f *fakeClock) deadline(d time.Duration) time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.bookings = append(f.bookings, d)
+	return f.t.Add(d)
+}
+
+func (f *fakeClock) until(t time.Time) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	d := max(t.Sub(f.t), 0)
+	f.waits = append(f.waits, d)
+	f.t = f.t.Add(d)
+}
+
+// takeWaits returns the waits for booked deadlines since the last call.
+func (f *fakeClock) takeWaits() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	w := f.waits
+	f.waits = nil
+	return w
+}
+
+// takeBookings returns the delays booked since the last call.
+func (f *fakeClock) takeBookings() []time.Duration {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	b := f.bookings
+	f.bookings = nil
+	return b
+}
+
+// take returns the delays slept since the last call.
 func (f *fakeClock) take() []time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -59,6 +97,19 @@ func wantSleeps(t *testing.T, site string, clk *fakeClock, want ...time.Duration
 	if got := clk.take(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s slept %v, want %v", site, got, want)
 	}
+}
+
+// wantBooked asserts that the delays booked since the last check are
+// want, each waited for once and in full, and that nothing slept.
+func wantBooked(t *testing.T, site string, clk *fakeClock, want ...time.Duration) {
+	t.Helper()
+	if got := clk.takeBookings(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s booked %v, want %v", site, got, want)
+	}
+	if got := clk.takeWaits(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s waited %v, want %v", site, got, want)
+	}
+	wantSleeps(t, site, clk)
 }
 
 // TestThrottleRequestsItsReservation: reserve waits for nothing and
@@ -108,10 +159,10 @@ func TestThrottleQueuesArrivalsFIFO(t *testing.T) {
 	}
 }
 
-// TestPFSReadRequestsModeledDelays pins PFSStore.Read's formula: one wait
-// per read of the op latency at the store's scale, plus the brownout lag
-// unscaled, plus the sample's slot of the shared bandwidth; a read that
-// fails waits out its latency and lag only.
+// TestPFSReadRequestsModeledDelays pins PFSStore.Read's formula: one
+// booking per read, waited out in full, of the op latency at the store's
+// scale, plus the brownout lag unscaled, plus the sample's slot of the
+// shared bandwidth; a read that fails books its latency and lag only.
 func TestPFSReadRequestsModeledDelays(t *testing.T) {
 	ds, err := dataset.Generate(dataset.Spec{Name: "p", NumSamples: 10, MeanSize: 4 << 10, Classes: 1, Seed: 5})
 	if err != nil {
@@ -129,19 +180,19 @@ func TestPFSReadRequestsModeledDelays(t *testing.T) {
 	if _, err := store.Read(3); err != nil {
 		t.Fatal(err)
 	}
-	wantSleeps(t, "healthy read", clk, op+slot(3))
+	wantBooked(t, "healthy read", clk, op+slot(3))
 
 	store.SetFault(chaos.Fault{Lag: 7 * time.Millisecond})
 	if _, err := store.Read(4); err != nil {
 		t.Fatal(err)
 	}
-	wantSleeps(t, "browned-out read", clk, op+7*time.Millisecond+slot(4))
+	wantBooked(t, "browned-out read", clk, op+7*time.Millisecond+slot(4))
 
 	store.SetFault(chaos.Fault{Lag: 7 * time.Millisecond, ErrRate: 1, Seed: 9})
 	if _, err := store.Read(4); err != ErrTransient {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
-	wantSleeps(t, "failed read", clk, op+7*time.Millisecond)
+	wantBooked(t, "failed read", clk, op+7*time.Millisecond)
 
 	// Two reads booked before either completes: the second queues behind
 	// the first's slot. Rewind the clock to the first read's booking.
@@ -153,7 +204,7 @@ func TestPFSReadRequestsModeledDelays(t *testing.T) {
 		}
 		clk.t = start
 	}
-	wantSleeps(t, "queued reads", clk, op+slot(5), op+slot(5)+slot(6))
+	wantBooked(t, "queued reads", clk, op+slot(5), op+slot(5)+slot(6))
 }
 
 // peerManager is a two-node distribution manager on clk with a node
@@ -175,7 +226,7 @@ func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *Distri
 }
 
 // TestFetchRequestsModeledDelays pins DistributionManager.Fetch: a copy
-// of the holder's bytes and one sleep of cost x scale plus the
+// of the holder's bytes and one booking of cost x scale plus the
 // straggler's unscaled lag; a down peer, and a holder that no longer
 // holds the sample, cost the requester one op latency.
 func TestFetchRequestsModeledDelays(t *testing.T) {
@@ -189,7 +240,7 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	cost := scaled(curve.OpLatency+size/(curve.PeakMBps*1e6), scale)
 
 	got, evicted := dm.Fetch(1, 0, size)
-	wantSleeps(t, "healthy fetch", clk, cost)
+	wantBooked(t, "healthy fetch", clk, cost)
 	if evicted {
 		t.Fatal("healthy fetch of a resident sample reports it evicted")
 	}
@@ -200,13 +251,13 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 
 	dm.SetNodeFault(1, chaos.Fault{Lag: 3 * time.Millisecond})
 	dm.Fetch(1, 0, size)
-	wantSleeps(t, "straggler fetch", clk, cost+3*time.Millisecond)
+	wantBooked(t, "straggler fetch", clk, cost+3*time.Millisecond)
 
 	dm.SetNodeDown(1, true)
 	if p, evicted := dm.Fetch(1, 0, size); p != nil || evicted {
 		t.Fatalf("down peer delivered %d bytes (evicted %v), want a broken promise", len(p), evicted)
 	}
-	wantSleeps(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
+	wantBooked(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
 
 	// A holder that evicted the sample after the directory named it
 	// answers after one op latency (a straggler's after its lag too) and
@@ -218,7 +269,7 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 		if p, evicted := dm.Fetch(1, 0, size); p != nil || !evicted {
 			t.Fatalf("evicted sample: fetch delivered %d bytes (evicted %v), want nil and evicted", len(p), evicted)
 		}
-		wantSleeps(t, "evicted-sample fetch", clk, scaled(curve.OpLatency, scale)+lag)
+		wantBooked(t, "evicted-sample fetch", clk, scaled(curve.OpLatency, scale)+lag)
 	}
 
 	// A flaky fetch fails after the whole transfer, even from a holder
@@ -227,16 +278,18 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	if p, evicted := dm.Fetch(1, 0, size); p != nil || evicted {
 		t.Fatalf("failed fetch delivered %d bytes (evicted %v), want a broken promise", len(p), evicted)
 	}
-	wantSleeps(t, "failed fetch", clk, cost)
+	wantBooked(t, "failed fetch", clk, cost)
 }
 
 // TestRunRequestsModeledDelays runs two epochs on the fake clock — no
 // modeled delay elapses, the run is otherwise the real one — and counts
-// the requests by site: every rank asks for IterTime x TimeScale once per
-// iteration, and every PFS read, failed or not, makes exactly one wait of
-// at least its op latency plus its bandwidth slot. Peer fetches (150 µs
-// x TimeScale) and train steps (3 ms x TimeScale) are shorter than the
-// PFS op latency (4 ms x TimeScale), so the waits that long are the reads.
+// the requests by site: every rank sleeps IterTime x TimeScale once per
+// iteration, and every PFS read, failed or not, books exactly one delay
+// of at least its op latency plus its bandwidth slot, whether a loading
+// worker waits for it alone or the prefetch loop waits for it together
+// with its other slots. Peer fetches (150 µs x TimeScale) are shorter
+// than the PFS op latency (4 ms x TimeScale), so the bookings that long
+// are the reads; nothing but the train step sleeps.
 func TestRunRequestsModeledDelays(t *testing.T) {
 	opts := testOptions(t, loader.Lobster(), 2, 2)
 	opts.Model.IterTime = 0.003 // apart from the PFS op latency (0.004)
@@ -254,15 +307,19 @@ func TestRunRequestsModeledDelays(t *testing.T) {
 		smallest = min(smallest, opts.Dataset.Size(dataset.SampleID(id)))
 	}
 	minRead := op + scaled(float64(smallest)/(pfs.PeakMBps*1e6), opts.TimeScale)
-	steps, reads := 0, 0
+	steps := 0
 	for _, d := range clk.take() {
-		switch {
-		case d == step:
-			steps++
-		case d >= op:
+		if d != step {
+			t.Errorf("a sleep of %v requested; only the train step (%v) sleeps", d, step)
+		}
+		steps++
+	}
+	reads := 0
+	for _, d := range clk.takeBookings() {
+		if d >= op {
 			reads++
 			if d < minRead {
-				t.Errorf("a PFS read waited %v, below op latency plus the smallest slot (%v)", d, minRead)
+				t.Errorf("a PFS read booked %v, below op latency plus the smallest slot (%v)", d, minRead)
 			}
 		}
 	}
@@ -270,7 +327,7 @@ func TestRunRequestsModeledDelays(t *testing.T) {
 		t.Errorf("%d train steps of %v requested, want %d", steps, step, want)
 	}
 	if want := int(stats.PFSReads + stats.PFSRetries); reads != want || want == 0 {
-		t.Errorf("%d PFS read waits of at least %v requested, want one per read: %d", reads, op, want)
+		t.Errorf("%d PFS read bookings of at least %v, want one per read: %d", reads, op, want)
 	}
 }
 
@@ -367,8 +424,9 @@ func openDescriptors() (n int, ok bool) {
 // TestRunReleasesClock: a run's clock owns a goroutine and, on linux, a
 // descriptor. Both must be gone when RunContext returns — after a
 // complete run, a cancelled one and a failed build — along with every
-// other goroutine of the run, loading workers that were staging ahead
-// included, and with no claim of theirs left in flight on a feed.
+// other goroutine of the run, prefetch loops and loading workers that
+// were staging ahead included, and with no claim, busy read slot or peer
+// copy of theirs left on a node.
 func TestRunReleasesClock(t *testing.T) {
 	defaultClock() // started once per process, on purpose: keep it out of the count
 	baseG := goruntime.NumGoroutine()
@@ -417,4 +475,15 @@ func TestRunReleasesClock(t *testing.T) {
 		t.Fatal("zero iteration time accepted")
 	}
 	check("failed build")
+
+	// A build that fails after its nodes started tears down as build's
+	// own failure path does: with the prefetch loops' reads in flight.
+	*nodes = nil
+	if _, cleanup, err := build(testOptions(t, loader.NoPFS(2, 8), 2, 1), nil); err != nil {
+		t.Fatal(err)
+	} else {
+		cleanup()
+	}
+	check("build failed after its nodes started")
+	checkTeardown(t, "build failed after its nodes started", *nodes)
 }

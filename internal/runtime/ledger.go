@@ -52,7 +52,7 @@ var stallCauseNames = [numStallCauses]string{
 }
 
 // prefetchCauses are the causes staging ahead of demand can incur, by a
-// prefetch helper or a loading worker working ahead: it fetches through
+// prefetch loop's slot or a loading worker working ahead: it fetches through
 // the same tiers as a demand miss, but nothing queues for it and it never
 // hits the cache it is filling.
 var prefetchCauses = [...]stallCause{causePeerFetch, causePFS, causeRecovery}
@@ -86,9 +86,9 @@ type stallRow struct {
 // iteration's nanoseconds, and no charge is reported under another
 // iteration.
 //
-// prefetch holds one more row per node, which that node's prefetch
-// helpers — and its loading workers, for what they stage while their
-// queue is empty — charge with the causes they can incur (peer_fetch, pfs,
+// prefetch holds one more row per node, which that node's prefetch loop
+// — and its loading workers, for what they stage while their queue is
+// empty — charge with the causes they can incur (peer_fetch, pfs,
 // recovery). No rank waits for a staged read, so these are not stalls and
 // belong to no iteration's batch: the flush drains whatever accumulated
 // since the last one, and a charge that lands during a flush is reported

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -349,7 +348,7 @@ func (q *gpuQueue) worker() {
 	var jobs []preproc.Job // reused chunk scratch
 	stops := q.crew.Stops()
 	for !q.crew.ClaimStopDebt() {
-		if q.node.workAhead && len(q.reqs) == 0 && len(stops) == 0 && q.node.stageOne(loaderReach, true) {
+		if q.node.workAhead && len(q.reqs) == 0 && len(stops) == 0 && q.node.stageOne(loaderReach) {
 			continue
 		}
 		select {
@@ -387,7 +386,7 @@ type nodeRuntime struct {
 	// stagedByLoaders is the part of prefetched that loading workers staged
 	// while their queue was empty (workAhead).
 	stagedByLoaders atomic.Uint64
-	// prefetchLate counts demand misses on an id a helper or a loading
+	// prefetchLate counts demand misses on an id the prefetch loop or a loading
 	// worker had in flight: prefetches issued, but too late to spare the
 	// demand read.
 	prefetchLate atomic.Uint64
@@ -404,18 +403,21 @@ type nodeRuntime struct {
 	// un-instrumented — nil-safe to observe).
 	loadHist *obs.Histogram
 
-	// feed is the node's prefetch walk and helpers the number of
-	// goroutines started to drain it (nil and 0 for demand-only
-	// strategies). workAhead makes the node's loading workers stage from
-	// the feed while their queue is empty: the simulator's rule
-	// (pipeline.(*sim).prefetch), on for a loader.ThreadsDynamic strategy
-	// that prefetches and for no other — a static or shared-pool strategy's
-	// idle loaders stay idle. All three are fixed before the node's first
-	// loading worker starts.
+	// feed is the node's prefetch walk and slots the read slots of the
+	// loop that drains it (nil and none for demand-only strategies; only
+	// the loop touches slots while it runs). workAhead makes the node's
+	// loading workers stage from the feed while their queue is empty: the
+	// simulator's rule (pipeline.(*sim).prefetch), on for a
+	// loader.ThreadsDynamic strategy that prefetches and for no other — a
+	// static or shared-pool strategy's idle loaders stay idle. All three
+	// are fixed before the node's first loading worker starts.
 	feed      *prefetchFeed
-	helpers   int
+	slots     []prefetchSlot
 	workAhead bool
 
+	// tick wakes the prefetch loop at every iteration; prefWG waits for
+	// it and stopPref stops it.
+	tick     chan struct{}
 	prefWG   sync.WaitGroup
 	stopPref chan struct{}
 }
@@ -505,90 +507,224 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 }
 
 // fetch pulls a sample that is not in the local cache from a peer's cache
-// (via the distribution manager) or the PFS, and caches it locally. It is
-// the one walk of the tiers, for both callers: the demand path
-// (demand=true, a loading worker that will decode the sample) and
-// stageOne (demand=false, staging only, for a prefetch helper or a
-// loading worker working ahead). The two differ only in who is charged
-// (row), in that demand peer hits count as remoteHits, and in buffer
-// ownership (DESIGN.md §12): a demand fetch takes a decode
-// lease when the local cache retained a pooled buffer (owner = the
-// cache) and otherwise owns the fetched buffer (owned) — the cache kept
-// its own earlier copy, or refused; a prefetch takes no lease, returns no
-// buffer, and recycles on the spot a pooled one the cache did not retain.
-// ok reports whether the sample is cached after the call.
+// (via the distribution manager) or the PFS, and caches it locally,
+// waiting out each leg of the walk on the caller's goroutine: the demand
+// path (demand=true, a loading worker that will decode the sample) and
+// stageOne (demand=false, a loading worker working ahead). The prefetch
+// loop walks the same tierRead without blocking (prefetch.go). ok
+// reports whether the sample is cached after the call; the other results
+// are tierRead.result's.
+func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
+	var r tierRead
+	n.begin(&r, id, now, row, demand)
+	for {
+		r.wait(n.rt.clk)
+		if n.step(&r) {
+			return n.result(&r)
+		}
+	}
+}
+
+// tierRead is one fetch in progress: the one walk of the tiers, cut at
+// its waits. begin books the first leg — a peer copy when the directory
+// names a holder, else a PFS read — and each time the booked leg's
+// deadline has passed, step finishes it and either ends the walk or
+// books the next leg: a PFS read after a peer that delivered nothing, and
+// a PFS read again after a transient failure's backoff. Demand and
+// staging reads differ only in who is charged (row), in that demand peer
+// hits count as remoteHits, and in buffer ownership (result).
 //
 // row, when non-nil, receives the attribution (DESIGN.md §14): the peer
 // leg is peer_fetch whether it delivers or fails; a PFS read is recovery
 // when the peer broke a promise (down or flaky, or a copy that fails
 // verification) — exactly the failover events — and pfs otherwise: no
 // holder, or one that evicted the sample after the directory lookup.
-func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
+type tierRead struct {
+	id     dataset.SampleID
+	now    cache.Iter
+	row    *stallRow
+	demand bool
+
+	leg tierLeg
+	// due is when the booked leg is over: on the run's clock, except a
+	// backoff's, which is wall-clock (see clock).
+	due time.Time
+	// copy is the peer leg's copy of the holder's bytes (nil: it had
+	// none, or the fetch failed), evicted whether the holder had evicted
+	// the sample.
+	copy    []byte
+	evicted bool
+	pfs     pfsRead
+	backoff time.Duration // the next transient failure's
+	cause   stallCause    // the PFS leg's: causePFS or causeRecovery
+	start   time.Time     // the current leg's, while row is recording
+
+	// The outcome, once step reports the walk over.
+	payload          []byte
+	pooled, retained bool
+	ok               bool
+}
+
+// tierLeg is what a tierRead has booked.
+type tierLeg uint8
+
+const (
+	legPeer    tierLeg = iota // a peer copy from the distribution manager
+	legPFS                    // a PFS read
+	legBackoff                // the wait after a transient PFS failure
+)
+
+// begin starts r's walk for id at iteration now and books its first leg.
+func (n *nodeRuntime) begin(r *tierRead, id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) {
+	*r = tierRead{id: id, now: now, row: row, demand: demand, backoff: pfsRetryBase, cause: causePFS}
 	if demand && n.feed != nil && n.feed.inFlight(id) {
-		// A helper or a loading worker claimed this id and has not staged
-		// it yet: the prefetch was issued, but too late to spare the
-		// demand read.
+		// The prefetch loop or a loading worker claimed this id and has
+		// not staged it yet: the prefetch was issued, but too late to
+		// spare the demand read.
 		n.prefetchLate.Add(1)
 	}
-	pooled, retained := false, false
-	pfsCause := causePFS
-	var legStart time.Time
+	r.startLeg()
 	if peer := n.rt.dir.Holder(id, n.node); peer >= 0 {
-		if row != nil {
-			legStart = time.Now()
-		}
-		// The holder's cache copies into a pooled buffer just for us. One
+		r.leg = legPeer
+		r.copy, r.evicted, r.due = n.rt.dm.book(peer, id, n.rt.ds.Size(id))
+		return
+	}
+	n.bookPFS(r)
+}
+
+func (r *tierRead) startLeg() {
+	if r.row != nil {
+		r.start = time.Now()
+	}
+}
+
+// bookPFS books a PFS read for r, counting it as a read or, drawn as a
+// transient failure, as a retry.
+func (n *nodeRuntime) bookPFS(r *tierRead) {
+	var err error
+	if r.pfs, err = n.rt.pfs.book(r.id); err != nil {
+		// Unreachable for in-range ids; surface loudly if it happens.
+		panic(fmt.Sprintf("runtime: PFS read failed: %v", err))
+	}
+	r.leg, r.due = legPFS, r.pfs.due
+	if r.pfs.failed {
+		n.pfsRetries.Add(1)
+	} else {
+		n.pfsReads.Add(1)
+	}
+}
+
+// wait waits out r's booked leg on the caller's goroutine.
+func (r *tierRead) wait(clk clock) {
+	if r.leg == legBackoff {
+		time.Sleep(time.Until(r.due))
+		return
+	}
+	clk.until(r.due)
+}
+
+// left is how long r's booked leg still runs, given the clock's time now.
+func (r *tierRead) left(now time.Time) time.Duration {
+	if r.leg == legBackoff {
+		return time.Until(r.due)
+	}
+	return r.due.Sub(now)
+}
+
+// step finishes r's booked leg, whose deadline has passed, and books the
+// next one; it reports whether the walk is over, with r's outcome set.
+func (n *nodeRuntime) step(r *tierRead) bool {
+	switch r.leg {
+	case legBackoff:
+		n.bookPFS(r)
+		return false
+	case legPeer:
+		// The holder's cache copied into a pooled buffer just for us. One
 		// that delivers the wrong bytes delivered nothing, so its copy
 		// goes back to the pool unread.
-		var evicted bool
-		payload, evicted = n.rt.dm.Fetch(peer, id, n.rt.ds.Size(id))
-		pooled = true
+		payload := r.copy
+		r.copy = nil
 		if payload != nil && peerCopyHook != nil {
 			peerCopyHook(payload)
 		}
-		if payload != nil && dataset.VerifyPayload(payload, n.rt.pfs.seed, id) != nil {
+		if payload != nil && dataset.VerifyPayload(payload, n.rt.pfs.seed, r.id) != nil {
 			preproc.PutPayloadBuf(payload)
 			payload = nil
 		}
-		if row != nil {
-			row.add(causePeerFetch, time.Since(legStart))
+		if r.row != nil {
+			r.row.add(causePeerFetch, time.Since(r.start))
 		}
-		switch {
-		case payload != nil:
-		case evicted:
+		if payload != nil {
+			if r.demand {
+				n.remoteHits.Add(1)
+			}
+			n.insert(r, payload, true)
+			return true
+		}
+		if r.evicted {
 			n.evictionRaces.Add(1)
-		default:
+		} else {
 			n.failovers.Add(1) // the peer broke its promise: fall to the PFS
-			pfsCause = causeRecovery
+			r.cause = causeRecovery
 		}
+		r.startLeg()
+		n.bookPFS(r)
+		return false
 	}
-	if payload != nil {
-		if demand {
-			n.remoteHits.Add(1)
-		}
-		ok, retained = n.cache.put(id, payload, now, pooled, demand)
-	} else {
-		if row != nil {
-			legStart = time.Now()
-		}
-		payload = n.pfsReadRetry(id)
-		n.pfsReads.Add(1)
-		pooled = n.rt.pfs.PooledReads()
-		ok, retained = n.cache.put(id, payload, now, pooled, demand)
-		if row != nil {
-			row.add(pfsCause, time.Since(legStart))
-		}
+	if r.pfs.failed {
+		// PFS reads back off exponentially between transient failures and
+		// never give up: training cannot proceed without the sample, so
+		// real loaders surface storage outages as hangs rather than
+		// corrupt batches.
+		r.leg, r.due = legBackoff, time.Now().Add(r.backoff)
+		r.backoff = nextBackoff(r.backoff)
+		return false
 	}
+	payload, err := n.rt.pfs.deliver(r.pfs)
+	if err != nil {
+		panic(fmt.Sprintf("runtime: PFS read failed: %v", err))
+	}
+	n.insert(r, payload, r.pfs.file == nil)
+	if r.row != nil {
+		r.row.add(r.cause, time.Since(r.start))
+	}
+	return true
+}
+
+// insert offers r's delivered payload to the local cache. A demand read
+// takes a decode lease on a pooled buffer the cache retains, in the same
+// critical section as the insert.
+func (n *nodeRuntime) insert(r *tierRead, payload []byte, pooled bool) {
+	if insertHook != nil {
+		insertHook(n, r.id, r.due, r.demand)
+	}
+	r.payload, r.pooled = payload, pooled
+	r.ok, r.retained = n.cache.put(r.id, payload, r.now, pooled, r.demand)
+}
+
+// insertHook, when set (tests only), sees each read that delivered — its
+// sample, the deadline of its last leg and whether it is a demand read —
+// on the reading goroutine, just before the payload is offered to the
+// cache.
+var insertHook func(n *nodeRuntime, id dataset.SampleID, due time.Time, demand bool)
+
+// result settles buffer ownership of a finished walk (DESIGN.md §12): a
+// demand read takes a decode lease when the local cache retained a
+// pooled buffer (owner = the cache) and otherwise owns the fetched
+// buffer (owned) — the cache kept its own earlier copy, or refused; a
+// staging read returns no buffer and recycles on the spot a pooled one
+// the cache did not retain. ok reports whether the sample is cached.
+func (n *nodeRuntime) result(r *tierRead) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	switch {
-	case !demand:
-		if pooled && !retained {
-			preproc.PutPayloadBuf(payload) // nothing will ever read it
+	case !r.demand:
+		if r.pooled && !r.retained {
+			preproc.PutPayloadBuf(r.payload) // nothing will ever read it
 		}
-		return nil, false, nil, ok
-	case retained && pooled:
-		return payload, false, n.cache, ok
+		return nil, false, nil, r.ok
+	case r.retained && r.pooled:
+		return r.payload, false, n.cache, r.ok
 	default:
-		return payload, !retained, nil, ok
+		return r.payload, !r.retained, nil, r.ok
 	}
 }
 
@@ -596,44 +732,13 @@ func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, 
 // verified, and may corrupt it.
 var peerCopyHook func(payload []byte)
 
-// PFS reads back off exponentially between transient failures, doubling
-// from pfsRetryBase up to pfsRetryMax, and never give up: training cannot
-// proceed without the sample, so real loaders surface storage outages as
-// hangs rather than corrupt batches.
+// A PFS read that failed transiently is booked again after a backoff that
+// doubles from pfsRetryBase up to pfsRetryMax. The backoff is wall-clock:
+// it models a client's retry timer, not the storage.
 const (
 	pfsRetryBase = time.Millisecond
 	pfsRetryMax  = 16 * time.Millisecond
 )
-
-// pfsReadRetry reads from the PFS, retrying transient failures and
-// counting each retry for the failure-injection diagnostics.
-func (n *nodeRuntime) pfsReadRetry(id dataset.SampleID) []byte {
-	var payload []byte
-	err := retryTransient(func() { n.pfsRetries.Add(1) }, func() error {
-		var err error
-		payload, err = n.rt.pfs.Read(id)
-		return err
-	})
-	if err != nil {
-		// Unreachable for in-range ids; surface loudly if it happens.
-		panic(fmt.Sprintf("runtime: PFS read failed: %v", err))
-	}
-	return payload
-}
-
-// retryTransient runs op until it succeeds or fails with an error that is
-// not ErrTransient (matched with errors.Is, so wrapped transients retry
-// too). onRetry observes each transient failure before its backoff sleep.
-func retryTransient(onRetry func(), op func() error) error {
-	for backoff := pfsRetryBase; ; backoff = nextBackoff(backoff) {
-		err := op()
-		if err == nil || !errors.Is(err, ErrTransient) {
-			return err
-		}
-		onRetry()
-		time.Sleep(backoff)
-	}
-}
 
 // nextBackoff doubles a backoff, capped at pfsRetryMax.
 func nextBackoff(d time.Duration) time.Duration {

@@ -27,7 +27,7 @@ import (
 //	node<n>/gpu<j>/loader<k> "load" spans, one per sample materialized
 //	node<n>/preproc/worker<k> "preproc" spans (via preproc.Instruments)
 //	node<n>/prefetch-ledger per-cause spans (cat "prefetch") of what the
-//	                        node's prefetch helpers and idle loading
+//	                        node's prefetch loop and idle loading
 //	                        workers spent ahead of demand, flushed at
 //	                        the barrier: at most three per iteration
 //	node<n>/controller      "thread_resize" instants (decision events)
@@ -65,15 +65,16 @@ type runtimeObs struct {
 	imbalanced    []*obs.Counter
 	barrierTID    int64
 
-	// The prefetch side of the ledger (helpers and loading workers working
-	// ahead), indexed by node:
+	// The prefetch side of the ledger (prefetch loops and loading workers
+	// working ahead), indexed by node:
 	// [cause][node] histograms (prefetchCauses only) and the per-node
 	// attribution tracks.
 	prefetchHists [numStallCauses][]*obs.Histogram
 	prefetchTID   []int64
 
 	// clockOvershoot is the run's model error: how much later than asked
-	// each modeled delay returned (clock.go).
+	// each wait on the clock returned (clock.go): a train step, a read a
+	// loading worker waits for, or a prefetch loop's due set.
 	clockOvershoot *obs.Histogram
 }
 
@@ -138,7 +139,7 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 	}
 	if reg != nil {
 		ro.clockOvershoot = reg.Histogram("lobster_runtime_clock_overshoot_seconds",
-			"Actual minus requested duration of each modeled delay (storage latency, bandwidth slot, peer fetch, train step).",
+			"Actual minus requested duration of each wait on the run's clock: a train step, a storage or peer read a loading worker waits for, or one due set of a node's prefetch loop.",
 			obs.LatencyBuckets())
 	}
 	return ro
@@ -174,13 +175,13 @@ func (ro *runtimeObs) registerCauseHists(r int, rank string) {
 func (ro *runtimeObs) registerPrefetchHists(n int, node string) {
 	b := obs.LatencyBuckets()
 	ro.prefetchHists[causePeerFetch][n] = ro.reg.Histogram("lobster_runtime_prefetch_peer_fetch_seconds",
-		"Time prefetch helpers and idle loading workers spent in peer-cache fetches ahead of demand (delivered or failed), per iteration and node.",
+		"Time prefetch loops and idle loading workers spent in peer-cache fetches ahead of demand (delivered or failed), per iteration and node.",
 		b, "node", node)
 	ro.prefetchHists[causePFS][n] = ro.reg.Histogram("lobster_runtime_prefetch_pfs_seconds",
-		"Time prefetch helpers and idle loading workers spent in normal-path PFS reads ahead of demand, per iteration and node.",
+		"Time prefetch loops and idle loading workers spent in normal-path PFS reads ahead of demand, per iteration and node.",
 		b, "node", node)
 	ro.prefetchHists[causeRecovery][n] = ro.reg.Histogram("lobster_runtime_prefetch_recovery_seconds",
-		"Time prefetch helpers and idle loading workers spent in fallback PFS reads after a broken peer promise (failover events), per iteration and node.",
+		"Time prefetch loops and idle loading workers spent in fallback PFS reads after a broken peer promise (failover events), per iteration and node.",
 		b, "node", node)
 }
 
@@ -193,8 +194,9 @@ func (ro *runtimeObs) clockOvershootHist() *obs.Histogram {
 	return ro.clockOvershoot
 }
 
-// prefetchRow returns the ledger row node n's staging charges (stageOne),
-// or nil when attribution is not being recorded (see ledgerOn).
+// prefetchRow returns the ledger row node n's staging charges (the
+// prefetch loop's slots and stageOne), or nil when attribution is not
+// being recorded (see ledgerOn).
 func (ro *runtimeObs) prefetchRow(n int) *stallRow {
 	led := ro.ledgerOn()
 	if led == nil {
@@ -362,13 +364,13 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 		"Transient PFS read failures retried.",
 		func() float64 { return float64(node.pfsRetries.Load()) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_prefetched_total",
-		"Samples staged into the cache ahead of demand, by prefetch helpers and by idle loading workers.",
+		"Samples staged into the cache ahead of demand, by prefetch loops and by idle loading workers.",
 		func() float64 { return float64(node.prefetched.Load()) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_workahead_total",
 		"Samples staged by loading workers while their queue was empty (a subset of prefetched_total; dynamic strategies only).",
 		func() float64 { return float64(node.stagedByLoaders.Load()) }, "node", n)
 	ro.reg.CounterFunc("lobster_runtime_prefetch_late_total",
-		"Demand misses on a sample a prefetch helper or an idle loading worker had in flight (prefetched too late).",
+		"Demand misses on a sample a prefetch loop or an idle loading worker had in flight (prefetched too late).",
 		func() float64 { return float64(node.prefetchLate.Load()) }, "node", n)
 	if feed := node.feed; feed != nil {
 		ro.reg.CounterFunc("lobster_runtime_prefetch_pauses_total",

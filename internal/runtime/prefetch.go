@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/dataset"
@@ -25,14 +26,14 @@ type prefetchClaim struct {
 // sample k+1 of any, so a partially staged window covers all GPUs evenly
 // instead of leaving the last GPU the straggler every rank waits for.
 //
-// The node's prefetch helpers claim ids from it, and so do the loading
-// workers of a dynamic strategy while their queue is empty (workAhead);
-// each settles its claim when the fetch is done. A claimed id is in flight
-// until settled and is never handed out twice, so no sample is staged by
-// two of them. A claim the cache refused
-// rewinds the cursor to it and pauses the feed until the node's iteration
-// advances: later candidates are needed even later, so the policy would
-// refuse them too, and each attempt costs a storage read.
+// The node's prefetch loop claims ids from it for its read slots, and so
+// do the loading workers of a dynamic strategy while their queue is empty
+// (workAhead); each settles its claim when the read is done. A claimed id
+// is in flight until settled and is never handed out twice, so no sample
+// is staged by two of them. A claim the cache refused rewinds the cursor
+// to it and pauses the feed until the node's iteration advances: later
+// candidates are needed even later, so the policy would refuse them too,
+// and each attempt costs a storage read.
 //
 // Lock order: feed.mu → nodeCache.mu (resident is nodeCache.contains) →
 // Directory.mu. Nothing takes feed.mu with either of the others held.
@@ -87,10 +88,10 @@ const (
 // claim hands out the next id worth fetching and marks it in flight; ok
 // is false when there is none. now is the iteration the ranks are
 // training on; the walk covers windows now+feedNear to now+reach,
-// bounded by the feed's depth and the last iteration of the run. Helpers
-// pass the depth, idle loading workers loaderReach: one cursor serves
-// both, so a loader is handed something only while the walk has not yet
-// left the near windows. Resident and in-flight ids are passed over.
+// bounded by the feed's depth and the last iteration of the run. The
+// prefetch loop passes the depth, idle loading workers loaderReach: one
+// cursor serves both, so a loader is handed something only while the walk
+// has not yet left the near windows. Resident and in-flight ids are passed over.
 // Nothing to hand out means the feed is caught up or paused; the caller
 // waits for the next iteration.
 func (f *prefetchFeed) claim(now, reach int) (c prefetchClaim, ok bool) {
@@ -152,8 +153,8 @@ func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 	}
 }
 
-// inFlight reports whether a helper or a loading worker is staging id
-// right now.
+// inFlight reports whether the prefetch loop or a loading worker is
+// staging id right now.
 func (f *prefetchFeed) inFlight(id dataset.SampleID) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -168,10 +169,10 @@ func (f *prefetchFeed) pauseCount() uint64 {
 	return f.pauses
 }
 
-// prefetchHelpers is the number of background prefetch helpers each node
-// runs for spec: the strategy's PrefetchThreads, at least one for any
+// prefetchSlots is the number of read slots each node's prefetch loop
+// owns for spec: the strategy's PrefetchThreads, at least one for any
 // strategy that prefetches at all, none for demand-only strategies.
-func prefetchHelpers(spec loader.Spec) int {
+func prefetchSlots(spec loader.Spec) int {
 	if spec.PrefetchDepth <= 0 {
 		return 0
 	}
@@ -181,21 +182,126 @@ func prefetchHelpers(spec loader.Spec) int {
 	return spec.PrefetchThreads
 }
 
-// prefetchHelper drains the node's feed to its full depth, one id at a
-// time, until stopPref closes. The helpers compete with demand loading for
-// storage bandwidth exactly as real background prefetching does.
-func (n *nodeRuntime) prefetchHelper() {
+// prefetchSlot is one of a prefetch loop's read slots: while busy, the
+// claim it stages, the iteration it was claimed at, and its read.
+type prefetchSlot struct {
+	c    prefetchClaim
+	now  int
+	r    tierRead
+	busy bool
+}
+
+// prefetchLoop drains the node's feed to its full depth through the
+// node's read slots until stopPref closes: the background prefetching of
+// PrefetchThreads helpers, which compete with demand loading for storage
+// bandwidth exactly as real background prefetching does. Every free slot
+// claims and books its read without waiting; the loop then waits once,
+// until the earliest booked deadline, and finishes every slot that is
+// due, booking each again as soon as it is free. With nothing to claim
+// and nothing in flight it waits for the next iteration.
+func (n *nodeRuntime) prefetchLoop() {
 	defer n.prefWG.Done()
+	defer n.handBack()
 	for !n.stopping() {
-		if n.stageOne(n.feed.depth, false) {
+		if n.bookFree() == 0 {
+			// Caught up or paused: wait for the next iteration.
+			select {
+			case <-n.stopPref:
+				return
+			case <-n.tick:
+			}
 			continue
 		}
-		// Caught up or paused: wait for the next iteration.
-		select {
-		case <-n.stopPref:
-			return
-		case <-n.rt.tick:
+		n.waitFirst()
+		n.finishDue()
+	}
+}
+
+// bookFree books a read for every free slot, stopping at the first the
+// feed has nothing for, and returns how many slots are busy.
+func (n *nodeRuntime) bookFree() int {
+	busy, claiming := 0, true
+	for i := range n.slots {
+		s := &n.slots[i]
+		if !s.busy && claiming {
+			claiming = n.book(s)
 		}
+		if s.busy {
+			busy++
+		}
+	}
+	return busy
+}
+
+// book claims the feed's next id for the free slot s and books its read;
+// it reports false when the feed handed out nothing.
+func (n *nodeRuntime) book(s *prefetchSlot) bool {
+	now := int(n.iterNow.Load())
+	c, ok := n.feed.claim(now, n.feed.depth)
+	if !ok {
+		return false
+	}
+	s.c, s.now, s.busy = c, now, true
+	n.begin(&s.r, c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false)
+	return true
+}
+
+// waitFirst waits until the earliest deadline of the busy slots: one
+// wait on the run's clock, or on the wall clock when the earliest is a
+// failed read's backoff. It returns at once when a slot is due already.
+func (n *nodeRuntime) waitFirst() {
+	now := n.rt.clk.now()
+	var first *tierRead
+	var left time.Duration
+	for i := range n.slots {
+		s := &n.slots[i]
+		if !s.busy {
+			continue
+		}
+		if d := s.r.left(now); first == nil || d < left {
+			first, left = &s.r, d
+		}
+	}
+	if first != nil && left > 0 {
+		first.wait(n.rt.clk)
+	}
+}
+
+// finishDue steps every busy slot whose deadline has passed. A slot whose
+// walk is over settles its claim and books the feed's next id at once,
+// so its read runs while the loop finishes the other due slots.
+func (n *nodeRuntime) finishDue() {
+	now := n.rt.clk.now()
+	claiming := true
+	for i := range n.slots {
+		s := &n.slots[i]
+		if !s.busy || s.r.left(now) > 0 || !n.step(&s.r) {
+			continue
+		}
+		_, _, _, staged := n.result(&s.r)
+		n.settleStaged(s.c, staged, s.now, false)
+		s.busy = false
+		if claiming && !n.stopping() {
+			claiming = n.book(s)
+		}
+	}
+}
+
+// handBack ends the loop's busy slots unfinished when the run stops: a
+// peer copy not yet delivered goes back to the payload pool and the claim
+// back to the feed, unstaged.
+func (n *nodeRuntime) handBack() {
+	for i := range n.slots {
+		s := &n.slots[i]
+		if !s.busy {
+			continue
+		}
+		if s.r.copy != nil {
+			n.cache.recycle(s.r.copy)
+			s.r.copy = nil
+		}
+		n.feed.settle(s.c, false, s.now)
+		s.busy = false
 	}
 }
 
@@ -210,13 +316,13 @@ func (n *nodeRuntime) stopping() bool {
 	}
 }
 
-// stageOne claims the feed's next id within reach windows and stages it:
-// the one claim → fetch → settle → count sequence, for the helpers and for
-// the loading workers that work ahead (byLoader). The fetch is charged to
-// the node's prefetch ledger row whoever runs it: no rank waits for it. It
-// reports false when there was nothing to claim — the feed is caught up
-// within reach or paused, or the run is stopping.
-func (n *nodeRuntime) stageOne(reach int, byLoader bool) bool {
+// stageOne claims the feed's next id within reach windows and stages it,
+// waiting for the read: what a loading worker with an empty queue does
+// (workAhead). The fetch is charged to the node's prefetch ledger row, as
+// the loop's are: no rank waits for it. It reports false when there was
+// nothing to claim — the feed is caught up within reach or paused, or the
+// run is stopping.
+func (n *nodeRuntime) stageOne(reach int) bool {
 	if n.stopping() {
 		return false
 	}
@@ -226,6 +332,13 @@ func (n *nodeRuntime) stageOne(reach int, byLoader bool) bool {
 		return false
 	}
 	_, _, _, staged := n.fetch(c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false)
+	n.settleStaged(c, staged, now, true)
+	return true
+}
+
+// settleStaged settles a claim claimed at iteration now and counts what
+// it staged, byLoader when a loading worker staged it.
+func (n *nodeRuntime) settleStaged(c prefetchClaim, staged bool, now int, byLoader bool) {
 	n.feed.settle(c, staged, now)
 	if staged {
 		n.prefetched.Add(1)
@@ -233,5 +346,4 @@ func (n *nodeRuntime) stageOne(reach int, byLoader bool) bool {
 			n.stagedByLoaders.Add(1)
 		}
 	}
-	return true
 }

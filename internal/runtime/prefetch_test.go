@@ -353,9 +353,9 @@ func TestPrefetchFeedRefusalBehindDemand(t *testing.T) {
 	}
 }
 
-// TestPrefetchHelpersPerStrategy counts the helper goroutines each node
-// starts: the strategy's PrefetchThreads, one when a prefetching strategy
-// names none, none for a demand-only strategy.
+// TestPrefetchHelpersPerStrategy counts the read slots of each node's
+// prefetch loop: the strategy's PrefetchThreads, one when a prefetching
+// strategy names none, none (and no feed) for a demand-only strategy.
 func TestPrefetchHelpersPerStrategy(t *testing.T) {
 	bare := loader.Lobster()
 	bare.Name, bare.PrefetchThreads = "lobster-no-helpers-named", 0
@@ -377,15 +377,12 @@ func TestPrefetchHelpersPerStrategy(t *testing.T) {
 			t.Fatalf("%s: %v", tc.spec.Name, err)
 		}
 		checkOracle(t, opts, stats)
-		if cap(rt.tick) != 4*len(rt.nodes)*tc.want {
-			t.Errorf("%s: tick holds %d wake-ups for %d helpers on %d nodes", tc.spec.Name, cap(rt.tick), tc.want, len(rt.nodes))
-		}
 		for _, node := range rt.nodes {
-			if node.helpers != tc.want {
-				t.Errorf("%s: node %d started %d prefetch helpers, want %d", tc.spec.Name, node.node, node.helpers, tc.want)
+			if len(node.slots) != tc.want {
+				t.Errorf("%s: node %d prefetches through %d read slots, want %d", tc.spec.Name, node.node, len(node.slots), tc.want)
 			}
 			if (node.feed != nil) != (tc.want > 0) {
-				t.Errorf("%s: node %d feed present = %v with %d helpers", tc.spec.Name, node.node, node.feed != nil, tc.want)
+				t.Errorf("%s: node %d feed present = %v with %d read slots", tc.spec.Name, node.node, node.feed != nil, tc.want)
 			}
 		}
 	}

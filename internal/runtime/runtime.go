@@ -123,9 +123,9 @@ type Stats struct {
 	Prefetched      uint64
 	// WorkAhead is the part of Prefetched that loading workers staged while
 	// their own queue was empty (dynamic strategies only), the rest being
-	// the prefetch helpers'.
+	// the prefetch loops'.
 	WorkAhead uint64
-	// PrefetchLate counts demand misses on a sample a prefetch helper or a
+	// PrefetchLate counts demand misses on a sample a prefetch loop or a
 	// loading worker working ahead had in flight at that moment:
 	// prefetches issued too late to spare the demand read. The demand read
 	// does not wait for the other one.
@@ -189,7 +189,6 @@ type Runtime struct {
 	gpus          int
 	itersPerEpoch int
 	totalIters    int
-	tick          chan struct{}
 	start         time.Time
 
 	// Cooperative cancellation: cancel is the run context's Done channel;
@@ -435,12 +434,11 @@ func (rt *Runtime) endIteration(completed int) {
 	if rt.opts.OnProgress != nil {
 		rt.opts.OnProgress(rt.progress(completed))
 	}
-	// Wake prefetchers without blocking.
-	for i := 0; i < cap(rt.tick); i++ {
+	// Wake the prefetch loops without blocking.
+	for _, node := range rt.nodes {
 		select {
-		case rt.tick <- struct{}{}:
+		case node.tick <- struct{}{}:
 		default:
-			i = cap(rt.tick)
 		}
 	}
 }

@@ -29,9 +29,9 @@ import (
 )
 
 // Throttle is a shared bandwidth resource booked FIFO: reserve takes the
-// next transfer slot and says when it completes, and the caller waits
-// that long. It models the aggregate-throughput curves of internal/tier
-// in real time.
+// next transfer slot and says when it completes; the caller books that
+// delay on its clock. It models the aggregate-throughput curves of
+// internal/tier in real time.
 type Throttle struct {
 	mu    sync.Mutex
 	next  time.Time
@@ -144,15 +144,34 @@ func (s *PFSStore) Failures() int64 {
 	return s.failures
 }
 
+// pfsRead is one read PFSStore.book has booked: when it completes on the
+// store's clock, and what it delivers then.
+type pfsRead struct {
+	id     dataset.SampleID
+	due    time.Time
+	failed bool             // drawn as a transient failure: delivers ErrTransient
+	file   *datafile.Reader // nil: the payload is regenerated into a pooled buffer
+}
+
 // Read fetches one sample, paying latency and bandwidth in one wait
-// (DESIGN.md §15): the op latency, then the brownout lag, then the
-// sample's slot of the shared bandwidth, queued behind the slots booked
-// before it. A failed read waits out its latency and lag only.
+// (DESIGN.md §15): book, wait until the booking's deadline, deliver.
 func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
-	if int(id) < 0 || int(id) >= s.ds.Len() {
-		return nil, fmt.Errorf("runtime: sample %d out of range", id)
+	r, err := s.book(id)
+	if err != nil {
+		return nil, err
 	}
-	size := s.ds.Size(id)
+	s.clk.until(r.due)
+	return s.deliver(r)
+}
+
+// book books one read without waiting for it: the op latency, then the
+// brownout lag, then the sample's slot of the shared bandwidth, queued
+// behind the slots booked before it. A read drawn as a failure books its
+// latency and lag only.
+func (s *PFSStore) book(id dataset.SampleID) (pfsRead, error) {
+	if int(id) < 0 || int(id) >= s.ds.Len() {
+		return pfsRead{}, fmt.Errorf("runtime: sample %d out of range", id)
+	}
 	// Latency is per-op and independent; bandwidth is shared.
 	arrive := time.Duration(s.curve.OpLatency * s.scale * float64(time.Second))
 	s.mu.Lock()
@@ -163,41 +182,38 @@ func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
 	if f.Jitter > 0 {
 		arrive += time.Duration(s.rng.Int63() % int64(f.Jitter))
 	}
-	failed := f.ErrRate > 0 && s.rng.Float64() < f.ErrRate
-	if failed {
+	r := pfsRead{id: id, failed: f.ErrRate > 0 && s.rng.Float64() < f.ErrRate, file: s.file}
+	if r.failed {
 		s.failures++
 	} else {
 		s.nOps++
 	}
-	file := s.file
 	s.mu.Unlock()
-	if failed {
-		s.clk.sleep(arrive)
-		return nil, ErrTransient
+	if r.failed {
+		r.due = s.clk.deadline(arrive)
+		return r, nil
 	}
 	// The bandwidth slot is booked now, for a transfer that arrives after
-	// the latency and lag, so the read parks once for the whole delay.
-	s.clk.sleep(s.throttle.reserve(float64(size)/(s.curve.PeakMBps*1e6), arrive))
-	if file != nil {
-		return file.Read(id)
+	// the latency and lag, so the read waits once for the whole delay.
+	r.due = s.clk.deadline(s.throttle.reserve(float64(s.ds.Size(id))/(s.curve.PeakMBps*1e6), arrive))
+	return r, nil
+}
+
+// deliver produces what a booked read returns once its deadline has
+// passed: the payload, or ErrTransient for a failed read.
+func (s *PFSStore) deliver(r pfsRead) ([]byte, error) {
+	if r.failed {
+		return nil, ErrTransient
+	}
+	if r.file != nil {
+		return r.file.Read(r.id)
 	}
 	// Regenerated payloads draw from the size-classed pool; the data
 	// path recycles them after decode when it still owns them
 	// (DESIGN.md §12).
-	buf := preproc.GetPayloadBuf(int(size))
-	dataset.FillPayload(buf, s.seed, id)
+	buf := preproc.GetPayloadBuf(int(s.ds.Size(r.id)))
+	dataset.FillPayload(buf, s.seed, r.id)
 	return buf, nil
-}
-
-// PooledReads reports whether Read returns buffers drawn from the
-// size-classed payload pool (true for regenerated payloads, false when
-// serving from a packed data file, whose reader allocates its own
-// buffers). Callers use it to decide whether a buffer they are done
-// with may be recycled (DESIGN.md §12).
-func (s *PFSStore) PooledReads() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.file == nil
 }
 
 // Ops returns the number of reads served.
@@ -273,8 +289,8 @@ func (d *Directory) IsLastCopy(node int, id dataset.SampleID) bool {
 }
 
 // DistributionManager routes peer-cache reads between nodes — the MPI
-// substitute. A read pays the modeled interconnect delay on the
-// requester's goroutine, then copies from the holder's cache directly.
+// substitute. A read copies from the holder's cache directly and books
+// the modeled interconnect delay, which the requester waits out.
 type DistributionManager struct {
 	// caches holds each node's cache, registered before the node's first
 	// goroutine starts. A peer reads caches[n] only after the directory
@@ -357,23 +373,31 @@ func (dm *DistributionManager) NodeDown(n int) bool {
 	return pf != nil && pf.down
 }
 
-// Fetch asks `from` for a sample, paying interconnect latency + transfer.
-// The returned slice is a pooled copy of the holder's buffer — the caller
-// owns it exclusively (DESIGN.md §12). A nil payload with evicted set
-// means the peer served but no longer holds the sample: the holder
-// evicted it after the directory named it (a benign race, the directory
-// is advisory, exactly as in a real distributed cache), and answers so
-// after one op latency, with no transfer. A nil payload without evicted
-// is a broken promise: the peer is down, or the fetch failed.
+// Fetch asks `from` for a sample, paying interconnect latency + transfer:
+// book, then wait until the booking's deadline. The returned slice is a
+// pooled copy of the holder's buffer — the caller owns it exclusively
+// (DESIGN.md §12). A nil payload with evicted set means the peer served
+// but no longer holds the sample: the holder evicted it after the
+// directory named it (a benign race, the directory is advisory, exactly
+// as in a real distributed cache), and answers so after one op latency,
+// with no transfer. A nil payload without evicted is a broken promise:
+// the peer is down, or the fetch failed.
 func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool) {
+	payload, evicted, due := dm.book(from, id, size)
+	dm.clk.until(due)
+	return payload, evicted
+}
+
+// book is Fetch without the wait: the holder's copy, taken now, and when
+// the fetch completes on the manager's clock.
+func (dm *DistributionManager) book(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool, due time.Time) {
 	var extra time.Duration
 	fail := false
 	if pf := dm.faults[from].Load(); pf != nil {
 		if pf.down {
 			// Crashed peer: the requester pays one op latency (its
 			// timeout) and gets nothing — the failover-to-PFS path.
-			dm.clk.sleep(time.Duration(dm.curve.OpLatency * dm.scale * float64(time.Second)))
-			return nil, false
+			return nil, false, dm.clk.deadline(time.Duration(dm.curve.OpLatency * dm.scale * float64(time.Second)))
 		}
 		extra = pf.lag
 		if pf.jitter > 0 || pf.errRate > 0 {
@@ -395,6 +419,6 @@ func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) 
 	}
 	// Straggler lag/jitter are wall-clock (chaos faults do not scale
 	// with TimeScale) on top of the modeled cost.
-	dm.clk.sleep(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
-	return payload, !fail && payload == nil
+	due = dm.clk.deadline(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
+	return payload, !fail && payload == nil, due
 }

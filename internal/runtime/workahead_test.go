@@ -29,8 +29,9 @@ func captureNodes(t *testing.T) *[]*nodeRuntime {
 
 // checkTeardown asserts the invariants of a run that has returned,
 // complete, cancelled or stopped: no node's feed holds a claim in flight,
-// and every decode lease on a node cache's buffers is back, so no evicted
-// buffer is still parked waiting for one (DESIGN.md §12).
+// no read slot of a prefetch loop is busy or holds a peer copy, and every
+// decode lease on a node cache's buffers is back, so no evicted buffer is
+// still parked waiting for one (DESIGN.md §12).
 func checkTeardown(t *testing.T, step string, nodes []*nodeRuntime) {
 	t.Helper()
 	if len(nodes) == 0 {
@@ -43,6 +44,11 @@ func checkTeardown(t *testing.T, step string, nodes []*nodeRuntime) {
 			node.feed.mu.Unlock()
 			if inflight != 0 {
 				t.Errorf("%s: node %d ends with %d claims in flight", step, node.node, inflight)
+			}
+		}
+		for i, s := range node.slots {
+			if s.busy || s.r.copy != nil {
+				t.Errorf("%s: node %d ends with read slot %d busy=%v holding a peer copy=%v", step, node.node, i, s.busy, s.r.copy != nil)
 			}
 		}
 		nc := node.cache
@@ -120,8 +126,8 @@ func TestPrefetchFeedLoaderReach(t *testing.T) {
 }
 
 // sleepHookClock is a fakeClock that calls onSleep, on the sleeper's own
-// goroutine, from inside every modeled delay: the test's window into "a
-// read is in progress right now".
+// goroutine, from inside every sleep and every wait for a booked
+// deadline: the test's window into "a read is in progress right now".
 type sleepHookClock struct {
 	*fakeClock
 	onSleep func()
@@ -129,6 +135,11 @@ type sleepHookClock struct {
 
 func (c *sleepHookClock) sleep(d time.Duration) {
 	c.fakeClock.sleep(d)
+	c.onSleep()
+}
+
+func (c *sleepHookClock) until(t time.Time) {
+	c.fakeClock.until(t)
 	c.onSleep()
 }
 
@@ -322,11 +333,11 @@ func TestWorkAheadRetiresOnStopToken(t *testing.T) {
 // finds nothing to stage and goes back to waiting on its queue.
 func TestWorkAheadStopsWithTheRun(t *testing.T) {
 	node, _ := loaderFixture(t, newFakeClock())
-	if !node.stageOne(loaderReach, true) || node.stagedByLoaders.Load() != 1 {
+	if !node.stageOne(loaderReach) || node.stagedByLoaders.Load() != 1 {
 		t.Fatalf("running node staged %d ids, want 1", node.stagedByLoaders.Load())
 	}
 	close(node.stopPref)
-	if node.stageOne(loaderReach, true) || node.stageOne(node.feed.depth, false) {
+	if node.stageOne(loaderReach) || node.stageOne(node.feed.depth) {
 		t.Fatal("stageOne reports work after stopPref closed")
 	}
 	if got := node.prefetched.Load(); got != 1 {

@@ -15,9 +15,10 @@
 #                        §16)
 #   2. go vet          — the stock correctness checks
 #   3. go test -race   — the full suite, module-wide, under the race detector
-#   4. feed determinism — the prefetch feed, helper and loader
-#                        work-ahead tests and the node cache's decode
-#                        lease tests, -race -count=10 at
+#   4. feed determinism — the prefetch feed, prefetch loop and loader
+#                        work-ahead tests, the modeled-delay and teardown
+#                        pins of the run, the node cache's decode lease
+#                        tests and the allreduce, -race -count=10 at
 #                        GOMAXPROCS 1, 2 and 8: their verdict must not
 #                        depend on scheduling
 #                        (ROADMAP aim 3; same loop: make feed-determinism)
@@ -86,9 +87,9 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> prefetch feed, work-ahead, lease and allreduce determinism (GOMAXPROCS 1, 2, 8)"
+echo "==> prefetch feed, prefetch loop, work-ahead, lease and allreduce determinism (GOMAXPROCS 1, 2, 8)"
 for procs in 1 2 8; do
-  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime
+  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime
   GOMAXPROCS=$procs go test -race -count=10 ./internal/allreduce
 done
 
