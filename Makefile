@@ -1,5 +1,6 @@
 # Convenience targets around the tier-1 gate (verify.sh is the source
-# of truth; CI runs it directly).
+# of truth; CI runs it directly). The determinism test list lives here
+# once, in feed-determinism, which verify.sh runs.
 
 GO ?= go
 
@@ -23,11 +24,13 @@ race:
 
 ## feed-determinism: the prefetch feed, prefetch loop and loader work-ahead
 ## tests, the run's modeled-delay and teardown pins, the node cache's decode
-## lease tests and the allreduce (the iteration barrier) under -race, ten
-## times each at GOMAXPROCS 1, 2 and 8 (verify.sh runs the same loop)
+## lease tests, the sampler's prefetch walk under the feed and the allreduce
+## (the iteration barrier) under -race, ten times each at GOMAXPROCS 1, 2
+## and 8 (verify.sh step 4 runs this target)
 feed-determinism:
 	for procs in 1 2 8; do \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'Walk|NodeWindow' ./internal/sampler || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 ./internal/allreduce || exit 1; \
 	done
 

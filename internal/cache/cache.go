@@ -124,9 +124,6 @@ func (c *Cache) Free() int64 { return c.capacity - c.used }
 // Len returns the number of cached samples.
 func (c *Cache) Len() int { return c.count }
 
-// PolicyName returns the eviction policy's name.
-func (c *Cache) PolicyName() string { return c.policy.Name() }
-
 // Contains reports membership without touching policy state or stats.
 func (c *Cache) Contains(id dataset.SampleID) bool {
 	return uint(id) < uint(len(c.sizes)) && c.sizes[id] != 0

@@ -83,17 +83,9 @@ func (g *Group) GetBatch(node int, ids []dataset.SampleID, sizeOf func(dataset.S
 	var pl perfmodel.BatchPlacement
 	for _, id := range ids {
 		size := sizeOf(id)
-		switch g.Get(node, id, now) {
-		case tier.Local:
-			pl.LocalBytes += size
-			pl.LocalOps++
-		case tier.Remote:
-			pl.RemoteBytes += size
-			pl.RemoteOps++
-			g.Put(node, id, size, now)
-		default:
-			pl.PFSBytes += size
-			pl.PFSOps++
+		where := g.Get(node, id, now)
+		pl.AddSample(where, size)
+		if where != tier.Local {
 			g.Put(node, id, size, now)
 		}
 	}

@@ -130,34 +130,10 @@ func (t *Trace) ledgerSpans(cat string, fn func(e *TraceEvent)) {
 	}
 }
 
-// stallSpans visits every stall-attribution span.
-func (t *Trace) stallSpans(fn func(e *TraceEvent)) { t.ledgerSpans(catStall, fn) }
-
 // CauseTotal is one cause's aggregate stall time.
 type CauseTotal struct {
 	Cause   string
 	Seconds float64
-}
-
-// CauseTotalsInWindow aggregates stall-attribution span time by cause
-// over iterations in [from, to) across all ranks, sorted dominant
-// first. The iteration comes from each span's "iter" arg (global
-// iteration index).
-func (t *Trace) CauseTotalsInWindow(from, to int64) []CauseTotal {
-	bycause := make(map[string]float64)
-	t.stallSpans(func(e *TraceEvent) {
-		it, ok := e.Args["iter"]
-		if !ok || int64(it) < from || int64(it) >= to {
-			return
-		}
-		bycause[e.Name] += e.Dur / 1e6 // µs -> s
-	})
-	out := make([]CauseTotal, 0, len(bycause))
-	for c, s := range bycause {
-		out = append(out, CauseTotal{Cause: c, Seconds: s})
-	}
-	sortCauses(out)
-	return out
 }
 
 // WindowCause is one cause's diagnosis for a suspect window: its

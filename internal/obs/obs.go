@@ -85,9 +85,6 @@ func NewRegistry() *Registry {
 // (GaugeFunc/CounterFunc) are still evaluated at scrape time.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether the registry is recording.
-func (r *Registry) Enabled() bool { return r != nil && r.enabled.Load() }
-
 // Counter registers (or returns the existing) monotonic counter.
 // Labels are alternating key, value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {

@@ -32,6 +32,21 @@ func (b BatchPlacement) TotalBytes() int64 { return b.LocalBytes + b.RemoteBytes
 // TotalOps returns the number of samples in the mini-batch.
 func (b BatchPlacement) TotalOps() int { return b.LocalOps + b.RemoteOps + b.PFSOps }
 
+// AddSample counts one sample of size bytes read from where.
+func (b *BatchPlacement) AddSample(where tier.Kind, size int64) {
+	switch where {
+	case tier.Local:
+		b.LocalBytes += size
+		b.LocalOps++
+	case tier.Remote:
+		b.RemoteBytes += size
+		b.RemoteOps++
+	default:
+		b.PFSBytes += size
+		b.PFSOps++
+	}
+}
+
 // Add accumulates another placement (e.g. to aggregate a node's GPUs).
 func (b *BatchPlacement) Add(o BatchPlacement) {
 	b.LocalBytes += o.LocalBytes

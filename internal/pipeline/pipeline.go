@@ -160,8 +160,8 @@ type sim struct {
 	allreduceHist []float64 // ring of allreduce completion times for depth gating
 	allreduceDone float64
 
-	// Prefetch cursors, one per node.
-	cursors []prefetchCursor
+	// Prefetch walks, one per node.
+	walks []sampler.Walk
 
 	// Per-GPU PFS burstiness state: log-space AR(1) process and the
 	// factor realized for the current iteration. pfsFactorAlt is the
@@ -190,13 +190,6 @@ type sim struct {
 	runOut  *Metrics
 	trace   []plan.IterRecord
 	perIter []plan.GPUIter // this iteration's per-GPU breakdown
-}
-
-type prefetchCursor struct {
-	iter   int                // next global iteration to scan
-	off    int                // offset within that iteration's node batch
-	batch  []dataset.SampleID // reused across refills
-	filled bool               // batch holds cur.iter's samples
 }
 
 func newSim(cfg Config) (*sim, error) {
@@ -275,7 +268,10 @@ func newSim(cfg Config) (*sim, error) {
 	// Ring of length depth: the slot read at iteration h was written at
 	// h-depth, gating the pipeline to at most depth iterations ahead.
 	s.allreduceHist = make([]float64, cfg.PipelineDepth)
-	s.cursors = make([]prefetchCursor, s.nodes)
+	s.walks = make([]sampler.Walk, s.nodes)
+	for n := range s.walks {
+		s.walks[n] = sched.NewWalk(n, s.gpus, s.totalIters)
+	}
 	s.placements = make([][]perfmodel.BatchPlacement, s.nodes)
 	s.loadTimes = make([][]float64, s.nodes)
 	s.preTimes = make([][]float64, s.nodes)
@@ -583,10 +579,11 @@ func (s *sim) jitter() float64 {
 }
 
 // prefetch fills node n's spare loading capacity of iteration h with
-// future samples. Candidates are scanned in access order (nearest future
+// future samples. Candidates come from the node's walk (nearest future
 // use first — Lobster's "prioritizing the prefetches with the nearest
-// reuse distance"); the cursor is monotone so the whole run's scan cost is
-// linear in the schedule length.
+// reuse distance" — and within a window interleaved across the GPUs); the
+// walk only moves forward here, so the whole run's scan cost is linear in
+// the schedule length.
 func (s *sim) prefetch(n, h int, batchTime float64, activePFS int) {
 	// Budget in thread-seconds. Strategies with fixed thread assignments
 	// prefetch only with their dedicated background helpers (the paper's
@@ -625,47 +622,26 @@ func (s *sim) prefetch(n, h int, batchTime float64, activePFS int) {
 		poolSize = 1
 	}
 	now := cache.Iter(h)
-	cur := &s.cursors[n]
-	if cur.iter <= h {
-		cur.iter, cur.off, cur.filled = h+1, 0, false
-	}
-	limit := h + s.cfg.Strategy.PrefetchDepth
-	if limit > s.totalIters-1 {
-		limit = s.totalIters - 1
-	}
-	for budget > 0 && cur.iter <= limit {
-		if !cur.filled {
-			epoch, it := cur.iter/s.iters, cur.iter%s.iters
-			cur.batch = s.sched.NodeBatch(cur.batch[:0], epoch, it, n, s.gpus)
-			cur.off = 0
-			cur.filled = true
+	w := &s.walks[n]
+	w.StartAt(h + 1)
+	for budget > 0 {
+		id, ok := w.Next(h + s.cfg.Strategy.PrefetchDepth)
+		if !ok {
+			break
 		}
-		if cur.off >= len(cur.batch) {
-			cur.iter++
-			cur.off = 0
-			cur.filled = false
-			continue
-		}
-		// The node batch is GPU-major; walk it interleaved (sample k of
-		// every GPU before sample k+1 of any) so a partial budget covers
-		// all GPUs evenly instead of fully prefetching low ranks and
-		// starving high ranks into permanent stragglers.
-		batchSize := len(cur.batch) / s.gpus
-		j, k := cur.off%s.gpus, cur.off/s.gpus
-		id := cur.batch[j*batchSize+k]
 		where := s.group.Locate(n, id)
 		if where == tier.Local {
-			cur.off++
+			w.Skip()
 			continue
 		}
 		size := s.cfg.Dataset.Size(id)
 		cost := s.prefetchCost(where, size, poolSize, activePFS)
 		if cost > budget {
-			// Leave the cursor on this candidate; the next iteration's
+			// Leave the walk on this candidate; the next iteration's
 			// budget resumes here.
 			break
 		}
-		cur.off++
+		w.Skip()
 		if !s.group.Put(n, id, size, now) {
 			// The policy refused: every remaining candidate is needed
 			// even later, so it would refuse them too.

@@ -47,8 +47,8 @@ func TestDistributionManagerNodeDown(t *testing.T) {
 	}
 	// A fetch from a down peer returns nil although its cache holds the
 	// sample — the requester's failover path.
-	if p, evicted := dm.Fetch(1, 0, 128); p != nil || evicted {
-		t.Fatalf("Fetch from down node returned %d bytes", len(p))
+	if p, evicted := fetchPeer(dm, 1, 0, 128); p != nil || evicted {
+		t.Fatalf("fetch from down node returned %d bytes", len(p))
 	}
 	dm.SetNodeDown(1, false)
 	if dm.NodeDown(1) {

@@ -225,7 +225,16 @@ func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *Distri
 	return dm
 }
 
-// TestFetchRequestsModeledDelays pins DistributionManager.Fetch: a copy
+// fetchPeer books a peer fetch and waits for its deadline, as a loading
+// worker does.
+func fetchPeer(dm *DistributionManager, from int, id dataset.SampleID, size int64) (payload []byte, evicted bool) {
+	payload, evicted, due := dm.book(from, id, size)
+	dm.clk.until(due)
+	return payload, evicted
+}
+
+// TestFetchRequestsModeledDelays pins DistributionManager.book plus its
+// wait: a copy
 // of the holder's bytes and one booking of cost x scale plus the
 // straggler's unscaled lag; a down peer, and a holder that no longer
 // holds the sample, cost the requester one op latency.
@@ -239,7 +248,7 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	dm := peerManager(t, scale, clk, payload)
 	cost := scaled(curve.OpLatency+size/(curve.PeakMBps*1e6), scale)
 
-	got, evicted := dm.Fetch(1, 0, size)
+	got, evicted := fetchPeer(dm, 1, 0, size)
 	wantBooked(t, "healthy fetch", clk, cost)
 	if evicted {
 		t.Fatal("healthy fetch of a resident sample reports it evicted")
@@ -250,11 +259,11 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	}
 
 	dm.SetNodeFault(1, chaos.Fault{Lag: 3 * time.Millisecond})
-	dm.Fetch(1, 0, size)
+	fetchPeer(dm, 1, 0, size)
 	wantBooked(t, "straggler fetch", clk, cost+3*time.Millisecond)
 
 	dm.SetNodeDown(1, true)
-	if p, evicted := dm.Fetch(1, 0, size); p != nil || evicted {
+	if p, evicted := fetchPeer(dm, 1, 0, size); p != nil || evicted {
 		t.Fatalf("down peer delivered %d bytes (evicted %v), want a broken promise", len(p), evicted)
 	}
 	wantBooked(t, "down-peer fetch", clk, scaled(curve.OpLatency, scale))
@@ -266,7 +275,7 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	dm.caches[1].crash()
 	for _, lag := range []time.Duration{3 * time.Millisecond, 0} {
 		dm.SetNodeFault(1, chaos.Fault{Lag: lag})
-		if p, evicted := dm.Fetch(1, 0, size); p != nil || !evicted {
+		if p, evicted := fetchPeer(dm, 1, 0, size); p != nil || !evicted {
 			t.Fatalf("evicted sample: fetch delivered %d bytes (evicted %v), want nil and evicted", len(p), evicted)
 		}
 		wantBooked(t, "evicted-sample fetch", clk, scaled(curve.OpLatency, scale)+lag)
@@ -275,7 +284,7 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	// A flaky fetch fails after the whole transfer, even from a holder
 	// that no longer holds the sample.
 	dm.SetNodeFault(1, chaos.Fault{ErrRate: 1})
-	if p, evicted := dm.Fetch(1, 0, size); p != nil || evicted {
+	if p, evicted := fetchPeer(dm, 1, 0, size); p != nil || evicted {
 		t.Fatalf("failed fetch delivered %d bytes (evicted %v), want a broken promise", len(p), evicted)
 	}
 	wantBooked(t, "failed fetch", clk, cost)

@@ -12,25 +12,24 @@ import (
 
 // prefetchClaim is one id the feed handed out: the sample, and where in
 // the walk it sits (global iteration of its window, interleaved
-// offset within it), which is where a refusal rewinds the cursor to.
+// offset within it), which is where a refusal rewinds the walk to.
 type prefetchClaim struct {
 	id   dataset.SampleID
 	iter int
 	off  int
 }
 
-// prefetchFeed is a node's single walk over its future accesses — the
-// runtime's counterpart of the simulator's per-node prefetch cursor
-// (pipeline.(*sim).prefetch), in the same order: windows nearest
-// iteration first, and within a window sample k of every GPU before
-// sample k+1 of any, so a partially staged window covers all GPUs evenly
-// instead of leaving the last GPU the straggler every rank waits for.
+// prefetchFeed hands out a node's future accesses from its sampler.Walk,
+// the walk the simulator's prefetch (pipeline.(*sim).prefetch) uses too:
+// windows nearest iteration first, each interleaved across the node's
+// GPUs. The feed adds the runtime's rules: where the walk starts, the ids
+// it passes over, and the rewind and pause after a refusal.
 //
 // The node's prefetch loop claims ids from it for its read slots, and so
 // do the loading workers of a dynamic strategy while their queue is empty
 // (workAhead); each settles its claim when the read is done. A claimed id
 // is in flight until settled and is never handed out twice, so no sample
-// is staged by two of them. A claim the cache refused rewinds the cursor
+// is staged by two of them. A claim the cache refused rewinds the walk
 // to it and pauses the feed until the node's iteration advances: later
 // candidates are needed even later, so the policy would refuse them too,
 // and each attempt costs a storage read.
@@ -38,21 +37,12 @@ type prefetchClaim struct {
 // Lock order: feed.mu → nodeCache.mu (resident is nodeCache.contains) →
 // Directory.mu. Nothing takes feed.mu with either of the others held.
 type prefetchFeed struct {
-	sched         *sampler.Schedule
-	node, gpus    int
-	itersPerEpoch int
-	totalIters    int
-	depth         int
-	resident      func(dataset.SampleID) bool
+	depth    int
+	resident func(dataset.SampleID) bool
 
-	mu sync.Mutex
-	// The cursor: the next candidate is interleaved position off of
-	// window iter. batch is that window's node batch (GPU-major, as the
-	// schedule lays it out) while filled.
-	iter, off int
-	batch     []dataset.SampleID
-	filled    bool
-	inflight  map[dataset.SampleID]struct{}
+	mu       sync.Mutex
+	walk     sampler.Walk
+	inflight map[dataset.SampleID]struct{}
 	// resumeAt pauses the feed after a refusal: claims return nothing
 	// while the node's iteration is below it.
 	resumeAt int
@@ -61,14 +51,10 @@ type prefetchFeed struct {
 
 func newPrefetchFeed(sched *sampler.Schedule, node, gpus, totalIters, depth int, resident func(dataset.SampleID) bool) *prefetchFeed {
 	return &prefetchFeed{
-		sched:         sched,
-		node:          node,
-		gpus:          gpus,
-		itersPerEpoch: sched.IterationsPerEpoch(),
-		totalIters:    totalIters,
-		depth:         depth,
-		resident:      resident,
-		inflight:      make(map[dataset.SampleID]struct{}),
+		depth:    depth,
+		resident: resident,
+		walk:     sched.NewWalk(node, gpus, totalIters),
+		inflight: make(map[dataset.SampleID]struct{}),
 	}
 }
 
@@ -90,7 +76,7 @@ const (
 // training on; the walk covers windows now+feedNear to now+reach,
 // bounded by the feed's depth and the last iteration of the run. The
 // prefetch loop passes the depth, idle loading workers loaderReach: one
-// cursor serves both, so a loader is handed something only while the walk
+// walk serves both, so a loader is handed something only while the walk
 // has not yet left the near windows. Resident and in-flight ids are passed over.
 // Nothing to hand out means the feed is caught up or paused; the caller
 // waits for the next iteration.
@@ -100,39 +86,27 @@ func (f *prefetchFeed) claim(now, reach int) (c prefetchClaim, ok bool) {
 	if now < f.resumeAt {
 		return c, false
 	}
-	if f.iter < now+feedNear {
-		f.iter, f.off, f.filled = now+feedNear, 0, false
-	}
+	f.walk.StartAt(now + feedNear)
 	if reach > f.depth {
 		reach = f.depth
 	}
-	limit := now + reach
-	if limit > f.totalIters-1 {
-		limit = f.totalIters - 1
-	}
-	for f.iter <= limit {
-		if !f.filled {
-			f.batch = f.sched.NodeBatch(f.batch[:0], f.iter/f.itersPerEpoch, f.iter%f.itersPerEpoch, f.node, f.gpus)
-			f.filled = true
+	for {
+		id, ok := f.walk.Next(now + reach)
+		if !ok {
+			return c, false
 		}
-		perGPU := len(f.batch) / f.gpus
-		for ; f.off < len(f.batch); f.off++ {
-			id := f.batch[f.off%f.gpus*perGPU+f.off/f.gpus]
-			if _, busy := f.inflight[id]; busy || f.resident(id) {
-				continue
-			}
-			f.inflight[id] = struct{}{}
-			c = prefetchClaim{id: id, iter: f.iter, off: f.off}
-			f.off++
-			return c, true
+		iter, off := f.walk.Pos()
+		f.walk.Skip()
+		if _, busy := f.inflight[id]; busy || f.resident(id) {
+			continue
 		}
-		f.iter, f.off, f.filled = f.iter+1, 0, false
+		f.inflight[id] = struct{}{}
+		return prefetchClaim{id: id, iter: iter, off: off}, true
 	}
-	return c, false
 }
 
 // settle ends a claim. staged reports whether the sample is in the cache
-// now; when it is not (the policy refused it) the cursor goes back to the
+// now; when it is not (the policy refused it) the walk goes back to the
 // claim, so it is the first thing handed out again, and the feed pauses
 // until the iteration advances past now — the iteration the refusal was
 // decided at.
@@ -143,10 +117,7 @@ func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 	if staged {
 		return
 	}
-	if c.iter < f.iter || (c.iter == f.iter && c.off < f.off) {
-		f.filled = f.filled && c.iter == f.iter
-		f.iter, f.off = c.iter, c.off
-	}
+	f.walk.Back(c.iter, c.off)
 	if f.resumeAt <= now {
 		f.resumeAt = now + 1
 		f.pauses++

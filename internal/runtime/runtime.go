@@ -20,6 +20,7 @@ import (
 	"repro/internal/preproc"
 	"repro/internal/sampler"
 	"repro/internal/threadmgr"
+	"repro/internal/tier"
 )
 
 // Options configure an online training run.
@@ -582,18 +583,13 @@ func (rt *Runtime) decideThreads(h int) {
 			rt.dir.HolderBatch(batch, n, remote)
 			var pl perfmodel.BatchPlacement
 			for i, id := range batch {
-				size := rt.ds.Size(id)
-				switch {
-				case local[i]:
-					pl.LocalBytes += size
-					pl.LocalOps++
-				case remote[i]:
-					pl.RemoteBytes += size
-					pl.RemoteOps++
-				default:
-					pl.PFSBytes += size
-					pl.PFSOps++
+				where := tier.PFS
+				if local[i] {
+					where = tier.Local
+				} else if remote[i] {
+					where = tier.Remote
 				}
+				pl.AddSample(where, rt.ds.Size(id))
 			}
 			demands[j] = threadmgr.GPUDemand{
 				Placement:    pl,

@@ -329,7 +329,7 @@ func newDistributionManager(n int, curve tier.Curve, scale float64, clk clock) *
 }
 
 // SetNodeFault applies a chaos straggler profile to node n's serving:
-// every Fetch from it pays Fault.Lag plus a draw from [0, Jitter), and
+// every fetch from it pays Fault.Lag plus a draw from [0, Jitter), and
 // Fault.ErrRate of fetches return empty (peer timeout). The down flag
 // is preserved; a zero fault on a healthy node clears the state.
 func (dm *DistributionManager) SetNodeFault(n int, f chaos.Fault) {
@@ -373,23 +373,16 @@ func (dm *DistributionManager) NodeDown(n int) bool {
 	return pf != nil && pf.down
 }
 
-// Fetch asks `from` for a sample, paying interconnect latency + transfer:
-// book, then wait until the booking's deadline. The returned slice is a
-// pooled copy of the holder's buffer — the caller owns it exclusively
+// book asks `from` for a sample, paying interconnect latency + transfer:
+// it returns the holder's copy, taken now, and when the fetch completes on
+// the manager's clock; the caller waits for that deadline. The payload is
+// a pooled copy of the holder's buffer — the caller owns it exclusively
 // (DESIGN.md §12). A nil payload with evicted set means the peer served
 // but no longer holds the sample: the holder evicted it after the
 // directory named it (a benign race, the directory is advisory, exactly
 // as in a real distributed cache), and answers so after one op latency,
 // with no transfer. A nil payload without evicted is a broken promise:
 // the peer is down, or the fetch failed.
-func (dm *DistributionManager) Fetch(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool) {
-	payload, evicted, due := dm.book(from, id, size)
-	dm.clk.until(due)
-	return payload, evicted
-}
-
-// book is Fetch without the wait: the holder's copy, taken now, and when
-// the fetch completes on the manager's clock.
 func (dm *DistributionManager) book(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool, due time.Time) {
 	var extra time.Duration
 	fail := false

@@ -38,8 +38,8 @@ type Schedule struct {
 	// moves through the epochs in order and at most two are in use at a
 	// time: the plan builder (access.BuildAll) walks one epoch after the
 	// other, once, before the run starts; the run itself
-	// (the simulator's step and prefetch cursor, the runtime's ranks,
-	// prefetch feed and thread decisions) reads the current epoch and,
+	// (the simulator's step, the runtime's ranks and thread decisions,
+	// each node's prefetch Walk in either) reads the current epoch and,
 	// near its end, the first iterations of the next. A consumer that
 	// alternated between three epochs would reshuffle on every call.
 	// Guarded by mu: the online runtime calls Batch from many goroutines.
@@ -158,6 +158,94 @@ func (s *Schedule) NodeBatch(dst []dataset.SampleID, epoch, iteration, node, gpu
 		dst = s.Batch(dst, epoch, iteration, node*gpusPerNode+j)
 	}
 	return dst
+}
+
+// NodeWindow appends the same samples as NodeBatch in prefetch order:
+// sample k of every GPU of the node before sample k+1 of any, so a
+// partially staged window covers all GPUs evenly instead of leaving the
+// last GPU the straggler every rank waits for. Sample k of the node's
+// GPUs is the contiguous run perm[(iteration*B+k)*G + node*M : +M].
+func (s *Schedule) NodeWindow(dst []dataset.SampleID, epoch, iteration, node, gpusPerNode int) []dataset.SampleID {
+	first := node * gpusPerNode
+	if iteration < 0 || iteration >= s.iters || first < 0 || gpusPerNode < 1 || first+gpusPerNode > s.worldSize {
+		panic(fmt.Sprintf("sampler: window of iteration %d, node %d x %d GPUs out of [0, %d) x [0, %d)",
+			iteration, node, gpusPerNode, s.iters, s.worldSize))
+	}
+	perm := s.EpochPerm(epoch)
+	for k := 0; k < s.batch; k++ {
+		at := (iteration*s.batch+k)*s.worldSize + first
+		dst = append(dst, perm[at:at+gpusPerNode]...)
+	}
+	return dst
+}
+
+// Walk is one node's prefetch cursor over its future accesses: windows
+// nearest iteration first, each in NodeWindow order, up to the run's last
+// iteration. The cursor is (iteration, offset into that window); the
+// window under it is built once, when the cursor first reads it. The
+// caller keeps its own rules — where a walk starts, which candidates it
+// passes over, when it stops — and calls these methods under its own
+// synchronization: a Walk is not safe for concurrent use.
+type Walk struct {
+	sched      *Schedule
+	node, gpus int
+	last       int // the run's last iteration
+	iter, off  int
+	win        []dataset.SampleID // window iter while filled
+	filled     bool
+}
+
+// NewWalk returns node's walk over a run of totalIters iterations, with
+// the cursor at the head of iteration 0.
+func (s *Schedule) NewWalk(node, gpusPerNode, totalIters int) Walk {
+	return Walk{sched: s, node: node, gpus: gpusPerNode, last: totalIters - 1}
+}
+
+// StartAt moves the cursor forward to the head of window it when it is
+// behind it; a cursor at or past it stays where it is.
+func (w *Walk) StartAt(it int) {
+	if w.iter < it {
+		w.iter, w.off, w.filled = it, 0, false
+	}
+}
+
+// Next returns the candidate under the cursor, moving over exhausted
+// windows, as long as the cursor's window is at most limit and the run's
+// last iteration; ok is false past that. It does not move past the
+// candidate: Skip does.
+func (w *Walk) Next(limit int) (id dataset.SampleID, ok bool) {
+	if limit > w.last {
+		limit = w.last
+	}
+	for w.iter <= limit {
+		if !w.filled {
+			ipe := w.sched.iters
+			w.win = w.sched.NodeWindow(w.win[:0], w.iter/ipe, w.iter%ipe, w.node, w.gpus)
+			w.filled = true
+		}
+		if w.off < len(w.win) {
+			return w.win[w.off], true
+		}
+		w.iter, w.off, w.filled = w.iter+1, 0, false
+	}
+	return 0, false
+}
+
+// Skip moves the cursor past the candidate Next returned.
+func (w *Walk) Skip() { w.off++ }
+
+// Pos returns the cursor: the window's iteration and the offset in it.
+func (w *Walk) Pos() (iter, off int) { return w.iter, w.off }
+
+// Back moves the cursor back to (iter, off) when that is earlier than
+// where it is; a later position leaves it where it is. A different
+// window is built again when Next reaches it.
+func (w *Walk) Back(iter, off int) {
+	if iter > w.iter || (iter == w.iter && off >= w.off) {
+		return
+	}
+	w.filled = w.filled && iter == w.iter
+	w.iter, w.off = iter, off
 }
 
 // BatchBytes returns the total byte size of the mini-batch of

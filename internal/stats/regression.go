@@ -166,15 +166,6 @@ func (p *PiecewiseLinear) Eval(x float64) float64 {
 	return p.ys[lo]*(1-frac) + p.ys[hi]*frac
 }
 
-// Knots returns copies of the knot positions and values.
-func (p *PiecewiseLinear) Knots() (xs, ys []float64) {
-	xs = make([]float64, len(p.xs))
-	ys = make([]float64, len(p.ys))
-	copy(xs, p.xs)
-	copy(ys, p.ys)
-	return xs, ys
-}
-
 // ArgMax returns the knot-grid x in [lo, hi] that maximises the function,
 // scanning at unit steps (thread counts are integers). Used to find the
 // peak-throughput preprocessing thread count (Observation 3).

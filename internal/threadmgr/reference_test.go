@@ -44,7 +44,7 @@ func (m *Manager) refTimeDiff(d GPUDemand, n, p, gpus int, trainTime float64, ac
 func (m *Manager) referenceDecide(gpus []GPUDemand, trainTime float64, activeNodes int) Decision {
 	nGPU := len(gpus)
 	if nGPU == 0 {
-		return Decision{PreprocThreads: m.cfg.MinPreprocThreads}
+		return Decision{PreprocThreads: minPreprocThreads}
 	}
 
 	avgSize := int64(100 << 10)
@@ -58,23 +58,20 @@ func (m *Manager) referenceDecide(gpus []GPUDemand, trainTime float64, activeNod
 		avgSize = bytes / int64(count)
 	}
 	maxPre := m.cfg.TotalThreads - nGPU
-	if m.cfg.MaxPreprocThreads > 0 && maxPre > m.cfg.MaxPreprocThreads {
-		maxPre = m.cfg.MaxPreprocThreads
-	}
-	if maxPre < m.cfg.MinPreprocThreads {
-		maxPre = m.cfg.MinPreprocThreads
+	if maxPre < minPreprocThreads {
+		maxPre = minPreprocThreads
 	}
 	p := m.cfg.Portfolio.PeakThreads(avgSize, maxPre)
-	if p < m.cfg.MinPreprocThreads {
-		p = m.cfg.MinPreprocThreads
+	if p < minPreprocThreads {
+		p = minPreprocThreads
 	}
 
 	budget := m.cfg.TotalThreads - p
 	if budget < nGPU {
 		budget = nGPU
 		p = m.cfg.TotalThreads - budget
-		if p < m.cfg.MinPreprocThreads {
-			p = m.cfg.MinPreprocThreads
+		if p < minPreprocThreads {
+			p = minPreprocThreads
 		}
 	}
 
@@ -97,7 +94,7 @@ func (m *Manager) referenceDecide(gpus []GPUDemand, trainTime float64, activeNod
 	}
 	m.refRebalance(gpus, loading, budget, p, nGPU, trainTime, activeNodes)
 
-	for p > m.cfg.MinPreprocThreads {
+	for p > minPreprocThreads {
 		worst, worstDiff := -1, m.cfg.Tau
 		for j, d := range gpus {
 			diff := m.refTimeDiff(d, loading[j], p, nGPU, trainTime, activeNodes)
@@ -300,9 +297,6 @@ func TestDecideMatchesReference(t *testing.T) {
 			Portfolio:    portfolio,
 			TotalThreads: 2 + r.Intn(63),
 			Tau:          []float64{1e-9, 0.0005, 0.002, 0.01, 10}[r.Intn(5)],
-		}
-		if r.Intn(2) == 0 {
-			cfg.MaxPreprocThreads = 1 + r.Intn(8)
 		}
 		m, err := New(cfg)
 		if err != nil {

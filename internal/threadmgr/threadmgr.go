@@ -65,11 +65,10 @@ type Config struct {
 	TotalThreads int
 	// Tau is Algorithm 1's convergence threshold τ, in seconds.
 	Tau float64
-	// MinPreprocThreads floors the preprocessing pool (default 1).
-	MinPreprocThreads int
-	// MaxPreprocThreads caps it (0 = no cap beyond the budget).
-	MaxPreprocThreads int
 }
+
+// minPreprocThreads floors the preprocessing pool.
+const minPreprocThreads = 1
 
 // Manager makes thread decisions for one node. It keeps no decision
 // state between calls, so one instance serves every iteration of a run,
@@ -115,9 +114,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.Tau <= 0 {
 		return nil, fmt.Errorf("threadmgr: Tau %g <= 0", cfg.Tau)
-	}
-	if cfg.MinPreprocThreads < 1 {
-		cfg.MinPreprocThreads = 1
 	}
 	if err := cfg.Hierarchy.Validate(); err != nil {
 		return nil, fmt.Errorf("threadmgr: %w", err)
@@ -213,7 +209,7 @@ func (m *Manager) timeDiff(j, n, p int) float64 {
 func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) Decision {
 	nGPU := len(gpus)
 	if nGPU == 0 {
-		return Decision{PreprocThreads: m.cfg.MinPreprocThreads}
+		return Decision{PreprocThreads: minPreprocThreads}
 	}
 	m.begin(gpus, trainTime, activeNodes)
 
@@ -231,23 +227,20 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 		avgSize = bytes / int64(count)
 	}
 	maxPre := m.cfg.TotalThreads - nGPU
-	if m.cfg.MaxPreprocThreads > 0 && maxPre > m.cfg.MaxPreprocThreads {
-		maxPre = m.cfg.MaxPreprocThreads
-	}
-	if maxPre < m.cfg.MinPreprocThreads {
-		maxPre = m.cfg.MinPreprocThreads
+	if maxPre < minPreprocThreads {
+		maxPre = minPreprocThreads
 	}
 	p := m.cfg.Portfolio.PeakThreads(avgSize, maxPre)
-	if p < m.cfg.MinPreprocThreads {
-		p = m.cfg.MinPreprocThreads
+	if p < minPreprocThreads {
+		p = minPreprocThreads
 	}
 
 	budget := m.cfg.TotalThreads - p
 	if budget < nGPU {
 		budget = nGPU
 		p = m.cfg.TotalThreads - budget
-		if p < m.cfg.MinPreprocThreads {
-			p = m.cfg.MinPreprocThreads
+		if p < minPreprocThreads {
+			p = minPreprocThreads
 		}
 	}
 
@@ -279,7 +272,7 @@ func (m *Manager) Decide(gpus []GPUDemand, trainTime float64, activeNodes int) D
 	}
 	m.rebalance(loading, budget, p)
 
-	for p > m.cfg.MinPreprocThreads {
+	for p > minPreprocThreads {
 		worst, worstDiff := -1, m.cfg.Tau
 		for j := range gpus {
 			diff := m.timeDiff(j, loading[j], p)

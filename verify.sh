@@ -18,10 +18,11 @@
 #   4. feed determinism — the prefetch feed, prefetch loop and loader
 #                        work-ahead tests, the modeled-delay and teardown
 #                        pins of the run, the node cache's decode lease
-#                        tests and the allreduce, -race -count=10 at
-#                        GOMAXPROCS 1, 2 and 8: their verdict must not
-#                        depend on scheduling
-#                        (ROADMAP aim 3; same loop: make feed-determinism)
+#                        tests, the sampler's prefetch walk and the
+#                        allreduce, -race -count=10 at GOMAXPROCS 1, 2
+#                        and 8: their verdict must not depend on
+#                        scheduling (ROADMAP aim 3; the list is defined
+#                        once, in make feed-determinism, which this runs)
 #   5. lobster-lint    — the project's own static analysis (determinism,
 #                        goroutine/mutex hygiene, errcheck, bounded
 #                        queues, lock-order deadlocks, zero-alloc hot
@@ -87,11 +88,9 @@ go vet ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> prefetch feed, prefetch loop, work-ahead, lease and allreduce determinism (GOMAXPROCS 1, 2, 8)"
-for procs in 1 2 8; do
-  GOMAXPROCS=$procs go test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier' ./internal/runtime
-  GOMAXPROCS=$procs go test -race -count=10 ./internal/allreduce
-done
+echo "==> prefetch feed, prefetch loop, work-ahead, lease, walk and allreduce determinism (GOMAXPROCS 1, 2, 8)"
+# The test list is defined once, in the Makefile's feed-determinism target.
+make --no-print-directory feed-determinism
 
 echo "==> lobster-lint -time ./..."
 go run ./cmd/lobster-lint -time ./...
