@@ -86,6 +86,11 @@ type Report struct {
 	PrefetchWorkAhead float64
 	PrefetchLate      float64
 	PrefetchPauses    float64
+	// PFS reads (demand and prefetch) against demand accesses (local
+	// hits and misses): above the demand miss share, the prefetchers
+	// read samples the cache did not keep until they were needed.
+	PFSReads       float64
+	DemandAccesses float64
 
 	// Model error of the run's clock: how many modeled delays it waited
 	// out (storage latencies, bandwidth slots, peer fetches, train steps)
@@ -195,6 +200,8 @@ func (r *Report) analyzePrefetch(m *Metrics) {
 	r.PrefetchWorkAhead = m.Sum("lobster_runtime_workahead_total", nil)
 	r.PrefetchLate = m.Sum("lobster_runtime_prefetch_late_total", nil)
 	r.PrefetchPauses = m.Sum("lobster_runtime_prefetch_pauses_total", nil)
+	r.PFSReads = m.Sum("lobster_runtime_pfs_reads_total", nil)
+	r.DemandAccesses = m.Sum("lobster_runtime_cache_hits_total", nil) + m.Sum("lobster_runtime_cache_misses_total", nil)
 	r.PrefetchRecoverySeconds = m.Sum("lobster_runtime_prefetch_recovery_seconds_sum", nil)
 }
 
@@ -299,6 +306,10 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 		p("  prefetch: staged %.0f (%.0f by idle loaders), late %.0f (%.1f%%), refusal pauses %.0f\n",
 			r.PrefetchStaged, r.PrefetchWorkAhead, r.PrefetchLate, late, r.PrefetchPauses)
+		if r.DemandAccesses > 0 {
+			p("  storage: %.0f PFS reads for %.0f demand accesses (%.3f per access)\n",
+				r.PFSReads, r.DemandAccesses, r.PFSReads/r.DemandAccesses)
+		}
 	}
 	if len(r.Stragglers) > 0 {
 		p("\nStragglers (load time > %.1fx mean): ranks %v\n", stragglerFactor, r.Stragglers)

@@ -273,6 +273,43 @@ func TestAnalyzeAndReport(t *testing.T) {
 	}
 }
 
+// TestReportPFSReadsPerAccess reads the storage line of the prefetch
+// block from the runtime's counters: PFS reads over local hits plus
+// misses, summed over nodes, and no line without demand accesses.
+func TestReportPFSReadsPerAccess(t *testing.T) {
+	for _, tc := range []struct {
+		name, metrics, want string
+	}{
+		{"over-fetching", `lobster_runtime_prefetched_total{node="0"} 500
+lobster_runtime_pfs_reads_total{node="0"} 420
+lobster_runtime_pfs_reads_total{node="1"} 350
+lobster_runtime_cache_hits_total{node="0"} 480
+lobster_runtime_cache_hits_total{node="1"} 490
+lobster_runtime_cache_misses_total{node="0"} 20
+lobster_runtime_cache_misses_total{node="1"} 10
+`, "  storage: 770 PFS reads for 1000 demand accesses (0.770 per access)\n"},
+		{"no demand accesses", `lobster_runtime_prefetched_total{node="0"} 500
+lobster_runtime_pfs_reads_total{node="0"} 420
+`, ""},
+	} {
+		m, err := ParseMetrics(strings.NewReader(tc.metrics))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Analyze(m, nil).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		if !strings.Contains(out, "Prefetch (helpers") {
+			t.Fatalf("%s: no prefetch block:\n%s", tc.name, out)
+		}
+		if got := strings.Contains(out, "storage:"); got != (tc.want != "") || !strings.Contains(out, tc.want) {
+			t.Errorf("%s: report storage line, want %q:\n%s", tc.name, tc.want, out)
+		}
+	}
+}
+
 func TestAnalyzeEmptyInputs(t *testing.T) {
 	rep := Analyze(nil, nil)
 	var buf bytes.Buffer

@@ -74,7 +74,7 @@ func TestDoctorEndToEnd(t *testing.T) {
 	if len(rep.EpochImbalance) == 0 {
 		t.Error("report has no per-epoch imbalance rows: the barrier's instants did not reach the doctor")
 	}
-	for _, want := range []string{"Prefetch (helpers and idle loaders", "  node 0: ", "  node 1: ", "prefetch: staged ", " by idle loaders), late ", "refusal pauses ", "modeled delays: ", "Imbalanced iterations (per-rank stall spread > one training step): ", "  epoch 0: "} {
+	for _, want := range []string{"Prefetch (helpers and idle loaders", "  node 0: ", "  node 1: ", "prefetch: staged ", " by idle loaders), late ", "refusal pauses ", "  storage: ", " per access)\n", "modeled delays: ", "Imbalanced iterations (per-rank stall spread > one training step): ", "  epoch 0: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report text missing %q:\n%s", want, out)
 		}

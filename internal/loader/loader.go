@@ -58,9 +58,13 @@ const (
 
 // Spec declares one loading strategy.
 type Spec struct {
-	Name          string
-	Policy        PolicyKind
-	PrefetchDepth int // lookahead in iterations; 0 = demand-only
+	Name   string
+	Policy PolicyKind
+	// PrefetchDepth is the lookahead in iterations; 0 = demand-only. The
+	// simulator walks up to it within its per-iteration prefetch budget;
+	// the runtime's feed stops sooner when half the iterations of demand
+	// the node cache holds is less (DESIGN.md §8).
+	PrefetchDepth int
 	Mode          ThreadMode
 	// PreprocThreads / LoadingPerGPU apply to ThreadsStatic;
 	// PreprocThreads / SharedLoading to ThreadsSharedPool.
@@ -77,7 +81,7 @@ type Spec struct {
 	// PrefetchThreads x batch time as its per-iteration prefetch budget,
 	// and the runtime gives each node's prefetch loop exactly this many
 	// read slots — reads booked and in flight at once — to drain the
-	// node's prefetch feed to its full depth (at least one whenever
+	// node's prefetch feed as far as it reaches (at least one whenever
 	// PrefetchDepth > 0). Strategies with dynamic thread
 	// management additionally put *idle* loading threads to prefetch work,
 	// again in both executions — the coordination the paper's second
@@ -159,7 +163,9 @@ func (s Spec) BuildPolicy(plan cache.Oracle, isLastCopy func(dataset.SampleID) b
 // prefetchers (NoPFS and Lobster). Two epochs of a small run would be
 // deeper, but prefetch utility decays fast past the point where the cache
 // cycles; 64 iterations keeps planning cheap and matches NoPFS's bounded
-// prefetch buffers.
+// prefetch buffers. The runtime reaches no further than half the
+// iterations of a node's demand its cache holds, which on a small cache is
+// less than 64.
 const DeepPrefetchDepth = 64
 
 // PyTorch returns the PyTorch DataLoader baseline: "a constant number of
@@ -233,8 +239,8 @@ func NoPFS(gpusPerNode, totalThreads int) Spec {
 // helpers, and the reuse-based eviction policy coordinating with it. In
 // both executions the loading threads Algorithm 1 sized for the next
 // batch prefetch while they have no batch to load (see
-// Spec.PrefetchThreads): the helpers walk the whole depth, the idle
-// loaders cover the nearest windows.
+// Spec.PrefetchThreads): the helpers walk the depth, the idle loaders
+// cover the nearest windows.
 func Lobster() Spec {
 	return Spec{
 		Name:            "lobster",

@@ -173,7 +173,8 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 	}
 	node := &nodeRuntime{node: n, rt: rt, plan: plan, cache: nc, pre: pre, tick: make(chan struct{}, 1), stopPref: make(chan struct{})}
 	if slots := prefetchSlots(opts.Strategy); slots > 0 {
-		node.feed = newPrefetchFeed(rt.sched, n, rt.gpus, rt.totalIters, opts.Strategy.PrefetchDepth, nc.contains)
+		depth := feedDepth(opts.Strategy.PrefetchDepth, top.CacheBytes, rt.ds.TotalBytes(), rt.ds.MeanSize(), rt.gpus*opts.Model.BatchSize)
+		node.feed = newPrefetchFeed(rt.sched, n, rt.gpus, rt.totalIters, depth, nc.contains)
 		node.slots = make([]prefetchSlot, slots)
 		node.workAhead = opts.Strategy.Mode == loader.ThreadsDynamic
 	}

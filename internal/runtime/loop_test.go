@@ -162,7 +162,7 @@ func TestPrefetchLoopBoundsReadsInFlight(t *testing.T) {
 			defer mu.Unlock()
 			for _, n := range nodes {
 				n.feed.mu.Lock()
-				most = max(most, len(n.feed.inflight))
+				most = max(most, claimsInFlight(n.feed))
 				n.feed.mu.Unlock()
 			}
 		}

@@ -40,9 +40,10 @@ type prefetchFeed struct {
 	depth    int
 	resident func(dataset.SampleID) bool
 
-	mu       sync.Mutex
-	walk     sampler.Walk
-	inflight map[dataset.SampleID]struct{}
+	mu   sync.Mutex
+	walk sampler.Walk
+	// inflight marks the claimed, unsettled ids, indexed by sample id.
+	inflight []bool
 	// resumeAt pauses the feed after a refusal: claims return nothing
 	// while the node's iteration is below it.
 	resumeAt int
@@ -54,7 +55,7 @@ func newPrefetchFeed(sched *sampler.Schedule, node, gpus, totalIters, depth int,
 		depth:    depth,
 		resident: resident,
 		walk:     sched.NewWalk(node, gpus, totalIters),
-		inflight: make(map[dataset.SampleID]struct{}),
+		inflight: make([]bool, sched.Dataset().Len()),
 	}
 }
 
@@ -70,6 +71,27 @@ const (
 	feedNear    = 2
 	loaderReach = 3
 )
+
+// feedDepth is how many iterations ahead a node's feed reaches: the
+// strategy's depth, capped at half the node cache's turnover horizon and
+// never below loaderReach. The horizon is how many iterations of the
+// node's demand (perIter samples each, GPUs x batch) the cache holds at
+// the dataset's mean sample size. A walk that reaches past it fills the
+// cache with samples needed later than ones it already holds, so the
+// farthest-next-use victim rule evicts what the node reuses next epoch
+// and each of those is read from storage again; half the horizon leaves
+// the other half of the cache to that reuse (DESIGN.md §8 has the depth
+// sweep). A cache that holds the whole dataset evicts nothing and keeps
+// the strategy's depth, and a demand-only strategy stays at 0. The
+// simulator needs no such cap: its walk is bounded per iteration by its
+// prefetch budget (DESIGN.md §6).
+func feedDepth(depth int, cacheBytes, datasetBytes, meanSize int64, perIter int) int {
+	if cacheBytes >= datasetBytes {
+		return depth
+	}
+	horizon := int(cacheBytes/meanSize) / perIter
+	return min(depth, max(loaderReach, horizon/2))
+}
 
 // claim hands out the next id worth fetching and marks it in flight; ok
 // is false when there is none. now is the iteration the ranks are
@@ -97,10 +119,10 @@ func (f *prefetchFeed) claim(now, reach int) (c prefetchClaim, ok bool) {
 		}
 		iter, off := f.walk.Pos()
 		f.walk.Skip()
-		if _, busy := f.inflight[id]; busy || f.resident(id) {
+		if f.inflight[id] || f.resident(id) {
 			continue
 		}
-		f.inflight[id] = struct{}{}
+		f.inflight[id] = true
 		return prefetchClaim{id: id, iter: iter, off: off}, true
 	}
 }
@@ -113,7 +135,7 @@ func (f *prefetchFeed) claim(now, reach int) (c prefetchClaim, ok bool) {
 func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	delete(f.inflight, c.id)
+	f.inflight[c.id] = false
 	if staged {
 		return
 	}
@@ -129,8 +151,7 @@ func (f *prefetchFeed) settle(c prefetchClaim, staged bool, now int) {
 func (f *prefetchFeed) inFlight(id dataset.SampleID) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, busy := f.inflight[id]
-	return busy
+	return f.inflight[id]
 }
 
 // pauseCount is how many times a refusal paused the feed.
@@ -162,14 +183,14 @@ type prefetchSlot struct {
 	busy bool
 }
 
-// prefetchLoop drains the node's feed to its full depth through the
-// node's read slots until stopPref closes: the background prefetching of
-// PrefetchThreads helpers, which compete with demand loading for storage
-// bandwidth exactly as real background prefetching does. Every free slot
-// claims and books its read without waiting; the loop then waits once,
-// until the earliest booked deadline, and finishes every slot that is
-// due, booking each again as soon as it is free. With nothing to claim
-// and nothing in flight it waits for the next iteration.
+// prefetchLoop drains the node's feed as far as it reaches (feedDepth)
+// through the node's read slots until stopPref closes: the background
+// prefetching of PrefetchThreads helpers, which compete with demand
+// loading for storage bandwidth exactly as real background prefetching
+// does. Every free slot claims and books its read without waiting; the
+// loop then waits once, until the earliest booked deadline, and finishes
+// every slot that is due, booking each again as soon as it is free. With
+// nothing to claim and nothing in flight it waits for the next iteration.
 func (n *nodeRuntime) prefetchLoop() {
 	defer n.prefWG.Done()
 	defer n.handBack()

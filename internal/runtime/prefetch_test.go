@@ -105,6 +105,18 @@ func wantClaims(sched *sampler.Schedule, node, first, last int, res *residency) 
 	return want
 }
 
+// claimsInFlight counts the ids f has claimed and not settled; the
+// caller holds f.mu.
+func claimsInFlight(f *prefetchFeed) int {
+	n := 0
+	for _, busy := range f.inflight {
+		if busy {
+			n++
+		}
+	}
+	return n
+}
+
 // mustClaim claims the next id within the feed's depth, failing the test
 // when the feed hands out nothing.
 func mustClaim(t *testing.T, f *prefetchFeed, now int) prefetchClaim {
@@ -356,6 +368,9 @@ func TestPrefetchFeedRefusalBehindDemand(t *testing.T) {
 // TestPrefetchHelpersPerStrategy counts the read slots of each node's
 // prefetch loop: the strategy's PrefetchThreads, one when a prefetching
 // strategy names none, none (and no feed) for a demand-only strategy.
+// Every feed reaches feedDepth's iterations: the test cache holds about
+// ten iterations of a node's demand, so the deep strategies' 64 and
+// DALI's 6 are both cut to 5.
 func TestPrefetchHelpersPerStrategy(t *testing.T) {
 	bare := loader.Lobster()
 	bare.Name, bare.PrefetchThreads = "lobster-no-helpers-named", 0
@@ -370,6 +385,11 @@ func TestPrefetchHelpersPerStrategy(t *testing.T) {
 		{loader.PyTorch(2, 8), 0},
 	} {
 		opts := testOptions(t, tc.spec, 2, 1)
+		depth := feedDepth(tc.spec.PrefetchDepth, opts.Topology.CacheBytes, opts.Dataset.TotalBytes(), opts.Dataset.MeanSize(),
+			opts.Topology.GPUsPerNode*opts.Model.BatchSize)
+		if tc.want > 0 && depth >= tc.spec.PrefetchDepth {
+			t.Fatalf("%s: the test cache does not cap the depth %d", tc.spec.Name, tc.spec.PrefetchDepth)
+		}
 		var rt *Runtime
 		hookBarrier(t, func(r *Runtime, _ int) { rt = r })
 		stats, err := Run(opts)
@@ -383,8 +403,47 @@ func TestPrefetchHelpersPerStrategy(t *testing.T) {
 			}
 			if (node.feed != nil) != (tc.want > 0) {
 				t.Errorf("%s: node %d feed present = %v with %d read slots", tc.spec.Name, node.node, node.feed != nil, tc.want)
+			} else if node.feed != nil && node.feed.depth != depth {
+				t.Errorf("%s: node %d feed reaches %d iterations, want %d", tc.spec.Name, node.node, node.feed.depth, depth)
 			}
 		}
+	}
+}
+
+// TestPrefetchFeedDepth tabulates feedDepth: the strategy's depth capped
+// at half the iterations of a node's demand its cache holds, never below
+// loaderReach. The first three rows are the benchmark's runtime
+// topologies, written out: 4096 samples of 8 KiB, batch 8, a cache of a
+// third of the dataset.
+func TestPrefetchFeedDepth(t *testing.T) {
+	const samples, mean = 4096, 8 << 10
+	const total = int64(samples * mean)
+	deep, dali := loader.Lobster().PrefetchDepth, loader.DALI(8).PrefetchDepth
+	for _, tc := range []struct {
+		name    string
+		depth   int
+		cache   int64
+		samples int64
+		perIter int // GPUs per node x batch
+		want    int
+	}{
+		// 1365 samples / 8 per iteration = 170 iterations: 85 > 64.
+		{"1x1 (rt-1r-sw)", deep, total / 3, samples, 1 * 8, deep},
+		// 1365 / 32 = 42 iterations: half is 21.
+		{"2x4 (rt-8r-sw)", deep, total / 3, samples, 4 * 8, 21},
+		{"2x4 (rt-8r-io)", deep, total / 3, samples, 4 * 8, 21},
+		{"cache of a few samples", deep, 3 * mean, samples, 4 * 8, loaderReach},
+		// 96 / 32 = 3 iterations, but nothing is ever evicted.
+		{"cache holds the dataset", deep, 96 * mean, 96, 4 * 8, deep},
+		{"depth below half the horizon", dali, total / 3, samples, 4 * 8, dali},
+		{"demand-only", loader.PyTorch(4, 8).PrefetchDepth, total / 3, samples, 4 * 8, 0},
+	} {
+		if got := feedDepth(tc.depth, tc.cache, tc.samples*mean, mean, tc.perIter); got != tc.want {
+			t.Errorf("%s: feedDepth(%d, cache %d) = %d, want %d", tc.name, tc.depth, tc.cache, got, tc.want)
+		}
+	}
+	if slots := prefetchSlots(loader.PyTorch(4, 8)); slots != 0 {
+		t.Errorf("a demand-only strategy gets %d read slots, want none and no feed", slots)
 	}
 }
 

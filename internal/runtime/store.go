@@ -16,6 +16,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,7 +254,8 @@ func (d *Directory) Remove(node int, id dataset.SampleID) {
 	d.mu.Unlock()
 }
 
-// Holder returns some node holding the sample other than `not`, or -1.
+// Holder returns the lowest-numbered node holding the sample other than
+// `not`, or -1.
 func (d *Directory) Holder(id dataset.SampleID, not int) int {
 	d.mu.Lock()
 	mask := d.holders[id] &^ (1 << uint(not))
@@ -261,12 +263,7 @@ func (d *Directory) Holder(id dataset.SampleID, not int) int {
 	if mask == 0 {
 		return -1
 	}
-	for n := 0; n < 64; n++ {
-		if mask&(1<<uint(n)) != 0 {
-			return n
-		}
-	}
-	return -1
+	return bits.TrailingZeros64(mask)
 }
 
 // HolderBatch fills out[i] with whether any node other than `not` holds

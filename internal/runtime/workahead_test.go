@@ -40,7 +40,7 @@ func checkTeardown(t *testing.T, step string, nodes []*nodeRuntime) {
 	for _, node := range nodes {
 		if node.feed != nil {
 			node.feed.mu.Lock()
-			inflight := len(node.feed.inflight)
+			inflight := claimsInFlight(node.feed)
 			node.feed.mu.Unlock()
 			if inflight != 0 {
 				t.Errorf("%s: node %d ends with %d claims in flight", step, node.node, inflight)
@@ -193,7 +193,7 @@ type readState struct {
 func observe(node *nodeRuntime) readState {
 	node.feed.mu.Lock()
 	defer node.feed.mu.Unlock()
-	return readState{len(node.feed.inflight), node.stagedByLoaders.Load()}
+	return readState{claimsInFlight(node.feed), node.stagedByLoaders.Load()}
 }
 
 // demandChunk is GPU 0's batch of iteration 0 as one queue message.
