@@ -41,7 +41,7 @@ feed-determinism:
 ## 2-core machine.
 census:
 	@census_pass() { \
-		for pkg in runtime experiments doctor kvstore preproc obs monitor allreduce datafile par; do \
+		for pkg in runtime experiments doctor kvstore preproc obs monitor allreduce par; do \
 			out=$$($(GO) test -count=20 -timeout 60m ./internal/$$pkg 2>&1); rc=$$?; \
 			fails=$$(printf '%s\n' "$$out" | grep -c '^--- FAIL'); \
 			echo "census: $$1 $$pkg: $$fails failed (exit $$rc)"; \

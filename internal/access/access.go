@@ -185,17 +185,6 @@ func (p *Plan) searchAfter(id dataset.SampleID, after Iter) int32 {
 	return lo
 }
 
-// NextReuseDistance returns NextUse(id, after) - after, or NoAccess if the
-// sample is not used again. This is the quantity the reuse-distance
-// eviction policy thresholds against 2I - h.
-func (p *Plan) NextReuseDistance(id dataset.SampleID, after Iter) Iter {
-	n := p.NextUse(id, after)
-	if n == NoAccess {
-		return NoAccess
-	}
-	return n - after
-}
-
 // UsesRemaining returns how many accesses of the sample by this node occur
 // strictly after `after`. This is the reuse count of Section 4.4.
 func (p *Plan) UsesRemaining(id dataset.SampleID, after Iter) int {

@@ -128,12 +128,11 @@ func TestNextReuseDistance(t *testing.T) {
 	p, _ := Build(s, 0, 1, 3, 0)
 	id := dataset.SampleID(7)
 	list := p.AccessesOf(id)
-	d := p.NextReuseDistance(id, list[0])
-	if d != list[1]-list[0] {
-		t.Fatalf("NextReuseDistance = %d, want %d", d, list[1]-list[0])
+	if d := p.NextUse(id, list[0]) - list[0]; d != list[1]-list[0] {
+		t.Fatalf("reuse distance after the first access = %d, want %d", d, list[1]-list[0])
 	}
-	if got := p.NextReuseDistance(id, list[len(list)-1]); got != NoAccess {
-		t.Fatalf("distance after last access = %d, want NoAccess", got)
+	if got := p.NextUse(id, list[len(list)-1]); got != NoAccess {
+		t.Fatalf("next use after last access = %d, want NoAccess", got)
 	}
 }
 

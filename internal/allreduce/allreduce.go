@@ -57,9 +57,6 @@ func NewGroup(world int, onLast func(round int)) (*Ring, error) {
 	return r, nil
 }
 
-// World returns the group size.
-func (r *Ring) World() int { return r.world }
-
 // Reduce sums `grad` element-wise across all ranks, in place: when every
 // rank has called Reduce, each rank's slice holds the identical global
 // sum. All ranks must pass slices of the same length; otherwise every

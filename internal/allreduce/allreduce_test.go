@@ -41,7 +41,7 @@ func TestNewRingValidation(t *testing.T) {
 		t.Fatal("world 0 accepted")
 	}
 	r, err := NewRing(4)
-	if err != nil || r.World() != 4 {
+	if err != nil || r.world != 4 {
 		t.Fatalf("NewRing: %v", err)
 	}
 }

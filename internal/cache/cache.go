@@ -118,9 +118,6 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 // Used returns the bytes currently cached.
 func (c *Cache) Used() int64 { return c.used }
 
-// Free returns the remaining capacity in bytes.
-func (c *Cache) Free() int64 { return c.capacity - c.used }
-
 // Len returns the number of cached samples.
 func (c *Cache) Len() int { return c.count }
 

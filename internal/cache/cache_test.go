@@ -66,8 +66,8 @@ func TestPutGetBasic(t *testing.T) {
 	if !c.Get(1, 1) {
 		t.Fatal("miss after put")
 	}
-	if c.Used() != 40 || c.Len() != 1 || c.Free() != 60 {
-		t.Fatalf("accounting wrong: used=%d len=%d free=%d", c.Used(), c.Len(), c.Free())
+	if c.Used() != 40 || c.Len() != 1 {
+		t.Fatalf("accounting wrong: used=%d len=%d", c.Used(), c.Len())
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	goruntime "runtime"
 	"slices"
@@ -230,6 +231,34 @@ func TestFillPayloadMatchesByteStream(t *testing.T) {
 				}
 				t.Fatalf("%s: size %d: first difference at offset %d: %#x, want %#x", path, size, off, got[off], want[off])
 			}
+		}
+	})
+}
+
+// TestFillPayloadBytesPinned pins FillPayload's actual bytes, on both
+// paths, by the length and CRC-32 of the concatenated payloads of a
+// 200-sample dataset: a change to the generator that moves any byte fails
+// here, even one that wantPayload's definition drifts along with.
+func TestFillPayloadBytesPinned(t *testing.T) {
+	const seed = 33
+	d, err := Generate(Spec{
+		Name: "pin", NumSamples: 200, MeanSize: 4 << 10, SigmaLog: 0.5,
+		MinSize: 64, Classes: 3, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	onEachPath(func(path string) {
+		h := crc32.NewIEEE()
+		n := 0
+		for i := 0; i < d.Len(); i++ {
+			buf := make([]byte, d.Size(SampleID(i)))
+			FillPayload(buf, seed, SampleID(i))
+			h.Write(buf)
+			n += len(buf)
+		}
+		if got := h.Sum32(); n != 795847 || got != 0x94587976 {
+			t.Fatalf("%s: %d payload bytes, CRC-32 %#08x; want 795847 bytes, CRC-32 0x94587976", path, n, got)
 		}
 	})
 }

@@ -288,8 +288,3 @@ func (p *PreprocPortfolio) PeakThreads(size int64, maxThreads int) int {
 	}
 	return bestN
 }
-
-// Sizes returns the portfolio's fitted size buckets.
-func (p *PreprocPortfolio) Sizes() []int64 {
-	return append([]int64(nil), p.sizes...)
-}

@@ -205,8 +205,8 @@ func TestPortfolioClosestSizeSelection(t *testing.T) {
 	if math.Abs(got-want)/want > 0.2 {
 		t.Errorf("closest-size prediction %g, want ~%g", got, want)
 	}
-	if len(p.Sizes()) != 2 {
-		t.Error("Sizes() wrong")
+	if len(p.sizes) != 2 {
+		t.Errorf("%d size buckets, want 2", len(p.sizes))
 	}
 }
 

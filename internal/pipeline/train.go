@@ -61,17 +61,6 @@ func AccuracyCurve(model cluster.DNNModel, epochs int, seed uint64) []float64 {
 	return curve
 }
 
-// EpochsToAccuracy returns the first epoch (1-based) at which the curve
-// reaches the threshold, or -1 if it never does.
-func EpochsToAccuracy(curve []float64, threshold float64) int {
-	for e, a := range curve {
-		if a >= threshold {
-			return e + 1
-		}
-	}
-	return -1
-}
-
 // Train runs the simulation and attaches the accuracy curve. The accuracy
 // seed is derived from the schedule seed only — NOT from the loading
 // strategy — so two strategies over the same schedule produce the same

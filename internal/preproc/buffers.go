@@ -15,10 +15,9 @@ import (
 //
 // Ownership rules (DESIGN.md §12): a buffer may be recycled only by the
 // party that holds its sole reference. Payloads the node cache retained
-// — and payloads fetched from a peer cache, which the peer still
-// references — must never be recycled; the loading path marks the
-// exclusively-owned ones with Job.Owned and the preprocessing worker
-// recycles those after decode. Tensors are owned by the training loop
+// are leased to the decode (Job.Owner) and recycled by the cache; the
+// loading path marks the exclusively-owned ones with Job.Owned and the
+// preprocessing worker recycles those after decode. Tensors are owned by the training loop
 // once delivered; it returns them with PutTensor after consuming the
 // batch.
 

@@ -252,18 +252,3 @@ func decodePortable(dst []float32, body []byte, jitter float32, flip bool) uint6
 	}
 	return chainSum(0, body)
 }
-
-// Batch groups tensors; the training stage consumes whole batches.
-type Batch struct {
-	Tensors []*Tensor
-	Bytes   int64
-}
-
-// Assemble builds a Batch, summing payload sizes.
-func Assemble(tensors []*Tensor) Batch {
-	var total int64
-	for _, t := range tensors {
-		total += int64(len(t.Data))
-	}
-	return Batch{Tensors: tensors, Bytes: total}
-}

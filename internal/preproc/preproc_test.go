@@ -335,15 +335,6 @@ func TestAugmentEmptyTensor(t *testing.T) {
 	Augment(&Tensor{}, 3) // must not panic
 }
 
-func TestAssemble(t *testing.T) {
-	a := &Tensor{Data: make([]float32, 10)}
-	b := &Tensor{Data: make([]float32, 20)}
-	batch := Assemble([]*Tensor{a, b})
-	if batch.Bytes != 30 || len(batch.Tensors) != 2 {
-		t.Fatalf("batch = %+v", batch)
-	}
-}
-
 func TestModelValidate(t *testing.T) {
 	if err := DefaultModel().Validate(); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/access"
 	"repro/internal/allreduce"
-	"repro/internal/datafile"
 	"repro/internal/loader"
 	"repro/internal/perfmodel"
 	"repro/internal/preproc"
@@ -94,20 +93,13 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
 	rt.stopIter.Store(-1)
 
-	var file *datafile.Reader
 	cleanup := func() {
 		rt.shutdown()
 		stopClock() // after the last sleeper
-		if file != nil {
-			_ = file.Close() // read-only descriptor
-		}
 	}
 	fail := func(err error) (*Runtime, func(), error) {
 		cleanup()
 		return nil, nil, err
-	}
-	if file, err = openDataFile(opts, rt.pfs); err != nil {
-		return fail(err)
 	}
 	if rt.allreduce, err = allreduce.NewGroup(top.WorldSize(), rt.endIteration); err != nil {
 		return fail(err)
@@ -221,23 +213,6 @@ func (rt *Runtime) shutdown() {
 		}
 		node.pre.Close()
 	}
-}
-
-// openDataFile attaches the on-disk dataset to the PFS store when
-// configured.
-func openDataFile(opts Options, store *PFSStore) (*datafile.Reader, error) {
-	if opts.DataFilePath == "" {
-		return nil, nil
-	}
-	r, err := datafile.Open(opts.DataFilePath, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := store.UseFile(r); err != nil {
-		_ = r.Close() // read-only descriptor; the UseFile error is what matters
-		return nil, err
-	}
-	return r, nil
 }
 
 // initialThreads derives the starting thread assignment from the strategy.

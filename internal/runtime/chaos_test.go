@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
+	"repro/internal/preproc"
 )
 
 // TestNodeCacheCrashClearsDirectory: a crashed node cache drops every
@@ -23,7 +24,7 @@ func TestNodeCacheCrashClearsDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := dataset.SampleID(0); id < 8; id++ {
-		nc.put(id, make([]byte, 16), 0, false, false)
+		nc.put(id, preproc.GetPayloadBuf(16), 0, false)
 	}
 	dir.Add(2, 0)
 	if lost := nc.crash(); lost != 8 {
@@ -40,7 +41,7 @@ func TestNodeCacheCrashClearsDirectory(t *testing.T) {
 }
 
 func TestDistributionManagerNodeDown(t *testing.T) {
-	dm := peerManager(t, 0.0001, newFakeClock(), make([]byte, 128))
+	dm := peerManager(t, 0.0001, newFakeClock(), preproc.GetPayloadBuf(128))
 	dm.SetNodeDown(1, true)
 	if !dm.NodeDown(1) || dm.NodeDown(0) {
 		t.Fatal("down flags wrong")

@@ -14,6 +14,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
+	"repro/internal/preproc"
 	"repro/internal/tier"
 )
 
@@ -208,7 +209,8 @@ func TestPFSReadRequestsModeledDelays(t *testing.T) {
 }
 
 // peerManager is a two-node distribution manager on clk with a node
-// cache registered for each node; node 1's holds payload as sample 0.
+// cache registered for each node; node 1's holds payload, a pooled
+// buffer the cache recycles on eviction, as sample 0.
 func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *DistributionManager {
 	t.Helper()
 	dir, err := NewDirectory(1, 2)
@@ -221,7 +223,7 @@ func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *Distri
 			t.Fatal(err)
 		}
 	}
-	dm.caches[1].put(0, payload, 0, false, false)
+	dm.caches[1].put(0, payload, 0, false)
 	return dm
 }
 
@@ -243,7 +245,7 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 	const size = 8 << 10
 	curve := tier.ThetaGPULike().Remote
 	clk := newFakeClock()
-	payload := make([]byte, size)
+	payload := preproc.GetPayloadBuf(size)
 	dataset.FillPayload(payload, 5, 0)
 	dm := peerManager(t, scale, clk, payload)
 	cost := scaled(curve.OpLatency+size/(curve.PeakMBps*1e6), scale)

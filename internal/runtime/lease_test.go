@@ -49,7 +49,8 @@ func leaseCache(t *testing.T, samples, slots int) (*nodeCache, func() map[*byte]
 	}
 }
 
-// leaseBuf is a pooled-looking payload of sample id.
+// leaseBuf is a payload of sample id for a leaseCache, whose recycle
+// keeps it out of the payload pool.
 func leaseBuf(id dataset.SampleID) []byte {
 	b := make([]byte, leaseSize)
 	for i := range b {
@@ -86,7 +87,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 
 // TestLeaseEvictedBufferRecycledOnce: a buffer evicted while leased
 // parks as a zombie and is recycled exactly once, with its last release
-// — also when its id was re-inserted into a new pooled buffer and leased
+// — also when its id was re-inserted into a new buffer and leased
 // again first, so that releases of the old and the new buffer of one id
 // interleave. A release beyond the last lease is refused, not recycled
 // twice.
@@ -94,25 +95,25 @@ func TestLeaseEvictedBufferRecycledOnce(t *testing.T) {
 	nc, recycled := leaseCache(t, 2, 1)
 	a, x, b := leaseBuf(0), leaseBuf(1), leaseBuf(0)
 
-	nc.put(0, a, 0, true, false)
+	nc.put(0, a, 0, false)
 	for i := 0; i < 2; i++ {
-		if p, ok, leased := nc.get(0, 0); !ok || !leased || base(p) != base(a) {
-			t.Fatalf("get %d of sample 0: ok=%v leased=%v", i, ok, leased)
+		if p, ok := nc.get(0, 0); !ok || base(p) != base(a) {
+			t.Fatalf("get %d of sample 0: ok=%v", i, ok)
 		}
 	}
-	nc.put(1, x, 0, true, false) // evicts 0 with two leases out
+	nc.put(1, x, 0, false) // evicts 0 with two leases out
 	wantRecycled(t, "evicted while leased", recycled())
 	if len(nc.zombies) != 1 || nc.zombies[base(a)].leases != 2 {
 		t.Fatalf("zombies %v, want buffer a with 2 leases", nc.zombies)
 	}
 
 	// Sample 0 comes back in buffer b, leased at insert and once more.
-	if ok, retained := nc.put(0, b, 0, true, true); !ok || !retained {
+	if ok, retained := nc.put(0, b, 0, true); !ok || !retained {
 		t.Fatalf("re-insert of sample 0: ok=%v retained=%v", ok, retained)
 	}
 	wantRecycled(t, "unleased x evicted", recycled(), x)
-	if p, _, leased := nc.get(0, 0); !leased || base(p) != base(b) {
-		t.Fatal("sample 0's new buffer not leased")
+	if p, _ := nc.get(0, 0); base(p) != base(b) || nc.entries[0].leases != 2 {
+		t.Fatalf("sample 0's new buffer: entry %+v, want buffer b with 2 leases", nc.entries[0])
 	}
 
 	nc.ReleasePayload(0, b)
@@ -130,35 +131,30 @@ func TestLeaseEvictedBufferRecycledOnce(t *testing.T) {
 	mustPanic(t, "a release with no lease out", func() { nc.ReleasePayload(0, a) })
 	wantRecycled(t, "extra release", recycled(), x, a)
 
-	nc.put(1, leaseBuf(1), 0, true, false) // evicts 0, unleased now
+	nc.put(1, leaseBuf(1), 0, false) // evicts 0, unleased now
 	wantRecycled(t, "b evicted unleased", recycled(), x, a, b)
 }
 
 // TestLeaseCrashParksLeasedBuffers: a crash drops every entry at once;
-// the unleased pooled buffers are recycled on the spot, the leased ones
-// park as zombies until their decodes release them, and buffers that
-// are not pooled are never recycled.
+// the unleased buffers are recycled on the spot, the leased ones park as
+// zombies until their decodes release them.
 func TestLeaseCrashParksLeasedBuffers(t *testing.T) {
 	nc, recycled := leaseCache(t, 4, 4)
-	a, b, c := leaseBuf(0), leaseBuf(1), leaseBuf(2)
-	nc.put(0, a, 0, true, false)
-	nc.put(1, b, 0, true, false)
-	nc.put(2, c, 0, false, false)
-	if _, _, leased := nc.get(0, 0); !leased {
-		t.Fatal("pooled sample 0 not leased")
+	a, b := leaseBuf(0), leaseBuf(1)
+	nc.put(0, a, 0, false)
+	nc.put(1, b, 0, false)
+	if _, ok := nc.get(0, 0); !ok {
+		t.Fatal("sample 0 missed")
 	}
-	if _, _, leased := nc.get(2, 0); leased {
-		t.Fatal("a buffer that is not pooled was leased")
-	}
-	if lost := nc.crash(); lost != 3 {
-		t.Fatalf("crash dropped %d entries, want 3", lost)
+	if lost := nc.crash(); lost != 2 {
+		t.Fatalf("crash dropped %d entries, want 2", lost)
 	}
 	wantRecycled(t, "crash", recycled(), b)
 	if len(nc.zombies) != 1 || nc.zombies[base(a)].leases != 1 {
 		t.Fatalf("zombies %v after the crash, want buffer a with 1 lease", nc.zombies)
 	}
 	for id := dataset.SampleID(0); id < 4; id++ {
-		if e := nc.entries[id]; nc.contains(id) || e.b != nil || e.pooled || e.leases != 0 {
+		if e := nc.entries[id]; nc.contains(id) || e.b != nil || e.leases != 0 {
 			t.Fatalf("sample %d survives the crash: %+v", id, nc.entries[id])
 		}
 	}
@@ -169,8 +165,39 @@ func TestLeaseCrashParksLeasedBuffers(t *testing.T) {
 	}
 }
 
+// TestLeaseEveryHit: every resident buffer came from the payload pool,
+// so a hit on any entry takes a lease, whether its insert leased it or
+// not, and the hit's release balances that lease: the entry stays
+// resident and unleased, and nothing is recycled until it is evicted.
+func TestLeaseEveryHit(t *testing.T) {
+	nc, recycled := leaseCache(t, 3, 3)
+	bufs := [][]byte{leaseBuf(0), leaseBuf(1), leaseBuf(2)}
+	for i, b := range bufs {
+		id := dataset.SampleID(i)
+		lease := i == 2 // a demand read's insert, its decode since released
+		nc.put(id, b, 0, lease)
+		if lease {
+			nc.ReleasePayload(id, b)
+		}
+	}
+	for i, b := range bufs {
+		id := dataset.SampleID(i)
+		p, ok := nc.get(id, 0)
+		if !ok || base(p) != base(b) || nc.entries[id].leases != 1 {
+			t.Fatalf("hit on sample %d: ok=%v, entry %+v, want its buffer with 1 lease", id, ok, nc.entries[id])
+		}
+		nc.ReleasePayload(id, p)
+		if !nc.contains(id) || nc.entries[id].leases != 0 {
+			t.Fatalf("sample %d after its release: entry %+v, want resident and unleased", id, nc.entries[id])
+		}
+	}
+	wantRecycled(t, "hits released", recycled())
+	nc.crash()
+	wantRecycled(t, "crash", recycled(), bufs...)
+}
+
 // TestLeaseSteadyStateDoesNotAllocate: a hit with its lease and release,
-// and an insert that evicts and recycles a pooled buffer, allocate
+// and an insert that evicts and recycles a buffer, allocate
 // nothing.
 func TestLeaseSteadyStateDoesNotAllocate(t *testing.T) {
 	dir, err := NewDirectory(2, 1)
@@ -186,9 +213,9 @@ func TestLeaseSteadyStateDoesNotAllocate(t *testing.T) {
 	// detector makes drop buffers at random.
 	free := [][]byte{make([]byte, leaseSize)}
 	nc.recycle = func(b []byte) { free = append(free, b) }
-	nc.put(0, make([]byte, leaseSize), 0, true, false)
+	nc.put(0, make([]byte, leaseSize), 0, false)
 	if n := testing.AllocsPerRun(100, func() {
-		p, _, _ := nc.get(0, 0)
+		p, _ := nc.get(0, 0)
 		nc.ReleasePayload(0, p)
 	}); n != 0 {
 		t.Errorf("get and release: %v allocs per run, want 0", n)
@@ -198,7 +225,7 @@ func TestLeaseSteadyStateDoesNotAllocate(t *testing.T) {
 		id ^= 1
 		b := free[len(free)-1]
 		free = free[:len(free)-1]
-		if ok, _ := nc.put(id, b, 0, true, false); !ok || len(free) != 1 {
+		if ok, _ := nc.put(id, b, 0, false); !ok || len(free) != 1 {
 			t.Fatalf("put refused (%v) or evicted nothing (%d free)", !ok, len(free))
 		}
 	}); n != 0 {
@@ -227,13 +254,9 @@ func TestLeaseConcurrentReaders(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(r)))
 			for i := 0; i < rounds; i++ {
 				id := dataset.SampleID(rng.Intn(samples))
-				p, ok, leased := nc.get(id, 0)
+				p, ok := nc.get(id, 0)
 				if !ok {
 					continue
-				}
-				if !leased {
-					t.Error("hit on a pooled buffer without a lease")
-					return
 				}
 				goruntime.Gosched() // let the inserter evict while the lease is out
 				if p[0] != byte(id) || p[leaseSize-1] != byte(id) {
@@ -250,7 +273,7 @@ func TestLeaseConcurrentReaders(t *testing.T) {
 		for i := 0; i < readers*rounds/2; i++ {
 			id := dataset.SampleID(rng.Intn(samples))
 			b := leaseBuf(id)
-			if _, retained := nc.put(id, b, 0, true, false); retained {
+			if _, retained := nc.put(id, b, 0, false); retained {
 				mu.Lock()
 				taken = append(taken, b)
 				mu.Unlock()

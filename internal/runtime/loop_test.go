@@ -32,7 +32,7 @@ func loopFixture(t *testing.T, clk clock, slots int) *nodeRuntime {
 	for _, id := range window(rt.sched, 0, 2) {
 		buf := preproc.GetPayloadBuf(int(rt.ds.Size(id)))
 		dataset.FillPayload(buf, 5, id)
-		peer.put(id, buf, 0, true, false)
+		peer.put(id, buf, 0, false)
 	}
 	return node
 }

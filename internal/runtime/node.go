@@ -16,17 +16,12 @@ import (
 	"repro/internal/preproc"
 )
 
-// cachedBuf is one resident payload plus its recycling provenance and
-// its decode leases. pooled marks buffers drawn from preproc's
-// size-classed payload pool (PFS regenerated reads, peer-fetch copies):
-// only those are returned to the pool on eviction. Buffers of unknown
-// provenance — data-file reads, test-injected dataset slices — are never
-// recycled, even when their capacity happens to be class-sized, because
-// someone else may still reference the memory. leases counts the decodes
-// reading b right now; only pooled buffers are leased.
+// cachedBuf is one resident payload plus its decode leases. Every
+// resident buffer was drawn from preproc's size-classed payload pool (a
+// regenerated PFS read or a peer-fetch copy) and goes back to it on
+// eviction. leases counts the decodes reading b right now.
 type cachedBuf struct {
 	b      []byte
-	pooled bool
 	leases int32
 }
 
@@ -36,7 +31,7 @@ type cachedBuf struct {
 //
 // It is also the lessor of DESIGN.md §12's buffer-recycling protocol: a
 // demand read leases the resident buffer to the decode pipeline (the
-// entry's lease count), eviction recycles unleased pooled buffers
+// entry's lease count), eviction recycles unleased buffers
 // immediately and parks leased ones (zombies) until the preprocessing
 // worker releases the last lease after decode. This closes the
 // payload-buffer loop — evicted bytes go back to the pool that PFS reads
@@ -52,13 +47,13 @@ type nodeCache struct {
 	// while id is not resident. Sized to the dataset when the cache is
 	// built, so no access looks anything up in a map.
 	entries []cachedBuf
-	// zombies holds evicted pooled buffers that decodes still read, keyed
+	// zombies holds evicted buffers that decodes still read, keyed
 	// by the buffer's base pointer and carrying their outstanding leases,
 	// until the last lease is released. A release whose buffer is no
 	// longer its id's entry (the id was evicted, and maybe re-inserted
 	// into another buffer since) finds its lease here.
 	zombies map[*byte]cachedBuf
-	// recycle returns an evicted pooled buffer to the payload pool
+	// recycle returns an evicted buffer to the payload pool
 	// (preproc.PutPayloadBuf; tests count the calls).
 	recycle func([]byte)
 }
@@ -80,20 +75,18 @@ func newNodeCache(node, samples int, capacity int64, policy cache.Policy, dir *D
 	}, nil
 }
 
-// get returns the cached payload and records the hit/miss. On a hit of a
-// pooled buffer the caller receives a lease (leased=true) and must
-// arrange for ReleasePayload after the decode finishes reading it.
-func (nc *nodeCache) get(id dataset.SampleID, now cache.Iter) (payload []byte, ok, leased bool) {
+// get returns the cached payload and records the hit/miss. On a hit the
+// caller receives a lease and must arrange for ReleasePayload after the
+// decode finishes reading it.
+func (nc *nodeCache) get(id dataset.SampleID, now cache.Iter) (payload []byte, ok bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if !nc.c.Get(id, now) {
-		return nil, false, false
+		return nil, false
 	}
 	e := &nc.entries[id]
-	if e.pooled {
-		e.leases++
-	}
-	return e.b, true, e.pooled
+	e.leases++
+	return e.b, true
 }
 
 // ReleasePayload implements preproc.PayloadOwner: the decode pipeline is
@@ -124,17 +117,15 @@ func (nc *nodeCache) ReleasePayload(id dataset.SampleID, p []byte) {
 }
 
 // evict drops id's entry and its directory bit after the membership cache
-// let it go. A pooled buffer goes back to the payload pool, unless a
-// decode still reads it — then it parks in zombies for ReleasePayload to
+// let it go. The buffer goes back to the payload pool, unless a decode
+// still reads it — then it parks in zombies for ReleasePayload to
 // recycle. Called with nc.mu held.
 func (nc *nodeCache) evict(id dataset.SampleID) {
 	e := &nc.entries[id]
-	if e.pooled {
-		if e.leases > 0 {
-			nc.zombies[unsafe.SliceData(e.b)] = *e
-		} else {
-			nc.recycle(e.b)
-		}
+	if e.leases > 0 {
+		nc.zombies[unsafe.SliceData(e.b)] = *e
+	} else {
+		nc.recycle(e.b)
 	}
 	*e = cachedBuf{}
 	nc.dir.Remove(nc.node, id)
@@ -183,12 +174,12 @@ func (nc *nodeCache) peekBatch(ids []dataset.SampleID, out []bool) {
 // reference to *this* slice. Callers deciding buffer ownership
 // (DESIGN.md §12) must use retained — an already-cached sample keeps
 // the cache's earlier copy, so the caller's duplicate stays exclusively
-// the caller's. pooled declares the buffer recyclable on eviction (see
-// cachedBuf); lease additionally takes out a decode lease when the
-// cache retains a pooled buffer the caller is about to submit for
-// decode, in the same critical section so no eviction can slip between
-// insert and lease.
-func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, pooled, lease bool) (ok, retained bool) {
+// the caller's. payload must come from preproc's payload pool: the cache
+// recycles it on eviction. lease takes out a decode lease when the cache
+// retains the buffer the caller is about to submit for decode, in the
+// same critical section so no eviction can slip between insert and
+// lease.
+func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, lease bool) (ok, retained bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if nc.c.Contains(id) {
@@ -200,8 +191,8 @@ func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, po
 	}
 	if inserted {
 		e := &nc.entries[id]
-		*e = cachedBuf{b: payload, pooled: pooled}
-		if pooled && lease {
+		*e = cachedBuf{b: payload}
+		if lease {
 			e.leases = 1
 		}
 		nc.dir.Add(nc.node, id)
@@ -230,9 +221,9 @@ func (nc *nodeCache) stats() cache.Stats {
 // dropped from the membership cache, its payload discarded, and its
 // directory bit cleared — all in one critical section, so the shard map
 // is repaired atomically with the loss and no peer can be promised a
-// copy the node no longer has. Pooled buffers go through evict, which
-// parks still-leased ones as zombies instead of recycling memory a
-// decode worker is reading. Returns the number of entries dropped.
+// copy the node no longer has. Buffers go through evict, which parks
+// still-leased ones as zombies instead of recycling memory a decode
+// worker is reading. Returns the number of entries dropped.
 func (nc *nodeCache) crash() int {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
@@ -483,11 +474,9 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 		start = time.Now()
 		row = ro.ledger.row(tctx)
 	}
-	payload, ok, leased := n.cache.get(id, now)
+	payload, ok := n.cache.get(id, now)
 	if ok {
-		if leased {
-			owner = n.cache
-		}
+		owner = n.cache
 	} else {
 		payload, owned, owner, _ = n.fetch(id, now, row, true)
 	}
@@ -560,9 +549,8 @@ type tierRead struct {
 	start   time.Time     // the current leg's, while row is recording
 
 	// The outcome, once step reports the walk over.
-	payload          []byte
-	pooled, retained bool
-	ok               bool
+	payload      []byte
+	retained, ok bool
 }
 
 // tierLeg is what a tierRead has booked.
@@ -658,7 +646,7 @@ func (n *nodeRuntime) step(r *tierRead) bool {
 			if r.demand {
 				n.remoteHits.Add(1)
 			}
-			n.insert(r, payload, true)
+			n.insert(r, payload)
 			return true
 		}
 		if r.evicted {
@@ -684,7 +672,7 @@ func (n *nodeRuntime) step(r *tierRead) bool {
 	if err != nil {
 		panic(fmt.Sprintf("runtime: PFS read failed: %v", err))
 	}
-	n.insert(r, payload, r.pfs.file == nil)
+	n.insert(r, payload)
 	if r.row != nil {
 		r.row.add(r.cause, time.Since(r.start))
 	}
@@ -692,14 +680,14 @@ func (n *nodeRuntime) step(r *tierRead) bool {
 }
 
 // insert offers r's delivered payload to the local cache. A demand read
-// takes a decode lease on a pooled buffer the cache retains, in the same
+// takes a decode lease on a buffer the cache retains, in the same
 // critical section as the insert.
-func (n *nodeRuntime) insert(r *tierRead, payload []byte, pooled bool) {
+func (n *nodeRuntime) insert(r *tierRead, payload []byte) {
 	if insertHook != nil {
 		insertHook(n, r.id, r.due, r.demand)
 	}
-	r.payload, r.pooled = payload, pooled
-	r.ok, r.retained = n.cache.put(r.id, payload, r.now, pooled, r.demand)
+	r.payload = payload
+	r.ok, r.retained = n.cache.put(r.id, payload, r.now, r.demand)
 }
 
 // insertHook, when set (tests only), sees each read that delivered — its
@@ -709,22 +697,22 @@ func (n *nodeRuntime) insert(r *tierRead, payload []byte, pooled bool) {
 var insertHook func(n *nodeRuntime, id dataset.SampleID, due time.Time, demand bool)
 
 // result settles buffer ownership of a finished walk (DESIGN.md §12): a
-// demand read takes a decode lease when the local cache retained a
-// pooled buffer (owner = the cache) and otherwise owns the fetched
-// buffer (owned) — the cache kept its own earlier copy, or refused; a
-// staging read returns no buffer and recycles on the spot a pooled one
-// the cache did not retain. ok reports whether the sample is cached.
+// staging read returns no buffer and recycles on the spot one the cache
+// did not retain; a demand read takes a decode lease when the local
+// cache retained its buffer (owner = the cache) and otherwise owns it
+// (owned) — the cache kept its own earlier copy, or refused. ok reports
+// whether the sample is cached.
 func (n *nodeRuntime) result(r *tierRead) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	switch {
 	case !r.demand:
-		if r.pooled && !r.retained {
+		if !r.retained {
 			preproc.PutPayloadBuf(r.payload) // nothing will ever read it
 		}
 		return nil, false, nil, r.ok
-	case r.retained && r.pooled:
+	case r.retained:
 		return r.payload, false, n.cache, r.ok
 	default:
-		return r.payload, !r.retained, nil, r.ok
+		return r.payload, true, nil, r.ok
 	}
 }
 

@@ -41,10 +41,6 @@ type Options struct {
 	// pre-computed offline plan (Section 4.5) instead of the live
 	// controller. The plan's topology must match.
 	ThreadPlan *plan.Plan
-	// DataFilePath, when set, backs the PFS store with a packed on-disk
-	// dataset file (written by cmd/lobster-pack or datafile.Write): every
-	// PFS read becomes a real positional file read, checksum-verified.
-	DataFilePath string
 	// GradientSize is the per-iteration pseudo-gradient length each GPU
 	// contributes to the allreduce that is the data-parallel barrier
 	// (default 64; -1 averages zero-length gradients: the same

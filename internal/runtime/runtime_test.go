@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/loader"
+	"repro/internal/preproc"
 	"repro/internal/tier"
 )
 
@@ -259,10 +260,9 @@ func TestLastCopyAtInsertExpiresBoth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	payload := make([]byte, 64)
-	nodes[1].put(2, payload, 0, false, false)
-	nodes[0].put(1, payload, 0, false, false) // the group's only copy
-	nodes[0].put(2, payload, 0, false, false) // node 1 holds another
+	nodes[1].put(2, preproc.GetPayloadBuf(64), 0, false)
+	nodes[0].put(1, preproc.GetPayloadBuf(64), 0, false) // the group's only copy
+	nodes[0].put(2, preproc.GetPayloadBuf(64), 0, false) // node 1 holds another
 	for _, nc := range nodes {
 		nc.maintain(0)
 	}

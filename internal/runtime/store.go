@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/datafile"
 	"repro/internal/dataset"
 	"repro/internal/preproc"
 	"repro/internal/stats"
@@ -73,7 +72,6 @@ type PFSStore struct {
 	throttle *Throttle
 	scale    float64
 	clk      clock
-	file     *datafile.Reader // optional: serve real bytes from disk
 
 	mu       sync.Mutex
 	nOps     int64
@@ -106,23 +104,6 @@ func newPFSStore(ds *dataset.Dataset, seed uint64, curve tier.Curve, scale float
 	}
 }
 
-// UseFile switches the store to serve payloads from a packed on-disk
-// dataset file (see internal/datafile) instead of regenerating them — the
-// PFS then performs real file I/O per sample read. The file must contain
-// this dataset (same count and seed).
-func (s *PFSStore) UseFile(r *datafile.Reader) error {
-	if r.Len() != s.ds.Len() {
-		return fmt.Errorf("runtime: data file has %d samples, dataset %d", r.Len(), s.ds.Len())
-	}
-	if r.Seed() != s.seed {
-		return fmt.Errorf("runtime: data file seed %d, dataset seed %d", r.Seed(), s.seed)
-	}
-	s.mu.Lock()
-	s.file = r
-	s.mu.Unlock()
-	return nil
-}
-
 // SetFault applies a chaos brownout to the store: every Read pays
 // Fault.Lag plus a uniform draw from [0, Jitter) on top of the modeled
 // latency, and independently fails with ErrRate (returning
@@ -150,8 +131,7 @@ func (s *PFSStore) Failures() int64 {
 type pfsRead struct {
 	id     dataset.SampleID
 	due    time.Time
-	failed bool             // drawn as a transient failure: delivers ErrTransient
-	file   *datafile.Reader // nil: the payload is regenerated into a pooled buffer
+	failed bool // drawn as a transient failure: delivers ErrTransient
 }
 
 // Read fetches one sample, paying latency and bandwidth in one wait
@@ -183,7 +163,7 @@ func (s *PFSStore) book(id dataset.SampleID) (pfsRead, error) {
 	if f.Jitter > 0 {
 		arrive += time.Duration(s.rng.Int63() % int64(f.Jitter))
 	}
-	r := pfsRead{id: id, failed: f.ErrRate > 0 && s.rng.Float64() < f.ErrRate, file: s.file}
+	r := pfsRead{id: id, failed: f.ErrRate > 0 && s.rng.Float64() < f.ErrRate}
 	if r.failed {
 		s.failures++
 	} else {
@@ -206,12 +186,8 @@ func (s *PFSStore) deliver(r pfsRead) ([]byte, error) {
 	if r.failed {
 		return nil, ErrTransient
 	}
-	if r.file != nil {
-		return r.file.Read(r.id)
-	}
-	// Regenerated payloads draw from the size-classed pool; the data
-	// path recycles them after decode when it still owns them
-	// (DESIGN.md §12).
+	// Payloads are regenerated into the size-classed pool; the data path
+	// recycles them after decode when it still owns them (DESIGN.md §12).
 	buf := preproc.GetPayloadBuf(int(s.ds.Size(r.id)))
 	dataset.FillPayload(buf, s.seed, r.id)
 	return buf, nil

@@ -248,17 +248,6 @@ func (w *Walk) Back(iter, off int) {
 	w.iter, w.off = iter, off
 }
 
-// BatchBytes returns the total byte size of the mini-batch of
-// (epoch, iteration, rank).
-func (s *Schedule) BatchBytes(epoch, iteration, rank int) int64 {
-	perm := s.EpochPerm(epoch)
-	var total int64
-	for k := 0; k < s.batch; k++ {
-		total += s.ds.Size(perm[(iteration*s.batch+k)*s.worldSize+rank])
-	}
-	return total
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x

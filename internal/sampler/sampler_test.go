@@ -159,18 +159,6 @@ func TestNodeBatchConcatenatesGPUs(t *testing.T) {
 	}
 }
 
-func TestBatchBytesMatchesSum(t *testing.T) {
-	ds := testDataset(t, 200)
-	s, _ := New(ds, Config{WorldSize: 2, BatchSize: 8, Seed: 13})
-	var want int64
-	for _, id := range s.Batch(nil, 1, 3, 1) {
-		want += ds.Size(id)
-	}
-	if got := s.BatchBytes(1, 3, 1); got != want {
-		t.Fatalf("BatchBytes = %d, want %d", got, want)
-	}
-}
-
 func TestPermCacheRevisit(t *testing.T) {
 	ds := testDataset(t, 150)
 	s, _ := New(ds, Config{WorldSize: 1, BatchSize: 10, Seed: 17})

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -164,17 +163,4 @@ func (p *PiecewiseLinear) Eval(x float64) float64 {
 	}
 	frac := (x - p.xs[lo]) / (p.xs[hi] - p.xs[lo])
 	return p.ys[lo]*(1-frac) + p.ys[hi]*frac
-}
-
-// ArgMax returns the knot-grid x in [lo, hi] that maximises the function,
-// scanning at unit steps (thread counts are integers). Used to find the
-// peak-throughput preprocessing thread count (Observation 3).
-func (p *PiecewiseLinear) ArgMax(lo, hi float64) (bestX, bestY float64) {
-	bestX, bestY = lo, math.Inf(-1)
-	for x := lo; x <= hi; x++ {
-		if y := p.Eval(x); y > bestY {
-			bestX, bestY = x, y
-		}
-	}
-	return bestX, bestY
 }
