@@ -6,7 +6,8 @@
 // demand (prefetch helpers and idle loaders) and how many prefetches came
 // too late, straggler ranks, the iterations the runtime's barrier flagged
 // as load-imbalanced with each epoch's share and the rank most often
-// critical in them, and the recovery layer's cost (failovers).
+// critical in them, the run's model error (the "modeled delays" line)
+// and the recovery layer's cost (failovers).
 //
 // Examples:
 //
@@ -29,7 +30,12 @@ func main() {
 			"usage: lobster-doctor <monitor-url|file> [...]\n\n"+
 				"Sources are monitor base URLs (their /metrics and /trace.json are\n"+
 				"scraped) or saved files (content-sniffed). Multiple sources merge\n"+
-				"into one cross-node report.\n")
+				"into one cross-node report.\n\n"+
+				"\"modeled delays: N waits\" counts the waits on the run's clock: one\n"+
+				"train wait per iteration (the barrier waits once for the latest\n"+
+				"rank's booked compute), one per storage or peer read a loading\n"+
+				"worker waits for, and one per due set of a node's prefetch loop;\n"+
+				"its overshoot is how late each wait returned past its deadline.\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

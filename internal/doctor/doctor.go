@@ -92,10 +92,10 @@ type Report struct {
 	PFSReads       float64
 	DemandAccesses float64
 
-	// Model error of the run's clock: how many modeled delays it waited
-	// out (storage latencies, bandwidth slots, peer fetches, train steps)
-	// and by how many seconds each returned late
-	// (lobster_runtime_clock_overshoot_seconds).
+	// Model error of the run's clock: how many waits for booked delays it
+	// made (one train wait per iteration, one per read a loading worker
+	// waits for, one per due set of a prefetch loop) and by how many
+	// seconds each returned late (lobster_runtime_clock_overshoot_seconds).
 	ClockWaits        float64
 	ClockOvershootP50 float64
 	ClockOvershootP99 float64

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/access"
 	"repro/internal/allreduce"
@@ -89,13 +90,14 @@ func build(opts Options, clk clock) (*Runtime, func(), error) {
 		gpus:          top.GPUsPerNode,
 		itersPerEpoch: sched.IterationsPerEpoch(),
 		submitted:     make([]int, top.WorldSize()),
+		trainDue:      make([]time.Time, top.WorldSize()),
 	}
 	rt.totalIters = opts.Epochs * rt.itersPerEpoch
 	rt.stopIter.Store(-1)
 
 	cleanup := func() {
 		rt.shutdown()
-		stopClock() // after the last sleeper
+		stopClock() // after the last waiter
 	}
 	fail := func(err error) (*Runtime, func(), error) {
 		cleanup()

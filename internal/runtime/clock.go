@@ -12,42 +12,44 @@ import (
 // peer fetch cost, and the train step. Every one of them is a duration
 // the model computed, so how faithfully it elapses is the run's model
 // error (DESIGN.md §15), and a test that substitutes the clock sees
-// exactly the durations the model asked for. A train step sleeps its
-// delay; a read books its delay (deadline) and waits for it later
-// (until), on its own goroutine or together with the other reads of a
-// node's prefetch loop, so one wait may end many booked delays. Delays
-// that are wall-clock by definition stay off the clock: the retry
-// backoff of a failed PFS read (1 ms and up) and the chaos harness's
-// slow-decode fault (preproc.Pool.SetDecodeDelay).
+// exactly the durations the model asked for. Every delay is booked
+// (deadline) and waited for later (until): a read on its own goroutine
+// or together with the other reads of a node's prefetch loop, a train
+// step by the barrier, once for the latest of the iteration's ranks. So
+// one wait may end many booked delays. A delay may be booked as started
+// before now: a prefetch loop's slot, or a loading worker reading a
+// chunk, starts its next read where its last one ended, not where its
+// late wake-up found it. Delays that are wall-clock by definition stay
+// off the clock: the retry backoff of a failed PFS read (1 ms and up) and
+// the chaos harness's slow-decode fault (preproc.Pool.SetDecodeDelay).
 type clock interface {
 	now() time.Time
-	// sleep lets a modeled delay of d elapse.
-	sleep(d time.Duration)
-	// deadline books a modeled delay of d that starts now and returns
-	// when it ends.
-	deadline(d time.Duration) time.Time
+	// deadline books a modeled delay of d that started early before now
+	// (0: it starts now) and returns when it ends.
+	deadline(early, d time.Duration) time.Time
 	// until waits until t, a deadline booked earlier.
 	until(t time.Time)
 }
 
-// wallClock waits in real time. A sleeper always waits on a Go timer,
+// wallClock waits in real time. A waiter always waits on a Go timer,
 // which is precise and nearly free while any P is running goroutines.
 // With every P idle the Go scheduler parks in epoll_wait, whose timeout
-// has millisecond granularity, and a 200 µs sleep returns after 1.1 ms;
+// has millisecond granularity, and a 200 µs wait returns after 1.1 ms;
 // so where the platform offers one (newWakeTimer) the clock also keeps a
 // kernel timer armed for the earliest pending deadline, registered with
 // the netpoller, and an idle scheduler wakes on time to find the Go
 // timer already expired.
 type wallClock struct {
 	wake *wakeups // nil: Go timers alone
-	// stop releases the kernel timer and waits for its reader. Sleeps
-	// that start afterwards wait on Go timers alone.
+	// stop releases the kernel timer and waits for its reader. Waits
+	// that start afterwards are on Go timers alone.
 	stop      func()
 	overshoot *obs.Histogram
 }
 
 // newWallClock starts a clock. overshoot, when recording, observes
-// actual minus requested seconds of every sleep; nil is fine.
+// how late every wait returned, in seconds past its deadline; nil is
+// fine.
 func newWallClock(overshoot *obs.Histogram) *wallClock {
 	c := &wallClock{overshoot: overshoot}
 	c.wake, c.stop = newWakeTimer()
@@ -62,29 +64,22 @@ var defaultClock = sync.OnceValue(func() clock { return newWallClock(nil) })
 
 func (c *wallClock) now() time.Time { return time.Now() }
 
-func (c *wallClock) deadline(d time.Duration) time.Time { return time.Now().Add(d) }
+func (c *wallClock) deadline(early, d time.Duration) time.Time { return time.Now().Add(d - early) }
 
-func (c *wallClock) until(t time.Time) { c.sleep(time.Until(t)) }
-
-func (c *wallClock) sleep(d time.Duration) {
-	if d <= 0 {
-		return
+// until observes every wait, also one whose deadline had passed when it
+// began: the barrier's bookkeeping can outlast the compute it overlaps,
+// and then the release is late by that much.
+func (c *wallClock) until(t time.Time) {
+	if d := time.Until(t); d > 0 {
+		if c.wake != nil {
+			now := monotonic()
+			c.wake.add(now+int64(d), now)
+		}
+		time.Sleep(d)
 	}
-	if !c.overshoot.On() {
-		c.wait(d)
-		return
+	if c.overshoot.On() {
+		c.overshoot.Observe(time.Since(t).Seconds())
 	}
-	start := time.Now()
-	c.wait(d)
-	c.overshoot.Observe((time.Since(start) - d).Seconds())
-}
-
-func (c *wallClock) wait(d time.Duration) {
-	if c.wake != nil {
-		now := monotonic()
-		c.wake.add(now+int64(d), now)
-	}
-	time.Sleep(d)
 }
 
 var clockEpoch = time.Now()
@@ -94,13 +89,13 @@ var clockEpoch = time.Now()
 func monotonic() int64 { return int64(time.Since(clockEpoch)) }
 
 // wakeSlack is how far past a deadline the kernel timer fires. The Go
-// timer of the same sleep is set a moment after the deadline was
+// timer of the same wait is set a moment after the deadline was
 // computed; a wake-up that beat it would find nothing runnable and send
 // the scheduler back into a millisecond epoll_wait.
 const wakeSlack = 10 * time.Microsecond
 
-// wakeups tracks the deadlines of the sleeps in progress and keeps one
-// one-shot timer armed for the earliest. Sleepers add their deadline and
+// wakeups tracks the deadlines of the waits in progress and keeps one
+// one-shot timer armed for the earliest. Waiters add their deadline and
 // never remove it; the timer's reader calls expire each time it fires.
 type wakeups struct {
 	mu      sync.Mutex
@@ -111,7 +106,7 @@ type wakeups struct {
 	settime func(rel int64)
 }
 
-// add records a sleep ending at deadline and re-arms the timer when no
+// add records a wait ending at deadline and re-arms the timer when no
 // earlier deadline is armed already.
 func (w *wakeups) add(deadline, now int64) {
 	w.mu.Lock()

@@ -35,7 +35,7 @@ func newWakeTimer() (*wakeups, func()) {
 		// struct itimerspec: no interval, so the timer fires once. The
 		// call cannot block, hence the raw form that skips the scheduler
 		// hand-off. It fails only on a bad descriptor or value, neither
-		// of which add and expire can produce; were it to, the sleeper
+		// of which add and expire can produce; were it to, the waiter
 		// still wakes on its Go timer.
 		spec := [2]syscall.Timespec{1: syscall.NsecToTimespec(rel)}
 		_, _, _ = syscall.RawSyscall6(syscall.SYS_TIMERFD_SETTIME, fd, 0, uintptr(unsafe.Pointer(&spec)), 0, 0, 0)

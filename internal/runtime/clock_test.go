@@ -18,16 +18,14 @@ import (
 	"repro/internal/tier"
 )
 
-// fakeClock records every requested delay and returns at once. Its time
-// advances by exactly what was slept, or to the deadline waited for when
+// fakeClock records every booked delay and every wait, and returns at
+// once. Its time advances only by waits, to the deadline waited for when
 // that is later, so nothing a test concludes from it depends on the
-// scheduler or the wall clock. Slept and booked delays are recorded
-// apart; a wait for a booked deadline is recorded as the time it moved
+// scheduler or the wall clock. A wait is recorded as the time it moved
 // the clock on.
 type fakeClock struct {
 	mu       sync.Mutex
 	t        time.Time
-	sleeps   []time.Duration
 	bookings []time.Duration
 	waits    []time.Duration
 }
@@ -40,18 +38,11 @@ func (f *fakeClock) now() time.Time {
 	return f.t
 }
 
-func (f *fakeClock) sleep(d time.Duration) {
-	f.mu.Lock()
-	f.sleeps = append(f.sleeps, d)
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
-
-func (f *fakeClock) deadline(d time.Duration) time.Time {
+func (f *fakeClock) deadline(early, d time.Duration) time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.bookings = append(f.bookings, d)
-	return f.t.Add(d)
+	return f.t.Add(d - early)
 }
 
 func (f *fakeClock) until(t time.Time) {
@@ -80,28 +71,12 @@ func (f *fakeClock) takeBookings() []time.Duration {
 	return b
 }
 
-// take returns the delays slept since the last call.
-func (f *fakeClock) take() []time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := f.sleeps
-	f.sleeps = nil
-	return s
-}
-
 func scaled(seconds, scale float64) time.Duration {
 	return time.Duration(seconds * scale * float64(time.Second))
 }
 
-func wantSleeps(t *testing.T, site string, clk *fakeClock, want ...time.Duration) {
-	t.Helper()
-	if got := clk.take(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s slept %v, want %v", site, got, want)
-	}
-}
-
 // wantBooked asserts that the delays booked since the last check are
-// want, each waited for once and in full, and that nothing slept.
+// want, each waited for once and in full.
 func wantBooked(t *testing.T, site string, clk *fakeClock, want ...time.Duration) {
 	t.Helper()
 	if got := clk.takeBookings(); !reflect.DeepEqual(got, want) {
@@ -110,29 +85,33 @@ func wantBooked(t *testing.T, site string, clk *fakeClock, want ...time.Duration
 	if got := clk.takeWaits(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s waited %v, want %v", site, got, want)
 	}
-	wantSleeps(t, site, clk)
 }
 
 // TestThrottleRequestsItsReservation: reserve waits for nothing and
 // returns the wait until the end of its own slot, which starts where the
-// previous one ends or when the transfer arrives, whichever is later.
+// previous one ends or when the transfer arrives, whichever is later. A
+// transfer issued early ends that much sooner, less what it queued.
 func TestThrottleRequestsItsReservation(t *testing.T) {
 	clk := newFakeClock()
 	th := newThrottle(0.5, clk)
+	const ms = time.Millisecond
 	for _, tc := range []struct {
-		site  string
-		after time.Duration
-		want  time.Duration
+		site         string
+		after, early time.Duration
+		want         time.Duration
 	}{
-		{"idle throttle", 0, 5 * time.Millisecond},
-		{"busy throttle", 0, 10 * time.Millisecond},
-		{"arrival past the queue", 20 * time.Millisecond, 25 * time.Millisecond},
+		{"idle throttle", 0, 0, 5 * ms},
+		{"busy throttle", 0, 0, 10 * ms},
+		{"arrival past the queue", 20 * ms, 0, 25 * ms},
+		{"issued early, queued longer", 0, 3 * ms, 30 * ms},
+		{"issued early onto an idle link", 40 * ms, 3 * ms, 42 * ms},
+		{"issued early, queued less", 44 * ms, 3 * ms, 48 * ms},
 	} {
-		if got := th.reserve(0.01, tc.after); got != tc.want {
+		if got := th.reserve(0.01, tc.after, tc.early); got != tc.want {
 			t.Fatalf("%s: reserve returned %v, want %v", tc.site, got, tc.want)
 		}
 	}
-	wantSleeps(t, "reserve", clk)
+	wantBooked(t, "reserve", clk)
 }
 
 // TestThrottleQueuesArrivalsFIFO: slots go out in booking order, not in
@@ -144,18 +123,17 @@ func TestThrottleQueuesArrivalsFIFO(t *testing.T) {
 	th := newThrottle(1, clk)
 	const ms = time.Millisecond
 	// Booked first, arriving at 4 ms: holds the link from 4 to 14 ms.
-	if got := th.reserve(0.010, 4*ms); got != 14*ms {
+	if got := th.reserve(0.010, 4*ms, 0); got != 14*ms {
 		t.Fatalf("first read completes after %v, want 14ms", got)
 	}
 	// Booked second, arriving at 2 ms: waits for the first slot, 14-17 ms.
-	if got := th.reserve(0.003, 2*ms); got != 17*ms {
+	if got := th.reserve(0.003, 2*ms, 0); got != 17*ms {
 		t.Fatalf("earlier arrival booked later completes after %v, want 17ms", got)
 	}
 	// Booked third, 1 ms of the clock later, arriving inside the first
 	// slot: behind both, 17-18 ms, which is 17 ms from its own booking.
-	clk.sleep(ms)
-	clk.take()
-	if got := th.reserve(0.001, 5*ms); got != 17*ms {
+	clk.until(clk.now().Add(ms))
+	if got := th.reserve(0.001, 5*ms, 0); got != 17*ms {
 		t.Fatalf("third read completes %v after booking, want 17ms", got)
 	}
 }
@@ -230,7 +208,7 @@ func peerManager(t *testing.T, scale float64, clk clock, payload []byte) *Distri
 // fetchPeer books a peer fetch and waits for its deadline, as a loading
 // worker does.
 func fetchPeer(dm *DistributionManager, from int, id dataset.SampleID, size int64) (payload []byte, evicted bool) {
-	payload, evicted, due := dm.book(from, id, size)
+	payload, evicted, due := dm.book(from, id, size, 0)
 	dm.clk.until(due)
 	return payload, evicted
 }
@@ -294,13 +272,15 @@ func TestFetchRequestsModeledDelays(t *testing.T) {
 
 // TestRunRequestsModeledDelays runs two epochs on the fake clock — no
 // modeled delay elapses, the run is otherwise the real one — and counts
-// the requests by site: every rank sleeps IterTime x TimeScale once per
+// the bookings by site: every rank books IterTime x TimeScale once per
 // iteration, and every PFS read, failed or not, books exactly one delay
 // of at least its op latency plus its bandwidth slot, whether a loading
 // worker waits for it alone or the prefetch loop waits for it together
 // with its other slots. Peer fetches (150 µs x TimeScale) are shorter
-// than the PFS op latency (4 ms x TimeScale), so the bookings that long
-// are the reads; nothing but the train step sleeps.
+// than the train step and the PFS op latency (4 ms x TimeScale), so the
+// bookings that long are the reads. The barrier waits for the train
+// steps once per iteration (TestBarrierWaitsOnceForLatestDeadline pins
+// which deadline).
 func TestRunRequestsModeledDelays(t *testing.T) {
 	opts := testOptions(t, loader.Lobster(), 2, 2)
 	opts.Model.IterTime = 0.003 // apart from the PFS op latency (0.004)
@@ -318,16 +298,12 @@ func TestRunRequestsModeledDelays(t *testing.T) {
 		smallest = min(smallest, opts.Dataset.Size(dataset.SampleID(id)))
 	}
 	minRead := op + scaled(float64(smallest)/(pfs.PeakMBps*1e6), opts.TimeScale)
-	steps := 0
-	for _, d := range clk.take() {
-		if d != step {
-			t.Errorf("a sleep of %v requested; only the train step (%v) sleeps", d, step)
-		}
-		steps++
-	}
-	reads := 0
+	steps, reads := 0, 0
 	for _, d := range clk.takeBookings() {
-		if d >= op {
+		switch {
+		case d == step:
+			steps++
+		case d >= op:
 			reads++
 			if d < minRead {
 				t.Errorf("a PFS read booked %v, below op latency plus the smallest slot (%v)", d, minRead)
@@ -335,7 +311,7 @@ func TestRunRequestsModeledDelays(t *testing.T) {
 		}
 	}
 	if want := stats.Iterations * opts.Topology.WorldSize(); steps != want {
-		t.Errorf("%d train steps of %v requested, want %d", steps, step, want)
+		t.Errorf("%d train steps of %v booked, want %d", steps, step, want)
 	}
 	if want := int(stats.PFSReads + stats.PFSRetries); reads != want || want == 0 {
 		t.Errorf("%d PFS read bookings of at least %v, want one per read: %d", reads, op, want)
@@ -400,8 +376,8 @@ func TestWakeupsHeapOrder(t *testing.T) {
 	}
 }
 
-// TestWallClockConcurrentSleepers has 32 goroutines sleep at once on one
-// wall clock (run under -race -count=10). A sleep may return late but
+// TestWallClockConcurrentSleepers has 32 goroutines wait at once on one
+// wall clock (run under -race -count=10). A wait may return late but
 // never early, and the clock must stop cleanly afterwards.
 func TestWallClockConcurrentSleepers(t *testing.T) {
 	c := newWallClock(nil)
@@ -413,16 +389,16 @@ func TestWallClockConcurrentSleepers(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				d := time.Duration(1+(i*20+j)%97) * 10 * time.Microsecond
 				start := time.Now()
-				c.sleep(d)
+				c.until(c.deadline(0, d))
 				if got := time.Since(start); got < d {
-					t.Errorf("sleep(%v) returned after %v", d, got)
+					t.Errorf("a wait of %v returned after %v", d, got)
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
 	c.stop()
-	c.sleep(time.Microsecond) // a late sleeper still returns
+	c.until(c.deadline(0, time.Microsecond)) // a late waiter still returns
 }
 
 // openDescriptors counts the process's open file descriptors; ok is

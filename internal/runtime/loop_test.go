@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -44,8 +45,8 @@ type gridClock struct {
 	grid time.Duration
 }
 
-func (c *gridClock) deadline(d time.Duration) time.Time {
-	return c.fakeClock.deadline(d).Add(c.grid - 1).Truncate(c.grid)
+func (c *gridClock) deadline(early, d time.Duration) time.Time {
+	return c.fakeClock.deadline(early, d).Add(c.grid - 1).Truncate(c.grid)
 }
 
 // TestPrefetchLoopWaitsOncePerDueSet drives a loop of three slots by hand
@@ -90,12 +91,80 @@ func TestPrefetchLoopWaitsOncePerDueSet(t *testing.T) {
 	checkTeardown(t, "drained loop", []*nodeRuntime{node})
 }
 
+// lateClock is a fakeClock whose every wait returns late by a fixed
+// amount, as a wall clock's waits return late by the scheduler's wake-up
+// delay.
+type lateClock struct {
+	*fakeClock
+	late time.Duration
+}
+
+func (c *lateClock) until(t time.Time) { c.fakeClock.until(t.Add(c.late)) }
+
+// TestPrefetchLoopBooksFromTheDeadline drives a one-slot loop by hand
+// until its feed runs dry, once on a clock that is on time and once on
+// one that wakes every wait 50 µs late. A helper thread starts its next
+// read when its last one ends, so the slot's deadlines, counted from the
+// start, are the same on both: the loop's lateness does not carry into
+// the read it books next.
+func TestPrefetchLoopBooksFromTheDeadline(t *testing.T) {
+	dues := func(late time.Duration) []time.Duration {
+		clk := &lateClock{fakeClock: newFakeClock(), late: late}
+		node := loopFixture(t, clk, 1)
+		start := clk.now()
+		var out []time.Duration
+		for node.bookFree() > 0 {
+			out = append(out, node.slots[0].r.due.Sub(start))
+			node.waitFirst()
+			node.finishDue()
+		}
+		checkTeardown(t, "drained loop", []*nodeRuntime{node})
+		return out
+	}
+	onTime, late := dues(0), dues(50*time.Microsecond)
+	if len(onTime) < 2 || !reflect.DeepEqual(late, onTime) {
+		t.Fatalf("slot deadlines with late wake-ups %v, want the on-time clock's %v", late, onTime)
+	}
+}
+
+// TestLoadChunkReadsBackToBack loads one chunk of demand misses, once on
+// an on-time clock and once on a clock whose every wait returns 50 µs
+// late. A worker reads a chunk's misses back to back, each issued when
+// the last one's wait should have returned, so the reads' deadlines,
+// counted from the start, are the same on both.
+func TestLoadChunkReadsBackToBack(t *testing.T) {
+	dues := func(late time.Duration) []time.Duration {
+		clk := &lateClock{fakeClock: newFakeClock(), late: late}
+		node, _ := loaderFixture(t, clk)
+		start := clk.now()
+		var out []time.Duration
+		insertHook = func(_ *nodeRuntime, _ dataset.SampleID, due time.Time, _ bool) {
+			out = append(out, due.Sub(start))
+		}
+		defer func() { insertHook = nil }()
+		comp := preproc.GetCompletion()
+		defer comp.Release()
+		node.loadChunk(demandChunk(node, comp), 0, nil)
+		for _, r := range comp.Wait() {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			preproc.PutTensor(r.Tensor)
+		}
+		return out
+	}
+	onTime, late := dues(0), dues(50*time.Microsecond)
+	if len(onTime) < 2 || !reflect.DeepEqual(late, onTime) {
+		t.Fatalf("read deadlines with late wake-ups %v, want the on-time clock's %v", late, onTime)
+	}
+}
+
 // TestPrefetchLoopHandsBackOnStop runs the loop's goroutine on a clock
 // that stops the run from inside the loop's first wait. The slot that is
 // due then is staged; the others, peer copies not yet delivered, go back
 // to the payload pool and their claims back to the feed.
 func TestPrefetchLoopHandsBackOnStop(t *testing.T) {
-	clk := &sleepHookClock{fakeClock: newFakeClock()}
+	clk := &waitHookClock{fakeClock: newFakeClock()}
 	node := loopFixture(t, clk, 3)
 	var recycled int
 	node.cache.recycle = func(b []byte) {
@@ -104,7 +173,7 @@ func TestPrefetchLoopHandsBackOnStop(t *testing.T) {
 	}
 	var once sync.Once
 	inWait := false
-	clk.onSleep = func() { once.Do(func() { inWait = true; close(node.stopPref) }) }
+	clk.onWait = func() { once.Do(func() { inWait = true; close(node.stopPref) }) }
 	// A loop that never waits would never stop; stop it anyway, and fail.
 	stop := time.AfterFunc(10*time.Second, func() { once.Do(func() { close(node.stopPref) }) })
 	defer stop.Stop()
@@ -130,11 +199,11 @@ type recordingClock struct {
 	deadlines map[int64]bool
 }
 
-func (c *recordingClock) deadline(d time.Duration) time.Time {
+func (c *recordingClock) deadline(early, d time.Duration) time.Time {
 	if c.onBook != nil {
 		c.onBook()
 	}
-	at := c.fakeClock.deadline(d)
+	at := c.fakeClock.deadline(early, d)
 	c.mu.Lock()
 	c.deadlines[at.UnixNano()] = true
 	c.mu.Unlock()

@@ -435,8 +435,11 @@ func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []pre
 			ro.ledger.add(w.ctx, causeQueueWait, time.Since(w.enq))
 		}
 	}
+	// The worker reads the chunk's misses back to back: each is issued
+	// when the last one's wait should have returned (fetch).
+	var late time.Duration
 	for i, id := range w.ids {
-		payload, owned, owner := n.loadPayload(id, w.iter, tid, w.ctx)
+		payload, owned, owner := n.loadPayload(id, w.iter, tid, w.ctx, &late)
 		jobs = append(jobs, preproc.Job{
 			ID:      id,
 			Payload: payload,
@@ -464,8 +467,9 @@ func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []pre
 // planned policies key their next-use lookups on. owned reports whether the returned slice is exclusively the
 // data path's — recyclable after decode; a non-nil owner means the
 // slice is leased from a cache that still retains it and must be
-// released (never recycled) after decode (DESIGN.md §12).
-func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64, tctx obs.TraceCtx) (payload []byte, owned bool, owner preproc.PayloadOwner) {
+// released (never recycled) after decode (DESIGN.md §12). late is the
+// worker's lateness carried between the reads of one chunk (fetch).
+func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64, tctx obs.TraceCtx, late *time.Duration) (payload []byte, owned bool, owner preproc.PayloadOwner) {
 	ro := n.rt.ro
 	rec := ro != nil && (ro.trace != nil || n.loadHist.On())
 	var start time.Time
@@ -478,7 +482,7 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 	if ok {
 		owner = n.cache
 	} else {
-		payload, owned, owner, _ = n.fetch(id, now, row, true)
+		payload, owned, owner, _ = n.fetch(id, now, row, true, late)
 	}
 	if rec {
 		d := time.Since(start)
@@ -503,11 +507,25 @@ func (n *nodeRuntime) loadPayload(id dataset.SampleID, now cache.Iter, tid int64
 // loop walks the same tierRead without blocking (prefetch.go). ok
 // reports whether the sample is cached after the call; the other results
 // are tierRead.result's.
-func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
+//
+// late, when non-nil, carries a worker's lateness from one read to its
+// next: the read is issued *late before now, and *late becomes how late
+// this walk's last wait on the run's clock returned. A thread reading
+// samples back to back starts each read when the last one ends; how late
+// the wait woke it is the clock's model error (DESIGN.md §15), while the
+// work it does after waking still delays the next read.
+func (n *nodeRuntime) fetch(id dataset.SampleID, now cache.Iter, row *stallRow, demand bool, late *time.Duration) (payload []byte, owned bool, owner preproc.PayloadOwner, ok bool) {
 	var r tierRead
-	n.begin(&r, id, now, row, demand)
+	var early time.Duration
+	if late != nil {
+		early = *late
+	}
+	n.begin(&r, id, now, row, demand, early)
 	for {
 		r.wait(n.rt.clk)
+		if late != nil && r.leg != legBackoff {
+			*late = n.rt.clk.now().Sub(r.due)
+		}
 		if n.step(&r) {
 			return n.result(&r)
 		}
@@ -562,8 +580,10 @@ const (
 	legBackoff                // the wait after a transient PFS failure
 )
 
-// begin starts r's walk for id at iteration now and books its first leg.
-func (n *nodeRuntime) begin(r *tierRead, id dataset.SampleID, now cache.Iter, row *stallRow, demand bool) {
+// begin starts r's walk for id at iteration now and books its first leg
+// as issued early before the clock's now: 0 but for a prefetch slot's
+// next read, which starts where the slot's last one ended (finishDue).
+func (n *nodeRuntime) begin(r *tierRead, id dataset.SampleID, now cache.Iter, row *stallRow, demand bool, early time.Duration) {
 	*r = tierRead{id: id, now: now, row: row, demand: demand, backoff: pfsRetryBase, cause: causePFS}
 	if demand && n.feed != nil && n.feed.inFlight(id) {
 		// The prefetch loop or a loading worker claimed this id and has
@@ -574,10 +594,10 @@ func (n *nodeRuntime) begin(r *tierRead, id dataset.SampleID, now cache.Iter, ro
 	r.startLeg()
 	if peer := n.rt.dir.Holder(id, n.node); peer >= 0 {
 		r.leg = legPeer
-		r.copy, r.evicted, r.due = n.rt.dm.book(peer, id, n.rt.ds.Size(id))
+		r.copy, r.evicted, r.due = n.rt.dm.book(peer, id, n.rt.ds.Size(id), early)
 		return
 	}
-	n.bookPFS(r)
+	n.bookPFS(r, early)
 }
 
 func (r *tierRead) startLeg() {
@@ -586,11 +606,11 @@ func (r *tierRead) startLeg() {
 	}
 }
 
-// bookPFS books a PFS read for r, counting it as a read or, drawn as a
-// transient failure, as a retry.
-func (n *nodeRuntime) bookPFS(r *tierRead) {
+// bookPFS books a PFS read for r, issued early before now, counting it
+// as a read or, drawn as a transient failure, as a retry.
+func (n *nodeRuntime) bookPFS(r *tierRead, early time.Duration) {
 	var err error
-	if r.pfs, err = n.rt.pfs.book(r.id); err != nil {
+	if r.pfs, err = n.rt.pfs.book(r.id, early); err != nil {
 		// Unreachable for in-range ids; surface loudly if it happens.
 		panic(fmt.Sprintf("runtime: PFS read failed: %v", err))
 	}
@@ -624,7 +644,7 @@ func (r *tierRead) left(now time.Time) time.Duration {
 func (n *nodeRuntime) step(r *tierRead) bool {
 	switch r.leg {
 	case legBackoff:
-		n.bookPFS(r)
+		n.bookPFS(r, 0)
 		return false
 	case legPeer:
 		// The holder's cache copied into a pooled buffer just for us. One
@@ -656,7 +676,7 @@ func (n *nodeRuntime) step(r *tierRead) bool {
 			r.cause = causeRecovery
 		}
 		r.startLeg()
-		n.bookPFS(r)
+		n.bookPFS(r, 0)
 		return false
 	}
 	if r.pfs.failed {

@@ -20,7 +20,7 @@ import (
 // Per-stage span layout (what a /trace.json dump shows in Perfetto):
 //
 //	rank<r>                 "stall" (GPU waiting on its batch) and
-//	                        "train" (compute) spans
+//	                        "train" (the booked compute) spans
 //	rank<r>/stalls          per-cause attribution spans, one per cause
 //	                        per iteration, flushed at the barrier
 //	                        (names from stallCauseNames, DESIGN.md §14)
@@ -59,7 +59,7 @@ type runtimeObs struct {
 	// imbalanced counts flagged iterations by critical rank.
 	gpu           []plan.GPUIter
 	records       []plan.IterRecord
-	lastEnd       time.Time // the previous barrier's flush
+	lastEnd       time.Time // the previous barrier's release
 	step          float64
 	itersPerEpoch int
 	imbalanced    []*obs.Counter
@@ -73,8 +73,9 @@ type runtimeObs struct {
 	prefetchTID   []int64
 
 	// clockOvershoot is the run's model error: how much later than asked
-	// each wait on the clock returned (clock.go): a train step, a read a
-	// loading worker waits for, or a prefetch loop's due set.
+	// each wait on the clock returned (clock.go): the barrier's train
+	// wait, a read a loading worker waits for, or a prefetch loop's due
+	// set.
 	clockOvershoot *obs.Histogram
 }
 
@@ -119,7 +120,7 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 				"Time each GPU spent waiting for its batch (data stall).",
 				obs.LatencyBuckets(), "rank", rank)
 			ro.trainSeconds[r] = reg.Histogram("lobster_runtime_train_seconds",
-				"Modeled per-iteration compute time per GPU (the allreduce is the barrier: its time is Idle).",
+				"Modeled per-iteration compute time per GPU, as booked (the allreduce is the barrier: its time is Idle).",
 				obs.LatencyBuckets(), "rank", rank)
 			ro.registerCauseHists(r, rank)
 			ro.imbalanced[r] = reg.Counter("lobster_runtime_imbalanced_iterations_total",
@@ -139,7 +140,7 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 	}
 	if reg != nil {
 		ro.clockOvershoot = reg.Histogram("lobster_runtime_clock_overshoot_seconds",
-			"Actual minus requested duration of each wait on the run's clock: a train step, a storage or peer read a loading worker waits for, or one due set of a node's prefetch loop.",
+			"How late each wait on the run's clock returned, past its deadline: the barrier's one train wait per iteration, a storage or peer read a loading worker waits for, or one due set of a node's prefetch loop.",
 			obs.LatencyBuckets())
 	}
 	return ro
@@ -217,11 +218,12 @@ func (ro *runtimeObs) ledgerOn() *stallLedger {
 }
 
 // flushLedger drains every rank's attribution row for the iteration the
-// barrier just completed: per-cause histograms observe the totals,
+// barrier is completing: per-cause histograms observe the totals,
 // per-cause spans land on the rank's stall track (backdated so the span
 // ends at the flush), and the sums become the iteration record's Load
 // and Preproc (see recordIteration). Runs on the barrier's last arriver
-// while all ranks wait and drains only `completed`'s parity — the next
+// while all ranks wait, before the train wait (every rank has consumed
+// its batch), and drains only `completed`'s parity — the next
 // iteration's loads are already charging the other one (see
 // stallLedger). The per-node prefetch rows drain in the same pass, into
 // cat "prefetch" spans and the lobster_runtime_prefetch_<cause>_seconds
@@ -254,7 +256,6 @@ func (ro *runtimeObs) flushLedger(completed int, nodes []*nodeRuntime) {
 		}
 		ro.gpu[r].Load, ro.gpu[r].Preproc = loadSide.Seconds(), durs[causeDecodeWait].Seconds()
 	}
-	ro.recordIteration(completed, end, nodes)
 	for n := range led.prefetch {
 		led.prefetch[n].drain(&durs)
 		for c, d := range durs {
@@ -272,14 +273,20 @@ func (ro *runtimeObs) flushLedger(completed int, nodes []*nodeRuntime) {
 	}
 }
 
-// recordIteration closes iteration `completed`'s record at the flush
-// time end. Load (the loadSideCause causes) and Preproc (decode_wait) are
-// ledger sums over concurrent loads and decode jobs, so they can exceed
-// wall time; Train is the compute alone, so Idle, what BatchTime (flush
-// to flush) leaves after Stall and Train, holds the allreduce, which is
-// the barrier. Threads are the pool sizes in force. plan.Imbalance's
-// verdict goes to the counter and the barrier track.
-func (ro *runtimeObs) recordIteration(completed int, end time.Time, nodes []*nodeRuntime) {
+// recordIteration closes iteration `completed`'s record at its release,
+// after the barrier's train wait; nothing when attribution is not being
+// recorded (see ledgerOn). Load (the loadSideCause causes) and Preproc
+// (decode_wait) are ledger sums over concurrent loads and decode jobs,
+// so they can exceed wall time; Train is the booked compute alone, so
+// Idle, what BatchTime (release to release) leaves after Stall and
+// Train, is the rank's wait at the barrier from its own deadline to the
+// release. Threads are the pool sizes in force. plan.Imbalance's verdict
+// goes to the counter and the barrier track.
+func (ro *runtimeObs) recordIteration(completed int, nodes []*nodeRuntime) {
+	if ro.ledgerOn() == nil {
+		return
+	}
+	end := time.Now()
 	batch := end.Sub(ro.lastEnd).Seconds()
 	ro.lastEnd = end
 	imbalanced, critical := plan.Imbalance(ro.gpu, ro.step)
@@ -385,10 +392,10 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 		func() float64 { return float64(node.evictionRaces.Load()) }, "node", n)
 }
 
-// gpuSpan records one GPU-loop stage ("stall" or "train") into both the
-// histogram and the rank's trace track, and returns its seconds.
-func (ro *runtimeObs) gpuSpan(name string, h *obs.Histogram, tid int64, iter int, start time.Time) float64 {
-	d := time.Since(start)
+// gpuSpan records one GPU-loop stage ("stall" or "train"), d long from
+// start, into both the histogram and the rank's trace track, and returns
+// its seconds.
+func (ro *runtimeObs) gpuSpan(name string, h *obs.Histogram, tid int64, iter int, start time.Time, d time.Duration) float64 {
 	h.Observe(d.Seconds())
 	if ro.trace != nil {
 		ro.trace.SpanArgs(name, "gpu", tid, start, d, "iter", int64(iter), "", 0)

@@ -68,10 +68,11 @@ func TestRunInstrumented(t *testing.T) {
 		t.Error("load histogram recorded nothing")
 	}
 
-	// Every train step alone is one modeled delay on the run's clock.
+	// The barrier's train wait alone is one wait per iteration on the
+	// run's clock.
 	overshoot := reg.Histogram("lobster_runtime_clock_overshoot_seconds", "", obs.LatencyBuckets())
-	if got, min := overshoot.Count(), uint64(stats.Iterations*opts.Topology.WorldSize()); got < min {
-		t.Errorf("clock overshoot histogram recorded %d waits, want at least the %d train steps", got, min)
+	if got, min := overshoot.Count(), uint64(stats.Iterations); got < min {
+		t.Errorf("clock overshoot histogram recorded %d waits, want at least the %d train waits", got, min)
 	}
 
 	// Trace spans: stall+train on every rank track, load on loader
@@ -129,11 +130,12 @@ func TestRunTraceOnly(t *testing.T) {
 }
 
 // TestRunRecordsIterations: a recorded run returns one plan.IterRecord
-// per completed iteration, also when cancelled; each rank's Stall and
-// Train add up to its stall and train histograms, its allreduce time is
-// in Idle, and the imbalanced-iterations counter is
-// plan.Imbalance applied to the records. A run that records nothing
-// returns no trace.
+// per completed iteration, also when cancelled; each rank's Train is the
+// booked step, its Stall and Train add up to its stall and train
+// histograms, its wait at the barrier is in Idle (the release comes no
+// earlier than its deadline, so the batch holds Stall + Train whole), and
+// the imbalanced-iterations counter is plan.Imbalance applied to the
+// records. A run that records nothing returns no trace.
 func TestRunRecordsIterations(t *testing.T) {
 	for _, cancelAfter := range []int{0, 5} {
 		opts := testOptions(t, loader.Lobster(), 2, 2)
@@ -161,6 +163,7 @@ func TestRunRecordsIterations(t *testing.T) {
 		if len(stats.Trace) != stats.Iterations {
 			t.Fatalf("%d records for %d completed iterations", len(stats.Trace), stats.Iterations)
 		}
+		step := scaled(opts.Model.IterTime, opts.TimeScale).Seconds()
 		stall, train, idle := make([]float64, world), make([]float64, world), make([]float64, world)
 		flagged := make([]uint64, world)
 		for h, rec := range stats.Trace {
@@ -174,8 +177,12 @@ func TestRunRecordsIterations(t *testing.T) {
 				stall[r] += g.Stall
 				train[r] += g.Train
 				idle[r] += g.Idle
-				if g.Train <= 0 || g.Idle < 0 || g.Load < 0 {
-					t.Fatalf("record %d rank %d: %+v", h, r, g)
+				if g.Train != step || g.Idle < 0 || g.Load < 0 {
+					t.Fatalf("record %d rank %d: %+v, want Train %v", h, r, g, step)
+				}
+				if rec.BatchTime < g.Stall+g.Train {
+					t.Fatalf("record %d rank %d: released %.9fs into the batch, before its deadline at %.9fs",
+						h, r, rec.BatchTime, g.Stall+g.Train)
 				}
 			}
 			if imbalanced, critical := plan.Imbalance(rec.PerGPU, opts.Model.IterTime*opts.TimeScale); imbalanced {
@@ -205,8 +212,8 @@ func TestRunRecordsIterations(t *testing.T) {
 				t.Errorf("rank %d: records stall %.9fs, histogram %v", r, stall[r], got)
 			}
 			// The histogram's train span and the record's Train are the
-			// compute alone; the allreduce is the barrier, so it (and any
-			// wait there for a straggler) is in Idle.
+			// booked compute alone; the allreduce is the barrier, so it
+			// (and any wait there for a straggler) is in Idle.
 			if got := scraped("lobster_runtime_train_seconds_sum", r); math.Abs(got-train[r]) > 1e-9 || idle[r] <= 0 {
 				t.Errorf("rank %d: records train %.9fs, histogram %v; records idle %.9fs", r, train[r], got, idle[r])
 			}

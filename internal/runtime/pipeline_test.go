@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
+	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/obs"
 )
@@ -77,6 +81,201 @@ func TestAllreduceIsTheIterationBarrier(t *testing.T) {
 	}
 	if folds[0] != folds[1] {
 		t.Fatalf("data fold %#x with the default gradient, %#x with none", folds[0], folds[1])
+	}
+}
+
+// barrierClock is a fakeClock that tells the barrier's train wait from
+// the reads' waits. It logs the train bookings (the delays of exactly
+// step) and the node caches' expiry drains (drainSpy) in one sequence;
+// a wait for one of the logged train deadlines is the train wait, and
+// onTrainWait sees it, with the log since the previous one, before the
+// wait moves the clock. The first train booking of every iteration ends
+// late after the step, as though that rank had held its batch that much
+// later, so the latest deadline is seldom the last one booked.
+type barrierClock struct {
+	*fakeClock
+	step, late  time.Duration
+	onTrainWait func(log []barrierEvent, t time.Time)
+
+	mu     sync.Mutex
+	log    []barrierEvent
+	booked int // train bookings since the last train wait
+}
+
+// barrierEvent is a train booking (drain false: due is its deadline) or
+// a node cache's expiry drain at iteration now.
+type barrierEvent struct {
+	drain bool
+	due   time.Time
+	now   cache.Iter
+}
+
+func (c *barrierClock) deadline(early, d time.Duration) time.Time {
+	t := c.fakeClock.deadline(early, d)
+	if d != c.step {
+		return t
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.booked == 0 {
+		t = t.Add(c.late)
+	}
+	c.booked++
+	c.log = append(c.log, barrierEvent{due: t})
+	return t
+}
+
+func (c *barrierClock) until(t time.Time) {
+	c.mu.Lock()
+	var log []barrierEvent
+	for _, e := range c.log {
+		if !e.drain && e.due.Equal(t) {
+			log, c.log, c.booked = c.log, nil, 0
+			break
+		}
+	}
+	c.mu.Unlock()
+	if log != nil {
+		c.onTrainWait(log, t)
+	}
+	c.fakeClock.until(t)
+}
+
+func (c *barrierClock) logDrain(now cache.Iter) {
+	c.mu.Lock()
+	c.log = append(c.log, barrierEvent{drain: true, now: now})
+	c.mu.Unlock()
+}
+
+// drainSpy is a node cache policy that logs every expiry drain, the
+// policy's part of both a put and the barrier's maintain.
+type drainSpy struct {
+	cache.Policy
+	clk *barrierClock
+}
+
+func (s drainSpy) DrainExpired(now cache.Iter, emit func(dataset.SampleID)) {
+	s.clk.logDrain(now)
+	s.Policy.DrainExpired(now, emit)
+}
+
+// TestBarrierWaitsOnceForLatestDeadline pins the barrier on the fake
+// clock: every rank books one train step per iteration and nobody waits
+// for it but the barrier, once, for the latest of the W deadlines, not
+// the last one booked. Before that wait the barrier has maintained the
+// node caches for the iteration (an expiry drain at it after the last
+// booking: with no prefetch, nothing else drains at an iteration whose
+// batches are all consumed) and applied the thread plan's entry for two
+// iterations on; the nodes' iteration advances only after it, and the
+// boundary comes no earlier than the latest deadline.
+func TestBarrierWaitsOnceForLatestDeadline(t *testing.T) {
+	opts := testOptions(t, loader.PyTorch(2, 8), 2, 2)
+	world := opts.Topology.WorldSize()
+	ipe := opts.Dataset.Len() / (world * opts.Model.BatchSize)
+	total := opts.Epochs * ipe
+	threadPlan := testPlanFile(opts.Topology.Nodes, opts.Topology.GPUsPerNode, total, ipe)
+	for h := range threadPlan.Iterations {
+		for n := range threadPlan.Iterations[h].Threads {
+			threadPlan.Iterations[h].Threads[n].Preproc = 1 + (h+n)%3
+		}
+	}
+	opts.ThreadPlan = threadPlan
+	step := scaled(opts.Model.IterTime, opts.TimeScale)
+	clk := &barrierClock{fakeClock: newFakeClock(), step: step, late: 10 * time.Millisecond}
+	var rt *Runtime
+	hookNode(t, func(node *nodeRuntime) {
+		rt = node.rt
+		policy := drainSpy{buildNodePolicy(rt.opts.Strategy, node.plan, node.node, rt.dir), clk}
+		nc, err := newNodeCache(node.node, rt.ds.Len(), rt.opts.Topology.CacheBytes, policy, rt.dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.cache, rt.dm.caches[node.node] = nc, nc
+	})
+
+	var latest []time.Time // by iteration
+	notLast := 0           // iterations whose latest deadline was not the last booked
+	// The checks run on the barrier's goroutine, where a Fatal would
+	// leave the other ranks parked: they report the first failure only.
+	failed := false
+	errorf := func(format string, args ...any) {
+		if !failed {
+			failed = true
+			t.Errorf(format, args...)
+		}
+	}
+	clk.onTrainWait = func(log []barrierEvent, due time.Time) {
+		k := len(latest)
+		var booked []time.Time
+		maintained := false
+		for _, e := range log {
+			switch {
+			case !e.drain:
+				booked = append(booked, e.due)
+			case len(booked) == world && e.now == cache.Iter(k):
+				maintained = true
+			}
+		}
+		max := due
+		for _, b := range booked {
+			if b.After(max) {
+				max = b
+			}
+		}
+		latest = append(latest, max)
+		switch {
+		case len(booked) != world:
+			errorf("iteration %d: train wait after %d bookings of %v, want %d", k, len(booked), step, world)
+			return
+		case !due.Equal(max):
+			errorf("iteration %d: train wait for %v, want the latest deadline %v", k, due, max)
+			return
+		case !maintained:
+			errorf("iteration %d: no cache maintained between the last booking and the train wait", k)
+			return
+		}
+		if !max.Equal(booked[world-1]) {
+			notLast++
+		}
+		for _, node := range rt.nodes {
+			if got := node.iterNow.Load(); got != int32(k) {
+				errorf("iteration %d: node %d at iteration %d before the train wait", k, node.node, got)
+			}
+			if k+2 < total {
+				if got, want := node.threads(), threadPlan.ThreadsAt(k + 2)[node.node]; got.Preproc != want.Preproc {
+					errorf("iteration %d: node %d has %d preproc threads before the train wait, want the plan's %d for iteration %d",
+						k, node.node, got.Preproc, want.Preproc, k+2)
+				}
+			}
+		}
+	}
+	hookBarrier(t, func(r *Runtime, completed int) {
+		if len(latest) != completed+1 {
+			errorf("boundary %d after %d train waits", completed, len(latest))
+			return
+		}
+		if now := clk.now(); now.Before(latest[completed]) {
+			errorf("boundary %d at %v, before the latest deadline %v", completed, now, latest[completed])
+		}
+		for _, node := range r.nodes {
+			if got := node.iterNow.Load(); got != int32(completed+1) {
+				errorf("boundary %d: node %d at iteration %d, want %d", completed, node.node, got, completed+1)
+			}
+		}
+	})
+	stats, err := run(context.Background(), opts, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, opts, stats)
+	if failed {
+		return
+	}
+	if len(latest) != stats.Iterations || stats.Iterations != total {
+		t.Fatalf("%d train waits over %d iterations, want one each of %d", len(latest), stats.Iterations, total)
+	}
+	if notLast == 0 {
+		t.Fatal("the latest deadline was the last one booked in every iteration: the test cannot tell the two apart")
 	}
 }
 

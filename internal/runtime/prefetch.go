@@ -189,8 +189,12 @@ type prefetchSlot struct {
 // loading for storage bandwidth exactly as real background prefetching
 // does. Every free slot claims and books its read without waiting; the
 // loop then waits once, until the earliest booked deadline, and finishes
-// every slot that is due, booking each again as soon as it is free. With
-// nothing to claim and nothing in flight it waits for the next iteration.
+// every slot that is due, booking each again as soon as it is free. A
+// helper thread starts its next read when its last one ends, so a slot's
+// next read is booked as issued at its last one's deadline: how late the
+// loop woke and got to the slot is the clock's model error (DESIGN.md
+// §15), not the helper's time. With nothing to claim and nothing in
+// flight it waits for the next iteration.
 func (n *nodeRuntime) prefetchLoop() {
 	defer n.prefWG.Done()
 	defer n.handBack()
@@ -216,7 +220,7 @@ func (n *nodeRuntime) bookFree() int {
 	for i := range n.slots {
 		s := &n.slots[i]
 		if !s.busy && claiming {
-			claiming = n.book(s)
+			claiming = n.book(s, 0)
 		}
 		if s.busy {
 			busy++
@@ -225,16 +229,17 @@ func (n *nodeRuntime) bookFree() int {
 	return busy
 }
 
-// book claims the feed's next id for the free slot s and books its read;
-// it reports false when the feed handed out nothing.
-func (n *nodeRuntime) book(s *prefetchSlot) bool {
+// book claims the feed's next id for the free slot s and books its read,
+// issued early before now; it reports false when the feed handed out
+// nothing.
+func (n *nodeRuntime) book(s *prefetchSlot, early time.Duration) bool {
 	now := int(n.iterNow.Load())
 	c, ok := n.feed.claim(now, n.feed.depth)
 	if !ok {
 		return false
 	}
 	s.c, s.now, s.busy = c, now, true
-	n.begin(&s.r, c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false)
+	n.begin(&s.r, c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false, early)
 	return true
 }
 
@@ -261,7 +266,9 @@ func (n *nodeRuntime) waitFirst() {
 
 // finishDue steps every busy slot whose deadline has passed. A slot whose
 // walk is over settles its claim and books the feed's next id at once,
-// so its read runs while the loop finishes the other due slots.
+// so its read runs while the loop finishes the other due slots. The read
+// is booked as issued at the slot's last deadline, however late the loop
+// got to it.
 func (n *nodeRuntime) finishDue() {
 	now := n.rt.clk.now()
 	claiming := true
@@ -274,7 +281,7 @@ func (n *nodeRuntime) finishDue() {
 		n.settleStaged(s.c, staged, s.now, false)
 		s.busy = false
 		if claiming && !n.stopping() {
-			claiming = n.book(s)
+			claiming = n.book(s, now.Sub(s.r.due))
 		}
 	}
 }
@@ -323,7 +330,7 @@ func (n *nodeRuntime) stageOne(reach int) bool {
 	if !ok {
 		return false
 	}
-	_, _, _, staged := n.fetch(c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false)
+	_, _, _, staged := n.fetch(c.id, cache.Iter(now), n.rt.ro.prefetchRow(n.node), false, nil)
 	n.settleStaged(c, staged, now, true)
 	return true
 }

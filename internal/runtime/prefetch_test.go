@@ -486,7 +486,7 @@ func TestPrefetchFeedCountsLateDemandMiss(t *testing.T) {
 	claimed := mustClaim(t, node.feed, 0)
 	other := window(rt.sched, 0, 3)[0]
 	for i, id := range []dataset.SampleID{claimed.id, other, claimed.id} {
-		payload, owned, owner, ok := node.fetch(id, 0, nil, true)
+		payload, owned, owner, ok := node.fetch(id, 0, nil, true, nil)
 		if !ok || payload == nil {
 			t.Fatalf("demand fetch %d of sample %d: ok=%v payload=%v", i, id, ok, payload != nil)
 		}

@@ -29,7 +29,7 @@ func TestRetryTransientSucceedsAfterRetries(t *testing.T) {
 	var r tierRead
 
 	pfs.SetFault(chaos.Fault{ErrRate: 1, Seed: 3})
-	node.begin(&r, 7, 0, nil, false)
+	node.begin(&r, 7, 0, nil, false, 0)
 	for i, backoff := range []time.Duration{time.Millisecond, 2 * time.Millisecond} {
 		if r.leg != legPFS || !r.pfs.failed {
 			t.Fatalf("attempt %d: leg %d failed=%v, want a failed PFS read", i, r.leg, r.pfs.failed)
@@ -66,7 +66,7 @@ func TestRetryTransientImmediateSuccessSkipsHooks(t *testing.T) {
 	node, _ := loaderFixture(t, newFakeClock())
 	var r tierRead
 
-	node.begin(&r, 8, 0, nil, true)
+	node.begin(&r, 8, 0, nil, true, 0)
 	if r.leg != legPFS || r.pfs.failed || !node.step(&r) {
 		t.Fatalf("healthy read: leg %d failed=%v, want one read that ends the walk", r.leg, r.pfs.failed)
 	}

@@ -201,6 +201,10 @@ type Runtime struct {
 	// read them all (every other rank is parked in the barrier, whose
 	// mutex orders the accesses).
 	submitted []int
+	// trainDue holds each rank's booked end of compute for the iteration
+	// in progress, written by the rank before it arrives at the barrier
+	// and read by the last arriver, under the same ordering as submitted.
+	trainDue []time.Time
 
 	// decideThreads scratch, reused across iterations (only the barrier's
 	// last-arriving rank runs decisions, one iteration at a time, so no
@@ -276,7 +280,10 @@ type rankResult struct {
 // runRank is one GPU's training loop. It runs one batch deep — the depth
 // the simulator's PipelineDepth defaults to: batch h+1 is submitted
 // before the wait on batch h, so it loads and decodes under h's compute
-// and allreduce (the barrier).
+// and allreduce (the barrier). The rank does not wait out its own
+// compute: it books it on the run's clock and arrives at the allreduce
+// at once, and the barrier waits once for the latest booked deadline
+// (endIteration).
 func (rt *Runtime) runRank(rank int) (res rankResult) {
 	opts := &rt.opts
 	q := rt.nodes[rank/rt.gpus].queues[rank%rt.gpus]
@@ -293,6 +300,7 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		defer slots[i].comp.Release()
 	}
 	grad := make([]float64, max(opts.GradientSize, 0))
+	step := time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second))
 	ro := rt.ro
 	var stallH, trainH *obs.Histogram
 	var rankTID int64
@@ -356,21 +364,21 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		}
 		res.fold = res.fold*1099511628211 + mix64(batchFold)
 		res.loaded += uint64(len(batch))
-		var trainStart time.Time
+		// The training stage: book the compute, which starts now that the
+		// batch is held, then average the pseudo-gradient with every other
+		// GPU — the collective that makes any straggler a global stall, and
+		// the barrier whose last arriver waits for the latest booked
+		// compute to end and then ends the iteration.
 		if rec {
-			ro.gpu[rank].Stall = ro.gpuSpan("stall", stallH, rankTID, h, stallStart)
-			trainStart = time.Now()
+			// The compute alone, as simulated: the booked step, which
+			// starts no earlier than the stall ends. The wait at the
+			// barrier from this rank's deadline to the release is the
+			// record's Idle.
+			now := time.Now()
+			ro.gpu[rank].Stall = ro.gpuSpan("stall", stallH, rankTID, h, stallStart, now.Sub(stallStart))
+			ro.gpu[rank].Train = ro.gpuSpan("train", trainH, rankTID, h, now, step)
 		}
-		// The training stage: compute, then average the pseudo-gradient
-		// with every other GPU — the collective that makes any straggler a
-		// global stall, and the barrier whose last arriver ends the
-		// iteration.
-		rt.clk.sleep(time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second)))
-		if rec {
-			// The compute alone, as simulated: the allreduce is the
-			// barrier, so its time is the record's Idle.
-			ro.gpu[rank].Train = ro.gpuSpan("train", trainH, rankTID, h, trainStart)
-		}
+		rt.trainDue[rank] = rt.clk.deadline(0, step)
 		for i := range grad {
 			grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536
 		}
@@ -401,18 +409,15 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 }
 
 // endIteration is the allreduce's last-arriver action after iteration
-// `completed`, run with every other rank parked in the allreduce.
+// `completed`, run with every other rank parked in the allreduce. Every
+// rank has booked its compute, so the barrier first does the bookkeeping
+// that needs nothing from the release — maintenance, the ledger flush,
+// the thread decision — inside the modeled compute, then waits once for
+// the latest booked deadline, and only then crosses the iteration
+// boundary. No lock is held across the wait.
 func (rt *Runtime) endIteration(completed int) {
-	select {
-	case <-rt.cancel:
-		if rt.stopIter.Load() < 0 {
-			rt.stopIter.Store(int64(completed + 1))
-		}
-	default:
-	}
 	now := cache.Iter(completed)
 	for _, node := range rt.nodes {
-		node.iterNow.Store(int32(completed + 1))
 		node.cache.maintain(now)
 	}
 	// Flush the stall ledger while every rank waits at the barrier: all of
@@ -422,6 +427,26 @@ func (rt *Runtime) endIteration(completed int) {
 	// Every rank has already submitted completed+1; the decision that can
 	// still matter is for the batch they submit next.
 	rt.decideThreads(completed + 2)
+	latest := rt.trainDue[0]
+	for _, t := range rt.trainDue[1:] {
+		if t.After(latest) {
+			latest = t
+		}
+	}
+	rt.clk.until(latest)
+
+	// The iteration boundary: the release.
+	for _, node := range rt.nodes {
+		node.iterNow.Store(int32(completed + 1))
+	}
+	rt.ro.recordIteration(completed, rt.nodes)
+	select {
+	case <-rt.cancel:
+		if rt.stopIter.Load() < 0 {
+			rt.stopIter.Store(int64(completed + 1))
+		}
+	default:
+	}
 	if barrierHook != nil {
 		barrierHook(rt, completed)
 	}
@@ -538,7 +563,8 @@ func checkBatchResult(res preproc.Result, want dataset.SampleID) error {
 }
 
 // barrierHook, when set (tests only), runs in the barrier's last-arriver
-// callback after iteration `completed`, with every rank parked.
+// callback at the boundary after iteration `completed` (after the train
+// wait), with every rank parked.
 var barrierHook func(rt *Runtime, completed int)
 
 // decideThreads sets iteration h's thread assignment: from the offline

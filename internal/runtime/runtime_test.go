@@ -193,7 +193,7 @@ func TestThrottleSerializes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			clk.sleep(th.reserve(0.01, 0)) // 10 ms each
+			clk.until(clk.deadline(0, th.reserve(0.01, 0, 0))) // 10 ms each
 		}()
 	}
 	wg.Wait()

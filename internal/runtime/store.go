@@ -47,19 +47,24 @@ func newThrottle(scale float64, clk clock) *Throttle {
 // that arrives `after` from now, and returns how long from now until the
 // transfer completes. It does not wait. Slots go out in the order reserve
 // is called, which is how a saturated link behaves, and a slot never
-// starts before its transfer arrives.
-func (t *Throttle) reserve(cost float64, after time.Duration) time.Duration {
+// starts before its transfer arrives. A transfer issued `early` before
+// now (a prefetch slot's next read) arrived that much sooner and
+// completes that much sooner, less its wait for the slots queued ahead of
+// it: a link backlogged now would have kept it waiting then too. Its
+// slot keeps its place at the tail, so the link's work is conserved.
+func (t *Throttle) reserve(cost float64, after, early time.Duration) time.Duration {
 	d := time.Duration(cost * t.scale * float64(time.Second))
 	t.mu.Lock()
 	now := t.clk.now()
-	start := now.Add(after)
+	arrive := now.Add(after)
+	start := arrive
 	if start.Before(t.next) {
 		start = t.next
 	}
 	end := start.Add(d)
 	t.next = end
 	t.mu.Unlock()
-	return end.Sub(now)
+	return end.Sub(now) - max(early-start.Sub(arrive), 0)
 }
 
 // PFSStore serves sample payloads the way a parallel file system would:
@@ -137,7 +142,7 @@ type pfsRead struct {
 // Read fetches one sample, paying latency and bandwidth in one wait
 // (DESIGN.md §15): book, wait until the booking's deadline, deliver.
 func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
-	r, err := s.book(id)
+	r, err := s.book(id, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +153,10 @@ func (s *PFSStore) Read(id dataset.SampleID) ([]byte, error) {
 // book books one read without waiting for it: the op latency, then the
 // brownout lag, then the sample's slot of the shared bandwidth, queued
 // behind the slots booked before it. A read drawn as a failure books its
-// latency and lag only.
-func (s *PFSStore) book(id dataset.SampleID) (pfsRead, error) {
+// latency and lag only. early dates the read's issue that long before
+// now (a prefetch slot's read that starts where the slot's last one
+// ended): the delay it books runs from then (see Throttle.reserve).
+func (s *PFSStore) book(id dataset.SampleID, early time.Duration) (pfsRead, error) {
 	if int(id) < 0 || int(id) >= s.ds.Len() {
 		return pfsRead{}, fmt.Errorf("runtime: sample %d out of range", id)
 	}
@@ -171,12 +178,12 @@ func (s *PFSStore) book(id dataset.SampleID) (pfsRead, error) {
 	}
 	s.mu.Unlock()
 	if r.failed {
-		r.due = s.clk.deadline(arrive)
+		r.due = s.clk.deadline(early, arrive)
 		return r, nil
 	}
 	// The bandwidth slot is booked now, for a transfer that arrives after
 	// the latency and lag, so the read waits once for the whole delay.
-	r.due = s.clk.deadline(s.throttle.reserve(float64(s.ds.Size(id))/(s.curve.PeakMBps*1e6), arrive))
+	r.due = s.clk.deadline(early, s.throttle.reserve(float64(s.ds.Size(id))/(s.curve.PeakMBps*1e6), arrive, early)+early)
 	return r, nil
 }
 
@@ -355,15 +362,16 @@ func (dm *DistributionManager) NodeDown(n int) bool {
 // directory named it (a benign race, the directory is advisory, exactly
 // as in a real distributed cache), and answers so after one op latency,
 // with no transfer. A nil payload without evicted is a broken promise:
-// the peer is down, or the fetch failed.
-func (dm *DistributionManager) book(from int, id dataset.SampleID, size int64) (payload []byte, evicted bool, due time.Time) {
+// the peer is down, or the fetch failed. early dates the request's issue
+// that long before now, as PFSStore.book's does.
+func (dm *DistributionManager) book(from int, id dataset.SampleID, size int64, early time.Duration) (payload []byte, evicted bool, due time.Time) {
 	var extra time.Duration
 	fail := false
 	if pf := dm.faults[from].Load(); pf != nil {
 		if pf.down {
 			// Crashed peer: the requester pays one op latency (its
 			// timeout) and gets nothing — the failover-to-PFS path.
-			return nil, false, dm.clk.deadline(time.Duration(dm.curve.OpLatency * dm.scale * float64(time.Second)))
+			return nil, false, dm.clk.deadline(early, time.Duration(dm.curve.OpLatency*dm.scale*float64(time.Second)))
 		}
 		extra = pf.lag
 		if pf.jitter > 0 || pf.errRate > 0 {
@@ -385,6 +393,6 @@ func (dm *DistributionManager) book(from int, id dataset.SampleID, size int64) (
 	}
 	// Straggler lag/jitter are wall-clock (chaos faults do not scale
 	// with TimeScale) on top of the modeled cost.
-	due = dm.clk.deadline(time.Duration(cost*dm.scale*float64(time.Second)) + extra)
+	due = dm.clk.deadline(early, time.Duration(cost*dm.scale*float64(time.Second))+extra)
 	return payload, !fail && payload == nil, due
 }

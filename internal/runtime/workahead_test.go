@@ -125,22 +125,17 @@ func TestPrefetchFeedLoaderReach(t *testing.T) {
 	}
 }
 
-// sleepHookClock is a fakeClock that calls onSleep, on the sleeper's own
-// goroutine, from inside every sleep and every wait for a booked
-// deadline: the test's window into "a read is in progress right now".
-type sleepHookClock struct {
+// waitHookClock is a fakeClock that calls onWait, on the waiter's own
+// goroutine, from inside every wait for a booked deadline: the test's
+// window into "a read is in progress right now".
+type waitHookClock struct {
 	*fakeClock
-	onSleep func()
+	onWait func()
 }
 
-func (c *sleepHookClock) sleep(d time.Duration) {
-	c.fakeClock.sleep(d)
-	c.onSleep()
-}
-
-func (c *sleepHookClock) until(t time.Time) {
+func (c *waitHookClock) until(t time.Time) {
 	c.fakeClock.until(t)
-	c.onSleep()
+	c.onWait()
 }
 
 // loaderFixture is node 0 of the feed fixture with everything a loading
@@ -181,7 +176,7 @@ func loaderFixture(t *testing.T, clk clock) (*nodeRuntime, *gpuQueue) {
 	return node, q
 }
 
-// readState is what a sleepHookClock saw during one modeled delay: how
+// readState is what a waitHookClock saw during one modeled delay: how
 // many claims the feed had in flight and how many ids loaders had staged.
 // With one worker and no helper, a delay with a claim in flight belongs to
 // a staged read and one with none to a demand read.
@@ -212,9 +207,9 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 	t.Run("queued chunk before any claim", func(t *testing.T) {
 		const nearIDs = 2 * feedGPUs * feedBatch // windows 2 and 3
 		var seen []readState
-		clk := &sleepHookClock{fakeClock: newFakeClock()}
+		clk := &waitHookClock{fakeClock: newFakeClock()}
 		node, q := loaderFixture(t, clk)
-		clk.onSleep = func() { seen = append(seen, observe(node)) }
+		clk.onWait = func() { seen = append(seen, observe(node)) }
 		comp := preproc.GetCompletion()
 		defer comp.Release()
 		w := demandChunk(node, comp)
@@ -262,12 +257,12 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 	// finishes that one read and takes the chunk.
 	t.Run("chunk arriving mid-read waits for one read", func(t *testing.T) {
 		var seen []readState
-		clk := &sleepHookClock{fakeClock: newFakeClock()}
+		clk := &waitHookClock{fakeClock: newFakeClock()}
 		node, q := loaderFixture(t, clk)
 		comp := preproc.GetCompletion()
 		defer comp.Release()
 		w := demandChunk(node, comp)
-		clk.onSleep = func() {
+		clk.onWait = func() {
 			seen = append(seen, observe(node))
 			if len(seen) == 1 {
 				q.reqs <- w
@@ -309,10 +304,10 @@ func TestWorkAheadDemandFirst(t *testing.T) {
 // one stop token, while the worker is in a staged read: the worker
 // finishes that read, settles its claim and retires.
 func TestWorkAheadRetiresOnStopToken(t *testing.T) {
-	clk := &sleepHookClock{fakeClock: newFakeClock()}
+	clk := &waitHookClock{fakeClock: newFakeClock()}
 	node, q := loaderFixture(t, clk)
 	delays := 0
-	clk.onSleep = func() {
+	clk.onWait = func() {
 		if delays++; delays == 1 {
 			q.crew.Resize(0)
 		}

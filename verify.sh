@@ -18,7 +18,8 @@
 #   4. feed determinism — the prefetch feed, prefetch loop and loader
 #                        work-ahead tests, the modeled-delay and teardown
 #                        pins of the run, the node cache's decode lease
-#                        tests, the sampler's prefetch walk and the
+#                        tests, the barrier's one train wait, the
+#                        sampler's prefetch walk and the
 #                        allreduce, -race -count=10 at GOMAXPROCS 1, 2
 #                        and 8: their verdict must not depend on
 #                        scheduling (ROADMAP aim 3; the list is defined
