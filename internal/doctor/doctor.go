@@ -80,17 +80,23 @@ type Report struct {
 	// The prefetch side of the ledger, per node, and the feed's counters:
 	// samples staged, how many of those by loading workers whose queue was
 	// empty (the rest by the prefetch helpers), demand misses on a sample
-	// that was in flight (staged too late), and refusal pauses.
+	// that was in flight (staged too late), and refusal pauses; and the
+	// read slots of a node's prefetch loop (the same on every node of a
+	// run, the most any source reports; 0 when none does).
 	Prefetch          []NodePrefetch
 	PrefetchStaged    float64
 	PrefetchWorkAhead float64
 	PrefetchLate      float64
 	PrefetchPauses    float64
+	PrefetchSlots     float64
 	// PFS reads (demand and prefetch) against demand accesses (local
 	// hits and misses): above the demand miss share, the prefetchers
 	// read samples the cache did not keep until they were needed.
+	// StagedEvicted is the part of that waste the node caches evicted
+	// before any rank or peer read it.
 	PFSReads       float64
 	DemandAccesses float64
+	StagedEvicted  float64
 
 	// Model error of the run's clock: how many waits for booked delays it
 	// made (one train wait per iteration, one per read a loading worker
@@ -200,8 +206,14 @@ func (r *Report) analyzePrefetch(m *Metrics) {
 	r.PrefetchWorkAhead = m.Sum("lobster_runtime_workahead_total", nil)
 	r.PrefetchLate = m.Sum("lobster_runtime_prefetch_late_total", nil)
 	r.PrefetchPauses = m.Sum("lobster_runtime_prefetch_pauses_total", nil)
+	for _, s := range m.Samples {
+		if s.Name == "lobster_runtime_prefetch_slots" {
+			r.PrefetchSlots = max(r.PrefetchSlots, s.Value)
+		}
+	}
 	r.PFSReads = m.Sum("lobster_runtime_pfs_reads_total", nil)
 	r.DemandAccesses = m.Sum("lobster_runtime_cache_hits_total", nil) + m.Sum("lobster_runtime_cache_misses_total", nil)
+	r.StagedEvicted = m.Sum("lobster_runtime_staged_evicted_total", nil)
 	r.PrefetchRecoverySeconds = m.Sum("lobster_runtime_prefetch_recovery_seconds_sum", nil)
 }
 
@@ -304,11 +316,15 @@ func (r *Report) WriteText(w io.Writer) error {
 		if r.PrefetchStaged > 0 {
 			late = 100 * r.PrefetchLate / r.PrefetchStaged
 		}
-		p("  prefetch: staged %.0f (%.0f by idle loaders), late %.0f (%.1f%%), refusal pauses %.0f\n",
+		p("  prefetch: staged %.0f (%.0f by idle loaders), late %.0f (%.1f%%), refusal pauses %.0f",
 			r.PrefetchStaged, r.PrefetchWorkAhead, r.PrefetchLate, late, r.PrefetchPauses)
+		if r.PrefetchSlots > 0 {
+			p(", %.0f read slots per node", r.PrefetchSlots)
+		}
+		p("\n")
 		if r.DemandAccesses > 0 {
-			p("  storage: %.0f PFS reads for %.0f demand accesses (%.3f per access)\n",
-				r.PFSReads, r.DemandAccesses, r.PFSReads/r.DemandAccesses)
+			p("  storage: %.0f PFS reads for %.0f demand accesses (%.3f per access), %.0f staged evicted unread\n",
+				r.PFSReads, r.DemandAccesses, r.PFSReads/r.DemandAccesses, r.StagedEvicted)
 		}
 	}
 	if len(r.Stragglers) > 0 {

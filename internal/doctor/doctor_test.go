@@ -179,6 +179,8 @@ lobster_runtime_workahead_total{node="0"} 120
 lobster_runtime_workahead_total{node="1"} 30
 lobster_runtime_prefetch_late_total{node="0"} 6
 lobster_runtime_prefetch_pauses_total{node="1"} 3
+lobster_runtime_prefetch_slots{node="0"} 22
+lobster_runtime_prefetch_slots{node="1"} 22
 lobster_runtime_clock_overshoot_seconds_bucket{le="5e-05"} 100
 lobster_runtime_clock_overshoot_seconds_bucket{le="0.0001"} 180
 lobster_runtime_clock_overshoot_seconds_bucket{le="0.001"} 199
@@ -262,7 +264,7 @@ func TestAnalyzeAndReport(t *testing.T) {
 		"  node 0: pfs=1.500s\n",
 		"  node 1: peer_fetch=0.500s pfs=0.250s recovery=0.200s\n",
 		"Prefetch (helpers and idle loaders, ahead of demand; no rank waits for these):",
-		"prefetch: staged 400 (150 by idle loaders), late 6 (1.5%), refusal pauses 3",
+		"prefetch: staged 400 (150 by idle loaders), late 6 (1.5%), refusal pauses 3, 22 read slots per node\n",
 		// p50 is rank 100, the top of the first bucket; p99 is rank 198,
 		// 18/19 of the way through (100us, 1ms].
 		"modeled delays: 200 waits, overshoot p50 50us / p99 953us",
@@ -275,7 +277,8 @@ func TestAnalyzeAndReport(t *testing.T) {
 
 // TestReportPFSReadsPerAccess reads the storage line of the prefetch
 // block from the runtime's counters: PFS reads over local hits plus
-// misses, summed over nodes, and no line without demand accesses.
+// misses and the staged samples evicted unread, summed over nodes, and
+// no line without demand accesses.
 func TestReportPFSReadsPerAccess(t *testing.T) {
 	for _, tc := range []struct {
 		name, metrics, want string
@@ -287,7 +290,9 @@ lobster_runtime_cache_hits_total{node="0"} 480
 lobster_runtime_cache_hits_total{node="1"} 490
 lobster_runtime_cache_misses_total{node="0"} 20
 lobster_runtime_cache_misses_total{node="1"} 10
-`, "  storage: 770 PFS reads for 1000 demand accesses (0.770 per access)\n"},
+lobster_runtime_staged_evicted_total{node="0"} 7
+lobster_runtime_staged_evicted_total{node="1"} 5
+`, "  storage: 770 PFS reads for 1000 demand accesses (0.770 per access), 12 staged evicted unread\n"},
 		{"no demand accesses", `lobster_runtime_prefetched_total{node="0"} 500
 lobster_runtime_pfs_reads_total{node="0"} 420
 `, ""},
@@ -306,6 +311,33 @@ lobster_runtime_pfs_reads_total{node="0"} 420
 		}
 		if got := strings.Contains(out, "storage:"); got != (tc.want != "") || !strings.Contains(out, tc.want) {
 			t.Errorf("%s: report storage line, want %q:\n%s", tc.name, tc.want, out)
+		}
+	}
+}
+
+// TestReportPrefetchSlots reads the read slots per node into the
+// prefetch line, and nothing when no node reports them.
+func TestReportPrefetchSlots(t *testing.T) {
+	const staged = `lobster_runtime_prefetched_total{node="0"} 500
+`
+	for _, tc := range []struct {
+		name, metrics, want string
+	}{
+		{"reported", `lobster_runtime_prefetch_slots{node="0"} 22
+lobster_runtime_prefetch_slots{node="1"} 22
+`, "refusal pauses 0, 22 read slots per node\n"},
+		{"not reported", "", "refusal pauses 0\n"},
+	} {
+		m, err := ParseMetrics(strings.NewReader(staged + tc.metrics))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Analyze(m, nil).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); !strings.Contains(out, tc.want) {
+			t.Errorf("%s: prefetch line, want %q:\n%s", tc.name, tc.want, out)
 		}
 	}
 }

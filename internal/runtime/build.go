@@ -166,8 +166,9 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 		return err
 	}
 	node := &nodeRuntime{node: n, rt: rt, plan: plan, cache: nc, pre: pre, tick: make(chan struct{}, 1), stopPref: make(chan struct{})}
-	if slots := prefetchSlots(opts.Strategy); slots > 0 {
-		depth := feedDepth(opts.Strategy.PrefetchDepth, top.CacheBytes, rt.ds.TotalBytes(), rt.ds.MeanSize(), rt.gpus*opts.Model.BatchSize)
+	perIter := rt.gpus * opts.Model.BatchSize
+	if slots := prefetchSlots(opts.Strategy, top.Hierarchy.PFS, opts.Model.IterTime, top.CacheBytes, rt.ds.TotalBytes(), rt.ds.MeanSize(), perIter); slots > 0 {
+		depth := feedDepth(opts.Strategy.PrefetchDepth, top.CacheBytes, rt.ds.TotalBytes(), rt.ds.MeanSize(), perIter)
 		node.feed = newPrefetchFeed(rt.sched, n, rt.gpus, rt.totalIters, depth, nc.contains)
 		node.slots = make([]prefetchSlot, slots)
 		node.workAhead = opts.Strategy.Mode == loader.ThreadsDynamic
@@ -192,8 +193,8 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 }
 
 // nodeHook, when set (tests only), sees each node after addNode has built
-// it and before its first goroutine starts — the last moment its feed and
-// its work-ahead switch may change.
+// it and before its first goroutine starts — the last moment its feed,
+// its read slots and its work-ahead switch may change.
 var nodeHook func(*nodeRuntime)
 
 // shutdown stops everything addNode started, for however many nodes were

@@ -287,3 +287,37 @@ func TestLeaseConcurrentReaders(t *testing.T) {
 	}
 	wantRecycled(t, "end of run", recycled(), taken...)
 }
+
+// TestStagedEvictedUnread counts, on a one-payload cache, the staged
+// payloads evicted before anything read them: one a rank hit, one a peer
+// copied and a demand read's are not counted; one evicted unread and one
+// a crash dropped unread are.
+func TestStagedEvictedUnread(t *testing.T) {
+	nc, _ := leaseCache(t, 8, 1)
+	want := func(step string, n uint64) {
+		t.Helper()
+		if got := nc.stagedEvicted.Load(); got != n {
+			t.Fatalf("%s: %d staged evicted unread, want %d", step, got, n)
+		}
+	}
+	nc.put(0, leaseBuf(0), 0, false)
+	nc.put(1, leaseBuf(1), 0, false)
+	want("staged 0 evicted by staged 1", 1)
+	p, ok := nc.get(1, 0)
+	if !ok {
+		t.Fatal("staged sample 1 is not resident")
+	}
+	nc.ReleasePayload(1, p)
+	nc.put(2, leaseBuf(2), 0, false)
+	want("staged 1 evicted after a hit", 1)
+	if nc.copyPayload(2) == nil {
+		t.Fatal("staged sample 2 is not resident")
+	}
+	nc.put(3, leaseBuf(3), 0, true)
+	want("staged 2 evicted after a peer copy", 1)
+	nc.ReleasePayload(3, nc.entries[3].b)
+	nc.put(4, leaseBuf(4), 0, false)
+	want("demand-read 3 evicted", 1)
+	nc.crash()
+	want("staged 4 dropped by a crash", 2)
+}

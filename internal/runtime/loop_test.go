@@ -210,16 +210,30 @@ func (c *recordingClock) deadline(early, d time.Duration) time.Time {
 	return at
 }
 
-// TestPrefetchLoopBoundsReadsInFlight runs static strategies, whose idle
-// loading workers stage nothing, so every claim on a node's feed is its
-// prefetch loop's: a claim is held from before its read is booked until
-// after it is staged. At every booking of the run no node holds more
-// than PrefetchThreads claims, and some node holds that many.
+// TestPrefetchLoopBoundsReadsInFlight runs strategies whose idle loading
+// workers stage nothing — the static and shared-pool baselines, and
+// Lobster with every node's work-ahead switch turned off — so every claim
+// on a node's feed is its prefetch loop's: a claim is held from before
+// its read is booked until after it is staged. At every booking of the
+// run no node holds more claims than its loop has read slots, and some
+// node holds that many: the baselines' PrefetchThreads, and Lobster's
+// Little's-law count, 11 on the test shape (TestPrefetchSlots).
 func TestPrefetchLoopBoundsReadsInFlight(t *testing.T) {
-	for _, spec := range []loader.Spec{loader.NoPFS(2, 8), loader.DALI(8)} {
+	for _, tc := range []struct {
+		spec        loader.Spec
+		noWorkAhead bool
+		want        int
+	}{
+		{spec: loader.NoPFS(2, 8), want: 5},
+		{spec: loader.DALI(8), want: 2},
+		{spec: loader.Lobster(), noWorkAhead: true, want: 11},
+	} {
 		var mu sync.Mutex
 		var nodes []*nodeRuntime
 		hookNode(t, func(n *nodeRuntime) {
+			if tc.noWorkAhead {
+				n.workAhead = false
+			}
 			mu.Lock()
 			nodes = append(nodes, n)
 			mu.Unlock()
@@ -235,16 +249,24 @@ func TestPrefetchLoopBoundsReadsInFlight(t *testing.T) {
 				n.feed.mu.Unlock()
 			}
 		}
-		opts := testOptions(t, spec, 2, 2)
+		opts := testOptions(t, tc.spec, 2, 2)
 		stats, err := run(context.Background(), opts, clk)
 		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+			t.Fatalf("%s: %v", tc.spec.Name, err)
 		}
 		checkOracle(t, opts, stats)
-		if most != spec.PrefetchThreads {
-			t.Errorf("%s: at most %d reads in flight on a node, want %d", spec.Name, most, spec.PrefetchThreads)
+		if stats.WorkAhead != 0 {
+			t.Errorf("%s: loaders staged %d samples, want every claim the loop's", tc.spec.Name, stats.WorkAhead)
 		}
-		checkTeardown(t, spec.Name, nodes)
+		for _, n := range nodes {
+			if len(n.slots) != tc.want {
+				t.Errorf("%s: node %d has %d read slots, want %d", tc.spec.Name, n.node, len(n.slots), tc.want)
+			}
+		}
+		if most != tc.want {
+			t.Errorf("%s: at most %d reads in flight on a node, want %d", tc.spec.Name, most, tc.want)
+		}
+		checkTeardown(t, tc.spec.Name, nodes)
 	}
 }
 

@@ -19,10 +19,12 @@ import (
 // cachedBuf is one resident payload plus its decode leases. Every
 // resident buffer was drawn from preproc's size-classed payload pool (a
 // regenerated PFS read or a peer-fetch copy) and goes back to it on
-// eviction. leases counts the decodes reading b right now.
+// eviction. leases counts the decodes reading b right now. unread marks
+// a staged payload that no rank and no peer has read yet.
 type cachedBuf struct {
 	b      []byte
 	leases int32
+	unread bool
 }
 
 // nodeCache pairs the policy-managed membership cache with the payload
@@ -56,6 +58,9 @@ type nodeCache struct {
 	// recycle returns an evicted buffer to the payload pool
 	// (preproc.PutPayloadBuf; tests count the calls).
 	recycle func([]byte)
+	// stagedEvicted counts staged payloads evicted unread: storage reads
+	// the prefetcher paid for and nothing used. Written under mu.
+	stagedEvicted atomic.Uint64
 }
 
 // newNodeCache builds node's cache for a dataset of samples ids.
@@ -86,6 +91,7 @@ func (nc *nodeCache) get(id dataset.SampleID, now cache.Iter) (payload []byte, o
 	}
 	e := &nc.entries[id]
 	e.leases++
+	e.unread = false
 	return e.b, true
 }
 
@@ -119,9 +125,13 @@ func (nc *nodeCache) ReleasePayload(id dataset.SampleID, p []byte) {
 // evict drops id's entry and its directory bit after the membership cache
 // let it go. The buffer goes back to the payload pool, unless a decode
 // still reads it — then it parks in zombies for ReleasePayload to
-// recycle. Called with nc.mu held.
+// recycle. A staged payload nothing read counts as stagedEvicted. Called
+// with nc.mu held.
 func (nc *nodeCache) evict(id dataset.SampleID) {
 	e := &nc.entries[id]
+	if e.unread {
+		nc.stagedEvicted.Add(1)
+	}
 	if e.leases > 0 {
 		nc.zombies[unsafe.SliceData(e.b)] = *e
 	} else {
@@ -152,6 +162,7 @@ func (nc *nodeCache) copyPayload(id dataset.SampleID) []byte {
 	if e.b == nil {
 		return nil
 	}
+	e.unread = false
 	buf := preproc.GetPayloadBuf(len(e.b))
 	copy(buf, e.b)
 	return buf
@@ -178,7 +189,8 @@ func (nc *nodeCache) peekBatch(ids []dataset.SampleID, out []bool) {
 // recycles it on eviction. lease takes out a decode lease when the cache
 // retains the buffer the caller is about to submit for decode, in the
 // same critical section so no eviction can slip between insert and
-// lease.
+// lease. An insert without a lease is a staging read's, and stays unread
+// until a rank's get or a peer's copy.
 func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, lease bool) (ok, retained bool) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
@@ -191,7 +203,7 @@ func (nc *nodeCache) put(id dataset.SampleID, payload []byte, now cache.Iter, le
 	}
 	if inserted {
 		e := &nc.entries[id]
-		*e = cachedBuf{b: payload}
+		*e = cachedBuf{b: payload, unread: !lease}
 		if lease {
 			e.leases = 1
 		}

@@ -379,10 +379,17 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 	ro.reg.CounterFunc("lobster_runtime_prefetch_late_total",
 		"Demand misses on a sample a prefetch loop or an idle loading worker had in flight (prefetched too late).",
 		func() float64 { return float64(node.prefetchLate.Load()) }, "node", n)
+	ro.reg.CounterFunc("lobster_runtime_staged_evicted_total",
+		"Staged samples the node cache evicted before any rank or peer read them (prefetched for nothing).",
+		func() float64 { return float64(nc.stagedEvicted.Load()) }, "node", n)
 	if feed := node.feed; feed != nil {
 		ro.reg.CounterFunc("lobster_runtime_prefetch_pauses_total",
 			"Times a cache refusal paused the node's prefetch feed until the next iteration.",
 			func() float64 { return float64(feed.pauseCount()) }, "node", n)
+		slots := float64(len(node.slots))
+		ro.reg.GaugeFunc("lobster_runtime_prefetch_slots",
+			"Read slots of the node's prefetch loop: reads it keeps in flight.",
+			func() float64 { return slots }, "node", n)
 	}
 	ro.reg.CounterFunc("lobster_runtime_failover_total",
 		"Peer reads that fell over to the PFS because the peer broke its promise (down, failed fetch, or a copy that fails verification).",

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/loader"
 	"repro/internal/sampler"
+	"repro/internal/tier"
 )
 
 // prefetchClaim is one id the feed handed out: the sample, and where in
@@ -162,16 +164,26 @@ func (f *prefetchFeed) pauseCount() uint64 {
 }
 
 // prefetchSlots is the number of read slots each node's prefetch loop
-// owns for spec: the strategy's PrefetchThreads, at least one for any
-// strategy that prefetches at all, none for demand-only strategies.
-func prefetchSlots(spec loader.Spec) int {
+// owns: none for a demand-only strategy, and the strategy's
+// PrefetchThreads (at least one) for any other. A loader.ThreadsDynamic
+// strategy gets as many as the node's misses keep in flight, if that is
+// more: by Little's law, perIter samples per iterTime seconds, the share
+// of them the cache cannot hold missing, each read booked for the PFS's
+// op latency plus a mean-sized transfer (DESIGN.md §8). Both times are
+// model seconds, so the run's TimeScale cancels. A slot is a booking,
+// not a goroutine, and the PFS throttle still serialises transfers: more
+// slots overlap op latency and add no bandwidth.
+func prefetchSlots(spec loader.Spec, pfs tier.Curve, iterTime float64, cacheBytes, datasetBytes, meanSize int64, perIter int) int {
 	if spec.PrefetchDepth <= 0 {
 		return 0
 	}
-	if spec.PrefetchThreads < 1 {
-		return 1
+	slots := max(spec.PrefetchThreads, 1)
+	if spec.Mode != loader.ThreadsDynamic || cacheBytes >= datasetBytes || iterTime <= 0 {
+		return slots
 	}
-	return spec.PrefetchThreads
+	miss := 1 - float64(cacheBytes)/float64(datasetBytes)
+	read := pfs.OpLatency + float64(meanSize)/(pfs.PeakMBps*1e6)
+	return max(slots, int(math.Ceil(float64(perIter)*miss*read/iterTime)))
 }
 
 // prefetchSlot is one of a prefetch loop's read slots: while busy, the
@@ -185,7 +197,7 @@ type prefetchSlot struct {
 
 // prefetchLoop drains the node's feed as far as it reaches (feedDepth)
 // through the node's read slots until stopPref closes: the background
-// prefetching of PrefetchThreads helpers, which compete with demand
+// prefetching of prefetchSlots helpers, which compete with demand
 // loading for storage bandwidth exactly as real background prefetching
 // does. Every free slot claims and books its read without waiting; the
 // loop then waits once, until the earliest booked deadline, and finishes

@@ -9,6 +9,7 @@ import (
 	"repro/internal/loader"
 	"repro/internal/preproc"
 	"repro/internal/sampler"
+	"repro/internal/tier"
 )
 
 // Feed fixture: 96 samples over 2 nodes x 2 GPUs x batch 4 is 6
@@ -366,11 +367,14 @@ func TestPrefetchFeedRefusalBehindDemand(t *testing.T) {
 }
 
 // TestPrefetchHelpersPerStrategy counts the read slots of each node's
-// prefetch loop: the strategy's PrefetchThreads, one when a prefetching
-// strategy names none, none (and no feed) for a demand-only strategy.
-// Every feed reaches feedDepth's iterations: the test cache holds about
-// ten iterations of a node's demand, so the deep strategies' 64 and
-// DALI's 6 are both cut to 5.
+// prefetch loop: the strategy's PrefetchThreads for the static and
+// shared-pool baselines, prefetchSlots' Little's-law count for Lobster —
+// 11 on the test shape, whose node misses about 10.7 samples of 1.0 ms
+// per 1.0 ms iteration, whatever PrefetchThreads it names — and none
+// (and no feed) for a demand-only strategy. Every feed reaches
+// feedDepth's iterations: the test cache holds about ten iterations of a
+// node's demand, so the deep strategies' 64 and DALI's 6 are both cut to
+// 5.
 func TestPrefetchHelpersPerStrategy(t *testing.T) {
 	bare := loader.Lobster()
 	bare.Name, bare.PrefetchThreads = "lobster-no-helpers-named", 0
@@ -380,8 +384,8 @@ func TestPrefetchHelpersPerStrategy(t *testing.T) {
 	}{
 		{loader.NoPFS(2, 8), 5},
 		{loader.DALI(8), 2},
-		{loader.Lobster(), 3},
-		{bare, 1},
+		{loader.Lobster(), 11},
+		{bare, 11},
 		{loader.PyTorch(2, 8), 0},
 	} {
 		opts := testOptions(t, tc.spec, 2, 1)
@@ -442,8 +446,51 @@ func TestPrefetchFeedDepth(t *testing.T) {
 			t.Errorf("%s: feedDepth(%d, cache %d) = %d, want %d", tc.name, tc.depth, tc.cache, got, tc.want)
 		}
 	}
-	if slots := prefetchSlots(loader.PyTorch(4, 8)); slots != 0 {
-		t.Errorf("a demand-only strategy gets %d read slots, want none and no feed", slots)
+}
+
+// TestPrefetchSlots tabulates prefetchSlots on the benchmark's runtime
+// topologies, written out as in TestPrefetchFeedDepth: a PFS read of
+// 4 ms op latency plus 8 KiB at 1500 MB/s, a 4 ms iteration. Lobster
+// keeps one iteration of the node's misses in flight, never fewer than
+// its PrefetchThreads; the baselines keep theirs, at least one.
+func TestPrefetchSlots(t *testing.T) {
+	const samples, mean = 4096, 8 << 10
+	const total = int64(samples * mean)
+	pfs := tier.ThetaGPULike().PFS
+	lobster := loader.Lobster()
+	bare := loader.NoPFS(4, 8)
+	bare.PrefetchThreads = 0
+	for _, tc := range []struct {
+		name    string
+		spec    loader.Spec
+		cache   int64
+		perIter int // GPUs per node x batch
+		want    int
+	}{
+		// 32 x 2/3 misses x 4.005 ms / 4 ms = 21.4 reads in flight.
+		{"2x4 (rt-8r-sw, rt-8r-io)", lobster, total / 3, 4 * 8, 22},
+		// 8 x 2/3 x 4.005 / 4 = 5.3.
+		{"1x1 (rt-1r-sw)", lobster, total / 3, 1 * 8, 6},
+		// 32 x 1/3 x 4.005 / 4 = 10.7.
+		{"cache of two thirds", lobster, 2 * total / 3, 4 * 8, 11},
+		{"cache holds the dataset", lobster, total, 4 * 8, lobster.PrefetchThreads},
+		{"dynamic with DALI's threads", loader.LobsterTh(), total / 3, 4 * 8, 22},
+		{"NoPFS", loader.NoPFS(4, 8), total / 3, 4 * 8, 5},
+		{"NoPFS naming no threads", bare, total / 3, 4 * 8, 1},
+		{"DALI", loader.DALI(8), total / 3, 4 * 8, 2},
+		{"LobsterEvict (DALI's shared pool)", loader.LobsterEvict(4, 8), total / 3, 4 * 8, 2},
+		{"demand-only", loader.PyTorch(4, 8), total / 3, 4 * 8, 0},
+	} {
+		if got := prefetchSlots(tc.spec, pfs, 0.004, tc.cache, total, mean, tc.perIter); got != tc.want {
+			t.Errorf("%s: prefetchSlots(%s, cache %d) = %d, want %d", tc.name, tc.spec.Name, tc.cache, got, tc.want)
+		}
+	}
+	// A faster PFS needs fewer reads in flight, but never fewer than the
+	// strategy's own PrefetchThreads.
+	fast := pfs
+	fast.OpLatency = 100e-6
+	if got := prefetchSlots(lobster, fast, 0.004, total/3, total, mean, 4*8); got != lobster.PrefetchThreads {
+		t.Errorf("prefetchSlots on a 100 us PFS = %d, want PrefetchThreads %d", got, lobster.PrefetchThreads)
 	}
 }
 
@@ -464,6 +511,9 @@ func TestPrefetchHelpersStageAhead(t *testing.T) {
 	checkOracle(t, opts, stats)
 	if stats.PrefetchLate > stats.CacheMisses {
 		t.Fatalf("%d late prefetches out of %d demand misses", stats.PrefetchLate, stats.CacheMisses)
+	}
+	if stats.StagedEvicted > stats.Prefetched {
+		t.Fatalf("%d staged samples evicted unread out of %d staged", stats.StagedEvicted, stats.Prefetched)
 	}
 	checkTeardown(t, "complete run", rt.nodes)
 }

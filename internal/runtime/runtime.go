@@ -84,10 +84,11 @@ type Progress struct {
 	RemoteHits uint64 `json:"remote_hits"`
 	PFSReads   uint64 `json:"pfs_reads"`
 	Prefetched uint64 `json:"prefetched"`
-	// WorkAhead and PrefetchLate mirror the Stats fields of the same names
-	// mid-run.
-	WorkAhead    uint64 `json:"work_ahead"`
-	PrefetchLate uint64 `json:"prefetch_late"`
+	// WorkAhead, PrefetchLate and StagedEvicted mirror the Stats fields
+	// of the same names mid-run.
+	WorkAhead     uint64 `json:"work_ahead"`
+	PrefetchLate  uint64 `json:"prefetch_late"`
+	StagedEvicted uint64 `json:"staged_evicted"`
 	// Failovers mirrors the Stats field of the same name mid-run, so
 	// health endpoints can surface recovery-layer pressure while the run
 	// is still going.
@@ -127,6 +128,10 @@ type Stats struct {
 	// prefetches issued too late to spare the demand read. The demand read
 	// does not wait for the other one.
 	PrefetchLate uint64
+	// StagedEvicted counts staged samples the node caches evicted before
+	// any rank or peer read them (a cache-node crash's losses included):
+	// storage reads the prefetching paid for and nothing used.
+	StagedEvicted uint64
 	// AllreduceRounds counts the allreduce rounds rank 0 completed: one
 	// per iteration, whatever GradientSize.
 	AllreduceRounds uint64
@@ -473,7 +478,7 @@ func (rt *Runtime) collect(results []rankResult, wall time.Duration) (*Stats, er
 	stats := &Stats{
 		WallTime: wall, Iterations: rt.totalIters,
 		CacheHits: c.CacheHits, CacheMisses: c.CacheMiss, RemoteHits: c.RemoteHits, PFSReads: c.PFSReads,
-		Prefetched: c.Prefetched, WorkAhead: c.WorkAhead, PrefetchLate: c.PrefetchLate,
+		Prefetched: c.Prefetched, WorkAhead: c.WorkAhead, PrefetchLate: c.PrefetchLate, StagedEvicted: c.StagedEvicted,
 		Failovers: c.Failovers, EvictionRaces: c.EvictionRaces,
 	}
 	if stop := rt.stopIter.Load(); stop >= 0 {
@@ -529,6 +534,7 @@ func (rt *Runtime) counters() (p Progress) {
 		p.Prefetched += node.prefetched.Load()
 		p.WorkAhead += node.stagedByLoaders.Load()
 		p.PrefetchLate += node.prefetchLate.Load()
+		p.StagedEvicted += node.cache.stagedEvicted.Load()
 		p.Failovers += node.failovers.Load()
 		p.EvictionRaces += node.evictionRaces.Load()
 	}

@@ -401,37 +401,51 @@ func latencyBoundOptions(t *testing.T, spec loader.Spec) Options {
 	return opts
 }
 
-// TestWorkAheadRaisesHitRatio runs Lobster twice on the latency-bound
-// configuration, once as built and once with every node's work-ahead
-// switch turned off before its loaders start: the idle loaders' staging is
-// what lifts the hit ratio, and with the switch off nothing is attributed
-// to them.
+// TestWorkAheadRaisesHitRatio runs Lobster three times on the
+// latency-bound configuration. Twice every node's prefetch loop is cut to
+// the strategy's PrefetchThreads read slots, fewer than its misses keep in
+// flight (prefetchSlots gives 11 here), once as built and once with the
+// work-ahead switch turned off before the loaders start: when the loop
+// falls behind, the idle loaders' staging is what lifts the hit ratio, and
+// with the switch off nothing is attributed to them. The third run keeps
+// the Little's-law slots and turns work-ahead off: the loop alone then
+// beats the short loop alone, since it no longer falls behind. With both
+// the full slots and work-ahead the loop keeps up on this shape and the
+// loaders stage next to nothing, so work-ahead is compared where it still
+// has work to do.
 func TestWorkAheadRaisesHitRatio(t *testing.T) {
-	opts := latencyBoundOptions(t, loader.Lobster())
-	var last Progress
-	opts.OnProgress = func(p Progress) { last = p }
-	on, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
+	spec := loader.Lobster()
+	opts := latencyBoundOptions(t, spec)
+	run := func(short, workAhead bool) *Stats {
+		t.Helper()
+		hookNode(t, func(n *nodeRuntime) {
+			if short {
+				n.slots = n.slots[:spec.PrefetchThreads]
+			}
+			n.workAhead = workAhead
+		})
+		var last Progress
+		opts.OnProgress = func(p Progress) { last = p }
+		stats, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, opts, stats)
+		if workAhead && (last.WorkAhead == 0 || last.WorkAhead > stats.WorkAhead || last.WorkAhead > last.Prefetched) {
+			t.Errorf("last Progress has WorkAhead %d of Prefetched %d, Stats.WorkAhead %d", last.WorkAhead, last.Prefetched, stats.WorkAhead)
+		}
+		if !workAhead && stats.WorkAhead != 0 {
+			t.Fatalf("switch off, yet loaders staged %d samples", stats.WorkAhead)
+		}
+		return stats
 	}
-	checkOracle(t, opts, on)
-	if last.WorkAhead == 0 || last.WorkAhead > on.WorkAhead || last.WorkAhead > last.Prefetched {
-		t.Errorf("last Progress has WorkAhead %d of Prefetched %d, Stats.WorkAhead %d", last.WorkAhead, last.Prefetched, on.WorkAhead)
+	shortOn, shortOff, fullOff := run(true, true), run(true, false), run(false, false)
+	t.Logf("hit ratio with %d slots: %.3f with work-ahead (%d of %d staged by loaders), %.3f without; with the full slots and no work-ahead %.3f",
+		spec.PrefetchThreads, shortOn.HitRatio(), shortOn.WorkAhead, shortOn.Prefetched, shortOff.HitRatio(), fullOff.HitRatio())
+	if shortOn.HitRatio() <= shortOff.HitRatio() {
+		t.Errorf("short loop: hit ratio %.3f with work-ahead, %.3f without: want higher", shortOn.HitRatio(), shortOff.HitRatio())
 	}
-	hookNode(t, func(n *nodeRuntime) { n.workAhead = false })
-	off, err := Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.WorkAhead != 0 {
-		t.Fatalf("switch off, yet loaders staged %d samples", off.WorkAhead)
-	}
-	if on.WorkAhead == 0 {
-		t.Fatal("switch on, yet loaders staged nothing")
-	}
-	checkOracle(t, opts, off)
-	t.Logf("hit ratio %.3f with work-ahead (%d of %d staged by loaders), %.3f without", on.HitRatio(), on.WorkAhead, on.Prefetched, off.HitRatio())
-	if on.HitRatio() <= off.HitRatio() {
-		t.Fatalf("hit ratio %.3f with work-ahead, %.3f without: want higher", on.HitRatio(), off.HitRatio())
+	if fullOff.HitRatio() <= shortOff.HitRatio() {
+		t.Errorf("no work-ahead: hit ratio %.3f with the full slots, %.3f with %d: want higher", fullOff.HitRatio(), shortOff.HitRatio(), spec.PrefetchThreads)
 	}
 }

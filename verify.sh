@@ -165,13 +165,20 @@ if [ -z "$mon_url" ]; then
   cat "$kv_log" >&2
   exit 1
 fi
-curl -fsS "$mon_url/metrics" | grep -q '^lobster_kvstore_shard_items ' \
+# Each output is captured whole before it is matched: under pipefail, a
+# `grep -q` that exits at its first match would kill a writer that is
+# still writing with SIGPIPE and fail the step.
+metrics="$(curl -fsS "$mon_url/metrics")" \
+  || { echo "live /metrics scrape failed" >&2; exit 1; }
+grep -q '^lobster_kvstore_shard_items ' <<<"$metrics" \
   || { echo "live /metrics scrape missing lobster_kvstore_shard_items" >&2; exit 1; }
-curl -fsS "$mon_url/metrics" | grep -q '^# TYPE lobster_kvstore_shard_hits_total counter' \
+grep -q '^# TYPE lobster_kvstore_shard_hits_total counter' <<<"$metrics" \
   || { echo "live /metrics scrape missing kvstore counter metadata" >&2; exit 1; }
-curl -fsS "$mon_url/healthz" | grep -q '"status":"ok"' \
+health="$(curl -fsS "$mon_url/healthz")" \
+  || { echo "live /healthz scrape failed" >&2; exit 1; }
+grep -q '"status":"ok"' <<<"$health" \
   || { echo "live /healthz is not healthy" >&2; exit 1; }
-curl -fsS "$mon_url/healthz" | grep -q '"signals"' \
+grep -q '"signals"' <<<"$health" \
   || { echo "live /healthz carries no health signals" >&2; exit 1; }
 
 echo "==> doctor smoke"
@@ -179,7 +186,9 @@ echo "==> doctor smoke"
 # the /trace.json fed by traced kv requests) and produce a report...
 doctor_bin="$(dirname "$kv_bin")/lobster-doctor"
 go build -o "$doctor_bin" ./cmd/lobster-doctor
-"$doctor_bin" "$mon_url" | grep -q '^lobster-doctor report' \
+report="$("$doctor_bin" "$mon_url")" \
+  || { echo "lobster-doctor failed on the live monitor" >&2; exit 1; }
+grep -q '^lobster-doctor report' <<<"$report" \
   || { echo "lobster-doctor could not report on the live monitor" >&2; exit 1; }
 kill "$kv_pid"
 wait "$kv_pid" 2>/dev/null || true
