@@ -24,12 +24,13 @@ race:
 
 ## feed-determinism: the prefetch feed, prefetch loop and loader work-ahead
 ## tests, the run's modeled-delay and teardown pins, the node cache's decode
-## lease tests, the barrier's one train wait, the sampler's prefetch walk
+## lease tests, the barrier's one train wait, the rank's dated compute
+## start, the sampler's prefetch walk
 ## under the feed and the allreduce (the iteration barrier) under -race, ten
 ## times each at GOMAXPROCS 1, 2 and 8 (verify.sh step 4 runs this target)
 feed-determinism:
 	for procs in 1 2 8; do \
-		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier|BarrierWaitsOnce' ./internal/runtime || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier|BarrierWaitsOnce|RankComputeStarts' ./internal/runtime || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'Walk|NodeWindow' ./internal/sampler || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 ./internal/allreduce || exit 1; \
 	done

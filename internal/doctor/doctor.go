@@ -105,6 +105,21 @@ type Report struct {
 	ClockWaits        float64
 	ClockOvershootP50 float64
 	ClockOvershootP99 float64
+	// How late the ranks booked their compute past its start
+	// (lobster_runtime_compute_late_seconds): scheduling delay the
+	// runtime dated away rather than modeled.
+	ComputeBookings float64
+	ComputeLateP50  float64
+	ComputeLateP99  float64
+	// The Go scheduler's and locks' waits over the process's life
+	// (runtime/metrics, lobster_go_*): how long runnable goroutines waited
+	// for a CPU, the worst of the sources' p50 and p99, and the seconds
+	// goroutines spent blocked on mutexes, summed. SchedReported is false
+	// when no source exports them.
+	SchedReported    bool
+	SchedLatencyP50  float64
+	SchedLatencyP99  float64
+	MutexWaitSeconds float64
 
 	// Recovery-layer efficacy.
 	Failovers       float64
@@ -170,6 +185,22 @@ func (r *Report) analyzeMetrics(m *Metrics) {
 	r.ClockWaits = m.Sum("lobster_runtime_clock_overshoot_seconds_count", nil)
 	r.ClockOvershootP50, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.5)
 	r.ClockOvershootP99, _ = m.Quantile("lobster_runtime_clock_overshoot_seconds", 0.99)
+	r.ComputeBookings = m.Sum("lobster_runtime_compute_late_seconds_count", nil)
+	r.ComputeLateP50, _ = m.Quantile("lobster_runtime_compute_late_seconds", 0.5)
+	r.ComputeLateP99, _ = m.Quantile("lobster_runtime_compute_late_seconds", 0.99)
+	for _, s := range m.Samples {
+		if s.Name != "lobster_go_sched_latency_seconds" {
+			continue
+		}
+		r.SchedReported = true
+		switch s.Labels["quantile"] {
+		case "0.5":
+			r.SchedLatencyP50 = max(r.SchedLatencyP50, s.Value)
+		case "0.99":
+			r.SchedLatencyP99 = max(r.SchedLatencyP99, s.Value)
+		}
+	}
+	r.MutexWaitSeconds = m.Sum("lobster_go_mutex_wait_seconds_total", nil)
 	r.Failovers = m.Sum("lobster_runtime_failover_total", nil)
 	r.RecoverySeconds = m.Sum("lobster_runtime_stall_recovery_seconds_sum", nil)
 }
@@ -342,9 +373,20 @@ func (r *Report) WriteText(w io.Writer) error {
 			p("\n")
 		}
 	}
+	if r.ClockWaits > 0 || r.ComputeBookings > 0 || r.SchedReported {
+		p("\n")
+	}
 	if r.ClockWaits > 0 {
-		p("\nmodeled delays: %.0f waits, overshoot p50 %.0fus / p99 %.0fus\n",
+		p("modeled delays: %.0f waits, overshoot p50 %.0fus / p99 %.0fus\n",
 			r.ClockWaits, 1e6*r.ClockOvershootP50, 1e6*r.ClockOvershootP99)
+	}
+	if r.ComputeBookings > 0 {
+		p("compute booked late: p50 %.0fus / p99 %.0fus over %.0f bookings (dated away, not modeled)\n",
+			1e6*r.ComputeLateP50, 1e6*r.ComputeLateP99, r.ComputeBookings)
+	}
+	if r.SchedReported {
+		p("scheduler: runnable goroutines waited p50 %.0fus / p99 %.0fus for a CPU; %.3fs blocked on mutexes\n",
+			1e6*r.SchedLatencyP50, 1e6*r.SchedLatencyP99, r.MutexWaitSeconds)
 	}
 	if r.Failovers > 0 {
 		// Failovers are counted on both sides of the ledger, so the

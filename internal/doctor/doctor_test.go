@@ -3,6 +3,7 @@ package doctor
 import (
 	"bytes"
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -380,6 +381,133 @@ empty_bucket{le="+Inf"} 0
 	for _, name := range []string{"empty", "absent"} {
 		if _, ok := m.Quantile(name, 0.5); ok {
 			t.Errorf("Quantile(%s) reported a value without observations", name)
+		}
+	}
+}
+
+// TestReportComputeLateAndScheduler reads the ranks' compute-late
+// histogram into its quantiles over every rank, and the Go runtime's
+// scheduler and mutex series into the scheduler line: the worst
+// source's quantiles, the mutex seconds summed. Neither line appears
+// without its series.
+func TestReportComputeLateAndScheduler(t *testing.T) {
+	const late = `lobster_runtime_compute_late_seconds_bucket{rank="0",le="0.0001"} 90
+lobster_runtime_compute_late_seconds_bucket{rank="0",le="0.001"} 100
+lobster_runtime_compute_late_seconds_bucket{rank="0",le="+Inf"} 100
+lobster_runtime_compute_late_seconds_count{rank="0"} 100
+lobster_runtime_compute_late_seconds_bucket{rank="1",le="0.0001"} 100
+lobster_runtime_compute_late_seconds_bucket{rank="1",le="0.001"} 100
+lobster_runtime_compute_late_seconds_bucket{rank="1",le="+Inf"} 100
+lobster_runtime_compute_late_seconds_count{rank="1"} 100
+`
+	const sched = `lobster_go_sched_latency_seconds{quantile="0.5"} 0.000012
+lobster_go_sched_latency_seconds{quantile="0.99"} 0.0004
+lobster_go_mutex_wait_seconds_total 0.25
+`
+	for _, tc := range []struct {
+		name, metrics string
+		want, absent  []string
+	}{
+		// p50 is rank 100 of 200, 100/190 of the way into (0, 100us];
+		// p99 is rank 198, 8/10 of the way through (100us, 1ms].
+		{"both", late + sched, []string{
+			"compute booked late: p50 53us / p99 820us over 200 bookings",
+			"scheduler: runnable goroutines waited p50 12us / p99 400us for a CPU; 0.250s blocked on mutexes\n",
+		}, nil},
+		{"neither", `lobster_runtime_prefetched_total{node="0"} 5
+`, nil, []string{"compute booked late", "scheduler:"}},
+	} {
+		m, err := ParseMetrics(strings.NewReader(tc.metrics))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Analyze(m, nil).WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := buf.String()
+		for _, w := range tc.want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s: report missing %q:\n%s", tc.name, w, out)
+			}
+		}
+		for _, a := range tc.absent {
+			if strings.Contains(out, a) {
+				t.Errorf("%s: report has %q:\n%s", tc.name, a, out)
+			}
+		}
+	}
+}
+
+// TestReadmeSampleHasEveryLineKind renders a report with every section
+// filled and fails when it prints a kind of line that README.md's
+// "Diagnosing a slow run" sample lacks, so the sample cannot fall behind
+// the doctor. A line's kind is its words without the ones that carry
+// numbers (a ranked list's lines are one kind). The two straggler
+// verdicts are alternatives; the full report prints the sample's ("No
+// straggler").
+func TestReadmeSampleHasEveryLineKind(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const open = "```\nlobster-doctor report\n"
+	i := strings.Index(string(readme), open)
+	if i < 0 {
+		t.Fatal("README.md has no sample doctor report")
+	}
+	sample := string(readme[i+len("```\n"):])
+	sample = sample[:strings.Index(sample, "```")]
+
+	full := &Report{
+		Ranks: []RankReport{
+			{Rank: 0, Causes: []CauseTotal{{"pfs", 0.2}}, LoadSeconds: 0.2},
+			{Rank: 1, Causes: []CauseTotal{{"pfs", 0.2}}, LoadSeconds: 0.2},
+		},
+		TopCauses:               []CauseTotal{{"pfs", 0.4}},
+		RankStallSeconds:        0.1,
+		ImbalancedIterations:    1,
+		EpochImbalance:          []EpochImbalance{{Epoch: 0, Imbalanced: 0.5, CriticalRank: 1}},
+		Prefetch:                []NodePrefetch{{Node: 0, Causes: []CauseTotal{{"pfs", 0.3}}}},
+		PrefetchStaged:          10,
+		PrefetchSlots:           3,
+		PFSReads:                12,
+		DemandAccesses:          100,
+		ClockWaits:              10,
+		ComputeBookings:         10,
+		SchedReported:           true,
+		Failovers:               1,
+		RecoverySeconds:         0.01,
+		PrefetchRecoverySeconds: 0.01,
+	}
+	var buf bytes.Buffer
+	if err := full.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	kinds := func(text string) map[string]bool {
+		out := map[string]bool{}
+		for _, line := range strings.Split(text, "\n") {
+			var words []string
+			for i, w := range strings.Fields(line) {
+				if strings.ContainsAny(w, "0123456789") {
+					if i == 0 { // a ranked list's "1.": the names vary
+						words = append(words, "#.")
+						break
+					}
+					continue
+				}
+				words = append(words, w)
+			}
+			if len(words) > 0 {
+				out[strings.Join(words, " ")] = true
+			}
+		}
+		return out
+	}
+	have := kinds(sample)
+	for kind := range kinds(buf.String()) {
+		if !have[kind] {
+			t.Errorf("the doctor prints %q lines and README.md's sample has none: regenerate the sample from a run", kind)
 		}
 	}
 }

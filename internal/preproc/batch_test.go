@@ -3,6 +3,7 @@ package preproc
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -60,6 +61,33 @@ func TestSubmitBatchSlotOrdered(t *testing.T) {
 	}
 	if got := p.Processed(); got != 5*n {
 		t.Fatalf("processed %d jobs, want %d", got, 5*n)
+	}
+}
+
+// TestCompletionStampsLastResult: Done is the completion's clock read
+// once, when the last slot lands, whatever order the slots land in; an
+// empty batch is whole at its Reset.
+func TestCompletionStampsLastResult(t *testing.T) {
+	comp := GetCompletion()
+	defer comp.Release()
+	t0 := time.Unix(1e9, 0)
+	var reads int
+	comp.SetClock(func() time.Time {
+		reads++
+		return t0.Add(time.Duration(reads) * time.Millisecond)
+	})
+	comp.Reset(3)
+	for _, slot := range []int{2, 0, 1} {
+		comp.complete(slot, Result{})
+	}
+	comp.Wait()
+	if want := t0.Add(time.Millisecond); reads != 1 || !comp.Done().Equal(want) {
+		t.Fatalf("done %v after %d clock reads, want %v after one", comp.Done(), reads, want)
+	}
+	comp.Reset(0)
+	comp.Wait()
+	if want := t0.Add(2 * time.Millisecond); !comp.Done().Equal(want) {
+		t.Fatalf("empty batch done %v, want %v", comp.Done(), want)
 	}
 }
 

@@ -3,6 +3,7 @@ package preproc
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Completion collects one batch's preprocessing results and wakes the
@@ -22,6 +23,11 @@ import (
 // happens-before the wake send, and the waiter reads fully-published
 // results.
 //
+// The last result's landing is stamped (Done) on the completion's clock,
+// time.Now unless SetClock gave it the consumer's: the time the batch was
+// whole, however late its consumer woke. The stamp is written before the
+// wake send, so the waiter reads it like the results.
+//
 // Completions are pooled: lease with GetCompletion, give back with
 // Release once the results are consumed. The results slice is owned by
 // the Completion — callers must not retain it past the next Reset or
@@ -30,10 +36,12 @@ type Completion struct {
 	results   []Result
 	remaining atomic.Int64
 	wake      chan struct{}
+	now       func() time.Time
+	done      time.Time
 }
 
 var completionPool = sync.Pool{
-	New: func() any { return &Completion{wake: make(chan struct{}, 1)} },
+	New: func() any { return &Completion{wake: make(chan struct{}, 1), now: time.Now} },
 }
 
 // GetCompletion leases a Completion from the package pool. The runtime
@@ -44,7 +52,14 @@ func GetCompletion() *Completion { return completionPool.Get().(*Completion) }
 // Release returns the completion to the pool. No batch may be in
 // flight, and the caller must not touch the completion (or the results
 // slice it handed out) afterwards.
-func (c *Completion) Release() { completionPool.Put(c) }
+func (c *Completion) Release() {
+	c.now = time.Now
+	completionPool.Put(c)
+}
+
+// SetClock makes now the clock Done is stamped on. No batch may be in
+// flight.
+func (c *Completion) SetClock(now func() time.Time) { c.now = now }
 
 // Reset arms the completion for a batch of n results. It must not be
 // called while a previous batch is still in flight.
@@ -62,7 +77,8 @@ func (c *Completion) Reset(n int) {
 	c.remaining.Store(int64(n))
 	if n == 0 {
 		// No slots will ever complete; wake the waiter directly so
-		// Reset(0)+Wait is well-defined.
+		// Reset(0)+Wait is well-defined. The empty batch is whole now.
+		c.done = c.now()
 		c.wake <- struct{}{}
 	}
 }
@@ -73,6 +89,7 @@ func (c *Completion) Reset(n int) {
 func (c *Completion) complete(slot int, r Result) {
 	c.results[slot] = r
 	if c.remaining.Add(-1) == 0 {
+		c.done = c.now()
 		c.wake <- struct{}{}
 	}
 }
@@ -86,3 +103,8 @@ func (c *Completion) Wait() []Result {
 	<-c.wake
 	return c.results
 }
+
+// Done returns when the last result of the batch Wait returned landed,
+// on the completion's clock. Valid from Wait's return until the next
+// Reset.
+func (c *Completion) Done() time.Time { return c.done }

@@ -54,9 +54,13 @@ type Job struct {
 
 // jobBlockCap is how many jobs one internal queue slot carries.
 // SubmitBatch packs jobs into blocks of this size, cutting channel
-// operations per batch by the same factor while keeping blocks small
-// enough that a batch still spreads across workers.
-const jobBlockCap = 4
+// operations per batch by the same factor. It is the live runtime's
+// largest loaded chunk (maxLoadChunk), so a chunk is one block and wakes
+// one worker: with blocks of four, a batch of eight woke two, and on a
+// CPU-bound node the second wake-up pushed the first worker to the back
+// of the run queue, so the batch was whole only once the queue had
+// drained (DESIGN.md §12).
+const jobBlockCap = 8
 
 // jobBlock is one message on the pool's queue: up to jobBlockCap jobs,
 // inlined so SubmitBatch can hand a caller's scratch slice to the pool

@@ -18,10 +18,12 @@ import (
 // step by the barrier, once for the latest of the iteration's ranks. So
 // one wait may end many booked delays. A delay may be booked as started
 // before now: a prefetch loop's slot, or a loading worker reading a
-// chunk, starts its next read where its last one ended, not where its
-// late wake-up found it. Delays that are wall-clock by definition stay
-// off the clock: the retry backoff of a failed PFS read (1 ms and up) and
-// the chaos harness's slow-decode fault (preproc.Pool.SetDecodeDelay).
+// chunk, starts its next read where its last one ended, and a rank's
+// compute starts at the later of the release and its batch being whole,
+// not where the late wake-up found them. Delays that are wall-clock by
+// definition stay off the clock: the retry backoff of a failed PFS read
+// (1 ms and up) and the chaos harness's slow-decode fault
+// (preproc.Pool.SetDecodeDelay).
 type clock interface {
 	now() time.Time
 	// deadline books a modeled delay of d that started early before now

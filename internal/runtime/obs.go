@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -19,8 +21,9 @@ import (
 //
 // Per-stage span layout (what a /trace.json dump shows in Perfetto):
 //
-//	rank<r>                 "stall" (GPU waiting on its batch) and
-//	                        "train" (the booked compute) spans
+//	rank<r>                 "stall" (from the release until the batch
+//	                        is whole) and "train" (the booked compute,
+//	                        from then) spans
 //	rank<r>/stalls          per-cause attribution spans, one per cause
 //	                        per iteration, flushed at the barrier
 //	                        (names from stallCauseNames, DESIGN.md §14)
@@ -38,9 +41,12 @@ type runtimeObs struct {
 	reg   *obs.Registry
 	trace *obs.TraceRing
 
-	// Per-rank GPU-loop instruments, indexed by global rank.
+	// Per-rank GPU-loop instruments, indexed by global rank. computeLate
+	// observes how late each rank booked its compute past its start
+	// (runRank): time dated away, not modeled.
 	stallSeconds []*obs.Histogram
 	trainSeconds []*obs.Histogram
+	computeLate  []*obs.Histogram
 	rankTID      []int64
 
 	// Per-node thread-controller instant track, indexed by node.
@@ -59,7 +65,7 @@ type runtimeObs struct {
 	// imbalanced counts flagged iterations by critical rank.
 	gpu           []plan.GPUIter
 	records       []plan.IterRecord
-	lastEnd       time.Time // the previous barrier's release
+	lastEnd       time.Time // the previous record's end, on the run's clock
 	step          float64
 	itersPerEpoch int
 	imbalanced    []*obs.Counter
@@ -93,6 +99,7 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 		trace:        trace,
 		stallSeconds: make([]*obs.Histogram, world),
 		trainSeconds: make([]*obs.Histogram, world),
+		computeLate:  make([]*obs.Histogram, world),
 		rankTID:      make([]int64, world),
 		ctrlTID:      make([]int64, nodes),
 		ledger:       newStallLedger(world, nodes),
@@ -117,10 +124,13 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 		if reg != nil {
 			rank := strconv.Itoa(r)
 			ro.stallSeconds[r] = reg.Histogram("lobster_runtime_stall_seconds",
-				"Time each GPU spent waiting for its batch (data stall).",
+				"Time each GPU spent waiting for its batch past the barrier's release (data stall).",
 				obs.LatencyBuckets(), "rank", rank)
 			ro.trainSeconds[r] = reg.Histogram("lobster_runtime_train_seconds",
 				"Modeled per-iteration compute time per GPU, as booked (the allreduce is the barrier: its time is Idle).",
+				obs.LatencyBuckets(), "rank", rank)
+			ro.computeLate[r] = reg.Histogram("lobster_runtime_compute_late_seconds",
+				"How late each GPU booked its compute past its start (the later of the release and its batch being whole): scheduling delay dated away, not modeled.",
 				obs.LatencyBuckets(), "rank", rank)
 			ro.registerCauseHists(r, rank)
 			ro.imbalanced[r] = reg.Counter("lobster_runtime_imbalanced_iterations_total",
@@ -142,8 +152,67 @@ func newRuntimeObs(reg *obs.Registry, trace *obs.TraceRing, world, nodes, itersP
 		ro.clockOvershoot = reg.Histogram("lobster_runtime_clock_overshoot_seconds",
 			"How late each wait on the run's clock returned, past its deadline: the barrier's one train wait per iteration, a storage or peer read a loading worker waits for, or one due set of a node's prefetch loop.",
 			obs.LatencyBuckets())
+		registerSchedMetrics(reg)
 	}
 	return ro
+}
+
+// registerSchedMetrics registers scrape-time series over the Go
+// runtime's own scheduler and lock accounting (runtime/metrics), which
+// cover the whole process since it started: how long runnable goroutines
+// waited for a CPU, and how long goroutines were blocked on sync.Mutex
+// and sync.RWMutex.
+func registerSchedMetrics(reg *obs.Registry) {
+	for _, q := range []struct {
+		label string
+		q     float64
+	}{{"0.5", 0.5}, {"0.99", 0.99}} {
+		q := q
+		reg.GaugeFunc("lobster_go_sched_latency_seconds",
+			"Quantile of the time runnable goroutines waited for a CPU, over the process's life (runtime/metrics /sched/latencies:seconds).",
+			func() float64 { return schedLatency(q.q) }, "quantile", q.label)
+	}
+	reg.CounterFunc("lobster_go_mutex_wait_seconds_total",
+		"Time goroutines spent blocked on a sync.Mutex or sync.RWMutex, summed (runtime/metrics /sync/mutex/wait/total:seconds).",
+		mutexWait)
+}
+
+// schedLatency is the q-quantile of /sched/latencies:seconds, the upper
+// bound of the bucket the quantile falls in; 0 before any observation.
+func schedLatency(q float64) float64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
+		return 0
+	}
+	h := s[0].Value.Float64Histogram()
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	rank := uint64(math.Ceil(q * float64(total)))
+	var seen uint64
+	for i, c := range h.Counts {
+		seen += c
+		if c > 0 && seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return 0
+}
+
+// mutexWait is /sync/mutex/wait/total:seconds; 0 where the Go runtime
+// does not report it.
+func mutexWait() float64 {
+	s := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindFloat64 {
+		return 0
+	}
+	return s[0].Value.Float64()
 }
 
 // registerCauseHists registers rank r's six per-cause stall histograms.
@@ -273,20 +342,20 @@ func (ro *runtimeObs) flushLedger(completed int, nodes []*nodeRuntime) {
 	}
 }
 
-// recordIteration closes iteration `completed`'s record at its release,
-// after the barrier's train wait; nothing when attribution is not being
-// recorded (see ledgerOn). Load (the loadSideCause causes) and Preproc
-// (decode_wait) are ledger sums over concurrent loads and decode jobs,
-// so they can exceed wall time; Train is the booked compute alone, so
-// Idle, what BatchTime (release to release) leaves after Stall and
-// Train, is the rank's wait at the barrier from its own deadline to the
-// release. Threads are the pool sizes in force. plan.Imbalance's verdict
-// goes to the counter and the barrier track.
-func (ro *runtimeObs) recordIteration(completed int, nodes []*nodeRuntime) {
+// recordIteration closes iteration `completed`'s record at end, on the
+// run's clock after the barrier's train wait; nothing when attribution
+// is not being recorded (see ledgerOn). Load (the loadSideCause causes)
+// and Preproc (decode_wait) are ledger sums over concurrent loads and
+// decode jobs, so they can exceed wall time; Stall runs from the release
+// to the compute's start and Train is the booked compute alone, so Idle,
+// what BatchTime (record to record, each between a train wait and the
+// next release) leaves after Stall and Train, is the rank's wait at the
+// barrier from its own deadline. Threads are the pool sizes in force.
+// plan.Imbalance's verdict goes to the counter and the barrier track.
+func (ro *runtimeObs) recordIteration(completed int, nodes []*nodeRuntime, end time.Time) {
 	if ro.ledgerOn() == nil {
 		return
 	}
-	end := time.Now()
 	batch := end.Sub(ro.lastEnd).Seconds()
 	ro.lastEnd = end
 	imbalanced, critical := plan.Imbalance(ro.gpu, ro.step)

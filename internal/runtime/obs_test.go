@@ -132,10 +132,13 @@ func TestRunTraceOnly(t *testing.T) {
 // TestRunRecordsIterations: a recorded run returns one plan.IterRecord
 // per completed iteration, also when cancelled; each rank's Train is the
 // booked step, its Stall and Train add up to its stall and train
-// histograms, its wait at the barrier is in Idle (the release comes no
-// earlier than its deadline, so the batch holds Stall + Train whole), and
-// the imbalanced-iterations counter is plan.Imbalance applied to the
-// records. A run that records nothing returns no trace.
+// histograms, and its wait at the barrier is in Idle. The compute is
+// dated from its start, Stall after the release, never before it (Stall
+// >= 0), and the next record closes no earlier than the deadline booked
+// from there, so the batch holds Stall + Train whole; every booking
+// observes how late it came past that start, once per rank and
+// iteration. The imbalanced-iterations counter is plan.Imbalance applied
+// to the records. A run that records nothing returns no trace.
 func TestRunRecordsIterations(t *testing.T) {
 	for _, cancelAfter := range []int{0, 5} {
 		opts := testOptions(t, loader.Lobster(), 2, 2)
@@ -177,11 +180,11 @@ func TestRunRecordsIterations(t *testing.T) {
 				stall[r] += g.Stall
 				train[r] += g.Train
 				idle[r] += g.Idle
-				if g.Train != step || g.Idle < 0 || g.Load < 0 {
-					t.Fatalf("record %d rank %d: %+v, want Train %v", h, r, g, step)
+				if g.Train != step || g.Stall < 0 || g.Idle < 0 || g.Load < 0 {
+					t.Fatalf("record %d rank %d: %+v, want Train %v and no negative part", h, r, g, step)
 				}
 				if rec.BatchTime < g.Stall+g.Train {
-					t.Fatalf("record %d rank %d: released %.9fs into the batch, before its deadline at %.9fs",
+					t.Fatalf("record %d rank %d: closed %.9fs into the batch, before the deadline booked from its start at %.9fs",
 						h, r, rec.BatchTime, g.Stall+g.Train)
 				}
 			}
@@ -216,6 +219,10 @@ func TestRunRecordsIterations(t *testing.T) {
 			// (and any wait there for a straggler) is in Idle.
 			if got := scraped("lobster_runtime_train_seconds_sum", r); math.Abs(got-train[r]) > 1e-9 || idle[r] <= 0 {
 				t.Errorf("rank %d: records train %.9fs, histogram %v; records idle %.9fs", r, train[r], got, idle[r])
+			}
+			late := reg.Histogram("lobster_runtime_compute_late_seconds", "", obs.LatencyBuckets(), "rank", strconv.Itoa(r))
+			if late.Count() != uint64(stats.Iterations) {
+				t.Errorf("rank %d: %d compute-late observations over %d iterations", r, late.Count(), stats.Iterations)
 			}
 			counter := reg.Counter("lobster_runtime_imbalanced_iterations_total", "", "rank", strconv.Itoa(r))
 			if counter.Value() != flagged[r] {

@@ -404,3 +404,104 @@ func TestPrefetchLedgerFlush(t *testing.T) {
 		t.Error("prefetch histograms registered for causes a helper cannot incur")
 	}
 }
+
+// startClock is a fakeClock on which the reads of the run's first batch
+// cost readCost each and every later read costs nothing, so the clock
+// moves only by that batch, by the barrier's train waits and by what a
+// test's hooks wait. It logs the train bookings (the delays of exactly
+// step).
+type startClock struct {
+	*fakeClock
+	step, readCost time.Duration
+	costly         int // reads still to charge readCost
+
+	mu     sync.Mutex
+	booked []trainBooking
+}
+
+// trainBooking is one rank's booked compute: how late it was booked
+// past its start, and its deadline.
+type trainBooking struct {
+	early time.Duration
+	due   time.Time
+}
+
+func (c *startClock) deadline(early, d time.Duration) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d != c.step {
+		d = 0
+		if c.costly > 0 {
+			c.costly--
+			d = c.readCost
+		}
+		return c.fakeClock.deadline(early, d)
+	}
+	t := c.fakeClock.deadline(early, d)
+	c.booked = append(c.booked, trainBooking{early, t})
+	return t
+}
+
+// TestRankComputeStartsAtReleaseOrDone pins where a rank's compute
+// starts, on the fake clock with one rank and one loading worker: at
+// max(release, done), whenever the rank's goroutine books it.
+//   - A batch that completes after the release starts at its done stamp:
+//     batch 0's reads move the clock past the run's start.
+//   - A rank held back after the release (by the test's hook, once it
+//     holds its batch) books with early equal to its hold, and the
+//     barrier waits for release + step.
+//   - A rank whose own path outlasts the step still holds the release:
+//     its deadline has passed when it arrives, and the next release is
+//     its arrival.
+//
+// The iteration record dates the same start: Stall is start - release,
+// and BatchTime runs to the next release, the train wait's end.
+func TestRankComputeStartsAtReleaseOrDone(t *testing.T) {
+	opts := testOptions(t, loader.PyTorch(1, 2), 1, 1)
+	opts.Topology.GPUsPerNode = 1
+	opts.Trace = obs.NewTraceRing(1 << 12)
+	step := scaled(opts.Model.IterTime, opts.TimeScale)
+	const readCost = time.Millisecond
+	batch := opts.Model.BatchSize
+	clk := &startClock{fakeClock: newFakeClock(), step: step, readCost: readCost, costly: batch}
+	t0 := clk.now()
+	holds := map[int]time.Duration{0: step / 3, 5: step / 2, 9: 4 * step}
+	rankHook = func(_, h int) {
+		if d := holds[h]; d > 0 {
+			clk.fakeClock.until(clk.now().Add(d))
+		}
+	}
+	t.Cleanup(func() { rankHook = nil })
+	stats, err := run(context.Background(), opts, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, opts, stats)
+	if len(clk.booked) != stats.Iterations || len(stats.Trace) != stats.Iterations {
+		t.Fatalf("%d train bookings, %d records over %d iterations", len(clk.booked), len(stats.Trace), stats.Iterations)
+	}
+	release := t0
+	for h, b := range clk.booked {
+		start := release
+		if h == 0 {
+			// Batch 0 is whole once its reads, back to back on the one
+			// worker, have ended.
+			start = t0.Add(time.Duration(batch) * readCost)
+		}
+		if b.early != holds[h] || !b.due.Equal(start.Add(step)) {
+			t.Fatalf("iteration %d: booked early %v, due %v; want early %v (the hold), due %v (start + step)",
+				h, b.early, b.due.Sub(t0), holds[h], start.Add(step).Sub(t0))
+		}
+		rec := stats.Trace[h].PerGPU[0]
+		if want := start.Sub(release).Seconds(); rec.Stall != want || rec.Train != step.Seconds() {
+			t.Fatalf("iteration %d: record stall %v, train %v; want %v, %v", h, rec.Stall, rec.Train, want, step.Seconds())
+		}
+		// The barrier waits for the deadline, or for a rank that
+		// arrives after it.
+		next := start.Add(max(step, holds[h]))
+		if got := stats.Trace[h].BatchTime; got != next.Sub(release).Seconds() {
+			t.Fatalf("iteration %d: released %vs after the last release, want %vs", h, got, next.Sub(release).Seconds())
+		}
+		release = next
+	}
+}

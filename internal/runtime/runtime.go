@@ -210,6 +210,11 @@ type Runtime struct {
 	// in progress, written by the rank before it arrives at the barrier
 	// and read by the last arriver, under the same ordering as submitted.
 	trainDue []time.Time
+	// release is when the barrier last let the ranks go, on the run's
+	// clock: the run's start, then the end of every endIteration. The last
+	// arriver writes it with every other rank parked; the ranks read it
+	// once released, under the same ordering as submitted.
+	release time.Time
 
 	// decideThreads scratch, reused across iterations (only the barrier's
 	// last-arriving rank runs decisions, one iteration at a time, so no
@@ -242,8 +247,9 @@ func run(ctx context.Context, opts Options, clk clock) (*Stats, error) {
 	}
 	rt.cancel = ctx.Done()
 	rt.start = time.Now()
+	rt.release = rt.clk.now()
 	if rt.ro != nil {
-		rt.ro.lastEnd = rt.start
+		rt.ro.lastEnd = rt.release
 	}
 	if opts.Chaos != nil {
 		// Process boundary 0 so Start-0 events are active before the first
@@ -282,13 +288,17 @@ type rankResult struct {
 	err              error  // first verification or allreduce failure
 }
 
-// runRank is one GPU's training loop. It runs one batch deep — the depth
-// the simulator's PipelineDepth defaults to: batch h+1 is submitted
-// before the wait on batch h, so it loads and decodes under h's compute
-// and allreduce (the barrier). The rank does not wait out its own
-// compute: it books it on the run's clock and arrives at the allreduce
-// at once, and the barrier waits once for the latest booked deadline
-// (endIteration).
+// runRank is one GPU's training loop. Batch h+1 is submitted before the
+// wait on batch h, so it loads and decodes under h's compute and
+// allreduce (the barrier): batch h+1 starts loading once the allreduce of
+// h-1 has released, which is the simulator's gate at its default
+// PipelineDepth of 2. The rank does not wait out its own compute: it
+// books it on the run's clock from max(release, done), when the barrier
+// let it go and when its batch was whole (the simulator's trainStart),
+// however late its goroutine woke to book it, and arrives at the
+// allreduce at once. The barrier waits once for the latest booked
+// deadline (endIteration), and for every rank to arrive, so a rank whose
+// own path outlasts the step still holds the release.
 func (rt *Runtime) runRank(rank int) (res rankResult) {
 	opts := &rt.opts
 	q := rt.nodes[rank/rt.gpus].queues[rank%rt.gpus]
@@ -302,15 +312,16 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 	}
 	for i := range slots {
 		slots[i].comp = preproc.GetCompletion()
+		slots[i].comp.SetClock(rt.clk.now)
 		defer slots[i].comp.Release()
 	}
 	grad := make([]float64, max(opts.GradientSize, 0))
 	step := time.Duration(opts.Model.IterTime * opts.TimeScale * float64(time.Second))
 	ro := rt.ro
-	var stallH, trainH *obs.Histogram
+	var stallH, trainH, lateH *obs.Histogram
 	var rankTID int64
 	if ro != nil {
-		stallH, trainH = ro.stallSeconds[rank], ro.trainSeconds[rank]
+		stallH, trainH, lateH = ro.stallSeconds[rank], ro.trainSeconds[rank], ro.computeLate[rank]
 		rankTID = ro.rankTID[rank]
 	}
 	// recording keeps the un-instrumented (and disabled-registry) path
@@ -340,17 +351,11 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		if stop := rt.stopIter.Load(); stop >= 0 && h >= int(stop) {
 			break
 		}
+		release := rt.release
 		if h+1 < rt.totalIters {
 			dispatch(h + 1)
 		}
 		batch := slots[h&1].batch
-		rec := recording()
-		// The data-stall stage: everything between dispatching the batch
-		// and holding every tensor.
-		var stallStart time.Time
-		if rec {
-			stallStart = time.Now()
-		}
 		var batchFold uint64
 		for i, r := range slots[h&1].comp.Wait() {
 			if r.Tensor != nil {
@@ -369,21 +374,32 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 		}
 		res.fold = res.fold*1099511628211 + mix64(batchFold)
 		res.loaded += uint64(len(batch))
-		// The training stage: book the compute, which starts now that the
-		// batch is held, then average the pseudo-gradient with every other
-		// GPU — the collective that makes any straggler a global stall, and
-		// the barrier whose last arriver waits for the latest booked
-		// compute to end and then ends the iteration.
-		if rec {
-			// The compute alone, as simulated: the booked step, which
-			// starts no earlier than the stall ends. The wait at the
-			// barrier from this rank's deadline to the release is the
-			// record's Idle.
-			now := time.Now()
-			ro.gpu[rank].Stall = ro.gpuSpan("stall", stallH, rankTID, h, stallStart, now.Sub(stallStart))
-			ro.gpu[rank].Train = ro.gpuSpan("train", trainH, rankTID, h, now, step)
+		if rankHook != nil {
+			rankHook(rank, h)
 		}
-		rt.trainDue[rank] = rt.clk.deadline(0, step)
+		// The training stage: the compute starts once the barrier has
+		// released and the batch is whole, and it is booked from then,
+		// however late this goroutine got a CPU to book it (late): that
+		// lateness is the clock's model error, not modeled time. Then the
+		// rank averages the pseudo-gradient with every other GPU, the
+		// collective that makes any straggler a global stall, and the
+		// barrier whose last arriver waits for the latest booked compute
+		// to end and then ends the iteration.
+		start := release
+		if done := slots[h&1].comp.Done(); done.After(start) {
+			start = done
+		}
+		late := rt.clk.now().Sub(start)
+		rt.trainDue[rank] = rt.clk.deadline(late, step)
+		if recording() {
+			// The data stall, as simulated, runs from the release to the
+			// start, and the compute is the booked step from there. The
+			// wait at the barrier from this rank's deadline to the release
+			// is the record's Idle.
+			ro.gpu[rank].Stall = ro.gpuSpan("stall", stallH, rankTID, h, release, start.Sub(release))
+			ro.gpu[rank].Train = ro.gpuSpan("train", trainH, rankTID, h, start, step)
+			lateH.Observe(late.Seconds())
+		}
 		for i := range grad {
 			grad[i] = float64((batchFold>>uint(i%32))&0xFFFF) / 65536
 		}
@@ -419,7 +435,9 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 // that needs nothing from the release — maintenance, the ledger flush,
 // the thread decision — inside the modeled compute, then waits once for
 // the latest booked deadline, and only then crosses the iteration
-// boundary. No lock is held across the wait.
+// boundary. Its last act is to stamp the release, so the ranks' next
+// compute is booked from after all of it. No lock is held across the
+// wait.
 func (rt *Runtime) endIteration(completed int) {
 	now := cache.Iter(completed)
 	for _, node := range rt.nodes {
@@ -444,16 +462,13 @@ func (rt *Runtime) endIteration(completed int) {
 	for _, node := range rt.nodes {
 		node.iterNow.Store(int32(completed + 1))
 	}
-	rt.ro.recordIteration(completed, rt.nodes)
+	rt.ro.recordIteration(completed, rt.nodes, rt.clk.now())
 	select {
 	case <-rt.cancel:
 		if rt.stopIter.Load() < 0 {
 			rt.stopIter.Store(int64(completed + 1))
 		}
 	default:
-	}
-	if barrierHook != nil {
-		barrierHook(rt, completed)
 	}
 	if rt.opts.Chaos != nil {
 		rt.opts.Chaos.OnIteration(completed + 1)
@@ -467,6 +482,12 @@ func (rt *Runtime) endIteration(completed int) {
 		case node.tick <- struct{}{}:
 		default:
 		}
+	}
+	// The ranks' next compute starts no earlier than now: all of the
+	// boundary's bookkeeping is on the critical path.
+	rt.release = rt.clk.now()
+	if barrierHook != nil {
+		barrierHook(rt, completed)
 	}
 }
 
@@ -570,8 +591,12 @@ func checkBatchResult(res preproc.Result, want dataset.SampleID) error {
 
 // barrierHook, when set (tests only), runs in the barrier's last-arriver
 // callback at the boundary after iteration `completed` (after the train
-// wait), with every rank parked.
+// wait and the release stamp), with every rank parked.
 var barrierHook func(rt *Runtime, completed int)
+
+// rankHook, when set (tests only), runs on rank's goroutine once it holds
+// batch h, before it books the compute.
+var rankHook func(rank, h int)
 
 // decideThreads sets iteration h's thread assignment: from the offline
 // plan when one is loaded, otherwise from the live controller (dynamic
