@@ -30,7 +30,7 @@ race:
 ## times each at GOMAXPROCS 1, 2 and 8 (verify.sh step 4 runs this target)
 feed-determinism:
 	for procs in 1 2 8; do \
-		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier|BarrierWaitsOnce|RankComputeStarts' ./internal/runtime || exit 1; \
+		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'PrefetchFeed|PrefetchHelpers|PrefetchLoop|RetryTransient|RunRequestsModeledDelays|RunReleasesClock|WorkAhead|Lease|AllreduceIsTheIterationBarrier|BarrierWaitsOnce|RankComputeStarts|Dispatch' ./internal/runtime || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 -run 'Walk|NodeWindow' ./internal/sampler || exit 1; \
 		GOMAXPROCS=$$procs $(GO) test -race -count=10 ./internal/allreduce || exit 1; \
 	done

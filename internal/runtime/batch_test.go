@@ -29,22 +29,29 @@ func serialOracle(t *testing.T, opts Options) (fold, samples uint64) {
 		for epoch := 0; epoch < opts.Epochs; epoch++ {
 			for it := 0; it < sched.IterationsPerEpoch(); it++ {
 				batch = sched.Batch(batch[:0], epoch, it, rank)
-				var batchFold uint64
-				for _, id := range batch {
-					tensor, err := preproc.Decode(opts.Dataset.Payload(id), id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					batchFold ^= mix64(tensor.Checksum)
-					preproc.PutTensor(tensor)
-				}
-				rankFold = rankFold*1099511628211 + mix64(batchFold)
+				rankFold = rankFold*1099511628211 + mix64(oracleFold(t, opts.Dataset, batch))
 				samples += uint64(len(batch))
 			}
 		}
 		fold = fold*1099511628211 + rankFold
 	}
 	return fold, samples
+}
+
+// oracleFold is one batch's fold, its ids decoded straight from the
+// dataset's payloads.
+func oracleFold(t *testing.T, ds *dataset.Dataset, ids []dataset.SampleID) uint64 {
+	t.Helper()
+	var fold uint64
+	for _, id := range ids {
+		tensor, err := preproc.Decode(ds.Payload(id), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold ^= mix64(tensor.Checksum)
+		preproc.PutTensor(tensor)
+	}
+	return fold
 }
 
 // checkOracle fails the test unless the run loaded, verified and folded

@@ -178,7 +178,7 @@ func (rt *Runtime) addNode(n int, plan *access.Plan, portfolio *perfmodel.Prepro
 	}
 	node.queues = make([]*gpuQueue, rt.gpus)
 	for j := range node.queues {
-		node.queues[j] = newGPUQueue(node, j, loadWorkers[j])
+		node.queues[j] = newGPUQueue(node, j, loadWorkers[j], opts.Model.BatchSize)
 	}
 	if rt.ro != nil {
 		rt.ro.instrumentNode(node)

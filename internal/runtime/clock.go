@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"sync"
 	"time"
 
@@ -31,16 +32,19 @@ type clock interface {
 	deadline(early, d time.Duration) time.Time
 	// until waits until t, a deadline booked earlier.
 	until(t time.Time)
+	// untilRelease is until for the barrier's train wait, the one wait
+	// every rank's next step follows (DESIGN.md §15).
+	untilRelease(t time.Time)
 }
 
-// wallClock waits in real time. A waiter always waits on a Go timer,
-// which is precise and nearly free while any P is running goroutines.
-// With every P idle the Go scheduler parks in epoll_wait, whose timeout
-// has millisecond granularity, and a 200 µs wait returns after 1.1 ms;
-// so where the platform offers one (newWakeTimer) the clock also keeps a
-// kernel timer armed for the earliest pending deadline, registered with
-// the netpoller, and an idle scheduler wakes on time to find the Go
-// timer already expired.
+// wallClock waits in real time. A waiter waits on a Go timer (but for a
+// short train wait, untilRelease), which is precise and nearly free
+// while any P is running goroutines. With every P idle the Go scheduler
+// parks in epoll_wait, whose timeout has millisecond granularity, and a
+// 200 µs wait returns after 1.1 ms; so where the platform offers one
+// (newWakeTimer) the clock also keeps a kernel timer armed for the
+// earliest pending deadline, registered with the netpoller, and an idle
+// scheduler wakes on time to find the Go timer already expired.
 type wallClock struct {
 	wake *wakeups // nil: Go timers alone
 	// stop releases the kernel timer and waits for its reader. Waits
@@ -79,6 +83,32 @@ func (c *wallClock) until(t time.Time) {
 		}
 		time.Sleep(d)
 	}
+	c.observe(t)
+}
+
+// untilRelease does not park for a wait shorter than spinBelow: it
+// yields its P until the deadline. The ranks have just dispatched their
+// next batches, so the decoders they readied are runnable on that P;
+// parked, the barrier would leave them to a thread the scheduler has to
+// wake, and be woken itself, and waking a thread the OS descheduled
+// costs tens of µs on a VM, more than the wait.
+func (c *wallClock) untilRelease(t time.Time) {
+	if d := time.Until(t); d <= 0 || d >= spinBelow {
+		c.until(t)
+		return
+	}
+	for time.Now().Before(t) {
+		goruntime.Gosched()
+	}
+	c.observe(t)
+}
+
+// spinBelow is the longest train wait untilRelease yields through rather
+// than parks for.
+const spinBelow = 20 * time.Microsecond
+
+// observe records how late a wait for t returned.
+func (c *wallClock) observe(t time.Time) {
 	if c.overshoot.On() {
 		c.overshoot.Observe(time.Since(t).Seconds())
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dataset"
 	"repro/internal/loader"
+	"repro/internal/obs"
 	"repro/internal/preproc"
 	"repro/internal/tier"
 )
@@ -52,6 +54,8 @@ func (f *fakeClock) until(t time.Time) {
 	f.waits = append(f.waits, d)
 	f.t = f.t.Add(d)
 }
+
+func (f *fakeClock) untilRelease(t time.Time) { f.until(t) }
 
 // takeWaits returns the waits for booked deadlines since the last call.
 func (f *fakeClock) takeWaits() []time.Duration {
@@ -399,6 +403,45 @@ func TestWallClockConcurrentSleepers(t *testing.T) {
 	wg.Wait()
 	c.stop()
 	c.until(c.deadline(0, time.Microsecond)) // a late waiter still returns
+}
+
+// TestTrainWaitYieldsWhenShort: a train wait shorter than spinBelow
+// arms no kernel timer, since it never parks, and one at least that long
+// does; each returns no earlier than its deadline and observes its
+// overshoot once.
+func TestTrainWaitYieldsWhenShort(t *testing.T) {
+	reg := obs.NewRegistry()
+	overshoot := reg.Histogram("overshoot_seconds", "test", obs.LatencyBuckets())
+	c := newWallClock(overshoot)
+	defer c.stop()
+	if c.wake == nil {
+		t.Skip("no kernel timer on this platform")
+	}
+	var sets atomic.Int32
+	c.wake.mu.Lock()
+	set := c.wake.settime
+	c.wake.settime = func(rel int64) {
+		sets.Add(1)
+		set(rel)
+	}
+	c.wake.mu.Unlock()
+	for i, tc := range []struct {
+		d     time.Duration
+		parks bool
+	}{{spinBelow / 4, false}, {100 * spinBelow, true}} {
+		before := sets.Load()
+		due := c.deadline(0, tc.d)
+		c.untilRelease(due)
+		if now := time.Now(); now.Before(due) {
+			t.Errorf("a train wait of %v returned %v early", tc.d, due.Sub(now))
+		}
+		if parked := sets.Load() > before; parked != tc.parks {
+			t.Errorf("a train wait of %v armed the kernel timer: %v, want %v", tc.d, parked, tc.parks)
+		}
+		if n := overshoot.Count(); n != uint64(i+1) {
+			t.Errorf("after %d train waits the overshoot histogram counts %d", i+1, n)
+		}
+	}
 }
 
 // openDescriptors counts the process's open file descriptors; ok is

@@ -89,10 +89,35 @@ func (nc *nodeCache) get(id dataset.SampleID, now cache.Iter) (payload []byte, o
 	if !nc.c.Get(id, now) {
 		return nil, false
 	}
+	return nc.lease(id), true
+}
+
+// leaseResident is get for the resident samples of a batch, under one
+// lock: out[i] is ids[i]'s leased payload, nil when ids[i] is not
+// resident. Only the hits are counted (and seen by the policy); an absent
+// sample is counted by the get of the loading worker that picks it up, so
+// one staged meanwhile is a hit then. hits is how many were leased.
+func (nc *nodeCache) leaseResident(ids []dataset.SampleID, now cache.Iter, out [][]byte) (hits int) {
+	nc.mu.Lock()
+	defer nc.mu.Unlock()
+	for i, id := range ids {
+		out[i] = nil
+		if nc.c.Contains(id) {
+			nc.c.Get(id, now)
+			out[i] = nc.lease(id)
+			hits++
+		}
+	}
+	return hits
+}
+
+// lease takes a decode lease on resident id's buffer. Called with nc.mu
+// held.
+func (nc *nodeCache) lease(id dataset.SampleID) []byte {
 	e := &nc.entries[id]
 	e.leases++
 	e.unread = false
-	return e.b, true
+	return e.b
 }
 
 // ReleasePayload implements preproc.PayloadOwner: the decode pipeline is
@@ -252,8 +277,9 @@ func (nc *nodeCache) crash() int {
 	return n
 }
 
-// loadWork is one message on a gpuQueue: a contiguous chunk of a batch
-// enqueued by submitBatch.
+// loadWork is one message on a gpuQueue: a run of consecutive batch slots
+// whose samples were absent from the node cache at dispatch
+// (submitBatch).
 type loadWork struct {
 	// Materialize ids and complete comp's slots base..base+len(ids)-1.
 	// The per-sample preprocessing seed is seed ^ id. ids is borrowed from
@@ -285,51 +311,111 @@ const maxLoadChunk = 8
 
 // gpuQueue is the per-GPU request queue of Section 4.2 with a resizable
 // worker crew — "a separate request queue for each GPU, each of which can
-// be assigned a different number of threads".
+// be assigned a different number of threads". Its workers serve the
+// samples a batch needs from storage (a peer's cache or the PFS); the
+// batch's cache hits never enter it (submitBatch).
 type gpuQueue struct {
-	reqs    chan loadWork
-	node    *nodeRuntime
-	label   string // trace track-name prefix, "node<n>/gpu<j>"
-	crew    *preproc.Crew
+	reqs  chan loadWork
+	node  *nodeRuntime
+	label string // trace track-name prefix, "node<n>/gpu<j>"
+	crew  *preproc.Crew
+	// pending counts the queued and in-progress samples: the misses of
+	// the batches submitted and not yet loaded.
 	pending atomic.Int64
+
+	// Dispatch scratch, sized to the batch at newGPUQueue and written
+	// only by submitBatch, on the goroutine of the one rank the queue
+	// serves: each slot's leased payload (nil for a miss), and the hits'
+	// decode jobs, which SubmitBatch copies out.
+	leased [][]byte
+	jobs   []preproc.Job
 }
 
-func newGPUQueue(node *nodeRuntime, gpu, workers int) *gpuQueue {
+func newGPUQueue(node *nodeRuntime, gpu, workers, batch int) *gpuQueue {
 	q := &gpuQueue{
-		reqs:  make(chan loadWork, 1024),
-		node:  node,
-		label: fmt.Sprintf("node%d/gpu%d", node.node, gpu),
+		reqs:   make(chan loadWork, 1024),
+		node:   node,
+		label:  fmt.Sprintf("node%d/gpu%d", node.node, gpu),
+		leased: make([][]byte, batch),
+		jobs:   make([]preproc.Job, batch),
 	}
 	q.crew = preproc.NewCrew("loader", q.worker)
 	q.resize(workers)
 	return q
 }
 
-// submitBatch enqueues one GPU batch as contiguous chunks — one channel
-// send per chunk instead of one per sample. The chunk size spreads the
-// batch evenly over the queue's current workers, capped at maxLoadChunk.
-// comp must be armed (Reset) for len(ids) results; slots map 1:1 to
-// batch positions, so the results come back in batch order. ids is
-// borrowed until comp's Wait returns; the caller must not mutate it
-// before then. iter is the global iteration the batch is for.
+// submitBatch dispatches one GPU batch from the rank's goroutine. Under
+// one lock of the node cache it leases every resident sample (a counted
+// hit, nodeCache.leaseResident); only the absent slots go on the loading
+// queue, one message per run of consecutive absent slots, capped at the
+// chunk size, which spreads the batch evenly over the queue's current
+// workers up to maxLoadChunk; then the hits go to the decode pool in one
+// SubmitBatch, owned by the cache. comp must be armed (Reset) for
+// len(ids) results; slots map 1:1 to batch positions, so the results come
+// back in batch order. ids is borrowed until comp's Wait returns; the
+// caller must not mutate it before then. iter is the global iteration the
+// batch is for. A non-zero enq (attribution records) times the lease pass
+// as the hits' local_hit and stamps their decode jobs.
 //
-//lint:hotpath one call per iteration per rank on the data path; preproc's TestBatchedSteadyStateDoesNotAllocate pins the round trip it feeds at 0 allocs
+//lint:hotpath one call per iteration per rank on the data path; TestDispatchDoesNotAllocate pins the round trip at 0 allocs
 func (q *gpuQueue) submitBatch(ids []dataset.SampleID, iter cache.Iter, seed uint64, comp *preproc.Completion, tctx obs.TraceCtx, enq time.Time) {
-	w := q.crew.Size()
-	chunk := (len(ids) + w - 1) / w
-	if chunk > maxLoadChunk {
-		chunk = maxLoadChunk
+	n := q.node
+	var start time.Time
+	if !enq.IsZero() {
+		start = time.Now()
 	}
-	if chunk < 1 {
-		chunk = 1
+	leased := q.leased[:len(ids)]
+	hits := n.cache.leaseResident(ids, iter, leased)
+	var leasedAt time.Time
+	if !enq.IsZero() {
+		leasedAt = time.Now()
 	}
-	q.pending.Add(int64(len(ids)))
-	for base := 0; base < len(ids); base += chunk {
-		end := base + chunk
-		if end > len(ids) {
-			end = len(ids)
+	if misses := len(ids) - hits; misses > 0 {
+		w := max(q.crew.Size(), 1)
+		chunk := min((len(ids)+w-1)/w, maxLoadChunk)
+		q.pending.Add(int64(misses))
+		for base := 0; base < len(ids); {
+			if leased[base] != nil {
+				base++
+				continue
+			}
+			end := base + 1
+			for end < len(ids) && end-base < chunk && leased[end] == nil {
+				end++
+			}
+			q.reqs <- loadWork{ids: ids[base:end], base: base, seed: seed, comp: comp, iter: iter, ctx: tctx, enq: enq}
+			base = end
 		}
-		q.reqs <- loadWork{ids: ids[base:end], base: base, seed: seed, comp: comp, iter: iter, ctx: tctx, enq: enq}
+	}
+	if hits == 0 {
+		return
+	}
+	if !enq.IsZero() {
+		n.chargeHits(tctx, leasedAt.Sub(start), hits)
+	}
+	j := 0
+	for i, p := range leased {
+		if p != nil {
+			q.jobs[j] = preproc.Job{ID: ids[i], Payload: p, Seed: seed ^ uint64(ids[i]), Comp: comp, Slot: i, Owner: n.cache, Ctx: tctx, EnqueuedAt: leasedAt}
+			j++
+		}
+	}
+	n.pre.SubmitBatch(q.jobs[:j])
+}
+
+// chargeHits attributes a dispatch's lease pass, d long for hits samples,
+// as the loading worker attributes a hit it serves: local_hit on the
+// dispatching rank's ledger row, and one load-latency observation per
+// sample, each its share of the pass.
+func (n *nodeRuntime) chargeHits(tctx obs.TraceCtx, d time.Duration, hits int) {
+	ro := n.rt.ro
+	if ro == nil {
+		return
+	}
+	ro.ledger.add(tctx, causeLocalHit, d)
+	per := (d / time.Duration(hits)).Seconds()
+	for i := 0; i < hits; i++ {
+		n.loadHist.Observe(per)
 	}
 }
 
@@ -434,8 +520,8 @@ func (n *nodeRuntime) threads() plan.NodeThreads {
 	return th
 }
 
-// loadChunk materializes one contiguous chunk of a GPU batch and hands
-// it to preprocessing in a single SubmitBatch. tid is the worker's trace
+// loadChunk materializes one run of a GPU batch's misses and hands it to
+// preprocessing in a single SubmitBatch. tid is the worker's trace
 // track (0 when untraced). jobs is the worker's reused scratch, passed
 // length-zero; the returned slice carries its grown capacity back to the
 // worker loop.
@@ -475,7 +561,9 @@ func (n *nodeRuntime) loadChunk(w loadWork, tid int64, jobs []preproc.Job) []pre
 
 // loadPayload materializes one sample's bytes for iteration now: local
 // cache, else a peer's cache, else PFS. This is the Equation 1
-// path, executed for real. now is the iteration of the access, which the
+// path, executed for real. The sample was absent when its batch was
+// dispatched; the look at the local cache counts the access, and is a hit
+// when a staging read has brought the sample in since. now is the iteration of the access, which the
 // planned policies key their next-use lookups on. owned reports whether the returned slice is exclusively the
 // data path's — recyclable after decode; a non-nil owner means the
 // slice is leased from a cache that still retains it and must be
@@ -597,13 +685,15 @@ const (
 // next read, which starts where the slot's last one ended (finishDue).
 func (n *nodeRuntime) begin(r *tierRead, id dataset.SampleID, now cache.Iter, row *stallRow, demand bool, early time.Duration) {
 	*r = tierRead{id: id, now: now, row: row, demand: demand, backoff: pfsRetryBase, cause: causePFS}
+	// The first leg is charged from here: a demand read's look at the
+	// feed, which may wait for its lock, is part of the read.
+	r.startLeg()
 	if demand && n.feed != nil && n.feed.inFlight(id) {
 		// The prefetch loop or a loading worker claimed this id and has
 		// not staged it yet: the prefetch was issued, but too late to
 		// spare the demand read.
 		n.prefetchLate.Add(1)
 	}
-	r.startLeg()
 	if peer := n.rt.dir.Holder(id, n.node); peer >= 0 {
 		r.leg = legPeer
 		r.copy, r.evicted, r.due = n.rt.dm.book(peer, id, n.rt.ds.Size(id), early)

@@ -27,7 +27,9 @@ import (
 //	rank<r>/stalls          per-cause attribution spans, one per cause
 //	                        per iteration, flushed at the barrier
 //	                        (names from stallCauseNames, DESIGN.md §14)
-//	node<n>/gpu<j>/loader<k> "load" spans, one per sample materialized
+//	node<n>/gpu<j>/loader<k> "load" spans, one per sample a loading worker
+//	                        materialized (the misses at dispatch; hits are
+//	                        leased by the rank and charged to local_hit)
 //	node<n>/preproc/worker<k> "preproc" spans (via preproc.Instruments)
 //	node<n>/prefetch-ledger per-cause spans (cat "prefetch") of what the
 //	                        node's prefetch loop and idle loading
@@ -399,14 +401,14 @@ func (ro *runtimeObs) instrumentNode(node *nodeRuntime) {
 		return
 	}
 	node.loadHist = ro.reg.Histogram("lobster_runtime_load_seconds",
-		"Time to materialize one sample (local cache, peer cache, or PFS).",
+		"Time to materialize one sample: a hit's share of its dispatch's lease pass, or a miss's read from a peer cache or the PFS.",
 		obs.LatencyBuckets(), "node", n)
 
 	for j, q := range node.queues {
 		q := q
 		g := strconv.Itoa(j)
 		ro.reg.GaugeFunc("lobster_runtime_queue_depth",
-			"Load requests pending in each per-GPU queue.",
+			"Samples pending in each per-GPU loading queue: the misses of the dispatched batches not yet loaded (cache hits go straight to the decode pool).",
 			func() float64 { return float64(q.pending.Load()) }, "node", n, "gpu", g)
 		ro.reg.GaugeFunc("lobster_runtime_load_threads",
 			"Loading workers currently assigned to each per-GPU queue.",

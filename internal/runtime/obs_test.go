@@ -102,6 +102,51 @@ func TestRunInstrumented(t *testing.T) {
 	}
 }
 
+// scrapeSum sums every sample of the series named name (any labels) in
+// a Prometheus text scrape.
+func scrapeSum(t *testing.T, scrape, name string) float64 {
+	t.Helper()
+	var sum float64
+	for _, line := range strings.Split(scrape, "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || rest == "" || rest[0] != '{' && rest[0] != ' ' {
+			continue
+		}
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("scrape line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestRunTimesEveryAccessOnce: every access is timed once, by the rank
+// that dispatched it when it was a hit and by the loading worker that
+// served it otherwise, so the load histogram counts exactly the run's
+// hits and misses, and the hits served at dispatch charge local_hit.
+func TestRunTimesEveryAccessOnce(t *testing.T) {
+	opts := testOptions(t, loader.Lobster(), 2, 2)
+	reg := obs.NewRegistry()
+	opts.Obs = reg
+	stats, err := Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkOracle(t, opts, stats)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	scrape := sb.String()
+	if got, want := scrapeSum(t, scrape, "lobster_runtime_load_seconds_count"), float64(stats.CacheHits+stats.CacheMisses); got != want {
+		t.Errorf("load histogram counts %v samples, want the %v hits and misses", got, want)
+	}
+	if scrapeSum(t, scrape, "lobster_runtime_stall_local_hit_seconds_sum") == 0 {
+		t.Error("no local_hit time charged")
+	}
+}
+
 // TestRunUninstrumented guards the default path: no registry, no trace,
 // no recording side effects.
 func TestRunUninstrumented(t *testing.T) {

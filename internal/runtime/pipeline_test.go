@@ -141,6 +141,8 @@ func (c *barrierClock) until(t time.Time) {
 	c.fakeClock.until(t)
 }
 
+func (c *barrierClock) untilRelease(t time.Time) { c.until(t) }
+
 func (c *barrierClock) logDrain(now cache.Iter) {
 	c.mu.Lock()
 	c.log = append(c.log, barrierEvent{drain: true, now: now})

@@ -327,10 +327,11 @@ func (rt *Runtime) runRank(rank int) (res rankResult) {
 	// recording keeps the un-instrumented (and disabled-registry) path
 	// clock-free.
 	recording := func() bool { return ro != nil && (ro.trace != nil || stallH.On()) }
-	// dispatch hands batch h to the loading queue. When recording, the
-	// batch is dispatched with a trace context (this rank, epoch, global
-	// iteration) and a submit timestamp so the stall ledger can decompose
-	// the wait by cause.
+	// dispatch hands batch h to the rank's queue: its cache hits to the
+	// decode pool, its misses to the loading workers (submitBatch). When
+	// recording, the batch is dispatched with a trace context (this rank,
+	// epoch, global iteration) and a submit timestamp so the stall ledger
+	// can decompose the wait by cause.
 	dispatch := func(h int) {
 		epoch, it := h/rt.itersPerEpoch, h%rt.itersPerEpoch
 		var tctx obs.TraceCtx
@@ -456,7 +457,7 @@ func (rt *Runtime) endIteration(completed int) {
 			latest = t
 		}
 	}
-	rt.clk.until(latest)
+	rt.clk.untilRelease(latest)
 
 	// The iteration boundary: the release.
 	for _, node := range rt.nodes {

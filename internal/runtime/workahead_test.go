@@ -171,10 +171,14 @@ func loaderFixture(t *testing.T, clk clock) (*nodeRuntime, *gpuQueue) {
 		feed:      newPrefetchFeed(sched, 0, feedGPUs, feedTotalIters, 8, nc.contains),
 		workAhead: true,
 	}
-	q := &gpuQueue{reqs: make(chan loadWork, 4), node: node}
+	q := &gpuQueue{reqs: make(chan loadWork, 4), node: node,
+		leased: make([][]byte, fixtureBatch), jobs: make([]preproc.Job, fixtureBatch)}
 	q.crew = preproc.NewCrew("loader", q.worker)
 	return node, q
 }
+
+// fixtureBatch is the largest batch a loaderFixture queue dispatches.
+const fixtureBatch = 16
 
 // readState is what a waitHookClock saw during one modeled delay: how
 // many claims the feed had in flight and how many ids loaders had staged.
